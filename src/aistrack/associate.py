@@ -3,19 +3,34 @@
 Each fleet model is rolled forward to the observation time; the observation is
 assigned to the vessel whose predicted position is closest on the great
 circle, or declared a new track when the minimum distance exceeds tau.
+
+The rollout is fleet-stacked. `associate_batch` first computes the (N, Z)
+matrix of rollout steps, observation by vessel, then stacks the Z vessel
+networks (`lstm.stack_networks`) and advances all Z windows together, one
+batched `roll_step` per step, up to the largest step any observation needs.
+The (S, Z, 2) table of predictions is unscaled in one numpy expression and
+each observation reads its row of `GeoPoint`s from it. So the LSTM runs S
+times per association instead of S times per vessel, with the same numbers:
+a stacked matmul computes each vessel's slice exactly as a separate call
+would. Vessels whose networks or windows differ in shape are stacked in
+separate groups. Distances stay scalar `math` haversines, one per
+(observation, vessel), because a vectorized `np.arcsin` differs from
+`math.asin` in the last ulp and could flip near-ties.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import defaultdict
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TimeBeforeTraining
 from .ingest import AisMessage
-from .lstm import roll_step
-from .preprocess import unscale
+from .lstm import roll_step, stack_networks
+from .preprocess import ScalerParams, unscale
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -47,46 +62,59 @@ def haversine(p: GeoPoint, q: GeoPoint, r: float = EARTH_RADIUS_KM) -> float:
     return 2 * r * math.asin(min(1.0, math.sqrt(a)))
 
 
-@dataclass
-class RolloutState:
-    """Incrementally advanced prediction state for one vessel model."""
-
-    window: np.ndarray  # (m, k) scaled
-    steps_done: int = 0
-    last_pred_scaled: np.ndarray | None = None
-
-    def advance_to(self, bundle, steps: int) -> np.ndarray:
-        """Advance the rollout to `steps` total steps past train end."""
-        while self.steps_done < steps:
-            self.last_pred_scaled, self.window = roll_step(bundle.network, self.window)
-            self.steps_done += 1
-        return self.last_pred_scaled
+def _rollout_steps(bundles, times: list[float]) -> np.ndarray:
+    """(N, Z) rollout steps from each bundle's train end to each time:
+    round((time - train_end_time) / period), minimum 1."""
+    t = np.array(times, dtype=np.float64)[:, None]
+    ends = np.array([b.train_end_time for b in bundles], dtype=np.float64)
+    early = t <= ends
+    if early.any():
+        i, z = np.argwhere(early)[0]
+        b = bundles[z]
+        raise TimeBeforeTraining(f"vessel {b.vessel_id}: target {times[i]} <= train end {b.train_end_time}")
+    periods = np.array([b.period for b in bundles], dtype=np.float64)
+    return np.maximum(1, np.round((t - ends) / periods)).astype(np.int64)
 
 
-def predict_positions(bundles, target_time: float, states: dict | None = None) -> dict[str, GeoPoint]:
+def _rollout_positions(bundles, steps: int) -> np.ndarray:
+    """(steps, Z, 2) unscaled (lat, lon) of every bundle's rollout, for 1
+    through `steps` periods past its train end."""
+    groups = defaultdict(list)
+    for z, b in enumerate(bundles):
+        shapes = tuple(a.shape for a in b.network.param_arrays())
+        groups[shapes, b.network.residual, b.last_training_window.shape].append(z)
+    scaled = np.empty((steps, len(bundles), 2))
+    for members in groups.values():
+        net = stack_networks([bundles[z].network for z in members])
+        window = np.stack([bundles[z].last_training_window for z in members])
+        for s in range(steps):
+            scaled[s, members], window = roll_step(net, window)
+    fleet_scaler = ScalerParams(
+        min=np.stack([b.scaler.min for b in bundles]), max=np.stack([b.scaler.max for b in bundles])
+    )
+    return unscale(scaled, fleet_scaler)
+
+
+def _predictions(bundles, times: list[float]) -> Iterator[dict[str, GeoPoint]]:
+    """Every bundle's predicted position at each time, from one stacked
+    rollout to the latest of them."""
+    if not bundles:
+        raise ValueError("no vessel models to predict with")
+    steps = _rollout_steps(bundles, times)
+    if not len(steps):
+        return
+    positions = _rollout_positions(bundles, int(steps.max())).tolist()
+    points = [[GeoPoint(lat=lat, lon=lon) for lat, lon in row] for row in positions]
+    vids = [b.vessel_id for b in bundles]
+    for row in steps.tolist():
+        yield {vid: points[s - 1][z] for z, (vid, s) in enumerate(zip(vids, row))}
+
+
+def predict_positions(bundles, target_time: float) -> dict[str, GeoPoint]:
     """Roll every bundle forward to target_time and unscale the predictions.
 
-    steps = round((target_time - train_end_time) / period), minimum 1.
-    Pass the same `states` dict across calls with non-decreasing target times
-    to advance rollouts incrementally instead of recomputing from scratch.
-    """
-    out: dict[str, GeoPoint] = {}
-    for bundle in bundles:
-        if target_time <= bundle.train_end_time:
-            raise TimeBeforeTraining(
-                f"vessel {bundle.vessel_id}: target {target_time} <= train end {bundle.train_end_time}"
-            )
-        steps = max(1, round((target_time - bundle.train_end_time) / bundle.period))
-        if states is not None:
-            state = states.setdefault(
-                bundle.vessel_id, RolloutState(window=bundle.last_training_window.copy())
-            )
-        else:
-            state = RolloutState(window=bundle.last_training_window.copy())
-        scaled = state.advance_to(bundle, steps)
-        lat, lon = unscale(scaled, bundle.scaler)
-        out[bundle.vessel_id] = GeoPoint(lat=float(lat), lon=float(lon))
-    return out
+    steps = round((target_time - train_end_time) / period), minimum 1."""
+    return next(_predictions(bundles, [target_time]))
 
 
 def associate(
@@ -122,17 +150,16 @@ def associate_batch(
     tau: float = math.inf,
     radius_km: float = EARTH_RADIUS_KM,
 ) -> list[AssociationDecision]:
-    """Associate time-ordered observations, advancing predictions incrementally.
+    """Associate time-ordered observations against one fleet-stacked rollout.
 
     No exclusivity constraint: many observations may map to one track."""
     if any(b.t > a.t for a, b in zip(observations[1:], observations)):
         raise ValueError("observations must be sorted by timestamp")
-    states: dict[str, RolloutState] = {}
-    decisions = []
-    for obs in observations:
-        preds = predict_positions(bundles, obs.t, states=states)
-        decisions.append(associate(obs, preds, tau=tau, radius_km=radius_km))
-    return decisions
+    predictions = _predictions(bundles, [obs.t for obs in observations])
+    return [
+        associate(obs, preds, tau=tau, radius_km=radius_km)
+        for obs, preds in zip(observations, predictions)
+    ]
 
 
 def decisions_to_csv(decisions: list[AssociationDecision], vessel_ids: list[str]) -> str:

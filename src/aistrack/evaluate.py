@@ -10,12 +10,10 @@ import numpy as np
 
 from .errors import IoFailure, UnknownObjectId
 
-NEW_TRACK = "NEW"
-
 
 @dataclass
 class ConfusionMatrix:
-    labels: list[str]  # row/column order; may include NEW as a predicted-only column
+    labels: list[str]  # row/column order; may include associate.NEW_TRACK as a predicted-only column
     counts: np.ndarray  # square, rows = true label, cols = predicted label
 
     @property

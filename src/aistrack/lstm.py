@@ -13,7 +13,10 @@ in train mode, and a dense head reading the last timestep. All math is float64
 so the finite-difference gradient check is tight.
 
 All forward/backward internals are batched over windows; batch size 1
-recovers the single-window contract.
+recovers the single-window contract. The forward pass also takes leading
+axes: `stack_networks` gives every parameter a leading vessel axis, and one
+`forward_batch` call then runs Z vessel models on (Z, B, m, k) windows with
+batched matmuls, bit for bit as Z separate calls would.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ def relu(x):
 
 @dataclass
 class LstmLayerParams:
-    """One layer's weights: W (4h, d_in), U (4h, h), b (4h,)."""
+    """One layer's weights: W (4h, d_in), U (4h, h), b (4h,); stacked,
+    W (Z, 4h, d_in), U (Z, 4h, h), b (Z, 1, 4h)."""
 
     W: np.ndarray
     U: np.ndarray
@@ -43,11 +47,11 @@ class LstmLayerParams:
 
     @property
     def hidden(self) -> int:
-        return self.U.shape[1]
+        return self.U.shape[-1]
 
     @property
     def d_in(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[-1]
 
 
 def count_params(d_in: int, h: int) -> int:
@@ -92,7 +96,7 @@ class LstmNetwork:
 
     @property
     def out_dim(self) -> int:
-        return self.dense_b.shape[0]
+        return self.dense_b.shape[-1]
 
     def param_arrays(self) -> list[np.ndarray]:
         arrays = []
@@ -137,10 +141,35 @@ def init_network(
     )
 
 
+def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
+    """Stack same-shaped networks along a leading vessel axis: W (Z, 4h, d),
+    U (Z, 4h, h), b (Z, 1, 4h), dense_W (Z, out, h), dense_b (Z, 1, out).
+    forward_batch on the result takes (Z, B, m, k) windows. Inference only:
+    backward and Adam work on single networks."""
+    first = nets[0]
+    if any(n.residual != first.residual or len(n.layers) != len(first.layers) for n in nets):
+        raise ValueError("cannot stack networks of different architectures")
+    layers = [
+        LstmLayerParams(
+            W=np.stack([n.layers[li].W for n in nets]),
+            U=np.stack([n.layers[li].U for n in nets]),
+            b=np.stack([n.layers[li].b for n in nets])[:, None, :],
+        )
+        for li in range(len(first.layers))
+    ]
+    return LstmNetwork(
+        layers=layers,
+        dense_W=np.stack([n.dense_W for n in nets]),
+        dense_b=np.stack([n.dense_b for n in nets])[:, None, :],
+        dropout_rate=first.dropout_rate,
+        residual=first.residual,
+    )
+
+
 @dataclass
 class LayerCache:
-    x: np.ndarray  # (B, m, d_in) layer input sequence
-    i: np.ndarray  # gate activations, each (B, m, h)
+    x: np.ndarray  # (*lead, m, d_in) layer input sequence
+    i: np.ndarray  # gate activations, each (*lead, m, h)
     f: np.ndarray
     g: np.ndarray
     g_pre: np.ndarray
@@ -150,38 +179,40 @@ class LayerCache:
 
 @dataclass
 class ForwardCache:
-    window: np.ndarray  # (B, m, k)
+    window: np.ndarray  # (*lead, m, k)
     layer_caches: list[LayerCache] = field(default_factory=list)
     block_inputs: list[np.ndarray] = field(default_factory=list)  # input to each block
     dropout_masks: list[np.ndarray | None] = field(default_factory=list)
-    final_seq: np.ndarray | None = None  # (B, m, h) after last block
-    prediction: np.ndarray | None = None  # (B, out_dim)
+    final_seq: np.ndarray | None = None  # (*lead, m, h) after last block
+    prediction: np.ndarray | None = None  # (*lead, out_dim)
 
 
 def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
-    B, m, _ = x.shape
+    *lead, m, _ = x.shape
     h = layer.hidden
-    i_a = np.empty((B, m, h))
-    f_a = np.empty((B, m, h))
-    g_a = np.empty((B, m, h))
-    gp_a = np.empty((B, m, h))
-    o_a = np.empty((B, m, h))
-    c_a = np.empty((B, m, h))
-    h_seq = np.empty((B, m, h))
-    h_prev = np.zeros((B, h))
-    c_prev = np.zeros((B, h))
+    i_a = np.empty((*lead, m, h))
+    f_a = np.empty((*lead, m, h))
+    g_a = np.empty((*lead, m, h))
+    gp_a = np.empty((*lead, m, h))
+    o_a = np.empty((*lead, m, h))
+    c_a = np.empty((*lead, m, h))
+    h_seq = np.empty((*lead, m, h))
+    h_prev = np.zeros((*lead, h))
+    c_prev = np.zeros((*lead, h))
     for t in range(m):
-        pre = x[:, t] @ layer.W.T + h_prev @ layer.U.T + layer.b
-        i_t = sigmoid(pre[:, :h])
-        f_t = sigmoid(pre[:, h : 2 * h])
-        gp_t = pre[:, 2 * h : 3 * h]
+        pre = x[..., t, :] @ layer.W.mT + h_prev @ layer.U.mT + layer.b
+        i_t = sigmoid(pre[..., :h])
+        f_t = sigmoid(pre[..., h : 2 * h])
+        gp_t = pre[..., 2 * h : 3 * h]
         g_t = relu(gp_t)
-        o_t = sigmoid(pre[:, 3 * h :])
+        o_t = sigmoid(pre[..., 3 * h :])
         c_t = f_t * c_prev + i_t * g_t
         h_t = o_t * relu(c_t)
-        i_a[:, t], f_a[:, t], g_a[:, t], gp_a[:, t], o_a[:, t] = i_t, f_t, g_t, gp_t, o_t
-        c_a[:, t] = c_t
-        h_seq[:, t] = h_t
+        i_a[..., t, :], f_a[..., t, :], g_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = (
+            i_t, f_t, g_t, gp_t, o_t
+        )
+        c_a[..., t, :] = c_t
+        h_seq[..., t, :] = h_t
         h_prev, c_prev = h_t, c_t
     return h_seq, LayerCache(x=x, i=i_a, f=f_a, g=g_a, g_pre=gp_a, o=o_a, c=c_a)
 
@@ -192,10 +223,12 @@ def forward_batch(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on windows of shape (B, m, k); returns (B, out_dim) predictions."""
+    """Run the stack on windows of shape (B, m, k), or (Z, B, m, k) for a
+    stacked network; returns (B, out_dim) or (Z, B, out_dim) predictions."""
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[2] != net.input_dim:
-        raise CacheMismatch(f"expected (B, m, {net.input_dim}) input, got {windows.shape}")
+    if windows.ndim != net.dense_W.ndim + 1 or windows.shape[-1] != net.input_dim:
+        lead = "Z, " * (net.dense_W.ndim - 2)
+        raise CacheMismatch(f"expected ({lead}B, m, {net.input_dim}) input, got {windows.shape}")
     cache = ForwardCache(window=windows)
     seq = windows
     for li, layer in enumerate(net.layers):
@@ -214,7 +247,7 @@ def forward_batch(
         cache.dropout_masks.append(mask)
         seq = out
     cache.final_seq = seq
-    pred = seq[:, -1] @ net.dense_W.T + net.dense_b
+    pred = seq[..., -1, :] @ net.dense_W.mT + net.dense_b
     if not np.all(np.isfinite(pred)):
         raise NonFiniteActivation("non-finite prediction")
     cache.prediction = pred
@@ -374,31 +407,27 @@ FEEDBACK_MIN = -0.5
 FEEDBACK_MAX = 1.5
 
 
-def roll_step(net: LstmNetwork, window: np.ndarray, speed_course_fill=None):
-    """One rollout step: predict, then push the prediction into the window.
-    Returns (raw prediction, next window)."""
-    pred, _ = forward_batch(net, window[None, ...], train=False)
-    extra = window[-1, 2:] if speed_course_fill is None else np.asarray(speed_course_fill)
-    fed_back = np.clip(pred[0], FEEDBACK_MIN, FEEDBACK_MAX)
-    next_window = np.vstack((window[1:], np.concatenate((fed_back, extra))))
-    return pred[0], next_window
+def roll_step(net: LstmNetwork, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One rollout step on a (..., m, k) window (a stacked network takes
+    (Z, m, k)): predict, then push the prediction into the window.
+    Returns (raw prediction (..., out_dim), next window)."""
+    pred, _ = forward_batch(net, window[..., None, :, :], train=False)
+    pred = pred[..., 0, :]
+    newest = np.concatenate((np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX), window[..., -1, 2:]), axis=-1)
+    next_window = np.concatenate((window[..., 1:, :], newest[..., None, :]), axis=-2)
+    return pred, next_window
 
 
-def predict_sequence(
-    net: LstmNetwork,
-    seed_window: np.ndarray,
-    steps: int,
-    speed_course_fill=None,
-) -> np.ndarray:
+def predict_sequence(net: LstmNetwork, seed_window: np.ndarray, steps: int) -> np.ndarray:
     """Recursive multi-step rollout in scaled units.
 
-    Each predicted (lat, lon) becomes the position part of the newest row
-    pushed into the sliding window; speed/course come from speed_course_fill
-    (default: hold the window's last known values). Returns (steps, 2)."""
+    Each predicted (lat, lon), clamped to the feedback band, becomes the
+    position part of the newest row pushed into the sliding window; speed
+    and course hold the window's last known values. Returns (steps, ..., 2)."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     window = np.array(seed_window, dtype=np.float64)
-    preds = np.empty((steps, net.out_dim))
+    preds = np.empty((steps, *window.shape[:-2], net.out_dim))
     for s in range(steps):
-        preds[s], window = roll_step(net, window, speed_course_fill)
+        preds[s], window = roll_step(net, window)
     return preds

@@ -115,9 +115,10 @@ def scale(x: np.ndarray, p: ScalerParams) -> np.ndarray:
 
 
 def unscale(y: np.ndarray, p: ScalerParams) -> np.ndarray:
-    """Invert `scale` for the (lat, lon) components."""
+    """Invert `scale` for the (lat, lon) components. Scaler arrays stacked
+    to (Z, 4) unscale (..., Z, 2) predictions of Z vessels at once."""
     y = np.asarray(y, dtype=np.float64)
-    return p.min[:2] + y * (p.max[:2] - p.min[:2])
+    return p.min[..., :2] + y * (p.max[..., :2] - p.min[..., :2])
 
 
 def make_windows(scaled: np.ndarray, m: int, train_len: int) -> WindowSet:

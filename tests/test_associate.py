@@ -15,9 +15,10 @@ from aistrack.associate import (
     haversine,
     predict_positions,
 )
+from aistrack.cli import main
 from aistrack.errors import TimeBeforeTraining
-from aistrack.fleet import ModelBundle
-from aistrack.ingest import AisMessage
+from aistrack.fleet import ModelBundle, save_fleet
+from aistrack.ingest import AisMessage, serialize_csv
 from aistrack.lstm import forward, init_network, predict_sequence
 from aistrack.preprocess import ScalerParams, unscale
 
@@ -93,20 +94,22 @@ class TestAssociate:
             assert d.assigned == "A"
 
 
-def _bundle(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0):
-    net = init_network(k=4, hidden=8, dropout_rate=0.0, rng=np.random.default_rng(seed))
+def _bundle(
+    vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0, hidden=8, window=10
+):
+    net = init_network(k=4, hidden=hidden, dropout_rate=0.0, rng=np.random.default_rng(seed))
     scaler = ScalerParams(
         min=np.array([lat_range[0], lon_range[0], 0.0, 0.0]),
         max=np.array([lat_range[1], lon_range[1], 10.0, 3600.0]),
     )
-    window = np.random.default_rng(seed + 100).random((10, 4))
+    last_window = np.random.default_rng(seed + 100).random((window, 4))
     return ModelBundle(
         vessel_id=vid,
         network=net,
         scaler=scaler,
-        window_size=10,
+        window_size=window,
         period=period,
-        last_training_window=window,
+        last_training_window=last_window,
         train_end_time=train_end,
     )
 
@@ -136,13 +139,13 @@ class TestPredictPositions:
         assert preds["v1"].lat == pytest.approx(lat, rel=1e-12)
         assert preds["v1"].lon == pytest.approx(lon, rel=1e-12)
 
-    def test_incremental_state_matches_fresh_rollout(self):
+    def test_every_horizon_matches_predict_sequence(self):
         b = _bundle("v1")
-        states = {}
-        predict_positions([b], target_time=1010, states=states)
-        inc = predict_positions([b], target_time=1020, states=states)
-        fresh = predict_positions([b], target_time=1020)
-        assert inc["v1"] == fresh["v1"]
+        roll = predict_sequence(b.network, b.last_training_window, 6)
+        for steps in (3, 1, 6, 2, 2, 5):  # decreasing targets must not return a stale rollout
+            preds = predict_positions([b], target_time=1000 + 5 * steps)
+            lat, lon = unscale(roll[steps - 1], b.scaler)
+            assert preds["v1"] == GeoPoint(lat=float(lat), lon=float(lon))
 
     def test_time_before_training_rejected(self):
         with pytest.raises(TimeBeforeTraining):
@@ -178,6 +181,52 @@ class TestAssociateBatch:
         ]
         decisions = associate_batch(obs, bundles)
         assert [d.assigned for d in decisions] == sorted(preds)
+
+
+def _oracle(observations, bundles):
+    """Each vessel rolled out on its own, afresh for every observation."""
+    decisions = []
+    for obs in observations:
+        preds = {}
+        for b in bundles:
+            steps = max(1, round((obs.t - b.train_end_time) / b.period))
+            lat, lon = unscale(predict_sequence(b.network, b.last_training_window, steps)[-1], b.scaler)
+            preds[b.vessel_id] = GeoPoint(lat=float(lat), lon=float(lon))
+        decisions.append(associate(obs, preds))
+    return decisions
+
+
+class TestStackedRollout:
+    BUNDLES = [
+        _bundle("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21), train_end=1000, period=5.0),
+        _bundle("bbb", seed=2, lat_range=(30.2, 31.2), lon_range=(20.1, 21.1), train_end=1013, period=7.0),
+        _bundle("ccc", seed=3, lat_range=(29.9, 30.9), lon_range=(19.8, 20.8), train_end=990, period=3.0),
+        _bundle("ddd", seed=4, lat_range=(30.1, 31.1), lon_range=(20.2, 21.2), hidden=4),  # own stack
+        _bundle("eee", seed=5, lat_range=(30.0, 30.8), lon_range=(20.0, 20.9), window=6),  # own stack
+    ]
+
+    def test_matches_per_vessel_oracle(self):
+        rng = np.random.default_rng(9)
+        times = np.sort(rng.integers(1014, 1200, size=40))
+        obs = [
+            _obs(i + 1, float(lat), float(lon), t=int(t))
+            for i, (t, lat, lon) in enumerate(zip(times, rng.uniform(30, 31, 40), rng.uniform(20, 21, 40)))
+        ]
+        decisions = associate_batch(obs, self.BUNDLES)
+        assert len({d.assigned for d in decisions}) > 1
+        assert decisions == _oracle(obs, self.BUNDLES)
+
+    def test_observation_at_train_end_rejected(self):
+        obs = [_obs(1, 30.5, 20.5, t=1020), _obs(2, 30.5, 20.5, t=1013)]
+        with pytest.raises(TimeBeforeTraining, match="bbb"):
+            associate_batch(sorted(obs, key=lambda m: m.t), self.BUNDLES)
+
+    def test_observation_at_train_end_is_cli_data_error(self, tmp_path):
+        save_fleet(self.BUNDLES, tmp_path / "models")
+        msg = AisMessage(object_id=1, vessel_id="x", t=1013, lat=30.5, lon=20.5, speed=0, course=0)
+        (tmp_path / "obs.csv").write_text(serialize_csv([msg]))
+        argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv"]
+        assert main([str(a) for a in argv + ["--out", tmp_path / "d.csv"]]) == 2
 
 
 def test_decisions_csv_round_trip():

@@ -16,6 +16,7 @@ from aistrack.lstm import (
     init_network,
     mse_loss,
     predict_sequence,
+    stack_networks,
     train_epoch,
 )
 
@@ -213,6 +214,38 @@ class TestPredictSequence:
         win = np.random.default_rng(16).random((6, 4))
         roll = predict_sequence(net, win, 4)
         assert roll.shape == (4, 2)
+
+
+class TestStackNetworks:
+    def test_stacked_forward_equals_each_network(self):
+        nets = [small_net(seed=s) for s in (31, 32, 33)]
+        wins = np.random.default_rng(34).random((3, 5, 6, 4))
+        stacked, _ = forward_batch(stack_networks(nets), wins)
+        assert stacked.shape == (3, 5, 2)
+        for z, net in enumerate(nets):
+            single, _ = forward_batch(net, wins[z])
+            assert np.array_equal(stacked[z], single)
+
+    def test_stacked_rollout_equals_each_rollout(self):
+        nets = [small_net(seed=s) for s in (41, 42, 43)]
+        nets[1].dense_W *= 25.0  # this vessel's feedback clamps, the others' do not
+        wins = np.random.default_rng(44).random((3, 6, 4))
+        roll = predict_sequence(stack_networks(nets), wins, 30)
+        assert roll.shape == (30, 3, 2)
+        for z, net in enumerate(nets):
+            assert np.array_equal(roll[:, z], predict_sequence(net, wins[z], 30))
+
+    def test_stacked_network_needs_vessel_axis(self):
+        with pytest.raises(CacheMismatch):
+            forward_batch(stack_networks([small_net(), small_net(seed=2)]), np.zeros((5, 6, 4)))
+
+    def test_different_architectures_rejected(self):
+        with pytest.raises(ValueError):
+            stack_networks([small_net(hidden=8), small_net(hidden=4)])
+        unrolled = small_net()
+        unrolled.residual = False
+        with pytest.raises(ValueError):
+            stack_networks([small_net(), unrolled])
 
 
 def test_mse_loss_definition():
