@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
-from .errors import AistrackError
+from .errors import AistrackError, BadConfig
 from .evaluate import confusion, metrics, write_report
 from .fleet import FleetConfig, load_fleet, save_fleet, train_fleet
 from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv
@@ -51,14 +51,34 @@ class RunConfig:
     crossing: str = ""  # "a,b,sample" to force an overlap scenario
 
 
+# JSON value types accepted for each RunConfig field type; an int stands
+# for a float, as it does on the command line.
+_CONFIG_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _read_config(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise BadConfig(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON or not UTF-8
+        raise BadConfig(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise BadConfig(f"config {path} must hold a JSON object")
+    return doc
+
+
 def effective_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
-        for key, value in loaded.items():
-            if not hasattr(cfg, key):
-                raise AistrackError(f"unknown config key {key!r}")
-            setattr(cfg, key, value)
+        for key, value in _read_config(Path(args.config)).items():
+            if key not in types:
+                raise BadConfig(f"unknown config key {key!r}")
+            kind = types[key]
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _CONFIG_TYPES[kind]):
+                raise BadConfig(f"config key {key!r} must be {kind}, got {type(value).__name__}")
+            setattr(cfg, key, float(value) if kind == "float" else value)
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:

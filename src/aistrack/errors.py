@@ -59,3 +59,7 @@ class UnknownObjectId(AistrackError):
 
 class IoFailure(AistrackError):
     pass
+
+
+class BadConfig(AistrackError):
+    pass

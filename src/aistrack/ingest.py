@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -52,7 +53,7 @@ class AisMessage:
             raise OutOfRange("LAT", self.lat, line_no)
         if not -180.0 <= self.lon <= 180.0:
             raise OutOfRange("LON", self.lon, line_no)
-        if self.speed < 0:
+        if not 0.0 <= self.speed < math.inf:
             raise OutOfRange("SPEED", self.speed, line_no)
         if not 0.0 <= self.course < 3600.0:
             raise OutOfRange("COURSE", self.course, line_no)

@@ -13,10 +13,14 @@ in train mode, and a dense head reading the last timestep. All math is float64
 so the finite-difference gradient check is tight.
 
 All forward/backward internals are batched over windows; batch size 1
-recovers the single-window contract. The forward pass also takes leading
-axes: `stack_networks` gives every parameter a leading vessel axis, and one
-`forward_batch` call then runs Z vessel models on (Z, B, m, k) windows with
-batched matmuls, bit for bit as Z separate calls would.
+recovers the single-window contract. Everything also takes a leading vessel
+axis: `stack_networks` gives every parameter one, and `forward_batch`,
+`backward`, `AdamState.step` and `train_epoch` then run Z vessel models on
+(Z, B, m, k) windows with batched matmuls (`x[..., t, :]`, `.mT`,
+`sum(axis=-2)`). Each vessel's slice goes through the same BLAS call and
+the same elementwise operations in the same order as an unstacked call, so a
+stack trains bit for bit as Z separate networks would; in train mode each
+vessel draws its shuffles and dropout masks from its own generator.
 """
 
 from __future__ import annotations
@@ -144,8 +148,8 @@ def init_network(
 def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
     """Stack same-shaped networks along a leading vessel axis: W (Z, 4h, d),
     U (Z, 4h, h), b (Z, 1, 4h), dense_W (Z, out, h), dense_b (Z, 1, out).
-    forward_batch on the result takes (Z, B, m, k) windows. Inference only:
-    backward and Adam work on single networks."""
+    forward_batch, backward and train_epoch on the result take (Z, B, m, k)
+    windows; `unstack_network` takes one vessel's network back out."""
     first = nets[0]
     if any(n.residual != first.residual or len(n.layers) != len(first.layers) for n in nets):
         raise ValueError("cannot stack networks of different architectures")
@@ -166,13 +170,23 @@ def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
     )
 
 
+def unstack_network(stacked: LstmNetwork, z: int) -> LstmNetwork:
+    """Copy vessel z's network out of a `stack_networks` result."""
+    return LstmNetwork(
+        layers=[LstmLayerParams(W=l.W[z].copy(), U=l.U[z].copy(), b=l.b[z, 0].copy()) for l in stacked.layers],
+        dense_W=stacked.dense_W[z].copy(),
+        dense_b=stacked.dense_b[z, 0].copy(),
+        dropout_rate=stacked.dropout_rate,
+        residual=stacked.residual,
+    )
+
+
 @dataclass
 class LayerCache:
     x: np.ndarray  # (*lead, m, d_in) layer input sequence
     i: np.ndarray  # gate activations, each (*lead, m, h)
     f: np.ndarray
-    g: np.ndarray
-    g_pre: np.ndarray
+    g_pre: np.ndarray  # candidate pre-activation; the candidate is relu(g_pre)
     o: np.ndarray
     c: np.ndarray
 
@@ -181,7 +195,6 @@ class LayerCache:
 class ForwardCache:
     window: np.ndarray  # (*lead, m, k)
     layer_caches: list[LayerCache] = field(default_factory=list)
-    block_inputs: list[np.ndarray] = field(default_factory=list)  # input to each block
     dropout_masks: list[np.ndarray | None] = field(default_factory=list)
     final_seq: np.ndarray | None = None  # (*lead, m, h) after last block
     prediction: np.ndarray | None = None  # (*lead, out_dim)
@@ -192,7 +205,6 @@ def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, L
     h = layer.hidden
     i_a = np.empty((*lead, m, h))
     f_a = np.empty((*lead, m, h))
-    g_a = np.empty((*lead, m, h))
     gp_a = np.empty((*lead, m, h))
     o_a = np.empty((*lead, m, h))
     c_a = np.empty((*lead, m, h))
@@ -208,23 +220,30 @@ def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, L
         o_t = sigmoid(pre[..., 3 * h :])
         c_t = f_t * c_prev + i_t * g_t
         h_t = o_t * relu(c_t)
-        i_a[..., t, :], f_a[..., t, :], g_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = (
-            i_t, f_t, g_t, gp_t, o_t
-        )
+        i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
         c_a[..., t, :] = c_t
         h_seq[..., t, :] = h_t
         h_prev, c_prev = h_t, c_t
-    return h_seq, LayerCache(x=x, i=i_a, f=f_a, g=g_a, g_pre=gp_a, o=o_a, c=c_a)
+    return h_seq, LayerCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
+
+
+def _per_vessel(rng: np.random.Generator | list[np.random.Generator], draw) -> np.ndarray:
+    """draw(rng) for one network; for a stack, one draw from each vessel's own
+    generator in a list, stacked along the leading vessel axis."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng)
+    return np.stack([draw(r) for r in rng])
 
 
 def forward_batch(
     net: LstmNetwork,
     windows: np.ndarray,
     train: bool = False,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | list[np.random.Generator] | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on windows of shape (B, m, k), or (Z, B, m, k) for a
-    stacked network; returns (B, out_dim) or (Z, B, out_dim) predictions."""
+    stacked network; returns (B, out_dim) or (Z, B, out_dim) predictions.
+    Train-mode dropout on a stacked network takes a list of Z generators."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != net.dense_W.ndim + 1 or windows.shape[-1] != net.input_dim:
         lead = "Z, " * (net.dense_W.ndim - 2)
@@ -232,7 +251,6 @@ def forward_batch(
     cache = ForwardCache(window=windows)
     seq = windows
     for li, layer in enumerate(net.layers):
-        cache.block_inputs.append(seq)
         out, lc = _layer_forward(layer, seq)
         cache.layer_caches.append(lc)
         if li > 0 and net.residual:
@@ -242,7 +260,7 @@ def forward_batch(
             if rng is None:
                 raise ValueError("train-mode forward with dropout needs an rng")
             keep = 1.0 - net.dropout_rate
-            mask = (rng.random(out.shape) < keep) / keep
+            mask = (_per_vessel(rng, lambda r: r.random(out.shape[-3:])) < keep) / keep
             out = out * mask
         cache.dropout_masks.append(mask)
         seq = out
@@ -273,76 +291,71 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 def _layer_backward(
     layer: LstmLayerParams, lc: LayerCache, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT through one layer. d_out is dL/d(h_seq), shape (B, m, h).
+    """BPTT through one layer. d_out is dL/d(h_seq), shape (*lead, B, m, h).
     Returns (dX, dW, dU, db). ReLU derivative is 0 at the kink."""
-    B, m, h = d_out.shape
+    *lead, m, h = d_out.shape
     dW = np.zeros_like(layer.W)
     dU = np.zeros_like(layer.U)
     db = np.zeros_like(layer.b)
     dX = np.empty_like(lc.x)
-    dh_next = np.zeros((B, h))
-    dc_next = np.zeros((B, h))
+    zeros = np.zeros((*lead, h))
+    dh_next = zeros
+    dc_next = zeros
     for t in range(m - 1, -1, -1):
-        i_t, f_t, g_t, o_t, c_t = lc.i[:, t], lc.f[:, t], lc.g[:, t], lc.o[:, t], lc.c[:, t]
-        c_prev = lc.c[:, t - 1] if t > 0 else np.zeros((B, h))
-        h_prev = (
-            lc.o[:, t - 1] * relu(lc.c[:, t - 1]) if t > 0 else np.zeros((B, h))
-        )
-        dh = d_out[:, t] + dh_next
+        i_t, f_t, o_t, c_t = lc.i[..., t, :], lc.f[..., t, :], lc.o[..., t, :], lc.c[..., t, :]
+        gp_t = lc.g_pre[..., t, :]
+        c_prev = lc.c[..., t - 1, :] if t > 0 else zeros
+        h_prev = lc.o[..., t - 1, :] * relu(c_prev) if t > 0 else zeros
+        dh = d_out[..., t, :] + dh_next
         do = dh * relu(c_t)
         dc = dc_next + dh * o_t * (c_t > 0)
         dg = dc * i_t
-        di = dc * g_t
+        di = dc * relu(gp_t)
         df = dc * c_prev
         dpre = np.concatenate(
             (
                 di * i_t * (1 - i_t),
                 df * f_t * (1 - f_t),
-                dg * (lc.g_pre[:, t] > 0),
+                dg * (gp_t > 0),
                 do * o_t * (1 - o_t),
             ),
-            axis=1,
+            axis=-1,
         )
-        dW += dpre.T @ lc.x[:, t]
-        dU += dpre.T @ h_prev
-        db += dpre.sum(axis=0)
-        dX[:, t] = dpre @ layer.W
+        dW += dpre.mT @ lc.x[..., t, :]
+        dU += dpre.mT @ h_prev
+        db += dpre.sum(axis=-2).reshape(db.shape)
+        dX[..., t, :] = dpre @ layer.W
         dh_next = dpre @ layer.U
         dc_next = dc * f_t
     return dX, dW, dU, db
 
 
 def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list[np.ndarray]:
-    """Exact gradients of the batch-mean MSE loss, same ordering as
-    net.param_arrays()."""
+    """Exact gradients of the batch-mean MSE loss, same ordering (and shapes)
+    as net.param_arrays(). A stacked network takes (Z, B, out_dim) targets
+    and returns each vessel's gradients of its own loss."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     pred = cache.prediction
     if pred is None or pred.shape != targets.shape:
         raise CacheMismatch(f"prediction {None if pred is None else pred.shape} vs targets {targets.shape}")
-    B, m, _ = cache.window.shape
-    out_dim = net.out_dim
+    B = pred.shape[-2]
     # loss = mean over batch and output dims of (pred - target)^2
-    d_pred = 2.0 * (pred - targets) / (B * out_dim)
-    d_dense_W = d_pred.T @ cache.final_seq[:, -1]
-    d_dense_b = d_pred.sum(axis=0)
+    d_pred = 2.0 * (pred - targets) / (B * net.out_dim)
+    d_dense_W = d_pred.mT @ cache.final_seq[..., -1, :]
+    d_dense_b = d_pred.sum(axis=-2).reshape(net.dense_b.shape)
     d_seq = np.zeros_like(cache.final_seq)
-    d_seq[:, -1] = d_pred @ net.dense_W
-    layer_grads: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * len(net.layers)
+    d_seq[..., -1, :] = d_pred @ net.dense_W
+    grads: list[np.ndarray] = []
     for li in range(len(net.layers) - 1, -1, -1):
         mask = cache.dropout_masks[li]
         if mask is not None:
             d_seq = d_seq * mask
-        d_block_out = d_seq
-        dX, dW, dU, db = _layer_backward(net.layers[li], cache.layer_caches[li], d_block_out)
+        dX, dW, dU, db = _layer_backward(net.layers[li], cache.layer_caches[li], d_seq)
         if li > 0 and net.residual:
-            dX = dX + d_block_out
-        layer_grads[li] = (dW, dU, db)
+            dX = dX + d_seq
+        grads[:0] = [dW, dU, db]
         d_seq = dX
-    grads: list[np.ndarray] = []
-    for dW, dU, db in layer_grads:
-        grads.extend([dW, dU, db])
-    grads.extend([d_dense_W, d_dense_b])
-    return grads
+    return grads + [d_dense_W, d_dense_b]
 
 
 @dataclass
@@ -375,23 +388,29 @@ def train_epoch(
     inputs: np.ndarray,
     targets: np.ndarray,
     cfg: TrainConfig,
-    rng: np.random.Generator,
+    rng: np.random.Generator | list[np.random.Generator],
     opt: AdamState,
-) -> float:
+) -> float | list[float]:
     """One pass over all windows: shuffle, batch, Adam step per batch.
-    Returns the mean per-window loss (computed before each update)."""
-    n = len(inputs)
+    Returns the mean per-window loss (computed before each update).
+
+    A stacked network trains in lockstep on (Z, n, m, k) inputs and
+    (Z, n, out_dim) targets with a list of Z generators; each vessel is
+    shuffled by its own generator and the Z losses come back as a list."""
+    n = inputs.shape[-3]
     if n == 0:
         raise ValueError("no training windows")
-    order = rng.permutation(n)
-    total = 0.0
+    order = _per_vessel(rng, lambda r: r.permutation(n))
+    total = np.zeros(order.shape[:-1])
     for start in range(0, n, cfg.batch_size):
-        idx = order[start : start + cfg.batch_size]
-        pred, cache = forward_batch(net, inputs[idx], train=True, rng=rng)
-        total += float(np.sum(np.mean((pred - targets[idx]) ** 2, axis=1)))
-        grads = backward(net, cache, targets[idx])
+        idx = order[..., start : start + cfg.batch_size]
+        x = np.take_along_axis(inputs, idx[..., None, None], axis=-3)
+        y = np.take_along_axis(targets, idx[..., None], axis=-2)
+        pred, cache = forward_batch(net, x, train=True, rng=rng)
+        total += np.sum(np.mean((pred - y) ** 2, axis=-1), axis=-1)
+        grads = backward(net, cache, y)
         opt.step(net, grads, cfg)
-    return total / n
+    return (total / n).tolist()
 
 
 def evaluate_loss(net: LstmNetwork, inputs: np.ndarray, targets: np.ndarray) -> float:

@@ -128,6 +128,31 @@ def test_unknown_config_key_is_data_error(tmp_path):
     assert run(["synth", "--config", cfg, "--out", tmp_path / "d"]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", b"\xff\xfe", "[1, 2]", '{"vessels": "5"}', '{"epochs": 2.5}', '{"lenient": 1}',
+     '{"seed": true}', '{"crossing": 3}', '{"lr": null}'],
+)
+def test_bad_config_file_is_data_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if isinstance(content, bytes):
+        cfg.write_bytes(content)
+    elif content is not None:
+        cfg.write_text(content)
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "d"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
+def test_config_int_for_float_field_echoed_as_float(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vessels": 2, "points": 60, "jitter": 0, "lenient": False}))
+    assert run(["synth", "--config", cfg, "--out", tmp_path / "d"]) == 0
+    meta = json.loads((tmp_path / "d" / "run_config.json").read_text())
+    assert meta["config"]["jitter"] == 0.0 and isinstance(meta["config"]["jitter"], float)
+
+
 def test_short_track_excluded_with_warning(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(["synth", "--out", data, "--vessels", "2", "--points", "120", "--seed", "1"]) == 0

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from aistrack import fleet
 from aistrack.errors import ChecksumMismatch, MissingFile, SplitTooLarge, TrackTooShort, VersionMismatch
 from aistrack.fleet import (
     FleetConfig,
@@ -12,11 +13,10 @@ from aistrack.fleet import (
     save_fleet,
     split,
     train_fleet,
-    train_vessel,
     vessel_seed,
 )
-from aistrack.lstm import TrainConfig, forward
-from aistrack.preprocess import RegularTrack
+from aistrack.lstm import AdamState, TrainConfig, backward, forward, forward_batch, init_network
+from aistrack.preprocess import RegularTrack, fit_scaler, make_windows, scale
 
 
 def _series(vid="v", n=60, seed=0):
@@ -31,6 +31,11 @@ def _series(vid="v", n=60, seed=0):
         ]
     )
     return RegularTrack(vessel_id=vid, start_time=0, period=5.0, features=feats)
+
+
+def _train_one(series, cfg):
+    bundles, histories = train_fleet([series], cfg)
+    return bundles[0], histories[series.vessel_id]
 
 
 def _cfg(epochs=2, test_len=10):
@@ -104,21 +109,21 @@ class TestTrainFleet:
             features=series.features.copy(),
         )
         poisoned.features[-10:] = np.nan
-        clean_bundle, _ = train_vessel(series, _cfg(test_len=10))
-        dirty_bundle, _ = train_vessel(poisoned, _cfg(test_len=10))
+        clean_bundle, _ = _train_one(series, _cfg(test_len=10))
+        dirty_bundle, _ = _train_one(poisoned, _cfg(test_len=10))
         for a, b in zip(clean_bundle.network.param_arrays(), dirty_bundle.network.param_arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_bundle_window_and_end_time(self):
         series = _series(n=60)
-        bundle, _ = train_vessel(series, _cfg(test_len=10))
+        bundle, _ = _train_one(series, _cfg(test_len=10))
         assert bundle.last_training_window.shape == (5, 4)
         assert bundle.train_end_time == series.time_of(49)
 
 
 class TestPersistence:
     def test_bundle_json_round_trip_predictions(self):
-        bundle, _ = train_vessel(_series(), _cfg())
+        bundle, _ = _train_one(_series(), _cfg())
         restored = bundle_from_json(bundle_to_json(bundle))
         probe = np.random.default_rng(5).random((5, 4))
         p1, _ = forward(bundle.network, probe)
@@ -126,7 +131,7 @@ class TestPersistence:
         np.testing.assert_array_equal(p1, p2)
 
     def test_version_mismatch_rejected(self):
-        bundle, _ = train_vessel(_series(), _cfg())
+        bundle, _ = _train_one(_series(), _cfg())
         doc = json.loads(bundle_to_json(bundle))
         doc["format_version"] = 99
         with pytest.raises(VersionMismatch):
@@ -162,6 +167,75 @@ class TestPersistence:
     def test_missing_manifest_detected(self, tmp_path):
         with pytest.raises(MissingFile):
             load_fleet(tmp_path)
+
+
+def _reference_training(series, cfg):
+    """One vessel trained alone with its own loop of forward_batch,
+    backward and AdamState.step: what a lockstep stack must reproduce."""
+    train_len = len(series) - cfg.test_len
+    scaled = scale(series.features[:train_len], fit_scaler(series, train_len))
+    windows = make_windows(scaled, cfg.window_size, train_len)
+    rng = np.random.default_rng(vessel_seed(cfg.train.rng_seed, series.vessel_id))
+    net = init_network(k=4, hidden=cfg.hidden, n_layers=cfg.n_layers, dropout_rate=cfg.dropout_rate, rng=rng)
+    opt = AdamState.for_network(net)
+    history = []
+    for _ in range(cfg.train.epochs):
+        order = rng.permutation(len(windows))
+        total = 0.0
+        for start in range(0, len(windows), cfg.train.batch_size):
+            idx = order[start : start + cfg.train.batch_size]
+            pred, cache = forward_batch(net, windows.inputs[idx], train=True, rng=rng)
+            total += float(np.sum(np.mean((pred - windows.targets[idx]) ** 2, axis=1)))
+            opt.step(net, backward(net, cache, windows.targets[idx]), cfg.train)
+        history.append(total / len(windows))
+    return net, history
+
+
+class TestLockstep:
+    # batch 24 puts 64 // 24 = 2 vessels in a stack, so the three 60-sample
+    # tracks train as a stack of two and a stack of one, and the two
+    # 52-sample tracks as one stack; 45 and 37 windows leave a short last batch
+    TRACKS = [(f"v{i}", n) for i, n in enumerate((60, 52, 60, 60, 52))]
+
+    def _cfg(self):
+        return FleetConfig(
+            window_size=5,
+            test_len=10,
+            hidden=8,
+            train=TrainConfig(learning_rate=1e-2, batch_size=24, epochs=3, rng_seed=5),
+        )
+
+    def test_equals_per_vessel_reference_loop(self, monkeypatch):
+        stack_sizes = []
+        train_stack = fleet._train_stack
+
+        def counting(stack, cfg):
+            stack_sizes.append(len(stack))
+            return train_stack(stack, cfg)
+
+        monkeypatch.setattr(fleet, "_train_stack", counting)
+        tracks = [_series(vid, n=n, seed=i) for i, (vid, n) in enumerate(self.TRACKS)]
+        bundles, histories = train_fleet(tracks, self._cfg())
+        assert sorted(stack_sizes) == [1, 2, 2]
+        assert [b.vessel_id for b in bundles] == sorted(vid for vid, _ in self.TRACKS)
+        for series in tracks:
+            net, history = _reference_training(series, self._cfg())
+            bundle = next(b for b in bundles if b.vessel_id == series.vessel_id)
+            assert histories[series.vessel_id] == history
+            for a, b in zip(bundle.network.param_arrays(), net.param_arrays()):
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_lenient_skip_and_order_invariance_across_groups(self):
+        tracks = [_series(vid, n=n, seed=i) for i, (vid, n) in enumerate(self.TRACKS)]
+        tracks.append(_series("short", n=12))
+        with pytest.raises(TrackTooShort):
+            train_fleet(tracks, self._cfg())
+        b1, h1 = train_fleet(tracks, self._cfg(), lenient=True)
+        b2, h2 = train_fleet(tracks[::-1], self._cfg(), lenient=True)
+        assert [b.vessel_id for b in b1] == [b.vessel_id for b in b2] == ["v0", "v1", "v2", "v3", "v4"]
+        assert h1 == h2
+        for x, y in zip(b1, b2):
+            assert bundle_to_json(x) == bundle_to_json(y)
 
 
 def test_vessel_seed_is_stable_and_distinct():

@@ -67,6 +67,17 @@ def test_lenient_mode_skips_and_counts():
     assert stats.skipped == 2
 
 
+@pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "NaN"])
+def test_non_finite_speed_rejected(speed):
+    bad = HEADER + f"\n1,aa,2020-02-29T22:00:01Z,10.0,0,{speed},0\n"
+    with pytest.raises(OutOfRange) as exc:
+        parse_csv(bad)
+    assert exc.value.field == "SPEED"
+    stats = ParseStats()
+    assert parse_csv(bad, strict=False, stats=stats) == []
+    assert stats.skipped == 1
+
+
 def test_columns_resolved_by_name_any_order():
     text = "LAT,LON,SPEED,COURSE,OBJECT_ID,VID,SEQUENCE_DTTM\n10.5,20.5,1,2,9,zz,2020-02-29T22:00:01Z\n"
     (m,) = parse_csv(text)

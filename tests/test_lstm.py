@@ -235,6 +235,28 @@ class TestStackNetworks:
         for z, net in enumerate(nets):
             assert np.array_equal(roll[:, z], predict_sequence(net, wins[z], 30))
 
+    def test_stacked_backward_equals_each_backward(self):
+        nets = [small_net(seed=s, dropout=0.3) for s in (51, 52, 53)]
+        wins = np.random.default_rng(54).random((3, 5, 6, 4))
+        tgts = np.random.default_rng(55).random((3, 5, 2))
+        stacked = stack_networks(nets)
+        _, cache = forward_batch(stacked, wins, train=True, rng=[np.random.default_rng(60 + z) for z in range(3)])
+        grads = lstm.backward(stacked, cache, tgts)
+        assert [g.shape for g in grads] == [a.shape for a in stacked.param_arrays()]
+        for z, net in enumerate(nets):
+            _, own = forward_batch(net, wins[z], train=True, rng=np.random.default_rng(60 + z))
+            for g, g_own in zip(grads, lstm.backward(net, own, tgts[z])):
+                assert np.array_equal(g[z].reshape(g_own.shape), g_own)
+
+    def test_unstack_returns_each_network(self):
+        nets = [small_net(seed=s) for s in (61, 62)]
+        stacked = stack_networks(nets)
+        for z, net in enumerate(nets):
+            back = lstm.unstack_network(stacked, z)
+            for a, b in zip(back.param_arrays(), net.param_arrays()):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            assert not np.shares_memory(back.layers[0].W, stacked.layers[0].W)
+
     def test_stacked_network_needs_vessel_axis(self):
         with pytest.raises(CacheMismatch):
             forward_batch(stack_networks([small_net(), small_net(seed=2)]), np.zeros((5, 6, 4)))
