@@ -46,8 +46,6 @@ class GeoPoint:
 @dataclass
 class AssociationDecision:
     object_id: int
-    observed: GeoPoint
-    observation_time: int
     distances_km: dict[str, float]
     assigned: str  # vessel_id or NEW_TRACK
     winning_distance_km: float
@@ -136,8 +134,6 @@ def associate(
     assigned = best_vid if best <= tau else NEW_TRACK
     return AssociationDecision(
         object_id=observation.object_id,
-        observed=obs,
-        observation_time=observation.t,
         distances_km=distances,
         assigned=assigned,
         winning_distance_km=best,

@@ -1,10 +1,12 @@
 """Command-line front end: synth | train | associate | evaluate.
 
-Every run folds together dataclass defaults, an optional JSON config file
-(--config) and explicit flags, and echoes the effective configuration (plus
-its hash) into the output artifacts for provenance.
+`RunConfig` is the one config schema. Every run folds together its defaults,
+an optional JSON config file (--config) and explicit flags, range-checks the
+result (`RANGES`) and echoes it, plus its hash, into the output artifacts. A
+flag is added by adding a `RunConfig` field and naming it in one `FLAGS` list.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
+duplicate OBJECT_ID, a bad --config file or value, a missing input or model.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
-from .errors import AistrackError, BadConfig
+from .errors import AistrackError, BadConfig, MissingFile
 from .evaluate import confusion, metrics, write_report
 from .fleet import FleetConfig, load_fleet, save_fleet, train_fleet
 from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv
@@ -51,38 +54,91 @@ class RunConfig:
     crossing: str = ""  # "a,b,sample" to force an overlap scenario
 
 
-# JSON value types accepted for each RunConfig field type; an int stands
-# for a float, as it does on the command line.
-_CONFIG_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+# RunConfig fields each subcommand takes as flags: `--` plus the name with
+# `_` -> `-`, typed by the field's annotation.
+FLAGS = {
+    "synth": ("seed", "vessels", "points", "period", "jitter", "noise", "crossing"),
+    "train": ("seed", "min_points", "period", "window", "hidden", "epochs", "batch", "lr", "dropout",
+              "test_len", "lenient"),
+    "associate": ("seed", "tau", "radius", "lenient"),
+    "evaluate": ("seed",),
+}
+FLAG_HELP = {"crossing": "'a,b,sample' to force two tracks to cross"}
+
+# Type of each RunConfig field (int, float, bool or str): it types the flag
+# and the --config value.
+FIELD_TYPES = get_type_hints(RunConfig)
+
+# Interval ("[" and "]" include the bound) each numeric field must lie in,
+# checked before any input is read: the library rejects some values late and
+# accepts others with wrong answers (radius <= 0 picks the farthest vessel).
+RANGES = {
+    "[0, inf)": ("seed", "noise", "lr"),
+    "[1, inf)": ("vessels", "min_points", "window", "hidden", "epochs", "batch", "test_len"),
+    "[2, inf)": ("points",),
+    "(0, inf)": ("period", "radius"),
+    "[0, 1)": ("jitter", "dropout"),
+    "[0, inf]": ("tau",),
+}
 
 
-def _read_config(path: Path) -> dict:
+def _in_interval(value, interval: str) -> bool:
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    below = value <= hi if interval[-1] == "]" else value < hi
+    return above and below
+
+
+def _crossing(cfg: RunConfig) -> tuple[int, int, int]:
+    """A non-empty --crossing "a,b,sample" as two distinct vessel indices
+    and a sample index."""
+    parts = cfg.crossing.split(",")
+    if len(parts) == 3 and all(p.strip().isdecimal() for p in parts):
+        a, b, sample = (int(p) for p in parts)
+        if a != b and max(a, b) < cfg.vessels and sample < cfg.points:
+            return a, b, sample
+    raise BadConfig(
+        f"crossing must be 'a,b,sample' with vessels a != b in [0, {cfg.vessels})"
+        f" and sample in [0, {cfg.points}), got {cfg.crossing!r}"
+    )
+
+
+def _read(path, error=MissingFile) -> str:
     try:
-        doc = json.loads(path.read_text())
+        return Path(path).read_text()
     except OSError as exc:
-        raise BadConfig(f"cannot read config {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # invalid JSON or not UTF-8
-        raise BadConfig(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BadConfig(f"config {path} must hold a JSON object")
-    return doc
+        raise error(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the --config file, then flags; every value range-checked."""
     cfg = RunConfig()
-    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     if getattr(args, "config", None):
-        for key, value in _read_config(Path(args.config)).items():
-            if key not in types:
+        try:
+            doc = json.loads(_read(args.config, BadConfig))
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise BadConfig(f"config {args.config} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise BadConfig(f"config {args.config} must hold a JSON object")
+        for key, value in doc.items():
+            if key not in FIELD_TYPES:
                 raise BadConfig(f"unknown config key {key!r}")
-            kind = types[key]
-            if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _CONFIG_TYPES[kind]):
-                raise BadConfig(f"config key {key!r} must be {kind}, got {type(value).__name__}")
-            setattr(cfg, key, float(value) if kind == "float" else value)
-    for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
+            kind = FIELD_TYPES[key]
+            # an int stands for a float, as it does on the command line
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+                raise BadConfig(f"config key {key!r} must be {kind.__name__}, got {type(value).__name__}")
+            setattr(cfg, key, kind(value))
+    for key in FIELD_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(cfg, f.name, value)
+            setattr(cfg, key, value)
+    for interval, keys in RANGES.items():
+        for key in keys:
+            if not _in_interval(getattr(cfg, key), interval):
+                raise BadConfig(f"{key} must be in {interval}, got {getattr(cfg, key)!r}")
+    if cfg.crossing:
+        _crossing(cfg)
     return cfg
 
 
@@ -108,7 +164,7 @@ def cmd_synth(args) -> int:
         seed=cfg.seed,
     )
     if cfg.crossing:
-        a, b, sample = (int(x) for x in cfg.crossing.split(","))
+        a, b, sample = _crossing(cfg)
         spec = overlap_scenario(spec, (a, b), sample)
     csv_text, truth = generate(spec)
     out = Path(args.out)
@@ -136,7 +192,7 @@ def _holdout_messages(series_list, test_len: int) -> list[AisMessage]:
 def cmd_train(args) -> int:
     cfg = effective_config(args)
     stats = ParseStats()
-    messages = parse_csv(Path(args.data).read_text(), strict=not cfg.lenient, stats=stats)
+    messages = parse_csv(_read(args.data), strict=not cfg.lenient, stats=stats)
     if stats.skipped:
         print(f"skipped {stats.skipped} bad rows", file=sys.stderr)
     tracks = group_tracks(messages)
@@ -146,8 +202,6 @@ def cmd_train(args) -> int:
             print(f"warning: vessel {t.vessel_id} has {len(t)} < {cfg.min_points} points, excluded", file=sys.stderr)
     series_list = [resample(t, cfg.period) for t in kept]
     fleet_cfg = FleetConfig(
-        min_points=cfg.min_points,
-        period=cfg.period,
         window_size=cfg.window,
         test_len=cfg.test_len,
         hidden=cfg.hidden,
@@ -171,7 +225,7 @@ def cmd_train(args) -> int:
 def cmd_associate(args) -> int:
     cfg = effective_config(args)
     bundles = load_fleet(args.models)
-    observations = parse_csv(Path(args.obs).read_text(), strict=not cfg.lenient)
+    observations = parse_csv(_read(args.obs), strict=not cfg.lenient)
     observations.sort(key=lambda m: (m.t, m.object_id))
     decisions = associate_batch(observations, bundles, tau=cfg.tau, radius_km=cfg.radius)
     out = Path(args.out)
@@ -184,8 +238,8 @@ def cmd_associate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = effective_config(args)
-    assignments = decisions_from_csv(Path(args.decisions).read_text())
-    truth = truth_from_csv(Path(args.truth).read_text())
+    assignments = decisions_from_csv(_read(args.decisions))
+    truth = truth_from_csv(_read(args.truth))
     cm = confusion(assignments, truth)
     per_vessel = metrics(cm)
     write_report(cm, per_vessel, args.out, meta=config_meta(cfg))
@@ -204,53 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"aistrack {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help_text, *paths):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int)
+        for path in paths:
+            p.add_argument(f"--{path}", required=True)
+        for key in FLAGS[name]:
+            flag = "--" + key.replace("_", "-")
+            if FIELD_TYPES[key] is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True)
+            else:
+                p.add_argument(flag, dest=key, type=FIELD_TYPES[key], help=FLAG_HELP.get(key))
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("synth", help="generate a labeled synthetic AIS fleet")
-    common(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--vessels", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--period", type=float)
-    p.add_argument("--jitter", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--crossing", help="'a,b,sample' to force two tracks to cross")
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train one LSTM per vessel")
-    common(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-points", dest="min_points", type=int)
-    p.add_argument("--period", type=float)
-    p.add_argument("--window", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--test-len", dest="test_len", type=int)
-    p.add_argument("--lenient", action="store_const", const=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("associate", help="assign observations to tracks")
-    common(p)
-    p.add_argument("--models", required=True)
-    p.add_argument("--obs", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--lenient", action="store_const", const=True)
-    p.set_defaults(func=cmd_associate)
-
-    p = sub.add_parser("evaluate", help="score decisions against ground truth")
-    common(p)
-    p.add_argument("--decisions", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_evaluate)
+    command("synth", cmd_synth, "generate a labeled synthetic AIS fleet", "out")
+    command("train", cmd_train, "train one LSTM per vessel", "data", "out")
+    command("associate", cmd_associate, "assign observations to tracks", "models", "obs", "out")
+    command("evaluate", cmd_evaluate, "score decisions against ground truth", "decisions", "truth", "out")
     return parser
 
 

@@ -25,10 +25,6 @@ class TrackTooShort(AistrackError):
     pass
 
 
-class SplitTooLarge(AistrackError):
-    pass
-
-
 class NonFiniteActivation(AistrackError):
     pass
 
@@ -46,6 +42,10 @@ class VersionMismatch(AistrackError):
 
 
 class MissingFile(AistrackError):
+    pass
+
+
+class BadManifest(AistrackError):
     pass
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,13 +84,9 @@ def metrics(cm: ConfusionMatrix) -> list[VesselMetrics]:
 
 
 def macro_averages(per_vessel: list[VesselMetrics]) -> dict[str, float]:
-    if not per_vessel:
-        return {"precision": 0.0, "recall": 0.0, "accuracy": 0.0, "f1": 0.0}
     return {
-        "precision": float(np.mean([m.precision for m in per_vessel])),
-        "recall": float(np.mean([m.recall for m in per_vessel])),
-        "accuracy": float(np.mean([m.accuracy for m in per_vessel])),
-        "f1": float(np.mean([m.f1 for m in per_vessel])),
+        key: float(np.mean([getattr(m, key) for m in per_vessel])) if per_vessel else 0.0
+        for key in ("precision", "recall", "accuracy", "f1")
     }
 
 
@@ -98,20 +94,7 @@ def report_dict(cm: ConfusionMatrix, per_vessel: list[VesselMetrics], meta: dict
     return {
         "labels": cm.labels,
         "confusion_matrix": cm.counts.tolist(),
-        "per_vessel": [
-            {
-                "vessel_id": m.vessel_id,
-                "tp": m.tp,
-                "fp": m.fp,
-                "fn": m.fn,
-                "tn": m.tn,
-                "precision": m.precision,
-                "recall": m.recall,
-                "accuracy": m.accuracy,
-                "f1": m.f1,
-            }
-            for m in per_vessel
-        ],
+        "per_vessel": [asdict(m) for m in per_vessel],
         "macro": macro_averages(per_vessel),
         "meta": meta or {},
     }

@@ -1,4 +1,4 @@
-"""Per-vessel model orchestration: split, train, persist, reload.
+"""Per-vessel model orchestration: train, persist, reload.
 
 One LstmNetwork is trained per vessel. Each vessel draws a derived seed
 (root seed XOR a digest of its id) so fleet results do not depend on
@@ -21,12 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ChecksumMismatch, MissingFile, SplitTooLarge, TrackTooShort, VersionMismatch
+from .errors import BadManifest, ChecksumMismatch, MissingFile, TrackTooShort, VersionMismatch
 from .lstm import (
     AdamState,
     LstmLayerParams,
@@ -49,14 +49,10 @@ STACK_WINDOWS = 64
 
 @dataclass
 class FleetConfig:
-    min_points: int = 500
-    period: float = 5.0
     window_size: int = 10
     test_len: int = 108  # held-out suffix length per vessel
     hidden: int = 32
-    n_layers: int = 3
     dropout_rate: float = 0.2
-    residual: bool = True
     train: TrainConfig = field(default_factory=TrainConfig)
 
 
@@ -69,16 +65,6 @@ class ModelBundle:
     period: float
     last_training_window: np.ndarray  # (m, k) scaled
     train_end_time: float  # epoch seconds of the last training sample
-
-
-def split(series: RegularTrack, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chronological split: train prefix of n-w rows, test suffix of w rows."""
-    n = len(series)
-    if w >= n:
-        raise SplitTooLarge(f"test length {w} >= series length {n}")
-    if w < 1:
-        raise ValueError("test length must be >= 1")
-    return series.features[: n - w], series.features[n - w :]
 
 
 def vessel_seed(root_seed: int, vessel_id: str) -> int:
@@ -100,9 +86,7 @@ def _train_stack(stack: list[RegularTrack], cfg: FleetConfig) -> list[tuple[Mode
             init_network(
                 k=s.features.shape[1],
                 hidden=cfg.hidden,
-                n_layers=cfg.n_layers,
                 dropout_rate=cfg.dropout_rate,
-                residual=cfg.residual,
                 rng=rng,
             )
             for s, rng in zip(stack, rngs)
@@ -210,12 +194,7 @@ def bundle_to_json(bundle: ModelBundle, cfg: FleetConfig | None = None) -> str:
         "network": _network_to_dict(bundle.network),
     }
     if cfg is not None:
-        doc["train_config"] = {
-            "learning_rate": cfg.train.learning_rate,
-            "batch_size": cfg.train.batch_size,
-            "epochs": cfg.train.epochs,
-            "rng_seed": cfg.train.rng_seed,
-        }
+        doc["train_config"] = asdict(cfg.train)
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
@@ -268,21 +247,30 @@ def save_fleet(
 
 
 def load_fleet(directory: str | Path) -> list[ModelBundle]:
-    """Read a model directory back, verifying checksums."""
+    """Read a model directory back, verifying checksums. The manifest must
+    list at least one model, each by a bare file name in the directory."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise MissingFile(str(manifest_path))
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        files = [(entry["file"], entry["sha256"]) for entry in manifest["models"]]
+    except (ValueError, TypeError, KeyError) as exc:  # not JSON or UTF-8, or not the manifest layout
+        raise BadManifest(f"{manifest_path} is not a model manifest: {exc!r}") from exc
     if manifest.get("format_version") != MODEL_FORMAT_VERSION:
         raise VersionMismatch(f"manifest format {manifest.get('format_version')}")
+    if not files:
+        raise BadManifest(f"{manifest_path} lists no models")
     bundles = []
-    for entry in manifest["models"]:
-        path = directory / entry["file"]
+    for name, sha256 in files:
+        if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
+            raise BadManifest(f"{manifest_path}: model file {name!r} is not a file name in {directory}")
+        path = directory / name
         if not path.exists():
             raise MissingFile(str(path))
         data = path.read_bytes()
-        if _sha256(data) != entry["sha256"]:
+        if _sha256(data) != sha256:
             raise ChecksumMismatch(f"{path} checksum does not match manifest")
         bundles.append(bundle_from_json(data.decode()))
     return bundles

@@ -94,7 +94,8 @@ def _resolve_header(fields: list[str]) -> dict[str, int]:
 
 def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -> list[AisMessage]:
     """Parse a Table-1 style CSV. Strict mode raises on the first bad row;
-    lenient mode skips bad rows and counts them in `stats`."""
+    lenient mode skips bad rows and counts them in `stats`. A repeated
+    OBJECT_ID is a bad row; lenient mode keeps its first row."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -102,6 +103,7 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
         raise MalformedRow(1, "empty input, header required")
     cols = _resolve_header(header)
     out: list[AisMessage] = []
+    first_line: dict[int, int] = {}  # OBJECT_ID -> line it was accepted on
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -123,12 +125,16 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
             except (ValueError, OverflowError) as exc:
                 raise MalformedRow(line_no, str(exc)) from exc
             msg.validate(line_no)
+            if msg.object_id in first_line:
+                first = first_line[msg.object_id]
+                raise MalformedRow(line_no, f"duplicate OBJECT_ID {msg.object_id} (first on line {first})")
         except (MalformedRow, OutOfRange):
             if strict:
                 raise
             if stats is not None:
                 stats.skipped += 1
             continue
+        first_line[msg.object_id] = line_no
         out.append(msg)
     return out
 

@@ -68,9 +68,6 @@ class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 10
     epochs: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -113,16 +110,14 @@ class LstmNetwork:
 def init_network(
     k: int = 4,
     hidden: int = 32,
-    n_layers: int = 3,
-    out_dim: int = 2,
     dropout_rate: float = 0.2,
-    residual: bool = True,
     rng: np.random.Generator | None = None,
 ) -> LstmNetwork:
-    """Glorot-uniform weights, zero biases except forget gate bias = 1."""
+    """The paper's three residual layers and (lat, lon) head: Glorot-uniform
+    weights, zero biases except forget gate bias = 1."""
     rng = rng or np.random.default_rng(0)
     layers = []
-    for li in range(n_layers):
+    for li in range(3):
         d_in = k if li == 0 else hidden
         lim_w = np.sqrt(6.0 / (d_in + 4 * hidden))
         lim_u = np.sqrt(6.0 / (hidden + 4 * hidden))
@@ -135,13 +130,13 @@ def init_network(
                 b=b,
             )
         )
+    out_dim = 2  # (lat, lon)
     lim_d = np.sqrt(6.0 / (hidden + out_dim))
     return LstmNetwork(
         layers=layers,
         dense_W=rng.uniform(-lim_d, lim_d, size=(out_dim, hidden)),
         dense_b=np.zeros(out_dim),
         dropout_rate=dropout_rate,
-        residual=residual,
     )
 
 
@@ -193,7 +188,6 @@ class LayerCache:
 
 @dataclass
 class ForwardCache:
-    window: np.ndarray  # (*lead, m, k)
     layer_caches: list[LayerCache] = field(default_factory=list)
     dropout_masks: list[np.ndarray | None] = field(default_factory=list)
     final_seq: np.ndarray | None = None  # (*lead, m, h) after last block
@@ -248,7 +242,7 @@ def forward_batch(
     if windows.ndim != net.dense_W.ndim + 1 or windows.shape[-1] != net.input_dim:
         lead = "Z, " * (net.dense_W.ndim - 2)
         raise CacheMismatch(f"expected ({lead}B, m, {net.input_dim}) input, got {windows.shape}")
-    cache = ForwardCache(window=windows)
+    cache = ForwardCache()
     seq = windows
     for li, layer in enumerate(net.layers):
         out, lc = _layer_forward(layer, seq)
@@ -358,6 +352,12 @@ def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list
     return grads + [d_dense_W, d_dense_b]
 
 
+# Adam (Kingma & Ba 2015) moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adaptive moment estimation state, one slot per parameter array."""
@@ -373,7 +373,7 @@ class AdamState:
 
     def step(self, net: LstmNetwork, grads: list[np.ndarray], cfg: TrainConfig) -> None:
         self.t += 1
-        b1, b2, eps = cfg.beta1, cfg.beta2, cfg.epsilon
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
         correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
         for param, grad, m, v in zip(net.param_arrays(), grads, self.m, self.v):
             m *= b1

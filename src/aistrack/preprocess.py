@@ -16,7 +16,6 @@ from .errors import TrackTooShort
 from .ingest import RawTrack
 
 FEATURES = ("lat", "lon", "speed", "course")
-K = len(FEATURES)
 COURSE_MOD = 3600.0  # tenths of degrees
 
 
@@ -54,7 +53,6 @@ class WindowSet:
 
     inputs: np.ndarray  # shape (count, m, 4)
     targets: np.ndarray  # shape (count, 2)
-    window_size: int
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -128,4 +126,4 @@ def make_windows(scaled: np.ndarray, m: int, train_len: int) -> WindowSet:
     count = train_len - m
     inputs = np.stack([scaled[t : t + m] for t in range(count)])
     targets = scaled[m : m + count, :2].copy()
-    return WindowSet(inputs=inputs, targets=targets, window_size=m)
+    return WindowSet(inputs=inputs, targets=targets)

@@ -1,8 +1,10 @@
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from aistrack.cli import main
+from aistrack.cli import RunConfig, build_parser, main
 
 FAST = [
     "--vessels", "3",
@@ -178,3 +180,82 @@ def test_short_track_excluded_with_warning(tmp_path, capsys):
     assert "feedf00d" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
     assert len(manifest["models"]) == 2
+
+
+# Each subcommand's option strings as they were when build_parser still
+# declared every flag by hand.
+OPTIONS = {
+    "synth": "--config --seed --out --vessels --points --period --jitter --noise --crossing",
+    "train": "--config --seed --data --out --min-points --period --window --hidden --epochs --batch --lr"
+    " --dropout --test-len --lenient",
+    "associate": "--config --seed --models --obs --out --tau --radius --lenient",
+    "evaluate": "--config --seed --decisions --truth --out",
+}
+
+
+def test_subcommand_options_derived_from_run_config():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(OPTIONS)
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+        assert {s for a in actions for s in a.option_strings} == set(OPTIONS[name].split())
+        for a in actions:
+            if a.dest in types:
+                assert a.option_strings == ["--" + a.dest.replace("_", "-")] and not a.required
+                assert (a.const is True) if types[a.dest] == "bool" else a.type.__name__ == types[a.dest]
+            else:
+                assert a.required == (a.dest != "config")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    _synth(root / "data")
+    _train(root / "data", root / "models", epochs=1)
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("train --data {fleet} --out {new} --epochs 0", "epochs"),
+        ("train --data {fleet} --out {new} --batch 0", "batch"),
+        ("train --data {fleet} --out {new} --lr -1", "lr"),
+        ("train --data {fleet} --out {new} --period 0", "period"),
+        ("train --data {fleet} --out {new} --period -1", "period"),
+        ("train --data {fleet} --out {new} --window 0", "window"),
+        ("train --data {fleet} --out {new} --hidden 0", "hidden"),
+        ("train --data {fleet} --out {new} --min-points 0", "min_points"),
+        ("train --data {fleet} --out {new} --test-len -5", "test_len"),
+        ("train --data {fleet} --out {new} --dropout 1.0", "dropout"),
+        ("synth --out {new} --vessels 0", "vessels"),
+        ("synth --out {new} --points 1", "points"),
+        ("synth --out {new} --jitter 1.5", "jitter"),
+        ("synth --out {new} --crossing 1,2", "crossing"),
+        ("synth --out {new} --crossing a,b,c", "crossing"),
+        ("synth --out {new} --crossing 0,9,5", "crossing"),
+        ("associate --models {models} --obs {holdout} --out {new}/d.csv --radius -1", "radius"),
+        ("associate --models {models} --obs {holdout} --out {new}/d.csv --radius 0", "radius"),
+        ("train --data {missing} --out {new}", "missing.csv"),
+        ("associate --models {models} --obs {missing} --out {new}/d.csv", "missing.csv"),
+        ("evaluate --decisions {missing} --truth {truth} --out {new}/r.json", "missing.csv"),
+        ("evaluate --decisions {decisions} --truth {missing} --out {new}/r.json", "missing.csv"),
+    ],
+)
+def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, argv, named):
+    (tmp_path / "decisions.csv").write_text("OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM\n")
+    paths = {
+        "fleet": trained / "data" / "fleet.csv",
+        "models": trained / "models",
+        "holdout": trained / "models" / "holdout.csv",
+        "truth": trained / "models" / "holdout_truth.csv",
+        "decisions": tmp_path / "decisions.csv",
+        "missing": tmp_path / "missing.csv",
+        "new": tmp_path / "new",
+    }
+    capsys.readouterr()
+    assert run(argv.format(**paths).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "new").exists()

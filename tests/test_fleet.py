@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from aistrack import fleet
-from aistrack.errors import ChecksumMismatch, MissingFile, SplitTooLarge, TrackTooShort, VersionMismatch
+from aistrack.errors import BadManifest, ChecksumMismatch, MissingFile, TrackTooShort, VersionMismatch
 from aistrack.fleet import (
     FleetConfig,
     bundle_from_json,
     bundle_to_json,
     load_fleet,
     save_fleet,
-    split,
     train_fleet,
     vessel_seed,
 )
@@ -40,33 +39,11 @@ def _train_one(series, cfg):
 
 def _cfg(epochs=2, test_len=10):
     return FleetConfig(
-        min_points=1,
         window_size=5,
         test_len=test_len,
         hidden=8,
         train=TrainConfig(learning_rate=1e-3, batch_size=8, epochs=epochs, rng_seed=77),
     )
-
-
-class TestSplit:
-    def test_desk_scale_split(self):
-        series = _series(n=648)
-        train, test = split(series, 108)
-        assert len(train) == 540 and len(test) == 108
-
-    def test_minimal_split(self):
-        series = _series(n=20)
-        train, test = split(series, 1)
-        assert len(train) == 19 and len(test) == 1
-
-    def test_partition_property(self):
-        series = _series(n=30)
-        train, test = split(series, 7)
-        np.testing.assert_array_equal(np.vstack([train, test]), series.features)
-
-    def test_too_large_rejected(self):
-        with pytest.raises(SplitTooLarge):
-            split(_series(n=10), 10)
 
 
 class TestTrainFleet:
@@ -168,6 +145,32 @@ class TestPersistence:
         with pytest.raises(MissingFile):
             load_fleet(tmp_path)
 
+    @pytest.mark.parametrize(
+        "manifest",
+        ["{not json", "[]", '{"format_version": 1}', '{"format_version": 1, "models": 3}',
+         '{"format_version": 1, "models": [{"vessel_id": "v"}]}'],
+    )
+    def test_manifest_without_models_list_rejected(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(manifest)
+        with pytest.raises(BadManifest):
+            load_fleet(tmp_path)
+
+    @pytest.mark.parametrize("name", ["../m1/model_v.json", "sub/model_v.json", "/tmp/model_v.json", "..", ""])
+    def test_model_file_outside_directory_rejected(self, tmp_path, name):
+        bundles, _ = train_fleet([_series()], _cfg())
+        save_fleet(bundles, tmp_path / "m1")
+        manifest = json.loads((tmp_path / "m1" / "manifest.json").read_text())
+        manifest["models"][0]["file"] = name
+        (tmp_path / "m2").mkdir()
+        (tmp_path / "m2" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadManifest, match="not a file name"):
+            load_fleet(tmp_path / "m2")
+
+    def test_manifest_with_no_models_rejected(self, tmp_path):
+        save_fleet([], tmp_path)
+        with pytest.raises(BadManifest, match="lists no models"):
+            load_fleet(tmp_path)
+
 
 def _reference_training(series, cfg):
     """One vessel trained alone with its own loop of forward_batch,
@@ -176,7 +179,7 @@ def _reference_training(series, cfg):
     scaled = scale(series.features[:train_len], fit_scaler(series, train_len))
     windows = make_windows(scaled, cfg.window_size, train_len)
     rng = np.random.default_rng(vessel_seed(cfg.train.rng_seed, series.vessel_id))
-    net = init_network(k=4, hidden=cfg.hidden, n_layers=cfg.n_layers, dropout_rate=cfg.dropout_rate, rng=rng)
+    net = init_network(k=4, hidden=cfg.hidden, dropout_rate=cfg.dropout_rate, rng=rng)
     opt = AdamState.for_network(net)
     history = []
     for _ in range(cfg.train.epochs):

@@ -67,6 +67,22 @@ def test_lenient_mode_skips_and_counts():
     assert stats.skipped == 2
 
 
+def test_duplicate_object_id_rejected_or_skipped():
+    text = (
+        HEADER
+        + "\n7,aa,2020-02-29T22:00:01Z,10.0,0,0,0\n"
+        + "8,bb,2020-02-29T22:00:02Z,11.0,0,0,0\n"
+        + "7,cc,2020-02-29T22:00:03Z,12.0,0,0,0\n"
+    )
+    with pytest.raises(MalformedRow) as exc:
+        parse_csv(text)
+    assert exc.value.line_no == 4 and "line 2" in exc.value.reason
+    stats = ParseStats()
+    msgs = parse_csv(text, strict=False, stats=stats)
+    assert [(m.object_id, m.vessel_id) for m in msgs] == [(7, "aa"), (8, "bb")]
+    assert stats.skipped == 1
+
+
 @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "NaN"])
 def test_non_finite_speed_rejected(speed):
     bad = HEADER + f"\n1,aa,2020-02-29T22:00:01Z,10.0,0,{speed},0\n"
@@ -107,7 +123,7 @@ msg_strategy = st.builds(
 )
 
 
-@given(st.lists(msg_strategy, max_size=30))
+@given(st.lists(msg_strategy, max_size=30, unique_by=lambda m: m.object_id))  # a repeated id is a bad row
 def test_serialize_parse_round_trip(messages):
     assert parse_csv(serialize_csv(messages)) == messages
 
