@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TimeBeforeTraining
-from .ingest import AisMessage
+from .ingest import AisMessage, object_id_pairs
 from .lstm import roll_step, stack_networks
 from .preprocess import ScalerParams, unscale
 
@@ -172,9 +172,4 @@ def decisions_to_csv(decisions: list[AssociationDecision], vessel_ids: list[str]
 
 def decisions_from_csv(text: str) -> list[tuple[int, str]]:
     """Read back (object_id, assigned_vid) pairs from a decisions CSV."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        out.append((int(parts[0]), parts[1]))
-    return out
+    return object_id_pairs(text, 2, exact=False)

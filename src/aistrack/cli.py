@@ -6,7 +6,8 @@ result (`RANGES`) and echoes it, plus its hash, into the output artifacts. A
 flag is added by adding a `RunConfig` field and naming it in one `FLAGS` list.
 
 Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
-duplicate OBJECT_ID, a bad --config file or value, a missing input or model.
+duplicate OBJECT_ID, a bad --config file or value, an input that is missing
+or not UTF-8, a missing or malformed model.
 """
 
 from __future__ import annotations
@@ -104,10 +105,13 @@ def _crossing(cfg: RunConfig) -> tuple[int, int, int]:
 
 
 def _read(path, error=MissingFile) -> str:
+    """An input file's text; `error` if it cannot be read or is not UTF-8."""
     try:
         return Path(path).read_text()
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
@@ -116,7 +120,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             doc = json.loads(_read(args.config, BadConfig))
-        except ValueError as exc:  # invalid JSON or not UTF-8
+        except ValueError as exc:
             raise BadConfig(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise BadConfig(f"config {args.config} must hold a JSON object")

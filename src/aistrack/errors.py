@@ -49,6 +49,10 @@ class BadManifest(AistrackError):
     pass
 
 
+class BadModel(AistrackError):
+    pass
+
+
 class TimeBeforeTraining(AistrackError):
     pass
 

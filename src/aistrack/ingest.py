@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -92,11 +93,22 @@ def _resolve_header(fields: list[str]) -> dict[str, int]:
     return index
 
 
+def _csv_rows(text: str) -> Iterator[list[str]]:
+    """csv.reader's rows; a line it cannot split (a field over its size
+    limit, or a NUL before Python 3.11) is a MalformedRow."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from exc
+
+
 def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -> list[AisMessage]:
     """Parse a Table-1 style CSV. Strict mode raises on the first bad row;
     lenient mode skips bad rows and counts them in `stats`. A repeated
-    OBJECT_ID is a bad row; lenient mode keeps its first row."""
-    reader = csv.reader(io.StringIO(text))
+    OBJECT_ID is a bad row; lenient mode keeps its first row. A line the
+    csv module cannot split ends parsing in either mode."""
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -136,6 +148,25 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
             continue
         first_line[msg.object_id] = line_no
         out.append(msg)
+    return out
+
+
+def object_id_pairs(text: str, n_fields: int, exact: bool) -> list[tuple[int, str]]:
+    """(OBJECT_ID, second field) of each non-blank line after the header of
+    a comma-separated file whose first field is an integer OBJECT_ID. A row
+    with fewer than `n_fields` fields (or more, if `exact`), or a
+    non-integer OBJECT_ID, is a MalformedRow naming its line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    out = []
+    for line_no, ln in lines[1:]:
+        fields = ln.split(",")
+        if len(fields) < n_fields or (exact and len(fields) > n_fields):
+            expected = n_fields if exact else f"at least {n_fields}"
+            raise MalformedRow(line_no, f"expected {expected} fields, got {len(fields)}")
+        try:
+            out.append((int(fields[0]), fields[1]))
+        except ValueError:
+            raise MalformedRow(line_no, f"OBJECT_ID {fields[0]!r} is not an integer") from None
     return out
 
 

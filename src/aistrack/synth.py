@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .associate import GeoPoint, haversine
-from .ingest import AisMessage, serialize_csv
+from .ingest import AisMessage, object_id_pairs, serialize_csv
 
 KNOT_KM_H = 1.852
 BASE_EPOCH = 1583020800  # 2020-03-01T00:00:00Z
@@ -140,12 +140,7 @@ def truth_to_csv(truth: dict[int, str]) -> str:
 
 
 def truth_from_csv(text: str) -> dict[int, str]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    out = {}
-    for ln in lines[1:]:
-        oid, vid = ln.split(",")
-        out[int(oid)] = vid
-    return out
+    return dict(object_id_pairs(text, 2, exact=True))
 
 
 def overlap_scenario(spec: SynthSpec, crossing: tuple[int, int] | None, crossing_sample: int) -> SynthSpec:

@@ -3,6 +3,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aistrack.cli import RunConfig, build_parser, main
 
@@ -213,6 +215,9 @@ def trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("trained")
     _synth(root / "data")
     _train(root / "data", root / "models", epochs=1)
+    models = root / "models"
+    decisions = root / "decisions.csv"
+    assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", decisions]) == 0
     return root
 
 
@@ -241,10 +246,15 @@ def trained(tmp_path_factory):
         ("associate --models {models} --obs {missing} --out {new}/d.csv", "missing.csv"),
         ("evaluate --decisions {missing} --truth {truth} --out {new}/r.json", "missing.csv"),
         ("evaluate --decisions {decisions} --truth {missing} --out {new}/r.json", "missing.csv"),
+        ("train --data {binary} --out {new}", "binary.csv"),
+        ("associate --models {models} --obs {binary} --out {new}/d.csv", "binary.csv"),
+        ("evaluate --decisions {binary} --truth {truth} --out {new}/r.json", "binary.csv"),
+        ("evaluate --decisions {decisions} --truth {binary} --out {new}/r.json", "binary.csv"),
     ],
 )
 def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, argv, named):
     (tmp_path / "decisions.csv").write_text("OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM\n")
+    (tmp_path / "binary.csv").write_bytes(b"OBJECT_ID,VID\n1,\xff\n")  # not UTF-8
     paths = {
         "fleet": trained / "data" / "fleet.csv",
         "models": trained / "models",
@@ -252,6 +262,7 @@ def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, arg
         "truth": trained / "models" / "holdout_truth.csv",
         "decisions": tmp_path / "decisions.csv",
         "missing": tmp_path / "missing.csv",
+        "binary": tmp_path / "binary.csv",
         "new": tmp_path / "new",
     }
     capsys.readouterr()
@@ -259,3 +270,55 @@ def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and named in err
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize(
+    "bad, row",
+    [
+        ("decisions", "1"),  # one field
+        ("decisions", "x,v0,0.5"),
+        ("truth", "1,a,b"),  # three fields
+        ("truth", "1"),
+        ("truth", "1.5,a"),
+    ],
+)
+def test_malformed_decisions_or_truth_row_is_data_error(trained, tmp_path, capsys, bad, row):
+    paths = {"decisions": trained / "decisions.csv", "truth": trained / "models" / "holdout_truth.csv"}
+    paths[bad] = tmp_path / "bad.csv"
+    paths[bad].write_text(f"OBJECT_ID,ANY\n\n{row}\n")
+    capsys.readouterr()
+    rc = run(["evaluate", "--decisions", paths["decisions"], "--truth", paths["truth"],
+              "--out", tmp_path / "r.json"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: line 3:") and err.count("\n") == 1
+
+
+# Bytes an input file may hold: anything, or anything after a header line,
+# so that the row parsers, not only the header check, see it.
+HEADERS = [b"", b"OBJECT_ID,VID,SEQUENCE_DTTM,LAT,LON,SPEED,COURSE\n", b"OBJECT_ID,ASSIGNED_VID\n"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    argv=st.sampled_from(
+        [
+            "train --data {input} --out {work}/m",
+            "associate --models {models} --obs {input} --out {work}/d.csv",
+            "evaluate --decisions {input} --truth {truth} --out {work}/r.json",
+            "evaluate --decisions {decisions} --truth {input} --out {work}/r.json",
+        ]
+    ),
+    content=st.tuples(st.sampled_from(HEADERS), st.binary(max_size=200)).map(b"".join),
+)
+def test_arbitrary_input_bytes_never_internal_error(trained, argv, content):
+    work = trained / "fuzz"
+    work.mkdir(exist_ok=True)
+    (work / "input.csv").write_bytes(content)
+    paths = {
+        "input": work / "input.csv",
+        "work": work,
+        "models": trained / "models",
+        "truth": trained / "models" / "holdout_truth.csv",
+        "decisions": trained / "decisions.csv",
+    }
+    assert run(argv.format(**paths).split()) in (0, 1, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aistrack import fleet
-from aistrack.errors import BadManifest, ChecksumMismatch, MissingFile, TrackTooShort, VersionMismatch
+from aistrack.errors import BadManifest, BadModel, ChecksumMismatch, MissingFile, TrackTooShort, VersionMismatch
 from aistrack.fleet import (
     FleetConfig,
     bundle_from_json,
@@ -120,10 +120,12 @@ class TestPersistence:
         save_fleet(bundles, tmp_path, cfg=_cfg(), histories=histories)
         loaded = load_fleet(tmp_path)
         probe = np.random.default_rng(6).random((5, 4))
-        for orig, back in zip(bundles, loaded):
+        for orig, back in zip(bundles, loaded, strict=True):
             p1, _ = forward(orig.network, probe)
             p2, _ = forward(back.network, probe)
             np.testing.assert_array_equal(p1, p2)
+            for a, b in zip(orig.network.param_arrays(), back.network.param_arrays(), strict=True):
+                assert a.shape == b.shape and np.array_equal(a, b)
         assert (tmp_path / "train_report.json").exists()
 
     def test_tampered_model_detected(self, tmp_path):
@@ -169,6 +171,53 @@ class TestPersistence:
     def test_manifest_with_no_models_rejected(self, tmp_path):
         save_fleet([], tmp_path)
         with pytest.raises(BadManifest, match="lists no models"):
+            load_fleet(tmp_path)
+
+    def test_weights_round_trip_bit_for_bit(self):
+        # signed zero, the smallest subnormal, the largest float, a negative
+        # subnormal, in big-endian input order
+        values = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1e-310]], dtype=">f8")
+        back = fleet._decode(fleet._encode(values), (2, 2), "x")
+        assert back.dtype == np.float64 and back.flags.writeable
+        np.testing.assert_array_equal(back.view("<u8"), values.astype("<f8").view("<u8"))
+
+    def test_format_version_1_rejected(self, tmp_path):
+        bundle, _ = _train_one(_series(), _cfg())
+        save_fleet([bundle], tmp_path)
+        for name in ("manifest.json", "model_v.json"):
+            doc = json.loads((tmp_path / name).read_text())
+            doc["format_version"] = 1
+            (tmp_path / name).write_text(json.dumps(doc))
+        with pytest.raises(VersionMismatch, match="format 1"):
+            bundle_from_json((tmp_path / "model_v.json").read_text())
+        with pytest.raises(VersionMismatch, match="format 1"):
+            load_fleet(tmp_path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc["network"].pop("dense_b"),  # a missing key
+            lambda doc: doc["network"]["layers"][1].update(U="not base64!"),
+            lambda doc: doc["network"].update(dense_W=fleet._encode(np.zeros(17))),  # shape (2, 8)
+            lambda doc: doc["network"].update(dense_b=[0.0, 0.0]),  # weights as JSON numbers
+            lambda doc: doc["network"].update(layers=[]),
+            lambda doc: doc.update(period="5.0"),
+            lambda doc: doc.update(last_training_window=[[0.5] * 4]),  # window 5
+        ],
+        ids=["missing_key", "not_base64", "wrong_length", "not_a_string", "no_layers", "period_string",
+             "window_shape"],
+    )
+    def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt):
+        bundles, _ = train_fleet([_series()], _cfg())
+        save_fleet(bundles, tmp_path)
+        model = tmp_path / "model_v.json"
+        doc = json.loads(model.read_text())
+        corrupt(doc)
+        model.write_text(json.dumps(doc))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["models"][0]["sha256"] = fleet._sha256(model.read_bytes())
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadModel, match="model_v.json"):
             load_fleet(tmp_path)
 
 

@@ -7,6 +7,7 @@ from aistrack.ingest import (
     ParseStats,
     filter_min_points,
     group_tracks,
+    object_id_pairs,
     parse_csv,
     parse_timestamp,
     serialize_csv,
@@ -81,6 +82,26 @@ def test_duplicate_object_id_rejected_or_skipped():
     msgs = parse_csv(text, strict=False, stats=stats)
     assert [(m.object_id, m.vessel_id) for m in msgs] == [(7, "aa"), (8, "bb")]
     assert stats.skipped == 1
+
+
+def test_unsplittable_line_rejected_in_both_modes():
+    text = HEADER + "\n1,aa,2020-02-29T22:00:01Z,10.0,0,0,0\n" + '2,"' + "x" * 200_000 + '"\n'
+    for strict in (True, False):
+        with pytest.raises(MalformedRow, match="field larger than field limit") as exc:
+            parse_csv(text, strict=strict)
+        assert exc.value.line_no == 3
+
+
+def test_object_id_pairs():
+    text = "OBJECT_ID,VID\n\n7,aa\n 8 ,bb\n"
+    assert object_id_pairs(text, 2, exact=True) == [(7, "aa"), (8, "bb")]
+    for bad, reason in [("7", "expected 2 fields, got 1"), ("7,aa,x", "expected 2 fields, got 3"),
+                        ("7.0,aa", "OBJECT_ID '7.0' is not an integer")]:
+        with pytest.raises(MalformedRow) as exc:
+            object_id_pairs(text + bad + "\n", 2, exact=True)
+        assert (exc.value.line_no, exc.value.reason) == (5, reason)
+    with pytest.raises(MalformedRow, match="expected at least 3 fields, got 2"):
+        object_id_pairs(text, 3, exact=False)
 
 
 @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "NaN"])
