@@ -1,13 +1,16 @@
 """Command-line front end: synth | train | associate | evaluate.
 
-`RunConfig` is the one config schema. Every run folds together its defaults,
-an optional JSON config file (--config) and explicit flags, range-checks the
-result (`RANGES`) and echoes it, plus its hash, into the output artifacts. A
-flag is added by adding a `RunConfig` field and naming it in one `FLAGS` list.
+`config.RunConfig` is the one config schema, shared with the library. Every
+run folds together its defaults, an optional JSON config file (--config) and
+explicit flags, range-checks the result (`config.RANGES`) and echoes it,
+plus its hash, into the output artifacts; `train` hands it to
+`fleet.train_fleet` as it is. A flag is added by adding a `RunConfig` field
+and naming it in one `FLAGS` list.
 
 Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
 duplicate OBJECT_ID, a bad --config file or value, an input that is missing
-or not UTF-8, a missing or malformed model.
+or not UTF-8, a missing or malformed model, decisions that repeat an
+OBJECT_ID or leave a truth object undecided.
 """
 
 from __future__ import annotations
@@ -18,41 +21,18 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import Counter
 from pathlib import Path
-from typing import get_type_hints
 
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
-from .errors import AistrackError, BadConfig, MissingFile
+from .config import FIELD_TYPES, RunConfig, check_ranges, is_json_type
+from .errors import AistrackError, BadConfig, IncompleteDecisions, MissingFile
 from .evaluate import confusion, metrics, write_report
-from .fleet import FleetConfig, load_fleet, save_fleet, train_fleet
+from .fleet import load_fleet, save_fleet, train_fleet
 from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv
-from .lstm import TrainConfig
 from .preprocess import resample
 from .synth import SynthSpec, generate, overlap_scenario, truth_from_csv, truth_to_csv
-
-
-@dataclass
-class RunConfig:
-    seed: int = 42
-    vessels: int = 5
-    points: int = 648
-    period: float = 5.0
-    jitter: float = 0.2
-    noise: float = 1e-4
-    min_points: int = 500
-    window: int = 10
-    hidden: int = 32
-    epochs: int = 100
-    batch: int = 10
-    lr: float = 1e-4
-    dropout: float = 0.2
-    test_len: int = 108
-    tau: float = math.inf
-    radius: float = 6371.0
-    lenient: bool = False
-    crossing: str = ""  # "a,b,sample" to force an overlap scenario
 
 
 # RunConfig fields each subcommand takes as flags: `--` plus the name with
@@ -65,29 +45,6 @@ FLAGS = {
     "evaluate": ("seed",),
 }
 FLAG_HELP = {"crossing": "'a,b,sample' to force two tracks to cross"}
-
-# Type of each RunConfig field (int, float, bool or str): it types the flag
-# and the --config value.
-FIELD_TYPES = get_type_hints(RunConfig)
-
-# Interval ("[" and "]" include the bound) each numeric field must lie in,
-# checked before any input is read: the library rejects some values late and
-# accepts others with wrong answers (radius <= 0 picks the farthest vessel).
-RANGES = {
-    "[0, inf)": ("seed", "noise", "lr"),
-    "[1, inf)": ("vessels", "min_points", "window", "hidden", "epochs", "batch", "test_len"),
-    "[2, inf)": ("points",),
-    "(0, inf)": ("period", "radius"),
-    "[0, 1)": ("jitter", "dropout"),
-    "[0, inf]": ("tau",),
-}
-
-
-def _in_interval(value, interval: str) -> bool:
-    lo, hi = (float(x) for x in interval[1:-1].split(","))
-    above = lo <= value if interval[0] == "[" else lo < value
-    below = value <= hi if interval[-1] == "]" else value < hi
-    return above and below
 
 
 def _crossing(cfg: RunConfig) -> tuple[int, int, int]:
@@ -128,19 +85,14 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
             if key not in FIELD_TYPES:
                 raise BadConfig(f"unknown config key {key!r}")
             kind = FIELD_TYPES[key]
-            # an int stands for a float, as it does on the command line
-            accepted = (int, float) if kind is float else kind
-            if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            if not is_json_type(value, kind):
                 raise BadConfig(f"config key {key!r} must be {kind.__name__}, got {type(value).__name__}")
             setattr(cfg, key, kind(value))
     for key in FIELD_TYPES:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
-    for interval, keys in RANGES.items():
-        for key in keys:
-            if not _in_interval(getattr(cfg, key), interval):
-                raise BadConfig(f"{key} must be in {interval}, got {getattr(cfg, key)!r}")
+    check_ranges(cfg)
     if cfg.crossing:
         _crossing(cfg)
     return cfg
@@ -180,17 +132,29 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _holdout_messages(series_list, test_len: int) -> list[AisMessage]:
-    rows = []
+def _holdout_messages(series_list, bundles, test_len: int) -> tuple[list[AisMessage], int]:
+    """The last `test_len` samples of each trained vessel's series as
+    observations numbered in time order, and how many of them were left
+    out. Every model rolls forward from its own train end, so only samples
+    whose rounded time is after the latest train end are kept."""
+    latest_end = max((b.train_end_time for b in bundles), default=-math.inf)
+    trained = {b.vessel_id for b in bundles}
+    rows, left_out = [], 0
     for s in series_list:
+        if s.vessel_id not in trained:
+            continue
         for i in range(len(s) - test_len, len(s)):
             lat, lon, speed, course = s.features[i]
-            rows.append((int(round(s.time_of(i))), s.vessel_id, lat, lon, speed, course))
+            t = int(round(s.time_of(i)))
+            if t > latest_end:
+                rows.append((t, s.vessel_id, lat, lon, speed, course))
+            else:
+                left_out += 1
     rows.sort(key=lambda r: (r[0], r[1]))
     return [
         AisMessage(object_id=oid, vessel_id=vid, t=t, lat=lat, lon=lon, speed=speed, course=course)
         for oid, (t, vid, lat, lon, speed, course) in enumerate(rows, start=1)
-    ]
+    ], left_out
 
 
 def cmd_train(args) -> int:
@@ -205,21 +169,13 @@ def cmd_train(args) -> int:
         if t not in kept:
             print(f"warning: vessel {t.vessel_id} has {len(t)} < {cfg.min_points} points, excluded", file=sys.stderr)
     series_list = [resample(t, cfg.period) for t in kept]
-    fleet_cfg = FleetConfig(
-        window_size=cfg.window,
-        test_len=cfg.test_len,
-        hidden=cfg.hidden,
-        dropout_rate=cfg.dropout,
-        train=TrainConfig(
-            learning_rate=cfg.lr, batch_size=cfg.batch, epochs=cfg.epochs, rng_seed=cfg.seed
-        ),
-    )
-    bundles, histories = train_fleet(series_list, fleet_cfg, lenient=cfg.lenient)
+    bundles, histories = train_fleet(series_list, cfg)
     out = Path(args.out)
-    save_fleet(bundles, out, cfg=fleet_cfg, histories=histories, extra_meta=config_meta(cfg))
-    holdout = _holdout_messages(
-        [s for s in series_list if any(b.vessel_id == s.vessel_id for b in bundles)], cfg.test_len
-    )
+    save_fleet(bundles, out, cfg=cfg, histories=histories, extra_meta=config_meta(cfg))
+    holdout, left_out = _holdout_messages(series_list, bundles, cfg.test_len)
+    if left_out:
+        print(f"left {left_out} held-out samples at or before the latest train end out of holdout.csv",
+              file=sys.stderr)
     (out / "holdout.csv").write_text(serialize_csv(holdout))
     (out / "holdout_truth.csv").write_text(truth_to_csv({m.object_id: m.vessel_id for m in holdout}))
     print(f"trained {len(bundles)} vessel models into {out}")
@@ -244,6 +200,16 @@ def cmd_evaluate(args) -> int:
     cfg = effective_config(args)
     assignments = decisions_from_csv(_read(args.decisions))
     truth = truth_from_csv(_read(args.truth))
+    decided = Counter(oid for oid, _ in assignments)
+    repeated = [oid for oid, n in decided.items() if n > 1]
+    if repeated:
+        raise IncompleteDecisions(f"{args.decisions} repeats OBJECT_ID {repeated[0]}")
+    undecided = [oid for oid in truth if oid not in decided]
+    if undecided:
+        raise IncompleteDecisions(
+            f"{args.decisions} has no decision for {len(undecided)} of {len(truth)} --truth objects,"
+            f" OBJECT_ID {undecided[0]} first"
+        )
     cm = confusion(assignments, truth)
     per_vessel = metrics(cm)
     write_report(cm, per_vessel, args.out, meta=config_meta(cfg))

@@ -67,3 +67,7 @@ class IoFailure(AistrackError):
 
 class BadConfig(AistrackError):
     pass
+
+
+class IncompleteDecisions(AistrackError):
+    pass

@@ -2,7 +2,9 @@
 
 One LstmNetwork is trained per vessel. Each vessel draws a derived seed
 (root seed XOR a digest of its id) so fleet results do not depend on
-training order or scheduling.
+training order or scheduling. Training reads its settings (window, test_len,
+hidden, dropout, lr, batch, epochs, seed, lenient) from the run's
+`config.RunConfig` and range-checks them first, as the CLI does.
 
 Vessels train in lockstep: those with the same training length (hence the
 same number of windows and batches per epoch) are stacked with
@@ -11,19 +13,20 @@ for the whole stack. Every vessel keeps its own generator for its weights,
 shuffles and dropout masks, drawn in the same order as when it trains
 alone, and the stacked math is the per-vessel math slice by slice, so the
 models are bit for bit the same however the fleet is grouped. A stack holds
-at most max(1, STACK_WINDOWS // batch_size) vessels: stacking removes
+at most max(1, STACK_WINDOWS // batch) vessels: stacking removes
 per-batch interpreter overhead, which is what costs at small batches, while
 at batch 128 a stack of five was no faster and doubled peak memory.
 
 A fleet is saved as one model_<vid>.json per vessel plus a manifest.json
 holding each file's sha256. A model file is plain JSON metadata (vessel id,
-period, train end time, scaler, last training window, architecture, train
-config) in which every weight array (W, U and b of each layer, dense_W,
-dense_b) is a base64 string of its little-endian float64 bytes, restored bit
-for bit in the shape the architecture fields give. Writing the weights as
-JSON numbers through the indented encoder, which formats each float in
-Python, took about 40 % of training on a 24-vessel fleet. Format version 2;
-any other version is rejected.
+period, train end time, scaler, last training window, architecture, and the
+batch size, epochs, learning rate and seed it was trained with) in which
+every weight array (W, U and b of each layer, dense_W, dense_b) is a base64
+string of its little-endian float64 bytes, restored bit for bit in the shape
+the architecture fields give. Writing the weights as JSON numbers through
+the indented encoder, which formats each float in Python, took about 40 % of
+training on a 24-vessel fleet. Format version 2; any other version is
+rejected.
 """
 
 from __future__ import annotations
@@ -33,17 +36,17 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig, check_ranges, is_json_type
 from .errors import BadManifest, BadModel, ChecksumMismatch, MissingFile, TrackTooShort, VersionMismatch
 from .lstm import (
     AdamState,
     LstmLayerParams,
     LstmNetwork,
-    TrainConfig,
     init_network,
     stack_networks,
     train_epoch,
@@ -57,15 +60,6 @@ MODEL_FORMAT_VERSION = 2
 
 # Windows per lockstep batch call, over all vessels of a stack.
 STACK_WINDOWS = 64
-
-
-@dataclass
-class FleetConfig:
-    window_size: int = 10
-    test_len: int = 108  # held-out suffix length per vessel
-    hidden: int = 32
-    dropout_rate: float = 0.2
-    train: TrainConfig = field(default_factory=TrainConfig)
 
 
 @dataclass
@@ -84,21 +78,21 @@ def vessel_seed(root_seed: int, vessel_id: str) -> int:
     return (root_seed ^ int.from_bytes(digest[:8], "big")) & (2**64 - 1)
 
 
-def _train_stack(stack: list[RegularTrack], cfg: FleetConfig) -> list[tuple[ModelBundle, list[float]]]:
+def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelBundle, list[float]]]:
     """Train series of one training length in lockstep; returns each
     vessel's bundle and per-epoch loss history, in stack order."""
-    m = cfg.window_size
+    m = cfg.window
     train_len = len(stack[0]) - cfg.test_len
     scalers = [fit_scaler(s, train_len) for s in stack]
     scaled = [scale(s.features[:train_len], p) for s, p in zip(stack, scalers)]
     windows = [make_windows(x, m, train_len) for x in scaled]
-    rngs = [np.random.default_rng(vessel_seed(cfg.train.rng_seed, s.vessel_id)) for s in stack]
+    rngs = [np.random.default_rng(vessel_seed(cfg.seed, s.vessel_id)) for s in stack]
     net = stack_networks(
         [
             init_network(
                 k=s.features.shape[1],
                 hidden=cfg.hidden,
-                dropout_rate=cfg.dropout_rate,
+                dropout_rate=cfg.dropout,
                 rng=rng,
             )
             for s, rng in zip(stack, rngs)
@@ -107,8 +101,8 @@ def _train_stack(stack: list[RegularTrack], cfg: FleetConfig) -> list[tuple[Mode
     inputs = np.stack([w.inputs for w in windows])
     targets = np.stack([w.targets for w in windows])
     del windows  # training reads only the stacked copies
-    opt = AdamState.for_network(net)
-    epochs = [train_epoch(net, inputs, targets, cfg.train, rngs, opt) for _ in range(cfg.train.epochs)]
+    opt = AdamState.for_network(net, cfg.lr)
+    epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt) for _ in range(cfg.epochs)]
     return [
         (
             ModelBundle(
@@ -127,23 +121,27 @@ def _train_stack(stack: list[RegularTrack], cfg: FleetConfig) -> list[tuple[Mode
 
 
 def train_fleet(
-    tracks: list[RegularTrack], cfg: FleetConfig, lenient: bool = False
+    tracks: list[RegularTrack], cfg: RunConfig
 ) -> tuple[list[ModelBundle], dict[str, list[float]]]:
-    """Train one model per track on its training prefix, in lockstep stacks
-    of equal training length; results ordered by vessel_id."""
+    """Train one model per track on its training prefix (all but the last
+    `cfg.test_len` samples), in lockstep stacks of equal training length;
+    results ordered by vessel_id. A track too short to give one window is
+    a TrackTooShort error, or skipped if `cfg.lenient`; a setting outside
+    its range is a BadConfig."""
+    check_ranges(cfg)
     by_length: dict[int, list[RegularTrack]] = {}
     for series in sorted(tracks, key=lambda s: s.vessel_id):
         train_len = len(series) - cfg.test_len
-        if train_len <= cfg.window_size:
-            if not lenient:
+        if train_len <= cfg.window:
+            if not cfg.lenient:
                 raise TrackTooShort(
                     f"vessel {series.vessel_id}: {len(series)} samples leave train_len {train_len}"
-                    f" <= window {cfg.window_size}"
+                    f" <= window {cfg.window}"
                 )
             log.warning("skipping vessel %s: track too short", series.vessel_id)
             continue
         by_length.setdefault(train_len, []).append(series)
-    per_stack = max(1, STACK_WINDOWS // cfg.train.batch_size)
+    per_stack = max(1, STACK_WINDOWS // cfg.batch)
     trained = {}
     for group in by_length.values():
         for start in range(0, len(group), per_stack):
@@ -199,8 +197,7 @@ def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
     floats finite and period > 0."""
     for key, kind in kinds.items():
         value = doc[key]
-        accepted = (int, float) if kind is float else kind
-        ok = isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
+        ok = is_json_type(value, kind)
         ok = ok and (kind is not int or value >= 1) and (kind is not float or math.isfinite(value))
         if not ok or (key == "period" and value <= 0):
             raise BadModel(f"{key} {value!r} is not a valid {kind.__name__}")
@@ -238,7 +235,7 @@ def _network_from_dict(d: dict) -> LstmNetwork:
     )
 
 
-def bundle_to_json(bundle: ModelBundle, cfg: FleetConfig | None = None) -> str:
+def bundle_to_json(bundle: ModelBundle, cfg: RunConfig | None = None) -> str:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "vessel_id": bundle.vessel_id,
@@ -250,7 +247,12 @@ def bundle_to_json(bundle: ModelBundle, cfg: FleetConfig | None = None) -> str:
         "network": _network_to_dict(bundle.network),
     }
     if cfg is not None:
-        doc["train_config"] = asdict(cfg.train)
+        doc["train_config"] = {
+            "batch_size": cfg.batch,
+            "epochs": cfg.epochs,
+            "learning_rate": cfg.lr,
+            "rng_seed": cfg.seed,
+        }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
@@ -292,7 +294,7 @@ def _sha256(data: bytes) -> str:
 def save_fleet(
     bundles: list[ModelBundle],
     directory: str | Path,
-    cfg: FleetConfig | None = None,
+    cfg: RunConfig | None = None,
     histories: dict[str, list[float]] | None = None,
     extra_meta: dict | None = None,
 ) -> Path:

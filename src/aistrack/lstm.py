@@ -64,20 +64,6 @@ def count_params(d_in: int, h: int) -> int:
 
 
 @dataclass
-class TrainConfig:
-    learning_rate: float = 1e-4
-    batch_size: int = 10
-    epochs: int = 100
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
-
-
-@dataclass
 class LstmNetwork:
     """Stacked LSTM with dense (lat, lon) head."""
 
@@ -360,18 +346,20 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Adaptive moment estimation state, one slot per parameter array."""
+    """Adaptive moment estimation state, one slot per parameter array, and
+    the learning rate."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
+    lr: float
     t: int = 0
 
     @classmethod
-    def for_network(cls, net: LstmNetwork) -> "AdamState":
+    def for_network(cls, net: LstmNetwork, lr: float) -> "AdamState":
         arrays = net.param_arrays()
-        return cls(m=[np.zeros_like(a) for a in arrays], v=[np.zeros_like(a) for a in arrays])
+        return cls(m=[np.zeros_like(a) for a in arrays], v=[np.zeros_like(a) for a in arrays], lr=lr)
 
-    def step(self, net: LstmNetwork, grads: list[np.ndarray], cfg: TrainConfig) -> None:
+    def step(self, net: LstmNetwork, grads: list[np.ndarray]) -> None:
         self.t += 1
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
         correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
@@ -380,14 +368,14 @@ class AdamState:
             m += (1 - b1) * grad
             v *= b2
             v += (1 - b2) * grad**2
-            param -= cfg.learning_rate * correction * m / (np.sqrt(v) + eps)
+            param -= self.lr * correction * m / (np.sqrt(v) + eps)
 
 
 def train_epoch(
     net: LstmNetwork,
     inputs: np.ndarray,
     targets: np.ndarray,
-    cfg: TrainConfig,
+    batch_size: int,
     rng: np.random.Generator | list[np.random.Generator],
     opt: AdamState,
 ) -> float | list[float]:
@@ -402,14 +390,14 @@ def train_epoch(
         raise ValueError("no training windows")
     order = _per_vessel(rng, lambda r: r.permutation(n))
     total = np.zeros(order.shape[:-1])
-    for start in range(0, n, cfg.batch_size):
-        idx = order[..., start : start + cfg.batch_size]
+    for start in range(0, n, batch_size):
+        idx = order[..., start : start + batch_size]
         x = np.take_along_axis(inputs, idx[..., None, None], axis=-3)
         y = np.take_along_axis(targets, idx[..., None], axis=-2)
         pred, cache = forward_batch(net, x, train=True, rng=rng)
         total += np.sum(np.mean((pred - y) ** 2, axis=-1), axis=-1)
         grads = backward(net, cache, y)
-        opt.step(net, grads, cfg)
+        opt.step(net, grads)
     return (total / n).tolist()
 
 

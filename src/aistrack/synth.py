@@ -53,17 +53,19 @@ class SynthSpec:
 
 
 def default_motions(z: int) -> list[VesselMotion]:
-    """Well-separated starts (2 degrees apart) with varied headings."""
+    """Well-separated starts (2 degrees apart) with varied headings. Vessel
+    i starts at latitude 37 + 2 (i % 26), which stays below 90; each band
+    of 26 vessels repeats the motions of the first, 5 degrees further east."""
     return [
         VesselMotion(
-            start_lat=37.0 + i * 2.0,
-            start_lon=23.0 + (i % 2) * 2.0,
-            course_deg=(37.0 * i + 20.0) % 360.0,
-            speed_knots=8.0 + 2.0 * i,
+            start_lat=37.0 + j * 2.0,
+            start_lon=23.0 + (j % 2) * 2.0 + band * 5.0,
+            course_deg=(37.0 * j + 20.0) % 360.0,
+            speed_knots=8.0 + 2.0 * j,
             wave_amp_deg=0.002,
-            wave_period=120 + 15 * i,
+            wave_period=120 + 15 * j,
         )
-        for i in range(z)
+        for band, j in (divmod(i, 26) for i in range(z))
     ]
 
 

@@ -16,9 +16,10 @@ from _gradcheck import check_network
 from aistrack.associate import EARTH_RADIUS_KM, GeoPoint, associate_batch, haversine
 from aistrack.cli import main
 from aistrack.evaluate import confusion, macro_averages, metrics
-from aistrack.fleet import FleetConfig, train_fleet
+from aistrack.config import RunConfig
+from aistrack.fleet import train_fleet
 from aistrack.ingest import AisMessage, RawTrack, group_tracks, parse_csv
-from aistrack.lstm import AdamState, TrainConfig, count_params, evaluate_loss, init_network, train_epoch
+from aistrack.lstm import AdamState, count_params, evaluate_loss, init_network, train_epoch
 from aistrack.preprocess import ScalerParams, resample, scale, unscale
 from aistrack.synth import SynthSpec, generate, overlap_scenario
 
@@ -120,11 +121,10 @@ def test_overfit_sanity(report):
     net = init_network(k=4, hidden=32, dropout_rate=0.0, rng=rng)
     inputs = rng.random((1, 10, 4))
     targets = rng.random((1, 2))
-    cfg = TrainConfig(learning_rate=1e-2, batch_size=1, epochs=200)
-    opt = AdamState.for_network(net)
+    opt = AdamState.for_network(net, 1e-2)
     train_rng = np.random.default_rng(0)
-    for _ in range(cfg.epochs):
-        train_epoch(net, inputs, targets, cfg, train_rng, opt)
+    for _ in range(200):
+        train_epoch(net, inputs, targets, 1, train_rng, opt)
     final = evaluate_loss(net, inputs, targets)
     assert final < 1e-4
     report(f"overfit sanity (final MSE {final:.2e})")
@@ -178,12 +178,7 @@ def test_overlap_stress(report):
     csv_text, truth = generate(spec)
     tracks = group_tracks(parse_csv(csv_text))
     series = [resample(t, 5.0) for t in tracks]
-    cfg = FleetConfig(
-        window_size=10,
-        test_len=108,
-        hidden=32,
-        train=TrainConfig(learning_rate=1e-4, batch_size=10, epochs=30, rng_seed=43),
-    )
+    cfg = RunConfig(window=10, test_len=108, hidden=32, lr=1e-4, batch=10, epochs=30, seed=43)
     bundles, _ = train_fleet(series, cfg)
     # held-out observations: test suffix of each resampled series
     observations = []

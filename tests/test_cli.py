@@ -1,12 +1,14 @@
 import argparse
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aistrack.cli import RunConfig, build_parser, main
+from aistrack.cli import build_parser, main
+from aistrack.config import RunConfig
 
 FAST = [
     "--vessels", "3",
@@ -184,6 +186,35 @@ def test_short_track_excluded_with_warning(tmp_path, capsys):
     assert len(manifest["models"]) == 2
 
 
+def test_tracks_ending_at_different_times(tmp_path, capsys):
+    # three of seven vessels stop early, so their last samples fall before
+    # the other vessels' train ends and are left out of the holdout
+    data, models = tmp_path / "data", tmp_path / "models"
+    assert run(["synth", "--out", data, "--vessels", 7, "--points", 200, "--seed", 42]) == 0
+    header, *rows = (data / "fleet.csv").read_text().splitlines()
+    limit = dict(zip(sorted({r.split(",")[1] for r in rows}), (180, 180, 160)))
+    seen = Counter()
+    kept = [header]
+    for r in rows:  # in time order
+        vid = r.split(",")[1]
+        seen[vid] += 1
+        if seen[vid] <= limit.get(vid, 200):
+            kept.append(r)
+    (data / "fleet.csv").write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    assert run(["train", "--data", data / "fleet.csv", "--out", models, "--min-points", 100, "--epochs", 1,
+                "--test-len", 25, "--seed", 42]) == 0
+    err = capsys.readouterr().err
+    decisions, report = tmp_path / "decisions.csv", tmp_path / "report.json"
+    assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", decisions]) == 0
+    assert run(["evaluate", "--decisions", decisions, "--truth", models / "holdout_truth.csv", "--out", report]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["macro"]["f1"] >= 0.95
+    held_out = sum(map(sum, doc["confusion_matrix"]))
+    left_out = int(err.split("left ")[1].split()[0])
+    assert left_out > 0 and left_out + held_out == 7 * 25
+
+
 # Each subcommand's option strings as they were when build_parser still
 # declared every flag by hand.
 OPTIONS = {
@@ -291,6 +322,26 @@ def test_malformed_decisions_or_truth_row_is_data_error(trained, tmp_path, capsy
               "--out", tmp_path / "r.json"])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error: line 3:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda rows: rows + rows[-1:], "repeats OBJECT_ID"),
+        (lambda rows: rows[:-1], "no decision for 1 of"),
+    ],
+    ids=["repeated", "undecided"],
+)
+def test_repeated_or_missing_decision_is_data_error(trained, tmp_path, capsys, edit, named):
+    header, *rows = (trained / "decisions.csv").read_text().splitlines()
+    decisions = tmp_path / "decisions.csv"
+    decisions.write_text("\n".join([header, *edit(rows)]) + "\n")
+    capsys.readouterr()
+    rc = run(["evaluate", "--decisions", decisions, "--truth", trained / "models" / "holdout_truth.csv",
+              "--out", tmp_path / "r.json"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert not (tmp_path / "r.json").exists()
 
 
 # Bytes an input file may hold: anything, or anything after a header line,

@@ -1,12 +1,21 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from aistrack import fleet
-from aistrack.errors import BadManifest, BadModel, ChecksumMismatch, MissingFile, TrackTooShort, VersionMismatch
+from aistrack.config import RunConfig
+from aistrack.errors import (
+    BadConfig,
+    BadManifest,
+    BadModel,
+    ChecksumMismatch,
+    MissingFile,
+    TrackTooShort,
+    VersionMismatch,
+)
 from aistrack.fleet import (
-    FleetConfig,
     bundle_from_json,
     bundle_to_json,
     load_fleet,
@@ -14,7 +23,7 @@ from aistrack.fleet import (
     train_fleet,
     vessel_seed,
 )
-from aistrack.lstm import AdamState, TrainConfig, backward, forward, forward_batch, init_network
+from aistrack.lstm import AdamState, backward, forward, forward_batch, init_network
 from aistrack.preprocess import RegularTrack, fit_scaler, make_windows, scale
 
 
@@ -37,13 +46,8 @@ def _train_one(series, cfg):
     return bundles[0], histories[series.vessel_id]
 
 
-def _cfg(epochs=2, test_len=10):
-    return FleetConfig(
-        window_size=5,
-        test_len=test_len,
-        hidden=8,
-        train=TrainConfig(learning_rate=1e-3, batch_size=8, epochs=epochs, rng_seed=77),
-    )
+def _cfg(epochs=2, test_len=10, lenient=False):
+    return RunConfig(window=5, test_len=test_len, hidden=8, lr=1e-3, batch=8, epochs=epochs, seed=77, lenient=lenient)
 
 
 class TestTrainFleet:
@@ -65,8 +69,14 @@ class TestTrainFleet:
         short = _series(n=12)  # train_len 2 <= window 5
         with pytest.raises(TrackTooShort):
             train_fleet([short], _cfg())
-        bundles, _ = train_fleet([short], _cfg(), lenient=True)
+        bundles, _ = train_fleet([short], _cfg(lenient=True))
         assert bundles == []
+
+    @pytest.mark.parametrize("bad", [{"epochs": 0}, {"batch": 0}, {"lr": -1e-3}, {"window": 0}, {"dropout": 1.0}])
+    def test_setting_out_of_range_is_bad_config(self, bad):
+        (key,) = bad
+        with pytest.raises(BadConfig, match=f"{key} must be in"):
+            train_fleet([_series()], dataclasses.replace(_cfg(), **bad))
 
     def test_determinism_and_order_invariance(self):
         tracks = [_series(vid=f"v{i}", seed=i) for i in range(3)]
@@ -226,19 +236,19 @@ def _reference_training(series, cfg):
     backward and AdamState.step: what a lockstep stack must reproduce."""
     train_len = len(series) - cfg.test_len
     scaled = scale(series.features[:train_len], fit_scaler(series, train_len))
-    windows = make_windows(scaled, cfg.window_size, train_len)
-    rng = np.random.default_rng(vessel_seed(cfg.train.rng_seed, series.vessel_id))
-    net = init_network(k=4, hidden=cfg.hidden, dropout_rate=cfg.dropout_rate, rng=rng)
-    opt = AdamState.for_network(net)
+    windows = make_windows(scaled, cfg.window, train_len)
+    rng = np.random.default_rng(vessel_seed(cfg.seed, series.vessel_id))
+    net = init_network(k=4, hidden=cfg.hidden, dropout_rate=cfg.dropout, rng=rng)
+    opt = AdamState.for_network(net, cfg.lr)
     history = []
-    for _ in range(cfg.train.epochs):
+    for _ in range(cfg.epochs):
         order = rng.permutation(len(windows))
         total = 0.0
-        for start in range(0, len(windows), cfg.train.batch_size):
-            idx = order[start : start + cfg.train.batch_size]
+        for start in range(0, len(windows), cfg.batch):
+            idx = order[start : start + cfg.batch]
             pred, cache = forward_batch(net, windows.inputs[idx], train=True, rng=rng)
             total += float(np.sum(np.mean((pred - windows.targets[idx]) ** 2, axis=1)))
-            opt.step(net, backward(net, cache, windows.targets[idx]), cfg.train)
+            opt.step(net, backward(net, cache, windows.targets[idx]))
         history.append(total / len(windows))
     return net, history
 
@@ -249,13 +259,8 @@ class TestLockstep:
     # 52-sample tracks as one stack; 45 and 37 windows leave a short last batch
     TRACKS = [(f"v{i}", n) for i, n in enumerate((60, 52, 60, 60, 52))]
 
-    def _cfg(self):
-        return FleetConfig(
-            window_size=5,
-            test_len=10,
-            hidden=8,
-            train=TrainConfig(learning_rate=1e-2, batch_size=24, epochs=3, rng_seed=5),
-        )
+    def _cfg(self, lenient=False):
+        return RunConfig(window=5, test_len=10, hidden=8, lr=1e-2, batch=24, epochs=3, seed=5, lenient=lenient)
 
     def test_equals_per_vessel_reference_loop(self, monkeypatch):
         stack_sizes = []
@@ -282,8 +287,8 @@ class TestLockstep:
         tracks.append(_series("short", n=12))
         with pytest.raises(TrackTooShort):
             train_fleet(tracks, self._cfg())
-        b1, h1 = train_fleet(tracks, self._cfg(), lenient=True)
-        b2, h2 = train_fleet(tracks[::-1], self._cfg(), lenient=True)
+        b1, h1 = train_fleet(tracks, self._cfg(lenient=True))
+        b2, h2 = train_fleet(tracks[::-1], self._cfg(lenient=True))
         assert [b.vessel_id for b in b1] == [b.vessel_id for b in b2] == ["v0", "v1", "v2", "v3", "v4"]
         assert h1 == h2
         for x, y in zip(b1, b2):

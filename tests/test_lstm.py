@@ -8,7 +8,6 @@ from aistrack.lstm import (
     AdamState,
     LstmLayerParams,
     LstmNetwork,
-    TrainConfig,
     count_params,
     evaluate_loss,
     forward,
@@ -123,21 +122,19 @@ class TestTrainEpoch:
         net = small_net()
         before = [a.copy() for a in net.param_arrays()]
         inputs, targets = _toy_data(np.random.default_rng(9))
-        cfg = TrainConfig(learning_rate=0.0, batch_size=5, epochs=1)
-        loss = train_epoch(net, inputs, targets, cfg, np.random.default_rng(0), AdamState.for_network(net))
+        loss = train_epoch(net, inputs, targets, 5, np.random.default_rng(0), AdamState.for_network(net, 0.0))
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
         assert loss == pytest.approx(evaluate_loss(net, inputs, targets), rel=1e-9)
 
     def test_same_seed_identical_trajectories(self):
         inputs, targets = _toy_data(np.random.default_rng(10))
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=4, epochs=3)
         results = []
         for _ in range(2):
             net = small_net(dropout=0.2)
-            opt = AdamState.for_network(net)
+            opt = AdamState.for_network(net, 1e-3)
             rng = np.random.default_rng(123)
-            losses = [train_epoch(net, inputs, targets, cfg, rng, opt) for _ in range(cfg.epochs)]
+            losses = [train_epoch(net, inputs, targets, 4, rng, opt) for _ in range(3)]
             results.append((losses, [a.copy() for a in net.param_arrays()]))
         assert results[0][0] == results[1][0]
         for a, b in zip(results[0][1], results[1][1]):
@@ -148,11 +145,10 @@ class TestTrainEpoch:
         net = small_net(dropout=0.0)
         inputs = rng.random((1, 6, 4))
         targets = rng.random((1, 2))
-        cfg = TrainConfig(learning_rate=1e-2, batch_size=1, epochs=200)
-        opt = AdamState.for_network(net)
+        opt = AdamState.for_network(net, 1e-2)
         train_rng = np.random.default_rng(0)
-        for _ in range(cfg.epochs):
-            train_epoch(net, inputs, targets, cfg, train_rng, opt)
+        for _ in range(200):
+            train_epoch(net, inputs, targets, 1, train_rng, opt)
         assert evaluate_loss(net, inputs, targets) < 1e-4
 
     def test_sine_track_loss_drops(self):
@@ -170,10 +166,9 @@ class TestTrainEpoch:
         inputs = np.stack([feats[i : i + m] for i in range(len(feats) - m)])
         targets = feats[m:, :2]
         net = init_network(k=4, hidden=16, dropout_rate=0.0, rng=np.random.default_rng(12))
-        cfg = TrainConfig(learning_rate=1e-3, batch_size=10, epochs=100)
-        opt = AdamState.for_network(net)
+        opt = AdamState.for_network(net, 1e-3)
         rng = np.random.default_rng(0)
-        losses = [train_epoch(net, inputs, targets, cfg, rng, opt) for _ in range(cfg.epochs)]
+        losses = [train_epoch(net, inputs, targets, 10, rng, opt) for _ in range(100)]
         assert losses[-1] < 0.1 * losses[0]
 
 

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from aistrack.associate import GeoPoint, haversine
 from aistrack.ingest import group_tracks, parse_csv
 from aistrack.preprocess import resample
-from aistrack.synth import SynthSpec, VesselMotion, generate, overlap_scenario, truth_from_csv, truth_to_csv
+from aistrack.synth import SynthSpec, VesselMotion, default_motions, generate, overlap_scenario, truth_from_csv, truth_to_csv
 
 
 def test_same_seed_byte_identical():
@@ -23,6 +25,17 @@ def test_output_parses_strict():
     msgs = parse_csv(csv_text)
     assert len(msgs) == 200
     assert {m.object_id for m in msgs} == set(truth)
+
+
+def test_fleet_past_26_vessels_parses_strict():
+    # vessel i starts at latitude 37 + 2i only up to i = 25; later vessels
+    # repeat those motions 5 degrees further east per band of 26
+    csv_text, truth = generate(SynthSpec(vessels=200, points=20, jitter_frac=0.2, noise_std_deg=1e-4, seed=6))
+    msgs = parse_csv(csv_text)
+    assert len(msgs) == 200 * 20 and len(set(truth.values())) == 200
+    motions = default_motions(200)
+    assert motions[27] == dataclasses.replace(motions[1], start_lon=motions[1].start_lon + 5.0)
+    assert motions[199] == dataclasses.replace(motions[199 % 26], start_lon=motions[199 % 26].start_lon + 35.0)
 
 
 def test_truth_covers_every_object_id_once():
