@@ -4,31 +4,32 @@ Each fleet model is rolled forward to the observation time; the observation is
 assigned to the vessel whose predicted position is closest on the great
 circle, or declared a new track when the minimum distance exceeds tau.
 
-The rollout is fleet-stacked. `associate_batch` first computes the (N, Z)
-matrix of rollout steps, observation by vessel, then stacks the Z vessel
-networks (`lstm.stack_networks`) and advances all Z windows together, one
-batched `roll_step` per step, up to the largest step any observation needs.
-The (S, Z, 2) table of predictions is unscaled in one numpy expression and
-each observation reads its row of `GeoPoint`s from it. So the LSTM runs S
-times per association instead of S times per vessel, with the same numbers:
-a stacked matmul computes each vessel's slice exactly as a separate call
-would. Vessels whose networks or windows differ in shape are stacked in
-separate groups. Distances stay scalar `math` haversines, one per
-(observation, vessel), because a vectorized `np.arcsin` differs from
-`math.asin` in the last ulp and could flip near-ties.
+`associate_batch` works on arrays end to end. It sorts the vessels by
+vessel_id and computes the (N, Z) matrix of rollout steps, observation by
+vessel. It then stacks the Z vessel networks (`lstm.stack_networks`) and
+advances all Z windows together, one batched `roll_step` per step, up to the
+largest step any observation needs. A stacked matmul computes each vessel's
+slice exactly as a separate call would. Vessels whose networks or windows
+differ in shape are stacked in separate groups. The (S, Z, 2) table of
+predictions is unscaled in one expression, and each observation's Z
+predictions are gathered from it in one indexing step. One call of the array
+`haversine` gives the (N, Z) distance matrix. The decision is the argmin of
+each row, so ties go to the smallest vessel_id. The result is one
+`Decisions` record, which `decisions_to_csv` writes row by row.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .errors import TimeBeforeTraining
-from .ingest import AisMessage, object_id_pairs
+from .errors import RolloutTooLong, TimeBeforeTraining
+from .ingest import AisMessage, format_timestamp, object_id_pairs
 from .lstm import roll_step, stack_networks
 from .preprocess import ScalerParams, unscale
 
@@ -36,33 +37,61 @@ EARTH_RADIUS_KM = 6371.0
 
 NEW_TRACK = "NEW"
 
+# The rollout runs one LSTM step per period past a vessel's train end, so an
+# observation far in the future would stall the run. Past this many steps
+# (40x the 250 of the widest benchmark horizon) it is a data error.
+MAX_ROLLOUT_STEPS = 10_000
+
 
 @dataclass(frozen=True)
-class GeoPoint:
-    lat: float
-    lon: float
+class Decisions:
+    """N observations associated against Z vessels. Row i is observation
+    object_ids[i]: assigned[i] is a vessel_id or NEW_TRACK,
+    winning_distance_km[i] the distance to its nearest prediction and
+    distances_km[i, z] the distance to vessel_ids[z]'s (sorted) prediction."""
+
+    object_ids: list[int]
+    assigned: list[str]
+    winning_distance_km: np.ndarray  # (N,)
+    distances_km: np.ndarray  # (N, Z)
+    vessel_ids: list[str]
+
+    def __len__(self) -> int:
+        return len(self.object_ids)
 
 
-@dataclass
-class AssociationDecision:
-    object_id: int
-    distances_km: dict[str, float]
-    assigned: str  # vessel_id or NEW_TRACK
-    winning_distance_km: float
+def _per_element(fn, x, *args) -> np.ndarray:
+    """fn(v, *args) for each element v of x as a Python float; an array of
+    x's shape."""
+    x = np.asarray(x, dtype=np.float64)
+    values = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
+    return np.fromiter(values, np.float64, x.size).reshape(x.shape)
 
 
-def haversine(p: GeoPoint, q: GeoPoint, r: float = EARTH_RADIUS_KM) -> float:
-    """Great-circle distance in km (radius r) between two lat/lon points."""
-    phi1, phi2 = math.radians(p.lat), math.radians(q.lat)
+def haversine(lat1, lon1, lat2, lon2, r: float = EARTH_RADIUS_KM) -> np.ndarray:
+    """Great-circle distance in km (radius r) from (lat1, lon1) to
+    (lat2, lon2), elementwise over broadcast arrays.
+
+    Each element equals the scalar `math` formula's bit for bit: numpy's
+    float64 radians, sin, cos and sqrt round as `math`'s do, while the
+    squares stay Python `pow(v, 2)` (libm pow, which rounds differently from
+    numpy's `v ** 2`, that is `v * v`, on some inputs) and the arcsine stays
+    `math.asin` (`np.arcsin` differs in the last ulp), both taken per
+    element."""
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
-    dlam = math.radians(q.lon - p.lon)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2) ** 2
-    return 2 * r * math.asin(min(1.0, math.sqrt(a)))
+    dlam = np.radians(np.subtract(lon2, lon1))
+    a = _per_element(pow, np.sin(dphi / 2), 2)
+    a = a + np.cos(phi1) * np.cos(phi2) * _per_element(pow, np.sin(dlam / 2), 2)
+    return 2 * r * _per_element(math.asin, np.minimum(1.0, np.sqrt(a)))
 
 
 def _rollout_steps(bundles, times: list[float]) -> np.ndarray:
     """(N, Z) rollout steps from each bundle's train end to each time:
-    round((time - train_end_time) / period), minimum 1."""
+    round((time - train_end_time) / period), minimum 1, at most
+    MAX_ROLLOUT_STEPS."""
+    if not bundles:
+        raise ValueError("no vessel models to predict with")
     t = np.array(times, dtype=np.float64)[:, None]
     ends = np.array([b.train_end_time for b in bundles], dtype=np.float64)
     early = t <= ends
@@ -71,7 +100,15 @@ def _rollout_steps(bundles, times: list[float]) -> np.ndarray:
         b = bundles[z]
         raise TimeBeforeTraining(f"vessel {b.vessel_id}: target {times[i]} <= train end {b.train_end_time}")
     periods = np.array([b.period for b in bundles], dtype=np.float64)
-    return np.maximum(1, np.round((t - ends) / periods)).astype(np.int64)
+    steps = np.round((t - ends) / periods)
+    far = steps > MAX_ROLLOUT_STEPS
+    if far.any():
+        i, z = np.argwhere(far)[0]
+        raise RolloutTooLong(
+            f"observation at {format_timestamp(int(times[i]))} is {steps[i, z]:.0f} rollout steps past"
+            f" vessel {bundles[z].vessel_id}'s train end; the bound is {MAX_ROLLOUT_STEPS}"
+        )
+    return np.maximum(1, steps).astype(np.int64)
 
 
 def _rollout_positions(bundles, steps: int) -> np.ndarray:
@@ -93,51 +130,41 @@ def _rollout_positions(bundles, steps: int) -> np.ndarray:
     return unscale(scaled, fleet_scaler)
 
 
-def _predictions(bundles, times: list[float]) -> Iterator[dict[str, GeoPoint]]:
-    """Every bundle's predicted position at each time, from one stacked
-    rollout to the latest of them."""
-    if not bundles:
-        raise ValueError("no vessel models to predict with")
-    steps = _rollout_steps(bundles, times)
-    if not len(steps):
-        return
-    positions = _rollout_positions(bundles, int(steps.max())).tolist()
-    points = [[GeoPoint(lat=lat, lon=lon) for lat, lon in row] for row in positions]
-    vids = [b.vessel_id for b in bundles]
-    for row in steps.tolist():
-        yield {vid: points[s - 1][z] for z, (vid, s) in enumerate(zip(vids, row))}
+def predict_positions(bundles, target_time: float) -> dict[str, tuple[float, float]]:
+    """Every bundle's predicted (lat, lon) at target_time, rolled
+    round((target_time - train_end_time) / period) steps, minimum 1."""
+    steps = _rollout_steps(bundles, [target_time])[0].tolist()
+    table = _rollout_positions(bundles, max(steps))
+    return {b.vessel_id: tuple(table[s - 1, z].tolist()) for z, (b, s) in enumerate(zip(bundles, steps))}
 
 
-def predict_positions(bundles, target_time: float) -> dict[str, GeoPoint]:
-    """Roll every bundle forward to target_time and unscale the predictions.
-
-    steps = round((target_time - train_end_time) / period), minimum 1."""
-    return next(_predictions(bundles, [target_time]))
+def _decide(
+    observations: list[AisMessage], predicted: np.ndarray, vessel_ids: list[str], tau: float, radius_km: float
+) -> Decisions:
+    """Score N observations against (N, Z, 2) predicted (lat, lon) whose
+    columns follow the sorted vessel_ids; the first minimum of each row wins."""
+    obs = np.array([(m.lat, m.lon) for m in observations], dtype=np.float64).reshape(-1, 1, 2)
+    distances = haversine(obs[..., 0], obs[..., 1], predicted[..., 0], predicted[..., 1], radius_km)
+    best = np.argmin(distances, axis=1)
+    winning = distances[np.arange(len(distances)), best]
+    assigned = [vessel_ids[z] if d <= tau else NEW_TRACK for z, d in zip(best.tolist(), winning.tolist())]
+    return Decisions([m.object_id for m in observations], assigned, winning, distances, list(vessel_ids))
 
 
 def associate(
     observation: AisMessage,
-    predictions: dict[str, GeoPoint],
+    predictions: Mapping[str, tuple[float, float]],
     tau: float = math.inf,
     radius_km: float = EARTH_RADIUS_KM,
-) -> AssociationDecision:
-    """Assign the observation to the nearest predicted track, or NEW if the
-    minimum distance exceeds tau. Ties go to the smallest vessel_id."""
+) -> Decisions:
+    """Assign one observation to the nearest of the predicted (lat, lon)
+    positions, keyed by vessel_id, or NEW if the minimum distance exceeds
+    tau. Ties go to the smallest vessel_id."""
     if not predictions:
         raise ValueError("predictions must be non-empty")
-    obs = GeoPoint(lat=observation.lat, lon=observation.lon)
-    distances = {
-        vid: haversine(obs, point, radius_km) for vid, point in sorted(predictions.items())
-    }
-    best_vid = min(distances, key=lambda vid: (distances[vid], vid))
-    best = distances[best_vid]
-    assigned = best_vid if best <= tau else NEW_TRACK
-    return AssociationDecision(
-        object_id=observation.object_id,
-        distances_km=distances,
-        assigned=assigned,
-        winning_distance_km=best,
-    )
+    vids = sorted(predictions)
+    predicted = np.array([[predictions[v] for v in vids]], dtype=np.float64)
+    return _decide([observation], predicted, vids, tau, radius_km)
 
 
 def associate_batch(
@@ -145,28 +172,31 @@ def associate_batch(
     bundles,
     tau: float = math.inf,
     radius_km: float = EARTH_RADIUS_KM,
-) -> list[AssociationDecision]:
+) -> Decisions:
     """Associate time-ordered observations against one fleet-stacked rollout.
 
     No exclusivity constraint: many observations may map to one track."""
     if any(b.t > a.t for a, b in zip(observations[1:], observations)):
         raise ValueError("observations must be sorted by timestamp")
-    predictions = _predictions(bundles, [obs.t for obs in observations])
-    return [
-        associate(obs, preds, tau=tau, radius_km=radius_km)
-        for obs, preds in zip(observations, predictions)
-    ]
+    bundles = sorted(bundles, key=lambda b: b.vessel_id)
+    steps = _rollout_steps(bundles, [obs.t for obs in observations])
+    table = _rollout_positions(bundles, int(steps.max(initial=0)))
+    predicted = table[steps - 1, np.arange(len(bundles))]
+    return _decide(observations, predicted, [b.vessel_id for b in bundles], tau, radius_km)
 
 
-def decisions_to_csv(decisions: list[AssociationDecision], vessel_ids: list[str]) -> str:
+def decisions_to_csv(decisions: Decisions) -> str:
     """CSV export: OBJECT_ID, ASSIGNED_VID, WINNING_DISTANCE_KM, DIST_<vid>..."""
-    vids = sorted(vessel_ids)
-    header = ["OBJECT_ID", "ASSIGNED_VID", "WINNING_DISTANCE_KM"] + [f"DIST_{v}" for v in vids]
+    header = ["OBJECT_ID", "ASSIGNED_VID", "WINNING_DISTANCE_KM"] + [f"DIST_{v}" for v in decisions.vessel_ids]
     lines = [",".join(header)]
-    for d in decisions:
-        row = [str(d.object_id), d.assigned, f"{d.winning_distance_km!r}"]
-        row += [f"{d.distances_km[v]!r}" for v in vids]
-        lines.append(",".join(row))
+    rows = zip(
+        decisions.object_ids,
+        decisions.assigned,
+        decisions.winning_distance_km.tolist(),
+        decisions.distances_km.tolist(),
+    )
+    for object_id, assigned, winning, distances in rows:
+        lines.append(",".join([str(object_id), assigned, repr(winning), *map(repr, distances)]))
     return "\n".join(lines) + "\n"
 
 

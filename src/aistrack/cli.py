@@ -8,8 +8,10 @@ plus its hash, into the output artifacts; `train` hands it to
 and naming it in one `FLAGS` list.
 
 Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
-duplicate OBJECT_ID, a bad --config file or value, an input that is missing
-or not UTF-8, a missing or malformed model, decisions that repeat an
+duplicate OBJECT_ID (in --data, --obs or --truth), a bad --config file or
+value, an input that is missing or not UTF-8, a missing or malformed model,
+an observation at or before a vessel's train end or more than
+`associate.MAX_ROLLOUT_STEPS` steps past it, decisions that repeat an
 OBJECT_ID or leave a truth object undecided.
 """
 
@@ -190,7 +192,7 @@ def cmd_associate(args) -> int:
     decisions = associate_batch(observations, bundles, tau=cfg.tau, radius_km=cfg.radius)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(decisions_to_csv(decisions, [b.vessel_id for b in bundles]))
+    out.write_text(decisions_to_csv(decisions))
     out.with_suffix(".meta.json").write_text(json.dumps(config_meta(cfg), sort_keys=True, indent=1))
     print(f"associated {len(decisions)} observations -> {out}")
     return 0

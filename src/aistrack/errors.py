@@ -57,6 +57,10 @@ class TimeBeforeTraining(AistrackError):
     pass
 
 
+class RolloutTooLong(AistrackError):
+    pass
+
+
 class UnknownObjectId(AistrackError):
     pass
 

@@ -8,6 +8,7 @@ matched case-insensitively by name and may appear in any order.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from collections.abc import Iterator
@@ -21,8 +22,11 @@ HEADER = ("OBJECT_ID", "VID", "SEQUENCE_DTTM", "LAT", "LON", "SPEED", "COURSE")
 _TIME_FMT = "%Y-%m-%dT%H:%M:%SZ"
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_timestamp(text: str) -> int:
-    """Strict ISO-8601 Zulu -> epoch seconds (UTC)."""
+    """Strict ISO-8601 Zulu -> epoch seconds (UTC). Memoised: a fleet's
+    messages share few distinct timestamps. A bad text raises on every call,
+    since exceptions are not cached."""
     dt = datetime.strptime(text, _TIME_FMT).replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
 
@@ -151,22 +155,29 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
     return out
 
 
-def object_id_pairs(text: str, n_fields: int, exact: bool) -> list[tuple[int, str]]:
+def object_id_pairs(text: str, n_fields: int, exact: bool, unique: bool = False) -> list[tuple[int, str]]:
     """(OBJECT_ID, second field) of each non-blank line after the header of
     a comma-separated file whose first field is an integer OBJECT_ID. A row
-    with fewer than `n_fields` fields (or more, if `exact`), or a
-    non-integer OBJECT_ID, is a MalformedRow naming its line."""
+    with fewer than `n_fields` fields (or more, if `exact`), a non-integer
+    OBJECT_ID, or (if `unique`) a repeated one is a MalformedRow naming its
+    line."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     out = []
+    first_line: dict[int, int] = {}  # OBJECT_ID -> its line, if `unique`
     for line_no, ln in lines[1:]:
         fields = ln.split(",")
         if len(fields) < n_fields or (exact and len(fields) > n_fields):
             expected = n_fields if exact else f"at least {n_fields}"
             raise MalformedRow(line_no, f"expected {expected} fields, got {len(fields)}")
         try:
-            out.append((int(fields[0]), fields[1]))
+            object_id = int(fields[0])
         except ValueError:
             raise MalformedRow(line_no, f"OBJECT_ID {fields[0]!r} is not an integer") from None
+        if unique:
+            if object_id in first_line:
+                raise MalformedRow(line_no, f"duplicate OBJECT_ID {object_id} (first on line {first_line[object_id]})")
+            first_line[object_id] = line_no
+        out.append((object_id, fields[1]))
     return out
 
 

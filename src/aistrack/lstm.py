@@ -21,6 +21,11 @@ axis: `stack_networks` gives every parameter one, and `forward_batch`,
 the same elementwise operations in the same order as an unstacked call, so a
 stack trains bit for bit as Z separate networks would; in train mode each
 vessel draws its shuffles and dropout masks from its own generator.
+
+Only training needs the per-timestep gates and cell states that `backward`
+reads. Inference (`roll_step`, `evaluate_loss`) asks `forward_batch` for
+predictions alone, so the one cell loop in `_layer_forward` skips storing
+them and computes the same numbers.
 """
 
 from __future__ import annotations
@@ -180,14 +185,13 @@ class ForwardCache:
     prediction: np.ndarray | None = None  # (*lead, out_dim)
 
 
-def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
+def _layer_forward(
+    layer: LstmLayerParams, x: np.ndarray, keep_cache: bool = True
+) -> tuple[np.ndarray, LayerCache | None]:
     *lead, m, _ = x.shape
     h = layer.hidden
-    i_a = np.empty((*lead, m, h))
-    f_a = np.empty((*lead, m, h))
-    gp_a = np.empty((*lead, m, h))
-    o_a = np.empty((*lead, m, h))
-    c_a = np.empty((*lead, m, h))
+    if keep_cache:
+        i_a, f_a, gp_a, o_a, c_a = (np.empty((*lead, m, h)) for _ in range(5))
     h_seq = np.empty((*lead, m, h))
     h_prev = np.zeros((*lead, h))
     c_prev = np.zeros((*lead, h))
@@ -200,10 +204,13 @@ def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, L
         o_t = sigmoid(pre[..., 3 * h :])
         c_t = f_t * c_prev + i_t * g_t
         h_t = o_t * relu(c_t)
-        i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
-        c_a[..., t, :] = c_t
+        if keep_cache:
+            i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
+            c_a[..., t, :] = c_t
         h_seq[..., t, :] = h_t
         h_prev, c_prev = h_t, c_t
+    if not keep_cache:
+        return h_seq, None
     return h_seq, LayerCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
 
 
@@ -220,19 +227,21 @@ def forward_batch(
     windows: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | list[np.random.Generator] | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, ForwardCache | None]:
     """Run the stack on windows of shape (B, m, k), or (Z, B, m, k) for a
-    stacked network; returns (B, out_dim) or (Z, B, out_dim) predictions.
+    stacked network; returns (B, out_dim) or (Z, B, out_dim) predictions
+    and the cache `backward` reads, or None with keep_cache=False (the
+    same predictions, without storing the per-timestep gates and cells).
     Train-mode dropout on a stacked network takes a list of Z generators."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != net.dense_W.ndim + 1 or windows.shape[-1] != net.input_dim:
         lead = "Z, " * (net.dense_W.ndim - 2)
         raise CacheMismatch(f"expected ({lead}B, m, {net.input_dim}) input, got {windows.shape}")
-    cache = ForwardCache()
+    cache = ForwardCache() if keep_cache else None
     seq = windows
     for li, layer in enumerate(net.layers):
-        out, lc = _layer_forward(layer, seq)
-        cache.layer_caches.append(lc)
+        out, lc = _layer_forward(layer, seq, keep_cache)
         if li > 0 and net.residual:
             out = out + seq
         mask = None
@@ -242,13 +251,16 @@ def forward_batch(
             keep = 1.0 - net.dropout_rate
             mask = (_per_vessel(rng, lambda r: r.random(out.shape[-3:])) < keep) / keep
             out = out * mask
-        cache.dropout_masks.append(mask)
+        if cache is not None:
+            cache.layer_caches.append(lc)
+            cache.dropout_masks.append(mask)
         seq = out
-    cache.final_seq = seq
     pred = seq[..., -1, :] @ net.dense_W.mT + net.dense_b
     if not np.all(np.isfinite(pred)):
         raise NonFiniteActivation("non-finite prediction")
-    cache.prediction = pred
+    if cache is not None:
+        cache.final_seq = seq
+        cache.prediction = pred
     return pred, cache
 
 
@@ -402,7 +414,7 @@ def train_epoch(
 
 
 def evaluate_loss(net: LstmNetwork, inputs: np.ndarray, targets: np.ndarray) -> float:
-    pred, _ = forward_batch(net, inputs, train=False)
+    pred, _ = forward_batch(net, inputs, train=False, keep_cache=False)
     return mse_loss(pred, targets)
 
 
@@ -417,8 +429,9 @@ FEEDBACK_MAX = 1.5
 def roll_step(net: LstmNetwork, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One rollout step on a (..., m, k) window (a stacked network takes
     (Z, m, k)): predict, then push the prediction into the window.
-    Returns (raw prediction (..., out_dim), next window)."""
-    pred, _ = forward_batch(net, window[..., None, :, :], train=False)
+    Returns (raw prediction (..., out_dim), next window). Inference keeps
+    no cache."""
+    pred, _ = forward_batch(net, window[..., None, :, :], train=False, keep_cache=False)
     pred = pred[..., 0, :]
     newest = np.concatenate((np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX), window[..., -1, 2:]), axis=-1)
     next_window = np.concatenate((window[..., 1:, :], newest[..., None, :]), axis=-2)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .associate import GeoPoint, haversine
+from .associate import haversine
 from .ingest import AisMessage, object_id_pairs, serialize_csv
 
 KNOT_KM_H = 1.852
@@ -86,13 +86,9 @@ def _derived_speed_course(lats, lons, times):
     speed = np.zeros(n)
     course = np.zeros(n)
     coslat = np.cos(np.radians(np.mean(lats)))
-    for i in range(1, n):
-        dt = max(1.0, times[i] - times[i - 1])
-        km = haversine(GeoPoint(lats[i - 1], lons[i - 1]), GeoPoint(lats[i], lons[i]))
-        speed[i] = km / dt * 3600.0 / KNOT_KM_H * 10.0
-        dlat = lats[i] - lats[i - 1]
-        dlon = (lons[i] - lons[i - 1]) * coslat
-        course[i] = np.degrees(np.arctan2(dlon, dlat)) % 360.0 * 10.0
+    km = haversine(lats[:-1], lons[:-1], lats[1:], lons[1:])
+    speed[1:] = km / np.maximum(1.0, np.diff(times)) * 3600.0 / KNOT_KM_H * 10.0
+    course[1:] = np.degrees(np.arctan2(np.diff(lons) * coslat, np.diff(lats))) % 360.0 * 10.0
     if n > 1:
         speed[0], course[0] = speed[1], course[1]
     return speed, course
@@ -142,7 +138,7 @@ def truth_to_csv(truth: dict[int, str]) -> str:
 
 
 def truth_from_csv(text: str) -> dict[int, str]:
-    return dict(object_id_pairs(text, 2, exact=True))
+    return dict(object_id_pairs(text, 2, exact=True, unique=True))
 
 
 def overlap_scenario(spec: SynthSpec, crossing: tuple[int, int] | None, crossing_sample: int) -> SynthSpec:

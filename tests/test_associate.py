@@ -1,22 +1,25 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _geodesic
+from _geodesic import GeoPoint
+from aistrack import associate as assoc_module
 from aistrack.associate import (
     EARTH_RADIUS_KM,
+    MAX_ROLLOUT_STEPS,
     NEW_TRACK,
-    GeoPoint,
     associate,
     associate_batch,
     decisions_from_csv,
     decisions_to_csv,
-    haversine,
     predict_positions,
 )
 from aistrack.cli import main
-from aistrack.errors import TimeBeforeTraining
+from aistrack.errors import RolloutTooLong, TimeBeforeTraining
 from aistrack.fleet import ModelBundle, save_fleet
 from aistrack.ingest import AisMessage, serialize_csv
 from aistrack.lstm import forward, init_network, predict_sequence
@@ -27,6 +30,11 @@ geo = st.builds(
     lat=st.floats(-90, 90, allow_nan=False),
     lon=st.floats(-180, 180, allow_nan=False),
 )
+
+
+def haversine(p, q, r=EARTH_RADIUS_KM):
+    """The package's array haversine on one pair of points."""
+    return assoc_module.haversine(p.lat, p.lon, q.lat, q.lon, r)
 
 
 class TestHaversine:
@@ -60,6 +68,27 @@ class TestHaversine:
         p, q = GeoPoint(10, 20), GeoPoint(30, 40)
         assert haversine(p, q, 2 * EARTH_RADIUS_KM) == pytest.approx(2 * haversine(p, q), rel=1e-12)
 
+    def test_array_equals_scalar_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        lat1, lat2 = rng.uniform(-90, 90, (2, 20000))
+        lon1, lon2 = rng.uniform(-180, 180, (2, 20000))
+        # near-coincident and near-antipodal pairs, where the rounding of
+        # the squares and the arcsine matters most
+        lat2[:5000], lon2[:5000] = lat1[:5000] + rng.normal(0, 1e-6, 5000), lon1[:5000]
+        lat2[5000:10000], lon2[5000:10000] = -lat1[5000:10000], lon1[5000:10000] + 180.0
+        got = assoc_module.haversine(lat1, lon1, lat2, lon2, 1234.5)
+        want = [
+            _geodesic.haversine(GeoPoint(*p), GeoPoint(*q), 1234.5)
+            for p, q in zip(zip(lat1.tolist(), lon1.tolist()), zip(lat2.tolist(), lon2.tolist()))
+        ]
+        assert got.shape == (20000,)
+        assert np.array_equal(got, want)
+
+    @given(geo, geo)
+    def test_broadcast_equals_scalar_oracle(self, p, q):
+        grid = assoc_module.haversine([[p.lat], [q.lat]], [[p.lon], [q.lon]], [p.lat, q.lat], [p.lon, q.lon])
+        assert grid.tolist() == [[_geodesic.haversine(a, b) for b in (p, q)] for a in (p, q)]
+
 
 def _obs(oid, lat, lon, t=1000):
     return AisMessage(object_id=oid, vessel_id="", t=t, lat=lat, lon=lon, speed=0, course=0)
@@ -70,19 +99,20 @@ class TestAssociate:
 
     def test_nearest_prediction_wins(self):
         d = associate(_obs(1, 37.91, 23.61), self.PREDS)
-        assert d.assigned == "A"
-        assert d.distances_km["A"] == pytest.approx(1.41, abs=0.05)
-        assert d.distances_km["B"] == pytest.approx(9.02, abs=0.05)
-        assert d.winning_distance_km == min(d.distances_km.values())
+        assert d.vessel_ids == ["A", "B"]
+        assert d.assigned == ["A"]
+        assert d.distances_km[0, 0] == pytest.approx(1.41, abs=0.05)
+        assert d.distances_km[0, 1] == pytest.approx(9.02, abs=0.05)
+        assert d.winning_distance_km[0] == min(d.distances_km[0])
 
     def test_tie_breaks_lexicographically(self):
         preds = {"b": GeoPoint(10, 10), "a": GeoPoint(10, 10)}
-        assert associate(_obs(1, 10, 10), preds).assigned == "a"
+        assert associate(_obs(1, 10, 10), preds).assigned == ["a"]
 
     def test_tau_threshold_declares_new_track(self):
         d = associate(_obs(1, 37.91, 23.61), self.PREDS, tau=0.5)
-        assert d.assigned == NEW_TRACK
-        assert d.winning_distance_km > 0.5
+        assert d.assigned == [NEW_TRACK]
+        assert d.winning_distance_km[0] > 0.5
 
     def test_empty_predictions_rejected(self):
         with pytest.raises(ValueError):
@@ -91,7 +121,7 @@ class TestAssociate:
     def test_assignment_invariant_under_radius_scaling(self):
         for r in (1.0, 1000.0, 6371.0):
             d = associate(_obs(1, 37.91, 23.61), self.PREDS, radius_km=r)
-            assert d.assigned == "A"
+            assert d.assigned == ["A"]
 
 
 def _bundle(
@@ -120,24 +150,24 @@ class TestPredictPositions:
         preds = predict_positions([b], target_time=1005)
         raw, _ = forward(b.network, b.last_training_window)
         lat, lon = unscale(raw, b.scaler)
-        assert preds["v1"].lat == pytest.approx(lat, rel=1e-12)
-        assert preds["v1"].lon == pytest.approx(lon, rel=1e-12)
+        assert GeoPoint(*preds["v1"]).lat == pytest.approx(lat, rel=1e-12)
+        assert GeoPoint(*preds["v1"]).lon == pytest.approx(lon, rel=1e-12)
 
     def test_zero_network_unscales_to_min(self):
         b = _bundle("v1", lat_range=(30.0, 40.0))
         for a in b.network.param_arrays():
             a[:] = 0.0
         preds = predict_positions([b], target_time=1005)
-        assert preds["v1"].lat == 30.0
-        assert preds["v1"].lon == 20.0
+        assert GeoPoint(*preds["v1"]).lat == 30.0
+        assert GeoPoint(*preds["v1"]).lon == 20.0
 
     def test_multi_step_matches_predict_sequence(self):
         b = _bundle("v1")
         preds = predict_positions([b], target_time=1020)  # 4 periods later
         roll = predict_sequence(b.network, b.last_training_window, 4)
         lat, lon = unscale(roll[-1], b.scaler)
-        assert preds["v1"].lat == pytest.approx(lat, rel=1e-12)
-        assert preds["v1"].lon == pytest.approx(lon, rel=1e-12)
+        assert GeoPoint(*preds["v1"]).lat == pytest.approx(lat, rel=1e-12)
+        assert GeoPoint(*preds["v1"]).lon == pytest.approx(lon, rel=1e-12)
 
     def test_every_horizon_matches_predict_sequence(self):
         b = _bundle("v1")
@@ -154,12 +184,15 @@ class TestPredictPositions:
 
 class TestAssociateBatch:
     def test_empty_observations(self):
-        assert associate_batch([], [_bundle("v1")]) == []
+        d = associate_batch([], [_bundle("v1")])
+        assert len(d) == 0 and d.assigned == [] and d.distances_km.shape == (0, 1)
+        assert decisions_to_csv(d) == "OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM,DIST_v1\n"
 
     def test_single_observation_composition(self):
         b = _bundle("v1")
         obs = _obs(1, 35.0, 25.0, t=1005)
-        (d,) = associate_batch([obs], [b])
+        d = associate_batch([obs], [b])
+        assert len(d) == 1
         preds = predict_positions([b], target_time=1005)
         expected = associate(obs, preds)
         assert d.assigned == expected.assigned
@@ -176,23 +209,63 @@ class TestAssociateBatch:
         ]
         preds = predict_positions(bundles, target_time=1005)
         obs = [
-            _obs(i + 1, preds[vid].lat, preds[vid].lon, t=1005)
+            _obs(i + 1, *preds[vid], t=1005)
             for i, vid in enumerate(sorted(preds))
         ]
         decisions = associate_batch(obs, bundles)
-        assert [d.assigned for d in decisions] == sorted(preds)
+        assert decisions.assigned == sorted(preds)
+
+    def test_exact_tie_goes_to_smallest_id(self):
+        # two copies of one model predict the same position for every step
+        twins = [_bundle("bbb", seed=1), _bundle("aaa", seed=1), _bundle("ccc", seed=3)]
+        obs = [_obs(i + 1, 30.0 + i, 25.0, t=1005 + 5 * i) for i in range(4)]
+        d = associate_batch(obs, twins)
+        assert d.vessel_ids == ["aaa", "bbb", "ccc"]
+        assert np.array_equal(d.distances_km[:, 0], d.distances_km[:, 1])
+        assert [a for a in d.assigned if a != "ccc"] and "bbb" not in d.assigned
+
+    def test_tau_gives_new_above_it_only(self):
+        bundles = TestStackedRollout.BUNDLES
+        obs = _mixed_observations(20)
+        free = associate_batch(obs, bundles)
+        tau = float(np.median(free.winning_distance_km))
+        capped = associate_batch(obs, bundles, tau=tau)
+        assert np.array_equal(capped.distances_km, free.distances_km)
+        assert np.array_equal(capped.winning_distance_km, free.winning_distance_km)
+        expected = [NEW_TRACK if w > tau else a for a, w in zip(free.assigned, free.winning_distance_km)]
+        assert capped.assigned == expected
+        assert 0 < expected.count(NEW_TRACK) < len(obs)
+
+    def test_bundle_order_does_not_change_csv(self):
+        bundles = TestStackedRollout.BUNDLES
+        obs = _mixed_observations(20)
+        forward_csv = decisions_to_csv(associate_batch(obs, bundles))
+        assert decisions_to_csv(associate_batch(obs, bundles[::-1])) == forward_csv
+
+
+def _mixed_observations(n, seed=9):
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.integers(1014, 1200, size=n))
+    return [
+        _obs(i + 1, float(lat), float(lon), t=int(t))
+        for i, (t, lat, lon) in enumerate(zip(times, rng.uniform(30, 31, n), rng.uniform(20, 21, n)))
+    ]
 
 
 def _oracle(observations, bundles):
-    """Each vessel rolled out on its own, afresh for every observation."""
+    """Each vessel rolled out on its own, afresh for every observation, and
+    scored by the scalar haversine: (assigned, winning distance, distance
+    per vessel_id) for each observation."""
     decisions = []
     for obs in observations:
-        preds = {}
+        distances = {}
         for b in bundles:
             steps = max(1, round((obs.t - b.train_end_time) / b.period))
             lat, lon = unscale(predict_sequence(b.network, b.last_training_window, steps)[-1], b.scaler)
-            preds[b.vessel_id] = GeoPoint(lat=float(lat), lon=float(lon))
-        decisions.append(associate(obs, preds))
+            point = GeoPoint(lat=float(lat), lon=float(lon))
+            distances[b.vessel_id] = _geodesic.haversine(GeoPoint(obs.lat, obs.lon), point)
+        best = min(distances, key=lambda vid: (distances[vid], vid))
+        decisions.append((best, distances[best], distances))
     return decisions
 
 
@@ -206,15 +279,17 @@ class TestStackedRollout:
     ]
 
     def test_matches_per_vessel_oracle(self):
-        rng = np.random.default_rng(9)
-        times = np.sort(rng.integers(1014, 1200, size=40))
-        obs = [
-            _obs(i + 1, float(lat), float(lon), t=int(t))
-            for i, (t, lat, lon) in enumerate(zip(times, rng.uniform(30, 31, 40), rng.uniform(20, 21, 40)))
-        ]
+        obs = _mixed_observations(40)
         decisions = associate_batch(obs, self.BUNDLES)
-        assert len({d.assigned for d in decisions}) > 1
-        assert decisions == _oracle(obs, self.BUNDLES)
+        assert len(set(decisions.assigned)) > 1
+        assert decisions.object_ids == [m.object_id for m in obs]
+        oracle = _oracle(obs, self.BUNDLES)
+        assert decisions.assigned == [assigned for assigned, _, _ in oracle]
+        assert decisions.winning_distance_km.tolist() == [winning for _, winning, _ in oracle]
+        assert decisions.vessel_ids == sorted(b.vessel_id for b in self.BUNDLES)
+        assert decisions.distances_km.tolist() == [
+            [distances[v] for v in decisions.vessel_ids] for _, _, distances in oracle
+        ]
 
     def test_observation_at_train_end_rejected(self):
         obs = [_obs(1, 30.5, 20.5, t=1020), _obs(2, 30.5, 20.5, t=1013)]
@@ -229,10 +304,38 @@ class TestStackedRollout:
         assert main([str(a) for a in argv + ["--out", tmp_path / "d.csv"]]) == 2
 
 
+class TestRolloutBound:
+    def test_bound_checked_before_any_rollout(self, monkeypatch):
+        b = _bundle("v1")
+        monkeypatch.setattr(assoc_module, "MAX_ROLLOUT_STEPS", 3)
+        rolled = []
+        monkeypatch.setattr(assoc_module, "roll_step", lambda net, w: rolled.append(1) or (np.zeros(2), w))
+        with pytest.raises(RolloutTooLong, match="v1.*bound is 3"):
+            associate_batch([_obs(1, 30, 20, t=1005), _obs(2, 30, 20, t=1020)], [b])
+        assert rolled == []
+        predict_positions([b], target_time=1015)  # exactly 3 steps is allowed
+        assert len(rolled) == 3
+
+    def test_year_out_observation_is_fast_cli_data_error(self, tmp_path, capsys):
+        save_fleet(TestStackedRollout.BUNDLES, tmp_path / "models")
+        msg = AisMessage(object_id=1, vessel_id="x", t=1000 + 365 * 86400, lat=30.5, lon=20.5, speed=0, course=0)
+        (tmp_path / "obs.csv").write_text(serialize_csv([msg]))
+        argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv", "--out", tmp_path / "d.csv"]
+        capsys.readouterr()
+        start = time.perf_counter()
+        rc = main([str(a) for a in argv])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert rc == 2 and elapsed < 1.0
+        assert err.startswith("error: observation at 1971-01-01T00:16:40Z") and err.count("\n") == 1
+        assert "vessel aaa" in err and f"bound is {MAX_ROLLOUT_STEPS}" in err
+        assert not (tmp_path / "d.csv").exists()
+
+
 def test_decisions_csv_round_trip():
     b1 = _bundle("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21))
     b2 = _bundle("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9))
-    decisions = associate_batch([_obs(5, 30.5, 20.5, t=1005)], [b1, b2])
-    text = decisions_to_csv(decisions, ["aaa", "bbb"])
+    decisions = associate_batch([_obs(5, 30.5, 20.5, t=1005)], [b2, b1])
+    text = decisions_to_csv(decisions)
     assert text.splitlines()[0] == "OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM,DIST_aaa,DIST_bbb"
     assert decisions_from_csv(text) == [(5, "aaa")]

@@ -324,6 +324,20 @@ def test_malformed_decisions_or_truth_row_is_data_error(trained, tmp_path, capsy
     assert rc == 2 and err.startswith("error: line 3:") and err.count("\n") == 1
 
 
+def test_repeated_truth_object_id_is_data_error(trained, tmp_path, capsys):
+    truth_lines = (trained / "models" / "holdout_truth.csv").read_text().splitlines()
+    oid, vid = truth_lines[1].split(",")
+    other = next(v for _, v in (ln.split(",") for ln in truth_lines[2:]) if v != vid)
+    truth = tmp_path / "truth.csv"
+    truth.write_text("\n".join([*truth_lines, f"{oid},{other}"]) + "\n")
+    capsys.readouterr()
+    rc = run(["evaluate", "--decisions", trained / "decisions.csv", "--truth", truth, "--out", tmp_path / "r.json"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.count("\n") == 1
+    assert err == f"error: line {len(truth_lines) + 1}: duplicate OBJECT_ID {oid} (first on line 2)\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize(
     "edit, named",
     [

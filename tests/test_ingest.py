@@ -132,6 +132,23 @@ def test_strict_timestamp_format():
         parse_csv(bad)
 
 
+def test_repeated_timestamp_parsed_once_and_bad_one_raises_every_time():
+    stamp = "2021-06-01T12:34:56Z"
+    before = parse_timestamp.cache_info()
+    rows = "".join(f"{i},v{i},{stamp},10.0,0,0,0\n" for i in range(1, 6))
+    msgs = parse_csv(HEADER + "\n" + rows)
+    after = parse_timestamp.cache_info()
+    assert {m.t for m in msgs} == {1622550896}
+    assert after.hits - before.hits >= 4
+    bad = "".join(f"{i},v{i},2021-06-01 12:34:56,10.0,0,0,0\n" for i in (6, 7))
+    stats = ParseStats()
+    assert parse_csv(HEADER + "\n" + bad, strict=False, stats=stats) == []
+    assert stats.skipped == 2
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            parse_timestamp("2021-06-01 12:34:56")
+
+
 msg_strategy = st.builds(
     AisMessage,
     object_id=st.integers(min_value=1, max_value=10**9),

@@ -230,6 +230,29 @@ class TestStackNetworks:
         for z, net in enumerate(nets):
             assert np.array_equal(roll[:, z], predict_sequence(net, wins[z], 30))
 
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_cache_free_forward_equals_cached_over_clamped_rollout(self, residual):
+        nets = [small_net(seed=s) for s in (71, 72, 73)]
+        nets[1].dense_W *= 25.0  # this vessel's feedback clamps
+        for net in nets:
+            net.residual = residual
+        stacked = stack_networks(nets)
+        window = np.random.default_rng(74).random((3, 6, 4))
+        clamped = False
+        for _ in range(30):
+            pred, cache = forward_batch(stacked, window[:, None])
+            bare, no_cache = forward_batch(stacked, window[:, None], keep_cache=False)
+            assert cache is not None and no_cache is None
+            assert np.array_equal(bare, pred)
+            for z, net in enumerate(nets):
+                own, _ = forward_batch(net, window[z][None])
+                own_bare, _ = forward_batch(net, window[z][None], keep_cache=False)
+                assert np.array_equal(own_bare, own) and np.array_equal(own_bare, pred[z])
+            clamped |= bool(((pred < lstm.FEEDBACK_MIN) | (pred > lstm.FEEDBACK_MAX)).any())
+            step_pred, window = lstm.roll_step(stacked, window)
+            assert np.array_equal(step_pred, pred[:, 0])
+        assert clamped
+
     def test_stacked_backward_equals_each_backward(self):
         nets = [small_net(seed=s, dropout=0.3) for s in (51, 52, 53)]
         wins = np.random.default_rng(54).random((3, 5, 6, 4))

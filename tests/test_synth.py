@@ -3,10 +3,22 @@ import dataclasses
 import numpy as np
 import pytest
 
-from aistrack.associate import GeoPoint, haversine
+import _geodesic
+from aistrack.associate import haversine
+from aistrack.errors import MalformedRow
 from aistrack.ingest import group_tracks, parse_csv
 from aistrack.preprocess import resample
-from aistrack.synth import SynthSpec, VesselMotion, default_motions, generate, overlap_scenario, truth_from_csv, truth_to_csv
+from aistrack.synth import (
+    KNOT_KM_H,
+    SynthSpec,
+    VesselMotion,
+    _derived_speed_course,
+    default_motions,
+    generate,
+    overlap_scenario,
+    truth_from_csv,
+    truth_to_csv,
+)
 
 
 def test_same_seed_byte_identical():
@@ -78,6 +90,28 @@ def test_truth_csv_round_trip():
     assert truth_from_csv(truth_to_csv(truth)) == truth
 
 
+def test_truth_repeated_object_id_names_both_lines():
+    with pytest.raises(MalformedRow, match=r"^line 5: duplicate OBJECT_ID 1 \(first on line 2\)$"):
+        truth_from_csv("OBJECT_ID,VID\n1,aa\n2,bb\n\n1,cc\n")
+
+
+def test_derived_speed_course_equals_scalar_loop():
+    rng = np.random.default_rng(3)
+    lats = 37.0 + np.cumsum(rng.normal(0, 1e-3, 60))
+    lons = 23.0 + np.cumsum(rng.normal(0, 1e-3, 60))
+    times = np.round(np.arange(60) * 5.0 + rng.uniform(-1, 1, 60))
+    times[10] = times[9]  # a repeated time: dt floors at one second
+    speed, course = _derived_speed_course(lats, lons, times)
+    coslat = np.cos(np.radians(np.mean(lats)))
+    for i in range(1, 60):
+        dt = max(1.0, times[i] - times[i - 1])
+        km = _geodesic.haversine(_geodesic.GeoPoint(lats[i - 1], lons[i - 1]), _geodesic.GeoPoint(lats[i], lons[i]))
+        assert speed[i] == km / dt * 3600.0 / KNOT_KM_H * 10.0
+        dlat, dlon = lats[i] - lats[i - 1], (lons[i] - lons[i - 1]) * coslat
+        assert course[i] == np.degrees(np.arctan2(dlon, dlat)) % 360.0 * 10.0
+    assert (speed[0], course[0]) == (speed[1], course[1])
+
+
 class TestOverlapScenario:
     def test_tracks_cross_near_requested_sample(self):
         spec = SynthSpec(vessels=3, points=200, seed=10)
@@ -91,9 +125,9 @@ class TestOverlapScenario:
         for v in other_vids:
             track1 = [m for m in msgs if truth[m.object_id] == v]
             n = min(len(track0), len(track1))
-            for i in range(n):
-                d = haversine(GeoPoint(track0[i].lat, track0[i].lon), GeoPoint(track1[i].lat, track1[i].lon))
-                best = min(best, d)
+            lat0, lon0 = np.array([(m.lat, m.lon) for m in track0[:n]]).T
+            lat1, lon1 = np.array([(m.lat, m.lon) for m in track1[:n]]).T
+            best = min(best, haversine(lat0, lon0, lat1, lon1).min())
         assert best < 0.1
 
     def test_no_crossing_returns_spec_unchanged(self):
