@@ -8,7 +8,8 @@ plus its hash, into the output artifacts; `train` hands it to
 and naming it in one `FLAGS` list.
 
 Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
-duplicate OBJECT_ID (in --data, --obs or --truth), a bad --config file or
+duplicate OBJECT_ID (in --data, --obs, --decisions or --truth; the error
+names the file and line), a bad --config file or
 value, an input that is missing or not UTF-8, a missing or malformed model,
 an observation at or before a vessel's train end or more than
 `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that repeat an
@@ -29,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
 from .config import FIELD_TYPES, RunConfig, check_ranges, is_json_type
-from .errors import AistrackError, BadConfig, IncompleteDecisions, MissingFile
+from .errors import AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile
 from .evaluate import confusion, metrics, write_report
 from .fleet import load_fleet, save_fleet, train_fleet
 from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv
@@ -71,6 +72,16 @@ def _read(path, error=MissingFile) -> str:
         raise error(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def _parse(parse, path, **kwargs):
+    """parse(the text of input file `path`); a bad row's error names the file."""
+    text = _read(path)
+    try:
+        return parse(text, **kwargs)
+    except MalformedRow as exc:
+        exc.path = path
+        raise
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
@@ -162,7 +173,7 @@ def _holdout_messages(series_list, bundles, test_len: int) -> tuple[list[AisMess
 def cmd_train(args) -> int:
     cfg = effective_config(args)
     stats = ParseStats()
-    messages = parse_csv(_read(args.data), strict=not cfg.lenient, stats=stats)
+    messages = _parse(parse_csv, args.data, strict=not cfg.lenient, stats=stats)
     if stats.skipped:
         print(f"skipped {stats.skipped} bad rows", file=sys.stderr)
     tracks = group_tracks(messages)
@@ -187,7 +198,7 @@ def cmd_train(args) -> int:
 def cmd_associate(args) -> int:
     cfg = effective_config(args)
     bundles = load_fleet(args.models)
-    observations = parse_csv(_read(args.obs), strict=not cfg.lenient)
+    observations = _parse(parse_csv, args.obs, strict=not cfg.lenient)
     observations.sort(key=lambda m: (m.t, m.object_id))
     decisions = associate_batch(observations, bundles, tau=cfg.tau, radius_km=cfg.radius)
     out = Path(args.out)
@@ -200,8 +211,8 @@ def cmd_associate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = effective_config(args)
-    assignments = decisions_from_csv(_read(args.decisions))
-    truth = truth_from_csv(_read(args.truth))
+    assignments = _parse(decisions_from_csv, args.decisions)
+    truth = _parse(truth_from_csv, args.truth)
     decided = Counter(oid for oid, _ in assignments)
     repeated = [oid for oid, n in decided.items() if n > 1]
     if repeated:

@@ -6,19 +6,25 @@ class AistrackError(Exception):
 
 
 class MalformedRow(AistrackError):
+    """A bad row of an input file: `line N: reason`, led by the file's path
+    once `path` is set."""
+
     def __init__(self, line_no, reason):
-        super().__init__(f"line {line_no}: {reason}")
+        super().__init__(line_no, reason)
         self.line_no = line_no
         self.reason = reason
+        self.path = None
+
+    def __str__(self):
+        where = f"line {self.line_no}" if self.path is None else f"{self.path}: line {self.line_no}"
+        return f"{where}: {self.reason}"
 
 
-class OutOfRange(AistrackError):
-    def __init__(self, field, value, line_no=None):
-        loc = f" (line {line_no})" if line_no is not None else ""
-        super().__init__(f"{field}={value!r} out of range{loc}")
+class OutOfRange(MalformedRow):
+    def __init__(self, field, value, line_no):
+        super().__init__(line_no, f"{field}={value!r} out of range")
         self.field = field
         self.value = value
-        self.line_no = line_no
 
 
 class TrackTooShort(AistrackError):

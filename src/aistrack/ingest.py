@@ -51,7 +51,7 @@ class AisMessage:
     speed: float
     course: float
 
-    def validate(self, line_no: int | None = None) -> None:
+    def validate(self, line_no: int) -> None:
         if self.object_id <= 0:
             raise OutOfRange("OBJECT_ID", self.object_id, line_no)
         if not -90.0 <= self.lat <= 90.0:
@@ -144,7 +144,7 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
             if msg.object_id in first_line:
                 first = first_line[msg.object_id]
                 raise MalformedRow(line_no, f"duplicate OBJECT_ID {msg.object_id} (first on line {first})")
-        except (MalformedRow, OutOfRange):
+        except MalformedRow:  # OutOfRange included
             if strict:
                 raise
             if stats is not None:

@@ -2,8 +2,9 @@
 
 Cell recurrence (per layer, gate order i, f, g, o):
 
-    i, f, o = sigmoid(W x + U h_prev + b)   (their slices)
-    g       = relu(...)
+    pre     = W x + U h_prev + b
+    i, f, o = sigmoid(pre)   (their slices)
+    g       = relu(pre)      (its slice)
     c       = f * c_prev + i * g
     h       = o * relu(c)
 
@@ -22,10 +23,21 @@ the same elementwise operations in the same order as an unstacked call, so a
 stack trains bit for bit as Z separate networks would; in train mode each
 vessel draws its shuffles and dropout masks from its own generator.
 
+`_layer_forward` computes `W x` for all m timesteps before the recurrence,
+as one GEMM over the B*m rows of the layer input (Appleyard et al. 2016,
+arXiv:1604.01946). The cell loop then does only `h_prev @ U`, the adds in
+the order `(W x + U h_prev) + b`, one sigmoid over the whole pre-activation
+and the elementwise cell. BLAS may round one product over B*m rows apart
+from m products over B rows. It does at B = 1, where each timestep was a
+matrix-vector call, and at GEMM tail sizes such as 2 or 7, but not at the
+batches the benchmark fleets train with (10, 128 and a tail of 18): hoisting
+kept every trained weight bit and moved rollout predictions (B = 1) in
+their last bits.
+
 Only training needs the per-timestep gates and cell states that `backward`
-reads. Inference (`roll_step`, `evaluate_loss`) asks `forward_batch` for
-predictions alone, so the one cell loop in `_layer_forward` skips storing
-them and computes the same numbers.
+reads. Inference (`roll_step`) asks `forward_batch` for predictions alone,
+so the one cell loop in `_layer_forward` skips storing them and computes the
+same numbers.
 """
 
 from __future__ import annotations
@@ -61,11 +73,6 @@ class LstmLayerParams:
     @property
     def d_in(self) -> int:
         return self.W.shape[-1]
-
-
-def count_params(d_in: int, h: int) -> int:
-    """Trainable scalars in one LSTM layer: 4*((d_in + h)*h + h)."""
-    return 4 * ((d_in + h) * h + h)
 
 
 @dataclass
@@ -188,20 +195,22 @@ class ForwardCache:
 def _layer_forward(
     layer: LstmLayerParams, x: np.ndarray, keep_cache: bool = True
 ) -> tuple[np.ndarray, LayerCache | None]:
-    *lead, m, _ = x.shape
+    *lead, m, d = x.shape
     h = layer.hidden
+    # W x for all m timesteps: one GEMM over B*m rows (per vessel if stacked)
+    xw = (x.reshape(*lead[:-1], -1, d) @ layer.W.mT).reshape(*lead, m, 4 * h)
+    U_T, b = layer.U.mT, layer.b
     if keep_cache:
         i_a, f_a, gp_a, o_a, c_a = (np.empty((*lead, m, h)) for _ in range(5))
     h_seq = np.empty((*lead, m, h))
     h_prev = np.zeros((*lead, h))
     c_prev = np.zeros((*lead, h))
     for t in range(m):
-        pre = x[..., t, :] @ layer.W.mT + h_prev @ layer.U.mT + layer.b
-        i_t = sigmoid(pre[..., :h])
-        f_t = sigmoid(pre[..., h : 2 * h])
+        pre = xw[..., t, :] + h_prev @ U_T + b
+        gates = sigmoid(pre)  # i, f and o are read from it; g is relu(g_pre)
+        i_t, f_t, o_t = gates[..., :h], gates[..., h : 2 * h], gates[..., 3 * h :]
         gp_t = pre[..., 2 * h : 3 * h]
         g_t = relu(gp_t)
-        o_t = sigmoid(pre[..., 3 * h :])
         c_t = f_t * c_prev + i_t * g_t
         h_t = o_t * relu(c_t)
         if keep_cache:
@@ -262,22 +271,6 @@ def forward_batch(
         cache.final_seq = seq
         cache.prediction = pred
     return pred, cache
-
-
-def forward(
-    net: LstmNetwork,
-    window: np.ndarray,
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Single-window convenience wrapper around forward_batch."""
-    pred, cache = forward_batch(net, np.asarray(window)[None, ...], train=train, rng=rng)
-    return pred[0], cache
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean over output dims (and batch) of squared error."""
-    return float(np.mean((pred - target) ** 2))
 
 
 def _layer_backward(
@@ -413,11 +406,6 @@ def train_epoch(
     return (total / n).tolist()
 
 
-def evaluate_loss(net: LstmNetwork, inputs: np.ndarray, targets: np.ndarray) -> float:
-    pred, _ = forward_batch(net, inputs, train=False, keep_cache=False)
-    return mse_loss(pred, targets)
-
-
 # Fed-back predictions are clamped to this band (scaled units; training data
 # lives in [0, 1], the test horizon extends somewhat past it). Without the
 # clamp a slightly expansive learned map turns the recursion into a positive
@@ -436,18 +424,3 @@ def roll_step(net: LstmNetwork, window: np.ndarray) -> tuple[np.ndarray, np.ndar
     newest = np.concatenate((np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX), window[..., -1, 2:]), axis=-1)
     next_window = np.concatenate((window[..., 1:, :], newest[..., None, :]), axis=-2)
     return pred, next_window
-
-
-def predict_sequence(net: LstmNetwork, seed_window: np.ndarray, steps: int) -> np.ndarray:
-    """Recursive multi-step rollout in scaled units.
-
-    Each predicted (lat, lon), clamped to the feedback band, becomes the
-    position part of the newest row pushed into the sliding window; speed
-    and course hold the window's last known values. Returns (steps, ..., 2)."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    window = np.array(seed_window, dtype=np.float64)
-    preds = np.empty((steps, *window.shape[:-2], net.out_dim))
-    for s in range(steps):
-        preds[s], window = roll_step(net, window)
-    return preds

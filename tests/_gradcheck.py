@@ -9,6 +9,7 @@ cannot cross its kink under a small perturbation and needs no exclusion.
 
 import numpy as np
 
+from _lstm_oracle import mse_loss
 from aistrack import lstm
 
 
@@ -24,10 +25,10 @@ def numeric_grad_at(net, win, tgt, array_idx, flat_idx, eps=1e-5):
     orig = p[flat_idx]
     p[flat_idx] = orig + eps
     pred_p, cache_p = lstm.forward_batch(net, win)
-    lp = lstm.mse_loss(pred_p, tgt)
+    lp = mse_loss(pred_p, tgt)
     p[flat_idx] = orig - eps
     pred_m, cache_m = lstm.forward_batch(net, win)
-    lm = lstm.mse_loss(pred_m, tgt)
+    lm = mse_loss(pred_m, tgt)
     p[flat_idx] = orig
     crossed = bool(np.any(_g_pre_signs(cache_p) != _g_pre_signs(cache_m)))
     return (lp - lm) / (2 * eps), crossed

@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from _gradcheck import check_network
+from _lstm_oracle import count_params, evaluate_loss
 from aistrack.associate import EARTH_RADIUS_KM, associate_batch, haversine
 from aistrack.cli import main
 from aistrack.evaluate import confusion, macro_averages, metrics
 from aistrack.config import RunConfig
 from aistrack.fleet import train_fleet
 from aistrack.ingest import AisMessage, RawTrack, group_tracks, parse_csv
-from aistrack.lstm import AdamState, count_params, evaluate_loss, init_network, train_epoch
+from aistrack.lstm import AdamState, init_network, train_epoch
 from aistrack.preprocess import ScalerParams, resample, scale, unscale
 from aistrack.synth import SynthSpec, generate, overlap_scenario
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import _geodesic
 from _geodesic import GeoPoint
+from _lstm_oracle import forward, predict_sequence
 from aistrack import associate as assoc_module
 from aistrack.associate import (
     EARTH_RADIUS_KM,
@@ -22,7 +23,7 @@ from aistrack.cli import main
 from aistrack.errors import RolloutTooLong, TimeBeforeTraining
 from aistrack.fleet import ModelBundle, save_fleet
 from aistrack.ingest import AisMessage, serialize_csv
-from aistrack.lstm import forward, init_network, predict_sequence
+from aistrack.lstm import init_network
 from aistrack.preprocess import ScalerParams, unscale
 
 geo = st.builds(

@@ -321,7 +321,24 @@ def test_malformed_decisions_or_truth_row_is_data_error(trained, tmp_path, capsy
     rc = run(["evaluate", "--decisions", paths["decisions"], "--truth", paths["truth"],
               "--out", tmp_path / "r.json"])
     err = capsys.readouterr().err
-    assert rc == 2 and err.startswith("error: line 3:") and err.count("\n") == 1
+    assert rc == 2 and err.startswith(f"error: {paths[bad]}: line 3:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, row, reason",
+    [
+        ("train --data {bad} --out {new}", "1,aa,2020-02-29T22:00:01Z,10.0,0,0", "expected 7 fields, got 6"),
+        ("train --data {bad} --out {new}", "1,aa,2020-02-29T22:00:01Z,91.0,0,0,0", "LAT=91.0 out of range"),
+        ("associate --models {models} --obs {bad} --out {new}/d.csv", "1,aa,2020-02-29T22:00:01Z,x,0,0,0",
+         "could not convert string to float: 'x'"),
+    ],
+)
+def test_bad_data_or_obs_row_names_its_file(trained, tmp_path, capsys, argv, row, reason):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"OBJECT_ID,VID,SEQUENCE_DTTM,LAT,LON,SPEED,COURSE\n{row}\n")
+    capsys.readouterr()
+    rc = run(argv.format(bad=bad, models=trained / "models", new=tmp_path / "new").split())
+    assert rc == 2 and capsys.readouterr().err == f"error: {bad}: line 2: {reason}\n"
 
 
 def test_repeated_truth_object_id_is_data_error(trained, tmp_path, capsys):
@@ -334,7 +351,7 @@ def test_repeated_truth_object_id_is_data_error(trained, tmp_path, capsys):
     rc = run(["evaluate", "--decisions", trained / "decisions.csv", "--truth", truth, "--out", tmp_path / "r.json"])
     err = capsys.readouterr().err
     assert rc == 2 and err.count("\n") == 1
-    assert err == f"error: line {len(truth_lines) + 1}: duplicate OBJECT_ID {oid} (first on line 2)\n"
+    assert err == f"error: {truth}: line {len(truth_lines) + 1}: duplicate OBJECT_ID {oid} (first on line 2)\n"
     assert not (tmp_path / "r.json").exists()
 
 

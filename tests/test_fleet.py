@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from _lstm_oracle import forward
 from aistrack import fleet
 from aistrack.config import RunConfig
 from aistrack.errors import (
@@ -23,7 +24,7 @@ from aistrack.fleet import (
     train_fleet,
     vessel_seed,
 )
-from aistrack.lstm import AdamState, backward, forward, forward_batch, init_network
+from aistrack.lstm import AdamState, backward, forward_batch, init_network
 from aistrack.preprocess import RegularTrack, fit_scaler, make_windows, scale
 
 

@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 
 from _gradcheck import check_network
+from _lstm_oracle import count_params, evaluate_loss, forward, mse_loss, predict_sequence, reference_forward
 from aistrack import lstm
 from aistrack.errors import CacheMismatch
 from aistrack.lstm import (
     AdamState,
     LstmLayerParams,
     LstmNetwork,
-    count_params,
-    evaluate_loss,
-    forward,
     forward_batch,
     init_network,
-    mse_loss,
-    predict_sequence,
     stack_networks,
     train_epoch,
 )
@@ -299,3 +295,26 @@ def test_forward_batch_matches_loop():
     for i in range(7):
         single, _ = forward(net, wins[i])
         np.testing.assert_allclose(batch_pred[i], single, rtol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 10, 128])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("keep_cache", [True, False])
+def test_forward_batch_matches_reference_loop(batch, stacked, keep_cache):
+    # the per-timestep loop takes x_t @ W.T inside the recurrence; at B = 1
+    # and at GEMM tail sizes such as 2 or 7 BLAS rounds it differently from
+    # the hoisted product, so the last bits may move but no more
+    nets = [init_network(k=4, hidden=32, rng=np.random.default_rng(80 + z)) for z in range(3)]
+    wins = np.random.default_rng(90 + batch).random((3, batch, 10, 4))
+    net, x = (stack_networks(nets), wins) if stacked else (nets[0], wins[0])
+    pred, cache = forward_batch(net, x, keep_cache=keep_cache)
+    ref_pred, ref_caches = reference_forward(net, x)
+    np.testing.assert_allclose(pred, ref_pred, rtol=1e-12, atol=0)
+    if keep_cache:
+        for lc, ref in zip(cache.layer_caches, ref_caches, strict=True):
+            for name in ("i", "f", "o", "c"):
+                np.testing.assert_allclose(getattr(lc, name), getattr(ref, name), rtol=1e-12, atol=0)
+            # a pre-activation is a sum that can cancel to near 0, so its
+            # error is bounded relative to the layer's scale, not per element
+            scale = np.abs(ref.g_pre).max()
+            np.testing.assert_allclose(lc.g_pre, ref.g_pre, rtol=1e-12, atol=1e-12 * scale)
