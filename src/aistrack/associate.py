@@ -117,7 +117,7 @@ def _rollout_positions(bundles, steps: int) -> np.ndarray:
     groups = defaultdict(list)
     for z, b in enumerate(bundles):
         shapes = tuple(a.shape for a in b.network.param_arrays())
-        groups[shapes, b.network.residual, b.last_training_window.shape].append(z)
+        groups[shapes, b.last_training_window.shape].append(z)
     scaled = np.empty((steps, len(bundles), 2))
     for members in groups.values():
         net = stack_networks([bundles[z].network for z in members])
@@ -202,4 +202,4 @@ def decisions_to_csv(decisions: Decisions) -> str:
 
 def decisions_from_csv(text: str) -> list[tuple[int, str]]:
     """Read back (object_id, assigned_vid) pairs from a decisions CSV."""
-    return object_id_pairs(text, 2, exact=False)
+    return object_id_pairs(text, ("OBJECT_ID", "ASSIGNED_VID"), exact=False)

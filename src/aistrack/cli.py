@@ -3,14 +3,15 @@
 `config.RunConfig` is the one config schema, shared with the library. Every
 run folds together its defaults, an optional JSON config file (--config) and
 explicit flags, range-checks the result (`config.RANGES`) and echoes it,
-plus its hash, into the output artifacts; `train` hands it to
-`fleet.train_fleet` as it is. A flag is added by adding a `RunConfig` field
-and naming it in one `FLAGS` list.
+plus its hash, into the output artifacts; `synth` hands it to
+`synth.generate` and `train` to `fleet.train_fleet` as it is. A flag is
+added by adding a `RunConfig` field and naming it in one `FLAGS` list.
 
 Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
 duplicate OBJECT_ID (in --data, --obs, --decisions or --truth; the error
-names the file and line), a bad --config file or
-value, an input that is missing or not UTF-8, a missing or malformed model,
+names the file and line), a --decisions or --truth header that is not its
+own, a bad --config file or value, a --data file that leaves no track to
+train, an input that is missing or not UTF-8, a missing or malformed model,
 an observation at or before a vessel's train end or more than
 `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that repeat an
 OBJECT_ID or leave a truth object undecided.
@@ -19,8 +20,6 @@ OBJECT_ID or leave a truth object undecided.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import hashlib
 import json
 import math
 import sys
@@ -29,13 +28,13 @@ from pathlib import Path
 
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
-from .config import FIELD_TYPES, RunConfig, check_ranges, is_json_type
+from .config import FIELD_TYPES, RunConfig, check_ranges, config_meta, is_json_type
 from .errors import AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile
 from .evaluate import confusion, metrics, write_report
 from .fleet import load_fleet, save_fleet, train_fleet
 from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv
 from .preprocess import resample
-from .synth import SynthSpec, generate, overlap_scenario, truth_from_csv, truth_to_csv
+from .synth import fleet_motions, generate, truth_from_csv, truth_to_csv
 
 
 # RunConfig fields each subcommand takes as flags: `--` plus the name with
@@ -48,20 +47,6 @@ FLAGS = {
     "evaluate": ("seed",),
 }
 FLAG_HELP = {"crossing": "'a,b,sample' to force two tracks to cross"}
-
-
-def _crossing(cfg: RunConfig) -> tuple[int, int, int]:
-    """A non-empty --crossing "a,b,sample" as two distinct vessel indices
-    and a sample index."""
-    parts = cfg.crossing.split(",")
-    if len(parts) == 3 and all(p.strip().isdecimal() for p in parts):
-        a, b, sample = (int(p) for p in parts)
-        if a != b and max(a, b) < cfg.vessels and sample < cfg.points:
-            return a, b, sample
-    raise BadConfig(
-        f"crossing must be 'a,b,sample' with vessels a != b in [0, {cfg.vessels})"
-        f" and sample in [0, {cfg.points}), got {cfg.crossing!r}"
-    )
 
 
 def _read(path, error=MissingFile) -> str:
@@ -107,35 +92,23 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, value)
     check_ranges(cfg)
     if cfg.crossing:
-        _crossing(cfg)
+        fleet_motions(cfg)
     return cfg
 
 
-def config_meta(cfg: RunConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    doc["tau"] = repr(cfg.tau)  # inf is not valid JSON
-    canonical = json.dumps(doc, sort_keys=True)
-    return {
-        "config": doc,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seed": cfg.seed,
-    }
+def _messages(path, cfg: RunConfig) -> list[AisMessage]:
+    """The AIS rows of input file `path`. With cfg.lenient, bad rows are
+    skipped and their count is printed."""
+    stats = ParseStats()
+    messages = _parse(parse_csv, path, strict=not cfg.lenient, stats=stats)
+    if stats.skipped:
+        print(f"skipped {stats.skipped} of {stats.rows} rows", file=sys.stderr)
+    return messages
 
 
 def cmd_synth(args) -> int:
     cfg = effective_config(args)
-    spec = SynthSpec(
-        vessels=cfg.vessels,
-        points=cfg.points,
-        period=cfg.period,
-        jitter_frac=cfg.jitter,
-        noise_std_deg=cfg.noise,
-        seed=cfg.seed,
-    )
-    if cfg.crossing:
-        a, b, sample = _crossing(cfg)
-        spec = overlap_scenario(spec, (a, b), sample)
-    csv_text, truth = generate(spec)
+    csv_text, truth = generate(cfg, fleet_motions(cfg))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "fleet.csv").write_text(csv_text)
@@ -172,11 +145,7 @@ def _holdout_messages(series_list, bundles, test_len: int) -> tuple[list[AisMess
 
 def cmd_train(args) -> int:
     cfg = effective_config(args)
-    stats = ParseStats()
-    messages = _parse(parse_csv, args.data, strict=not cfg.lenient, stats=stats)
-    if stats.skipped:
-        print(f"skipped {stats.skipped} bad rows", file=sys.stderr)
-    tracks = group_tracks(messages)
+    tracks = group_tracks(_messages(args.data, cfg))
     kept = filter_min_points(tracks, cfg.min_points)
     for t in tracks:
         if t not in kept:
@@ -184,7 +153,7 @@ def cmd_train(args) -> int:
     series_list = [resample(t, cfg.period) for t in kept]
     bundles, histories = train_fleet(series_list, cfg)
     out = Path(args.out)
-    save_fleet(bundles, out, cfg=cfg, histories=histories, extra_meta=config_meta(cfg))
+    save_fleet(bundles, out, cfg, histories)
     holdout, left_out = _holdout_messages(series_list, bundles, cfg.test_len)
     if left_out:
         print(f"left {left_out} held-out samples at or before the latest train end out of holdout.csv",
@@ -198,7 +167,7 @@ def cmd_train(args) -> int:
 def cmd_associate(args) -> int:
     cfg = effective_config(args)
     bundles = load_fleet(args.models)
-    observations = _parse(parse_csv, args.obs, strict=not cfg.lenient)
+    observations = _messages(args.obs, cfg)
     observations.sort(key=lambda m: (m.t, m.object_id))
     decisions = associate_batch(observations, bundles, tau=cfg.tau, radius_km=cfg.radius)
     out = Path(args.out)

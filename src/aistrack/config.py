@@ -1,14 +1,18 @@
 """The one run configuration.
 
 `RunConfig` holds every setting of a run: the CLI builds one from defaults,
-a --config file and flags, and the library (`fleet.train_fleet`) reads its
-fields directly. `check_ranges` is the one range check, and `is_json_type`
-the one rule for the JSON type of a value, shared by --config files and
-model files.
+a --config file and flags, and the library (`synth.generate`,
+`fleet.train_fleet`) reads its fields directly. `check_ranges` is the one
+range check, `config_meta` the one echo of a config into the artifacts, and
+`is_json_type` the one rule for the JSON type of a value, shared by
+--config files and model files.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
 from dataclasses import dataclass
 from typing import get_type_hints
@@ -68,6 +72,19 @@ def check_ranges(cfg: RunConfig) -> None:
         for key in keys:
             if not _in_interval(getattr(cfg, key), interval):
                 raise BadConfig(f"{key} must be in {interval}, got {getattr(cfg, key)!r}")
+
+
+def config_meta(cfg: RunConfig) -> dict:
+    """The config, its sha256 and its seed, as echoed into run_config.json,
+    manifest.json, *.meta.json and report.json."""
+    doc = dataclasses.asdict(cfg)
+    doc["tau"] = repr(cfg.tau)  # inf is not valid JSON
+    canonical = json.dumps(doc, sort_keys=True)
+    return {
+        "config": doc,
+        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "seed": cfg.seed,
+    }
 
 
 def is_json_type(value, kind: type) -> bool:

@@ -4,7 +4,8 @@ One LstmNetwork is trained per vessel. Each vessel draws a derived seed
 (root seed XOR a digest of its id) so fleet results do not depend on
 training order or scheduling. Training reads its settings (window, test_len,
 hidden, dropout, lr, batch, epochs, seed, lenient) from the run's
-`config.RunConfig` and range-checks them first, as the CLI does.
+`config.RunConfig` and range-checks them first, as the CLI does. A fleet
+with no track left to train is a TrackTooShort error.
 
 Vessels train in lockstep: those with the same training length (hence the
 same number of windows and batches per epoch) are stacked with
@@ -17,16 +18,19 @@ at most max(1, STACK_WINDOWS // batch) vessels: stacking removes
 per-batch interpreter overhead, which is what costs at small batches, while
 at batch 128 a stack of five was no faster and doubled peak memory.
 
-A fleet is saved as one model_<vid>.json per vessel plus a manifest.json
-holding each file's sha256. A model file is plain JSON metadata (vessel id,
-period, train end time, scaler, last training window, architecture, and the
-batch size, epochs, learning rate and seed it was trained with) in which
-every weight array (W, U and b of each layer, dense_W, dense_b) is a base64
-string of its little-endian float64 bytes, restored bit for bit in the shape
-the architecture fields give. Writing the weights as JSON numbers through
+A fleet is saved as one model_<vid>.json per vessel, a manifest.json holding
+each file's sha256 and the run's config (`config.config_meta`), and a
+train_report.json of each vessel's per-epoch loss. A model file is plain JSON
+metadata (vessel id, period, train end time, scaler, last training window,
+architecture, and the batch size, epochs, learning rate and seed it was
+trained with) in which every weight array (W, U and b of each layer,
+dense_W, dense_b) is a base64 string of its little-endian float64 bytes,
+restored bit for bit in the shape the architecture fields give. Writing the weights as JSON numbers through
 the indented encoder, which formats each float in Python, took about 40 % of
 training on a 24-vessel fleet. Format version 2; any other version is
-rejected.
+rejected. Every network is residual (`lstm`), so the architecture's
+"residual" is always true, and a file with any other value is rejected
+rather than run as residual.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, check_ranges, is_json_type
+from .config import RunConfig, check_ranges, config_meta, is_json_type
 from .errors import BadManifest, BadModel, ChecksumMismatch, MissingFile, TrackTooShort, VersionMismatch
 from .lstm import (
     AdamState,
@@ -126,8 +130,9 @@ def train_fleet(
     """Train one model per track on its training prefix (all but the last
     `cfg.test_len` samples), in lockstep stacks of equal training length;
     results ordered by vessel_id. A track too short to give one window is
-    a TrackTooShort error, or skipped if `cfg.lenient`; a setting outside
-    its range is a BadConfig."""
+    a TrackTooShort error, or skipped if `cfg.lenient`, and so is a fleet
+    with no track left to train; a setting outside its range is a
+    BadConfig."""
     check_ranges(cfg)
     by_length: dict[int, list[RegularTrack]] = {}
     for series in sorted(tracks, key=lambda s: s.vessel_id):
@@ -141,6 +146,11 @@ def train_fleet(
             log.warning("skipping vessel %s: track too short", series.vessel_id)
             continue
         by_length.setdefault(train_len, []).append(series)
+    if not by_length:
+        raise TrackTooShort(
+            f"no track left to train: {len(tracks)} given, none longer than test_len + window"
+            f" = {cfg.test_len + cfg.window} samples"
+        )
     per_stack = max(1, STACK_WINDOWS // cfg.batch)
     trained = {}
     for group in by_length.values():
@@ -179,7 +189,7 @@ def _network_to_dict(net: LstmNetwork) -> dict:
         "n_layers": len(net.layers),
         "out_dim": net.out_dim,
         "dropout_rate": net.dropout_rate,
-        "residual": net.residual,
+        "residual": True,
         "layers": [{"W": _encode(l.W), "U": _encode(l.U), "b": _encode(l.b)} for l in net.layers],
         "dense_W": _encode(net.dense_W),
         "dense_b": _encode(net.dense_b),
@@ -189,7 +199,7 @@ def _network_to_dict(net: LstmNetwork) -> dict:
 # JSON type of each scalar of a model document, at the top level and in
 # "network"; an int is accepted for a float.
 MODEL_FIELDS = {"vessel_id": str, "window_size": int, "period": float, "train_end_time": float}
-NETWORK_FIELDS = {"k": int, "hidden": int, "out_dim": int, "dropout_rate": float, "residual": bool}
+NETWORK_FIELDS = {"k": int, "hidden": int, "out_dim": int, "dropout_rate": float}
 
 
 def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
@@ -214,6 +224,8 @@ def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
 def _network_from_dict(d: dict) -> LstmNetwork:
     _check_fields(d, NETWORK_FIELDS)
     h = d["hidden"]
+    if d["residual"] is not True:
+        raise BadModel(f"residual {d['residual']!r}: only residual networks are supported")
     if not d["layers"]:
         raise BadModel("network has no layers")
     layers = []
@@ -231,11 +243,10 @@ def _network_from_dict(d: dict) -> LstmNetwork:
         dense_W=_decode(d["dense_W"], (d["out_dim"], h), "dense_W"),
         dense_b=_decode(d["dense_b"], (d["out_dim"],), "dense_b"),
         dropout_rate=d["dropout_rate"],
-        residual=d["residual"],
     )
 
 
-def bundle_to_json(bundle: ModelBundle, cfg: RunConfig | None = None) -> str:
+def bundle_to_json(bundle: ModelBundle, cfg: RunConfig) -> str:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "vessel_id": bundle.vessel_id,
@@ -245,14 +256,13 @@ def bundle_to_json(bundle: ModelBundle, cfg: RunConfig | None = None) -> str:
         "scaler": {"min": bundle.scaler.min.tolist(), "max": bundle.scaler.max.tolist()},
         "last_training_window": bundle.last_training_window.tolist(),
         "network": _network_to_dict(bundle.network),
-    }
-    if cfg is not None:
-        doc["train_config"] = {
+        "train_config": {
             "batch_size": cfg.batch,
             "epochs": cfg.epochs,
             "learning_rate": cfg.lr,
             "rng_seed": cfg.seed,
-        }
+        },
+    }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
@@ -294,12 +304,12 @@ def _sha256(data: bytes) -> str:
 def save_fleet(
     bundles: list[ModelBundle],
     directory: str | Path,
-    cfg: RunConfig | None = None,
-    histories: dict[str, list[float]] | None = None,
-    extra_meta: dict | None = None,
+    cfg: RunConfig,
+    histories: dict[str, list[float]],
 ) -> Path:
-    """Write model_<vid>.json per vessel plus a checksummed manifest.json.
-    Returns the manifest path."""
+    """Write model_<vid>.json per vessel, a checksummed manifest.json that
+    echoes `cfg`, and train_report.json holding `histories`. Returns the
+    manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -308,15 +318,12 @@ def save_fleet(
         data = bundle_to_json(bundle, cfg).encode()
         (directory / name).write_bytes(data)
         entries.append({"file": name, "vessel_id": bundle.vessel_id, "sha256": _sha256(data)})
-    manifest = {"format_version": MODEL_FORMAT_VERSION, "models": entries}
-    if extra_meta:
-        manifest["meta"] = extra_meta
+    manifest = {"format_version": MODEL_FORMAT_VERSION, "meta": config_meta(cfg), "models": entries}
     path = directory / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    if histories is not None:
-        (directory / "train_report.json").write_text(
-            json.dumps({"epoch_loss": histories}, sort_keys=True, indent=1)
-        )
+    (directory / "train_report.json").write_text(
+        json.dumps({"epoch_loss": histories}, sort_keys=True, indent=1)
+    )
     return path
 
 

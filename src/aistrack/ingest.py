@@ -74,12 +74,6 @@ class RawTrack:
     def __len__(self) -> int:
         return len(self.messages)
 
-    def is_ordered(self) -> bool:
-        key = [(m.t, m.object_id) for m in self.messages]
-        return all(a <= b for a, b in zip(key, key[1:])) and all(
-            m.vessel_id == self.vessel_id for m in self.messages
-        )
-
 
 @dataclass
 class ParseStats:
@@ -155,13 +149,18 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
     return out
 
 
-def object_id_pairs(text: str, n_fields: int, exact: bool, unique: bool = False) -> list[tuple[int, str]]:
+def object_id_pairs(text: str, header: tuple[str, ...], exact: bool, unique: bool = False) -> list[tuple[int, str]]:
     """(OBJECT_ID, second field) of each non-blank line after the header of
-    a comma-separated file whose first field is an integer OBJECT_ID. A row
-    with fewer than `n_fields` fields (or more, if `exact`), a non-integer
-    OBJECT_ID, or (if `unique`) a repeated one is a MalformedRow naming its
-    line."""
+    a comma-separated file whose first field is an integer OBJECT_ID. A
+    header that does not start with the names in `header` (matched
+    case-insensitively), a row with fewer fields than `header` names (or
+    more, if `exact`), a non-integer OBJECT_ID, or (if `unique`) a repeated
+    one is a MalformedRow naming its line."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    header_line, names = lines[0] if lines else (1, "")
+    if [name.strip().upper() for name in names.split(",")[: len(header)]] != list(header):
+        raise MalformedRow(header_line, f"header must start with {','.join(header)}")
+    n_fields = len(header)
     out = []
     first_line: dict[int, int] = {}  # OBJECT_ID -> its line, if `unique`
     for line_no, ln in lines[1:]:

@@ -8,9 +8,10 @@ Cell recurrence (per layer, gate order i, f, g, o):
     c       = f * c_prev + i * g
     h       = o * relu(c)
 
-The stack is three layers (hidden size 32 by default) with identity residual
-additions around layers 2 and 3, inverted dropout after each of those blocks
-in train mode, and a dense head reading the last timestep. All math is float64
+The stack is three layers (hidden size 32 by default). Every layer after the
+first adds its input to its output (an identity residual connection, as in
+the paper's stack), followed in train mode by inverted dropout, and a dense
+head reads the last timestep. All math is float64
 so the finite-difference gradient check is tight.
 
 All forward/backward internals are batched over windows; batch size 1
@@ -83,7 +84,6 @@ class LstmNetwork:
     dense_W: np.ndarray  # (out_dim, h)
     dense_b: np.ndarray  # (out_dim,)
     dropout_rate: float = 0.2
-    residual: bool = True
 
     @property
     def hidden(self) -> int:
@@ -144,7 +144,7 @@ def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
     forward_batch, backward and train_epoch on the result take (Z, B, m, k)
     windows; `unstack_network` takes one vessel's network back out."""
     first = nets[0]
-    if any(n.residual != first.residual or len(n.layers) != len(first.layers) for n in nets):
+    if any(len(n.layers) != len(first.layers) for n in nets):
         raise ValueError("cannot stack networks of different architectures")
     layers = [
         LstmLayerParams(
@@ -159,7 +159,6 @@ def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
         dense_W=np.stack([n.dense_W for n in nets]),
         dense_b=np.stack([n.dense_b for n in nets])[:, None, :],
         dropout_rate=first.dropout_rate,
-        residual=first.residual,
     )
 
 
@@ -170,7 +169,6 @@ def unstack_network(stacked: LstmNetwork, z: int) -> LstmNetwork:
         dense_W=stacked.dense_W[z].copy(),
         dense_b=stacked.dense_b[z, 0].copy(),
         dropout_rate=stacked.dropout_rate,
-        residual=stacked.residual,
     )
 
 
@@ -251,7 +249,7 @@ def forward_batch(
     seq = windows
     for li, layer in enumerate(net.layers):
         out, lc = _layer_forward(layer, seq, keep_cache)
-        if li > 0 and net.residual:
+        if li > 0:
             out = out + seq
         mask = None
         if li > 0 and train and net.dropout_rate > 0:
@@ -336,7 +334,7 @@ def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list
         if mask is not None:
             d_seq = d_seq * mask
         dX, dW, dU, db = _layer_backward(net.layers[li], cache.layer_caches[li], d_seq)
-        if li > 0 and net.residual:
+        if li > 0:
             dX = dX + d_seq
         grads[:0] = [dW, dU, db]
         d_seq = dX

@@ -27,7 +27,6 @@ class RegularTrack:
     start_time: int  # epoch seconds
     period: float  # seconds
     features: np.ndarray  # shape (n, 4), columns = FEATURES
-    max_raw_gap: float = 0.0  # diagnostics: largest gap (s) in the raw track
 
     def __len__(self) -> int:
         return len(self.features)
@@ -86,13 +85,11 @@ def resample(track: RawTrack, period: float = 5.0) -> RegularTrack:
     course = np.array([m.course for m in track.messages], dtype=np.float64)[keep]
     cols["course"] = np.interp(grid, tk, _unwrap_course(course)) % COURSE_MOD
     feats = np.column_stack([cols[name] for name in FEATURES])
-    gap = float(np.max(np.diff(tk))) if len(tk) > 1 else 0.0
     return RegularTrack(
         vessel_id=track.vessel_id,
         start_time=int(t0),
         period=period,
         features=feats,
-        max_raw_gap=gap,
     )
 
 

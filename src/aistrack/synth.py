@@ -5,16 +5,21 @@ an OBJECT_ID -> VID truth map. Motion is a flat-earth constant-velocity line
 with an optional sinusoidal cross-track wobble; the emitted speed and course
 columns are derived from the actual consecutive positions so the features
 stay self-consistent with the noisy track.
+
+Settings come from the run's `config.RunConfig`: `fleet_motions` turns its
+vessels and crossing into one motion per vessel, and `generate` reads its
+seed, points, period, jitter and noise, range-checked first.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .associate import haversine
+from .config import RunConfig, check_ranges
+from .errors import BadConfig
 from .ingest import AisMessage, object_id_pairs, serialize_csv
 
 KNOT_KM_H = 1.852
@@ -29,27 +34,6 @@ class VesselMotion:
     speed_knots: float
     wave_amp_deg: float = 0.0  # cross-track sinusoid amplitude, degrees
     wave_period: int = 100  # sinusoid period, in samples
-
-
-@dataclass
-class SynthSpec:
-    vessels: int = 5
-    points: int = 648
-    period: float = 5.0  # nominal seconds between messages
-    jitter_frac: float = 0.0  # timestamp jitter as a fraction of period
-    noise_std_deg: float = 0.0
-    seed: int = 0
-    motions: list[VesselMotion] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.vessels < 1 or self.points < 2:
-            raise ValueError("need vessels >= 1 and points >= 2")
-        if not 0.0 <= self.jitter_frac < 1.0 or self.noise_std_deg < 0:
-            raise ValueError("jitter_frac in [0, 1), noise_std_deg >= 0")
-        if not self.motions:
-            self.motions = default_motions(self.vessels)
-        if len(self.motions) != self.vessels:
-            raise ValueError("one motion per vessel required")
 
 
 def default_motions(z: int) -> list[VesselMotion]:
@@ -94,22 +78,27 @@ def _derived_speed_course(lats, lons, times):
     return speed, course
 
 
-def generate(spec: SynthSpec) -> tuple[str, dict[int, str]]:
-    """Emit (CSV text in the standard schema, object_id -> vessel_id truth)."""
-    rng = np.random.default_rng(spec.seed)
-    vids = [bytes(rng.integers(0, 256, size=4, dtype=np.uint8)).hex() for _ in range(spec.vessels)]
+def generate(cfg: RunConfig, motions: list[VesselMotion]) -> tuple[str, dict[int, str]]:
+    """Emit (CSV text in the standard schema, object_id -> vessel_id truth)
+    for one vessel per motion: cfg.points samples cfg.period seconds apart,
+    timestamps jittered by up to cfg.jitter / 2 periods and positions by
+    Gaussian noise of cfg.noise degrees, all drawn from cfg.seed. A setting
+    outside its range is a BadConfig."""
+    check_ranges(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    vids = [bytes(rng.integers(0, 256, size=4, dtype=np.uint8)).hex() for _ in motions]
     rows = []  # (t, vessel_index, lat, lon, speed, course)
-    for vi, motion in enumerate(spec.motions):
-        jitter = rng.uniform(-0.5, 0.5, size=spec.points) * spec.jitter_frac * spec.period
-        times = np.round(BASE_EPOCH + np.arange(spec.points) * spec.period + jitter).astype(np.int64)
-        noise = rng.normal(0.0, spec.noise_std_deg, size=(spec.points, 2)) if spec.noise_std_deg else np.zeros((spec.points, 2))
+    for vi, motion in enumerate(motions):
+        jitter = rng.uniform(-0.5, 0.5, size=cfg.points) * cfg.jitter * cfg.period
+        times = np.round(BASE_EPOCH + np.arange(cfg.points) * cfg.period + jitter).astype(np.int64)
+        noise = rng.normal(0.0, cfg.noise, size=(cfg.points, 2)) if cfg.noise else np.zeros((cfg.points, 2))
         lats, lons = [], []
-        for i in range(spec.points):
+        for i in range(cfg.points):
             lat, lon = _nominal_position(motion, float(times[i] - BASE_EPOCH), i)
             lats.append(lat + noise[i, 0])
             lons.append(lon + noise[i, 1])
         speed, course = _derived_speed_course(np.array(lats), np.array(lons), times.astype(float))
-        for i in range(spec.points):
+        for i in range(cfg.points):
             rows.append((int(times[i]), vi, lats[i], lons[i], float(speed[i]), float(course[i])))
     rows.sort(key=lambda r: (r[0], r[1]))
     messages = []
@@ -138,24 +127,29 @@ def truth_to_csv(truth: dict[int, str]) -> str:
 
 
 def truth_from_csv(text: str) -> dict[int, str]:
-    return dict(object_id_pairs(text, 2, exact=True, unique=True))
+    return dict(object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True, unique=True))
 
 
-def overlap_scenario(spec: SynthSpec, crossing: tuple[int, int] | None, crossing_sample: int) -> SynthSpec:
-    """Re-aim one vessel of the pair so the two tracks intersect spatially near
-    crossing_sample. With crossing=None the spec is returned unchanged."""
-    if crossing is None:
-        return spec
-    a, b = crossing
-    if a == b:
-        raise ValueError("cannot cross a vessel with itself")
-    if not (0 <= a < spec.vessels and 0 <= b < spec.vessels):
-        raise ValueError("crossing indices out of range")
-    if not 0 <= crossing_sample < spec.points:
-        raise ValueError("crossing_sample out of range")
-    motions = [dataclasses.replace(m) for m in spec.motions]
-    elapsed = crossing_sample * spec.period
-    target = _nominal_position(motions[a], elapsed, crossing_sample)
+def fleet_motions(cfg: RunConfig) -> list[VesselMotion]:
+    """default_motions(cfg.vessels), with vessel b re-aimed so that its track
+    crosses vessel a's near sample s when cfg.crossing is "a,b,s". The
+    crossing must name two distinct vessels below cfg.vessels and a sample
+    below cfg.points; any other non-empty value is a BadConfig."""
+    if not cfg.crossing:
+        return default_motions(cfg.vessels)
+    bad = BadConfig(
+        f"crossing must be 'a,b,sample' with vessels a != b in [0, {cfg.vessels})"
+        f" and sample in [0, {cfg.points}), got {cfg.crossing!r}"
+    )
+    parts = cfg.crossing.split(",")
+    if len(parts) != 3 or not all(p.strip().isdecimal() for p in parts):
+        raise bad
+    a, b, sample = (int(p) for p in parts)
+    if a == b or max(a, b) >= cfg.vessels or sample >= cfg.points:
+        raise bad
+    motions = default_motions(cfg.vessels)
+    elapsed = sample * cfg.period
+    target = _nominal_position(motions[a], elapsed, sample)
     mb = motions[b]
     mb.course_deg = (motions[a].course_deg + 90.0) % 360.0
     # place b so its nominal (wave-free) position at the crossing sample hits
@@ -165,4 +159,4 @@ def overlap_scenario(spec: SynthSpec, crossing: tuple[int, int] | None, crossing
     coslat = np.cos(np.radians(target[0]))
     mb.start_lat = target[0] - along_deg * np.cos(theta)
     mb.start_lon = target[1] - along_deg * np.sin(theta) / coslat
-    return dataclasses.replace(spec, motions=motions)
+    return motions

@@ -41,7 +41,7 @@ def reference_forward(net: lstm.LstmNetwork, windows: np.ndarray) -> tuple[np.nd
     caches = []
     for li, layer in enumerate(net.layers):
         out, lc = reference_layer_forward(layer, seq)
-        if li > 0 and net.residual:
+        if li > 0:
             out = out + seq
         caches.append(lc)
         seq = out

@@ -22,7 +22,7 @@ from aistrack.fleet import train_fleet
 from aistrack.ingest import AisMessage, RawTrack, group_tracks, parse_csv
 from aistrack.lstm import AdamState, init_network, train_epoch
 from aistrack.preprocess import ScalerParams, resample, scale, unscale
-from aistrack.synth import SynthSpec, generate, overlap_scenario
+from aistrack.synth import fleet_motions, generate
 
 
 @pytest.fixture
@@ -167,12 +167,10 @@ def test_synthetic_fleet_end_to_end(tmp_path, report):
 
 @pytest.mark.slow
 def test_overlap_stress(report):
-    spec = overlap_scenario(
-        SynthSpec(vessels=5, points=648, period=5.0, jitter_frac=0.2, noise_std_deg=1e-4, seed=43),
-        (0, 1),
-        590,  # inside the held-out suffix (samples 540..647)
-    )
-    csv_text, truth = generate(spec)
+    # the crossing sample 590 is inside the held-out suffix (samples 540..647)
+    synth_cfg = RunConfig(vessels=5, points=648, period=5.0, jitter=0.2, noise=1e-4, seed=43, crossing="0,1,590")
+    motions = fleet_motions(synth_cfg)
+    csv_text, truth = generate(synth_cfg, motions)
     tracks = group_tracks(parse_csv(csv_text))
     series = [resample(t, 5.0) for t in tracks]
     cfg = RunConfig(window=10, test_len=108, hidden=32, lr=1e-4, batch=10, epochs=30, seed=43)
@@ -201,7 +199,7 @@ def test_overlap_stress(report):
         first_pos[t.vessel_id] = (m0.lat, m0.lon)
     crossing_vids = set()
     for idx in (0, 1):
-        motion = spec.motions[idx]
+        motion = motions[idx]
         best = min(
             first_pos,
             key=lambda vid: (first_pos[vid][0] - motion.start_lat) ** 2

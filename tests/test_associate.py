@@ -20,6 +20,7 @@ from aistrack.associate import (
     predict_positions,
 )
 from aistrack.cli import main
+from aistrack.config import RunConfig
 from aistrack.errors import RolloutTooLong, TimeBeforeTraining
 from aistrack.fleet import ModelBundle, save_fleet
 from aistrack.ingest import AisMessage, serialize_csv
@@ -298,7 +299,7 @@ class TestStackedRollout:
             associate_batch(sorted(obs, key=lambda m: m.t), self.BUNDLES)
 
     def test_observation_at_train_end_is_cli_data_error(self, tmp_path):
-        save_fleet(self.BUNDLES, tmp_path / "models")
+        save_fleet(self.BUNDLES, tmp_path / "models", RunConfig(), {})
         msg = AisMessage(object_id=1, vessel_id="x", t=1013, lat=30.5, lon=20.5, speed=0, course=0)
         (tmp_path / "obs.csv").write_text(serialize_csv([msg]))
         argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv"]
@@ -318,7 +319,7 @@ class TestRolloutBound:
         assert len(rolled) == 3
 
     def test_year_out_observation_is_fast_cli_data_error(self, tmp_path, capsys):
-        save_fleet(TestStackedRollout.BUNDLES, tmp_path / "models")
+        save_fleet(TestStackedRollout.BUNDLES, tmp_path / "models", RunConfig(), {})
         msg = AisMessage(object_id=1, vessel_id="x", t=1000 + 365 * 86400, lat=30.5, lon=20.5, speed=0, course=0)
         (tmp_path / "obs.csv").write_text(serialize_csv([msg]))
         argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv", "--out", tmp_path / "d.csv"]

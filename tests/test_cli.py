@@ -316,12 +316,55 @@ def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, arg
 def test_malformed_decisions_or_truth_row_is_data_error(trained, tmp_path, capsys, bad, row):
     paths = {"decisions": trained / "decisions.csv", "truth": trained / "models" / "holdout_truth.csv"}
     paths[bad] = tmp_path / "bad.csv"
-    paths[bad].write_text(f"OBJECT_ID,ANY\n\n{row}\n")
+    header = {"decisions": "OBJECT_ID,ASSIGNED_VID", "truth": "OBJECT_ID,VID"}[bad]
+    paths[bad].write_text(f"{header}\n\n{row}\n")
     capsys.readouterr()
     rc = run(["evaluate", "--decisions", paths["decisions"], "--truth", paths["truth"],
               "--out", tmp_path / "r.json"])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith(f"error: {paths[bad]}: line 3:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "both, header",
+    [("models/holdout_truth.csv", "OBJECT_ID,ASSIGNED_VID"), ("decisions.csv", "OBJECT_ID,VID")],
+    ids=["truth_as_decisions", "decisions_as_truth"],
+)
+def test_decisions_and_truth_files_need_their_own_header(trained, tmp_path, capsys, both, header):
+    # scoring the truth file as decisions would compare the truth with itself
+    capsys.readouterr()
+    rc = run(["evaluate", "--decisions", trained / both, "--truth", trained / both, "--out", tmp_path / "r.json"])
+    assert rc == 2 and capsys.readouterr().err == f"error: {trained / both}: line 1: header must start with {header}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "associate"])
+def test_lenient_counts_skipped_rows(trained, tmp_path, capsys, stage):
+    source = trained / "data" / "fleet.csv" if stage == "train" else trained / "models" / "holdout.csv"
+    lines = source.read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([lines[0], "1,aa,not a time,0,0,0,0", *lines[2:]]) + "\n")
+    argv = {
+        "train": ["train", "--data", bad, "--out", tmp_path / "m", "--min-points", 100, "--epochs", 1,
+                  "--test-len", 20],
+        "associate": ["associate", "--models", trained / "models", "--obs", bad, "--out", tmp_path / "d.csv"],
+    }[stage]
+    capsys.readouterr()
+    assert run(argv + ["--lenient"]) == 0
+    assert f"skipped 1 of {len(lines) - 1} rows\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, given",
+    [(["--min-points", 1000], 0), (["--min-points", 100, "--test-len", 115, "--lenient"], 3)],
+    ids=["min_points", "lenient"],
+)
+def test_train_with_no_track_left_is_data_error(trained, tmp_path, capsys, flags, given):
+    capsys.readouterr()
+    rc = run(["train", "--data", trained / "data" / "fleet.csv", "--out", tmp_path / "m", "--epochs", 1, *flags])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"error: no track left to train: {given} given" in err
+    assert not (tmp_path / "m").exists()
 
 
 @pytest.mark.parametrize(

@@ -59,8 +59,8 @@ class TestTrainFleet:
         assert sorted(histories) == [f"v{i}" for i in range(5)]
 
     def test_empty_fleet(self):
-        bundles, histories = train_fleet([], _cfg())
-        assert bundles == [] and histories == {}
+        with pytest.raises(TrackTooShort, match="no track left to train: 0 given"):
+            train_fleet([], _cfg())
 
     def test_loss_history_length_equals_epochs(self):
         _, histories = train_fleet([_series()], _cfg(epochs=3))
@@ -70,8 +70,10 @@ class TestTrainFleet:
         short = _series(n=12)  # train_len 2 <= window 5
         with pytest.raises(TrackTooShort):
             train_fleet([short], _cfg())
-        bundles, _ = train_fleet([short], _cfg(lenient=True))
-        assert bundles == []
+        with pytest.raises(TrackTooShort, match="no track left to train: 1 given"):
+            train_fleet([short], _cfg(lenient=True))
+        bundles, _ = train_fleet([short, _series(vid="w")], _cfg(lenient=True))
+        assert [b.vessel_id for b in bundles] == ["w"]
 
     @pytest.mark.parametrize("bad", [{"epochs": 0}, {"batch": 0}, {"lr": -1e-3}, {"window": 0}, {"dropout": 1.0}])
     def test_setting_out_of_range_is_bad_config(self, bad):
@@ -112,7 +114,7 @@ class TestTrainFleet:
 class TestPersistence:
     def test_bundle_json_round_trip_predictions(self):
         bundle, _ = _train_one(_series(), _cfg())
-        restored = bundle_from_json(bundle_to_json(bundle))
+        restored = bundle_from_json(bundle_to_json(bundle, _cfg()))
         probe = np.random.default_rng(5).random((5, 4))
         p1, _ = forward(bundle.network, probe)
         p2, _ = forward(restored.network, probe)
@@ -120,7 +122,7 @@ class TestPersistence:
 
     def test_version_mismatch_rejected(self):
         bundle, _ = _train_one(_series(), _cfg())
-        doc = json.loads(bundle_to_json(bundle))
+        doc = json.loads(bundle_to_json(bundle, _cfg()))
         doc["format_version"] = 99
         with pytest.raises(VersionMismatch):
             bundle_from_json(json.dumps(doc))
@@ -128,7 +130,7 @@ class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         tracks = [_series(vid=f"v{i}", seed=i) for i in range(2)]
         bundles, histories = train_fleet(tracks, _cfg())
-        save_fleet(bundles, tmp_path, cfg=_cfg(), histories=histories)
+        save_fleet(bundles, tmp_path, _cfg(), histories)
         loaded = load_fleet(tmp_path)
         probe = np.random.default_rng(6).random((5, 4))
         for orig, back in zip(bundles, loaded, strict=True):
@@ -140,16 +142,16 @@ class TestPersistence:
         assert (tmp_path / "train_report.json").exists()
 
     def test_tampered_model_detected(self, tmp_path):
-        bundles, _ = train_fleet([_series()], _cfg())
-        save_fleet(bundles, tmp_path)
+        bundles, histories = train_fleet([_series()], _cfg())
+        save_fleet(bundles, tmp_path, _cfg(), histories)
         victim = tmp_path / "model_v.json"
         victim.write_text(victim.read_text().replace("0.", "1.", 1))
         with pytest.raises(ChecksumMismatch):
             load_fleet(tmp_path)
 
     def test_missing_model_file_detected(self, tmp_path):
-        bundles, _ = train_fleet([_series()], _cfg())
-        save_fleet(bundles, tmp_path)
+        bundles, histories = train_fleet([_series()], _cfg())
+        save_fleet(bundles, tmp_path, _cfg(), histories)
         (tmp_path / "model_v.json").unlink()
         with pytest.raises(MissingFile):
             load_fleet(tmp_path)
@@ -170,8 +172,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("name", ["../m1/model_v.json", "sub/model_v.json", "/tmp/model_v.json", "..", ""])
     def test_model_file_outside_directory_rejected(self, tmp_path, name):
-        bundles, _ = train_fleet([_series()], _cfg())
-        save_fleet(bundles, tmp_path / "m1")
+        bundles, histories = train_fleet([_series()], _cfg())
+        save_fleet(bundles, tmp_path / "m1", _cfg(), histories)
         manifest = json.loads((tmp_path / "m1" / "manifest.json").read_text())
         manifest["models"][0]["file"] = name
         (tmp_path / "m2").mkdir()
@@ -180,7 +182,7 @@ class TestPersistence:
             load_fleet(tmp_path / "m2")
 
     def test_manifest_with_no_models_rejected(self, tmp_path):
-        save_fleet([], tmp_path)
+        save_fleet([], tmp_path, _cfg(), {})
         with pytest.raises(BadManifest, match="lists no models"):
             load_fleet(tmp_path)
 
@@ -193,8 +195,8 @@ class TestPersistence:
         np.testing.assert_array_equal(back.view("<u8"), values.astype("<f8").view("<u8"))
 
     def test_format_version_1_rejected(self, tmp_path):
-        bundle, _ = _train_one(_series(), _cfg())
-        save_fleet([bundle], tmp_path)
+        bundle, history = _train_one(_series(), _cfg())
+        save_fleet([bundle], tmp_path, _cfg(), {"v": history})
         for name in ("manifest.json", "model_v.json"):
             doc = json.loads((tmp_path / name).read_text())
             doc["format_version"] = 1
@@ -212,15 +214,16 @@ class TestPersistence:
             lambda doc: doc["network"].update(dense_W=fleet._encode(np.zeros(17))),  # shape (2, 8)
             lambda doc: doc["network"].update(dense_b=[0.0, 0.0]),  # weights as JSON numbers
             lambda doc: doc["network"].update(layers=[]),
+            lambda doc: doc["network"].update(residual=False),  # not run as residual
             lambda doc: doc.update(period="5.0"),
             lambda doc: doc.update(last_training_window=[[0.5] * 4]),  # window 5
         ],
-        ids=["missing_key", "not_base64", "wrong_length", "not_a_string", "no_layers", "period_string",
-             "window_shape"],
+        ids=["missing_key", "not_base64", "wrong_length", "not_a_string", "no_layers", "not_residual",
+             "period_string", "window_shape"],
     )
     def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt):
-        bundles, _ = train_fleet([_series()], _cfg())
-        save_fleet(bundles, tmp_path)
+        bundles, histories = train_fleet([_series()], _cfg())
+        save_fleet(bundles, tmp_path, _cfg(), histories)
         model = tmp_path / "model_v.json"
         doc = json.loads(model.read_text())
         corrupt(doc)
@@ -293,7 +296,7 @@ class TestLockstep:
         assert [b.vessel_id for b in b1] == [b.vessel_id for b in b2] == ["v0", "v1", "v2", "v3", "v4"]
         assert h1 == h2
         for x, y in zip(b1, b2):
-            assert bundle_to_json(x) == bundle_to_json(y)
+            assert bundle_to_json(x, self._cfg()) == bundle_to_json(y, self._cfg())
 
 
 def test_vessel_seed_is_stable_and_distinct():

@@ -94,14 +94,21 @@ def test_unsplittable_line_rejected_in_both_modes():
 
 def test_object_id_pairs():
     text = "OBJECT_ID,VID\n\n7,aa\n 8 ,bb\n"
-    assert object_id_pairs(text, 2, exact=True) == [(7, "aa"), (8, "bb")]
+    assert object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True) == [(7, "aa"), (8, "bb")]
     for bad, reason in [("7", "expected 2 fields, got 1"), ("7,aa,x", "expected 2 fields, got 3"),
                         ("7.0,aa", "OBJECT_ID '7.0' is not an integer")]:
         with pytest.raises(MalformedRow) as exc:
-            object_id_pairs(text + bad + "\n", 2, exact=True)
+            object_id_pairs(text + bad + "\n", ("OBJECT_ID", "VID"), exact=True)
         assert (exc.value.line_no, exc.value.reason) == (5, reason)
     with pytest.raises(MalformedRow, match="expected at least 3 fields, got 2"):
-        object_id_pairs(text, 3, exact=False)
+        object_id_pairs("OBJECT_ID,VID,X\n7,aa\n", ("OBJECT_ID", "VID", "X"), exact=False)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "OBJECT_ID,ASSIGNED_VID\n7,aa\n", "VID,OBJECT_ID\n7,aa\n", "7,aa\n"])
+def test_object_id_pairs_header_must_match(text):
+    with pytest.raises(MalformedRow, match="header must start with OBJECT_ID,VID") as exc:
+        object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True)
+    assert exc.value.line_no == 1
 
 
 @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "NaN"])
@@ -166,13 +173,19 @@ def test_serialize_parse_round_trip(messages):
     assert parse_csv(serialize_csv(messages)) == messages
 
 
+def _is_ordered(track) -> bool:
+    """Whether a track's messages are its own and sorted by (t, object_id)."""
+    key = [(m.t, m.object_id) for m in track.messages]
+    return all(a <= b for a, b in zip(key, key[1:])) and all(m.vessel_id == track.vessel_id for m in track.messages)
+
+
 @given(st.lists(msg_strategy, max_size=50))
 def test_group_tracks_preserves_messages_and_orders(messages):
     tracks = group_tracks(messages)
     assert sum(len(t) for t in tracks) == len(messages)
     assert sorted({m.vessel_id for m in messages}) == [t.vessel_id for t in tracks]
     for t in tracks:
-        assert t.is_ordered()
+        assert _is_ordered(t)
 
 
 def _msg(oid, vid, t):

@@ -57,7 +57,7 @@ class TestForward:
         # one layer, h=1, W=U=0, b=(0, 0, ln3, 0): gates 0.5, g=ln3,
         # c = 0.5*ln3 ~ 0.549306, h = 0.5*relu(c) ~ 0.274653
         layer = LstmLayerParams(W=np.zeros((4, 1)), U=np.zeros((4, 1)), b=np.array([0.0, 0.0, np.log(3), 0.0]))
-        net = LstmNetwork(layers=[layer], dense_W=np.eye(1), dense_b=np.zeros(1), dropout_rate=0.0, residual=False)
+        net = LstmNetwork(layers=[layer], dense_W=np.eye(1), dense_b=np.zeros(1), dropout_rate=0.0)
         pred, cache = forward(net, np.array([[1.0]]))
         assert cache.layer_caches[0].c[0, 0, 0] == pytest.approx(0.5493061443, abs=1e-9)
         assert pred[0] == pytest.approx(0.2746530722, abs=1e-9)
@@ -226,12 +226,9 @@ class TestStackNetworks:
         for z, net in enumerate(nets):
             assert np.array_equal(roll[:, z], predict_sequence(net, wins[z], 30))
 
-    @pytest.mark.parametrize("residual", [True, False])
-    def test_cache_free_forward_equals_cached_over_clamped_rollout(self, residual):
+    def test_cache_free_forward_equals_cached_over_clamped_rollout(self):
         nets = [small_net(seed=s) for s in (71, 72, 73)]
         nets[1].dense_W *= 25.0  # this vessel's feedback clamps
-        for net in nets:
-            net.residual = residual
         stacked = stack_networks(nets)
         window = np.random.default_rng(74).random((3, 6, 4))
         clamped = False
@@ -278,10 +275,10 @@ class TestStackNetworks:
     def test_different_architectures_rejected(self):
         with pytest.raises(ValueError):
             stack_networks([small_net(hidden=8), small_net(hidden=4)])
-        unrolled = small_net()
-        unrolled.residual = False
+        shallow = small_net()
+        shallow.layers = shallow.layers[:1]
         with pytest.raises(ValueError):
-            stack_networks([small_net(), unrolled])
+            stack_networks([small_net(), shallow])
 
 
 def test_mse_loss_definition():

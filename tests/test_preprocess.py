@@ -77,11 +77,6 @@ def test_resample_grid_stays_within_raw_span():
     assert reg.time_of(len(reg) - 1) <= 12
 
 
-def test_max_raw_gap_reported():
-    track = _track([0, 7, 40])
-    assert resample(track, 5.0).max_raw_gap == 33.0
-
-
 @given(
     st.lists(
         st.tuples(st.integers(0, 1000), st.floats(-80, 80, allow_nan=False)),

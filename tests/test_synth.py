@@ -5,35 +5,41 @@ import pytest
 
 import _geodesic
 from aistrack.associate import haversine
-from aistrack.errors import MalformedRow
+from aistrack.config import RunConfig
+from aistrack.errors import BadConfig, MalformedRow
 from aistrack.ingest import group_tracks, parse_csv
 from aistrack.preprocess import resample
 from aistrack.synth import (
     KNOT_KM_H,
-    SynthSpec,
     VesselMotion,
     _derived_speed_course,
     default_motions,
+    fleet_motions,
     generate,
-    overlap_scenario,
     truth_from_csv,
     truth_to_csv,
 )
 
 
+def _generate(**settings):
+    """generate() for a RunConfig of `settings`, on its fleet_motions."""
+    cfg = RunConfig(**settings)
+    return generate(cfg, fleet_motions(cfg))
+
+
 def test_same_seed_byte_identical():
-    spec = SynthSpec(vessels=3, points=50, jitter_frac=0.2, noise_std_deg=1e-4, seed=9)
-    assert generate(spec) == generate(SynthSpec(vessels=3, points=50, jitter_frac=0.2, noise_std_deg=1e-4, seed=9))
+    cfg = RunConfig(vessels=3, points=50, jitter=0.2, noise=1e-4, seed=9)
+    assert generate(cfg, fleet_motions(cfg)) == _generate(vessels=3, points=50, jitter=0.2, noise=1e-4, seed=9)
 
 
 def test_different_seed_differs():
-    a, _ = generate(SynthSpec(vessels=2, points=30, seed=1))
-    b, _ = generate(SynthSpec(vessels=2, points=30, seed=2))
+    a, _ = _generate(vessels=2, points=30, jitter=0, noise=0, seed=1)
+    b, _ = _generate(vessels=2, points=30, jitter=0, noise=0, seed=2)
     assert a != b
 
 
 def test_output_parses_strict():
-    csv_text, truth = generate(SynthSpec(vessels=5, points=40, jitter_frac=0.3, noise_std_deg=1e-4, seed=3))
+    csv_text, truth = _generate(vessels=5, points=40, jitter=0.3, noise=1e-4, seed=3)
     msgs = parse_csv(csv_text)
     assert len(msgs) == 200
     assert {m.object_id for m in msgs} == set(truth)
@@ -42,7 +48,7 @@ def test_output_parses_strict():
 def test_fleet_past_26_vessels_parses_strict():
     # vessel i starts at latitude 37 + 2i only up to i = 25; later vessels
     # repeat those motions 5 degrees further east per band of 26
-    csv_text, truth = generate(SynthSpec(vessels=200, points=20, jitter_frac=0.2, noise_std_deg=1e-4, seed=6))
+    csv_text, truth = _generate(vessels=200, points=20, jitter=0.2, noise=1e-4, seed=6)
     msgs = parse_csv(csv_text)
     assert len(msgs) == 200 * 20 and len(set(truth.values())) == 200
     motions = default_motions(200)
@@ -51,14 +57,14 @@ def test_fleet_past_26_vessels_parses_strict():
 
 
 def test_truth_covers_every_object_id_once():
-    csv_text, truth = generate(SynthSpec(vessels=4, points=25, seed=4))
+    csv_text, truth = _generate(vessels=4, points=25, jitter=0, noise=0, seed=4)
     msgs = parse_csv(csv_text)
     assert sorted(truth) == [m.object_id for m in msgs]
     assert len(set(truth)) == len(msgs)
 
 
 def test_row_count_matches_paper_scale():
-    csv_text, _ = generate(SynthSpec(vessels=5, points=648, seed=5))
+    csv_text, _ = _generate(vessels=5, points=648, jitter=0, noise=0, seed=5)
     assert len(parse_csv(csv_text)) == 3240
 
 
@@ -66,8 +72,7 @@ def test_straight_track_resamples_exactly():
     # no jitter, no noise, no wobble: positions are affine in time, so linear
     # interpolation onto the 5 s grid reproduces the generating line
     motion = VesselMotion(start_lat=37.0, start_lon=23.0, course_deg=45.0, speed_knots=10.0, wave_amp_deg=0.0)
-    spec = SynthSpec(vessels=1, points=50, jitter_frac=0.0, noise_std_deg=0.0, seed=6, motions=[motion])
-    csv_text, _ = generate(spec)
+    csv_text, _ = generate(RunConfig(points=50, jitter=0.0, noise=0.0, seed=6), [motion])
     (track,) = group_tracks(parse_csv(csv_text))
     reg = resample(track, 5.0)
     theta = np.radians(45.0)
@@ -79,14 +84,14 @@ def test_straight_track_resamples_exactly():
 
 
 def test_vessel_ids_are_hex_tokens():
-    _, truth = generate(SynthSpec(vessels=3, points=10, seed=7))
+    _, truth = _generate(vessels=3, points=10, jitter=0, noise=0, seed=7)
     for vid in set(truth.values()):
         assert len(vid) == 8
         int(vid, 16)
 
 
 def test_truth_csv_round_trip():
-    _, truth = generate(SynthSpec(vessels=2, points=10, seed=8))
+    _, truth = _generate(vessels=2, points=10, jitter=0, noise=0, seed=8)
     assert truth_from_csv(truth_to_csv(truth)) == truth
 
 
@@ -114,9 +119,7 @@ def test_derived_speed_course_equals_scalar_loop():
 
 class TestOverlapScenario:
     def test_tracks_cross_near_requested_sample(self):
-        spec = SynthSpec(vessels=3, points=200, seed=10)
-        crossed = overlap_scenario(spec, (0, 1), 120)
-        csv_text, truth = generate(crossed)
+        csv_text, truth = _generate(vessels=3, points=200, jitter=0, noise=0, seed=10, crossing="0,1,120")
         msgs = parse_csv(csv_text)
         # vessel 0 emits object_id 1 first; scan its distance to every other track
         track0 = [m for m in msgs if truth[m.object_id] == truth[1]]
@@ -131,26 +134,21 @@ class TestOverlapScenario:
         assert best < 0.1
 
     def test_no_crossing_returns_spec_unchanged(self):
-        spec = SynthSpec(vessels=2, points=20, seed=11)
-        assert overlap_scenario(spec, None, 5) is spec
+        # without a crossing the motions are the default ones
+        assert fleet_motions(RunConfig(vessels=2, points=20, seed=11)) == default_motions(2)
 
     def test_self_crossing_rejected(self):
-        spec = SynthSpec(vessels=2, points=20, seed=12)
-        with pytest.raises(ValueError):
-            overlap_scenario(spec, (1, 1), 5)
+        with pytest.raises(BadConfig, match="crossing"):
+            fleet_motions(RunConfig(vessels=2, points=20, seed=12, crossing="1,1,5"))
 
     def test_crossing_indices_validated(self):
-        spec = SynthSpec(vessels=2, points=20, seed=13)
-        with pytest.raises(ValueError):
-            overlap_scenario(spec, (0, 5), 5)
+        for crossing in ("0,5,5", "0,1,20", "0,1", "0,-1,5", "a,b,c"):
+            with pytest.raises(BadConfig, match="crossing"):
+                fleet_motions(RunConfig(vessels=2, points=20, seed=13, crossing=crossing))
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        SynthSpec(vessels=0)
-    with pytest.raises(ValueError):
-        SynthSpec(points=1)
-    with pytest.raises(ValueError):
-        SynthSpec(jitter_frac=1.0)
-    with pytest.raises(ValueError):
-        SynthSpec(noise_std_deg=-1.0)
+    for bad in ({"vessels": 0}, {"points": 1}, {"jitter": 1.0}, {"noise": -1.0}):
+        (key,) = bad
+        with pytest.raises(BadConfig, match=f"{key} must be in"):
+            generate(RunConfig(**bad), default_motions(2))
