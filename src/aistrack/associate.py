@@ -6,16 +6,19 @@ circle, or declared a new track when the minimum distance exceeds tau.
 
 `associate_batch` works on arrays end to end. It sorts the vessels by
 vessel_id and computes the (N, Z) matrix of rollout steps, observation by
-vessel. It then stacks the Z vessel networks (`lstm.stack_networks`) and
-advances all Z windows together, one batched `roll_step` per step, up to the
-largest step any observation needs. A stacked matmul computes each vessel's
-slice exactly as a separate call would. Vessels whose networks or windows
-differ in shape are stacked in separate groups. The (S, Z, 2) table of
-predictions is unscaled in one expression, and each observation's Z
-predictions are gathered from it in one indexing step. One call of the array
-`haversine` gives the (N, Z) distance matrix. The decision is the argmin of
-each row, so ties go to the smallest vessel_id. The result is one
-`Decisions` record, which `decisions_to_csv` writes row by row.
+vessel. It then stacks the Z vessel networks (`lstm.stack_networks`),
+starts one rollout for the stack (`lstm.rollout_start`) and advances all Z
+vessels together, one batched `roll_step` per step, up to the largest step
+any observation needs. Each step is one cell step per LSTM layer on the m
+windows each vessel has in flight, and a stacked matmul computes each
+vessel's slice exactly as a separate call would. Vessels whose networks or
+windows differ in shape are stacked in separate groups. The (S, Z, 2) table
+of predictions is unscaled in one expression, and each observation's Z
+predictions are gathered from it in one indexing step. One call of the
+array `haversine` gives the (N, Z) distance matrix. The decision is the
+argmin of each row, so ties go to the smallest vessel_id. The result is one
+`Decisions` record, which `decisions_to_csv` writes row by row. A
+non-finite prediction is an error that names the vessel and the step.
 """
 
 from __future__ import annotations
@@ -28,9 +31,9 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import RolloutTooLong, TimeBeforeTraining
+from .errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
 from .ingest import AisMessage, format_timestamp, object_id_pairs
-from .lstm import roll_step, stack_networks
+from .lstm import roll_step, rollout_start, stack_networks
 from .preprocess import ScalerParams, unscale
 
 EARTH_RADIUS_KM = 6371.0
@@ -121,9 +124,12 @@ def _rollout_positions(bundles, steps: int) -> np.ndarray:
     scaled = np.empty((steps, len(bundles), 2))
     for members in groups.values():
         net = stack_networks([bundles[z].network for z in members])
-        window = np.stack([bundles[z].last_training_window for z in members])
-        for s in range(steps):
-            scaled[s, members], window = roll_step(net, window)
+        state = rollout_start(net, np.stack([bundles[z].last_training_window for z in members]))
+        try:
+            for s in range(steps):
+                scaled[s, members], state = roll_step(net, state)
+        except NonFiniteActivation as exc:
+            raise NonFiniteActivation(f"vessel {bundles[members[exc.row]].vessel_id}: {exc}") from None
     fleet_scaler = ScalerParams(
         min=np.stack([b.scaler.min for b in bundles]), max=np.stack([b.scaler.max for b in bundles])
     )

@@ -14,7 +14,8 @@ own, a bad --config file or value, a --data file that leaves no track to
 train, an input that is missing or not UTF-8, a missing or malformed model,
 an observation at or before a vessel's train end or more than
 `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that repeat an
-OBJECT_ID or leave a truth object undecided.
+OBJECT_ID or leave a truth object undecided, an --out that cannot be
+created or written (`train` creates its --out before it trains).
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from pathlib import Path
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
 from .config import FIELD_TYPES, RunConfig, check_ranges, config_meta, is_json_type
-from .errors import AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile
+from .errors import AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile, output_dir, write_output
 from .evaluate import confusion, metrics, write_report
-from .fleet import load_fleet, save_fleet, train_fleet
+from .fleet import load_fleet, save_fleet, train_fleet, trainable_tracks
 from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv
 from .preprocess import resample
 from .synth import fleet_motions, generate, truth_from_csv, truth_to_csv
@@ -110,10 +111,9 @@ def cmd_synth(args) -> int:
     cfg = effective_config(args)
     csv_text, truth = generate(cfg, fleet_motions(cfg))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "fleet.csv").write_text(csv_text)
-    (out / "truth.csv").write_text(truth_to_csv(truth))
-    (out / "run_config.json").write_text(json.dumps(config_meta(cfg), sort_keys=True, indent=1))
+    write_output(out / "fleet.csv", csv_text)
+    write_output(out / "truth.csv", truth_to_csv(truth))
+    write_output(out / "run_config.json", json.dumps(config_meta(cfg), sort_keys=True, indent=1))
     print(f"wrote {out / 'fleet.csv'} ({cfg.vessels} vessels, {cfg.points} points each)")
     return 0
 
@@ -150,16 +150,16 @@ def cmd_train(args) -> int:
     for t in tracks:
         if t not in kept:
             print(f"warning: vessel {t.vessel_id} has {len(t)} < {cfg.min_points} points, excluded", file=sys.stderr)
-    series_list = [resample(t, cfg.period) for t in kept]
+    series_list = trainable_tracks([resample(t, cfg.period) for t in kept], cfg)
+    out = output_dir(args.out)  # before training, so an unwritable --out fails at once
     bundles, histories = train_fleet(series_list, cfg)
-    out = Path(args.out)
     save_fleet(bundles, out, cfg, histories)
     holdout, left_out = _holdout_messages(series_list, bundles, cfg.test_len)
     if left_out:
         print(f"left {left_out} held-out samples at or before the latest train end out of holdout.csv",
               file=sys.stderr)
-    (out / "holdout.csv").write_text(serialize_csv(holdout))
-    (out / "holdout_truth.csv").write_text(truth_to_csv({m.object_id: m.vessel_id for m in holdout}))
+    write_output(out / "holdout.csv", serialize_csv(holdout))
+    write_output(out / "holdout_truth.csv", truth_to_csv({m.object_id: m.vessel_id for m in holdout}))
     print(f"trained {len(bundles)} vessel models into {out}")
     return 0
 
@@ -171,9 +171,8 @@ def cmd_associate(args) -> int:
     observations.sort(key=lambda m: (m.t, m.object_id))
     decisions = associate_batch(observations, bundles, tau=cfg.tau, radius_km=cfg.radius)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(decisions_to_csv(decisions))
-    out.with_suffix(".meta.json").write_text(json.dumps(config_meta(cfg), sort_keys=True, indent=1))
+    write_output(out, decisions_to_csv(decisions))
+    write_output(out.with_suffix(".meta.json"), json.dumps(config_meta(cfg), sort_keys=True, indent=1))
     print(f"associated {len(decisions)} observations -> {out}")
     return 0
 

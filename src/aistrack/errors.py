@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and the output writes
+that turn an OSError into IoFailure."""
+
+from pathlib import Path
 
 
 class AistrackError(Exception):
@@ -32,7 +35,12 @@ class TrackTooShort(AistrackError):
 
 
 class NonFiniteActivation(AistrackError):
-    pass
+    """A NaN or infinite network output; `row` is its index on a stacked
+    network's vessel axis, or None."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class CacheMismatch(AistrackError):
@@ -81,3 +89,30 @@ class BadConfig(AistrackError):
 
 class IncompleteDecisions(AistrackError):
     pass
+
+
+def output_dir(path) -> Path:
+    """Directory `path`, created with its parents if it does not exist;
+    IoFailure if it cannot be."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except FileExistsError as exc:  # a file of that name
+        raise IoFailure(f"cannot create directory {path}: a file is in the way") from exc
+    except OSError as exc:
+        raise IoFailure(f"cannot create directory {path}: {exc.strerror or exc}") from exc
+    return path
+
+
+def write_output(path, data: str | bytes) -> None:
+    """Write an output file, creating its directory first; IoFailure if it
+    cannot be written."""
+    path = Path(path)
+    output_dir(path.parent)
+    try:
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc

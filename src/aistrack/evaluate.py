@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoFailure, UnknownObjectId
+from .errors import UnknownObjectId, write_output
 
 
 @dataclass
@@ -123,9 +123,5 @@ def write_report(
 ) -> None:
     """Write report.json and a Figure-3b-style report.txt next to it."""
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report_dict(cm, per_vessel, meta), sort_keys=True, indent=1))
-        path.with_suffix(".txt").write_text(report_text(cm, per_vessel))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    write_output(path, json.dumps(report_dict(cm, per_vessel, meta), sort_keys=True, indent=1))
+    write_output(path.with_suffix(".txt"), report_text(cm, per_vessel))

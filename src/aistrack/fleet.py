@@ -46,7 +46,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, check_ranges, config_meta, is_json_type
-from .errors import BadManifest, BadModel, ChecksumMismatch, MissingFile, TrackTooShort, VersionMismatch
+from .errors import (
+    BadManifest,
+    BadModel,
+    ChecksumMismatch,
+    MissingFile,
+    TrackTooShort,
+    VersionMismatch,
+    output_dir,
+    write_output,
+)
 from .lstm import (
     AdamState,
     LstmLayerParams,
@@ -124,33 +133,42 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
     ]
 
 
-def train_fleet(
-    tracks: list[RegularTrack], cfg: RunConfig
-) -> tuple[list[ModelBundle], dict[str, list[float]]]:
-    """Train one model per track on its training prefix (all but the last
-    `cfg.test_len` samples), in lockstep stacks of equal training length;
-    results ordered by vessel_id. A track too short to give one window is
-    a TrackTooShort error, or skipped if `cfg.lenient`, and so is a fleet
-    with no track left to train; a setting outside its range is a
-    BadConfig."""
+def trainable_tracks(tracks: list[RegularTrack], cfg: RunConfig) -> list[RegularTrack]:
+    """The tracks `train_fleet` trains, ordered by vessel_id. A track too
+    short to give one window once its last `cfg.test_len` samples are held
+    out is a TrackTooShort error, or skipped with a warning if
+    `cfg.lenient`, and so is a fleet with no track left to train; a setting
+    outside its range is a BadConfig."""
     check_ranges(cfg)
-    by_length: dict[int, list[RegularTrack]] = {}
+    kept = []
     for series in sorted(tracks, key=lambda s: s.vessel_id):
         train_len = len(series) - cfg.test_len
-        if train_len <= cfg.window:
-            if not cfg.lenient:
-                raise TrackTooShort(
-                    f"vessel {series.vessel_id}: {len(series)} samples leave train_len {train_len}"
-                    f" <= window {cfg.window}"
-                )
+        if train_len > cfg.window:
+            kept.append(series)
+        elif not cfg.lenient:
+            raise TrackTooShort(
+                f"vessel {series.vessel_id}: {len(series)} samples leave train_len {train_len}"
+                f" <= window {cfg.window}"
+            )
+        else:
             log.warning("skipping vessel %s: track too short", series.vessel_id)
-            continue
-        by_length.setdefault(train_len, []).append(series)
-    if not by_length:
+    if not kept:
         raise TrackTooShort(
             f"no track left to train: {len(tracks)} given, none longer than test_len + window"
             f" = {cfg.test_len + cfg.window} samples"
         )
+    return kept
+
+
+def train_fleet(
+    tracks: list[RegularTrack], cfg: RunConfig
+) -> tuple[list[ModelBundle], dict[str, list[float]]]:
+    """Train one model per `trainable_tracks` track on its training prefix
+    (all but the last `cfg.test_len` samples), in lockstep stacks of equal
+    training length; results ordered by vessel_id."""
+    by_length: dict[int, list[RegularTrack]] = {}
+    for series in trainable_tracks(tracks, cfg):
+        by_length.setdefault(len(series) - cfg.test_len, []).append(series)
     per_stack = max(1, STACK_WINDOWS // cfg.batch)
     trained = {}
     for group in by_length.values():
@@ -170,7 +188,8 @@ def _encode(a: np.ndarray) -> str:
 
 
 def _decode(payload, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """A writable float64 array of `shape` back from an `_encode` string."""
+    """A writable float64 array of `shape` back from an `_encode` string,
+    every value finite."""
     if not isinstance(payload, str):
         raise BadModel(f"{key} must be a base64 string, got {type(payload).__name__}")
     try:
@@ -179,7 +198,14 @@ def _decode(payload, shape: tuple[int, ...], key: str) -> np.ndarray:
         raise BadModel(f"{key} is not base64: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
         raise BadModel(f"{key} holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}")
-    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    return _finite(np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape), key)
+
+
+def _finite(a: np.ndarray, key: str) -> np.ndarray:
+    """a, if every value is finite; BadModel naming the array if not."""
+    if not np.isfinite(a).all():
+        raise BadModel(f"{key} holds a non-finite value")
+    return a
 
 
 def _network_to_dict(net: LstmNetwork) -> dict:
@@ -214,11 +240,11 @@ def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
 
 
 def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """A float64 array of `shape` from nested lists of JSON numbers."""
+    """A float64 array of `shape` from nested lists of finite JSON numbers."""
     a = np.array(value, dtype=np.float64)
     if a.shape != shape:
         raise BadModel(f"{key} has shape {a.shape}, expected {shape}")
-    return a
+    return _finite(a, key)
 
 
 def _network_from_dict(d: dict) -> LstmNetwork:
@@ -310,20 +336,17 @@ def save_fleet(
     """Write model_<vid>.json per vessel, a checksummed manifest.json that
     echoes `cfg`, and train_report.json holding `histories`. Returns the
     manifest path."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = output_dir(directory)
     entries = []
     for bundle in sorted(bundles, key=lambda b: b.vessel_id):
         name = f"model_{bundle.vessel_id}.json"
         data = bundle_to_json(bundle, cfg).encode()
-        (directory / name).write_bytes(data)
+        write_output(directory / name, data)
         entries.append({"file": name, "vessel_id": bundle.vessel_id, "sha256": _sha256(data)})
     manifest = {"format_version": MODEL_FORMAT_VERSION, "meta": config_meta(cfg), "models": entries}
     path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    (directory / "train_report.json").write_text(
-        json.dumps({"epoch_loss": histories}, sort_keys=True, indent=1)
-    )
+    write_output(path, json.dumps(manifest, sort_keys=True, indent=1))
+    write_output(directory / "train_report.json", json.dumps({"epoch_loss": histories}, sort_keys=True, indent=1))
     return path
 
 

@@ -35,15 +35,28 @@ batches the benchmark fleets train with (10, 128 and a tail of 18): hoisting
 kept every trained weight bit and moved rollout predictions (B = 1) in
 their last bits.
 
-Only training needs the per-timestep gates and cell states that `backward`
-reads. Inference (`roll_step`) asks `forward_batch` for predictions alone,
-so the one cell loop in `_layer_forward` skips storing them and computes the
-same numbers.
+`_layer_forward` and the rollout share one cell function, `_cell`, so the
+equations above are written once.
+
+The rollout (`rollout_start`, `roll_step`) predicts recursively: each
+prediction, clamped, becomes the position of the next input row, and speed
+and course hold the window's last known values. Window s + 1 shares m - 1
+inputs with window s, so rather than rerun a whole window per prediction,
+the rollout keeps the m windows in flight as one batch, in a ring of m
+slots holding each layer's (h, c). Each step feeds the newest input to all
+of them: one cell step per layer on (..., m, h) rows, where rerunning the
+window would take m cell steps on one row each (Appleyard et al. 2016
+again). The window that has now taken m inputs gives the prediction, and
+its slot is zeroed to start the newest window. Every window still starts
+from zero state and sees the same m inputs as in `forward_batch`; only the
+grouping of rows in the matrix products differs, so predictions agree to
+a relative 1e-12, not bit for bit. A stacked rollout still computes each
+vessel's slice exactly as that vessel's own rollout would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -190,34 +203,31 @@ class ForwardCache:
     prediction: np.ndarray | None = None  # (*lead, out_dim)
 
 
-def _layer_forward(
-    layer: LstmLayerParams, x: np.ndarray, keep_cache: bool = True
-) -> tuple[np.ndarray, LayerCache | None]:
+def _cell(xw, h_prev, c_prev, U_T, b):
+    """One cell step from the input projection xw = W x, on any number of
+    rows at once: (i, f, g_pre, o, c, h), each (..., h)."""
+    h = U_T.shape[-2]
+    pre = xw + h_prev @ U_T + b
+    gates = sigmoid(pre)  # i, f and o are read from it; g is relu(g_pre)
+    i, f, o = gates[..., :h], gates[..., h : 2 * h], gates[..., 3 * h :]
+    g_pre = pre[..., 2 * h : 3 * h]
+    c = f * c_prev + i * relu(g_pre)
+    return i, f, g_pre, o, c, o * relu(c)
+
+
+def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
     *lead, m, d = x.shape
     h = layer.hidden
     # W x for all m timesteps: one GEMM over B*m rows (per vessel if stacked)
     xw = (x.reshape(*lead[:-1], -1, d) @ layer.W.mT).reshape(*lead, m, 4 * h)
     U_T, b = layer.U.mT, layer.b
-    if keep_cache:
-        i_a, f_a, gp_a, o_a, c_a = (np.empty((*lead, m, h)) for _ in range(5))
-    h_seq = np.empty((*lead, m, h))
+    i_a, f_a, gp_a, o_a, c_a, h_seq = (np.empty((*lead, m, h)) for _ in range(6))
     h_prev = np.zeros((*lead, h))
     c_prev = np.zeros((*lead, h))
     for t in range(m):
-        pre = xw[..., t, :] + h_prev @ U_T + b
-        gates = sigmoid(pre)  # i, f and o are read from it; g is relu(g_pre)
-        i_t, f_t, o_t = gates[..., :h], gates[..., h : 2 * h], gates[..., 3 * h :]
-        gp_t = pre[..., 2 * h : 3 * h]
-        g_t = relu(gp_t)
-        c_t = f_t * c_prev + i_t * g_t
-        h_t = o_t * relu(c_t)
-        if keep_cache:
-            i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
-            c_a[..., t, :] = c_t
-        h_seq[..., t, :] = h_t
-        h_prev, c_prev = h_t, c_t
-    if not keep_cache:
-        return h_seq, None
+        i_t, f_t, gp_t, o_t, c_prev, h_prev = _cell(xw[..., t, :], h_prev, c_prev, U_T, b)
+        i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
+        c_a[..., t, :], h_seq[..., t, :] = c_prev, h_prev
     return h_seq, LayerCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
 
 
@@ -234,21 +244,19 @@ def forward_batch(
     windows: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | list[np.random.Generator] | None = None,
-    keep_cache: bool = True,
-) -> tuple[np.ndarray, ForwardCache | None]:
+) -> tuple[np.ndarray, ForwardCache]:
     """Run the stack on windows of shape (B, m, k), or (Z, B, m, k) for a
     stacked network; returns (B, out_dim) or (Z, B, out_dim) predictions
-    and the cache `backward` reads, or None with keep_cache=False (the
-    same predictions, without storing the per-timestep gates and cells).
-    Train-mode dropout on a stacked network takes a list of Z generators."""
+    and the cache `backward` reads. Train-mode dropout on a stacked network
+    takes a list of Z generators."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != net.dense_W.ndim + 1 or windows.shape[-1] != net.input_dim:
         lead = "Z, " * (net.dense_W.ndim - 2)
         raise CacheMismatch(f"expected ({lead}B, m, {net.input_dim}) input, got {windows.shape}")
-    cache = ForwardCache() if keep_cache else None
+    cache = ForwardCache()
     seq = windows
     for li, layer in enumerate(net.layers):
-        out, lc = _layer_forward(layer, seq, keep_cache)
+        out, lc = _layer_forward(layer, seq)
         if li > 0:
             out = out + seq
         mask = None
@@ -258,16 +266,14 @@ def forward_batch(
             keep = 1.0 - net.dropout_rate
             mask = (_per_vessel(rng, lambda r: r.random(out.shape[-3:])) < keep) / keep
             out = out * mask
-        if cache is not None:
-            cache.layer_caches.append(lc)
-            cache.dropout_masks.append(mask)
+        cache.layer_caches.append(lc)
+        cache.dropout_masks.append(mask)
         seq = out
     pred = seq[..., -1, :] @ net.dense_W.mT + net.dense_b
     if not np.all(np.isfinite(pred)):
         raise NonFiniteActivation("non-finite prediction")
-    if cache is not None:
-        cache.final_seq = seq
-        cache.prediction = pred
+    cache.final_seq = seq
+    cache.prediction = pred
     return pred, cache
 
 
@@ -412,13 +418,84 @@ FEEDBACK_MIN = -0.5
 FEEDBACK_MAX = 1.5
 
 
-def roll_step(net: LstmNetwork, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One rollout step on a (..., m, k) window (a stacked network takes
-    (Z, m, k)): predict, then push the prediction into the window.
-    Returns (raw prediction (..., out_dim), next window). Inference keeps
-    no cache."""
-    pred, _ = forward_batch(net, window[..., None, :, :], train=False, keep_cache=False)
-    pred = pred[..., 0, :]
-    newest = np.concatenate((np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX), window[..., -1, 2:]), axis=-1)
-    next_window = np.concatenate((window[..., 1:, :], newest[..., None, :]), axis=-2)
-    return pred, next_window
+@dataclass(frozen=True)
+class Rollout:
+    """The m windows of a rollout that are in flight, in a ring of m slots.
+
+    Slot `slot` holds the window that takes its m-th input on the next step,
+    the slot after it the window one input behind, and so on around the
+    ring. Each layer keeps every slot's cell output and cell state in `h`
+    and `c`, (..., m, hidden) each. Every window takes the next input `x`
+    (..., k). `W_T` and `U_T` are contiguous copies of each layer's W.mT
+    and U.mT, against which a stacked matmul runs about 2.5x faster than
+    against the transposed view."""
+
+    W_T: list[np.ndarray]
+    U_T: list[np.ndarray]
+    h: list[np.ndarray]
+    c: list[np.ndarray]
+    x: np.ndarray
+    slot: int
+    step: int = 0  # predictions made so far
+
+
+def _tick(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Feed state.x to every window in flight: one cell step per layer on
+    all m slots. Returns the last layer's output (..., m, hidden) and each
+    layer's new h and c."""
+    seq = state.x[..., None, :]  # one input row, broadcast across the slots
+    hs, cs = [], []
+    for li, layer in enumerate(net.layers):
+        *_, c, h = _cell(seq @ state.W_T[li], state.h[li], state.c[li], state.U_T[li], layer.b)
+        seq = h + seq if li > 0 else h
+        hs.append(h)
+        cs.append(c)
+    return seq, hs, cs
+
+
+def _next(state: Rollout, hs: list[np.ndarray], cs: list[np.ndarray], x: np.ndarray, step: int) -> Rollout:
+    """The state after a tick: the slot that completed is zeroed and starts
+    the window whose first input is x, and the slot after it completes
+    next."""
+    for a in (*hs, *cs):
+        a[..., state.slot, :] = 0.0
+    return replace(state, h=hs, c=cs, x=x, slot=(state.slot + 1) % hs[0].shape[-2], step=step)
+
+
+def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
+    """The rollout of an (m, k) window, or (Z, m, k) for a stacked network,
+    before its first prediction: every window starts from zero state, and
+    the first m - 1 rows have gone through the ring."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim != net.dense_W.ndim or window.shape[-1] != net.input_dim:
+        lead = "Z, " * (net.dense_W.ndim - 2)
+        raise CacheMismatch(f"expected ({lead}m, {net.input_dim}) window, got {window.shape}")
+    *lead, m, _ = window.shape
+    state = Rollout(
+        W_T=[np.ascontiguousarray(layer.W.mT) for layer in net.layers],
+        U_T=[np.ascontiguousarray(layer.U.mT) for layer in net.layers],
+        h=[np.zeros((*lead, m, layer.hidden)) for layer in net.layers],
+        c=[np.zeros((*lead, m, layer.hidden)) for layer in net.layers],
+        x=window[..., 0, :],
+        slot=1 % m,
+    )
+    for t in range(1, m):
+        _, hs, cs = _tick(net, state)
+        state = _next(state, hs, cs, window[..., t, :], 0)
+    return state
+
+
+def roll_step(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, Rollout]:
+    """One rollout step: every window in flight takes state.x, and the one
+    that has now taken m inputs predicts the next row. Returns the raw
+    prediction (..., out_dim) and the state of the next step, whose input
+    is the clamped prediction followed by the carried speed and course."""
+    seq, hs, cs = _tick(net, state)
+    s, step = state.slot, state.step + 1
+    pred = (seq[..., s : s + 1, :] @ net.dense_W.mT + net.dense_b)[..., 0, :]
+    finite = np.isfinite(pred).all(axis=-1)
+    if not finite.all():
+        row = int(np.flatnonzero(~finite)[0]) if finite.ndim else None
+        raise NonFiniteActivation(f"non-finite prediction at rollout step {step}", row)
+    x = np.concatenate((np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX), state.x[..., 2:]), axis=-1)
+    return pred, _next(state, hs, cs, x, step)

@@ -4,6 +4,11 @@
 projection was hoisted out of it: `x_t @ W.T` is taken inside the loop, one
 timestep at a time, and each gate gets its own sigmoid. `lstm.forward_batch`
 is checked against it.
+
+`predict_sequence` is the rollout as a sliding window: one `forward_batch`
+per step on the whole latest window. `lstm.roll_step`, which keeps the m
+windows in flight and steps each layer once per prediction, is checked
+against it; `rollout` is the loop over `roll_step` that the checks run.
 """
 
 import numpy as np
@@ -65,19 +70,38 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def evaluate_loss(net, inputs: np.ndarray, targets: np.ndarray) -> float:
-    pred, _ = lstm.forward_batch(net, inputs, keep_cache=False)
+    pred, _ = lstm.forward_batch(net, inputs)
     return mse_loss(pred, targets)
 
 
-def predict_sequence(net, seed_window: np.ndarray, steps: int) -> np.ndarray:
-    """Recursive multi-step rollout in scaled units, one `lstm.roll_step` per
-    step: each clamped prediction becomes the position part of the newest
-    window row, speed and course hold the window's last known values.
-    Returns (steps, ..., 2)."""
+def predict_sequence(net, seed_window: np.ndarray, steps: int, fed: np.ndarray | None = None) -> np.ndarray:
+    """Recursive multi-step rollout in scaled units, one `forward_batch` per
+    step on the latest (..., m, k) window: each clamped prediction becomes
+    the position part of the newest window row, speed and course hold the
+    window's last known values. Returns (steps, ..., 2).
+
+    With `fed` (steps, ..., 2), step s feeds back fed[s] in place of its
+    own prediction, so prediction s is `forward_batch` on the window that
+    a rollout which predicted `fed` saw at step s."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     window = np.array(seed_window, dtype=np.float64)
     preds = np.empty((steps, *window.shape[:-2], net.out_dim))
     for s in range(steps):
-        preds[s], window = lstm.roll_step(net, window)
+        pred, _ = lstm.forward_batch(net, window[..., None, :, :])
+        preds[s] = pred[..., 0, :]
+        fed_back = np.clip(preds[s] if fed is None else fed[s], lstm.FEEDBACK_MIN, lstm.FEEDBACK_MAX)
+        newest = np.concatenate((fed_back, window[..., -1, 2:]), axis=-1)
+        window = np.concatenate((window[..., 1:, :], newest[..., None, :]), axis=-2)
     return preds
+
+
+def rollout(net, seed_window: np.ndarray, steps: int) -> np.ndarray:
+    """`steps` predictions of `lstm.roll_step` from `lstm.rollout_start` on
+    the seed window: (steps, ..., 2)."""
+    state = lstm.rollout_start(net, seed_window)
+    preds = []
+    for _ in range(steps):
+        pred, state = lstm.roll_step(net, state)
+        preds.append(pred)
+    return np.array(preds)

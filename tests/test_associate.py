@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import _geodesic
 from _geodesic import GeoPoint
-from _lstm_oracle import forward, predict_sequence
+from _lstm_oracle import forward, predict_sequence, rollout
 from aistrack import associate as assoc_module
 from aistrack.associate import (
     EARTH_RADIUS_KM,
@@ -21,7 +21,7 @@ from aistrack.associate import (
 )
 from aistrack.cli import main
 from aistrack.config import RunConfig
-from aistrack.errors import RolloutTooLong, TimeBeforeTraining
+from aistrack.errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
 from aistrack.fleet import ModelBundle, save_fleet
 from aistrack.ingest import AisMessage, serialize_csv
 from aistrack.lstm import init_network
@@ -176,8 +176,7 @@ class TestPredictPositions:
         roll = predict_sequence(b.network, b.last_training_window, 6)
         for steps in (3, 1, 6, 2, 2, 5):  # decreasing targets must not return a stale rollout
             preds = predict_positions([b], target_time=1000 + 5 * steps)
-            lat, lon = unscale(roll[steps - 1], b.scaler)
-            assert preds["v1"] == GeoPoint(lat=float(lat), lon=float(lon))
+            np.testing.assert_allclose(preds["v1"], unscale(roll[steps - 1], b.scaler), rtol=1e-12, atol=0)
 
     def test_time_before_training_rejected(self):
         with pytest.raises(TimeBeforeTraining):
@@ -257,13 +256,14 @@ def _mixed_observations(n, seed=9):
 def _oracle(observations, bundles):
     """Each vessel rolled out on its own, afresh for every observation, and
     scored by the scalar haversine: (assigned, winning distance, distance
-    per vessel_id) for each observation."""
+    per vessel_id) for each observation. A stacked rollout computes each
+    vessel's slice as its own rollout does, bit for bit."""
     decisions = []
     for obs in observations:
         distances = {}
         for b in bundles:
             steps = max(1, round((obs.t - b.train_end_time) / b.period))
-            lat, lon = unscale(predict_sequence(b.network, b.last_training_window, steps)[-1], b.scaler)
+            lat, lon = unscale(rollout(b.network, b.last_training_window, steps)[-1], b.scaler)
             point = GeoPoint(lat=float(lat), lon=float(lon))
             distances[b.vessel_id] = _geodesic.haversine(GeoPoint(obs.lat, obs.lon), point)
         best = min(distances, key=lambda vid: (distances[vid], vid))
@@ -306,12 +306,18 @@ class TestStackedRollout:
         assert main([str(a) for a in argv + ["--out", tmp_path / "d.csv"]]) == 2
 
 
+    def test_non_finite_prediction_names_vessel_and_step(self):
+        bundles = [_bundle(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))]
+        bundles[1].network.dense_b[0] = np.inf
+        with pytest.raises(NonFiniteActivation, match="^vessel bbb: non-finite prediction at rollout step 1$"):
+            associate_batch([_obs(1, 30.5, 20.5, t=1010)], bundles)
+
 class TestRolloutBound:
     def test_bound_checked_before_any_rollout(self, monkeypatch):
         b = _bundle("v1")
         monkeypatch.setattr(assoc_module, "MAX_ROLLOUT_STEPS", 3)
         rolled = []
-        monkeypatch.setattr(assoc_module, "roll_step", lambda net, w: rolled.append(1) or (np.zeros(2), w))
+        monkeypatch.setattr(assoc_module, "roll_step", lambda net, state: rolled.append(1) or (np.zeros(2), state))
         with pytest.raises(RolloutTooLong, match="v1.*bound is 3"):
             associate_batch([_obs(1, 30, 20, t=1005), _obs(2, 30, 20, t=1020)], [b])
         assert rolled == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aistrack import cli
 from aistrack.cli import build_parser, main
 from aistrack.config import RunConfig
 
@@ -281,17 +282,28 @@ def trained(tmp_path_factory):
         ("associate --models {models} --obs {binary} --out {new}/d.csv", "binary.csv"),
         ("evaluate --decisions {binary} --truth {truth} --out {new}/r.json", "binary.csv"),
         ("evaluate --decisions {decisions} --truth {binary} --out {new}/r.json", "binary.csv"),
+        # an --out under a file cannot be created
+        ("synth --out {binary}/data", "binary.csv"),
+        ("train --data {fleet} --out {binary}/models --min-points 100 --test-len 20", "binary.csv"),
+        ("associate --models {models} --obs {holdout} --out {binary}/d.csv", "binary.csv"),
+        ("evaluate --decisions {decided} --truth {truth} --out {binary}/r.json", "binary.csv"),
     ],
 )
-def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, argv, named):
+def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, monkeypatch, argv, named):
     (tmp_path / "decisions.csv").write_text("OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM\n")
     (tmp_path / "binary.csv").write_bytes(b"OBJECT_ID,VID\n1,\xff\n")  # not UTF-8
+
+    def train_fleet(*args):
+        raise AssertionError("train started training before it found the error")
+
+    monkeypatch.setattr(cli, "train_fleet", train_fleet)
     paths = {
         "fleet": trained / "data" / "fleet.csv",
         "models": trained / "models",
         "holdout": trained / "models" / "holdout.csv",
         "truth": trained / "models" / "holdout_truth.csv",
         "decisions": tmp_path / "decisions.csv",
+        "decided": trained / "decisions.csv",
         "missing": tmp_path / "missing.csv",
         "binary": tmp_path / "binary.csv",
         "new": tmp_path / "new",

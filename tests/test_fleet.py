@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 
@@ -207,21 +208,29 @@ class TestPersistence:
             load_fleet(tmp_path)
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, named",
         [
-            lambda doc: doc["network"].pop("dense_b"),  # a missing key
-            lambda doc: doc["network"]["layers"][1].update(U="not base64!"),
-            lambda doc: doc["network"].update(dense_W=fleet._encode(np.zeros(17))),  # shape (2, 8)
-            lambda doc: doc["network"].update(dense_b=[0.0, 0.0]),  # weights as JSON numbers
-            lambda doc: doc["network"].update(layers=[]),
-            lambda doc: doc["network"].update(residual=False),  # not run as residual
-            lambda doc: doc.update(period="5.0"),
-            lambda doc: doc.update(last_training_window=[[0.5] * 4]),  # window 5
+            (lambda doc: doc["network"].pop("dense_b"), "'dense_b'"),  # a missing key
+            (lambda doc: doc["network"]["layers"][1].update(U="not base64!"), "layers[1].U"),
+            (lambda doc: doc["network"].update(dense_W=fleet._encode(np.zeros(17))), "dense_W"),  # shape (2, 8)
+            (lambda doc: doc["network"].update(dense_b=[0.0, 0.0]), "dense_b"),  # weights as JSON numbers
+            (lambda doc: doc["network"].update(layers=[]), "no layers"),
+            (lambda doc: doc["network"].update(residual=False), "residual"),  # not run as residual
+            (lambda doc: doc.update(period="5.0"), "period"),
+            (lambda doc: doc.update(last_training_window=[[0.5] * 4]), "last_training_window"),  # window 5
+            # JSON NaN and Infinity, as Python writes them
+            (lambda doc: doc["network"]["layers"][1].update(U=_nan_first(doc["network"]["layers"][1]["U"])),
+             "layers[1].U holds a non-finite value"),
+            (lambda doc: doc["network"].update(dense_b=_nan_first(doc["network"]["dense_b"])),
+             "dense_b holds a non-finite value"),
+            (lambda doc: doc["scaler"]["max"].__setitem__(2, float("nan")), "scaler.max holds a non-finite value"),
+            (lambda doc: doc["last_training_window"][0].__setitem__(0, float("inf")),
+             "last_training_window holds a non-finite value"),
         ],
         ids=["missing_key", "not_base64", "wrong_length", "not_a_string", "no_layers", "not_residual",
-             "period_string", "window_shape"],
+             "period_string", "window_shape", "nan_weight", "nan_bias", "nan_scaler", "infinite_window"],
     )
-    def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt):
+    def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt, named):
         bundles, histories = train_fleet([_series()], _cfg())
         save_fleet(bundles, tmp_path, _cfg(), histories)
         model = tmp_path / "model_v.json"
@@ -231,8 +240,16 @@ class TestPersistence:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["models"][0]["sha256"] = fleet._sha256(model.read_bytes())
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BadModel, match="model_v.json"):
+        with pytest.raises(BadModel) as info:
             load_fleet(tmp_path)
+        assert str(info.value).startswith(f"{model}: ") and named in str(info.value)
+
+
+def _nan_first(payload: str) -> str:
+    """An `_encode` string with its first value replaced by NaN."""
+    values = np.frombuffer(base64.b64decode(payload), "<f8").copy()
+    values[0] = np.nan
+    return fleet._encode(values)
 
 
 def _reference_training(series, cfg):

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from _gradcheck import check_network
-from _lstm_oracle import count_params, evaluate_loss, forward, mse_loss, predict_sequence, reference_forward
+from _lstm_oracle import count_params, evaluate_loss, forward, mse_loss, predict_sequence, reference_forward, rollout
 from aistrack import lstm
-from aistrack.errors import CacheMismatch
+from aistrack.errors import CacheMismatch, NonFiniteActivation
 from aistrack.lstm import (
     AdamState,
     LstmLayerParams,
     LstmNetwork,
     forward_batch,
     init_network,
+    roll_step,
+    rollout_start,
     stack_networks,
     train_epoch,
 )
@@ -172,22 +174,22 @@ class TestPredictSequence:
     def test_single_step_equals_forward(self):
         net = small_net()
         win = np.random.default_rng(13).random((6, 4))
-        roll = predict_sequence(net, win, 1)
+        roll = rollout(net, win, 1)
         pred, _ = forward(net, win)
-        np.testing.assert_array_equal(roll[0], pred)
+        np.testing.assert_allclose(roll[0], pred, rtol=1e-12, atol=0)
 
     def test_zero_network_rolls_out_zeros(self):
-        roll = predict_sequence(zero_net(), np.random.default_rng(14).random((6, 4)), 5)
+        roll = rollout(zero_net(), np.random.default_rng(14).random((6, 4)), 5)
         np.testing.assert_array_equal(roll, np.zeros((5, 2)))
 
     def test_three_steps_match_manual_unroll(self):
         net = small_net()
         win = np.random.default_rng(15).random((6, 4))
-        roll = predict_sequence(net, win, 3)
+        roll = rollout(net, win, 3)
         window = win.copy()
         for s in range(3):
             pred, _ = forward(net, window)
-            np.testing.assert_array_equal(roll[s], pred)
+            np.testing.assert_allclose(roll[s], pred, rtol=1e-12, atol=0)
             fed_back = np.clip(pred, lstm.FEEDBACK_MIN, lstm.FEEDBACK_MAX)
             window = np.vstack((window[1:], np.concatenate((fed_back, window[-1, 2:]))))
 
@@ -196,15 +198,50 @@ class TestPredictSequence:
         # runaway feedback loop
         net = small_net(seed=21)
         net.dense_W *= 25.0
-        roll = predict_sequence(net, np.random.default_rng(22).random((6, 4)), 200)
+        roll = rollout(net, np.random.default_rng(22).random((6, 4)), 200)
         assert np.all(np.isfinite(roll))
         assert np.max(np.abs(roll)) < 1e3
 
     def test_speed_course_held_from_seed_window(self):
         net = small_net()
         win = np.random.default_rng(16).random((6, 4))
-        roll = predict_sequence(net, win, 4)
-        assert roll.shape == (4, 2)
+        state = rollout_start(net, win)
+        for _ in range(4):
+            pred, state = roll_step(net, state)
+        assert pred.shape == (2,) and state.step == 4
+        np.testing.assert_array_equal(state.x[2:], win[-1, 2:])
+
+
+def _expansive(net):
+    net.dense_W *= 25.0  # its feedback clamps
+    return net
+
+
+# (window m, horizon): horizons 1, m - 1, m, m + 1, 3m and 200
+ROLLOUT_CASES = [(m, steps) for m in (1, 2, 6) for steps in sorted({1, m - 1, m, m + 1, 3 * m, 200} - {0})]
+
+
+@pytest.mark.parametrize("m, steps", ROLLOUT_CASES)
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("clamped", [False, True])
+def test_rollout_matches_sliding_window_oracle(m, steps, stacked, clamped):
+    nets = [small_net(seed=100 + z) for z in range(3)]
+    if clamped:
+        nets = [_expansive(n) for n in nets] if not stacked else [nets[0], _expansive(nets[1]), nets[2]]
+    wins = np.random.default_rng(110 + m).random((3, m, 4))
+    net, win = (stack_networks(nets), wins) if stacked else (nets[0], wins[0])
+    roll = rollout(net, win, steps)
+    # each prediction is forward_batch on the window the rollout fed itself
+    np.testing.assert_allclose(roll, predict_sequence(net, win, steps, fed=roll), rtol=1e-12, atol=0)
+    oracle = predict_sequence(net, win, steps)
+    if clamped and steps == 200:
+        # An expansive map amplifies last-bit differences between the two
+        # free-running rollouts: the stacked ones drift apart by up to 1e-10
+        # relative over 200 steps, while every step above stays within
+        # 2e-13 of forward_batch on its own input.
+        assert ((oracle < lstm.FEEDBACK_MIN) | (oracle > lstm.FEEDBACK_MAX)).any()
+        return
+    np.testing.assert_allclose(roll, oracle, rtol=1e-12, atol=0)
 
 
 class TestStackNetworks:
@@ -221,30 +258,25 @@ class TestStackNetworks:
         nets = [small_net(seed=s) for s in (41, 42, 43)]
         nets[1].dense_W *= 25.0  # this vessel's feedback clamps, the others' do not
         wins = np.random.default_rng(44).random((3, 6, 4))
-        roll = predict_sequence(stack_networks(nets), wins, 30)
+        roll = rollout(stack_networks(nets), wins, 30)
         assert roll.shape == (30, 3, 2)
         for z, net in enumerate(nets):
-            assert np.array_equal(roll[:, z], predict_sequence(net, wins[z], 30))
+            assert np.array_equal(roll[:, z], rollout(net, wins[z], 30))
 
-    def test_cache_free_forward_equals_cached_over_clamped_rollout(self):
+    def test_non_finite_rollout_names_row_and_step(self):
         nets = [small_net(seed=s) for s in (71, 72, 73)]
-        nets[1].dense_W *= 25.0  # this vessel's feedback clamps
         stacked = stack_networks(nets)
-        window = np.random.default_rng(74).random((3, 6, 4))
-        clamped = False
-        for _ in range(30):
-            pred, cache = forward_batch(stacked, window[:, None])
-            bare, no_cache = forward_batch(stacked, window[:, None], keep_cache=False)
-            assert cache is not None and no_cache is None
-            assert np.array_equal(bare, pred)
-            for z, net in enumerate(nets):
-                own, _ = forward_batch(net, window[z][None])
-                own_bare, _ = forward_batch(net, window[z][None], keep_cache=False)
-                assert np.array_equal(own_bare, own) and np.array_equal(own_bare, pred[z])
-            clamped |= bool(((pred < lstm.FEEDBACK_MIN) | (pred > lstm.FEEDBACK_MAX)).any())
-            step_pred, window = lstm.roll_step(stacked, window)
-            assert np.array_equal(step_pred, pred[:, 0])
-        assert clamped
+        state = rollout_start(stacked, np.random.default_rng(74).random((3, 6, 4)))
+        for _ in range(4):
+            _, state = roll_step(stacked, state)
+        stacked.dense_b[1, 0, 0] = np.inf
+        with pytest.raises(NonFiniteActivation, match="rollout step 5") as info:
+            roll_step(stacked, state)
+        assert info.value.row == 1
+        nets[0].dense_b[1] = np.nan
+        with pytest.raises(NonFiniteActivation, match="rollout step 1") as info:
+            roll_step(nets[0], rollout_start(nets[0], np.zeros((6, 4))))
+        assert info.value.row is None
 
     def test_stacked_backward_equals_each_backward(self):
         nets = [small_net(seed=s, dropout=0.3) for s in (51, 52, 53)]
@@ -269,8 +301,11 @@ class TestStackNetworks:
             assert not np.shares_memory(back.layers[0].W, stacked.layers[0].W)
 
     def test_stacked_network_needs_vessel_axis(self):
+        stacked = stack_networks([small_net(), small_net(seed=2)])
         with pytest.raises(CacheMismatch):
-            forward_batch(stack_networks([small_net(), small_net(seed=2)]), np.zeros((5, 6, 4)))
+            forward_batch(stacked, np.zeros((5, 6, 4)))
+        with pytest.raises(CacheMismatch):
+            rollout_start(stacked, np.zeros((6, 4)))
 
     def test_different_architectures_rejected(self):
         with pytest.raises(ValueError):
@@ -296,22 +331,28 @@ def test_forward_batch_matches_loop():
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 10, 128])
 @pytest.mark.parametrize("stacked", [False, True])
-@pytest.mark.parametrize("keep_cache", [True, False])
-def test_forward_batch_matches_reference_loop(batch, stacked, keep_cache):
+@pytest.mark.parametrize("cached", [True, False])
+def test_forward_batch_matches_reference_loop(batch, stacked, cached):
     # the per-timestep loop takes x_t @ W.T inside the recurrence; at B = 1
     # and at GEMM tail sizes such as 2 or 7 BLAS rounds it differently from
-    # the hoisted product, so the last bits may move but no more
+    # the hoisted product, so the last bits may move but no more. The
+    # training path (cached) is forward_batch with its per-timestep cache;
+    # the inference path is the rollout's first prediction from each window.
     nets = [init_network(k=4, hidden=32, rng=np.random.default_rng(80 + z)) for z in range(3)]
     wins = np.random.default_rng(90 + batch).random((3, batch, 10, 4))
     net, x = (stack_networks(nets), wins) if stacked else (nets[0], wins[0])
-    pred, cache = forward_batch(net, x, keep_cache=keep_cache)
     ref_pred, ref_caches = reference_forward(net, x)
+    if not cached:
+        for b in range(batch):
+            pred, _ = roll_step(net, rollout_start(net, x[..., b, :, :]))
+            np.testing.assert_allclose(pred, ref_pred[..., b, :], rtol=1e-12, atol=0)
+        return
+    pred, cache = forward_batch(net, x)
     np.testing.assert_allclose(pred, ref_pred, rtol=1e-12, atol=0)
-    if keep_cache:
-        for lc, ref in zip(cache.layer_caches, ref_caches, strict=True):
-            for name in ("i", "f", "o", "c"):
-                np.testing.assert_allclose(getattr(lc, name), getattr(ref, name), rtol=1e-12, atol=0)
-            # a pre-activation is a sum that can cancel to near 0, so its
-            # error is bounded relative to the layer's scale, not per element
-            scale = np.abs(ref.g_pre).max()
-            np.testing.assert_allclose(lc.g_pre, ref.g_pre, rtol=1e-12, atol=1e-12 * scale)
+    for lc, ref in zip(cache.layer_caches, ref_caches, strict=True):
+        for name in ("i", "f", "o", "c"):
+            np.testing.assert_allclose(getattr(lc, name), getattr(ref, name), rtol=1e-12, atol=0)
+        # a pre-activation is a sum that can cancel to near 0, so its
+        # error is bounded relative to the layer's scale, not per element
+        scale = np.abs(ref.g_pre).max()
+        np.testing.assert_allclose(lc.g_pre, ref.g_pre, rtol=1e-12, atol=1e-12 * scale)
