@@ -11,8 +11,7 @@ starts one rollout for the stack (`lstm.rollout_start`) and advances all Z
 vessels together, one batched `roll_step` per step, up to the largest step
 any observation needs. Each step is one cell step per LSTM layer on the m
 windows each vessel has in flight, and a stacked matmul computes each
-vessel's slice exactly as a separate call would. Vessels whose networks or
-windows differ in shape are stacked in separate groups. The (S, Z, 2) table
+vessel's slice exactly as a separate call would. The (S, Z, 2) table
 of predictions is unscaled in one expression, and each observation's Z
 predictions are gathered from it in one indexing step. One call of the
 array `haversine` gives the (N, Z) distance matrix. The decision is the
@@ -24,7 +23,6 @@ non-finite prediction is an error that names the vessel and the step.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
@@ -116,20 +114,15 @@ def _rollout_steps(bundles, times: list[float]) -> np.ndarray:
 
 def _rollout_positions(bundles, steps: int) -> np.ndarray:
     """(steps, Z, 2) unscaled (lat, lon) of every bundle's rollout, for 1
-    through `steps` periods past its train end."""
-    groups = defaultdict(list)
-    for z, b in enumerate(bundles):
-        shapes = tuple(a.shape for a in b.network.param_arrays())
-        groups[shapes, b.last_training_window.shape].append(z)
+    through `steps` periods past its train end, run as one stack."""
+    net = stack_networks([b.network for b in bundles])
+    state = rollout_start(net, np.stack([b.last_training_window for b in bundles]))
     scaled = np.empty((steps, len(bundles), 2))
-    for members in groups.values():
-        net = stack_networks([bundles[z].network for z in members])
-        state = rollout_start(net, np.stack([bundles[z].last_training_window for z in members]))
-        try:
-            for s in range(steps):
-                scaled[s, members], state = roll_step(net, state)
-        except NonFiniteActivation as exc:
-            raise NonFiniteActivation(f"vessel {bundles[members[exc.row]].vessel_id}: {exc}") from None
+    try:
+        for s in range(steps):
+            scaled[s], state = roll_step(net, state)
+    except NonFiniteActivation as exc:
+        raise NonFiniteActivation(f"vessel {bundles[exc.row].vessel_id}: {exc}") from None
     fleet_scaler = ScalerParams(
         min=np.stack([b.scaler.min for b in bundles]), max=np.stack([b.scaler.max for b in bundles])
     )

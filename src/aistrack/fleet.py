@@ -25,12 +25,15 @@ metadata (vessel id, period, train end time, scaler, last training window,
 architecture, and the batch size, epochs, learning rate and seed it was
 trained with) in which every weight array (W, U and b of each layer,
 dense_W, dense_b) is a base64 string of its little-endian float64 bytes,
-restored bit for bit in the shape the architecture fields give. Writing the weights as JSON numbers through
-the indented encoder, which formats each float in Python, took about 40 % of
-training on a 24-vessel fleet. Format version 2; any other version is
-rejected. Every network is residual (`lstm`), so the architecture's
-"residual" is always true, and a file with any other value is rejected
-rather than run as residual.
+restored bit for bit in the shape `lstm.param_shapes(hidden)` gives. Writing
+the weights as JSON numbers through the indented encoder, which formats each
+float in Python, took about 40 % of training on a 24-vessel fleet. Format
+version 2; any other version is rejected. There is one architecture
+(`lstm`): a file's k must equal `lstm.INPUT_DIM`, its n_layers and its
+number of layers `N_LAYERS`, its out_dim `OUT_DIM`, and its "residual" must
+be true, or the file is rejected rather than run as something it is not. A
+model directory is one fleet, associated as one stack: one hidden size and
+one window across its models, and each vessel once, or it is rejected.
 """
 
 from __future__ import annotations
@@ -57,10 +60,14 @@ from .errors import (
     write_output,
 )
 from .lstm import (
+    INPUT_DIM,
+    N_LAYERS,
+    OUT_DIM,
     AdamState,
-    LstmLayerParams,
     LstmNetwork,
     init_network,
+    network_from_arrays,
+    param_shapes,
     stack_networks,
     train_epoch,
     unstack_network,
@@ -80,10 +87,13 @@ class ModelBundle:
     vessel_id: str
     network: LstmNetwork
     scaler: ScalerParams
-    window_size: int
     period: float
     last_training_window: np.ndarray  # (m, k) scaled
     train_end_time: float  # epoch seconds of the last training sample
+
+    @property
+    def window_size(self) -> int:
+        return self.last_training_window.shape[0]
 
 
 def vessel_seed(root_seed: int, vessel_id: str) -> int:
@@ -100,17 +110,7 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
     scaled = [scale(s.features[:train_len], p) for s, p in zip(stack, scalers)]
     windows = [make_windows(x, m, train_len) for x in scaled]
     rngs = [np.random.default_rng(vessel_seed(cfg.seed, s.vessel_id)) for s in stack]
-    net = stack_networks(
-        [
-            init_network(
-                k=s.features.shape[1],
-                hidden=cfg.hidden,
-                dropout_rate=cfg.dropout,
-                rng=rng,
-            )
-            for s, rng in zip(stack, rngs)
-        ]
-    )
+    net = stack_networks([init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rng=rng) for rng in rngs])
     inputs = np.stack([w.inputs for w in windows])
     targets = np.stack([w.targets for w in windows])
     del windows  # training reads only the stacked copies
@@ -122,7 +122,6 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
                 vessel_id=s.vessel_id,
                 network=unstack_network(net, z),
                 scaler=scalers[z],
-                window_size=m,
                 period=s.period,
                 last_training_window=scaled[z][train_len - m :].copy(),
                 train_end_time=s.time_of(train_len - 1),
@@ -225,7 +224,10 @@ def _network_to_dict(net: LstmNetwork) -> dict:
 # JSON type of each scalar of a model document, at the top level and in
 # "network"; an int is accepted for a float.
 MODEL_FIELDS = {"vessel_id": str, "window_size": int, "period": float, "train_end_time": float}
-NETWORK_FIELDS = {"k": int, "hidden": int, "out_dim": int, "dropout_rate": float}
+NETWORK_FIELDS = {"k": int, "hidden": int, "n_layers": int, "out_dim": int, "dropout_rate": float}
+
+# The architecture fields every model file must hold: `lstm`'s constants.
+ARCHITECTURE = {"k": INPUT_DIM, "n_layers": N_LAYERS, "out_dim": OUT_DIM, "residual": True}
 
 
 def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
@@ -249,27 +251,16 @@ def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
 
 def _network_from_dict(d: dict) -> LstmNetwork:
     _check_fields(d, NETWORK_FIELDS)
-    h = d["hidden"]
-    if d["residual"] is not True:
-        raise BadModel(f"residual {d['residual']!r}: only residual networks are supported")
-    if not d["layers"]:
-        raise BadModel("network has no layers")
-    layers = []
-    for li, ld in enumerate(d["layers"]):
-        d_in = d["k"] if li == 0 else h
-        layers.append(
-            LstmLayerParams(
-                W=_decode(ld["W"], (4 * h, d_in), f"layers[{li}].W"),
-                U=_decode(ld["U"], (4 * h, h), f"layers[{li}].U"),
-                b=_decode(ld["b"], (4 * h,), f"layers[{li}].b"),
-            )
-        )
-    return LstmNetwork(
-        layers=layers,
-        dense_W=_decode(d["dense_W"], (d["out_dim"], h), "dense_W"),
-        dense_b=_decode(d["dense_b"], (d["out_dim"],), "dense_b"),
-        dropout_rate=d["dropout_rate"],
-    )
+    for key, value in ARCHITECTURE.items():
+        if not is_json_type(d[key], type(value)) or d[key] != value:
+            raise BadModel(f"{key} {d[key]!r}: only networks with {key} {value!r} are supported")
+    if len(d["layers"]) != N_LAYERS:
+        raise BadModel(f"network has {len(d['layers']) or 'no'} layers, expected {N_LAYERS}")
+    names = [f"layers[{li}].{p}" for li in range(N_LAYERS) for p in ("W", "U", "b")] + ["dense_W", "dense_b"]
+    payloads = [ld[p] for ld in d["layers"] for p in ("W", "U", "b")] + [d["dense_W"], d["dense_b"]]
+    shapes = param_shapes(d["hidden"])
+    arrays = [_decode(*args) for args in zip(payloads, shapes, names, strict=True)]
+    return network_from_arrays(arrays, d["dropout_rate"])
 
 
 def bundle_to_json(bundle: ModelBundle, cfg: RunConfig) -> str:
@@ -305,18 +296,17 @@ def bundle_from_json(text: str) -> ModelBundle:
         raise VersionMismatch(f"model format {doc.get('format_version')}, expected {MODEL_FORMAT_VERSION}")
     try:
         _check_fields(doc, MODEL_FIELDS)
-        network = _network_from_dict(doc["network"])
-        k, m = network.input_dim, doc["window_size"]
         return ModelBundle(
             vessel_id=doc["vessel_id"],
-            network=network,
+            network=_network_from_dict(doc["network"]),
             scaler=ScalerParams(
-                min=_numbers(doc["scaler"]["min"], (k,), "scaler.min"),
-                max=_numbers(doc["scaler"]["max"], (k,), "scaler.max"),
+                min=_numbers(doc["scaler"]["min"], (INPUT_DIM,), "scaler.min"),
+                max=_numbers(doc["scaler"]["max"], (INPUT_DIM,), "scaler.max"),
             ),
-            window_size=m,
             period=doc["period"],
-            last_training_window=_numbers(doc["last_training_window"], (m, k), "last_training_window"),
+            last_training_window=_numbers(
+                doc["last_training_window"], (doc["window_size"], INPUT_DIM), "last_training_window"
+            ),
             train_end_time=doc["train_end_time"],
         )
     except (KeyError, TypeError, ValueError) as exc:  # a key missing, or a container of the wrong kind
@@ -352,7 +342,8 @@ def save_fleet(
 
 def load_fleet(directory: str | Path) -> list[ModelBundle]:
     """Read a model directory back, verifying checksums. The manifest must
-    list at least one model, each by a bare file name in the directory."""
+    list at least one model, each by a bare file name in the directory, each
+    vessel once, and all of one hidden size and one window."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -381,4 +372,11 @@ def load_fleet(directory: str | Path) -> list[ModelBundle]:
             bundles.append(bundle_from_json(data.decode()))
         except (BadModel, UnicodeDecodeError) as exc:
             raise BadModel(f"{path}: {exc}") from exc
+    vids = sorted(b.vessel_id for b in bundles)
+    repeated = [a for a, b in zip(vids, vids[1:]) if a == b]
+    if repeated:
+        raise BadManifest(f"{manifest_path} lists vessel {repeated[0]} more than once")
+    sizes = sorted({(b.network.hidden, b.window_size) for b in bundles})
+    if len(sizes) > 1:
+        raise BadManifest(f"{manifest_path} mixes (hidden size, window) {sizes[0]} and {sizes[1]}: a fleet has one")
     return bundles

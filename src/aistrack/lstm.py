@@ -8,11 +8,19 @@ Cell recurrence (per layer, gate order i, f, g, o):
     c       = f * c_prev + i * g
     h       = o * relu(c)
 
-The stack is three layers (hidden size 32 by default). Every layer after the
-first adds its input to its output (an identity residual connection, as in
-the paper's stack), followed in train mode by inverted dropout, and a dense
-head reads the last timestep. All math is float64
-so the finite-difference gradient check is tight.
+The architecture is defined here once: `N_LAYERS` = 3 layers (hidden size 32
+by default) on `INPUT_DIM` = 4 inputs (lat, lon, speed, course), and a dense
+head of `OUT_DIM` = 2 outputs (lat, lon) that reads the last timestep. Every
+layer after the first adds its input to its output (an identity residual
+connection, as in the paper's stack), followed in train mode by inverted
+dropout. `param_shapes(hidden)` gives the parameter shapes in
+`param_arrays()` order, and `network_from_arrays` builds a network from
+arrays in that order; `init_network`, `stack_networks`, `unstack_network`
+and the model file reader (`fleet`) all go through them, so only the hidden
+size varies between networks. A fleet is one stack: `fleet.load_fleet`
+rejects a model directory that mixes hidden sizes or windows, or lists a
+vessel twice. All math is float64 so the finite-difference gradient check
+is tight.
 
 All forward/backward internals are batched over windows; batch size 1
 recovers the single-window contract. Everything also takes a leading vessel
@@ -118,8 +126,27 @@ class LstmNetwork:
         return arrays
 
 
+# The one architecture: three layers, on (lat, lon, speed, course) inputs,
+# with a dense (lat, lon) head. Model files must declare exactly these.
+N_LAYERS = 3
+INPUT_DIM = 4
+OUT_DIM = 2
+
+
+def param_shapes(hidden: int) -> list[tuple[int, ...]]:
+    """The shape of each parameter array, in `param_arrays()` order."""
+    layers = [[(4 * hidden, d_in), (4 * hidden, hidden), (4 * hidden,)] for d_in in (INPUT_DIM, hidden, hidden)]
+    return [shape for layer in layers for shape in layer] + [(OUT_DIM, hidden), (OUT_DIM,)]
+
+
+def network_from_arrays(arrays: list[np.ndarray], dropout_rate: float) -> LstmNetwork:
+    """The network whose `param_arrays()` are `arrays`."""
+    *layer_arrays, dense_W, dense_b = arrays
+    layers = [LstmLayerParams(*layer_arrays[i : i + 3]) for i in range(0, len(layer_arrays), 3)]
+    return LstmNetwork(layers=layers, dense_W=dense_W, dense_b=dense_b, dropout_rate=dropout_rate)
+
+
 def init_network(
-    k: int = 4,
     hidden: int = 32,
     dropout_rate: float = 0.2,
     rng: np.random.Generator | None = None,
@@ -127,62 +154,31 @@ def init_network(
     """The paper's three residual layers and (lat, lon) head: Glorot-uniform
     weights, zero biases except forget gate bias = 1."""
     rng = rng or np.random.default_rng(0)
-    layers = []
-    for li in range(3):
-        d_in = k if li == 0 else hidden
-        lim_w = np.sqrt(6.0 / (d_in + 4 * hidden))
-        lim_u = np.sqrt(6.0 / (hidden + 4 * hidden))
-        b = np.zeros(4 * hidden)
-        b[hidden : 2 * hidden] = 1.0  # forget gate
-        layers.append(
-            LstmLayerParams(
-                W=rng.uniform(-lim_w, lim_w, size=(4 * hidden, d_in)),
-                U=rng.uniform(-lim_u, lim_u, size=(4 * hidden, hidden)),
-                b=b,
-            )
-        )
-    out_dim = 2  # (lat, lon)
-    lim_d = np.sqrt(6.0 / (hidden + out_dim))
-    return LstmNetwork(
-        layers=layers,
-        dense_W=rng.uniform(-lim_d, lim_d, size=(out_dim, hidden)),
-        dense_b=np.zeros(out_dim),
-        dropout_rate=dropout_rate,
-    )
+    arrays = []
+    for shape in param_shapes(hidden):
+        lim = np.sqrt(6.0 / sum(shape))
+        arrays.append(rng.uniform(-lim, lim, size=shape) if len(shape) == 2 else np.zeros(shape))
+    net = network_from_arrays(arrays, dropout_rate)
+    for layer in net.layers:
+        layer.b[hidden : 2 * hidden] = 1.0  # forget gate
+    return net
 
 
 def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
     """Stack same-shaped networks along a leading vessel axis: W (Z, 4h, d),
     U (Z, 4h, h), b (Z, 1, 4h), dense_W (Z, out, h), dense_b (Z, 1, out).
     forward_batch, backward and train_epoch on the result take (Z, B, m, k)
-    windows; `unstack_network` takes one vessel's network back out."""
-    first = nets[0]
-    if any(len(n.layers) != len(first.layers) for n in nets):
-        raise ValueError("cannot stack networks of different architectures")
-    layers = [
-        LstmLayerParams(
-            W=np.stack([n.layers[li].W for n in nets]),
-            U=np.stack([n.layers[li].U for n in nets]),
-            b=np.stack([n.layers[li].b for n in nets])[:, None, :],
-        )
-        for li in range(len(first.layers))
-    ]
-    return LstmNetwork(
-        layers=layers,
-        dense_W=np.stack([n.dense_W for n in nets]),
-        dense_b=np.stack([n.dense_b for n in nets])[:, None, :],
-        dropout_rate=first.dropout_rate,
-    )
+    windows; `unstack_network` takes one vessel's network back out. Networks
+    of different shapes or layer counts are a ValueError."""
+    params = zip(*(n.param_arrays() for n in nets), strict=True)
+    return network_from_arrays([np.stack([np.atleast_2d(a) for a in p]) for p in params], nets[0].dropout_rate)
 
 
 def unstack_network(stacked: LstmNetwork, z: int) -> LstmNetwork:
     """Copy vessel z's network out of a `stack_networks` result."""
-    return LstmNetwork(
-        layers=[LstmLayerParams(W=l.W[z].copy(), U=l.U[z].copy(), b=l.b[z, 0].copy()) for l in stacked.layers],
-        dense_W=stacked.dense_W[z].copy(),
-        dense_b=stacked.dense_b[z, 0].copy(),
-        dropout_rate=stacked.dropout_rate,
-    )
+    shapes = param_shapes(stacked.hidden)
+    arrays = [a[z].reshape(shape).copy() for a, shape in zip(stacked.param_arrays(), shapes, strict=True)]
+    return network_from_arrays(arrays, stacked.dropout_rate)
 
 
 @dataclass

@@ -37,7 +37,7 @@ def report(capsys):
 def test_gradient_fidelity(report):
     start = time.time()
     rng = np.random.default_rng(20240301)
-    net = init_network(k=4, hidden=32, rng=rng)
+    net = init_network(hidden=32, rng=rng)
     total = 0
     worst = 0.0
     for _ in range(5):
@@ -115,7 +115,7 @@ def test_preprocessing_oracle(report):
 
 def test_overfit_sanity(report):
     rng = np.random.default_rng(3)
-    net = init_network(k=4, hidden=32, dropout_rate=0.0, rng=rng)
+    net = init_network(hidden=32, dropout_rate=0.0, rng=rng)
     inputs = rng.random((1, 10, 4))
     targets = rng.random((1, 2))
     opt = AdamState.for_network(net, 1e-2)

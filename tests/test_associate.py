@@ -21,8 +21,8 @@ from aistrack.associate import (
 )
 from aistrack.cli import main
 from aistrack.config import RunConfig
-from aistrack.errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
-from aistrack.fleet import ModelBundle, save_fleet
+from aistrack.errors import BadManifest, NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
+from aistrack.fleet import ModelBundle, load_fleet, save_fleet
 from aistrack.ingest import AisMessage, serialize_csv
 from aistrack.lstm import init_network
 from aistrack.preprocess import ScalerParams, unscale
@@ -129,7 +129,7 @@ class TestAssociate:
 def _bundle(
     vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0, hidden=8, window=10
 ):
-    net = init_network(k=4, hidden=hidden, dropout_rate=0.0, rng=np.random.default_rng(seed))
+    net = init_network(hidden=hidden, dropout_rate=0.0, rng=np.random.default_rng(seed))
     scaler = ScalerParams(
         min=np.array([lat_range[0], lon_range[0], 0.0, 0.0]),
         max=np.array([lat_range[1], lon_range[1], 10.0, 3600.0]),
@@ -139,7 +139,6 @@ def _bundle(
         vessel_id=vid,
         network=net,
         scaler=scaler,
-        window_size=window,
         period=period,
         last_training_window=last_window,
         train_end_time=train_end,
@@ -276,8 +275,8 @@ class TestStackedRollout:
         _bundle("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21), train_end=1000, period=5.0),
         _bundle("bbb", seed=2, lat_range=(30.2, 31.2), lon_range=(20.1, 21.1), train_end=1013, period=7.0),
         _bundle("ccc", seed=3, lat_range=(29.9, 30.9), lon_range=(19.8, 20.8), train_end=990, period=3.0),
-        _bundle("ddd", seed=4, lat_range=(30.1, 31.1), lon_range=(20.2, 21.2), hidden=4),  # own stack
-        _bundle("eee", seed=5, lat_range=(30.0, 30.8), lon_range=(20.0, 20.9), window=6),  # own stack
+        _bundle("ddd", seed=4, lat_range=(30.1, 31.1), lon_range=(20.2, 21.2)),
+        _bundle("eee", seed=5, lat_range=(30.0, 30.8), lon_range=(20.0, 20.9)),
     ]
 
     def test_matches_per_vessel_oracle(self):
@@ -305,6 +304,28 @@ class TestStackedRollout:
         argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv"]
         assert main([str(a) for a in argv + ["--out", tmp_path / "d.csv"]]) == 2
 
+    def test_whole_fleet_rolls_out_as_one_stack(self, monkeypatch):
+        calls = []
+        for name in ("stack_networks", "rollout_start"):
+            fn = getattr(assoc_module, name)
+            monkeypatch.setattr(assoc_module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        associate_batch(_mixed_observations(10), self.BUNDLES)
+        assert calls == ["stack_networks", "rollout_start"]
+
+    @pytest.mark.parametrize("odd", [{"hidden": 4}, {"window": 6}], ids=["hidden", "window"])
+    def test_mixed_fleet_is_cli_data_error(self, tmp_path, capsys, odd):
+        bundles = [*self.BUNDLES[:2], _bundle("fff", seed=6, **odd)]
+        save_fleet(bundles, tmp_path / "models", RunConfig(), {})
+        with pytest.raises(BadManifest, match="mixes \\(hidden size, window\\)"):
+            load_fleet(tmp_path / "models")
+        (tmp_path / "obs.csv").write_text(serialize_csv([_obs(1, 30.5, 20.5, t=1020)]))
+        argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv", "--out", tmp_path / "d.csv"]
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path / "models" / "manifest.json") in err
+        assert not (tmp_path / "d.csv").exists()
 
     def test_non_finite_prediction_names_vessel_and_step(self):
         bundles = [_bundle(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))]

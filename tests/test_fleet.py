@@ -112,6 +112,22 @@ class TestTrainFleet:
         assert bundle.train_end_time == series.time_of(49)
 
 
+def _out_dim_3(doc):
+    """A three-output head, with weights of that shape."""
+    net = doc["network"]
+    net.update(out_dim=3, dense_W=fleet._encode(np.zeros((3, net["hidden"]))), dense_b=fleet._encode(np.zeros(3)))
+
+
+def _k_1(doc):
+    """One input feature, with a first layer, scaler and window of that
+    shape."""
+    net = doc["network"]
+    net.update(k=1)
+    net["layers"][0]["W"] = fleet._encode(np.zeros((4 * net["hidden"], 1)))
+    doc["scaler"] = {key: values[:1] for key, values in doc["scaler"].items()}
+    doc["last_training_window"] = [row[:1] for row in doc["last_training_window"]]
+
+
 class TestPersistence:
     def test_bundle_json_round_trip_predictions(self):
         bundle, _ = _train_one(_series(), _cfg())
@@ -187,6 +203,15 @@ class TestPersistence:
         with pytest.raises(BadManifest, match="lists no models"):
             load_fleet(tmp_path)
 
+    def test_vessel_listed_twice_rejected(self, tmp_path):
+        bundles, histories = train_fleet([_series(vid=f"v{i}", seed=i) for i in range(2)], _cfg())
+        save_fleet(bundles, tmp_path, _cfg(), histories)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["models"].append(manifest["models"][0])
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadManifest, match="lists vessel v0 more than once"):
+            load_fleet(tmp_path)
+
     def test_weights_round_trip_bit_for_bit(self):
         # signed zero, the smallest subnormal, the largest float, a negative
         # subnormal, in big-endian input order
@@ -226,9 +251,13 @@ class TestPersistence:
             (lambda doc: doc["scaler"]["max"].__setitem__(2, float("nan")), "scaler.max holds a non-finite value"),
             (lambda doc: doc["last_training_window"][0].__setitem__(0, float("inf")),
              "last_training_window holds a non-finite value"),
+            (_out_dim_3, "out_dim 3"),
+            (_k_1, "k 1"),
+            (lambda doc: doc["network"]["layers"].pop(), "network has 2 layers"),  # under "n_layers": 3
         ],
         ids=["missing_key", "not_base64", "wrong_length", "not_a_string", "no_layers", "not_residual",
-             "period_string", "window_shape", "nan_weight", "nan_bias", "nan_scaler", "infinite_window"],
+             "period_string", "window_shape", "nan_weight", "nan_bias", "nan_scaler", "infinite_window",
+             "out_dim_3", "k_1", "two_layers"],
     )
     def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt, named):
         bundles, histories = train_fleet([_series()], _cfg())
@@ -259,7 +288,7 @@ def _reference_training(series, cfg):
     scaled = scale(series.features[:train_len], fit_scaler(series, train_len))
     windows = make_windows(scaled, cfg.window, train_len)
     rng = np.random.default_rng(vessel_seed(cfg.seed, series.vessel_id))
-    net = init_network(k=4, hidden=cfg.hidden, dropout_rate=cfg.dropout, rng=rng)
+    net = init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rng=rng)
     opt = AdamState.for_network(net, cfg.lr)
     history = []
     for _ in range(cfg.epochs):

@@ -19,7 +19,7 @@ from aistrack.lstm import (
 
 
 def small_net(seed=1, hidden=8, dropout=0.0):
-    return init_network(k=4, hidden=hidden, dropout_rate=dropout, rng=np.random.default_rng(seed))
+    return init_network(hidden=hidden, dropout_rate=dropout, rng=np.random.default_rng(seed))
 
 
 def zero_net(**kwargs):
@@ -36,7 +36,7 @@ class TestCountParams:
         assert count_params(5, 32) == 4864
 
     def test_matches_stored_scalars(self):
-        net = init_network(k=4, hidden=32, rng=np.random.default_rng(0))
+        net = init_network(hidden=32, rng=np.random.default_rng(0))
         for li, layer in enumerate(net.layers):
             d_in = 4 if li == 0 else 32
             stored = layer.W.size + layer.U.size + layer.b.size
@@ -87,7 +87,7 @@ class TestBackward:
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(7)
-        net = init_network(k=4, hidden=8, rng=rng)
+        net = init_network(hidden=8, rng=rng)
         win = rng.random((1, 6, 4))
         tgt = rng.random((1, 2))
         checked, worst = check_network(net, win, tgt, rng, coords_per_array=10)
@@ -163,7 +163,7 @@ class TestTrainEpoch:
         m = 10
         inputs = np.stack([feats[i : i + m] for i in range(len(feats) - m)])
         targets = feats[m:, :2]
-        net = init_network(k=4, hidden=16, dropout_rate=0.0, rng=np.random.default_rng(12))
+        net = init_network(hidden=16, dropout_rate=0.0, rng=np.random.default_rng(12))
         opt = AdamState.for_network(net, 1e-3)
         rng = np.random.default_rng(0)
         losses = [train_epoch(net, inputs, targets, 10, rng, opt) for _ in range(100)]
@@ -338,7 +338,7 @@ def test_forward_batch_matches_reference_loop(batch, stacked, cached):
     # the hoisted product, so the last bits may move but no more. The
     # training path (cached) is forward_batch with its per-timestep cache;
     # the inference path is the rollout's first prediction from each window.
-    nets = [init_network(k=4, hidden=32, rng=np.random.default_rng(80 + z)) for z in range(3)]
+    nets = [init_network(hidden=32, rng=np.random.default_rng(80 + z)) for z in range(3)]
     wins = np.random.default_rng(90 + batch).random((3, batch, 10, 4))
     net, x = (stack_networks(nets), wins) if stacked else (nets[0], wins[0])
     ref_pred, ref_caches = reference_forward(net, x)
