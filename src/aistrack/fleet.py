@@ -342,15 +342,16 @@ def save_fleet(
 
 def load_fleet(directory: str | Path) -> list[ModelBundle]:
     """Read a model directory back, verifying checksums. The manifest must
-    list at least one model, each by a bare file name in the directory, each
-    vessel once, and all of one hidden size and one window."""
+    list at least one model, each by a bare file name in the directory under
+    the vessel id its file holds, each vessel once, and all of one hidden
+    size and one window."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise MissingFile(str(manifest_path))
     try:
         manifest = json.loads(manifest_path.read_text())
-        files = [(entry["file"], entry["sha256"]) for entry in manifest["models"]]
+        files = [(entry["file"], entry["sha256"], entry["vessel_id"]) for entry in manifest["models"]]
     except (ValueError, TypeError, KeyError) as exc:  # not JSON or UTF-8, or not the manifest layout
         raise BadManifest(f"{manifest_path} is not a model manifest: {exc!r}") from exc
     if manifest.get("format_version") != MODEL_FORMAT_VERSION:
@@ -359,7 +360,7 @@ def load_fleet(directory: str | Path) -> list[ModelBundle]:
     if not files:
         raise BadManifest(f"{manifest_path} lists no models")
     bundles = []
-    for name, sha256 in files:
+    for name, sha256, vessel_id in files:
         if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
             raise BadManifest(f"{manifest_path}: model file {name!r} is not a file name in {directory}")
         path = directory / name
@@ -372,6 +373,9 @@ def load_fleet(directory: str | Path) -> list[ModelBundle]:
             bundles.append(bundle_from_json(data.decode()))
         except (BadModel, UnicodeDecodeError) as exc:
             raise BadModel(f"{path}: {exc}") from exc
+        held = bundles[-1].vessel_id
+        if held != vessel_id:
+            raise BadManifest(f"{manifest_path} lists {name} as vessel {vessel_id!r}, but it holds vessel {held!r}")
     vids = sorted(b.vessel_id for b in bundles)
     repeated = [a for a, b in zip(vids, vids[1:]) if a == b]
     if repeated:

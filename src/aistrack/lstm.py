@@ -26,25 +26,38 @@ All forward/backward internals are batched over windows; batch size 1
 recovers the single-window contract. Everything also takes a leading vessel
 axis: `stack_networks` gives every parameter one, and `forward_batch`,
 `backward`, `AdamState.step` and `train_epoch` then run Z vessel models on
-(Z, B, m, k) windows with batched matmuls (`x[..., t, :]`, `.mT`,
-`sum(axis=-2)`). Each vessel's slice goes through the same BLAS call and
-the same elementwise operations in the same order as an unstacked call, so a
-stack trains bit for bit as Z separate networks would; in train mode each
-vessel draws its shuffles and dropout masks from its own generator.
+(Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`, `sum(axis=-2)`).
+Each vessel's slice goes through the same BLAS call and the same elementwise
+operations in the same order as an unstacked call, so a stack trains bit for
+bit as Z separate networks would; in train mode each vessel draws its
+shuffles and dropout masks from its own generator.
 
-`_layer_forward` computes `W x` for all m timesteps before the recurrence,
-as one GEMM over the B*m rows of the layer input (Appleyard et al. 2016,
-arXiv:1604.01946). The cell loop then does only `h_prev @ U`, the adds in
-the order `(W x + U h_prev) + b`, one sigmoid over the whole pre-activation
-and the elementwise cell. BLAS may round one product over B*m rows apart
-from m products over B rows. It does at B = 1, where each timestep was a
-matrix-vector call, and at GEMM tail sizes such as 2 or 7, but not at the
-batches the benchmark fleets train with (10, 128 and a tail of 18): hoisting
-kept every trained weight bit and moved rollout predictions (B = 1) in
-their last bits.
+The interface is batch-major, but training runs time-major (Appleyard et
+al. 2016, arXiv:1604.01946): `forward_batch` moves the windows to
+(m, *lead, k) once, where *lead is (B,) or (Z, B), so every timestep's rows
+are one contiguous slice `x[t]`. Each layer allocates its `LayerCache`
+before its time loop: `gates` (m, *lead, 4h) holds the gates i, f and o and, in
+the g slot, the candidate's pre-activation g_pre; `c` and `h` (m, *lead, h)
+hold the cell state and output. `_layer_forward` takes `W x` for all m
+timesteps before the recurrence, in one call into `gates`, and each cell step
+then adds `U h_prev` and `b` in place in the order `(W x + U h_prev) + b`,
+takes one sigmoid over the whole slice and writes c and h into their
+slices: nothing is copied into the cache afterwards. The products run
+against contiguous copies of `W.mT` and `U.mT`, as the rollout's do. The
+backward pass reads h_prev from `h`, takes the three sigmoid derivatives as
+one product over the 4h columns before the candidate's, and takes no input
+gradient for layer 0. The dropout masks are drawn batch-major, in the shape
+and order of each generator's draws before, and moved to time-major.
 
-`_layer_forward` and the rollout share one cell function, `_cell`, so the
-equations above are written once.
+None of this changed an operation or its order, and the elementwise
+operations kept their bits. Only the matrix products may round apart, as
+BLAS groups them differently: `W x` is one product of B rows per timestep,
+where the batch-major path took one over all B*m rows, and the weights are
+contiguous copies, not transposed views. BLAS rounds apart at 8 rows or
+fewer (at B = 1, where a product is a matrix-vector call, and at GEMM tail
+sizes such as 2 or 7), but not from 10 rows on: the batches the benchmark
+fleets train with (10, 128 and a tail of 18) keep every trained weight bit,
+and smaller ones agree to a relative 1e-12.
 
 The rollout (`rollout_start`, `roll_step`) predicts recursively: each
 prediction, clamped, becomes the position of the next input row, and speed
@@ -71,8 +84,12 @@ import numpy as np
 from .errors import CacheMismatch, NonFiniteActivation
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x, out=None):
+    """1 / (1 + exp(-x)), computed in `out` when given (which may be x)."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def relu(x):
@@ -183,48 +200,55 @@ def unstack_network(stacked: LstmNetwork, z: int) -> LstmNetwork:
 
 @dataclass
 class LayerCache:
-    x: np.ndarray  # (*lead, m, d_in) layer input sequence
-    i: np.ndarray  # gate activations, each (*lead, m, h)
-    f: np.ndarray
-    g_pre: np.ndarray  # candidate pre-activation; the candidate is relu(g_pre)
-    o: np.ndarray
-    c: np.ndarray
+    """One layer's forward pass, time-major: index t is timestep t, and each
+    timestep's rows are contiguous."""
+
+    x: np.ndarray  # (m, *lead, d_in) layer input
+    gates: np.ndarray  # (m, *lead, 4h) i, f, g_pre and o: g's slot holds the candidate's pre-activation
+    c: np.ndarray  # (m, *lead, h) cell state
+    h: np.ndarray  # (m, *lead, h) cell output
 
 
 @dataclass
 class ForwardCache:
     layer_caches: list[LayerCache] = field(default_factory=list)
-    dropout_masks: list[np.ndarray | None] = field(default_factory=list)
-    final_seq: np.ndarray | None = None  # (*lead, m, h) after last block
+    dropout_masks: list[np.ndarray | None] = field(default_factory=list)  # (m, *lead, h)
+    final_seq: np.ndarray | None = None  # (m, *lead, h) after last block
     prediction: np.ndarray | None = None  # (*lead, out_dim)
 
 
-def _cell(xw, h_prev, c_prev, U_T, b):
+def _cell(xw, h_prev, c_prev, U_T, b, gates, c, h):
     """One cell step from the input projection xw = W x, on any number of
-    rows at once: (i, f, g_pre, o, c, h), each (..., h)."""
-    h = U_T.shape[-2]
-    pre = xw + h_prev @ U_T + b
-    gates = sigmoid(pre)  # i, f and o are read from it; g is relu(g_pre)
-    i, f, o = gates[..., :h], gates[..., h : 2 * h], gates[..., 3 * h :]
-    g_pre = pre[..., 2 * h : 3 * h]
-    c = f * c_prev + i * relu(g_pre)
-    return i, f, g_pre, o, c, o * relu(c)
+    rows at once, written into the caller's arrays: gates (..., 4h) takes i,
+    f, g_pre and o, c and h (..., h) the cell state and output. xw may be
+    gates itself."""
+    n = U_T.shape[-2]
+    np.add(xw, h_prev @ U_T, out=gates)
+    gates += b
+    g = gates[..., 2 * n : 3 * n].copy()
+    sigmoid(gates, out=gates)  # i, f and o are read from it; the g slot gets g_pre back
+    gates[..., 2 * n : 3 * n] = g
+    np.maximum(g, 0.0, out=g)
+    g *= gates[..., :n]
+    np.multiply(gates[..., n : 2 * n], c_prev, out=c)
+    c += g
+    np.maximum(c, 0.0, out=h)
+    h *= gates[..., 3 * n :]
 
 
-def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, LayerCache]:
-    *lead, m, d = x.shape
-    h = layer.hidden
-    # W x for all m timesteps: one GEMM over B*m rows (per vessel if stacked)
-    xw = (x.reshape(*lead[:-1], -1, d) @ layer.W.mT).reshape(*lead, m, 4 * h)
-    U_T, b = layer.U.mT, layer.b
-    i_a, f_a, gp_a, o_a, c_a, h_seq = (np.empty((*lead, m, h)) for _ in range(6))
-    h_prev = np.zeros((*lead, h))
-    c_prev = np.zeros((*lead, h))
-    for t in range(m):
-        i_t, f_t, gp_t, o_t, c_prev, h_prev = _cell(xw[..., t, :], h_prev, c_prev, U_T, b)
-        i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
-        c_a[..., t, :], h_seq[..., t, :] = c_prev, h_prev
-    return h_seq, LayerCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
+def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> LayerCache:
+    """The layer on a time-major (m, *lead, d_in) input sequence."""
+    m, *lead, _ = x.shape
+    n = layer.hidden
+    gates = np.empty((m, *lead, 4 * n))
+    c = np.empty((m, *lead, n))
+    h = np.empty((m, *lead, n))
+    np.matmul(x, np.ascontiguousarray(layer.W.mT), out=gates)  # W x for all m timesteps
+    U_T = np.ascontiguousarray(layer.U.mT)
+    zeros = np.zeros((*lead, n))
+    for t in range(m):  # gates[t] holds W x until its cell step overwrites it
+        _cell(gates[t], h[t - 1] if t else zeros, c[t - 1] if t else zeros, U_T, layer.b, gates[t], c[t], h[t])
+    return LayerCache(x=x, gates=gates, c=c, h=h)
 
 
 def _per_vessel(rng: np.random.Generator | list[np.random.Generator], draw) -> np.ndarray:
@@ -250,22 +274,25 @@ def forward_batch(
         lead = "Z, " * (net.dense_W.ndim - 2)
         raise CacheMismatch(f"expected ({lead}B, m, {net.input_dim}) input, got {windows.shape}")
     cache = ForwardCache()
-    seq = windows
+    seq = np.ascontiguousarray(np.moveaxis(windows, -2, 0))  # (m, *lead, k)
     for li, layer in enumerate(net.layers):
-        out, lc = _layer_forward(layer, seq)
+        lc = _layer_forward(layer, seq)
+        out = lc.h
+        mask = None
         if li > 0:
             out = out + seq
-        mask = None
-        if li > 0 and train and net.dropout_rate > 0:
-            if rng is None:
-                raise ValueError("train-mode forward with dropout needs an rng")
-            keep = 1.0 - net.dropout_rate
-            mask = (_per_vessel(rng, lambda r: r.random(out.shape[-3:])) < keep) / keep
-            out = out * mask
+            if train and net.dropout_rate > 0:
+                if rng is None:
+                    raise ValueError("train-mode forward with dropout needs an rng")
+                # drawn batch-major, (B, m, h) per vessel, then moved to time-major
+                m, B, n = out.shape[0], out.shape[-2], out.shape[-1]
+                keep = 1.0 - net.dropout_rate
+                mask = np.moveaxis((_per_vessel(rng, lambda r: r.random((B, m, n))) < keep) / keep, -2, 0)
+                out *= mask
         cache.layer_caches.append(lc)
         cache.dropout_masks.append(mask)
         seq = out
-    pred = seq[..., -1, :] @ net.dense_W.mT + net.dense_b
+    pred = seq[-1] @ net.dense_W.mT + net.dense_b
     if not np.all(np.isfinite(pred)):
         raise NonFiniteActivation("non-finite prediction")
     cache.final_seq = seq
@@ -274,42 +301,41 @@ def forward_batch(
 
 
 def _layer_backward(
-    layer: LstmLayerParams, lc: LayerCache, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT through one layer. d_out is dL/d(h_seq), shape (*lead, B, m, h).
-    Returns (dX, dW, dU, db). ReLU derivative is 0 at the kink."""
-    *lead, m, h = d_out.shape
+    layer: LstmLayerParams, lc: LayerCache, d_out: np.ndarray, input_grad: bool
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """BPTT through one layer. d_out is dL/d(h), time-major (m, *lead, h) as
+    in the cache. Returns (dX, dW, dU, db); dX, dL/d(x) as (m, *lead, d_in),
+    is None unless input_grad. ReLU derivative is 0 at the kink."""
+    m, *lead, n = d_out.shape
     dW = np.zeros_like(layer.W)
     dU = np.zeros_like(layer.U)
     db = np.zeros_like(layer.b)
-    dX = np.empty_like(lc.x)
-    zeros = np.zeros((*lead, h))
+    dX = np.empty_like(lc.x) if input_grad else None
+    dact = np.empty((*lead, 4 * n))  # dL/d(i, f, relu(g_pre), o)
+    dpre = np.empty((*lead, 4 * n))
+    zeros = np.zeros((*lead, n))
     dh_next = zeros
     dc_next = zeros
     for t in range(m - 1, -1, -1):
-        i_t, f_t, o_t, c_t = lc.i[..., t, :], lc.f[..., t, :], lc.o[..., t, :], lc.c[..., t, :]
-        gp_t = lc.g_pre[..., t, :]
-        c_prev = lc.c[..., t - 1, :] if t > 0 else zeros
-        h_prev = lc.o[..., t - 1, :] * relu(c_prev) if t > 0 else zeros
-        dh = d_out[..., t, :] + dh_next
-        do = dh * relu(c_t)
+        a_t, c_t = lc.gates[t], lc.c[t]
+        i_t, f_t, gp_t, o_t = a_t[..., :n], a_t[..., n : 2 * n], a_t[..., 2 * n : 3 * n], a_t[..., 3 * n :]
+        c_prev = lc.c[t - 1] if t > 0 else zeros
+        h_prev = lc.h[t - 1] if t > 0 else zeros
+        dh = d_out[t] + dh_next
+        np.multiply(dh, relu(c_t), out=dact[..., 3 * n :])
         dc = dc_next + dh * o_t * (c_t > 0)
-        dg = dc * i_t
-        di = dc * relu(gp_t)
-        df = dc * c_prev
-        dpre = np.concatenate(
-            (
-                di * i_t * (1 - i_t),
-                df * f_t * (1 - f_t),
-                dg * (gp_t > 0),
-                do * o_t * (1 - o_t),
-            ),
-            axis=-1,
-        )
-        dW += dpre.mT @ lc.x[..., t, :]
+        np.multiply(dc, relu(gp_t), out=dact[..., :n])
+        np.multiply(dc, c_prev, out=dact[..., n : 2 * n])
+        np.multiply(dc, i_t, out=dact[..., 2 * n : 3 * n])
+        # sigmoid' = s (1 - s) on all four slots at once, then relu' on g's
+        np.multiply(dact, a_t, out=dpre)
+        dpre *= 1 - a_t
+        np.multiply(dact[..., 2 * n : 3 * n], gp_t > 0, out=dpre[..., 2 * n : 3 * n])
+        dW += dpre.mT @ lc.x[t]
         dU += dpre.mT @ h_prev
         db += dpre.sum(axis=-2).reshape(db.shape)
-        dX[..., t, :] = dpre @ layer.W
+        if input_grad:
+            np.matmul(dpre, layer.W, out=dX[t])
         dh_next = dpre @ layer.U
         dc_next = dc * f_t
     return dX, dW, dU, db
@@ -326,18 +352,19 @@ def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list
     B = pred.shape[-2]
     # loss = mean over batch and output dims of (pred - target)^2
     d_pred = 2.0 * (pred - targets) / (B * net.out_dim)
-    d_dense_W = d_pred.mT @ cache.final_seq[..., -1, :]
+    d_dense_W = d_pred.mT @ cache.final_seq[-1]
     d_dense_b = d_pred.sum(axis=-2).reshape(net.dense_b.shape)
     d_seq = np.zeros_like(cache.final_seq)
-    d_seq[..., -1, :] = d_pred @ net.dense_W
+    d_seq[-1] = d_pred @ net.dense_W
     grads: list[np.ndarray] = []
     for li in range(len(net.layers) - 1, -1, -1):
         mask = cache.dropout_masks[li]
         if mask is not None:
-            d_seq = d_seq * mask
-        dX, dW, dU, db = _layer_backward(net.layers[li], cache.layer_caches[li], d_seq)
+            d_seq *= mask
+        # layer 0's input is the windows, which need no gradient
+        dX, dW, dU, db = _layer_backward(net.layers[li], cache.layer_caches[li], d_seq, input_grad=li > 0)
         if li > 0:
-            dX = dX + d_seq
+            dX += d_seq
         grads[:0] = [dW, dU, db]
         d_seq = dX
     return grads + [d_dense_W, d_dense_b]
@@ -442,7 +469,10 @@ def _tick(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, list[np.ndarray
     seq = state.x[..., None, :]  # one input row, broadcast across the slots
     hs, cs = [], []
     for li, layer in enumerate(net.layers):
-        *_, c, h = _cell(seq @ state.W_T[li], state.h[li], state.c[li], state.U_T[li], layer.b)
+        h_prev, c_prev = state.h[li], state.c[li]
+        gates = np.empty((*h_prev.shape[:-1], 4 * layer.hidden))
+        h, c = np.empty_like(h_prev), np.empty_like(c_prev)
+        _cell(seq @ state.W_T[li], h_prev, c_prev, state.U_T[li], layer.b, gates, c, h)
         seq = h + seq if li > 0 else h
         hs.append(h)
         cs.append(c)

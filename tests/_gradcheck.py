@@ -9,12 +9,12 @@ cannot cross its kink under a small perturbation and needs no exclusion.
 
 import numpy as np
 
-from _lstm_oracle import mse_loss
+from _lstm_oracle import batch_major, mse_loss
 from aistrack import lstm
 
 
 def _g_pre_signs(cache):
-    return np.concatenate([np.sign(lc.g_pre).ravel() for lc in cache.layer_caches])
+    return np.concatenate([np.sign(batch_major(lc).g_pre).ravel() for lc in cache.layer_caches])
 
 
 def numeric_grad_at(net, win, tgt, array_idx, flat_idx, eps=1e-5):

@@ -1,9 +1,16 @@
-"""LSTM helpers that only the tests use, and the per-timestep reference loop.
+"""LSTM helpers that only the tests use, and the oracles `lstm` is checked
+against.
 
 `reference_layer_forward` is the cell loop as it was before the input
 projection was hoisted out of it: `x_t @ W.T` is taken inside the loop, one
 timestep at a time, and each gate gets its own sigmoid. `lstm.forward_batch`
 is checked against it.
+
+`before_forward_batch` and `before_backward` are the training path as it was
+before its caches went time-major: batch-major (*lead, m, .) caches, one
+fresh array per operation, and products against the `.mT` views of the
+weights. The time-major path must give the same bits at the batch sizes the
+fleets train with, and agree to a relative 1e-12 at the others.
 
 `predict_sequence` is the rollout as a sliding window: one `forward_batch`
 per step on the whole latest window. `lstm.roll_step`, which keeps the m
@@ -11,12 +18,40 @@ windows in flight and steps each layer once per prediction, is checked
 against it; `rollout` is the loop over `roll_step` that the checks run.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from aistrack import lstm
 
 
-def reference_layer_forward(layer: lstm.LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, lstm.LayerCache]:
+@dataclass
+class BatchMajorCache:
+    """One layer's cache in the batch-major layout: (*lead, m, .) arrays."""
+
+    x: np.ndarray
+    i: np.ndarray
+    f: np.ndarray
+    g_pre: np.ndarray
+    o: np.ndarray
+    c: np.ndarray
+
+
+def batch_major(lc: lstm.LayerCache) -> BatchMajorCache:
+    """Batch-major views of a time-major `lstm.LayerCache`."""
+    h = lc.c.shape[-1]
+    a = np.moveaxis(lc.gates, 0, -2)
+    return BatchMajorCache(
+        x=np.moveaxis(lc.x, 0, -2),
+        i=a[..., :h],
+        f=a[..., h : 2 * h],
+        g_pre=a[..., 2 * h : 3 * h],
+        o=a[..., 3 * h :],
+        c=np.moveaxis(lc.c, 0, -2),
+    )
+
+
+def reference_layer_forward(layer: lstm.LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, BatchMajorCache]:
     *lead, m, _ = x.shape
     h = layer.hidden
     i_a, f_a, gp_a, o_a, c_a = (np.empty((*lead, m, h)) for _ in range(5))
@@ -36,10 +71,10 @@ def reference_layer_forward(layer: lstm.LstmLayerParams, x: np.ndarray) -> tuple
         c_a[..., t, :] = c_t
         h_seq[..., t, :] = h_t
         h_prev, c_prev = h_t, c_t
-    return h_seq, lstm.LayerCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
+    return h_seq, BatchMajorCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
 
 
-def reference_forward(net: lstm.LstmNetwork, windows: np.ndarray) -> tuple[np.ndarray, list[lstm.LayerCache]]:
+def reference_forward(net: lstm.LstmNetwork, windows: np.ndarray) -> tuple[np.ndarray, list[BatchMajorCache]]:
     """Inference-mode `forward_batch` built on `reference_layer_forward`:
     the predictions and each layer's cache."""
     seq = np.asarray(windows, dtype=np.float64)
@@ -51,6 +86,119 @@ def reference_forward(net: lstm.LstmNetwork, windows: np.ndarray) -> tuple[np.nd
         caches.append(lc)
         seq = out
     return seq[..., -1, :] @ net.dense_W.mT + net.dense_b, caches
+
+
+def _before_cell(xw, h_prev, c_prev, U_T, b):
+    h = U_T.shape[-2]
+    pre = xw + h_prev @ U_T + b
+    gates = lstm.sigmoid(pre)
+    i, f, o = gates[..., :h], gates[..., h : 2 * h], gates[..., 3 * h :]
+    g_pre = pre[..., 2 * h : 3 * h]
+    c = f * c_prev + i * lstm.relu(g_pre)
+    return i, f, g_pre, o, c, o * lstm.relu(c)
+
+
+def _before_layer_forward(layer: lstm.LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, BatchMajorCache]:
+    *lead, m, d = x.shape
+    h = layer.hidden
+    xw = (x.reshape(*lead[:-1], -1, d) @ layer.W.mT).reshape(*lead, m, 4 * h)
+    U_T, b = layer.U.mT, layer.b
+    i_a, f_a, gp_a, o_a, c_a, h_seq = (np.empty((*lead, m, h)) for _ in range(6))
+    h_prev = np.zeros((*lead, h))
+    c_prev = np.zeros((*lead, h))
+    for t in range(m):
+        i_t, f_t, gp_t, o_t, c_prev, h_prev = _before_cell(xw[..., t, :], h_prev, c_prev, U_T, b)
+        i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
+        c_a[..., t, :], h_seq[..., t, :] = c_prev, h_prev
+    return h_seq, BatchMajorCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
+
+
+@dataclass
+class BeforeCache:
+    layer_caches: list[BatchMajorCache] = field(default_factory=list)
+    dropout_masks: list[np.ndarray | None] = field(default_factory=list)
+    final_seq: np.ndarray | None = None
+    prediction: np.ndarray | None = None
+
+
+def before_forward_batch(net, windows, train=False, rng=None):
+    """`lstm.forward_batch` on batch-major caches; same arguments."""
+    windows = np.asarray(windows, dtype=np.float64)
+    cache = BeforeCache()
+    seq = windows
+    for li, layer in enumerate(net.layers):
+        out, lc = _before_layer_forward(layer, seq)
+        if li > 0:
+            out = out + seq
+        mask = None
+        if li > 0 and train and net.dropout_rate > 0:
+            keep = 1.0 - net.dropout_rate
+            mask = (lstm._per_vessel(rng, lambda r: r.random(out.shape[-3:])) < keep) / keep
+            out = out * mask
+        cache.layer_caches.append(lc)
+        cache.dropout_masks.append(mask)
+        seq = out
+    pred = seq[..., -1, :] @ net.dense_W.mT + net.dense_b
+    cache.final_seq = seq
+    cache.prediction = pred
+    return pred, cache
+
+
+def _before_layer_backward(layer: lstm.LstmLayerParams, lc: BatchMajorCache, d_out: np.ndarray):
+    *lead, m, h = d_out.shape
+    dW = np.zeros_like(layer.W)
+    dU = np.zeros_like(layer.U)
+    db = np.zeros_like(layer.b)
+    dX = np.empty_like(lc.x)
+    zeros = np.zeros((*lead, h))
+    dh_next = zeros
+    dc_next = zeros
+    relu = lstm.relu
+    for t in range(m - 1, -1, -1):
+        i_t, f_t, o_t, c_t = lc.i[..., t, :], lc.f[..., t, :], lc.o[..., t, :], lc.c[..., t, :]
+        gp_t = lc.g_pre[..., t, :]
+        c_prev = lc.c[..., t - 1, :] if t > 0 else zeros
+        h_prev = lc.o[..., t - 1, :] * relu(c_prev) if t > 0 else zeros
+        dh = d_out[..., t, :] + dh_next
+        do = dh * relu(c_t)
+        dc = dc_next + dh * o_t * (c_t > 0)
+        dg = dc * i_t
+        di = dc * relu(gp_t)
+        df = dc * c_prev
+        dpre = np.concatenate(
+            (di * i_t * (1 - i_t), df * f_t * (1 - f_t), dg * (gp_t > 0), do * o_t * (1 - o_t)),
+            axis=-1,
+        )
+        dW += dpre.mT @ lc.x[..., t, :]
+        dU += dpre.mT @ h_prev
+        db += dpre.sum(axis=-2).reshape(db.shape)
+        dX[..., t, :] = dpre @ layer.W
+        dh_next = dpre @ layer.U
+        dc_next = dc * f_t
+    return dX, dW, dU, db
+
+
+def before_backward(net, cache: BeforeCache, targets):
+    """`lstm.backward` on a `before_forward_batch` cache."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    pred = cache.prediction
+    B = pred.shape[-2]
+    d_pred = 2.0 * (pred - targets) / (B * net.out_dim)
+    d_dense_W = d_pred.mT @ cache.final_seq[..., -1, :]
+    d_dense_b = d_pred.sum(axis=-2).reshape(net.dense_b.shape)
+    d_seq = np.zeros_like(cache.final_seq)
+    d_seq[..., -1, :] = d_pred @ net.dense_W
+    grads = []
+    for li in range(len(net.layers) - 1, -1, -1):
+        mask = cache.dropout_masks[li]
+        if mask is not None:
+            d_seq = d_seq * mask
+        dX, dW, dU, db = _before_layer_backward(net.layers[li], cache.layer_caches[li], d_seq)
+        if li > 0:
+            dX = dX + d_seq
+        grads[:0] = [dW, dU, db]
+        d_seq = dX
+    return grads + [d_dense_W, d_dense_b]
 
 
 def count_params(d_in: int, h: int) -> int:

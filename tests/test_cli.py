@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import shutil
 from collections import Counter
 
 import pytest
@@ -408,6 +409,20 @@ def test_repeated_truth_object_id_is_data_error(trained, tmp_path, capsys):
     assert rc == 2 and err.count("\n") == 1
     assert err == f"error: {truth}: line {len(truth_lines) + 1}: duplicate OBJECT_ID {oid} (first on line 2)\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_manifest_vessel_other_than_model_file_is_data_error(trained, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    manifest = json.loads((models / "manifest.json").read_text())
+    manifest["models"][0]["vessel_id"] = "nonsense"
+    (models / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert str(models / "manifest.json") in err and "'nonsense'" in err
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -212,6 +212,15 @@ class TestPersistence:
         with pytest.raises(BadManifest, match="lists vessel v0 more than once"):
             load_fleet(tmp_path)
 
+    def test_vessel_id_other_than_model_file_rejected(self, tmp_path):
+        bundles, histories = train_fleet([_series(vid=f"v{i}", seed=i) for i in range(2)], _cfg())
+        save_fleet(bundles, tmp_path, _cfg(), histories)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["models"][1]["vessel_id"] = "nonsense"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadManifest, match="lists model_v1.json as vessel 'nonsense', but it holds vessel 'v1'"):
+            load_fleet(tmp_path)
+
     def test_weights_round_trip_bit_for_bit(self):
         # signed zero, the smallest subnormal, the largest float, a negative
         # subnormal, in big-endian input order

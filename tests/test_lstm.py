@@ -2,7 +2,18 @@ import numpy as np
 import pytest
 
 from _gradcheck import check_network
-from _lstm_oracle import count_params, evaluate_loss, forward, mse_loss, predict_sequence, reference_forward, rollout
+from _lstm_oracle import (
+    batch_major,
+    before_backward,
+    before_forward_batch,
+    count_params,
+    evaluate_loss,
+    forward,
+    mse_loss,
+    predict_sequence,
+    reference_forward,
+    rollout,
+)
 from aistrack import lstm
 from aistrack.errors import CacheMismatch, NonFiniteActivation
 from aistrack.lstm import (
@@ -11,6 +22,7 @@ from aistrack.lstm import (
     LstmNetwork,
     forward_batch,
     init_network,
+    network_from_arrays,
     roll_step,
     rollout_start,
     stack_networks,
@@ -349,10 +361,62 @@ def test_forward_batch_matches_reference_loop(batch, stacked, cached):
         return
     pred, cache = forward_batch(net, x)
     np.testing.assert_allclose(pred, ref_pred, rtol=1e-12, atol=0)
-    for lc, ref in zip(cache.layer_caches, ref_caches, strict=True):
+    for lc, ref in zip(map(batch_major, cache.layer_caches), ref_caches, strict=True):
         for name in ("i", "f", "o", "c"):
             np.testing.assert_allclose(getattr(lc, name), getattr(ref, name), rtol=1e-12, atol=0)
         # a pre-activation is a sum that can cancel to near 0, so its
         # error is bounded relative to the layer's scale, not per element
         scale = np.abs(ref.g_pre).max()
         np.testing.assert_allclose(lc.g_pre, ref.g_pre, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 10, 18, 64, 128])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_training_path_matches_batch_major_oracle(batch, stacked, monkeypatch):
+    # The time-major caches keep every operation and its order. Only the
+    # matrix products may round apart (W x per timestep in place of one
+    # product over B*m rows, contiguous copies of W.mT and U.mT in place of
+    # the views), and BLAS does so at 8 rows or fewer; from 10 rows on, the
+    # training path must keep every bit. Below that, an element that is a
+    # sum which cancels to near 0 (a gradient, a pre-activation) is bounded
+    # relative to its array's scale.
+    if batch > 8:
+        same = np.testing.assert_array_equal
+    else:
+        def same(actual, desired):
+            np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.abs(desired).max())
+
+    nets = [init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(60 + z)) for z in range(3)]
+    data = np.random.default_rng(70 + batch)
+    wins, tgts = data.random((3, 2 * batch, 10, 4)), data.random((3, 2 * batch, 2))
+    net, x, y = (stack_networks(nets), wins, tgts) if stacked else (nets[0], wins[0], tgts[0])
+
+    def rngs(seed):
+        return [np.random.default_rng(seed + z) for z in range(3)] if stacked else np.random.default_rng(seed)
+
+    xb, yb = x[..., :batch, :, :], y[..., :batch, :]
+    same(forward_batch(net, xb)[0], before_forward_batch(net, xb)[0])
+    pred, cache = forward_batch(net, xb, train=True, rng=rngs(5))
+    ref_pred, ref_cache = before_forward_batch(net, xb, train=True, rng=rngs(5))
+    same(pred, ref_pred)
+    grads = lstm.backward(net, cache, yb)
+    ref_grads = before_backward(net, ref_cache, yb)
+    assert len(grads) == len(ref_grads) == 11
+    for g, ref in zip(grads, ref_grads, strict=True):
+        same(g, ref)
+
+    def two_epochs(oracle):
+        trained = network_from_arrays([a.copy() for a in net.param_arrays()], net.dropout_rate)
+        opt, rng = AdamState.for_network(trained, 1e-3), rngs(9)
+        with monkeypatch.context() as patch:
+            if oracle:
+                patch.setattr(lstm, "forward_batch", before_forward_batch)
+                patch.setattr(lstm, "backward", before_backward)
+            losses = [train_epoch(trained, x, y, batch, rng, opt) for _ in range(2)]
+        return trained, np.array(losses)
+
+    trained, losses = two_epochs(oracle=False)
+    ref_trained, ref_losses = two_epochs(oracle=True)
+    same(losses, ref_losses)
+    for p, ref in zip(trained.param_arrays(), ref_trained.param_arrays(), strict=True):
+        same(p, ref)
