@@ -6,7 +6,10 @@ Cell recurrence (per layer, gate order i, f, g, o):
     i, f, o = sigmoid(pre)   (their slices)
     g       = relu(pre)      (its slice)
     c       = f * c_prev + i * g
-    h       = o * relu(c)
+    h       = o * c
+
+The cell state is never negative (sigmoid gates, ReLU candidate), so h
+needs no relu of its own.
 
 The architecture is defined here once: `N_LAYERS` = 3 layers (hidden size 32
 by default) on `INPUT_DIM` = 4 inputs (lat, lon, speed, course), and a dense
@@ -36,28 +39,30 @@ The interface is batch-major, but training runs time-major (Appleyard et
 al. 2016, arXiv:1604.01946): `forward_batch` moves the windows to
 (m, *lead, k) once, where *lead is (B,) or (Z, B), so every timestep's rows
 are one contiguous slice `x[t]`. Each layer allocates its `LayerCache`
-before its time loop: `gates` (m, *lead, 4h) holds the gates i, f and o and, in
-the g slot, the candidate's pre-activation g_pre; `c` and `h` (m, *lead, h)
-hold the cell state and output. `_layer_forward` takes `W x` for all m
-timesteps before the recurrence, in one call into `gates`, and each cell step
-then adds `U h_prev` and `b` in place in the order `(W x + U h_prev) + b`,
-takes one sigmoid over the whole slice and writes c and h into their
-slices: nothing is copied into the cache afterwards. The products run
-against contiguous copies of `W.mT` and `U.mT`, as the rollout's do. The
-backward pass reads h_prev from `h`, takes the three sigmoid derivatives as
-one product over the 4h columns before the candidate's, and takes no input
-gradient for layer 0. The dropout masks are drawn batch-major, in the shape
-and order of each generator's draws before, and moved to time-major.
+before its time loop: `gates` (m, *lead, 4h) holds i, f, g = relu(g_pre)
+and o, and `c` and `h` (m, *lead, h) the cell state and output.
+`_layer_forward` takes `W x` for all m timesteps before the recurrence, in
+one call into `gates`, and each cell step then adds `U h_prev` and `b` in
+place in the order `(W x + U h_prev) + b`, takes one sigmoid over the whole
+slice and writes c and h into their slices: nothing is copied into the
+cache afterwards. The products run against `_cell_weights`: contiguous
+copies of `W.mT` and `U.mT`, and `b` broadcast to a step's rows, each with
+the i, f and o columns negated, so that the sigmoid needs no negation pass.
+The rollout multiplies by the same copies. The dropout masks are drawn
+batch-major, in the shape and order of each generator's draws, and moved to
+time-major.
 
-None of this changed an operation or its order, and the elementwise
-operations kept their bits. Only the matrix products may round apart, as
-BLAS groups them differently: `W x` is one product of B rows per timestep,
-where the batch-major path took one over all B*m rows, and the weights are
-contiguous copies, not transposed views. BLAS rounds apart at 8 rows or
-fewer (at B = 1, where a product is a matrix-vector call, and at GEMM tail
-sizes such as 2 or 7), but not from 10 rows on: the batches the benchmark
-fleets train with (10, 128 and a tail of 18) keep every trained weight bit,
-and smaller ones agree to a relative 1e-12.
+The backward pass walks the steps back and keeps only what the recurrence
+needs in its loop: each step writes dL/d(pre) over its spent gates and
+takes `dL/d(pre) @ U` for the step before. After the loop, each layer's
+dW, dU, db and input gradient (none for layer 0) are one product or sum
+over all m*B rows per vessel, where a per-step product would have only B
+rows. The sums behind those gradients are grouped differently from a sum
+of m per-step products, so the trained weights differ from the per-step
+form's in their last bits, and the gradients agree with it to a relative
+1e-12 (`tests/_lstm_oracle.py` keeps that form). The forward gives that
+form's bits from 10 rows per step on; at 8 rows or fewer BLAS groups its
+products differently, and it too agrees to a relative 1e-12.
 
 The rollout (`rollout_start`, `roll_step`) predicts recursively: each
 prediction, clamped, becomes the position of the next input row, and speed
@@ -82,18 +87,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import CacheMismatch, NonFiniteActivation
-
-
-def sigmoid(x, out=None):
-    """1 / (1 + exp(-x)), computed in `out` when given (which may be x)."""
-    out = np.negative(x, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
-
-
-def relu(x):
-    return np.maximum(x, 0.0)
 
 
 @dataclass
@@ -204,7 +197,7 @@ class LayerCache:
     timestep's rows are contiguous."""
 
     x: np.ndarray  # (m, *lead, d_in) layer input
-    gates: np.ndarray  # (m, *lead, 4h) i, f, g_pre and o: g's slot holds the candidate's pre-activation
+    gates: np.ndarray  # (m, *lead, 4h) i, f, g = relu(g_pre) and o; `backward` overwrites it
     c: np.ndarray  # (m, *lead, h) cell state
     h: np.ndarray  # (m, *lead, h) cell output
 
@@ -217,23 +210,41 @@ class ForwardCache:
     prediction: np.ndarray | None = None  # (*lead, out_dim)
 
 
+def _cell_weights(layer: LstmLayerParams, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `_cell` multiplies by: contiguous copies of W.mT and U.mT, and b
+    broadcast to the (..., 4h) `rows` shape of one cell step, each with its
+    i, f and o columns negated. The products then give -pre in those
+    columns, and each sigmoid is 1 / (1 + exp(-pre)) without a negation
+    pass; negation is exact, so the bits are those of negating pre."""
+    n = layer.hidden
+    signs = np.full(4 * n, -1.0)
+    signs[2 * n : 3 * n] = 1.0
+    W_T = np.ascontiguousarray(layer.W.mT)
+    W_T *= signs
+    U_T = np.ascontiguousarray(layer.U.mT)
+    U_T *= signs
+    return W_T, U_T, np.multiply(layer.b, signs, out=np.empty(rows))
+
+
 def _cell(xw, h_prev, c_prev, U_T, b, gates, c, h):
     """One cell step from the input projection xw = W x, on any number of
     rows at once, written into the caller's arrays: gates (..., 4h) takes i,
-    f, g_pre and o, c and h (..., h) the cell state and output. xw may be
-    gates itself."""
+    f, g = relu(g_pre) and o, c and h (..., h) the cell state and output. xw
+    may be gates itself. U_T, b and the product behind xw are
+    `_cell_weights`'. The cell state is never negative (c = f c_prev + i g
+    with every factor >= 0), so h = o c needs no relu."""
     n = U_T.shape[-2]
     np.add(xw, h_prev @ U_T, out=gates)
     gates += b
-    g = gates[..., 2 * n : 3 * n].copy()
-    sigmoid(gates, out=gates)  # i, f and o are read from it; the g slot gets g_pre back
+    g = np.maximum(gates[..., 2 * n : 3 * n], 0.0)
+    np.exp(gates, out=gates)  # i, f and o hold exp(-pre); g's slot is rewritten below
+    gates += 1.0
+    np.divide(1.0, gates, out=gates)
     gates[..., 2 * n : 3 * n] = g
-    np.maximum(g, 0.0, out=g)
     g *= gates[..., :n]
     np.multiply(gates[..., n : 2 * n], c_prev, out=c)
     c += g
-    np.maximum(c, 0.0, out=h)
-    h *= gates[..., 3 * n :]
+    np.multiply(gates[..., 3 * n :], c, out=h)
 
 
 def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> LayerCache:
@@ -243,11 +254,11 @@ def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> LayerCache:
     gates = np.empty((m, *lead, 4 * n))
     c = np.empty((m, *lead, n))
     h = np.empty((m, *lead, n))
-    np.matmul(x, np.ascontiguousarray(layer.W.mT), out=gates)  # W x for all m timesteps
-    U_T = np.ascontiguousarray(layer.U.mT)
+    W_T, U_T, b = _cell_weights(layer, (*lead, 4 * n))
+    np.matmul(x, W_T, out=gates)  # W x for all m timesteps
     zeros = np.zeros((*lead, n))
     for t in range(m):  # gates[t] holds W x until its cell step overwrites it
-        _cell(gates[t], h[t - 1] if t else zeros, c[t - 1] if t else zeros, U_T, layer.b, gates[t], c[t], h[t])
+        _cell(gates[t], h[t - 1] if t else zeros, c[t - 1] if t else zeros, U_T, b, gates[t], c[t], h[t])
     return LayerCache(x=x, gates=gates, c=c, h=h)
 
 
@@ -300,55 +311,76 @@ def forward_batch(
     return pred, cache
 
 
+def _vessel_rows(a: np.ndarray) -> np.ndarray:
+    """A time-major (m, *lead, d) array as each vessel's m*B rows,
+    timestep-major: (m*B, d), or a (Z, m*B, d) copy for a stack."""
+    return np.moveaxis(a, 0, -3).reshape(*a.shape[1:-2], -1, a.shape[-1])
+
+
 def _layer_backward(
     layer: LstmLayerParams, lc: LayerCache, d_out: np.ndarray, input_grad: bool
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
     """BPTT through one layer. d_out is dL/d(h), time-major (m, *lead, h) as
     in the cache. Returns (dX, dW, dU, db); dX, dL/d(x) as (m, *lead, d_in),
-    is None unless input_grad. ReLU derivative is 0 at the kink."""
+    is None unless input_grad. ReLU derivative is 0 at the kink.
+
+    Each step writes dL/d(pre) over its spent gates, so this consumes the
+    cache. The recurrence only needs dL/d(pre) @ U; the weight gradients
+    and dX are then one product per vessel over all m*B rows (Appleyard et
+    al. 2016). h = o c carries no relu' factor: where c_t = 0, c_prev and g
+    are 0 too (f > 0), so every path that dc feeds at t is multiplied by
+    zero, down to t = 0, where nothing flows on."""
     m, *lead, n = d_out.shape
-    dW = np.zeros_like(layer.W)
-    dU = np.zeros_like(layer.U)
-    db = np.zeros_like(layer.b)
-    dX = np.empty_like(lc.x) if input_grad else None
-    dact = np.empty((*lead, 4 * n))  # dL/d(i, f, relu(g_pre), o)
-    dpre = np.empty((*lead, 4 * n))
+    dact = np.empty((*lead, 4 * n))  # dL/d(i, f, g, o)
+    d_i, d_f, d_g, d_o = (dact[..., k * n : (k + 1) * n] for k in range(4))
+    dc = np.empty((*lead, n))
     zeros = np.zeros((*lead, n))
     dh_next = zeros
     dc_next = zeros
     for t in range(m - 1, -1, -1):
         a_t, c_t = lc.gates[t], lc.c[t]
-        i_t, f_t, gp_t, o_t = a_t[..., :n], a_t[..., n : 2 * n], a_t[..., 2 * n : 3 * n], a_t[..., 3 * n :]
-        c_prev = lc.c[t - 1] if t > 0 else zeros
-        h_prev = lc.h[t - 1] if t > 0 else zeros
+        i_t, f_t, g_t, o_t = a_t[..., :n], a_t[..., n : 2 * n], a_t[..., 2 * n : 3 * n], a_t[..., 3 * n :]
         dh = d_out[t] + dh_next
-        np.multiply(dh, relu(c_t), out=dact[..., 3 * n :])
-        dc = dc_next + dh * o_t * (c_t > 0)
-        np.multiply(dc, relu(gp_t), out=dact[..., :n])
-        np.multiply(dc, c_prev, out=dact[..., n : 2 * n])
-        np.multiply(dc, i_t, out=dact[..., 2 * n : 3 * n])
-        # sigmoid' = s (1 - s) on all four slots at once, then relu' on g's
-        np.multiply(dact, a_t, out=dpre)
-        dpre *= 1 - a_t
-        np.multiply(dact[..., 2 * n : 3 * n], gp_t > 0, out=dpre[..., 2 * n : 3 * n])
-        dW += dpre.mT @ lc.x[t]
-        dU += dpre.mT @ h_prev
-        db += dpre.sum(axis=-2).reshape(db.shape)
-        if input_grad:
-            np.matmul(dpre, layer.W, out=dX[t])
-        dh_next = dpre @ layer.U
-        dc_next = dc * f_t
+        np.multiply(dh, c_t, out=d_o)
+        np.multiply(dh, o_t, out=dc)
+        dc += dc_next
+        np.multiply(dc, g_t, out=d_i)
+        np.multiply(dc, lc.c[t - 1] if t > 0 else zeros, out=d_f)
+        np.multiply(dc, i_t, out=d_g)
+        if t > 0:
+            dc_next = dc * f_t
+        # dL/d(pre) = dact s (1 - s) in the i, f and o slots and dact relu'
+        # in g's, where g > 0 exactly where g_pre > 0: the factors are 1 and
+        # the mask there
+        factor = 1.0 - a_t
+        np.greater(g_t, 0.0, out=factor[..., 2 * n : 3 * n])
+        g_t[...] = 1.0
+        a_t *= dact
+        a_t *= factor
+        if t > 0:  # h_prev and c_prev are zero at t = 0
+            dh_next = a_t @ layer.U
+    dpre = _vessel_rows(lc.gates)
+    dW = dpre.mT @ _vessel_rows(lc.x)
+    dU = dpre[..., lead[-1] :, :].mT @ _vessel_rows(lc.h[:-1])  # rows from t = 1 on
+    db = dpre.sum(axis=-2).reshape(layer.b.shape)
+    dX = None
+    if input_grad:  # back to time-major: a view, which only elementwise operations read
+        dX = np.moveaxis((dpre @ layer.W).reshape(*lead[:-1], m, lead[-1], -1), -3, 0)
     return dX, dW, dU, db
 
 
 def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list[np.ndarray]:
     """Exact gradients of the batch-mean MSE loss, same ordering (and shapes)
     as net.param_arrays(). A stacked network takes (Z, B, out_dim) targets
-    and returns each vessel's gradients of its own loss."""
+    and returns each vessel's gradients of its own loss. The cache's gates
+    are overwritten, so a cache backs one call: a second is a CacheMismatch."""
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     pred = cache.prediction
-    if pred is None or pred.shape != targets.shape:
-        raise CacheMismatch(f"prediction {None if pred is None else pred.shape} vs targets {targets.shape}")
+    if pred is None:
+        raise CacheMismatch("no prediction in the cache: a forward cache backs one backward call")
+    if pred.shape != targets.shape:
+        raise CacheMismatch(f"prediction {pred.shape} vs targets {targets.shape}")
+    cache.prediction = None
     B = pred.shape[-2]
     # loss = mean over batch and output dims of (pred - target)^2
     d_pred = 2.0 * (pred - targets) / (B * net.out_dim)
@@ -449,12 +481,13 @@ class Rollout:
     the slot after it the window one input behind, and so on around the
     ring. Each layer keeps every slot's cell output and cell state in `h`
     and `c`, (..., m, hidden) each. Every window takes the next input `x`
-    (..., k). `W_T` and `U_T` are contiguous copies of each layer's W.mT
-    and U.mT, against which a stacked matmul runs about 2.5x faster than
-    against the transposed view."""
+    (..., k). `W_T`, `U_T` and `b` are each layer's `_cell_weights`: a
+    stacked matmul runs about 2.5x faster against a contiguous copy of W.mT
+    than against the transposed view."""
 
     W_T: list[np.ndarray]
     U_T: list[np.ndarray]
+    b: list[np.ndarray]
     h: list[np.ndarray]
     c: list[np.ndarray]
     x: np.ndarray
@@ -472,7 +505,7 @@ def _tick(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, list[np.ndarray
         h_prev, c_prev = state.h[li], state.c[li]
         gates = np.empty((*h_prev.shape[:-1], 4 * layer.hidden))
         h, c = np.empty_like(h_prev), np.empty_like(c_prev)
-        _cell(seq @ state.W_T[li], h_prev, c_prev, state.U_T[li], layer.b, gates, c, h)
+        _cell(seq @ state.W_T[li], h_prev, c_prev, state.U_T[li], state.b[li], gates, c, h)
         seq = h + seq if li > 0 else h
         hs.append(h)
         cs.append(c)
@@ -497,9 +530,11 @@ def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
         lead = "Z, " * (net.dense_W.ndim - 2)
         raise CacheMismatch(f"expected ({lead}m, {net.input_dim}) window, got {window.shape}")
     *lead, m, _ = window.shape
+    W_T, U_T, b = zip(*(_cell_weights(layer, (*lead, m, 4 * layer.hidden)) for layer in net.layers))
     state = Rollout(
-        W_T=[np.ascontiguousarray(layer.W.mT) for layer in net.layers],
-        U_T=[np.ascontiguousarray(layer.U.mT) for layer in net.layers],
+        W_T=list(W_T),
+        U_T=list(U_T),
+        b=list(b),
         h=[np.zeros((*lead, m, layer.hidden)) for layer in net.layers],
         c=[np.zeros((*lead, m, layer.hidden)) for layer in net.layers],
         x=window[..., 0, :],

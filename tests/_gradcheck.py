@@ -1,20 +1,28 @@
 """Central finite-difference gradient oracle, independent of backprop.
 
-A coordinate is excluded when its +/- eps perturbation flips the sign of any
-ReLU candidate pre-activation (the finite difference then straddles a kink and
-is not comparable to the one-sided analytic derivative). The cell state is
-structurally non-negative here (sigmoid gates, ReLU candidate), so relu(c)
-cannot cross its kink under a small perturbation and needs no exclusion.
+A coordinate is excluded when its +/- eps perturbation switches any ReLU
+candidate g = relu(g_pre) on or off (the finite difference then straddles a
+kink and is not comparable to the one-sided analytic derivative). The cell
+state is structurally non-negative (sigmoid gates, ReLU candidate), so the
+cell output h = o c has no kink of its own.
+
+The loss is `lstm.backward`'s: the batch-mean MSE, and for a stacked
+network the sum of each vessel's, whose gradient in a vessel's parameters is
+that vessel's own.
 """
 
 import numpy as np
 
-from _lstm_oracle import batch_major, mse_loss
+from _lstm_oracle import batch_major
 from aistrack import lstm
 
 
-def _g_pre_signs(cache):
-    return np.concatenate([np.sign(batch_major(lc).g_pre).ravel() for lc in cache.layer_caches])
+def _g_active(cache):
+    return np.concatenate([(batch_major(lc).g > 0).ravel() for lc in cache.layer_caches])
+
+
+def _loss(pred, tgt):
+    return float(np.mean((pred - tgt) ** 2, axis=(-2, -1)).sum())
 
 
 def numeric_grad_at(net, win, tgt, array_idx, flat_idx, eps=1e-5):
@@ -25,12 +33,12 @@ def numeric_grad_at(net, win, tgt, array_idx, flat_idx, eps=1e-5):
     orig = p[flat_idx]
     p[flat_idx] = orig + eps
     pred_p, cache_p = lstm.forward_batch(net, win)
-    lp = mse_loss(pred_p, tgt)
+    lp = _loss(pred_p, tgt)
     p[flat_idx] = orig - eps
     pred_m, cache_m = lstm.forward_batch(net, win)
-    lm = mse_loss(pred_m, tgt)
+    lm = _loss(pred_m, tgt)
     p[flat_idx] = orig
-    crossed = bool(np.any(_g_pre_signs(cache_p) != _g_pre_signs(cache_m)))
+    crossed = bool(np.any(_g_active(cache_p) != _g_active(cache_m)))
     return (lp - lm) / (2 * eps), crossed
 
 

@@ -25,14 +25,23 @@ import numpy as np
 from aistrack import lstm
 
 
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def relu(x):
+    return np.maximum(x, 0.0)
+
+
 @dataclass
 class BatchMajorCache:
-    """One layer's cache in the batch-major layout: (*lead, m, .) arrays."""
+    """One layer's cache in the batch-major layout: (*lead, m, .) arrays.
+    `g` is the candidate relu(g_pre), as in `lstm.LayerCache`'s g slot."""
 
     x: np.ndarray
     i: np.ndarray
     f: np.ndarray
-    g_pre: np.ndarray
+    g: np.ndarray
     o: np.ndarray
     c: np.ndarray
 
@@ -45,7 +54,7 @@ def batch_major(lc: lstm.LayerCache) -> BatchMajorCache:
         x=np.moveaxis(lc.x, 0, -2),
         i=a[..., :h],
         f=a[..., h : 2 * h],
-        g_pre=a[..., 2 * h : 3 * h],
+        g=a[..., 2 * h : 3 * h],
         o=a[..., 3 * h :],
         c=np.moveaxis(lc.c, 0, -2),
     )
@@ -54,24 +63,23 @@ def batch_major(lc: lstm.LayerCache) -> BatchMajorCache:
 def reference_layer_forward(layer: lstm.LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, BatchMajorCache]:
     *lead, m, _ = x.shape
     h = layer.hidden
-    i_a, f_a, gp_a, o_a, c_a = (np.empty((*lead, m, h)) for _ in range(5))
+    i_a, f_a, g_a, o_a, c_a = (np.empty((*lead, m, h)) for _ in range(5))
     h_seq = np.empty((*lead, m, h))
     h_prev = np.zeros((*lead, h))
     c_prev = np.zeros((*lead, h))
     for t in range(m):
         pre = x[..., t, :] @ layer.W.mT + h_prev @ layer.U.mT + layer.b
-        i_t = lstm.sigmoid(pre[..., :h])
-        f_t = lstm.sigmoid(pre[..., h : 2 * h])
-        gp_t = pre[..., 2 * h : 3 * h]
-        g_t = lstm.relu(gp_t)
-        o_t = lstm.sigmoid(pre[..., 3 * h :])
+        i_t = sigmoid(pre[..., :h])
+        f_t = sigmoid(pre[..., h : 2 * h])
+        g_t = relu(pre[..., 2 * h : 3 * h])
+        o_t = sigmoid(pre[..., 3 * h :])
         c_t = f_t * c_prev + i_t * g_t
-        h_t = o_t * lstm.relu(c_t)
-        i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
+        h_t = o_t * relu(c_t)
+        i_a[..., t, :], f_a[..., t, :], g_a[..., t, :], o_a[..., t, :] = i_t, f_t, g_t, o_t
         c_a[..., t, :] = c_t
         h_seq[..., t, :] = h_t
         h_prev, c_prev = h_t, c_t
-    return h_seq, BatchMajorCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
+    return h_seq, BatchMajorCache(x=x, i=i_a, f=f_a, g=g_a, o=o_a, c=c_a)
 
 
 def reference_forward(net: lstm.LstmNetwork, windows: np.ndarray) -> tuple[np.ndarray, list[BatchMajorCache]]:
@@ -91,11 +99,11 @@ def reference_forward(net: lstm.LstmNetwork, windows: np.ndarray) -> tuple[np.nd
 def _before_cell(xw, h_prev, c_prev, U_T, b):
     h = U_T.shape[-2]
     pre = xw + h_prev @ U_T + b
-    gates = lstm.sigmoid(pre)
+    gates = sigmoid(pre)
     i, f, o = gates[..., :h], gates[..., h : 2 * h], gates[..., 3 * h :]
-    g_pre = pre[..., 2 * h : 3 * h]
-    c = f * c_prev + i * lstm.relu(g_pre)
-    return i, f, g_pre, o, c, o * lstm.relu(c)
+    g = relu(pre[..., 2 * h : 3 * h])
+    c = f * c_prev + i * g
+    return i, f, g, o, c, o * relu(c)
 
 
 def _before_layer_forward(layer: lstm.LstmLayerParams, x: np.ndarray) -> tuple[np.ndarray, BatchMajorCache]:
@@ -103,14 +111,14 @@ def _before_layer_forward(layer: lstm.LstmLayerParams, x: np.ndarray) -> tuple[n
     h = layer.hidden
     xw = (x.reshape(*lead[:-1], -1, d) @ layer.W.mT).reshape(*lead, m, 4 * h)
     U_T, b = layer.U.mT, layer.b
-    i_a, f_a, gp_a, o_a, c_a, h_seq = (np.empty((*lead, m, h)) for _ in range(6))
+    i_a, f_a, g_a, o_a, c_a, h_seq = (np.empty((*lead, m, h)) for _ in range(6))
     h_prev = np.zeros((*lead, h))
     c_prev = np.zeros((*lead, h))
     for t in range(m):
-        i_t, f_t, gp_t, o_t, c_prev, h_prev = _before_cell(xw[..., t, :], h_prev, c_prev, U_T, b)
-        i_a[..., t, :], f_a[..., t, :], gp_a[..., t, :], o_a[..., t, :] = i_t, f_t, gp_t, o_t
+        i_t, f_t, g_t, o_t, c_prev, h_prev = _before_cell(xw[..., t, :], h_prev, c_prev, U_T, b)
+        i_a[..., t, :], f_a[..., t, :], g_a[..., t, :], o_a[..., t, :] = i_t, f_t, g_t, o_t
         c_a[..., t, :], h_seq[..., t, :] = c_prev, h_prev
-    return h_seq, BatchMajorCache(x=x, i=i_a, f=f_a, g_pre=gp_a, o=o_a, c=c_a)
+    return h_seq, BatchMajorCache(x=x, i=i_a, f=f_a, g=g_a, o=o_a, c=c_a)
 
 
 @dataclass
@@ -119,6 +127,16 @@ class BeforeCache:
     dropout_masks: list[np.ndarray | None] = field(default_factory=list)
     final_seq: np.ndarray | None = None
     prediction: np.ndarray | None = None
+
+
+def before_cache(cache: lstm.ForwardCache) -> BeforeCache:
+    """Batch-major views of a `lstm.forward_batch` cache, for `before_backward`."""
+    return BeforeCache(
+        layer_caches=[batch_major(lc) for lc in cache.layer_caches],
+        dropout_masks=[None if mask is None else np.moveaxis(mask, 0, -2) for mask in cache.dropout_masks],
+        final_seq=np.moveaxis(cache.final_seq, 0, -2),
+        prediction=cache.prediction,
+    )
 
 
 def before_forward_batch(net, windows, train=False, rng=None):
@@ -153,20 +171,19 @@ def _before_layer_backward(layer: lstm.LstmLayerParams, lc: BatchMajorCache, d_o
     zeros = np.zeros((*lead, h))
     dh_next = zeros
     dc_next = zeros
-    relu = lstm.relu
     for t in range(m - 1, -1, -1):
         i_t, f_t, o_t, c_t = lc.i[..., t, :], lc.f[..., t, :], lc.o[..., t, :], lc.c[..., t, :]
-        gp_t = lc.g_pre[..., t, :]
+        g_t = lc.g[..., t, :]
         c_prev = lc.c[..., t - 1, :] if t > 0 else zeros
         h_prev = lc.o[..., t - 1, :] * relu(c_prev) if t > 0 else zeros
         dh = d_out[..., t, :] + dh_next
         do = dh * relu(c_t)
         dc = dc_next + dh * o_t * (c_t > 0)
         dg = dc * i_t
-        di = dc * relu(gp_t)
+        di = dc * g_t
         df = dc * c_prev
         dpre = np.concatenate(
-            (di * i_t * (1 - i_t), df * f_t * (1 - f_t), dg * (gp_t > 0), do * o_t * (1 - o_t)),
+            (di * i_t * (1 - i_t), df * f_t * (1 - f_t), dg * (g_t > 0), do * o_t * (1 - o_t)),
             axis=-1,
         )
         dW += dpre.mT @ lc.x[..., t, :]

@@ -5,6 +5,7 @@ from _gradcheck import check_network
 from _lstm_oracle import (
     batch_major,
     before_backward,
+    before_cache,
     before_forward_batch,
     count_params,
     evaluate_loss,
@@ -106,13 +107,69 @@ class TestBackward:
         assert checked > 0
         assert worst < 1e-4
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_finite_difference_oracle_batched(self, stacked):
+        # B = 3 windows, alone and in a stack of Z = 2: each weight gradient
+        # is one product over a vessel's m*B rows, taken from a reshape of
+        # the time-major cache alone and from a per-vessel copy in a stack
+        rng = np.random.default_rng(17)
+        nets = [init_network(hidden=8, rng=rng) for _ in range(2)]
+        net, lead = (stack_networks(nets), (2, 3)) if stacked else (nets[0], (3,))
+        win = rng.random((*lead, 6, 4))
+        tgt = rng.random((*lead, 2))
+        checked, worst = check_network(net, win, tgt, rng, coords_per_array=10)
+        assert checked > 0
+        assert worst < 1e-4
+
+    def test_zero_cell_state_matches_masked_oracle(self):
+        # c_t = 0 at t = 0 and 1, where g_pre = -0.5 and exactly 0, and c_t > 0
+        # from t = 2 on. The oracle multiplies dc by (c_t > 0); the backward
+        # drops that factor, because where c_t = 0 every path that dc feeds
+        # is multiplied by zero, so the gradients must be the same. Input
+        # row 2 is zero and h_1 = 0, so each weight gradient element is one
+        # product or a sum of two, and summing over m*B rows at once
+        # rounds no differently from the oracle's per-step sums.
+        rng = np.random.default_rng(23)
+        n = 3
+        W = rng.uniform(-0.5, 0.5, (4 * n, 4))
+        U = rng.uniform(-0.5, 0.5, (4 * n, n))
+        b = rng.uniform(-0.5, 0.5, 4 * n)
+        W[2 * n : 3 * n] = 0.0
+        W[2 * n : 3 * n, 0] = 1.0  # g_pre = x_0 + U_g h_prev + 0.5
+        U[2 * n : 3 * n] *= 0.1
+        b[2 * n : 3 * n] = 0.5
+        layer = LstmLayerParams(W=W, U=U, b=b)
+        net = LstmNetwork(layers=[layer], dense_W=rng.uniform(-1, 1, (2, n)), dense_b=np.zeros(2), dropout_rate=0.0)
+        win = rng.random((1, 4, 4))
+        win[0, :3, 0] = [-1.0, -0.5, 0.0]
+        win[0, 2, 1:] = 0.0
+        win[0, 3, 0] = 0.5
+        tgt = rng.random((1, 2))
+        _, cache = forward_batch(net, win)
+        c = cache.layer_caches[0].c[:, 0]
+        assert np.all(c[:2] == 0.0) and np.all(c[2:] > 0.0)
+        assert np.all(batch_major(cache.layer_caches[0]).g[0, 1] == 0.0)
+        want = before_backward(net, before_cache(cache), tgt)
+        got = lstm.backward(net, forward_batch(net, win)[1], tgt)
+        assert all(np.any(g != 0.0) for g in got[:3])
+        for g, ref in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, ref)
+
     def test_dense_bias_gradient_linear_in_residual(self):
         net = small_net()
         win = np.random.default_rng(8).random((6, 4))
         pred, cache = forward(net, win)
         g1 = lstm.backward(net, cache, pred - np.array([0.1, 0.2]))
-        g2 = lstm.backward(net, cache, pred - np.array([0.2, 0.4]))
+        g2 = lstm.backward(net, forward(net, win)[1], pred - np.array([0.2, 0.4]))
         np.testing.assert_allclose(g2[-1], 2 * g1[-1], rtol=1e-12)
+
+    def test_second_backward_on_one_cache_rejected(self):
+        # backward writes dL/d(pre) over the cache's gates
+        net = small_net()
+        pred, cache = forward(net, np.random.default_rng(8).random((6, 4)))
+        lstm.backward(net, cache, pred)
+        with pytest.raises(CacheMismatch, match="one backward call"):
+            lstm.backward(net, cache, pred)
 
     def test_shape_mismatch_rejected(self):
         net = small_net()
@@ -364,27 +421,28 @@ def test_forward_batch_matches_reference_loop(batch, stacked, cached):
     for lc, ref in zip(map(batch_major, cache.layer_caches), ref_caches, strict=True):
         for name in ("i", "f", "o", "c"):
             np.testing.assert_allclose(getattr(lc, name), getattr(ref, name), rtol=1e-12, atol=0)
-        # a pre-activation is a sum that can cancel to near 0, so its
-        # error is bounded relative to the layer's scale, not per element
-        scale = np.abs(ref.g_pre).max()
-        np.testing.assert_allclose(lc.g_pre, ref.g_pre, rtol=1e-12, atol=1e-12 * scale)
+        # the candidate relu(g_pre) is a sum that can cancel to near 0, so
+        # its error is bounded relative to the layer's scale, not per element
+        scale = np.abs(ref.g).max()
+        np.testing.assert_allclose(lc.g, ref.g, rtol=1e-12, atol=1e-12 * scale)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 10, 18, 64, 128])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_training_path_matches_batch_major_oracle(batch, stacked, monkeypatch):
-    # The time-major caches keep every operation and its order. Only the
-    # matrix products may round apart (W x per timestep in place of one
-    # product over B*m rows, contiguous copies of W.mT and U.mT in place of
-    # the views), and BLAS does so at 8 rows or fewer; from 10 rows on, the
-    # training path must keep every bit. Below that, an element that is a
-    # sum which cancels to near 0 (a gradient, a pre-activation) is bounded
-    # relative to its array's scale.
-    if batch > 8:
-        same = np.testing.assert_array_equal
-    else:
-        def same(actual, desired):
-            np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.abs(desired).max())
+    # The training path keeps the oracle's elementwise operations, but its
+    # products group the sums differently: W x per timestep in place of one
+    # product over B*m rows, and contiguous copies of W.mT and U.mT in place
+    # of the views, which BLAS rounds apart at 8 rows or fewer; and each
+    # weight gradient as one product over all m*B rows in place of a sum of
+    # m per-timestep products, at every batch size. So predictions keep
+    # every bit from 10 rows on, and otherwise the two agree to a relative
+    # 1e-12, where an element that is a sum which cancels to near 0 (a
+    # gradient, a pre-activation) is bounded relative to its array's scale.
+    def same(actual, desired):
+        np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=1e-12 * np.abs(desired).max())
+
+    same_prediction = np.testing.assert_array_equal if batch > 8 else same
 
     nets = [init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(60 + z)) for z in range(3)]
     data = np.random.default_rng(70 + batch)
@@ -395,10 +453,10 @@ def test_training_path_matches_batch_major_oracle(batch, stacked, monkeypatch):
         return [np.random.default_rng(seed + z) for z in range(3)] if stacked else np.random.default_rng(seed)
 
     xb, yb = x[..., :batch, :, :], y[..., :batch, :]
-    same(forward_batch(net, xb)[0], before_forward_batch(net, xb)[0])
+    same_prediction(forward_batch(net, xb)[0], before_forward_batch(net, xb)[0])
     pred, cache = forward_batch(net, xb, train=True, rng=rngs(5))
     ref_pred, ref_cache = before_forward_batch(net, xb, train=True, rng=rngs(5))
-    same(pred, ref_pred)
+    same_prediction(pred, ref_pred)
     grads = lstm.backward(net, cache, yb)
     ref_grads = before_backward(net, ref_cache, yb)
     assert len(grads) == len(ref_grads) == 11
