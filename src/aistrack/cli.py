@@ -15,7 +15,8 @@ train, an input that is missing or not UTF-8, a missing or malformed model,
 an observation at or before a vessel's train end or more than
 `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that repeat an
 OBJECT_ID or leave a truth object undecided, an --out that cannot be
-created or written (`train` creates its --out before it trains).
+created or written (`train` creates its --out before it trains), and an
+`evaluate --out` ending in .txt, which its text report would overwrite.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ def _holdout_messages(series_list, bundles, test_len: int) -> tuple[list[AisMess
     for s in series_list:
         if s.vessel_id not in trained:
             continue
-        for i in range(len(s) - test_len, len(s)):
-            lat, lon, speed, course = s.features[i]
+        start = len(s) - test_len
+        for i, (lat, lon, speed, course) in enumerate(s.features[start:].tolist(), start=start):
             t = int(round(s.time_of(i)))
             if t > latest_end:
                 rows.append((t, s.vessel_id, lat, lon, speed, course))

@@ -31,7 +31,11 @@ def parse_timestamp(text: str) -> int:
     return int(dt.timestamp())
 
 
+@functools.lru_cache(maxsize=4096)
 def format_timestamp(epoch: int) -> str:
+    """Epoch seconds (UTC) -> strict ISO-8601 Zulu, the inverse of
+    parse_timestamp. Memoised like it: rows are written in time order, so
+    the rows that share a timestamp format it once."""
     return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(_TIME_FMT)
 
 

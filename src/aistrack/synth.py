@@ -4,7 +4,9 @@ Stands in for the private source database: emits the standard CSV schema plus
 an OBJECT_ID -> VID truth map. Motion is a flat-earth constant-velocity line
 with an optional sinusoidal cross-track wobble; the emitted speed and course
 columns are derived from the actual consecutive positions so the features
-stay self-consistent with the noisy track.
+stay self-consistent with the noisy track. Each vessel's track is computed
+for all its samples at once, as arrays; one stable sort then numbers the
+fleet's rows in time order.
 
 Settings come from the run's `config.RunConfig`: `fleet_motions` turns its
 vessels and crossing into one motion per vessel, and `generate` reads its
@@ -53,14 +55,17 @@ def default_motions(z: int) -> list[VesselMotion]:
     ]
 
 
-def _nominal_position(motion: VesselMotion, elapsed_s: float, sample_idx: float) -> tuple[float, float]:
+def _nominal_position(motion: VesselMotion, elapsed_s, sample_idx):
+    """(lat, lon) of `motion` before noise, `elapsed_s` seconds and
+    `sample_idx` samples after its start: scalars, or arrays of one shape
+    for a whole track."""
     theta = np.radians(motion.course_deg)
     along_deg = motion.speed_knots * (elapsed_s / 3600.0) / 60.0  # 1 kn ~ 1/60 deg/h
     cross_deg = motion.wave_amp_deg * np.sin(2 * np.pi * sample_idx / motion.wave_period)
     coslat = np.cos(np.radians(motion.start_lat))
     lat = motion.start_lat + along_deg * np.cos(theta) - cross_deg * np.sin(theta)
     lon = motion.start_lon + (along_deg * np.sin(theta) + cross_deg * np.cos(theta)) / coslat
-    return float(lat), float(lon)
+    return lat, lon
 
 
 def _derived_speed_course(lats, lons, times):
@@ -82,41 +87,33 @@ def generate(cfg: RunConfig, motions: list[VesselMotion]) -> tuple[str, dict[int
     """Emit (CSV text in the standard schema, object_id -> vessel_id truth)
     for one vessel per motion: cfg.points samples cfg.period seconds apart,
     timestamps jittered by up to cfg.jitter / 2 periods and positions by
-    Gaussian noise of cfg.noise degrees, all drawn from cfg.seed. A setting
-    outside its range is a BadConfig."""
+    Gaussian noise of cfg.noise degrees, all drawn from cfg.seed. Each
+    vessel's track is one array expression; rows are numbered in time order,
+    vessels in motion order at equal times and samples in their own order
+    after that. A setting outside its range is a BadConfig."""
     check_ranges(cfg)
     rng = np.random.default_rng(cfg.seed)
     vids = [bytes(rng.integers(0, 256, size=4, dtype=np.uint8)).hex() for _ in motions]
-    rows = []  # (t, vessel_index, lat, lon, speed, course)
+    shape = (len(motions), cfg.points)  # vessel-major, as the rng draws them
+    t = np.empty(shape, dtype=np.int64)
+    lat, lon, speed, course = (np.empty(shape) for _ in range(4))
+    sample = np.arange(cfg.points)
     for vi, motion in enumerate(motions):
         jitter = rng.uniform(-0.5, 0.5, size=cfg.points) * cfg.jitter * cfg.period
-        times = np.round(BASE_EPOCH + np.arange(cfg.points) * cfg.period + jitter).astype(np.int64)
+        t[vi] = np.round(BASE_EPOCH + sample * cfg.period + jitter)
         noise = rng.normal(0.0, cfg.noise, size=(cfg.points, 2)) if cfg.noise else np.zeros((cfg.points, 2))
-        lats, lons = [], []
-        for i in range(cfg.points):
-            lat, lon = _nominal_position(motion, float(times[i] - BASE_EPOCH), i)
-            lats.append(lat + noise[i, 0])
-            lons.append(lon + noise[i, 1])
-        speed, course = _derived_speed_course(np.array(lats), np.array(lons), times.astype(float))
-        for i in range(cfg.points):
-            rows.append((int(times[i]), vi, lats[i], lons[i], float(speed[i]), float(course[i])))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    messages = []
-    truth: dict[int, str] = {}
-    for object_id, (t, vi, lat, lon, sp, co) in enumerate(rows, start=1):
-        messages.append(
-            AisMessage(
-                object_id=object_id,
-                vessel_id=vids[vi],
-                t=t,
-                lat=lat,
-                lon=lon,
-                speed=sp,
-                course=co,
-            )
-        )
-        truth[object_id] = vids[vi]
-    return serialize_csv(messages), truth
+        lat[vi], lon[vi] = _nominal_position(motion, (t[vi] - BASE_EPOCH).astype(float), sample)
+        lat[vi] += noise[:, 0]
+        lon[vi] += noise[:, 1]
+        speed[vi], course[vi] = _derived_speed_course(lat[vi], lon[vi], t[vi].astype(float))
+    vessel = np.repeat(np.arange(len(motions)), cfg.points)
+    order = np.lexsort((vessel, t.ravel()))  # stable: by time, then vessel, then sample
+    columns = [col.ravel()[order].tolist() for col in (vessel, t, lat, lon, speed, course)]
+    messages = [
+        AisMessage(object_id=oid, vessel_id=vids[vi], t=ti, lat=la, lon=lo, speed=sp, course=co)
+        for oid, (vi, ti, la, lo, sp, co) in enumerate(zip(*columns), start=1)
+    ]
+    return serialize_csv(messages), {m.object_id: m.vessel_id for m in messages}
 
 
 def truth_to_csv(truth: dict[int, str]) -> str:
@@ -149,14 +146,14 @@ def fleet_motions(cfg: RunConfig) -> list[VesselMotion]:
         raise bad
     motions = default_motions(cfg.vessels)
     elapsed = sample * cfg.period
-    target = _nominal_position(motions[a], elapsed, sample)
+    target_lat, target_lon = _nominal_position(motions[a], elapsed, sample)
     mb = motions[b]
     mb.course_deg = (motions[a].course_deg + 90.0) % 360.0
     # place b so its nominal (wave-free) position at the crossing sample hits
     # a's position there
     theta = np.radians(mb.course_deg)
     along_deg = mb.speed_knots * (elapsed / 3600.0) / 60.0
-    coslat = np.cos(np.radians(target[0]))
-    mb.start_lat = target[0] - along_deg * np.cos(theta)
-    mb.start_lon = target[1] - along_deg * np.sin(theta) / coslat
+    coslat = np.cos(np.radians(target_lat))
+    mb.start_lat = target_lat - along_deg * np.cos(theta)
+    mb.start_lon = target_lon - along_deg * np.sin(theta) / coslat
     return motions

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import shutil
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 from aistrack import cli
 from aistrack.cli import build_parser, main
 from aistrack.config import RunConfig
+from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv
+from aistrack.preprocess import resample
+from aistrack.synth import fleet_motions, generate
 
 FAST = [
     "--vessels", "3",
@@ -215,6 +219,61 @@ def test_tracks_ending_at_different_times(tmp_path, capsys):
     held_out = sum(map(sum, doc["confusion_matrix"]))
     left_out = int(err.split("left ")[1].split()[0])
     assert left_out > 0 and left_out + held_out == 7 * 25
+
+
+
+def _holdout_per_row(series_list, bundles, test_len):
+    """`cli._holdout_messages` as it was first written: each held-out
+    sample's numpy scalars unpacked one row at a time."""
+    latest_end = max(b.train_end_time for b in bundles)
+    trained = {b.vessel_id for b in bundles}
+    rows, left_out = [], 0
+    for s in series_list:
+        if s.vessel_id not in trained:
+            continue
+        for i in range(len(s) - test_len, len(s)):
+            lat, lon, speed, course = s.features[i]
+            t = int(round(s.time_of(i)))
+            if t > latest_end:
+                rows.append((t, s.vessel_id, lat, lon, speed, course))
+            else:
+                left_out += 1
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return [
+        AisMessage(object_id=oid, vessel_id=vid, t=t, lat=lat, lon=lon, speed=speed, course=course)
+        for oid, (t, vid, lat, lon, speed, course) in enumerate(rows, start=1)
+    ], left_out
+
+
+@pytest.mark.parametrize("ends", [(), (180, 180, 160)], ids=["equal_ends", "unequal_ends"])
+def test_holdout_messages_equal_per_row_form(ends):
+    cfg = RunConfig(vessels=6, points=200, seed=42)
+    tracks = group_tracks(parse_csv(generate(cfg, fleet_motions(cfg))[0]))
+    for track, end in zip(tracks, ends):
+        del track.messages[end:]
+    series_list = [resample(t, cfg.period) for t in tracks]
+    test_len = 25
+    # the last vessel has no model, so its samples are not held out
+    bundles = [SimpleNamespace(vessel_id=s.vessel_id, train_end_time=s.time_of(len(s) - test_len - 1))
+               for s in series_list[:-1]]
+    holdout, left_out = cli._holdout_messages(series_list, bundles, test_len)
+    expected, expected_left_out = _holdout_per_row(series_list, bundles, test_len)
+    assert serialize_csv(holdout) == serialize_csv(expected)
+    assert left_out == expected_left_out
+    assert len(holdout) + left_out == 5 * test_len
+    assert (left_out > 0) == bool(ends)
+
+
+def test_report_out_that_is_its_own_text_report_is_data_error(trained, tmp_path, capsys):
+    # the text report goes to --out with its suffix set to .txt, which for
+    # report.txt is the JSON report itself
+    report = tmp_path / "report.txt"
+    capsys.readouterr()
+    rc = run(["evaluate", "--decisions", trained / "decisions.csv", "--truth", trained / "models" / "holdout_truth.csv",
+              "--out", report])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot write report {report}: its text report {report} is the same file\n"
+    assert not report.exists()
 
 
 # Each subcommand's option strings as they were when build_parser still

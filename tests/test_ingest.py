@@ -6,12 +6,14 @@ from aistrack.ingest import (
     AisMessage,
     ParseStats,
     filter_min_points,
+    format_timestamp,
     group_tracks,
     object_id_pairs,
     parse_csv,
     parse_timestamp,
     serialize_csv,
 )
+from aistrack.synth import BASE_EPOCH
 
 HEADER = "OBJECT_ID,VID,SEQUENCE_DTTM,LAT,LON,SPEED,COURSE"
 
@@ -154,6 +156,23 @@ def test_repeated_timestamp_parsed_once_and_bad_one_raises_every_time():
     for _ in range(2):
         with pytest.raises(ValueError):
             parse_timestamp("2021-06-01 12:34:56")
+
+
+@pytest.mark.parametrize(
+    "epoch, text",
+    [
+        (BASE_EPOCH, "2020-03-01T00:00:00Z"),
+        (BASE_EPOCH - 1, "2020-02-29T23:59:59Z"),
+        (BASE_EPOCH - 86400, "2020-02-29T00:00:00Z"),
+        (1577836799, "2019-12-31T23:59:59Z"),
+        (1577836800, "2020-01-01T00:00:00Z"),
+    ],
+)
+def test_memoised_format_timestamp_equals_uncached_and_round_trips(epoch, text):
+    before = format_timestamp.cache_info()
+    assert format_timestamp(epoch) == format_timestamp(epoch) == format_timestamp.__wrapped__(epoch) == text
+    assert format_timestamp.cache_info().hits - before.hits >= 1
+    assert parse_timestamp(text) == epoch
 
 
 msg_strategy = st.builds(

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import _geodesic
 from aistrack.associate import haversine
 from aistrack.config import RunConfig
 from aistrack.errors import BadConfig, MalformedRow
-from aistrack.ingest import group_tracks, parse_csv
+from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv
 from aistrack.preprocess import resample
 from aistrack.synth import (
+    BASE_EPOCH,
     KNOT_KM_H,
     VesselMotion,
     _derived_speed_course,
@@ -25,6 +27,59 @@ def _generate(**settings):
     """generate() for a RunConfig of `settings`, on its fleet_motions."""
     cfg = RunConfig(**settings)
     return generate(cfg, fleet_motions(cfg))
+
+
+
+def _generate_per_sample(cfg, motions):
+    """`generate` as it was first written: each sample's position in numpy
+    scalar math, and the rows ordered by a Python sort on (time, vessel)."""
+    rng = np.random.default_rng(cfg.seed)
+    vids = [bytes(rng.integers(0, 256, size=4, dtype=np.uint8)).hex() for _ in motions]
+    rows = []  # (t, vessel_index, lat, lon, speed, course)
+    for vi, motion in enumerate(motions):
+        jitter = rng.uniform(-0.5, 0.5, size=cfg.points) * cfg.jitter * cfg.period
+        times = np.round(BASE_EPOCH + np.arange(cfg.points) * cfg.period + jitter).astype(np.int64)
+        noise = rng.normal(0.0, cfg.noise, size=(cfg.points, 2)) if cfg.noise else np.zeros((cfg.points, 2))
+        theta = np.radians(motion.course_deg)
+        coslat = np.cos(np.radians(motion.start_lat))
+        lats, lons = [], []
+        for i in range(cfg.points):
+            along_deg = motion.speed_knots * (float(times[i] - BASE_EPOCH) / 3600.0) / 60.0
+            cross_deg = motion.wave_amp_deg * np.sin(2 * np.pi * i / motion.wave_period)
+            lat = motion.start_lat + along_deg * np.cos(theta) - cross_deg * np.sin(theta)
+            lon = motion.start_lon + (along_deg * np.sin(theta) + cross_deg * np.cos(theta)) / coslat
+            lats.append(float(lat) + noise[i, 0])
+            lons.append(float(lon) + noise[i, 1])
+        speed, course = _derived_speed_course(np.array(lats), np.array(lons), times.astype(float))
+        for i in range(cfg.points):
+            rows.append((int(times[i]), vi, lats[i], lons[i], float(speed[i]), float(course[i])))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    messages = [
+        AisMessage(object_id=oid, vessel_id=vids[vi], t=t, lat=lat, lon=lon, speed=sp, course=co)
+        for oid, (t, vi, lat, lon, sp, co) in enumerate(rows, start=1)
+    ]
+    return serialize_csv(messages), {m.object_id: m.vessel_id for m in messages}
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {},
+        {"vessels": 3, "points": 200, "seed": 10, "crossing": "0,1,120"},
+        {"vessels": 30, "points": 150},
+        {"vessels": 4, "points": 100, "noise": 0.0, "seed": 7},
+        {"vessels": 3, "points": 150, "period": 0.5, "jitter": 0.9, "seed": 3},
+    ],
+    ids=["default", "crossing", "vessels_30", "noise_0", "tied_times"],
+)
+def test_generate_equals_per_sample_oracle(settings):
+    cfg = RunConfig(**settings)
+    csv_text, truth = generate(cfg, fleet_motions(cfg))
+    assert (csv_text, truth) == _generate_per_sample(cfg, fleet_motions(cfg))
+    if cfg.period == 0.5:
+        # rows of one vessel at one timestamp keep their sample order
+        ties = Counter((m.vessel_id, m.t) for m in parse_csv(csv_text))
+        assert sum(n > 1 for n in ties.values()) == 175
 
 
 def test_same_seed_byte_identical():
