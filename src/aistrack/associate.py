@@ -25,16 +25,14 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
+from .config import EARTH_RADIUS_KM
 from .errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
 from .ingest import AisMessage, format_timestamp, object_id_pairs
 from .lstm import roll_step, rollout_start, stack_networks
 from .preprocess import ScalerParams, unscale
-
-EARTH_RADIUS_KM = 6371.0
 
 NEW_TRACK = "NEW"
 
@@ -61,30 +59,14 @@ class Decisions:
         return len(self.object_ids)
 
 
-def _per_element(fn, x, *args) -> np.ndarray:
-    """fn(v, *args) for each element v of x as a Python float; an array of
-    x's shape."""
-    x = np.asarray(x, dtype=np.float64)
-    values = map(fn, x.ravel().tolist(), *(repeat(a) for a in args))
-    return np.fromiter(values, np.float64, x.size).reshape(x.shape)
-
-
 def haversine(lat1, lon1, lat2, lon2, r: float = EARTH_RADIUS_KM) -> np.ndarray:
     """Great-circle distance in km (radius r) from (lat1, lon1) to
-    (lat2, lon2), elementwise over broadcast arrays.
-
-    Each element equals the scalar `math` formula's bit for bit: numpy's
-    float64 radians, sin, cos and sqrt round as `math`'s do, while the
-    squares stay Python `pow(v, 2)` (libm pow, which rounds differently from
-    numpy's `v ** 2`, that is `v * v`, on some inputs) and the arcsine stays
-    `math.asin` (`np.arcsin` differs in the last ulp), both taken per
-    element."""
+    (lat2, lon2), elementwise over broadcast arrays."""
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
     dlam = np.radians(np.subtract(lon2, lon1))
-    a = _per_element(pow, np.sin(dphi / 2), 2)
-    a = a + np.cos(phi1) * np.cos(phi2) * _per_element(pow, np.sin(dlam / 2), 2)
-    return 2 * r * _per_element(math.asin, np.minimum(1.0, np.sqrt(a)))
+    a = np.sin(dphi / 2) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2) ** 2
+    return 2 * r * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
 def _rollout_steps(bundles, times: list[float]) -> np.ndarray:

@@ -19,6 +19,8 @@ from typing import get_type_hints
 
 from .errors import BadConfig
 
+EARTH_RADIUS_KM = 6371.0
+
 
 @dataclass
 class RunConfig:
@@ -37,7 +39,7 @@ class RunConfig:
     dropout: float = 0.2
     test_len: int = 108
     tau: float = math.inf
-    radius: float = 6371.0
+    radius: float = EARTH_RADIUS_KM
     lenient: bool = False
     crossing: str = ""  # "a,b,sample" to force an overlap scenario
 

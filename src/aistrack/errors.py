@@ -26,8 +26,6 @@ class MalformedRow(AistrackError):
 class OutOfRange(MalformedRow):
     def __init__(self, field, value, line_no):
         super().__init__(line_no, f"{field}={value!r} out of range")
-        self.field = field
-        self.value = value
 
 
 class TrackTooShort(AistrackError):

@@ -47,7 +47,7 @@ def test_out_of_range_lat_strict():
     bad = HEADER + "\n1,aa,2020-02-29T22:00:01Z,91.0,0,0,0\n"
     with pytest.raises(OutOfRange) as exc:
         parse_csv(bad)
-    assert exc.value.field == "LAT"
+    assert (exc.value.line_no, exc.value.reason) == (2, "LAT=91.0 out of range")
 
 
 def test_wrong_column_count_reports_line_number():
@@ -118,7 +118,7 @@ def test_non_finite_speed_rejected(speed):
     bad = HEADER + f"\n1,aa,2020-02-29T22:00:01Z,10.0,0,{speed},0\n"
     with pytest.raises(OutOfRange) as exc:
         parse_csv(bad)
-    assert exc.value.field == "SPEED"
+    assert exc.value.reason == f"SPEED={float(speed)!r} out of range"
     stats = ParseStats()
     assert parse_csv(bad, strict=False, stats=stats) == []
     assert stats.skipped == 1

@@ -166,7 +166,11 @@ def test_derived_speed_course_equals_scalar_loop():
     for i in range(1, 60):
         dt = max(1.0, times[i] - times[i - 1])
         km = _geodesic.haversine(_geodesic.GeoPoint(lats[i - 1], lons[i - 1]), _geodesic.GeoPoint(lats[i], lons[i]))
-        assert speed[i] == km / dt * 3600.0 / KNOT_KM_H * 10.0
+        # the distance's bound, carried through the four roundings to tenths
+        # of knots; they add at most 4 * eps / 2 relative on each side
+        scale = 3600.0 / KNOT_KM_H * 10.0 / dt
+        bound = (_geodesic.RTOL + 4 * 2.0**-52) * km * scale + _geodesic.atol() * scale
+        assert abs(speed[i] - km / dt * 3600.0 / KNOT_KM_H * 10.0) <= bound
         dlat, dlon = lats[i] - lats[i - 1], (lons[i] - lons[i - 1]) * coslat
         assert course[i] == np.degrees(np.arctan2(dlon, dlat)) % 360.0 * 10.0
     assert (speed[0], course[0]) == (speed[1], course[1])
