@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import EARTH_RADIUS_KM
 from .errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
-from .ingest import AisMessage, format_timestamp, object_id_pairs
+from .ingest import NEW_TRACK, AisMessage, format_timestamp, object_id_pairs
 from .lstm import roll_step, rollout_start, stack_networks
 from .preprocess import ScalerParams, unscale
 
-NEW_TRACK = "NEW"
+EARTH_RADIUS_KM = 6371.0
 
 # The rollout runs one LSTM step per period past a vessel's train end, so an
 # observation far in the future would stall the run. Past this many steps
@@ -119,13 +118,11 @@ def predict_positions(bundles, target_time: float) -> dict[str, tuple[float, flo
     return {b.vessel_id: tuple(table[s - 1, z].tolist()) for z, (b, s) in enumerate(zip(bundles, steps))}
 
 
-def _decide(
-    observations: list[AisMessage], predicted: np.ndarray, vessel_ids: list[str], tau: float, radius_km: float
-) -> Decisions:
+def _decide(observations: list[AisMessage], predicted: np.ndarray, vessel_ids: list[str], tau: float) -> Decisions:
     """Score N observations against (N, Z, 2) predicted (lat, lon) whose
     columns follow the sorted vessel_ids; the first minimum of each row wins."""
     obs = np.array([(m.lat, m.lon) for m in observations], dtype=np.float64).reshape(-1, 1, 2)
-    distances = haversine(obs[..., 0], obs[..., 1], predicted[..., 0], predicted[..., 1], radius_km)
+    distances = haversine(obs[..., 0], obs[..., 1], predicted[..., 0], predicted[..., 1])
     best = np.argmin(distances, axis=1)
     winning = distances[np.arange(len(distances)), best]
     assigned = [vessel_ids[z] if d <= tau else NEW_TRACK for z, d in zip(best.tolist(), winning.tolist())]
@@ -133,10 +130,7 @@ def _decide(
 
 
 def associate(
-    observation: AisMessage,
-    predictions: Mapping[str, tuple[float, float]],
-    tau: float = math.inf,
-    radius_km: float = EARTH_RADIUS_KM,
+    observation: AisMessage, predictions: Mapping[str, tuple[float, float]], tau: float = math.inf
 ) -> Decisions:
     """Assign one observation to the nearest of the predicted (lat, lon)
     positions, keyed by vessel_id, or NEW if the minimum distance exceeds
@@ -145,25 +139,19 @@ def associate(
         raise ValueError("predictions must be non-empty")
     vids = sorted(predictions)
     predicted = np.array([[predictions[v] for v in vids]], dtype=np.float64)
-    return _decide([observation], predicted, vids, tau, radius_km)
+    return _decide([observation], predicted, vids, tau)
 
 
-def associate_batch(
-    observations: list[AisMessage],
-    bundles,
-    tau: float = math.inf,
-    radius_km: float = EARTH_RADIUS_KM,
-) -> Decisions:
-    """Associate time-ordered observations against one fleet-stacked rollout.
+def associate_batch(observations: list[AisMessage], bundles, tau: float = math.inf) -> Decisions:
+    """Associate observations, in any order, against one fleet-stacked
+    rollout; row i of the result is observations[i].
 
     No exclusivity constraint: many observations may map to one track."""
-    if any(b.t > a.t for a, b in zip(observations[1:], observations)):
-        raise ValueError("observations must be sorted by timestamp")
     bundles = sorted(bundles, key=lambda b: b.vessel_id)
     steps = _rollout_steps(bundles, [obs.t for obs in observations])
     table = _rollout_positions(bundles, int(steps.max(initial=0)))
     predicted = table[steps - 1, np.arange(len(bundles))]
-    return _decide(observations, predicted, [b.vessel_id for b in bundles], tau, radius_km)
+    return _decide(observations, predicted, [b.vessel_id for b in bundles], tau)
 
 
 def decisions_to_csv(decisions: Decisions) -> str:

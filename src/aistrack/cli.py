@@ -9,14 +9,15 @@ added by adding a `RunConfig` field and naming it in one `FLAGS` list.
 
 Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
 duplicate OBJECT_ID (in --data, --obs, --decisions or --truth; the error
-names the file and line), a --decisions or --truth header that is not its
-own, a bad --config file or value, a --data file that leaves no track to
-train, an input that is missing or not UTF-8, a missing or malformed model,
-an observation at or before a vessel's train end or more than
-`associate.MAX_ROLLOUT_STEPS` steps past it, decisions that repeat an
-OBJECT_ID or leave a truth object undecided, an --out that cannot be
-created or written (`train` creates its --out before it trains), and an
-`evaluate --out` ending in .txt, which its text report would overwrite.
+names the file and line), a VID in --data or --obs that is empty, "NEW" or
+holds `,` `"` `/` `\\` or a control character, a --decisions or --truth
+header that is not its own, a bad --config file or value, a --data file that
+leaves no track to train, an input that is missing or not UTF-8, a missing
+or malformed model, an observation at or before a vessel's train end or more
+than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a
+truth object undecided, an --out that cannot be created or written (`train`
+creates its --out before it trains), and an `evaluate --out` ending in .txt,
+which its text report would overwrite.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -45,7 +45,7 @@ FLAGS = {
     "synth": ("seed", "vessels", "points", "period", "jitter", "noise", "crossing"),
     "train": ("seed", "min_points", "period", "window", "hidden", "epochs", "batch", "lr", "dropout",
               "test_len", "lenient"),
-    "associate": ("seed", "tau", "radius", "lenient"),
+    "associate": ("seed", "tau", "lenient"),
     "evaluate": ("seed",),
 }
 FLAG_HELP = {"crossing": "'a,b,sample' to force two tracks to cross"}
@@ -170,7 +170,7 @@ def cmd_associate(args) -> int:
     bundles = load_fleet(args.models)
     observations = _messages(args.obs, cfg)
     observations.sort(key=lambda m: (m.t, m.object_id))
-    decisions = associate_batch(observations, bundles, tau=cfg.tau, radius_km=cfg.radius)
+    decisions = associate_batch(observations, bundles, tau=cfg.tau)
     out = Path(args.out)
     write_output(out, decisions_to_csv(decisions))
     write_output(out.with_suffix(".meta.json"), json.dumps(config_meta(cfg), sort_keys=True, indent=1))
@@ -182,10 +182,7 @@ def cmd_evaluate(args) -> int:
     cfg = effective_config(args)
     assignments = _parse(decisions_from_csv, args.decisions)
     truth = _parse(truth_from_csv, args.truth)
-    decided = Counter(oid for oid, _ in assignments)
-    repeated = [oid for oid, n in decided.items() if n > 1]
-    if repeated:
-        raise IncompleteDecisions(f"{args.decisions} repeats OBJECT_ID {repeated[0]}")
+    decided = {oid for oid, _ in assignments}
     undecided = [oid for oid in truth if oid not in decided]
     if undecided:
         raise IncompleteDecisions(

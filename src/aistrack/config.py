@@ -19,8 +19,6 @@ from typing import get_type_hints
 
 from .errors import BadConfig
 
-EARTH_RADIUS_KM = 6371.0
-
 
 @dataclass
 class RunConfig:
@@ -39,7 +37,6 @@ class RunConfig:
     dropout: float = 0.2
     test_len: int = 108
     tau: float = math.inf
-    radius: float = EARTH_RADIUS_KM
     lenient: bool = False
     crossing: str = ""  # "a,b,sample" to force an overlap scenario
 
@@ -50,12 +47,12 @@ FIELD_TYPES = get_type_hints(RunConfig)
 
 # Interval ("[" and "]" include the bound) each numeric field must lie in,
 # checked before any input is read: the library rejects some values late and
-# accepts others with wrong answers (radius <= 0 picks the farthest vessel).
+# accepts others with wrong answers (tau < 0 makes every decision NEW).
 RANGES = {
     "[0, inf)": ("seed", "noise", "lr"),
     "[1, inf)": ("vessels", "min_points", "window", "hidden", "epochs", "batch", "test_len"),
     "[2, inf)": ("points",),
-    "(0, inf)": ("period", "radius"),
+    "(0, inf)": ("period",),
     "[0, 1)": ("jitter", "dropout"),
     "[0, inf]": ("tau",),
 }

@@ -19,11 +19,11 @@ per-batch interpreter overhead, which is what costs at small batches, while
 at batch 128 a stack of five was no faster and doubled peak memory.
 
 A fleet is saved as one model_<vid>.json per vessel, a manifest.json holding
-each file's sha256 and the run's config (`config.config_meta`), and a
+each file's sha256 and the run's whole config (`config.config_meta`), and a
 train_report.json of each vessel's per-epoch loss. A model file is plain JSON
-metadata (vessel id, period, train end time, scaler, last training window,
-architecture, and the batch size, epochs, learning rate and seed it was
-trained with) in which every weight array (W, U and b of each layer,
+metadata (vessel id, period, train end time, scaler, last training window and
+architecture; the reader ignores any other key, such as the train_config
+block older files carry) in which every weight array (W, U and b of each layer,
 dense_W, dense_b) is a base64 string of its little-endian float64 bytes,
 restored bit for bit in the shape `lstm.param_shapes(hidden)` gives. Writing
 the weights as JSON numbers through the indented encoder, which formats each
@@ -263,7 +263,7 @@ def _network_from_dict(d: dict) -> LstmNetwork:
     return network_from_arrays(arrays, d["dropout_rate"])
 
 
-def bundle_to_json(bundle: ModelBundle, cfg: RunConfig) -> str:
+def bundle_to_json(bundle: ModelBundle) -> str:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "vessel_id": bundle.vessel_id,
@@ -273,12 +273,6 @@ def bundle_to_json(bundle: ModelBundle, cfg: RunConfig) -> str:
         "scaler": {"min": bundle.scaler.min.tolist(), "max": bundle.scaler.max.tolist()},
         "last_training_window": bundle.last_training_window.tolist(),
         "network": _network_to_dict(bundle.network),
-        "train_config": {
-            "batch_size": cfg.batch,
-            "epochs": cfg.epochs,
-            "learning_rate": cfg.lr,
-            "rng_seed": cfg.seed,
-        },
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -330,7 +324,7 @@ def save_fleet(
     entries = []
     for bundle in sorted(bundles, key=lambda b: b.vessel_id):
         name = f"model_{bundle.vessel_id}.json"
-        data = bundle_to_json(bundle, cfg).encode()
+        data = bundle_to_json(bundle).encode()
         write_output(directory / name, data)
         entries.append({"file": name, "vessel_id": bundle.vessel_id, "sha256": _sha256(data)})
     manifest = {"format_version": MODEL_FORMAT_VERSION, "meta": config_meta(cfg), "models": entries}

@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -20,6 +21,14 @@ from .errors import MalformedRow, OutOfRange
 HEADER = ("OBJECT_ID", "VID", "SEQUENCE_DTTM", "LAT", "LON", "SPEED", "COURSE")
 
 _TIME_FMT = "%Y-%m-%dT%H:%M:%SZ"
+
+# The label of an observation assigned to no vessel.
+NEW_TRACK = "NEW"
+
+# What a VID may not hold, since it goes into the CSV fields and model file
+# names the pipeline writes: a CSV delimiter or quote, a path separator, or a
+# control character.
+_VID_FORBIDDEN = re.compile(r'[,"/\\\x00-\x1f\x7f-\x9f]')
 
 
 @functools.lru_cache(maxsize=4096)
@@ -95,6 +104,18 @@ def _resolve_header(fields: list[str]) -> dict[str, int]:
     return index
 
 
+def _check_vessel_id(vid: str, line_no: int) -> None:
+    """MalformedRow if `vid` is empty, equals NEW_TRACK or holds a forbidden
+    character."""
+    if not vid:
+        raise MalformedRow(line_no, "empty VID")
+    if vid == NEW_TRACK:
+        raise MalformedRow(line_no, f"VID {vid!r} is the new-track label")
+    bad = _VID_FORBIDDEN.search(vid)
+    if bad:
+        raise MalformedRow(line_no, f"VID {vid!r} holds {bad.group()!r}")
+
+
 def _csv_rows(text: str) -> Iterator[list[str]]:
     """csv.reader's rows; a line it cannot split (a field over its size
     limit, or a NUL before Python 3.11) is a MalformedRow."""
@@ -108,7 +129,9 @@ def _csv_rows(text: str) -> Iterator[list[str]]:
 def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -> list[AisMessage]:
     """Parse a Table-1 style CSV. Strict mode raises on the first bad row;
     lenient mode skips bad rows and counts them in `stats`. A repeated
-    OBJECT_ID is a bad row; lenient mode keeps its first row. A line the
+    OBJECT_ID is a bad row; lenient mode keeps its first row. So is a VID
+    that is empty, equals NEW_TRACK or holds a character _VID_FORBIDDEN
+    names; each distinct VID is checked once. A line the
     csv module cannot split ends parsing in either mode."""
     reader = _csv_rows(text)
     try:
@@ -118,6 +141,7 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
     cols = _resolve_header(header)
     out: list[AisMessage] = []
     first_line: dict[int, int] = {}  # OBJECT_ID -> line it was accepted on
+    good_vids: set[str] = set()
     for line_no, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -139,6 +163,9 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
             except (ValueError, OverflowError) as exc:
                 raise MalformedRow(line_no, str(exc)) from exc
             msg.validate(line_no)
+            if msg.vessel_id not in good_vids:
+                _check_vessel_id(msg.vessel_id, line_no)
+                good_vids.add(msg.vessel_id)
             if msg.object_id in first_line:
                 first = first_line[msg.object_id]
                 raise MalformedRow(line_no, f"duplicate OBJECT_ID {msg.object_id} (first on line {first})")
@@ -153,20 +180,20 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
     return out
 
 
-def object_id_pairs(text: str, header: tuple[str, ...], exact: bool, unique: bool = False) -> list[tuple[int, str]]:
+def object_id_pairs(text: str, header: tuple[str, ...], exact: bool) -> list[tuple[int, str]]:
     """(OBJECT_ID, second field) of each non-blank line after the header of
     a comma-separated file whose first field is an integer OBJECT_ID. A
     header that does not start with the names in `header` (matched
     case-insensitively), a row with fewer fields than `header` names (or
-    more, if `exact`), a non-integer OBJECT_ID, or (if `unique`) a repeated
-    one is a MalformedRow naming its line."""
+    more, if `exact`), a non-integer OBJECT_ID, or a repeated one is a
+    MalformedRow naming its line."""
     lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     header_line, names = lines[0] if lines else (1, "")
     if [name.strip().upper() for name in names.split(",")[: len(header)]] != list(header):
         raise MalformedRow(header_line, f"header must start with {','.join(header)}")
     n_fields = len(header)
     out = []
-    first_line: dict[int, int] = {}  # OBJECT_ID -> its line, if `unique`
+    first_line: dict[int, int] = {}  # OBJECT_ID -> its line
     for line_no, ln in lines[1:]:
         fields = ln.split(",")
         if len(fields) < n_fields or (exact and len(fields) > n_fields):
@@ -176,10 +203,9 @@ def object_id_pairs(text: str, header: tuple[str, ...], exact: bool, unique: boo
             object_id = int(fields[0])
         except ValueError:
             raise MalformedRow(line_no, f"OBJECT_ID {fields[0]!r} is not an integer") from None
-        if unique:
-            if object_id in first_line:
-                raise MalformedRow(line_no, f"duplicate OBJECT_ID {object_id} (first on line {first_line[object_id]})")
-            first_line[object_id] = line_no
+        if object_id in first_line:
+            raise MalformedRow(line_no, f"duplicate OBJECT_ID {object_id} (first on line {first_line[object_id]})")
+        first_line[object_id] = line_no
         out.append((object_id, fields[1]))
     return out
 

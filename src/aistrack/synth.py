@@ -124,7 +124,7 @@ def truth_to_csv(truth: dict[int, str]) -> str:
 
 
 def truth_from_csv(text: str) -> dict[int, str]:
-    return dict(object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True, unique=True))
+    return dict(object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True))
 
 
 def fleet_motions(cfg: RunConfig) -> list[VesselMotion]:

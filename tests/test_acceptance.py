@@ -1,10 +1,12 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
-The PASS lines bypass pytest's capture, so a plain `pytest -v` shows them.
+The PASS lines bypass pytest's capture, so a plain `pytest -v` shows them,
+and so do the TRACKED lines: numbers the output records but no test gates.
 The end-to-end fleet criterion trains five full-size models and takes a few
 minutes.
 """
 
+import csv
 import json
 import math
 import time
@@ -14,11 +16,12 @@ import pytest
 
 from _gradcheck import check_network
 from _lstm_oracle import count_params, evaluate_loss
+from _reference import error_ratios
 from aistrack.associate import EARTH_RADIUS_KM, associate_batch, haversine
 from aistrack.cli import main
 from aistrack.evaluate import confusion, macro_averages, metrics
 from aistrack.config import RunConfig
-from aistrack.fleet import train_fleet
+from aistrack.fleet import load_fleet, train_fleet
 from aistrack.ingest import AisMessage, RawTrack, group_tracks, parse_csv
 from aistrack.lstm import AdamState, init_network, train_epoch
 from aistrack.preprocess import ScalerParams, resample, scale, unscale
@@ -30,6 +33,15 @@ def report(capsys):
     def emit(name):
         with capsys.disabled():
             print(f"ACCEPTANCE {name}: PASS", flush=True)
+
+    return emit
+
+
+@pytest.fixture
+def tracked(capsys):
+    def emit(name, value):
+        with capsys.disabled():
+            print(f"TRACKED {name}: {value}", flush=True)
 
     return emit
 
@@ -132,7 +144,7 @@ def _run_cli(argv):
 
 
 @pytest.mark.slow
-def test_synthetic_fleet_end_to_end(tmp_path, report):
+def test_synthetic_fleet_end_to_end(tmp_path, report, tracked):
     start = time.time()
     data = tmp_path / "data"
     models = tmp_path / "models"
@@ -159,6 +171,13 @@ def test_synthetic_fleet_end_to_end(tmp_path, report):
     assert doc["macro"]["f1"] >= 0.95
     elapsed = time.time() - start
     assert elapsed < 15 * 60
+    # each held-out observation's distance to its own vessel's prediction
+    holdout = parse_csv((models / "holdout.csv").read_text())
+    with open(decisions, newline="") as fh:
+        rows = {int(r["OBJECT_ID"]): r for r in csv.DictReader(fh)}
+    lstm_km = [float(rows[m.object_id][f"DIST_{m.vessel_id}"]) for m in holdout]
+    for name, (first, last) in error_ratios(load_fleet(models), holdout, lstm_km, (1, 108)).items():
+        tracked(f"LSTM / {name} mean error at rollout steps 1 and 108", f"{first:.2f} {last:.2f}")
     report(
         f"synthetic fleet end-to-end (macro F1 {doc['macro']['f1']:.3f}, "
         f"min vessel F1 {min(per_vessel_f1.values()):.3f}, {elapsed / 60:.1f} min)"
@@ -166,7 +185,7 @@ def test_synthetic_fleet_end_to_end(tmp_path, report):
 
 
 @pytest.mark.slow
-def test_overlap_stress(report):
+def test_overlap_stress(report, tracked):
     # the crossing sample 590 is inside the held-out suffix (samples 540..647)
     synth_cfg = RunConfig(vessels=5, points=648, period=5.0, jitter=0.2, noise=1e-4, seed=43, crossing="0,1,590")
     motions = fleet_motions(synth_cfg)
@@ -211,6 +230,7 @@ def test_overlap_stress(report):
     crossed = [m for m in per_vessel if m.vessel_id in crossing_vids]
     macro_clear = macro_averages(clear)
     assert macro_clear["f1"] >= 0.95, macro_clear
+    tracked("crossing pair F1", " ".join(f"{m.f1:.3f}" for m in crossed))
     report(
         f"overlap stress (non-crossing macro F1 {macro_clear['f1']:.3f}; "
         f"crossing pair F1 {[round(m.f1, 3) for m in crossed]})"

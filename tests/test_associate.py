@@ -124,11 +124,6 @@ class TestAssociate:
         with pytest.raises(ValueError):
             associate(_obs(1, 0, 0), {})
 
-    def test_assignment_invariant_under_radius_scaling(self):
-        for r in (1.0, 1000.0, 6371.0):
-            d = associate(_obs(1, 37.91, 23.61), self.PREDS, radius_km=r)
-            assert d.assigned == ["A"]
-
 
 def _bundle(
     vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0, hidden=8, window=10
@@ -202,9 +197,15 @@ class TestAssociateBatch:
         assert d.assigned == expected.assigned
         assert d.winning_distance_km == expected.winning_distance_km
 
-    def test_unsorted_observations_rejected(self):
-        with pytest.raises(ValueError):
-            associate_batch([_obs(1, 0, 0, t=2000), _obs(2, 0, 0, t=1005)], [_bundle("v1")])
+    def test_shuffled_observations_keep_each_row(self):
+        bundles = TestStackedRollout.BUNDLES
+        obs = _mixed_observations(20)
+        shuffled = [obs[i] for i in np.random.default_rng(3).permutation(len(obs))]
+        d, s = associate_batch(obs, bundles), associate_batch(shuffled, bundles)
+        rows = {oid: (a, w, list(ds)) for oid, a, w, ds in zip(s.object_ids, s.assigned, s.winning_distance_km,
+                                                                 s.distances_km)}
+        for oid, a, w, ds in zip(d.object_ids, d.assigned, d.winning_distance_km, d.distances_km):
+            assert rows[oid] == (a, w, list(ds))
 
     def test_observations_at_predictions_assign_perfectly(self):
         bundles = [

@@ -143,7 +143,7 @@ def test_unknown_config_key_is_data_error(tmp_path):
 @pytest.mark.parametrize(
     "content",
     [None, "{not json", b"\xff\xfe", "[1, 2]", '{"vessels": "5"}', '{"epochs": 2.5}', '{"lenient": 1}',
-     '{"seed": true}', '{"crossing": 3}', '{"lr": null}'],
+     '{"seed": true}', '{"crossing": 3}', '{"lr": null}', '{"radius": 6371.0}'],
 )
 def test_bad_config_file_is_data_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
@@ -282,7 +282,7 @@ OPTIONS = {
     "synth": "--config --seed --out --vessels --points --period --jitter --noise --crossing",
     "train": "--config --seed --data --out --min-points --period --window --hidden --epochs --batch --lr"
     " --dropout --test-len --lenient",
-    "associate": "--config --seed --models --obs --out --tau --radius --lenient",
+    "associate": "--config --seed --models --obs --out --tau --lenient",
     "evaluate": "--config --seed --decisions --truth --out",
 }
 
@@ -332,8 +332,6 @@ def trained(tmp_path_factory):
         ("synth --out {new} --crossing 1,2", "crossing"),
         ("synth --out {new} --crossing a,b,c", "crossing"),
         ("synth --out {new} --crossing 0,9,5", "crossing"),
-        ("associate --models {models} --obs {holdout} --out {new}/d.csv --radius -1", "radius"),
-        ("associate --models {models} --obs {holdout} --out {new}/d.csv --radius 0", "radius"),
         ("train --data {missing} --out {new}", "missing.csv"),
         ("associate --models {models} --obs {missing} --out {new}/d.csv", "missing.csv"),
         ("evaluate --decisions {missing} --truth {truth} --out {new}/r.json", "missing.csv"),
@@ -446,6 +444,10 @@ def test_train_with_no_track_left_is_data_error(trained, tmp_path, capsys, flags
         ("train --data {bad} --out {new}", "1,aa,2020-02-29T22:00:01Z,91.0,0,0,0", "LAT=91.0 out of range"),
         ("associate --models {models} --obs {bad} --out {new}/d.csv", "1,aa,2020-02-29T22:00:01Z,x,0,0,0",
          "could not convert string to float: 'x'"),
+        # VIDs that train once accepted and wrote into files a later stage misread or refused
+        ("train --data {bad} --out {new}", "1,NEW,2020-02-29T22:00:01Z,10.0,0,0,0", "VID 'NEW' is the new-track label"),
+        ("train --data {bad} --out {new}", '1,"a,b",2020-02-29T22:00:01Z,10.0,0,0,0', "VID 'a,b' holds ','"),
+        ("train --data {bad} --out {new}", "1,x/y,2020-02-29T22:00:01Z,10.0,0,0,0", "VID 'x/y' holds '/'"),
     ],
 )
 def test_bad_data_or_obs_row_names_its_file(trained, tmp_path, capsys, argv, row, reason):
@@ -454,6 +456,7 @@ def test_bad_data_or_obs_row_names_its_file(trained, tmp_path, capsys, argv, row
     capsys.readouterr()
     rc = run(argv.format(bad=bad, models=trained / "models", new=tmp_path / "new").split())
     assert rc == 2 and capsys.readouterr().err == f"error: {bad}: line 2: {reason}\n"
+    assert not (tmp_path / "new").exists()
 
 
 def test_repeated_truth_object_id_is_data_error(trained, tmp_path, capsys):
@@ -487,7 +490,7 @@ def test_manifest_vessel_other_than_model_file_is_data_error(trained, tmp_path, 
 @pytest.mark.parametrize(
     "edit, named",
     [
-        (lambda rows: rows + rows[-1:], "repeats OBJECT_ID"),
+        (lambda rows: rows + rows[-1:], "duplicate OBJECT_ID"),
         (lambda rows: rows[:-1], "no decision for 1 of"),
     ],
     ids=["repeated", "undecided"],
@@ -500,7 +503,7 @@ def test_repeated_or_missing_decision_is_data_error(trained, tmp_path, capsys, e
     rc = run(["evaluate", "--decisions", decisions, "--truth", trained / "models" / "holdout_truth.csv",
               "--out", tmp_path / "r.json"])
     err = capsys.readouterr().err
-    assert rc == 2 and err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert rc == 2 and err.startswith(f"error: {decisions}") and err.count("\n") == 1 and named in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -131,15 +131,24 @@ def _k_1(doc):
 class TestPersistence:
     def test_bundle_json_round_trip_predictions(self):
         bundle, _ = _train_one(_series(), _cfg())
-        restored = bundle_from_json(bundle_to_json(bundle, _cfg()))
+        restored = bundle_from_json(bundle_to_json(bundle))
         probe = np.random.default_rng(5).random((5, 4))
         p1, _ = forward(bundle.network, probe)
         p2, _ = forward(restored.network, probe)
         np.testing.assert_array_equal(p1, p2)
 
+    def test_file_with_older_train_config_block_loads(self):
+        # files written before the manifest alone held the training config
+        bundle, _ = _train_one(_series(), _cfg())
+        doc = json.loads(bundle_to_json(bundle))
+        assert "train_config" not in doc
+        doc["train_config"] = {"batch_size": 10, "epochs": 2, "learning_rate": 0.0001, "rng_seed": 42}
+        restored = bundle_from_json(json.dumps(doc, sort_keys=True, indent=1))
+        assert bundle_to_json(restored) == bundle_to_json(bundle)
+
     def test_version_mismatch_rejected(self):
         bundle, _ = _train_one(_series(), _cfg())
-        doc = json.loads(bundle_to_json(bundle, _cfg()))
+        doc = json.loads(bundle_to_json(bundle))
         doc["format_version"] = 99
         with pytest.raises(VersionMismatch):
             bundle_from_json(json.dumps(doc))
@@ -351,7 +360,7 @@ class TestLockstep:
         assert [b.vessel_id for b in b1] == [b.vessel_id for b in b2] == ["v0", "v1", "v2", "v3", "v4"]
         assert h1 == h2
         for x, y in zip(b1, b2):
-            assert bundle_to_json(x, self._cfg()) == bundle_to_json(y, self._cfg())
+            assert bundle_to_json(x) == bundle_to_json(y)
 
 
 def test_vessel_seed_is_stable_and_distinct():

@@ -86,6 +86,39 @@ def test_duplicate_object_id_rejected_or_skipped():
     assert stats.skipped == 1
 
 
+# One VID of each class parse_csv rejects, as its CSV field, and the reason.
+BAD_VIDS = [
+    ("NEW", "VID 'NEW' is the new-track label"),
+    ('"  "', "empty VID"),
+    ('"a,b"', "VID 'a,b' holds ','"),
+    ('"q""x"', "VID 'q\"x' holds '\"'"),
+    ("x/y", "VID 'x/y' holds '/'"),
+    ("x\\y", "VID 'x\\\\y' holds '\\\\'"),
+    ("t\x01", "VID 't\\x01' holds '\\x01'"),
+    ('"a\nb"', "VID 'a\\nb' holds '\\n'"),
+]
+
+
+@pytest.mark.parametrize("field, reason", BAD_VIDS, ids=["new_track", "empty", "comma", "quote", "slash",
+                                                         "backslash", "control", "newline"])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+def test_vid_the_pipeline_cannot_carry_is_bad_row(field, reason, strict):
+    text = (
+        HEADER
+        + "\n1,aa,2020-02-29T22:00:01Z,10.0,0,0,0\n"
+        + f"2,{field},2020-02-29T22:00:02Z,11.0,0,0,0\n"
+        + f"3,{field},2020-02-29T22:00:03Z,12.0,0,0,0\n"
+    )
+    if strict:
+        with pytest.raises(MalformedRow) as exc:
+            parse_csv(text)
+        assert (exc.value.line_no, exc.value.reason) == (3, reason)
+    else:
+        stats = ParseStats()
+        assert [m.object_id for m in parse_csv(text, strict=False, stats=stats)] == [1]
+        assert (stats.rows, stats.skipped) == (3, 2)
+
+
 def test_unsplittable_line_rejected_in_both_modes():
     text = HEADER + "\n1,aa,2020-02-29T22:00:01Z,10.0,0,0,0\n" + '2,"' + "x" * 200_000 + '"\n'
     for strict in (True, False):
