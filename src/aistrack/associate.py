@@ -103,7 +103,7 @@ def _rollout_positions(bundles, steps: int) -> np.ndarray:
         for s in range(steps):
             scaled[s], state = roll_step(net, state)
     except NonFiniteActivation as exc:
-        raise NonFiniteActivation(f"vessel {bundles[exc.row].vessel_id}: {exc}") from None
+        raise NonFiniteActivation(f"vessel {bundles[exc.row].vessel_id}: {exc}", exc.row) from None
     fleet_scaler = ScalerParams(
         min=np.stack([b.scaler.min for b in bundles]), max=np.stack([b.scaler.max for b in bundles])
     )

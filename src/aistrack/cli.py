@@ -12,8 +12,10 @@ duplicate OBJECT_ID (in --data, --obs, --decisions or --truth; the error
 names the file and line), a VID in --data or --obs that is empty, "NEW" or
 holds `,` `"` `/` `\\` or a control character, a --decisions or --truth
 header that is not its own, a bad --config file or value, a --data file that
-leaves no track to train, an input that is missing or not UTF-8, a missing
-or malformed model, an observation at or before a vessel's train end or more
+leaves no track to train, a --period that puts more than
+`preprocess.MAX_GRID_SAMPLES` samples on a track, an input that is missing
+or not UTF-8, a missing or malformed model (its vessel_id held to the rule
+for a VID), an observation at or before a vessel's train end or more
 than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a
 truth object undecided, an --out that cannot be created or written (`train`
 creates its --out before it trains), and an `evaluate --out` ending in .txt,
@@ -36,7 +38,7 @@ from .evaluate import confusion, metrics, write_report
 from .fleet import load_fleet, save_fleet, train_fleet, trainable_tracks
 from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv
 from .preprocess import resample
-from .synth import fleet_motions, generate, truth_from_csv, truth_to_csv
+from .synth import crossing, fleet_motions, generate, truth_from_csv, truth_to_csv
 
 
 # RunConfig fields each subcommand takes as flags: `--` plus the name with
@@ -93,8 +95,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(cfg, key, value)
     check_ranges(cfg)
-    if cfg.crossing:
-        fleet_motions(cfg)
+    crossing(cfg)  # checked without building the fleet, whose size is a setting
     return cfg
 
 

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import get_type_hints
 
@@ -88,6 +89,8 @@ def config_meta(cfg: RunConfig) -> dict:
 
 def is_json_type(value, kind: type) -> bool:
     """Whether a decoded JSON value has type `kind`: a bool is not an int,
-    and an int stands for a float, as it does on the command line."""
+    and an int stands for a float, as it does on the command line, if a
+    float can hold it."""
     accepted = (int, float) if kind is float else kind
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
+    fits = kind is not float or not isinstance(value, int) or abs(value) <= sys.float_info.max
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted) and fits

@@ -33,10 +33,10 @@ class TrackTooShort(AistrackError):
 
 
 class NonFiniteActivation(AistrackError):
-    """A NaN or infinite network output; `row` is its index on a stacked
-    network's vessel axis, or None."""
+    """A NaN or infinite network output; `row` is its vessel's index on the
+    network's vessel axis."""
 
-    def __init__(self, message, row=None):
+    def __init__(self, message, row: int):
         super().__init__(message)
         self.row = row
 
@@ -70,6 +70,10 @@ class TimeBeforeTraining(AistrackError):
 
 
 class RolloutTooLong(AistrackError):
+    pass
+
+
+class GridTooLong(AistrackError):
     pass
 
 

@@ -59,6 +59,7 @@ from .errors import (
     output_dir,
     write_output,
 )
+from .ingest import vessel_id_fault
 from .lstm import (
     INPUT_DIM,
     N_LAYERS,
@@ -85,7 +86,7 @@ STACK_WINDOWS = 64
 @dataclass
 class ModelBundle:
     vessel_id: str
-    network: LstmNetwork
+    network: LstmNetwork  # one vessel's (Z = 1)
     scaler: ScalerParams
     period: float
     last_training_window: np.ndarray  # (m, k) scaled
@@ -187,8 +188,8 @@ def _encode(a: np.ndarray) -> str:
 
 
 def _decode(payload, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """A writable float64 array of `shape` back from an `_encode` string,
-    every value finite."""
+    """A writable float64 array of one vessel's slice of `shape`, (1, *shape),
+    back from an `_encode` string, every value finite."""
     if not isinstance(payload, str):
         raise BadModel(f"{key} must be a base64 string, got {type(payload).__name__}")
     try:
@@ -197,7 +198,7 @@ def _decode(payload, shape: tuple[int, ...], key: str) -> np.ndarray:
         raise BadModel(f"{key} is not base64: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
         raise BadModel(f"{key} holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}")
-    return _finite(np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape), key)
+    return _finite(np.frombuffer(raw, "<f8").astype(np.float64).reshape(1, *shape), key)
 
 
 def _finite(a: np.ndarray, key: str) -> np.ndarray:
@@ -279,7 +280,8 @@ def bundle_to_json(bundle: ModelBundle) -> str:
 
 def bundle_from_json(text: str) -> ModelBundle:
     """Raises VersionMismatch for another format version and BadModel for a
-    document that is not a model of this one."""
+    document that is not a model of this one, or whose vessel_id
+    `ingest.vessel_id_fault` rejects."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -290,6 +292,9 @@ def bundle_from_json(text: str) -> ModelBundle:
         raise VersionMismatch(f"model format {doc.get('format_version')}, expected {MODEL_FORMAT_VERSION}")
     try:
         _check_fields(doc, MODEL_FIELDS)
+        fault = vessel_id_fault(doc["vessel_id"])
+        if fault:
+            raise BadModel(f"vessel_id: {fault}")
         return ModelBundle(
             vessel_id=doc["vessel_id"],
             network=_network_from_dict(doc["network"]),
@@ -303,7 +308,8 @@ def bundle_from_json(text: str) -> ModelBundle:
             ),
             train_end_time=doc["train_end_time"],
         )
-    except (KeyError, TypeError, ValueError) as exc:  # a key missing, or a container of the wrong kind
+    # a key missing, a container of the wrong kind, or an int no float can hold
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadModel(f"not a model document: missing or malformed {exc!r}") from exc
 
 

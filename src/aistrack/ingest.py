@@ -104,45 +104,51 @@ def _resolve_header(fields: list[str]) -> dict[str, int]:
     return index
 
 
-def _check_vessel_id(vid: str, line_no: int) -> None:
-    """MalformedRow if `vid` is empty, equals NEW_TRACK or holds a forbidden
-    character."""
+def vessel_id_fault(vid: str) -> str | None:
+    """Why `vid` cannot be a vessel id: it is empty, has surrounding
+    whitespace, equals NEW_TRACK or holds a forbidden character; None if it
+    can be one."""
     if not vid:
-        raise MalformedRow(line_no, "empty VID")
+        return "empty VID"
+    if vid != vid.strip():
+        return f"VID {vid!r} has surrounding whitespace"
     if vid == NEW_TRACK:
-        raise MalformedRow(line_no, f"VID {vid!r} is the new-track label")
+        return f"VID {vid!r} is the new-track label"
     bad = _VID_FORBIDDEN.search(vid)
-    if bad:
-        raise MalformedRow(line_no, f"VID {vid!r} holds {bad.group()!r}")
+    return f"VID {vid!r} holds {bad.group()!r}" if bad else None
 
 
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    """csv.reader's rows; a line it cannot split (a field over its size
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """csv.reader's rows, each with the physical line it starts on (a quoted
+    field may span lines); a line it cannot split (a field over its size
     limit, or a NUL before Python 3.11) is a MalformedRow."""
     reader = csv.reader(io.StringIO(text))
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedRow(reader.line_num, str(exc)) from exc
 
 
 def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -> list[AisMessage]:
     """Parse a Table-1 style CSV. Strict mode raises on the first bad row;
-    lenient mode skips bad rows and counts them in `stats`. A repeated
-    OBJECT_ID is a bad row; lenient mode keeps its first row. So is a VID
-    that is empty, equals NEW_TRACK or holds a character _VID_FORBIDDEN
-    names; each distinct VID is checked once. A line the
-    csv module cannot split ends parsing in either mode."""
+    lenient mode skips bad rows and counts them in `stats`. Errors name the
+    physical line a row starts on. A repeated OBJECT_ID is a bad row;
+    lenient mode keeps its first row. So is a VID that `vessel_id_fault`
+    rejects; each distinct VID is checked once. A line the csv module cannot
+    split ends parsing in either mode."""
     reader = _csv_rows(text)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise MalformedRow(1, "empty input, header required")
     cols = _resolve_header(header)
     out: list[AisMessage] = []
     first_line: dict[int, int] = {}  # OBJECT_ID -> line it was accepted on
     good_vids: set[str] = set()
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if stats is not None:
@@ -164,7 +170,9 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
                 raise MalformedRow(line_no, str(exc)) from exc
             msg.validate(line_no)
             if msg.vessel_id not in good_vids:
-                _check_vessel_id(msg.vessel_id, line_no)
+                fault = vessel_id_fault(msg.vessel_id)
+                if fault:
+                    raise MalformedRow(line_no, fault)
                 good_vids.add(msg.vessel_id)
             if msg.object_id in first_line:
                 first = first_line[msg.object_id]

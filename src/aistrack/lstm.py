@@ -16,31 +16,32 @@ by default) on `INPUT_DIM` = 4 inputs (lat, lon, speed, course), and a dense
 head of `OUT_DIM` = 2 outputs (lat, lon) that reads the last timestep. Every
 layer after the first adds its input to its output (an identity residual
 connection, as in the paper's stack), followed in train mode by inverted
-dropout. `param_shapes(hidden)` gives the parameter shapes in
-`param_arrays()` order, and `network_from_arrays` builds a network from
-arrays in that order; `init_network`, `stack_networks`, `unstack_network`
-and the model file reader (`fleet`) all go through them, so only the hidden
-size varies between networks. A fleet is one stack: `fleet.load_fleet`
-rejects a model directory that mixes hidden sizes or windows, or lists a
-vessel twice. All math is float64 so the finite-difference gradient check
-is tight.
+dropout.
 
-All forward/backward internals are batched over windows; batch size 1
-recovers the single-window contract. Everything also takes a leading vessel
-axis: `stack_networks` gives every parameter one, and `forward_batch`,
-`backward`, `AdamState.step` and `train_epoch` then run Z vessel models on
-(Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`, `sum(axis=-2)`).
-Each vessel's slice goes through the same BLAS call and the same elementwise
-operations in the same order as an unstacked call, so a stack trains bit for
-bit as Z separate networks would; in train mode each vessel draws its
-shuffles and dropout masks from its own generator.
+A network holds Z vessels' models, one per slice of a leading vessel axis
+on every parameter; `init_network` gives one vessel's (Z = 1), and
+`stack_networks` joins networks along that axis. `param_shapes(hidden)`
+gives one vessel's slice of each parameter in `param_arrays()` order, and
+`network_from_arrays` builds a network from arrays in that order;
+`init_network`, `stack_networks`, `unstack_network` and the model file
+reader (`fleet`) all go through them, so only the hidden size varies between
+networks. A fleet is one stack: `fleet.load_fleet` rejects a model directory
+that mixes hidden sizes or windows, or lists a vessel twice. All math is
+float64 so the finite-difference gradient check is tight.
+
+`forward_batch`, `backward`, `AdamState.step` and `train_epoch` run the Z
+models on (Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`,
+`sum(axis=-2)`). Each vessel's slice goes through the same BLAS call and
+the same elementwise operations in the same order whatever Z is, so a stack
+trains bit for bit as Z one-vessel networks would; in train mode each
+vessel draws its shuffles and dropout masks from its own generator.
 
 The interface is batch-major, but training runs time-major (Appleyard et
 al. 2016, arXiv:1604.01946): `forward_batch` moves the windows to
-(m, *lead, k) once, where *lead is (B,) or (Z, B), so every timestep's rows
-are one contiguous slice `x[t]`. Each layer allocates its `LayerCache`
-before its time loop: `gates` (m, *lead, 4h) holds i, f, g = relu(g_pre)
-and o, and `c` and `h` (m, *lead, h) the cell state and output.
+(m, Z, B, k) once, so every timestep's rows are one contiguous slice
+`x[t]`. Each layer allocates its `LayerCache` before its time loop: `gates`
+(m, Z, B, 4h) holds i, f, g = relu(g_pre) and o, and `c` and `h`
+(m, Z, B, h) the cell state and output.
 `_layer_forward` takes `W x` for all m timesteps before the recurrence, in
 one call into `gates`, and each cell step then adds `U h_prev` and `b` in
 place in the order `(W x + U h_prev) + b`, takes one sigmoid over the whole
@@ -70,14 +71,14 @@ and course hold the window's last known values. Window s + 1 shares m - 1
 inputs with window s, so rather than rerun a whole window per prediction,
 the rollout keeps the m windows in flight as one batch, in a ring of m
 slots holding each layer's (h, c). Each step feeds the newest input to all
-of them: one cell step per layer on (..., m, h) rows, where rerunning the
+of them: one cell step per layer on (Z, m, h) rows, where rerunning the
 window would take m cell steps on one row each (Appleyard et al. 2016
 again). The window that has now taken m inputs gives the prediction, and
 its slot is zeroed to start the newest window. Every window still starts
 from zero state and sees the same m inputs as in `forward_batch`; only the
 grouping of rows in the matrix products differs, so predictions agree to
-a relative 1e-12, not bit for bit. A stacked rollout still computes each
-vessel's slice exactly as that vessel's own rollout would.
+a relative 1e-12, not bit for bit. A rollout of Z vessels still computes
+each vessel's slice exactly as that vessel's own rollout would.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ from .errors import CacheMismatch, NonFiniteActivation
 
 @dataclass
 class LstmLayerParams:
-    """One layer's weights: W (4h, d_in), U (4h, h), b (4h,); stacked,
-    W (Z, 4h, d_in), U (Z, 4h, h), b (Z, 1, 4h)."""
+    """One layer's weights for each of Z vessels: W (Z, 4h, d_in),
+    U (Z, 4h, h), b (Z, 1, 4h)."""
 
     W: np.ndarray
     U: np.ndarray
@@ -109,12 +110,16 @@ class LstmLayerParams:
 
 @dataclass
 class LstmNetwork:
-    """Stacked LSTM with dense (lat, lon) head."""
+    """Z vessels' stacked LSTMs with dense (lat, lon) heads."""
 
     layers: list[LstmLayerParams]
-    dense_W: np.ndarray  # (out_dim, h)
-    dense_b: np.ndarray  # (out_dim,)
-    dropout_rate: float = 0.2
+    dense_W: np.ndarray  # (Z, out_dim, h)
+    dense_b: np.ndarray  # (Z, 1, out_dim)
+    dropout_rate: float
+
+    @property
+    def vessels(self) -> int:
+        return len(self.dense_W)
 
     @property
     def hidden(self) -> int:
@@ -144,9 +149,10 @@ OUT_DIM = 2
 
 
 def param_shapes(hidden: int) -> list[tuple[int, ...]]:
-    """The shape of each parameter array, in `param_arrays()` order."""
-    layers = [[(4 * hidden, d_in), (4 * hidden, hidden), (4 * hidden,)] for d_in in (INPUT_DIM, hidden, hidden)]
-    return [shape for layer in layers for shape in layer] + [(OUT_DIM, hidden), (OUT_DIM,)]
+    """One vessel's slice of each parameter array, in `param_arrays()`
+    order; the biases are (1, n) rows."""
+    layers = [[(4 * hidden, d_in), (4 * hidden, hidden), (1, 4 * hidden)] for d_in in (INPUT_DIM, hidden, hidden)]
+    return [shape for layer in layers for shape in layer] + [(OUT_DIM, hidden), (1, OUT_DIM)]
 
 
 def network_from_arrays(arrays: list[np.ndarray], dropout_rate: float) -> LstmNetwork:
@@ -156,39 +162,29 @@ def network_from_arrays(arrays: list[np.ndarray], dropout_rate: float) -> LstmNe
     return LstmNetwork(layers=layers, dense_W=dense_W, dense_b=dense_b, dropout_rate=dropout_rate)
 
 
-def init_network(
-    hidden: int = 32,
-    dropout_rate: float = 0.2,
-    rng: np.random.Generator | None = None,
-) -> LstmNetwork:
-    """The paper's three residual layers and (lat, lon) head: Glorot-uniform
-    weights, zero biases except forget gate bias = 1."""
-    rng = rng or np.random.default_rng(0)
+def init_network(hidden: int, dropout_rate: float, rng: np.random.Generator) -> LstmNetwork:
+    """One vessel's network, the paper's three residual layers and (lat, lon)
+    head: Glorot-uniform weights, zero biases except forget gate bias = 1."""
     arrays = []
     for shape in param_shapes(hidden):
         lim = np.sqrt(6.0 / sum(shape))
-        arrays.append(rng.uniform(-lim, lim, size=shape) if len(shape) == 2 else np.zeros(shape))
+        arrays.append(np.zeros((1, *shape)) if shape[0] == 1 else rng.uniform(-lim, lim, size=(1, *shape)))
     net = network_from_arrays(arrays, dropout_rate)
     for layer in net.layers:
-        layer.b[hidden : 2 * hidden] = 1.0  # forget gate
+        layer.b[..., hidden : 2 * hidden] = 1.0  # forget gate
     return net
 
 
 def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
-    """Stack same-shaped networks along a leading vessel axis: W (Z, 4h, d),
-    U (Z, 4h, h), b (Z, 1, 4h), dense_W (Z, out, h), dense_b (Z, 1, out).
-    forward_batch, backward and train_epoch on the result take (Z, B, m, k)
-    windows; `unstack_network` takes one vessel's network back out. Networks
-    of different shapes or layer counts are a ValueError."""
+    """The networks' vessels in one network, in order. Networks of different
+    shapes or layer counts are a ValueError."""
     params = zip(*(n.param_arrays() for n in nets), strict=True)
-    return network_from_arrays([np.stack([np.atleast_2d(a) for a in p]) for p in params], nets[0].dropout_rate)
+    return network_from_arrays([np.concatenate(p) for p in params], nets[0].dropout_rate)
 
 
 def unstack_network(stacked: LstmNetwork, z: int) -> LstmNetwork:
-    """Copy vessel z's network out of a `stack_networks` result."""
-    shapes = param_shapes(stacked.hidden)
-    arrays = [a[z].reshape(shape).copy() for a, shape in zip(stacked.param_arrays(), shapes, strict=True)]
-    return network_from_arrays(arrays, stacked.dropout_rate)
+    """A copy of vessel z's one-vessel network."""
+    return network_from_arrays([a[z : z + 1].copy() for a in stacked.param_arrays()], stacked.dropout_rate)
 
 
 @dataclass
@@ -196,18 +192,18 @@ class LayerCache:
     """One layer's forward pass, time-major: index t is timestep t, and each
     timestep's rows are contiguous."""
 
-    x: np.ndarray  # (m, *lead, d_in) layer input
-    gates: np.ndarray  # (m, *lead, 4h) i, f, g = relu(g_pre) and o; `backward` overwrites it
-    c: np.ndarray  # (m, *lead, h) cell state
-    h: np.ndarray  # (m, *lead, h) cell output
+    x: np.ndarray  # (m, Z, B, d_in) layer input
+    gates: np.ndarray  # (m, Z, B, 4h) i, f, g = relu(g_pre) and o; `backward` overwrites it
+    c: np.ndarray  # (m, Z, B, h) cell state
+    h: np.ndarray  # (m, Z, B, h) cell output
 
 
 @dataclass
 class ForwardCache:
     layer_caches: list[LayerCache] = field(default_factory=list)
-    dropout_masks: list[np.ndarray | None] = field(default_factory=list)  # (m, *lead, h)
-    final_seq: np.ndarray | None = None  # (m, *lead, h) after last block
-    prediction: np.ndarray | None = None  # (*lead, out_dim)
+    dropout_masks: list[np.ndarray | None] = field(default_factory=list)  # (m, Z, B, h)
+    final_seq: np.ndarray | None = None  # (m, Z, B, h) after last block
+    prediction: np.ndarray | None = None  # (Z, B, out_dim)
 
 
 def _cell_weights(layer: LstmLayerParams, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,44 +244,48 @@ def _cell(xw, h_prev, c_prev, U_T, b, gates, c, h):
 
 
 def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> LayerCache:
-    """The layer on a time-major (m, *lead, d_in) input sequence."""
-    m, *lead, _ = x.shape
+    """The layer on a time-major (m, Z, B, d_in) input sequence."""
+    m, Z, B, _ = x.shape
     n = layer.hidden
-    gates = np.empty((m, *lead, 4 * n))
-    c = np.empty((m, *lead, n))
-    h = np.empty((m, *lead, n))
-    W_T, U_T, b = _cell_weights(layer, (*lead, 4 * n))
+    gates = np.empty((m, Z, B, 4 * n))
+    c = np.empty((m, Z, B, n))
+    h = np.empty((m, Z, B, n))
+    W_T, U_T, b = _cell_weights(layer, (Z, B, 4 * n))
     np.matmul(x, W_T, out=gates)  # W x for all m timesteps
-    zeros = np.zeros((*lead, n))
+    zeros = np.zeros((Z, B, n))
     for t in range(m):  # gates[t] holds W x until its cell step overwrites it
         _cell(gates[t], h[t - 1] if t else zeros, c[t - 1] if t else zeros, U_T, b, gates[t], c[t], h[t])
     return LayerCache(x=x, gates=gates, c=c, h=h)
 
 
-def _per_vessel(rng: np.random.Generator | list[np.random.Generator], draw) -> np.ndarray:
-    """draw(rng) for one network; for a stack, one draw from each vessel's own
-    generator in a list, stacked along the leading vessel axis."""
-    if isinstance(rng, np.random.Generator):
-        return draw(rng)
-    return np.stack([draw(r) for r in rng])
+def _per_vessel(rngs: list[np.random.Generator], draw) -> np.ndarray:
+    """One draw(rng) from each vessel's own generator, stacked along the
+    vessel axis."""
+    return np.stack([draw(r) for r in rngs])
+
+
+def _check_finite(pred: np.ndarray, message: str) -> None:
+    """NonFiniteActivation(message) naming the first vessel whose (Z, ...)
+    prediction is not finite."""
+    finite = np.isfinite(pred).reshape(len(pred), -1).all(axis=1)
+    if not finite.all():
+        raise NonFiniteActivation(message, int(np.flatnonzero(~finite)[0]))
 
 
 def forward_batch(
     net: LstmNetwork,
     windows: np.ndarray,
     train: bool = False,
-    rng: np.random.Generator | list[np.random.Generator] | None = None,
+    rngs: list[np.random.Generator] | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the stack on windows of shape (B, m, k), or (Z, B, m, k) for a
-    stacked network; returns (B, out_dim) or (Z, B, out_dim) predictions
-    and the cache `backward` reads. Train-mode dropout on a stacked network
-    takes a list of Z generators."""
+    """Run the Z vessels' networks on (Z, B, m, k) windows; returns
+    (Z, B, out_dim) predictions and the cache `backward` reads. Train-mode
+    dropout takes one generator per vessel."""
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != net.dense_W.ndim + 1 or windows.shape[-1] != net.input_dim:
-        lead = "Z, " * (net.dense_W.ndim - 2)
-        raise CacheMismatch(f"expected ({lead}B, m, {net.input_dim}) input, got {windows.shape}")
+    if windows.ndim != 4 or windows.shape[0] != net.vessels or windows.shape[-1] != net.input_dim:
+        raise CacheMismatch(f"expected ({net.vessels}, B, m, {net.input_dim}) input, got {windows.shape}")
     cache = ForwardCache()
-    seq = np.ascontiguousarray(np.moveaxis(windows, -2, 0))  # (m, *lead, k)
+    seq = np.ascontiguousarray(np.moveaxis(windows, -2, 0))  # (m, Z, B, k)
     for li, layer in enumerate(net.layers):
         lc = _layer_forward(layer, seq)
         out = lc.h
@@ -293,35 +293,35 @@ def forward_batch(
         if li > 0:
             out = out + seq
             if train and net.dropout_rate > 0:
-                if rng is None:
-                    raise ValueError("train-mode forward with dropout needs an rng")
+                if rngs is None or len(rngs) != net.vessels:
+                    raise ValueError("train-mode forward with dropout needs one generator per vessel")
                 # drawn batch-major, (B, m, h) per vessel, then moved to time-major
-                m, B, n = out.shape[0], out.shape[-2], out.shape[-1]
+                m, _, B, n = out.shape
                 keep = 1.0 - net.dropout_rate
-                mask = np.moveaxis((_per_vessel(rng, lambda r: r.random((B, m, n))) < keep) / keep, -2, 0)
+                mask = np.moveaxis((_per_vessel(rngs, lambda r: r.random((B, m, n))) < keep) / keep, -2, 0)
                 out *= mask
         cache.layer_caches.append(lc)
         cache.dropout_masks.append(mask)
         seq = out
     pred = seq[-1] @ net.dense_W.mT + net.dense_b
-    if not np.all(np.isfinite(pred)):
-        raise NonFiniteActivation("non-finite prediction")
+    _check_finite(pred, "non-finite prediction")
     cache.final_seq = seq
     cache.prediction = pred
     return pred, cache
 
 
 def _vessel_rows(a: np.ndarray) -> np.ndarray:
-    """A time-major (m, *lead, d) array as each vessel's m*B rows,
-    timestep-major: (m*B, d), or a (Z, m*B, d) copy for a stack."""
-    return np.moveaxis(a, 0, -3).reshape(*a.shape[1:-2], -1, a.shape[-1])
+    """A time-major (m, Z, B, d) array as each vessel's m*B rows,
+    timestep-major: a (Z, m*B, d) copy."""
+    m, Z, B, d = a.shape
+    return np.moveaxis(a, 0, 1).reshape(Z, m * B, d)
 
 
 def _layer_backward(
     layer: LstmLayerParams, lc: LayerCache, d_out: np.ndarray, input_grad: bool
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT through one layer. d_out is dL/d(h), time-major (m, *lead, h) as
-    in the cache. Returns (dX, dW, dU, db); dX, dL/d(x) as (m, *lead, d_in),
+    """BPTT through one layer. d_out is dL/d(h), time-major (m, Z, B, h) as
+    in the cache. Returns (dX, dW, dU, db); dX, dL/d(x) as (m, Z, B, d_in),
     is None unless input_grad. ReLU derivative is 0 at the kink.
 
     Each step writes dL/d(pre) over its spent gates, so this consumes the
@@ -330,11 +330,11 @@ def _layer_backward(
     al. 2016). h = o c carries no relu' factor: where c_t = 0, c_prev and g
     are 0 too (f > 0), so every path that dc feeds at t is multiplied by
     zero, down to t = 0, where nothing flows on."""
-    m, *lead, n = d_out.shape
-    dact = np.empty((*lead, 4 * n))  # dL/d(i, f, g, o)
+    m, Z, B, n = d_out.shape
+    dact = np.empty((Z, B, 4 * n))  # dL/d(i, f, g, o)
     d_i, d_f, d_g, d_o = (dact[..., k * n : (k + 1) * n] for k in range(4))
-    dc = np.empty((*lead, n))
-    zeros = np.zeros((*lead, n))
+    dc = np.empty((Z, B, n))
+    zeros = np.zeros((Z, B, n))
     dh_next = zeros
     dc_next = zeros
     for t in range(m - 1, -1, -1):
@@ -361,20 +361,20 @@ def _layer_backward(
             dh_next = a_t @ layer.U
     dpre = _vessel_rows(lc.gates)
     dW = dpre.mT @ _vessel_rows(lc.x)
-    dU = dpre[..., lead[-1] :, :].mT @ _vessel_rows(lc.h[:-1])  # rows from t = 1 on
-    db = dpre.sum(axis=-2).reshape(layer.b.shape)
+    dU = dpre[:, B:].mT @ _vessel_rows(lc.h[:-1])  # rows from t = 1 on
+    db = dpre.sum(axis=-2, keepdims=True)
     dX = None
     if input_grad:  # back to time-major: a view, which only elementwise operations read
-        dX = np.moveaxis((dpre @ layer.W).reshape(*lead[:-1], m, lead[-1], -1), -3, 0)
+        dX = np.moveaxis((dpre @ layer.W).reshape(Z, m, B, -1), 1, 0)
     return dX, dW, dU, db
 
 
 def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list[np.ndarray]:
-    """Exact gradients of the batch-mean MSE loss, same ordering (and shapes)
-    as net.param_arrays(). A stacked network takes (Z, B, out_dim) targets
-    and returns each vessel's gradients of its own loss. The cache's gates
-    are overwritten, so a cache backs one call: a second is a CacheMismatch."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    """Each vessel's exact gradients of its own batch-mean MSE loss on
+    (Z, B, out_dim) targets, same ordering (and shapes) as
+    net.param_arrays(). The cache's gates are overwritten, so a cache backs
+    one call: a second is a CacheMismatch."""
+    targets = np.asarray(targets, dtype=np.float64)
     pred = cache.prediction
     if pred is None:
         raise CacheMismatch("no prediction in the cache: a forward cache backs one backward call")
@@ -385,7 +385,7 @@ def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list
     # loss = mean over batch and output dims of (pred - target)^2
     d_pred = 2.0 * (pred - targets) / (B * net.out_dim)
     d_dense_W = d_pred.mT @ cache.final_seq[-1]
-    d_dense_b = d_pred.sum(axis=-2).reshape(net.dense_b.shape)
+    d_dense_b = d_pred.sum(axis=-2, keepdims=True)
     d_seq = np.zeros_like(cache.final_seq)
     d_seq[-1] = d_pred @ net.dense_W
     grads: list[np.ndarray] = []
@@ -440,25 +440,23 @@ def train_epoch(
     inputs: np.ndarray,
     targets: np.ndarray,
     batch_size: int,
-    rng: np.random.Generator | list[np.random.Generator],
+    rngs: list[np.random.Generator],
     opt: AdamState,
-) -> float | list[float]:
-    """One pass over all windows: shuffle, batch, Adam step per batch.
-    Returns the mean per-window loss (computed before each update).
-
-    A stacked network trains in lockstep on (Z, n, m, k) inputs and
-    (Z, n, out_dim) targets with a list of Z generators; each vessel is
-    shuffled by its own generator and the Z losses come back as a list."""
+) -> list[float]:
+    """One pass over all windows: shuffle, batch, Adam step per batch, for
+    the Z vessels in lockstep on (Z, n, m, k) inputs and (Z, n, out_dim)
+    targets. Each vessel is shuffled by its own generator. Returns each
+    vessel's mean per-window loss (computed before each update)."""
     n = inputs.shape[-3]
     if n == 0:
         raise ValueError("no training windows")
-    order = _per_vessel(rng, lambda r: r.permutation(n))
-    total = np.zeros(order.shape[:-1])
+    order = _per_vessel(rngs, lambda r: r.permutation(n))
+    total = np.zeros(len(order))
     for start in range(0, n, batch_size):
-        idx = order[..., start : start + batch_size]
+        idx = order[:, start : start + batch_size]
         x = np.take_along_axis(inputs, idx[..., None, None], axis=-3)
         y = np.take_along_axis(targets, idx[..., None], axis=-2)
-        pred, cache = forward_batch(net, x, train=True, rng=rng)
+        pred, cache = forward_batch(net, x, train=True, rngs=rngs)
         total += np.sum(np.mean((pred - y) ** 2, axis=-1), axis=-1)
         grads = backward(net, cache, y)
         opt.step(net, grads)
@@ -480,8 +478,8 @@ class Rollout:
     Slot `slot` holds the window that takes its m-th input on the next step,
     the slot after it the window one input behind, and so on around the
     ring. Each layer keeps every slot's cell output and cell state in `h`
-    and `c`, (..., m, hidden) each. Every window takes the next input `x`
-    (..., k). `W_T`, `U_T` and `b` are each layer's `_cell_weights`: a
+    and `c`, (Z, m, hidden) each. Every window takes the next input `x`
+    (Z, k). `W_T`, `U_T` and `b` are each layer's `_cell_weights`: a
     stacked matmul runs about 2.5x faster against a contiguous copy of W.mT
     than against the transposed view."""
 
@@ -497,7 +495,7 @@ class Rollout:
 
 def _tick(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Feed state.x to every window in flight: one cell step per layer on
-    all m slots. Returns the last layer's output (..., m, hidden) and each
+    all m slots. Returns the last layer's output (Z, m, hidden) and each
     layer's new h and c."""
     seq = state.x[..., None, :]  # one input row, broadcast across the slots
     hs, cs = [], []
@@ -522,21 +520,20 @@ def _next(state: Rollout, hs: list[np.ndarray], cs: list[np.ndarray], x: np.ndar
 
 
 def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
-    """The rollout of an (m, k) window, or (Z, m, k) for a stacked network,
-    before its first prediction: every window starts from zero state, and
-    the first m - 1 rows have gone through the ring."""
+    """The rollout of the Z vessels' (Z, m, k) windows before its first
+    prediction: every window starts from zero state, and the first m - 1
+    rows have gone through the ring."""
     window = np.asarray(window, dtype=np.float64)
-    if window.ndim != net.dense_W.ndim or window.shape[-1] != net.input_dim:
-        lead = "Z, " * (net.dense_W.ndim - 2)
-        raise CacheMismatch(f"expected ({lead}m, {net.input_dim}) window, got {window.shape}")
-    *lead, m, _ = window.shape
-    W_T, U_T, b = zip(*(_cell_weights(layer, (*lead, m, 4 * layer.hidden)) for layer in net.layers))
+    if window.ndim != 3 or window.shape[0] != net.vessels or window.shape[-1] != net.input_dim:
+        raise CacheMismatch(f"expected ({net.vessels}, m, {net.input_dim}) window, got {window.shape}")
+    Z, m, _ = window.shape
+    W_T, U_T, b = zip(*(_cell_weights(layer, (Z, m, 4 * layer.hidden)) for layer in net.layers))
     state = Rollout(
         W_T=list(W_T),
         U_T=list(U_T),
         b=list(b),
-        h=[np.zeros((*lead, m, layer.hidden)) for layer in net.layers],
-        c=[np.zeros((*lead, m, layer.hidden)) for layer in net.layers],
+        h=[np.zeros((Z, m, layer.hidden)) for layer in net.layers],
+        c=[np.zeros((Z, m, layer.hidden)) for layer in net.layers],
         x=window[..., 0, :],
         slot=1 % m,
     )
@@ -549,14 +546,11 @@ def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
 def roll_step(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, Rollout]:
     """One rollout step: every window in flight takes state.x, and the one
     that has now taken m inputs predicts the next row. Returns the raw
-    prediction (..., out_dim) and the state of the next step, whose input
-    is the clamped prediction followed by the carried speed and course."""
+    prediction (Z, out_dim) and the state of the next step, whose input is
+    the clamped prediction followed by the carried speed and course."""
     seq, hs, cs = _tick(net, state)
     s, step = state.slot, state.step + 1
-    pred = (seq[..., s : s + 1, :] @ net.dense_W.mT + net.dense_b)[..., 0, :]
-    finite = np.isfinite(pred).all(axis=-1)
-    if not finite.all():
-        row = int(np.flatnonzero(~finite)[0]) if finite.ndim else None
-        raise NonFiniteActivation(f"non-finite prediction at rollout step {step}", row)
+    pred = (seq[:, s : s + 1] @ net.dense_W.mT + net.dense_b)[:, 0]
+    _check_finite(pred, f"non-finite prediction at rollout step {step}")
     x = np.concatenate((np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX), state.x[..., 2:]), axis=-1)
     return pred, _next(state, hs, cs, x, step)

@@ -12,11 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TrackTooShort
+from .errors import GridTooLong, TrackTooShort
 from .ingest import RawTrack
 
 FEATURES = ("lat", "lon", "speed", "course")
 COURSE_MOD = 3600.0  # tenths of degrees
+
+# A track's grid has one sample per period over its time span, so a tiny
+# period asks for an unbounded allocation. Past this many samples (about 58
+# days at the 5 s default; 1,500x the 648 of the paper's tracks) it is a
+# data error, raised before anything is allocated.
+MAX_GRID_SAMPLES = 1_000_000
 
 
 @dataclass
@@ -65,15 +71,21 @@ def _unwrap_course(course: np.ndarray) -> np.ndarray:
 
 
 def resample(track: RawTrack, period: float = 5.0) -> RegularTrack:
-    """Linear interpolation onto a grid anchored at the first raw timestamp."""
+    """Linear interpolation onto a grid anchored at the first raw timestamp,
+    of at most MAX_GRID_SAMPLES samples."""
     if len(track) < 2:
         raise TrackTooShort(f"vessel {track.vessel_id}: need >= 2 messages, have {len(track)}")
     if period <= 0:
         raise ValueError("period must be > 0")
     t = np.array([m.t for m in track.messages], dtype=np.float64)
     t0, t1 = t[0], t[-1]
-    n = int(np.floor((t1 - t0) / period)) + 1
-    grid = t0 + period * np.arange(n)
+    n = np.floor(float(t1 - t0) / period) + 1  # a float, inf where the quotient overflows
+    if n > MAX_GRID_SAMPLES:
+        raise GridTooLong(
+            f"vessel {track.vessel_id}: period {period!r} s puts {n:.7g} samples on its {t1 - t0:.0f} s track;"
+            f" the bound is {MAX_GRID_SAMPLES}"
+        )
+    grid = t0 + period * np.arange(int(n))
     # np.interp needs strictly increasing x; collapse duplicate timestamps
     # keeping the last message of each tie (ties are already object_id-ordered).
     keep = np.concatenate((t[1:] != t[:-1], [True]))

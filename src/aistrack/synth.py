@@ -127,13 +127,12 @@ def truth_from_csv(text: str) -> dict[int, str]:
     return dict(object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True))
 
 
-def fleet_motions(cfg: RunConfig) -> list[VesselMotion]:
-    """default_motions(cfg.vessels), with vessel b re-aimed so that its track
-    crosses vessel a's near sample s when cfg.crossing is "a,b,s". The
-    crossing must name two distinct vessels below cfg.vessels and a sample
-    below cfg.points; any other non-empty value is a BadConfig."""
+def crossing(cfg: RunConfig) -> tuple[int, int, int] | None:
+    """(a, b, s) of a cfg.crossing "a,b,s", or None if it is empty. It must
+    name two distinct vessels below cfg.vessels and a sample below
+    cfg.points; any other non-empty value is a BadConfig."""
     if not cfg.crossing:
-        return default_motions(cfg.vessels)
+        return None
     bad = BadConfig(
         f"crossing must be 'a,b,sample' with vessels a != b in [0, {cfg.vessels})"
         f" and sample in [0, {cfg.points}), got {cfg.crossing!r}"
@@ -144,6 +143,16 @@ def fleet_motions(cfg: RunConfig) -> list[VesselMotion]:
     a, b, sample = (int(p) for p in parts)
     if a == b or max(a, b) >= cfg.vessels or sample >= cfg.points:
         raise bad
+    return a, b, sample
+
+
+def fleet_motions(cfg: RunConfig) -> list[VesselMotion]:
+    """default_motions(cfg.vessels), with vessel b re-aimed so that its track
+    crosses vessel a's near sample s when `crossing(cfg)` is (a, b, s)."""
+    crossed = crossing(cfg)
+    if crossed is None:
+        return default_motions(cfg.vessels)
+    a, b, sample = crossed
     motions = default_motions(cfg.vessels)
     elapsed = sample * cfg.period
     target_lat, target_lon = _nominal_position(motions[a], elapsed, sample)

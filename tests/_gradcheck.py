@@ -6,9 +6,9 @@ kink and is not comparable to the one-sided analytic derivative). The cell
 state is structurally non-negative (sigmoid gates, ReLU candidate), so the
 cell output h = o c has no kink of its own.
 
-The loss is `lstm.backward`'s: the batch-mean MSE, and for a stacked
-network the sum of each vessel's, whose gradient in a vessel's parameters is
-that vessel's own.
+The loss is the sum over the network's vessels of each one's batch-mean
+MSE, whose gradient in a vessel's parameters is that vessel's own loss's,
+as `lstm.backward` gives it.
 """
 
 import numpy as np

@@ -139,7 +139,7 @@ def before_cache(cache: lstm.ForwardCache) -> BeforeCache:
     )
 
 
-def before_forward_batch(net, windows, train=False, rng=None):
+def before_forward_batch(net, windows, train=False, rngs=None):
     """`lstm.forward_batch` on batch-major caches; same arguments."""
     windows = np.asarray(windows, dtype=np.float64)
     cache = BeforeCache()
@@ -151,7 +151,7 @@ def before_forward_batch(net, windows, train=False, rng=None):
         mask = None
         if li > 0 and train and net.dropout_rate > 0:
             keep = 1.0 - net.dropout_rate
-            mask = (lstm._per_vessel(rng, lambda r: r.random(out.shape[-3:])) < keep) / keep
+            mask = (lstm._per_vessel(rngs, lambda r: r.random(out.shape[-3:])) < keep) / keep
             out = out * mask
         cache.layer_caches.append(lc)
         cache.dropout_masks.append(mask)
@@ -188,7 +188,7 @@ def _before_layer_backward(layer: lstm.LstmLayerParams, lc: BatchMajorCache, d_o
         )
         dW += dpre.mT @ lc.x[..., t, :]
         dU += dpre.mT @ h_prev
-        db += dpre.sum(axis=-2).reshape(db.shape)
+        db += dpre.sum(axis=-2, keepdims=True)
         dX[..., t, :] = dpre @ layer.W
         dh_next = dpre @ layer.U
         dc_next = dc * f_t
@@ -197,12 +197,12 @@ def _before_layer_backward(layer: lstm.LstmLayerParams, lc: BatchMajorCache, d_o
 
 def before_backward(net, cache: BeforeCache, targets):
     """`lstm.backward` on a `before_forward_batch` cache."""
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    targets = np.asarray(targets, dtype=np.float64)
     pred = cache.prediction
     B = pred.shape[-2]
     d_pred = 2.0 * (pred - targets) / (B * net.out_dim)
     d_dense_W = d_pred.mT @ cache.final_seq[..., -1, :]
-    d_dense_b = d_pred.sum(axis=-2).reshape(net.dense_b.shape)
+    d_dense_b = d_pred.sum(axis=-2, keepdims=True)
     d_seq = np.zeros_like(cache.final_seq)
     d_seq[..., -1, :] = d_pred @ net.dense_W
     grads = []
@@ -224,9 +224,11 @@ def count_params(d_in: int, h: int) -> int:
 
 
 def forward(net, window, train=False, rng=None):
-    """`lstm.forward_batch` on one (m, k) window: (out_dim,) prediction and cache."""
-    pred, cache = lstm.forward_batch(net, np.asarray(window)[None, ...], train=train, rng=rng)
-    return pred[0], cache
+    """`lstm.forward_batch` of a one-vessel network on one (m, k) window, with
+    generator `rng` in train mode: the (out_dim,) prediction and the cache."""
+    rngs = None if rng is None else [rng]
+    pred, cache = lstm.forward_batch(net, np.asarray(window)[None, None], train=train, rngs=rngs)
+    return pred[0, 0], cache
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -241,20 +243,20 @@ def evaluate_loss(net, inputs: np.ndarray, targets: np.ndarray) -> float:
 
 def predict_sequence(net, seed_window: np.ndarray, steps: int, fed: np.ndarray | None = None) -> np.ndarray:
     """Recursive multi-step rollout in scaled units, one `forward_batch` per
-    step on the latest (..., m, k) window: each clamped prediction becomes
-    the position part of the newest window row, speed and course hold the
-    window's last known values. Returns (steps, ..., 2).
+    step on the Z vessels' latest (Z, m, k) windows: each clamped prediction
+    becomes the position part of the newest window row, speed and course
+    hold the window's last known values. Returns (steps, Z, 2).
 
-    With `fed` (steps, ..., 2), step s feeds back fed[s] in place of its
+    With `fed` (steps, Z, 2), step s feeds back fed[s] in place of its
     own prediction, so prediction s is `forward_batch` on the window that
     a rollout which predicted `fed` saw at step s."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     window = np.array(seed_window, dtype=np.float64)
-    preds = np.empty((steps, *window.shape[:-2], net.out_dim))
+    preds = np.empty((steps, len(window), net.out_dim))
     for s in range(steps):
-        pred, _ = lstm.forward_batch(net, window[..., None, :, :])
-        preds[s] = pred[..., 0, :]
+        pred, _ = lstm.forward_batch(net, window[:, None])
+        preds[s] = pred[:, 0]
         fed_back = np.clip(preds[s] if fed is None else fed[s], lstm.FEEDBACK_MIN, lstm.FEEDBACK_MAX)
         newest = np.concatenate((fed_back, window[..., -1, 2:]), axis=-1)
         window = np.concatenate((window[..., 1:, :], newest[..., None, :]), axis=-2)
@@ -263,7 +265,7 @@ def predict_sequence(net, seed_window: np.ndarray, steps: int, fed: np.ndarray |
 
 def rollout(net, seed_window: np.ndarray, steps: int) -> np.ndarray:
     """`steps` predictions of `lstm.roll_step` from `lstm.rollout_start` on
-    the seed window: (steps, ..., 2)."""
+    the Z vessels' (Z, m, k) seed windows: (steps, Z, 2)."""
     state = lstm.rollout_start(net, seed_window)
     preds = []
     for _ in range(steps):

@@ -49,12 +49,12 @@ def tracked(capsys):
 def test_gradient_fidelity(report):
     start = time.time()
     rng = np.random.default_rng(20240301)
-    net = init_network(hidden=32, rng=rng)
+    net = init_network(hidden=32, dropout_rate=0.2, rng=rng)
     total = 0
     worst = 0.0
     for _ in range(5):
-        win = rng.random((1, 10, 4))
-        tgt = rng.random((1, 2))
+        win = rng.random((1, 1, 10, 4))
+        tgt = rng.random((1, 1, 2))
         checked, w = check_network(net, win, tgt, rng, coords_per_array=20, eps=1e-5, tol=1e-4)
         assert checked >= 20 * 3  # at least 20 surviving coordinates per layer
         total += checked
@@ -128,12 +128,12 @@ def test_preprocessing_oracle(report):
 def test_overfit_sanity(report):
     rng = np.random.default_rng(3)
     net = init_network(hidden=32, dropout_rate=0.0, rng=rng)
-    inputs = rng.random((1, 10, 4))
-    targets = rng.random((1, 2))
+    inputs = rng.random((1, 1, 10, 4))
+    targets = rng.random((1, 1, 2))
     opt = AdamState.for_network(net, 1e-2)
-    train_rng = np.random.default_rng(0)
+    train_rngs = [np.random.default_rng(0)]
     for _ in range(200):
-        train_epoch(net, inputs, targets, 1, train_rng, opt)
+        train_epoch(net, inputs, targets, 1, train_rngs, opt)
     final = evaluate_loss(net, inputs, targets)
     assert final < 1e-4
     report(f"overfit sanity (final MSE {final:.2e})")

@@ -164,14 +164,14 @@ class TestPredictPositions:
     def test_multi_step_matches_predict_sequence(self):
         b = _bundle("v1")
         preds = predict_positions([b], target_time=1020)  # 4 periods later
-        roll = predict_sequence(b.network, b.last_training_window, 4)
+        roll = predict_sequence(b.network, b.last_training_window[None], 4)[:, 0]
         lat, lon = unscale(roll[-1], b.scaler)
         assert GeoPoint(*preds["v1"]).lat == pytest.approx(lat, rel=1e-12)
         assert GeoPoint(*preds["v1"]).lon == pytest.approx(lon, rel=1e-12)
 
     def test_every_horizon_matches_predict_sequence(self):
         b = _bundle("v1")
-        roll = predict_sequence(b.network, b.last_training_window, 6)
+        roll = predict_sequence(b.network, b.last_training_window[None], 6)[:, 0]
         for steps in (3, 1, 6, 2, 2, 5):  # decreasing targets must not return a stale rollout
             preds = predict_positions([b], target_time=1000 + 5 * steps)
             np.testing.assert_allclose(preds["v1"], unscale(roll[steps - 1], b.scaler), rtol=1e-12, atol=0)
@@ -266,7 +266,7 @@ def _oracle(observations, bundles):
         row = {}
         for b in bundles:
             steps = max(1, round((obs.t - b.train_end_time) / b.period))
-            lat, lon = unscale(rollout(b.network, b.last_training_window, steps)[-1], b.scaler)
+            lat, lon = unscale(rollout(b.network, b.last_training_window[None], steps)[-1, 0], b.scaler)
             row[b.vessel_id] = GeoPoint(lat=float(lat), lon=float(lon))
         predictions.append(row)
     return predictions

@@ -1,17 +1,20 @@
 import argparse
 import dataclasses
+import functools
+import hashlib
 import json
+import operator
 import shutil
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aistrack import cli
 from aistrack.cli import build_parser, main
-from aistrack.config import RunConfig
+from aistrack.config import FIELD_TYPES, RunConfig
 from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv
 from aistrack.preprocess import resample
 from aistrack.synth import fleet_motions, generate
@@ -143,7 +146,7 @@ def test_unknown_config_key_is_data_error(tmp_path):
 @pytest.mark.parametrize(
     "content",
     [None, "{not json", b"\xff\xfe", "[1, 2]", '{"vessels": "5"}', '{"epochs": 2.5}', '{"lenient": 1}',
-     '{"seed": true}', '{"crossing": 3}', '{"lr": null}', '{"radius": 6371.0}'],
+     '{"seed": true}', '{"crossing": 3}', '{"lr": null}', '{"radius": 6371.0}', '{"lr": 1%s}' % ("0" * 400)],
 )
 def test_bad_config_file_is_data_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
@@ -321,6 +324,7 @@ def trained(tmp_path_factory):
         ("train --data {fleet} --out {new} --lr -1", "lr"),
         ("train --data {fleet} --out {new} --period 0", "period"),
         ("train --data {fleet} --out {new} --period -1", "period"),
+        ("train --data {fleet} --out {new} --period 1e-300 --min-points 100", "period 1e-300 s puts"),
         ("train --data {fleet} --out {new} --window 0", "window"),
         ("train --data {fleet} --out {new} --hidden 0", "hidden"),
         ("train --data {fleet} --out {new} --min-points 0", "min_points"),
@@ -536,3 +540,104 @@ def test_arbitrary_input_bytes_never_internal_error(trained, argv, content):
         "decisions": trained / "decisions.csv",
     }
     assert run(argv.format(**paths).split()) in (0, 1, 2)
+
+
+def _resign(models, manifest, entry, doc):
+    """Write model document `doc` as `manifest`'s entry `entry`, and the
+    manifest with its sha256, so that the checksum passes."""
+    raw = json.dumps(doc).encode()
+    (models / entry["file"]).write_bytes(raw)
+    entry["sha256"] = hashlib.sha256(raw).hexdigest()
+    (models / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_model_vessel_id_with_comma_is_data_error(trained, tmp_path, capsys):
+    # re-signed under the manifest entry's new vessel_id too, so only the
+    # vessel id rule rejects it; it would write a DIST_a,b column
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    manifest = json.loads((models / "manifest.json").read_text())
+    entry = manifest["models"][0]
+    doc = json.loads((models / entry["file"]).read_text())
+    doc["vessel_id"] = entry["vessel_id"] = "a,b"
+    _resign(models, manifest, entry, doc)
+    capsys.readouterr()
+    assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {models / entry['file']}: vessel_id: VID 'a,b' holds ','")
+    assert not (tmp_path / "d.csv").exists()
+
+
+# A JSON value of another type than the one it replaces, or an extreme one.
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([0, -1, 2**63, -(2**63) - 1, 10**400]),
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([5e-324, -1e-310, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.text(max_size=8),
+    st.lists(st.floats(), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+def _json_paths(value, path=()):
+    """The key path of every value inside a decoded JSON document, going
+    into a list through its first and last items only."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = [(0, value[0]), (-1, value[-1])] if value else []
+    else:
+        return []
+    return [p for key, item in items for p in [(*path, key), *_json_paths(item, (*path, key))]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), value=JSON_VALUES)
+def test_model_file_value_replaced_never_internal_error(trained, data, value):
+    models = trained / "fuzz_models"
+    shutil.rmtree(models, ignore_errors=True)
+    shutil.copytree(trained / "models", models)
+    manifest = json.loads((models / "manifest.json").read_text())
+    entry = data.draw(st.sampled_from(manifest["models"]))
+    doc = json.loads((models / entry["file"]).read_text())
+    *parents, key = data.draw(st.sampled_from(_json_paths(doc)))
+    functools.reduce(operator.getitem, parents, doc)[key] = value
+    _resign(models, manifest, entry, doc)
+    obs = trained / "models" / "holdout.csv"
+    assert run(["associate", "--models", models, "--obs", obs, "--out", trained / "fuzz_decisions.csv"]) in (0, 2)
+
+
+# Any JSON value, as deep as a config document needs to be to try each type.
+ANY_JSON = st.recursive(
+    JSON_VALUES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(doc={"lr": 10**400})  # an int no float can hold
+@given(doc=st.dictionaries(st.sampled_from([*FIELD_TYPES, "radius", "bogus", ""]), ANY_JSON, max_size=4) | ANY_JSON)
+def test_arbitrary_config_never_internal_error(trained, doc):
+    # evaluate does no work that grows with a setting's value, so any
+    # document runs at once
+    work = trained / "fuzz_config"
+    work.mkdir(exist_ok=True)
+    (work / "config.json").write_text(json.dumps(doc))
+    rc = run(["evaluate", "--config", work / "config.json", "--decisions", trained / "decisions.csv",
+              "--truth", trained / "models" / "holdout_truth.csv", "--out", work / "r.json"])
+    assert rc in (0, 1, 2)
+
+
+def test_crossing_checked_without_building_the_fleet(trained, tmp_path, monkeypatch):
+    # a crossing is range-checked against `vessels` for every subcommand;
+    # evaluate builds no fleet, whatever its size
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vessels": 10**12, "crossing": "0,1,5"}))
+    monkeypatch.setattr(cli, "fleet_motions", lambda cfg: pytest.fail("built the fleet"))
+    rc = run(["evaluate", "--config", cfg, "--decisions", trained / "decisions.csv",
+              "--truth", trained / "models" / "holdout_truth.csv", "--out", tmp_path / "r.json"])
+    assert rc == 0

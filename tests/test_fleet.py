@@ -234,9 +234,9 @@ class TestPersistence:
         # signed zero, the smallest subnormal, the largest float, a negative
         # subnormal, in big-endian input order
         values = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1e-310]], dtype=">f8")
-        back = fleet._decode(fleet._encode(values), (2, 2), "x")
-        assert back.dtype == np.float64 and back.flags.writeable
-        np.testing.assert_array_equal(back.view("<u8"), values.astype("<f8").view("<u8"))
+        back = fleet._decode(fleet._encode(values), (2, 2), "x")  # one vessel's (1, 2, 2) slice
+        assert back.dtype == np.float64 and back.flags.writeable and back.shape == (1, 2, 2)
+        np.testing.assert_array_equal(back[0].view("<u8"), values.astype("<f8").view("<u8"))
 
     def test_format_version_1_rejected(self, tmp_path):
         bundle, history = _train_one(_series(), _cfg())
@@ -260,6 +260,10 @@ class TestPersistence:
             (lambda doc: doc["network"].update(layers=[]), "no layers"),
             (lambda doc: doc["network"].update(residual=False), "residual"),  # not run as residual
             (lambda doc: doc.update(period="5.0"), "period"),
+            (lambda doc: doc.update(period=10**400), "period"),  # an int no float can hold
+            (lambda doc: doc["scaler"]["min"].__setitem__(0, 10**400), "OverflowError"),
+            (lambda doc: doc.update(vessel_id="a,b"), "vessel_id: VID 'a,b' holds ','"),
+            (lambda doc: doc.update(vessel_id="v "), "vessel_id: VID 'v ' has surrounding whitespace"),
             (lambda doc: doc.update(last_training_window=[[0.5] * 4]), "last_training_window"),  # window 5
             # JSON NaN and Infinity, as Python writes them
             (lambda doc: doc["network"]["layers"][1].update(U=_nan_first(doc["network"]["layers"][1]["U"])),
@@ -274,8 +278,8 @@ class TestPersistence:
             (lambda doc: doc["network"]["layers"].pop(), "network has 2 layers"),  # under "n_layers": 3
         ],
         ids=["missing_key", "not_base64", "wrong_length", "not_a_string", "no_layers", "not_residual",
-             "period_string", "window_shape", "nan_weight", "nan_bias", "nan_scaler", "infinite_window",
-             "out_dim_3", "k_1", "two_layers"],
+             "period_string", "period_huge_int", "scaler_huge_int", "vessel_id_comma", "vessel_id_whitespace", "window_shape",
+             "nan_weight", "nan_bias", "nan_scaler", "infinite_window", "out_dim_3", "k_1", "two_layers"],
     )
     def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt, named):
         bundles, histories = train_fleet([_series()], _cfg())
@@ -314,9 +318,10 @@ def _reference_training(series, cfg):
         total = 0.0
         for start in range(0, len(windows), cfg.batch):
             idx = order[start : start + cfg.batch]
-            pred, cache = forward_batch(net, windows.inputs[idx], train=True, rng=rng)
-            total += float(np.sum(np.mean((pred - windows.targets[idx]) ** 2, axis=1)))
-            opt.step(net, backward(net, cache, windows.targets[idx]))
+            x, y = windows.inputs[idx][None], windows.targets[idx][None]
+            pred, cache = forward_batch(net, x, train=True, rngs=[rng])
+            total += float(np.sum(np.mean((pred - y) ** 2, axis=-1)))
+            opt.step(net, backward(net, cache, y))
         history.append(total / len(windows))
     return net, history
 

@@ -57,6 +57,18 @@ def test_wrong_column_count_reports_line_number():
     assert exc.value.line_no == 2
 
 
+def test_error_names_the_physical_line_a_row_starts_on():
+    # row 2's quoted LAT spans lines 2-3 (float() strips its newline), so
+    # the LAT 95 row is the third row but starts on line 4
+    text = HEADER + '\n1,aa,2020-02-29T22:00:01Z,"10.0\n",0,0,0\n2,aa,2020-02-29T22:00:06Z,95,0,0,0\n'
+    with pytest.raises(OutOfRange) as exc:
+        parse_csv(text)
+    assert str(exc.value) == "line 4: LAT=95.0 out of range"
+    duplicate = text.replace(",95,", ",11,").replace("\n2,", "\n1,")
+    with pytest.raises(MalformedRow, match="^line 4: duplicate OBJECT_ID 1 \\(first on line 2\\)$"):
+        parse_csv(duplicate)
+
+
 def test_lenient_mode_skips_and_counts():
     text = (
         HEADER

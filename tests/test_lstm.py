@@ -35,6 +35,12 @@ def small_net(seed=1, hidden=8, dropout=0.0):
     return init_network(hidden=hidden, dropout_rate=dropout, rng=np.random.default_rng(seed))
 
 
+def vessel_count(several):
+    """Z for a test parametrized on `several`: three vessels in one stack, or
+    one, as `fleet` trains each vessel at large batch sizes."""
+    return 3 if several else 1
+
+
 def zero_net(**kwargs):
     net = small_net(**kwargs)
     for a in net.param_arrays():
@@ -49,7 +55,7 @@ class TestCountParams:
         assert count_params(5, 32) == 4864
 
     def test_matches_stored_scalars(self):
-        net = init_network(hidden=32, rng=np.random.default_rng(0))
+        net = init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(0))
         for li, layer in enumerate(net.layers):
             d_in = 4 if li == 0 else 32
             stored = layer.W.size + layer.U.size + layer.b.size
@@ -71,10 +77,11 @@ class TestForward:
     def test_single_cell_hand_evaluation(self):
         # one layer, h=1, W=U=0, b=(0, 0, ln3, 0): gates 0.5, g=ln3,
         # c = 0.5*ln3 ~ 0.549306, h = 0.5*relu(c) ~ 0.274653
-        layer = LstmLayerParams(W=np.zeros((4, 1)), U=np.zeros((4, 1)), b=np.array([0.0, 0.0, np.log(3), 0.0]))
-        net = LstmNetwork(layers=[layer], dense_W=np.eye(1), dense_b=np.zeros(1), dropout_rate=0.0)
+        b = np.array([[[0.0, 0.0, np.log(3), 0.0]]])
+        layer = LstmLayerParams(W=np.zeros((1, 4, 1)), U=np.zeros((1, 4, 1)), b=b)
+        net = LstmNetwork(layers=[layer], dense_W=np.ones((1, 1, 1)), dense_b=np.zeros((1, 1, 1)), dropout_rate=0.0)
         pred, cache = forward(net, np.array([[1.0]]))
-        assert cache.layer_caches[0].c[0, 0, 0] == pytest.approx(0.5493061443, abs=1e-9)
+        assert cache.layer_caches[0].c[0, 0, 0, 0] == pytest.approx(0.5493061443, abs=1e-9)
         assert pred[0] == pytest.approx(0.2746530722, abs=1e-9)
 
     def test_dropout_zero_train_equals_infer(self):
@@ -92,31 +99,30 @@ class TestForward:
 class TestBackward:
     def test_zero_gradient_at_minimum(self):
         net = small_net()
-        win = np.random.default_rng(6).random((6, 4))
-        pred, cache = forward(net, win)
+        win = np.random.default_rng(6).random((1, 1, 6, 4))
+        pred, cache = forward_batch(net, win)
         grads = lstm.backward(net, cache, pred)
         for g in grads:
             np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(7)
-        net = init_network(hidden=8, rng=rng)
-        win = rng.random((1, 6, 4))
-        tgt = rng.random((1, 2))
+        net = init_network(hidden=8, dropout_rate=0.2, rng=rng)
+        win = rng.random((1, 1, 6, 4))
+        tgt = rng.random((1, 1, 2))
         checked, worst = check_network(net, win, tgt, rng, coords_per_array=10)
         assert checked > 0
         assert worst < 1e-4
 
-    @pytest.mark.parametrize("stacked", [False, True])
-    def test_finite_difference_oracle_batched(self, stacked):
-        # B = 3 windows, alone and in a stack of Z = 2: each weight gradient
-        # is one product over a vessel's m*B rows, taken from a reshape of
-        # the time-major cache alone and from a per-vessel copy in a stack
+    @pytest.mark.parametrize("several", [False, True])
+    def test_finite_difference_oracle_batched(self, several):
+        # B = 3 windows for each of Z vessels: each weight gradient is one
+        # product over a vessel's m*B rows
         rng = np.random.default_rng(17)
-        nets = [init_network(hidden=8, rng=rng) for _ in range(2)]
-        net, lead = (stack_networks(nets), (2, 3)) if stacked else (nets[0], (3,))
-        win = rng.random((*lead, 6, 4))
-        tgt = rng.random((*lead, 2))
+        Z = vessel_count(several)
+        net = stack_networks([init_network(hidden=8, dropout_rate=0.2, rng=rng) for _ in range(Z)])
+        win = rng.random((Z, 3, 6, 4))
+        tgt = rng.random((Z, 3, 2))
         checked, worst = check_network(net, win, tgt, rng, coords_per_array=10)
         assert checked > 0
         assert worst < 1e-4
@@ -131,24 +137,25 @@ class TestBackward:
         # rounds no differently from the oracle's per-step sums.
         rng = np.random.default_rng(23)
         n = 3
-        W = rng.uniform(-0.5, 0.5, (4 * n, 4))
-        U = rng.uniform(-0.5, 0.5, (4 * n, n))
-        b = rng.uniform(-0.5, 0.5, 4 * n)
-        W[2 * n : 3 * n] = 0.0
-        W[2 * n : 3 * n, 0] = 1.0  # g_pre = x_0 + U_g h_prev + 0.5
-        U[2 * n : 3 * n] *= 0.1
-        b[2 * n : 3 * n] = 0.5
+        W = rng.uniform(-0.5, 0.5, (1, 4 * n, 4))
+        U = rng.uniform(-0.5, 0.5, (1, 4 * n, n))
+        b = rng.uniform(-0.5, 0.5, (1, 1, 4 * n))
+        W[:, 2 * n : 3 * n] = 0.0
+        W[:, 2 * n : 3 * n, 0] = 1.0  # g_pre = x_0 + U_g h_prev + 0.5
+        U[:, 2 * n : 3 * n] *= 0.1
+        b[..., 2 * n : 3 * n] = 0.5
         layer = LstmLayerParams(W=W, U=U, b=b)
-        net = LstmNetwork(layers=[layer], dense_W=rng.uniform(-1, 1, (2, n)), dense_b=np.zeros(2), dropout_rate=0.0)
-        win = rng.random((1, 4, 4))
-        win[0, :3, 0] = [-1.0, -0.5, 0.0]
-        win[0, 2, 1:] = 0.0
-        win[0, 3, 0] = 0.5
-        tgt = rng.random((1, 2))
+        dense_W = rng.uniform(-1, 1, (1, 2, n))
+        net = LstmNetwork(layers=[layer], dense_W=dense_W, dense_b=np.zeros((1, 1, 2)), dropout_rate=0.0)
+        win = rng.random((1, 1, 4, 4))
+        win[0, 0, :3, 0] = [-1.0, -0.5, 0.0]
+        win[0, 0, 2, 1:] = 0.0
+        win[0, 0, 3, 0] = 0.5
+        tgt = rng.random((1, 1, 2))
         _, cache = forward_batch(net, win)
-        c = cache.layer_caches[0].c[:, 0]
+        c = cache.layer_caches[0].c[:, 0, 0]
         assert np.all(c[:2] == 0.0) and np.all(c[2:] > 0.0)
-        assert np.all(batch_major(cache.layer_caches[0]).g[0, 1] == 0.0)
+        assert np.all(batch_major(cache.layer_caches[0]).g[0, 0, 1] == 0.0)
         want = before_backward(net, before_cache(cache), tgt)
         got = lstm.backward(net, forward_batch(net, win)[1], tgt)
         assert all(np.any(g != 0.0) for g in got[:3])
@@ -157,16 +164,16 @@ class TestBackward:
 
     def test_dense_bias_gradient_linear_in_residual(self):
         net = small_net()
-        win = np.random.default_rng(8).random((6, 4))
-        pred, cache = forward(net, win)
+        win = np.random.default_rng(8).random((1, 1, 6, 4))
+        pred, cache = forward_batch(net, win)
         g1 = lstm.backward(net, cache, pred - np.array([0.1, 0.2]))
-        g2 = lstm.backward(net, forward(net, win)[1], pred - np.array([0.2, 0.4]))
+        g2 = lstm.backward(net, forward_batch(net, win)[1], pred - np.array([0.2, 0.4]))
         np.testing.assert_allclose(g2[-1], 2 * g1[-1], rtol=1e-12)
 
     def test_second_backward_on_one_cache_rejected(self):
         # backward writes dL/d(pre) over the cache's gates
         net = small_net()
-        pred, cache = forward(net, np.random.default_rng(8).random((6, 4)))
+        pred, cache = forward_batch(net, np.random.default_rng(8).random((1, 1, 6, 4)))
         lstm.backward(net, cache, pred)
         with pytest.raises(CacheMismatch, match="one backward call"):
             lstm.backward(net, cache, pred)
@@ -175,12 +182,13 @@ class TestBackward:
         net = small_net()
         _, cache = forward(net, np.zeros((6, 4)))
         with pytest.raises(CacheMismatch):
-            lstm.backward(net, cache, np.zeros((3, 2)))
+            lstm.backward(net, cache, np.zeros((1, 3, 2)))
 
 
 def _toy_data(rng, n=24, m=6):
-    inputs = rng.random((n, m, 4))
-    targets = rng.random((n, 2))
+    """One vessel's n windows and targets."""
+    inputs = rng.random((1, n, m, 4))
+    targets = rng.random((1, n, 2))
     return inputs, targets
 
 
@@ -189,10 +197,10 @@ class TestTrainEpoch:
         net = small_net()
         before = [a.copy() for a in net.param_arrays()]
         inputs, targets = _toy_data(np.random.default_rng(9))
-        loss = train_epoch(net, inputs, targets, 5, np.random.default_rng(0), AdamState.for_network(net, 0.0))
+        loss = train_epoch(net, inputs, targets, 5, [np.random.default_rng(0)], AdamState.for_network(net, 0.0))
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
-        assert loss == pytest.approx(evaluate_loss(net, inputs, targets), rel=1e-9)
+        assert loss == [pytest.approx(evaluate_loss(net, inputs, targets), rel=1e-9)]
 
     def test_same_seed_identical_trajectories(self):
         inputs, targets = _toy_data(np.random.default_rng(10))
@@ -200,8 +208,8 @@ class TestTrainEpoch:
         for _ in range(2):
             net = small_net(dropout=0.2)
             opt = AdamState.for_network(net, 1e-3)
-            rng = np.random.default_rng(123)
-            losses = [train_epoch(net, inputs, targets, 4, rng, opt) for _ in range(3)]
+            rngs = [np.random.default_rng(123)]
+            losses = [train_epoch(net, inputs, targets, 4, rngs, opt) for _ in range(3)]
             results.append((losses, [a.copy() for a in net.param_arrays()]))
         assert results[0][0] == results[1][0]
         for a, b in zip(results[0][1], results[1][1]):
@@ -210,12 +218,12 @@ class TestTrainEpoch:
     def test_overfit_single_window(self):
         rng = np.random.default_rng(11)
         net = small_net(dropout=0.0)
-        inputs = rng.random((1, 6, 4))
-        targets = rng.random((1, 2))
+        inputs = rng.random((1, 1, 6, 4))
+        targets = rng.random((1, 1, 2))
         opt = AdamState.for_network(net, 1e-2)
-        train_rng = np.random.default_rng(0)
+        train_rngs = [np.random.default_rng(0)]
         for _ in range(200):
-            train_epoch(net, inputs, targets, 1, train_rng, opt)
+            train_epoch(net, inputs, targets, 1, train_rngs, opt)
         assert evaluate_loss(net, inputs, targets) < 1e-4
 
     def test_sine_track_loss_drops(self):
@@ -230,35 +238,35 @@ class TestTrainEpoch:
             ]
         )
         m = 10
-        inputs = np.stack([feats[i : i + m] for i in range(len(feats) - m)])
-        targets = feats[m:, :2]
+        inputs = np.stack([feats[i : i + m] for i in range(len(feats) - m)])[None]
+        targets = feats[None, m:, :2]
         net = init_network(hidden=16, dropout_rate=0.0, rng=np.random.default_rng(12))
         opt = AdamState.for_network(net, 1e-3)
-        rng = np.random.default_rng(0)
-        losses = [train_epoch(net, inputs, targets, 10, rng, opt) for _ in range(100)]
-        assert losses[-1] < 0.1 * losses[0]
+        rngs = [np.random.default_rng(0)]
+        (first,), *_, (last,) = [train_epoch(net, inputs, targets, 10, rngs, opt) for _ in range(100)]
+        assert last < 0.1 * first
 
 
 class TestPredictSequence:
     def test_single_step_equals_forward(self):
         net = small_net()
         win = np.random.default_rng(13).random((6, 4))
-        roll = rollout(net, win, 1)
+        roll = rollout(net, win[None], 1)
         pred, _ = forward(net, win)
-        np.testing.assert_allclose(roll[0], pred, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(roll[0, 0], pred, rtol=1e-12, atol=0)
 
     def test_zero_network_rolls_out_zeros(self):
-        roll = rollout(zero_net(), np.random.default_rng(14).random((6, 4)), 5)
-        np.testing.assert_array_equal(roll, np.zeros((5, 2)))
+        roll = rollout(zero_net(), np.random.default_rng(14).random((1, 6, 4)), 5)
+        np.testing.assert_array_equal(roll, np.zeros((5, 1, 2)))
 
     def test_three_steps_match_manual_unroll(self):
         net = small_net()
         win = np.random.default_rng(15).random((6, 4))
-        roll = rollout(net, win, 3)
+        roll = rollout(net, win[None], 3)
         window = win.copy()
         for s in range(3):
             pred, _ = forward(net, window)
-            np.testing.assert_allclose(roll[s], pred, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(roll[s, 0], pred, rtol=1e-12, atol=0)
             fed_back = np.clip(pred, lstm.FEEDBACK_MIN, lstm.FEEDBACK_MAX)
             window = np.vstack((window[1:], np.concatenate((fed_back, window[-1, 2:]))))
 
@@ -267,18 +275,18 @@ class TestPredictSequence:
         # runaway feedback loop
         net = small_net(seed=21)
         net.dense_W *= 25.0
-        roll = rollout(net, np.random.default_rng(22).random((6, 4)), 200)
+        roll = rollout(net, np.random.default_rng(22).random((1, 6, 4)), 200)
         assert np.all(np.isfinite(roll))
         assert np.max(np.abs(roll)) < 1e3
 
     def test_speed_course_held_from_seed_window(self):
         net = small_net()
-        win = np.random.default_rng(16).random((6, 4))
+        win = np.random.default_rng(16).random((1, 6, 4))
         state = rollout_start(net, win)
         for _ in range(4):
             pred, state = roll_step(net, state)
-        assert pred.shape == (2,) and state.step == 4
-        np.testing.assert_array_equal(state.x[2:], win[-1, 2:])
+        assert pred.shape == (1, 2) and state.step == 4
+        np.testing.assert_array_equal(state.x[:, 2:], win[:, -1, 2:])
 
 
 def _expansive(net):
@@ -291,21 +299,22 @@ ROLLOUT_CASES = [(m, steps) for m in (1, 2, 6) for steps in sorted({1, m - 1, m,
 
 
 @pytest.mark.parametrize("m, steps", ROLLOUT_CASES)
-@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("several", [False, True])
 @pytest.mark.parametrize("clamped", [False, True])
-def test_rollout_matches_sliding_window_oracle(m, steps, stacked, clamped):
-    nets = [small_net(seed=100 + z) for z in range(3)]
+def test_rollout_matches_sliding_window_oracle(m, steps, several, clamped):
+    Z = vessel_count(several)
+    nets = [small_net(seed=100 + z) for z in range(Z)]
     if clamped:
-        nets = [_expansive(n) for n in nets] if not stacked else [nets[0], _expansive(nets[1]), nets[2]]
-    wins = np.random.default_rng(110 + m).random((3, m, 4))
-    net, win = (stack_networks(nets), wins) if stacked else (nets[0], wins[0])
+        _expansive(nets[Z // 2])  # of three vessels, only the middle one's feedback clamps
+    win = np.random.default_rng(110 + m).random((3, m, 4))[:Z]
+    net = stack_networks(nets)
     roll = rollout(net, win, steps)
     # each prediction is forward_batch on the window the rollout fed itself
     np.testing.assert_allclose(roll, predict_sequence(net, win, steps, fed=roll), rtol=1e-12, atol=0)
     oracle = predict_sequence(net, win, steps)
     if clamped and steps == 200:
         # An expansive map amplifies last-bit differences between the two
-        # free-running rollouts: the stacked ones drift apart by up to 1e-10
+        # free-running rollouts: they drift apart by up to 1e-10
         # relative over 200 steps, while every step above stays within
         # 2e-13 of forward_batch on its own input.
         assert ((oracle < lstm.FEEDBACK_MIN) | (oracle > lstm.FEEDBACK_MAX)).any()
@@ -320,8 +329,8 @@ class TestStackNetworks:
         stacked, _ = forward_batch(stack_networks(nets), wins)
         assert stacked.shape == (3, 5, 2)
         for z, net in enumerate(nets):
-            single, _ = forward_batch(net, wins[z])
-            assert np.array_equal(stacked[z], single)
+            single, _ = forward_batch(net, wins[z : z + 1])
+            assert np.array_equal(stacked[z], single[0])
 
     def test_stacked_rollout_equals_each_rollout(self):
         nets = [small_net(seed=s) for s in (41, 42, 43)]
@@ -330,7 +339,7 @@ class TestStackNetworks:
         roll = rollout(stack_networks(nets), wins, 30)
         assert roll.shape == (30, 3, 2)
         for z, net in enumerate(nets):
-            assert np.array_equal(roll[:, z], rollout(net, wins[z], 30))
+            assert np.array_equal(roll[:, z], rollout(net, wins[z : z + 1], 30)[:, 0])
 
     def test_non_finite_rollout_names_row_and_step(self):
         nets = [small_net(seed=s) for s in (71, 72, 73)]
@@ -342,23 +351,35 @@ class TestStackNetworks:
         with pytest.raises(NonFiniteActivation, match="rollout step 5") as info:
             roll_step(stacked, state)
         assert info.value.row == 1
-        nets[0].dense_b[1] = np.nan
+        nets[0].dense_b[0, 0, 1] = np.nan
         with pytest.raises(NonFiniteActivation, match="rollout step 1") as info:
-            roll_step(nets[0], rollout_start(nets[0], np.zeros((6, 4))))
-        assert info.value.row is None
+            roll_step(nets[0], rollout_start(nets[0], np.zeros((1, 6, 4))))
+        assert info.value.row == 0
+
+    def test_non_finite_forward_names_row(self):
+        nets = [small_net(seed=s) for s in (75, 76, 77)]
+        nets[2].dense_W[0, 1, 0] = np.inf
+        with pytest.raises(NonFiniteActivation, match="^non-finite prediction$") as info:
+            forward_batch(stack_networks(nets), np.random.default_rng(78).random((3, 5, 6, 4)))
+        assert info.value.row == 2
 
     def test_stacked_backward_equals_each_backward(self):
         nets = [small_net(seed=s, dropout=0.3) for s in (51, 52, 53)]
         wins = np.random.default_rng(54).random((3, 5, 6, 4))
         tgts = np.random.default_rng(55).random((3, 5, 2))
         stacked = stack_networks(nets)
-        _, cache = forward_batch(stacked, wins, train=True, rng=[np.random.default_rng(60 + z) for z in range(3)])
+        _, cache = forward_batch(stacked, wins, train=True, rngs=[np.random.default_rng(60 + z) for z in range(3)])
         grads = lstm.backward(stacked, cache, tgts)
         assert [g.shape for g in grads] == [a.shape for a in stacked.param_arrays()]
         for z, net in enumerate(nets):
-            _, own = forward_batch(net, wins[z], train=True, rng=np.random.default_rng(60 + z))
-            for g, g_own in zip(grads, lstm.backward(net, own, tgts[z])):
-                assert np.array_equal(g[z].reshape(g_own.shape), g_own)
+            _, own = forward_batch(net, wins[z : z + 1], train=True, rngs=[np.random.default_rng(60 + z)])
+            for g, g_own in zip(grads, lstm.backward(net, own, tgts[z : z + 1])):
+                assert np.array_equal(g[z : z + 1], g_own)
+
+    def test_train_mode_needs_a_generator_per_vessel(self):
+        stacked = stack_networks([small_net(seed=s, dropout=0.3) for s in (56, 57, 58)])
+        with pytest.raises(ValueError, match="one generator per vessel"):
+            forward_batch(stacked, np.zeros((3, 5, 6, 4)), train=True, rngs=[np.random.default_rng(59)])
 
     def test_unstack_returns_each_network(self):
         nets = [small_net(seed=s) for s in (61, 62)]
@@ -369,12 +390,26 @@ class TestStackNetworks:
                 assert a.shape == b.shape and np.array_equal(a, b)
             assert not np.shares_memory(back.layers[0].W, stacked.layers[0].W)
 
+    @pytest.mark.parametrize("several", [False, True])
+    def test_input_without_vessel_axis_rejected(self, several):
+        # (B, m, k) windows and an (m, k) rollout window lack the vessel axis,
+        # even where B or m equals Z
+        Z = vessel_count(several)
+        net = stack_networks([small_net(seed=s) for s in range(Z)])
+        for windows in (np.zeros((5, 6, 4)), np.zeros((Z, 6, 4))):
+            with pytest.raises(CacheMismatch, match=f"expected \\({Z}, B, m, 4\\) input"):
+                forward_batch(net, windows)
+        for window in (np.zeros((6, 4)), np.zeros((Z, 4))):
+            with pytest.raises(CacheMismatch, match=f"expected \\({Z}, m, 4\\) window"):
+                rollout_start(net, window)
+
     def test_stacked_network_needs_vessel_axis(self):
+        # of its own length: one vessel's windows do not run on two
         stacked = stack_networks([small_net(), small_net(seed=2)])
         with pytest.raises(CacheMismatch):
-            forward_batch(stacked, np.zeros((5, 6, 4)))
+            forward_batch(stacked, np.zeros((1, 5, 6, 4)))
         with pytest.raises(CacheMismatch):
-            rollout_start(stacked, np.zeros((6, 4)))
+            rollout_start(stacked, np.zeros((1, 6, 4)))
 
     def test_different_architectures_rejected(self):
         with pytest.raises(ValueError):
@@ -392,29 +427,29 @@ def test_mse_loss_definition():
 def test_forward_batch_matches_loop():
     net = small_net()
     wins = np.random.default_rng(17).random((7, 6, 4))
-    batch_pred, _ = forward_batch(net, wins)
+    batch_pred, _ = forward_batch(net, wins[None])
     for i in range(7):
         single, _ = forward(net, wins[i])
-        np.testing.assert_allclose(batch_pred[i], single, rtol=1e-12)
+        np.testing.assert_allclose(batch_pred[0, i], single, rtol=1e-12)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 10, 128])
-@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("several", [False, True])
 @pytest.mark.parametrize("cached", [True, False])
-def test_forward_batch_matches_reference_loop(batch, stacked, cached):
+def test_forward_batch_matches_reference_loop(batch, several, cached):
     # the per-timestep loop takes x_t @ W.T inside the recurrence; at B = 1
     # and at GEMM tail sizes such as 2 or 7 BLAS rounds it differently from
     # the hoisted product, so the last bits may move but no more. The
     # training path (cached) is forward_batch with its per-timestep cache;
     # the inference path is the rollout's first prediction from each window.
-    nets = [init_network(hidden=32, rng=np.random.default_rng(80 + z)) for z in range(3)]
-    wins = np.random.default_rng(90 + batch).random((3, batch, 10, 4))
-    net, x = (stack_networks(nets), wins) if stacked else (nets[0], wins[0])
+    Z = vessel_count(several)
+    net = stack_networks([init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(80 + z)) for z in range(Z)])
+    x = np.random.default_rng(90 + batch).random((3, batch, 10, 4))[:Z]
     ref_pred, ref_caches = reference_forward(net, x)
     if not cached:
         for b in range(batch):
-            pred, _ = roll_step(net, rollout_start(net, x[..., b, :, :]))
-            np.testing.assert_allclose(pred, ref_pred[..., b, :], rtol=1e-12, atol=0)
+            pred, _ = roll_step(net, rollout_start(net, x[:, b]))
+            np.testing.assert_allclose(pred, ref_pred[:, b], rtol=1e-12, atol=0)
         return
     pred, cache = forward_batch(net, x)
     np.testing.assert_allclose(pred, ref_pred, rtol=1e-12, atol=0)
@@ -428,8 +463,8 @@ def test_forward_batch_matches_reference_loop(batch, stacked, cached):
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 10, 18, 64, 128])
-@pytest.mark.parametrize("stacked", [False, True])
-def test_training_path_matches_batch_major_oracle(batch, stacked, monkeypatch):
+@pytest.mark.parametrize("several", [False, True])
+def test_training_path_matches_batch_major_oracle(batch, several, monkeypatch):
     # The training path keeps the oracle's elementwise operations, but its
     # products group the sums differently: W x per timestep in place of one
     # product over B*m rows, and contiguous copies of W.mT and U.mT in place
@@ -444,18 +479,18 @@ def test_training_path_matches_batch_major_oracle(batch, stacked, monkeypatch):
 
     same_prediction = np.testing.assert_array_equal if batch > 8 else same
 
-    nets = [init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(60 + z)) for z in range(3)]
+    Z = vessel_count(several)
+    net = stack_networks([init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(60 + z)) for z in range(Z)])
     data = np.random.default_rng(70 + batch)
-    wins, tgts = data.random((3, 2 * batch, 10, 4)), data.random((3, 2 * batch, 2))
-    net, x, y = (stack_networks(nets), wins, tgts) if stacked else (nets[0], wins[0], tgts[0])
+    x, y = data.random((3, 2 * batch, 10, 4))[:Z], data.random((3, 2 * batch, 2))[:Z]
 
     def rngs(seed):
-        return [np.random.default_rng(seed + z) for z in range(3)] if stacked else np.random.default_rng(seed)
+        return [np.random.default_rng(seed + z) for z in range(Z)]
 
-    xb, yb = x[..., :batch, :, :], y[..., :batch, :]
+    xb, yb = x[:, :batch], y[:, :batch]
     same_prediction(forward_batch(net, xb)[0], before_forward_batch(net, xb)[0])
-    pred, cache = forward_batch(net, xb, train=True, rng=rngs(5))
-    ref_pred, ref_cache = before_forward_batch(net, xb, train=True, rng=rngs(5))
+    pred, cache = forward_batch(net, xb, train=True, rngs=rngs(5))
+    ref_pred, ref_cache = before_forward_batch(net, xb, train=True, rngs=rngs(5))
     same_prediction(pred, ref_pred)
     grads = lstm.backward(net, cache, yb)
     ref_grads = before_backward(net, ref_cache, yb)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aistrack.errors import TrackTooShort
+from aistrack.errors import GridTooLong, TrackTooShort
 from aistrack.ingest import AisMessage, RawTrack
 from aistrack.preprocess import (
+    MAX_GRID_SAMPLES,
     RegularTrack,
     ScalerParams,
     fit_scaler,
@@ -68,6 +69,23 @@ def test_course_wraps_downward_too():
 def test_resample_rejects_single_message():
     with pytest.raises(TrackTooShort):
         resample(_track([0]), 5.0)
+
+
+@pytest.mark.parametrize(
+    "times, period, samples",
+    [
+        ([0, 745], 1e-300, "7.45e+302"),  # the quotient is finite
+        ([0, 745], 5e-324, "inf"),  # it overflows
+        ([0, MAX_GRID_SAMPLES], 1.0, "1000001"),  # one sample past the bound
+    ],
+)
+def test_resample_grid_past_bound_rejected(times, period, samples, monkeypatch):
+    # rejected before the grid is allocated
+    monkeypatch.setattr(np, "arange", lambda *a: pytest.fail("the grid was allocated"))
+    with pytest.raises(GridTooLong) as exc:
+        resample(_track(times, vid="aa"), period)
+    assert str(exc.value).startswith(f"vessel aa: period {period!r} s puts {samples} samples on its")
+    assert str(exc.value).endswith(f"; the bound is {MAX_GRID_SAMPLES}")
 
 
 def test_resample_grid_stays_within_raw_span():
