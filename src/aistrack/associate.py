@@ -121,12 +121,13 @@ def predict_positions(bundles, target_time: float) -> dict[str, tuple[float, flo
 def _decide(observations: list[AisMessage], predicted: np.ndarray, vessel_ids: list[str], tau: float) -> Decisions:
     """Score N observations against (N, Z, 2) predicted (lat, lon) whose
     columns follow the sorted vessel_ids; the first minimum of each row wins."""
-    obs = np.array([(m.lat, m.lon) for m in observations], dtype=np.float64).reshape(-1, 1, 2)
+    object_ids, _, _, lat, lon, _, _ = zip(*observations) if observations else ((),) * 7
+    obs = np.stack((lat, lon), axis=-1, dtype=np.float64).reshape(-1, 1, 2)
     distances = haversine(obs[..., 0], obs[..., 1], predicted[..., 0], predicted[..., 1])
     best = np.argmin(distances, axis=1)
     winning = distances[np.arange(len(distances)), best]
     assigned = [vessel_ids[z] if d <= tau else NEW_TRACK for z, d in zip(best.tolist(), winning.tolist())]
-    return Decisions([m.object_id for m in observations], assigned, winning, distances, list(vessel_ids))
+    return Decisions(list(object_ids), assigned, winning, distances, list(vessel_ids))
 
 
 def associate(

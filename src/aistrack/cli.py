@@ -28,15 +28,16 @@ import argparse
 import json
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
-from .config import FIELD_TYPES, RunConfig, check_ranges, config_meta, is_json_type
+from .config import FIELD_TYPES, RunConfig, check_ranges, config_meta, json_type_fault
 from .errors import AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile, output_dir, write_output
 from .evaluate import confusion, metrics, write_report
 from .fleet import load_fleet, save_fleet, train_fleet, trainable_tracks
-from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv
+from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv, time_order
 from .preprocess import resample
 from .synth import crossing, fleet_motions, generate, truth_from_csv, truth_to_csv
 
@@ -87,8 +88,9 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
             if key not in FIELD_TYPES:
                 raise BadConfig(f"unknown config key {key!r}")
             kind = FIELD_TYPES[key]
-            if not is_json_type(value, kind):
-                raise BadConfig(f"config key {key!r} must be {kind.__name__}, got {type(value).__name__}")
+            fault = json_type_fault(value, kind)
+            if fault:
+                raise BadConfig(f"config key {key!r} {fault}")
             setattr(cfg, key, kind(value))
     for key in FIELD_TYPES:
         value = getattr(args, key, None)
@@ -135,14 +137,11 @@ def _holdout_messages(series_list, bundles, test_len: int) -> tuple[list[AisMess
         for i, (lat, lon, speed, course) in enumerate(s.features[start:].tolist(), start=start):
             t = int(round(s.time_of(i)))
             if t > latest_end:
-                rows.append((t, s.vessel_id, lat, lon, speed, course))
+                rows.append((s.vessel_id, t, lat, lon, speed, course))
             else:
                 left_out += 1
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return [
-        AisMessage(object_id=oid, vessel_id=vid, t=t, lat=lat, lon=lon, speed=speed, course=course)
-        for oid, (t, vid, lat, lon, speed, course) in enumerate(rows, start=1)
-    ], left_out
+    rows.sort(key=itemgetter(1, 0))  # (t, vessel_id)
+    return [AisMessage(oid, *row) for oid, row in enumerate(rows, start=1)], left_out
 
 
 def cmd_train(args) -> int:
@@ -170,7 +169,7 @@ def cmd_associate(args) -> int:
     cfg = effective_config(args)
     bundles = load_fleet(args.models)
     observations = _messages(args.obs, cfg)
-    observations.sort(key=lambda m: (m.t, m.object_id))
+    observations.sort(key=time_order)
     decisions = associate_batch(observations, bundles, tau=cfg.tau)
     out = Path(args.out)
     write_output(out, decisions_to_csv(decisions))

@@ -4,7 +4,7 @@
 a --config file and flags, and the library (`synth.generate`,
 `fleet.train_fleet`) reads its fields directly. `check_ranges` is the one
 range check, `config_meta` the one echo of a config into the artifacts, and
-`is_json_type` the one rule for the JSON type of a value, shared by
+`json_type_fault` the one rule for the JSON type of a value, shared by
 --config files and model files.
 """
 
@@ -87,10 +87,14 @@ def config_meta(cfg: RunConfig) -> dict:
     }
 
 
-def is_json_type(value, kind: type) -> bool:
-    """Whether a decoded JSON value has type `kind`: a bool is not an int,
-    and an int stands for a float, as it does on the command line, if a
-    float can hold it."""
+def json_type_fault(value, kind: type) -> str | None:
+    """Why a decoded JSON value cannot stand for a `kind` setting, as the
+    rest of a sentence naming it; None if it can. A bool is not an int, and
+    an int stands for a float, as it does on the command line, if a float
+    can hold it."""
     accepted = (int, float) if kind is float else kind
-    fits = kind is not float or not isinstance(value, int) or abs(value) <= sys.float_info.max
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted) and fits
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        return f"must be {kind.__name__}, got {type(value).__name__}"
+    if kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        return "is an int out of float range"
+    return None

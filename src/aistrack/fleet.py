@@ -48,12 +48,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, check_ranges, config_meta, is_json_type
+from .config import RunConfig, check_ranges, config_meta, json_type_fault
 from .errors import (
     BadManifest,
     BadModel,
     ChecksumMismatch,
     MissingFile,
+    NonFiniteActivation,
     TrackTooShort,
     VersionMismatch,
     output_dir,
@@ -104,7 +105,8 @@ def vessel_seed(root_seed: int, vessel_id: str) -> int:
 
 def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelBundle, list[float]]]:
     """Train series of one training length in lockstep; returns each
-    vessel's bundle and per-epoch loss history, in stack order."""
+    vessel's bundle and per-epoch loss history, in stack order. A
+    non-finite prediction is a NonFiniteActivation naming its vessel."""
     m = cfg.window
     train_len = len(stack[0]) - cfg.test_len
     scalers = [fit_scaler(s, train_len) for s in stack]
@@ -116,7 +118,10 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
     targets = np.stack([w.targets for w in windows])
     del windows  # training reads only the stacked copies
     opt = AdamState.for_network(net, cfg.lr)
-    epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt) for _ in range(cfg.epochs)]
+    try:
+        epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt) for _ in range(cfg.epochs)]
+    except NonFiniteActivation as exc:
+        raise NonFiniteActivation(f"vessel {stack[exc.row].vessel_id}: {exc}", exc.row) from None
     return [
         (
             ModelBundle(
@@ -236,7 +241,7 @@ def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
     floats finite and period > 0."""
     for key, kind in kinds.items():
         value = doc[key]
-        ok = is_json_type(value, kind)
+        ok = json_type_fault(value, kind) is None
         ok = ok and (kind is not int or value >= 1) and (kind is not float or math.isfinite(value))
         if not ok or (key == "period" and value <= 0):
             raise BadModel(f"{key} {value!r} is not a valid {kind.__name__}")
@@ -253,7 +258,7 @@ def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
 def _network_from_dict(d: dict) -> LstmNetwork:
     _check_fields(d, NETWORK_FIELDS)
     for key, value in ARCHITECTURE.items():
-        if not is_json_type(d[key], type(value)) or d[key] != value:
+        if json_type_fault(d[key], type(value)) or d[key] != value:
             raise BadModel(f"{key} {d[key]!r}: only networks with {key} {value!r} are supported")
     if len(d["layers"]) != N_LAYERS:
         raise BadModel(f"network has {len(d['layers']) or 'no'} layers, expected {N_LAYERS}")

@@ -11,10 +11,12 @@ import csv
 import functools
 import io
 import math
+import operator
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 from .errors import MalformedRow, OutOfRange
 
@@ -48,12 +50,13 @@ def format_timestamp(epoch: int) -> str:
     return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(_TIME_FMT)
 
 
-@dataclass(frozen=True)
-class AisMessage:
-    """One decoded CSV row.
+class AisMessage(NamedTuple):
+    """One decoded CSV row, a named tuple in HEADER's column order.
 
     speed is tenths of knots, course tenths of degrees in [0, 3600),
-    t is epoch seconds (UTC, one-second resolution).
+    t is epoch seconds (UTC, one-second resolution). A row is a plain
+    tuple too: it compares equal to the tuple of its fields, unpacks as
+    one, and the pipeline builds and reads it by position.
     """
 
     object_id: int
@@ -77,6 +80,10 @@ class AisMessage:
             raise OutOfRange("COURSE", self.course, line_no)
 
 
+# Sort key of rows in time order, ties broken by OBJECT_ID: (t, object_id).
+time_order = operator.itemgetter(2, 0)
+
+
 @dataclass
 class RawTrack:
     """Chronological message sequence from one vessel (ties broken by object_id)."""
@@ -94,14 +101,13 @@ class ParseStats:
     skipped: int = 0
 
 
-def _resolve_header(fields: list[str]) -> dict[str, int]:
+def _resolve_header(fields: list[str]) -> list[int]:
+    """The index in `fields` of each HEADER column, in HEADER order."""
     upper = [f.strip().upper() for f in fields]
-    index = {}
     for name in HEADER:
         if name not in upper:
             raise MalformedRow(1, f"missing column {name}")
-        index[name] = upper.index(name)
-    return index
+    return [upper.index(name) for name in HEADER]
 
 
 def vessel_id_fault(vid: str) -> str | None:
@@ -144,7 +150,7 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
         _, header = next(reader)
     except StopIteration:
         raise MalformedRow(1, "empty input, header required")
-    cols = _resolve_header(header)
+    i_oid, i_vid, i_t, i_lat, i_lon, i_speed, i_course = _resolve_header(header)
     out: list[AisMessage] = []
     first_line: dict[int, int] = {}  # OBJECT_ID -> line it was accepted on
     good_vids: set[str] = set()
@@ -157,33 +163,34 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
             if len(row) != len(header):
                 raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
             try:
+                object_id, vid = int(row[i_oid]), row[i_vid].strip()
                 msg = AisMessage(
-                    object_id=int(row[cols["OBJECT_ID"]]),
-                    vessel_id=row[cols["VID"]].strip(),
-                    t=parse_timestamp(row[cols["SEQUENCE_DTTM"]].strip()),
-                    lat=float(row[cols["LAT"]]),
-                    lon=float(row[cols["LON"]]),
-                    speed=float(row[cols["SPEED"]]),
-                    course=float(row[cols["COURSE"]]),
+                    object_id,
+                    vid,
+                    parse_timestamp(row[i_t].strip()),
+                    float(row[i_lat]),
+                    float(row[i_lon]),
+                    float(row[i_speed]),
+                    float(row[i_course]),
                 )
             except (ValueError, OverflowError) as exc:
                 raise MalformedRow(line_no, str(exc)) from exc
             msg.validate(line_no)
-            if msg.vessel_id not in good_vids:
-                fault = vessel_id_fault(msg.vessel_id)
+            if vid not in good_vids:
+                fault = vessel_id_fault(vid)
                 if fault:
                     raise MalformedRow(line_no, fault)
-                good_vids.add(msg.vessel_id)
-            if msg.object_id in first_line:
-                first = first_line[msg.object_id]
-                raise MalformedRow(line_no, f"duplicate OBJECT_ID {msg.object_id} (first on line {first})")
+                good_vids.add(vid)
+            if object_id in first_line:
+                first = first_line[object_id]
+                raise MalformedRow(line_no, f"duplicate OBJECT_ID {object_id} (first on line {first})")
         except MalformedRow:  # OutOfRange included
             if strict:
                 raise
             if stats is not None:
                 stats.skipped += 1
             continue
-        first_line[msg.object_id] = line_no
+        first_line[object_id] = line_no
         out.append(msg)
     return out
 
@@ -221,10 +228,10 @@ def object_id_pairs(text: str, header: tuple[str, ...], exact: bool) -> list[tup
 def serialize_csv(messages: list[AisMessage]) -> str:
     """Inverse of parse_csv at full stored precision (repr round-trips floats)."""
     lines = [",".join(HEADER)]
-    for m in messages:
+    for object_id, vid, t, lat, lon, speed, course in messages:
         lines.append(
-            f"{m.object_id},{m.vessel_id},{format_timestamp(m.t)},"
-            f"{float(m.lat)!r},{float(m.lon)!r},{float(m.speed)!r},{float(m.course)!r}"
+            f"{object_id},{vid},{format_timestamp(t)},"
+            f"{float(lat)!r},{float(lon)!r},{float(speed)!r},{float(course)!r}"
         )
     return "\n".join(lines) + "\n"
 
@@ -236,7 +243,7 @@ def group_tracks(messages: list[AisMessage]) -> list[RawTrack]:
         by_vessel.setdefault(m.vessel_id, []).append(m)
     tracks = []
     for vid in sorted(by_vessel):
-        msgs = sorted(by_vessel[vid], key=lambda m: (m.t, m.object_id))
+        msgs = sorted(by_vessel[vid], key=time_order)
         tracks.append(RawTrack(vessel_id=vid, messages=msgs))
     return tracks
 

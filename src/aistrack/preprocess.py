@@ -15,7 +15,6 @@ import numpy as np
 from .errors import GridTooLong, TrackTooShort
 from .ingest import RawTrack
 
-FEATURES = ("lat", "lon", "speed", "course")
 COURSE_MOD = 3600.0  # tenths of degrees
 
 # A track's grid has one sample per period over its time span, so a tiny
@@ -32,7 +31,7 @@ class RegularTrack:
     vessel_id: str
     start_time: int  # epoch seconds
     period: float  # seconds
-    features: np.ndarray  # shape (n, 4), columns = FEATURES
+    features: np.ndarray  # shape (n, 4), columns lat, lon, speed, course
 
     def __len__(self) -> int:
         return len(self.features)
@@ -77,7 +76,8 @@ def resample(track: RawTrack, period: float = 5.0) -> RegularTrack:
         raise TrackTooShort(f"vessel {track.vessel_id}: need >= 2 messages, have {len(track)}")
     if period <= 0:
         raise ValueError("period must be > 0")
-    t = np.array([m.t for m in track.messages], dtype=np.float64)
+    # The rows' last five columns: t, then the features in their column order.
+    t, *values, course = np.array(list(zip(*track.messages))[2:], dtype=np.float64)
     t0, t1 = t[0], t[-1]
     n = np.floor(float(t1 - t0) / period) + 1  # a float, inf where the quotient overflows
     if n > MAX_GRID_SAMPLES:
@@ -90,18 +90,13 @@ def resample(track: RawTrack, period: float = 5.0) -> RegularTrack:
     # keeping the last message of each tie (ties are already object_id-ordered).
     keep = np.concatenate((t[1:] != t[:-1], [True]))
     tk = t[keep]
-    cols = {}
-    for name in ("lat", "lon", "speed"):
-        vals = np.array([getattr(m, name) for m in track.messages], dtype=np.float64)[keep]
-        cols[name] = np.interp(grid, tk, vals)
-    course = np.array([m.course for m in track.messages], dtype=np.float64)[keep]
-    cols["course"] = np.interp(grid, tk, _unwrap_course(course)) % COURSE_MOD
-    feats = np.column_stack([cols[name] for name in FEATURES])
+    cols = [np.interp(grid, tk, v[keep]) for v in values]
+    cols.append(np.interp(grid, tk, _unwrap_course(course[keep])) % COURSE_MOD)
     return RegularTrack(
         vessel_id=track.vessel_id,
         start_time=int(t0),
         period=period,
-        features=feats,
+        features=np.column_stack(cols),
     )
 
 

@@ -108,12 +108,11 @@ def generate(cfg: RunConfig, motions: list[VesselMotion]) -> tuple[str, dict[int
         speed[vi], course[vi] = _derived_speed_course(lat[vi], lon[vi], t[vi].astype(float))
     vessel = np.repeat(np.arange(len(motions)), cfg.points)
     order = np.lexsort((vessel, t.ravel()))  # stable: by time, then vessel, then sample
-    columns = [col.ravel()[order].tolist() for col in (vessel, t, lat, lon, speed, course)]
-    messages = [
-        AisMessage(object_id=oid, vessel_id=vids[vi], t=ti, lat=la, lon=lo, speed=sp, course=co)
-        for oid, (vi, ti, la, lo, sp, co) in enumerate(zip(*columns), start=1)
-    ]
-    return serialize_csv(messages), {m.object_id: m.vessel_id for m in messages}
+    row_vessel, *columns = [col.ravel()[order].tolist() for col in (vessel, t, lat, lon, speed, course)]
+    vessel_ids = [vids[vi] for vi in row_vessel]
+    object_ids = range(1, len(vessel_ids) + 1)
+    messages = list(map(AisMessage, object_ids, vessel_ids, *columns))
+    return serialize_csv(messages), dict(zip(object_ids, vessel_ids))
 
 
 def truth_to_csv(truth: dict[int, str]) -> str:

@@ -8,6 +8,7 @@ import shutil
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -143,11 +144,24 @@ def test_unknown_config_key_is_data_error(tmp_path):
     assert run(["synth", "--config", cfg, "--out", tmp_path / "d"]) == 2
 
 
-@pytest.mark.parametrize(
-    "content",
-    [None, "{not json", b"\xff\xfe", "[1, 2]", '{"vessels": "5"}', '{"epochs": 2.5}', '{"lenient": 1}',
-     '{"seed": true}', '{"crossing": 3}', '{"lr": null}', '{"radius": 6371.0}', '{"lr": 1%s}' % ("0" * 400)],
-)
+# Each bad --config file's content (None: no file), and text its error line holds.
+BAD_CONFIGS = {
+    None: "cannot read",
+    "{not json": "is not valid JSON",
+    b"\xff\xfe": "cannot read",
+    "[1, 2]": "must hold a JSON object",
+    '{"vessels": "5"}': "config key 'vessels' must be int, got str",
+    '{"epochs": 2.5}': "config key 'epochs' must be int, got float",
+    '{"lenient": 1}': "config key 'lenient' must be bool, got int",
+    '{"seed": true}': "config key 'seed' must be int, got bool",
+    '{"crossing": 3}': "config key 'crossing' must be str, got int",
+    '{"lr": null}': "config key 'lr' must be float, got NoneType",
+    '{"radius": 6371.0}': "unknown config key 'radius'",
+    '{"lr": 1%s}' % ("0" * 400): "config key 'lr' is an int out of float range",
+}
+
+
+@pytest.mark.parametrize("content", list(BAD_CONFIGS))
 def test_bad_config_file_is_data_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     if isinstance(content, bytes):
@@ -157,6 +171,7 @@ def test_bad_config_file_is_data_error(tmp_path, capsys, content):
     assert run(["synth", "--config", cfg, "--out", tmp_path / "d"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert BAD_CONFIGS[content] in err
     assert not (tmp_path / "d").exists()
 
 
@@ -439,6 +454,16 @@ def test_train_with_no_track_left_is_data_error(trained, tmp_path, capsys, flags
     err = capsys.readouterr().err
     assert rc == 2 and f"error: no track left to train: {given} given" in err
     assert not (tmp_path / "m").exists()
+
+
+def test_diverging_training_names_its_vessel(trained, tmp_path, capsys):
+    fleet = trained / "data" / "fleet.csv"
+    first = group_tracks(parse_csv(fleet.read_text()))[0].vessel_id  # row 0 of the stack
+    capsys.readouterr()
+    argv = ["train", "--data", fleet, "--out", tmp_path / "m", "--lr", 1e300, "--epochs", 3, "--min-points", 100]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: vessel {first}: non-finite prediction\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aistrack.errors import MalformedRow, OutOfRange
 from aistrack.ingest import (
@@ -235,6 +237,56 @@ msg_strategy = st.builds(
 @given(st.lists(msg_strategy, max_size=30, unique_by=lambda m: m.object_id))  # a repeated id is a bad row
 def test_serialize_parse_round_trip(messages):
     assert parse_csv(serialize_csv(messages)) == messages
+
+
+def _serialize_csv_by_name(messages) -> str:
+    """serialize_csv as it read each field by name before rows were tuples:
+    the oracle for the writer's bytes."""
+    lines = [HEADER]
+    for m in messages:
+        lines.append(
+            f"{m.object_id},{m.vessel_id},{format_timestamp(m.t)},"
+            f"{float(m.lat)!r},{float(m.lon)!r},{float(m.speed)!r},{float(m.course)!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def _number(lo: float, hi: float):
+    """A float or an int in [lo, hi]: rows built in code may hold either."""
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False) | st.integers(
+        min_value=math.ceil(lo), max_value=math.floor(hi)
+    )
+
+
+@given(
+    st.lists(
+        st.builds(
+            AisMessage,
+            object_id=st.integers(min_value=1, max_value=10**9),
+            vessel_id=st.text(alphabet="0123456789abcdef", min_size=1, max_size=8),
+            t=st.integers(min_value=0, max_value=2**31 - 1),
+            lat=_number(-90, 90),
+            lon=_number(-180, 180),
+            speed=_number(0, 1000),
+            course=_number(0, 3599.9),
+        ),
+        max_size=30,
+    )
+)
+@example([AisMessage(3, "ab", BASE_EPOCH, 0, -1, 2, 3)])
+def test_writer_gives_the_by_name_writers_bytes(messages):
+    assert serialize_csv(messages) == _serialize_csv_by_name(messages)
+
+
+def test_parsed_rows_are_read_only_named_tuples():
+    msgs = parse_csv(HEADER + "\n" + TABLE_ROWS)
+    assert all(type(m) is AisMessage for m in msgs)
+    object_id, vid, t, *numbers = msgs[1]
+    assert (object_id, vid, t) == (2, "203d4b0c", parse_timestamp("2020-02-29T22:00:01Z"))
+    assert numbers == [37.9483, 23.64101667, 0.0, 349.9]
+    assert msgs[1] == (object_id, vid, t, *numbers)
+    with pytest.raises(AttributeError):
+        msgs[1].lat = 0.0
 
 
 def _is_ordered(track) -> bool:
