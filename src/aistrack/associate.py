@@ -16,8 +16,10 @@ of predictions is unscaled in one expression, and each observation's Z
 predictions are gathered from it in one indexing step. One call of the
 array `haversine` gives the (N, Z) distance matrix. The decision is the
 argmin of each row, so ties go to the smallest vessel_id. The result is one
-`Decisions` record, which `decisions_to_csv` writes row by row. A
-non-finite prediction is an error that names the vessel and the step.
+`Decisions` record, which `decisions_to_csv` writes with one format call
+per row, each distance to 17 significant digits, which parse back to the
+exact double. A non-finite prediction is an error that names the vessel
+and the step; numpy's overflow warnings on the way to it are silenced.
 """
 
 from __future__ import annotations
@@ -97,11 +99,14 @@ def _rollout_positions(bundles, steps: int) -> np.ndarray:
     """(steps, Z, 2) unscaled (lat, lon) of every bundle's rollout, for 1
     through `steps` periods past its train end, run as one stack."""
     net = stack_networks([b.network for b in bundles])
-    state = rollout_start(net, np.stack([b.last_training_window for b in bundles]))
     scaled = np.empty((steps, len(bundles), 2))
     try:
-        for s in range(steps):
-            scaled[s], state = roll_step(net, state)
+        # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
+        # that turns non-finite is caught and named below
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = rollout_start(net, np.stack([b.last_training_window for b in bundles]))
+            for s in range(steps):
+                scaled[s], state = roll_step(net, state)
     except NonFiniteActivation as exc:
         raise NonFiniteActivation(f"vessel {bundles[exc.row].vessel_id}: {exc}", exc.row) from None
     fleet_scaler = ScalerParams(
@@ -156,17 +161,19 @@ def associate_batch(observations: list[AisMessage], bundles, tau: float = math.i
 
 
 def decisions_to_csv(decisions: Decisions) -> str:
-    """CSV export: OBJECT_ID, ASSIGNED_VID, WINNING_DISTANCE_KM, DIST_<vid>..."""
+    """CSV export: OBJECT_ID, ASSIGNED_VID, WINNING_DISTANCE_KM, DIST_<vid>...
+    Each row is one format call; the distances have 17 significant digits,
+    which parse back to the exact doubles."""
     header = ["OBJECT_ID", "ASSIGNED_VID", "WINNING_DISTANCE_KM"] + [f"DIST_{v}" for v in decisions.vessel_ids]
-    lines = [",".join(header)]
+    row = "%d,%s" + ",%.17g" * (len(decisions.vessel_ids) + 1)
     rows = zip(
         decisions.object_ids,
         decisions.assigned,
         decisions.winning_distance_km.tolist(),
         decisions.distances_km.tolist(),
     )
-    for object_id, assigned, winning, distances in rows:
-        lines.append(",".join([str(object_id), assigned, repr(winning), *map(repr, distances)]))
+    lines = [",".join(header)]
+    lines.extend(row % (object_id, assigned, winning, *distances) for object_id, assigned, winning, distances in rows)
     return "\n".join(lines) + "\n"
 
 

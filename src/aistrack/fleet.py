@@ -70,6 +70,8 @@ from .lstm import (
     init_network,
     network_from_arrays,
     param_shapes,
+    roll_step,
+    rollout_start,
     stack_networks,
     train_epoch,
     unstack_network,
@@ -106,7 +108,8 @@ def vessel_seed(root_seed: int, vessel_id: str) -> int:
 def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelBundle, list[float]]]:
     """Train series of one training length in lockstep; returns each
     vessel's bundle and per-epoch loss history, in stack order. A
-    non-finite prediction is a NonFiniteActivation naming its vessel."""
+    non-finite prediction, in training or in the first rollout step from
+    the last training window, is a NonFiniteActivation naming its vessel."""
     m = cfg.window
     train_len = len(stack[0]) - cfg.test_len
     scalers = [fit_scaler(s, train_len) for s in stack]
@@ -118,8 +121,15 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
     targets = np.stack([w.targets for w in windows])
     del windows  # training reads only the stacked copies
     opt = AdamState.for_network(net, cfg.lr)
+    last_windows = np.stack([x[train_len - m :] for x in scaled])
     try:
-        epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt) for _ in range(cfg.epochs)]
+        # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
+        # that turns non-finite is caught and named below
+        with np.errstate(over="ignore", invalid="ignore"):
+            epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt) for _ in range(cfg.epochs)]
+            # the first step `associate` takes, so a model that cannot
+            # make it is not saved
+            roll_step(net, rollout_start(net, last_windows))
     except NonFiniteActivation as exc:
         raise NonFiniteActivation(f"vessel {stack[exc.row].vessel_id}: {exc}", exc.row) from None
     return [
@@ -129,7 +139,7 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
                 network=unstack_network(net, z),
                 scaler=scalers[z],
                 period=s.period,
-                last_training_window=scaled[z][train_len - m :].copy(),
+                last_training_window=last_windows[z].copy(),
                 train_end_time=s.time_of(train_len - 1),
             ),
             [losses[z] for losses in epochs],

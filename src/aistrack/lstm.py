@@ -79,11 +79,16 @@ from zero state and sees the same m inputs as in `forward_batch`; only the
 grouping of rows in the matrix products differs, so predictions agree to
 a relative 1e-12, not bit for bit. A rollout of Z vessels still computes
 each vessel's slice exactly as that vessel's own rollout would.
+`rollout_start` allocates everything the rollout writes, once: each
+layer's h and c, the next input, and one cell step's scratch, which the
+layers share. `roll_step` then advances that state in place, and `_cell`
+writes its products into the scratch its caller passes, as in training;
+a step allocates only its (Z, out_dim) prediction, which it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -222,24 +227,27 @@ def _cell_weights(layer: LstmLayerParams, rows: tuple[int, ...]) -> tuple[np.nda
     return W_T, U_T, np.multiply(layer.b, signs, out=np.empty(rows))
 
 
-def _cell(xw, h_prev, c_prev, U_T, b, gates, c, h):
+def _cell(xw, h_prev, c_prev, U_T, b, gates, c, h, rec, cand):
     """One cell step from the input projection xw = W x, on any number of
     rows at once, written into the caller's arrays: gates (..., 4h) takes i,
-    f, g = relu(g_pre) and o, c and h (..., h) the cell state and output. xw
-    may be gates itself. U_T, b and the product behind xw are
-    `_cell_weights`'. The cell state is never negative (c = f c_prev + i g
-    with every factor >= 0), so h = o c needs no relu."""
+    f, g = relu(g_pre) and o, c and h (..., h) the cell state and output.
+    rec (..., 4h) and cand (..., h) are scratch for U h_prev and the
+    candidate. xw may be gates itself, and c and h may be c_prev and h_prev.
+    U_T, b and the product behind xw are `_cell_weights`'. The cell state is
+    never negative (c = f c_prev + i g with every factor >= 0), so h = o c
+    needs no relu."""
     n = U_T.shape[-2]
-    np.add(xw, h_prev @ U_T, out=gates)
+    np.matmul(h_prev, U_T, out=rec)
+    np.add(xw, rec, out=gates)
     gates += b
-    g = np.maximum(gates[..., 2 * n : 3 * n], 0.0)
+    np.maximum(gates[..., 2 * n : 3 * n], 0.0, out=cand)
     np.exp(gates, out=gates)  # i, f and o hold exp(-pre); g's slot is rewritten below
     gates += 1.0
     np.divide(1.0, gates, out=gates)
-    gates[..., 2 * n : 3 * n] = g
-    g *= gates[..., :n]
+    gates[..., 2 * n : 3 * n] = cand
+    cand *= gates[..., :n]
     np.multiply(gates[..., n : 2 * n], c_prev, out=c)
-    c += g
+    c += cand
     np.multiply(gates[..., 3 * n :], c, out=h)
 
 
@@ -253,8 +261,10 @@ def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> LayerCache:
     W_T, U_T, b = _cell_weights(layer, (Z, B, 4 * n))
     np.matmul(x, W_T, out=gates)  # W x for all m timesteps
     zeros = np.zeros((Z, B, n))
+    rec, cand = np.empty((Z, B, 4 * n)), np.empty((Z, B, n))
     for t in range(m):  # gates[t] holds W x until its cell step overwrites it
-        _cell(gates[t], h[t - 1] if t else zeros, c[t - 1] if t else zeros, U_T, b, gates[t], c[t], h[t])
+        h_prev, c_prev = (h[t - 1], c[t - 1]) if t else (zeros, zeros)
+        _cell(gates[t], h_prev, c_prev, U_T, b, gates[t], c[t], h[t], rec, cand)
     return LayerCache(x=x, gates=gates, c=c, h=h)
 
 
@@ -471,9 +481,10 @@ FEEDBACK_MIN = -0.5
 FEEDBACK_MAX = 1.5
 
 
-@dataclass(frozen=True)
+@dataclass
 class Rollout:
-    """The m windows of a rollout that are in flight, in a ring of m slots.
+    """The m windows of a rollout that are in flight, in a ring of m slots,
+    and everything a step writes: `roll_step` advances it in place.
 
     Slot `slot` holds the window that takes its m-th input on the next step,
     the slot after it the window one input behind, and so on around the
@@ -481,7 +492,10 @@ class Rollout:
     and `c`, (Z, m, hidden) each. Every window takes the next input `x`
     (Z, k). `W_T`, `U_T` and `b` are each layer's `_cell_weights`: a
     stacked matmul runs about 2.5x faster against a contiguous copy of W.mT
-    than against the transposed view."""
+    than against the transposed view. The rest is one cell step's scratch,
+    shared by the layers: the first layer's input product `xw0` (Z, 1, 4h),
+    `gates` and the recurrent product `rec` (Z, m, 4h), and the candidate
+    `cand` and residual sum `res` (Z, m, hidden)."""
 
     W_T: list[np.ndarray]
     U_T: list[np.ndarray]
@@ -489,68 +503,80 @@ class Rollout:
     h: list[np.ndarray]
     c: list[np.ndarray]
     x: np.ndarray
+    xw0: np.ndarray
+    gates: np.ndarray
+    rec: np.ndarray
+    cand: np.ndarray
+    res: np.ndarray
     slot: int
     step: int = 0  # predictions made so far
 
 
-def _tick(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+def _tick(net: LstmNetwork, state: Rollout) -> np.ndarray:
     """Feed state.x to every window in flight: one cell step per layer on
-    all m slots. Returns the last layer's output (Z, m, hidden) and each
-    layer's new h and c."""
+    all m slots, in place. Returns the last layer's output (Z, m, hidden)."""
     seq = state.x[..., None, :]  # one input row, broadcast across the slots
-    hs, cs = [], []
     for li, layer in enumerate(net.layers):
-        h_prev, c_prev = state.h[li], state.c[li]
-        gates = np.empty((*h_prev.shape[:-1], 4 * layer.hidden))
-        h, c = np.empty_like(h_prev), np.empty_like(c_prev)
-        _cell(seq @ state.W_T[li], h_prev, c_prev, state.U_T[li], state.b[li], gates, c, h)
-        seq = h + seq if li > 0 else h
-        hs.append(h)
-        cs.append(c)
-    return seq, hs, cs
+        h, c = state.h[li], state.c[li]
+        # the first layer's product is one row, which the cell broadcasts;
+        # the others' go straight into gates
+        xw = np.matmul(seq, state.W_T[li], out=state.gates if li else state.xw0)
+        _cell(xw, h, c, state.U_T[li], state.b[li], state.gates, c, h, state.rec, state.cand)
+        seq = np.add(h, seq, out=state.res) if li > 0 else h
+    return seq
 
 
-def _next(state: Rollout, hs: list[np.ndarray], cs: list[np.ndarray], x: np.ndarray, step: int) -> Rollout:
-    """The state after a tick: the slot that completed is zeroed and starts
-    the window whose first input is x, and the slot after it completes
-    next."""
-    for a in (*hs, *cs):
+def _advance(state: Rollout) -> None:
+    """Zero the slot that completed, to start the window whose first input
+    is the next x, and move on to the slot after it, which completes next."""
+    for a in (*state.h, *state.c):
         a[..., state.slot, :] = 0.0
-    return replace(state, h=hs, c=cs, x=x, slot=(state.slot + 1) % hs[0].shape[-2], step=step)
+    state.slot = (state.slot + 1) % state.h[0].shape[-2]
 
 
 def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
     """The rollout of the Z vessels' (Z, m, k) windows before its first
     prediction: every window starts from zero state, and the first m - 1
-    rows have gone through the ring."""
+    rows have gone through the ring. It holds every array the rollout
+    writes."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 3 or window.shape[0] != net.vessels or window.shape[-1] != net.input_dim:
         raise CacheMismatch(f"expected ({net.vessels}, m, {net.input_dim}) window, got {window.shape}")
     Z, m, _ = window.shape
-    W_T, U_T, b = zip(*(_cell_weights(layer, (Z, m, 4 * layer.hidden)) for layer in net.layers))
+    n = net.hidden
+    W_T, U_T, b = zip(*(_cell_weights(layer, (Z, m, 4 * n)) for layer in net.layers))
     state = Rollout(
         W_T=list(W_T),
         U_T=list(U_T),
         b=list(b),
-        h=[np.zeros((Z, m, layer.hidden)) for layer in net.layers],
-        c=[np.zeros((Z, m, layer.hidden)) for layer in net.layers],
-        x=window[..., 0, :],
+        h=[np.zeros((Z, m, n)) for _ in net.layers],
+        c=[np.zeros((Z, m, n)) for _ in net.layers],
+        x=window[..., 0, :].copy(),
+        xw0=np.empty((Z, 1, 4 * n)),
+        gates=np.empty((Z, m, 4 * n)),
+        rec=np.empty((Z, m, 4 * n)),
+        cand=np.empty((Z, m, n)),
+        res=np.empty((Z, m, n)),
         slot=1 % m,
     )
     for t in range(1, m):
-        _, hs, cs = _tick(net, state)
-        state = _next(state, hs, cs, window[..., t, :], 0)
+        _tick(net, state)
+        _advance(state)
+        state.x[...] = window[..., t, :]
     return state
 
 
 def roll_step(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, Rollout]:
-    """One rollout step: every window in flight takes state.x, and the one
-    that has now taken m inputs predicts the next row. Returns the raw
-    prediction (Z, out_dim) and the state of the next step, whose input is
-    the clamped prediction followed by the carried speed and course."""
-    seq, hs, cs = _tick(net, state)
-    s, step = state.slot, state.step + 1
+    """One rollout step, in place: every window in flight takes state.x, and
+    the one that has now taken m inputs predicts the next row. Returns the
+    raw prediction (Z, out_dim), a new array, and `state` itself, now the
+    state of the next step, whose input is the clamped prediction followed
+    by the carried speed and course."""
+    seq = _tick(net, state)
+    s = state.slot
+    state.step += 1
     pred = (seq[:, s : s + 1] @ net.dense_W.mT + net.dense_b)[:, 0]
-    _check_finite(pred, f"non-finite prediction at rollout step {step}")
-    x = np.concatenate((np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX), state.x[..., 2:]), axis=-1)
-    return pred, _next(state, hs, cs, x, step)
+    _check_finite(pred, f"non-finite prediction at rollout step {state.step}")
+    np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX, out=state.x[..., :2])
+    _advance(state)
+    return pred, state

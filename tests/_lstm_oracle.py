@@ -16,6 +16,11 @@ fleets train with, and agree to a relative 1e-12 at the others.
 per step on the whole latest window. `lstm.roll_step`, which keeps the m
 windows in flight and steps each layer once per prediction, is checked
 against it; `rollout` is the loop over `roll_step` that the checks run.
+
+`allocating_rollout` is the ring rollout as it was before it advanced its
+state in place: every step takes fresh gate, product and candidate arrays
+and new h and c arrays for each layer. The in-place
+`lstm.roll_step` must give its bits.
 """
 
 from dataclasses import dataclass, field
@@ -271,4 +276,46 @@ def rollout(net, seed_window: np.ndarray, steps: int) -> np.ndarray:
     for _ in range(steps):
         pred, state = lstm.roll_step(net, state)
         preds.append(pred)
+    return np.array(preds)
+
+
+def _allocating_cell(xw, h_prev, c_prev, U_T, b):
+    """`lstm._cell` with a fresh array for each product and the candidate,
+    and new c and h: returns (h, c)."""
+    n = U_T.shape[-2]
+    gates = xw + h_prev @ U_T
+    gates += b
+    g = np.maximum(gates[..., 2 * n : 3 * n], 0.0)
+    np.exp(gates, out=gates)
+    gates += 1.0
+    np.divide(1.0, gates, out=gates)
+    gates[..., 2 * n : 3 * n] = g
+    g *= gates[..., :n]
+    c = gates[..., n : 2 * n] * c_prev
+    c += g
+    return gates[..., 3 * n :] * c, c
+
+
+def allocating_rollout(net, seed_window: np.ndarray, steps: int) -> np.ndarray:
+    """`rollout` as the allocating ring rollout gives it: (steps, Z, 2)."""
+    window = np.asarray(seed_window, dtype=np.float64)
+    Z, m, _ = window.shape
+    weights = [lstm._cell_weights(layer, (Z, m, 4 * layer.hidden)) for layer in net.layers]
+    hs = [np.zeros((Z, m, layer.hidden)) for layer in net.layers]
+    cs = [np.zeros((Z, m, layer.hidden)) for layer in net.layers]
+    x, slot, preds = window[..., 0, :], 1 % m, []
+    for t in range(1, m + steps):  # m - 1 ticks to start, then one per prediction
+        seq = x[..., None, :]
+        for li, (W_T, U_T, b) in enumerate(weights):
+            hs[li], cs[li] = _allocating_cell(seq @ W_T, hs[li], cs[li], U_T, b)
+            seq = hs[li] + seq if li > 0 else hs[li]
+        if t < m:
+            x = window[..., t, :]
+        else:
+            pred = (seq[:, slot : slot + 1] @ net.dense_W.mT + net.dense_b)[:, 0]
+            x = np.concatenate((np.clip(pred, lstm.FEEDBACK_MIN, lstm.FEEDBACK_MAX), x[..., 2:]), axis=-1)
+            preds.append(pred)
+        for a in (*hs, *cs):  # the completed slot starts the newest window
+            a[..., slot, :] = 0.0
+        slot = (slot + 1) % m
     return np.array(preds)

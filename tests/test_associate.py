@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _geodesic
 from _geodesic import GeoPoint
@@ -13,6 +13,7 @@ from aistrack.associate import (
     EARTH_RADIUS_KM,
     MAX_ROLLOUT_STEPS,
     NEW_TRACK,
+    Decisions,
     associate,
     associate_batch,
     decisions_from_csv,
@@ -341,6 +342,19 @@ class TestStackedRollout:
         assert str(tmp_path / "models" / "manifest.json") in err
         assert not (tmp_path / "d.csv").exists()
 
+    def test_repeated_batch_gives_equal_decisions(self):
+        # each call starts its own rollout: nothing one call advances in
+        # place carries over to the next
+        obs = _mixed_observations(40)
+        first, second = (associate_batch(obs, self.BUNDLES) for _ in range(2))
+        assert (first.object_ids, first.assigned, first.vessel_ids) == (
+            second.object_ids,
+            second.assigned,
+            second.vessel_ids,
+        )
+        assert np.array_equal(first.distances_km, second.distances_km)
+        assert np.array_equal(first.winning_distance_km, second.winning_distance_km)
+
     def test_non_finite_prediction_names_vessel_and_step(self):
         bundles = [_bundle(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))]
         bundles[1].network.dense_b[0] = np.inf
@@ -382,3 +396,55 @@ def test_decisions_csv_round_trip():
     text = decisions_to_csv(decisions)
     assert text.splitlines()[0] == "OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM,DIST_aaa,DIST_bbb"
     assert decisions_from_csv(text) == [(5, "aaa")]
+
+
+def _repr_decisions_csv(decisions):
+    """The writer as it was, one `repr` per distance: its header and its
+    OBJECT_ID and ASSIGNED_VID fields are what `decisions_to_csv` writes."""
+    header = ["OBJECT_ID", "ASSIGNED_VID", "WINNING_DISTANCE_KM"] + [f"DIST_{v}" for v in decisions.vessel_ids]
+    lines = [",".join(header)]
+    rows = zip(decisions.object_ids, decisions.assigned, decisions.winning_distance_km, decisions.distances_km)
+    for object_id, assigned, winning, distances in rows:
+        lines.append(",".join([str(object_id), assigned, repr(float(winning)), *map(repr, distances.tolist())]))
+    return "\n".join(lines) + "\n"
+
+
+DISTANCES = st.sampled_from([0.0, 5e-324, 0.1, 20015.086796020572, 1e300]) | st.floats(allow_nan=False)
+
+
+@st.composite
+def decision_records(draw):
+    vids = draw(st.lists(st.sampled_from(["aaa", "bbb", "c1", "v_10"]), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 5))
+    distances = draw(st.lists(st.lists(DISTANCES, min_size=len(vids), max_size=len(vids)), min_size=n, max_size=n))
+    return Decisions(
+        object_ids=draw(st.lists(st.integers(0, 2**63), min_size=n, max_size=n, unique=True)),
+        assigned=draw(st.lists(st.sampled_from([*vids, NEW_TRACK]), min_size=n, max_size=n)),
+        winning_distance_km=np.array(draw(st.lists(DISTANCES, min_size=n, max_size=n)), dtype=np.float64),
+        distances_km=np.array(distances, dtype=np.float64).reshape(n, len(vids)),
+        vessel_ids=vids,
+    )
+
+
+@given(decision_records())
+@example(
+    Decisions(
+        object_ids=[1, 2],
+        assigned=["aaa", NEW_TRACK],
+        winning_distance_km=np.array([0.0, 5e-324]),
+        distances_km=np.array([[0.1, 20015.086796020572], [1e300, 5e-324]]),
+        vessel_ids=["aaa", "bbb"],
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_decisions_csv_distances_parse_back_exactly(decisions):
+    text = decisions_to_csv(decisions)
+    old = _repr_decisions_csv(decisions)
+    lines, old_lines = text.splitlines(), old.splitlines()
+    assert lines[0] == old_lines[0] and len(lines) == len(old_lines) == len(decisions) + 1
+    table = np.column_stack((decisions.winning_distance_km, decisions.distances_km))
+    for line, old_line, want in zip(lines[1:], old_lines[1:], table.tolist()):
+        fields, old_fields = line.split(","), old_line.split(",")
+        assert fields[:2] == old_fields[:2]
+        assert [float(f) for f in fields[2:]] == want
+    assert decisions_from_csv(text) == decisions_from_csv(old)

@@ -5,10 +5,10 @@ import hashlib
 import json
 import operator
 import shutil
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from aistrack import cli
 from aistrack.cli import build_parser, main
 from aistrack.config import FIELD_TYPES, RunConfig
+from aistrack.fleet import load_fleet, save_fleet
 from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv
 from aistrack.preprocess import resample
 from aistrack.synth import fleet_motions, generate
@@ -456,14 +457,48 @@ def test_train_with_no_track_left_is_data_error(trained, tmp_path, capsys, flags
     assert not (tmp_path / "m").exists()
 
 
+def run_without_warnings(argv):
+    """`run(argv)`, failing if it emits any warning, such as numpy's
+    RuntimeWarning, which the console script would print to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(argv)
+    assert [str(w.message) for w in caught] == []
+    return rc
+
+
 def test_diverging_training_names_its_vessel(trained, tmp_path, capsys):
     fleet = trained / "data" / "fleet.csv"
     first = group_tracks(parse_csv(fleet.read_text()))[0].vessel_id  # row 0 of the stack
     capsys.readouterr()
     argv = ["train", "--data", fleet, "--out", tmp_path / "m", "--lr", 1e300, "--epochs", 3, "--min-points", 100]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(argv) == 2
+    assert run_without_warnings(argv) == 2
     assert capsys.readouterr().err == f"error: vessel {first}: non-finite prediction\n"
+
+
+def test_model_that_cannot_make_its_first_prediction_is_not_saved(trained, tmp_path, capsys):
+    # one Adam step at this rate: training's only forward pass runs on the
+    # initial weights and is finite, but the saved weights would not be
+    fleet = trained / "data" / "fleet.csv"
+    first = group_tracks(parse_csv(fleet.read_text()))[0].vessel_id
+    capsys.readouterr()
+    argv = ["train", "--data", fleet, "--out", tmp_path / "m", "--lr", 1e308, "--batch", 200, "--epochs", 1]
+    assert run_without_warnings(argv + ["--min-points", 100]) == 2
+    assert capsys.readouterr().err == f"error: vessel {first}: non-finite prediction at rollout step 1\n"
+    assert not list((tmp_path / "m").glob("*.json"))
+
+
+def test_diverged_model_is_one_error_line_at_associate(trained, tmp_path, capsys):
+    bundles = load_fleet(trained / "models")
+    for layer in bundles[1].network.layers:
+        layer.W *= 1e300  # its exp and matmul overflow on the way to a NaN
+    save_fleet(bundles, tmp_path / "models", RunConfig(), {})
+    capsys.readouterr()
+    argv = ["associate", "--models", tmp_path / "models", "--obs", trained / "models" / "holdout.csv"]
+    assert run_without_warnings(argv + ["--out", tmp_path / "d.csv"]) == 2
+    err = f"error: vessel {bundles[1].vessel_id}: non-finite prediction at rollout step 1\n"
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 
 from _gradcheck import check_network
 from _lstm_oracle import (
+    allocating_rollout,
     batch_major,
     before_backward,
     before_cache,
@@ -320,6 +321,38 @@ def test_rollout_matches_sliding_window_oracle(m, steps, several, clamped):
         assert ((oracle < lstm.FEEDBACK_MIN) | (oracle > lstm.FEEDBACK_MAX)).any()
         return
     np.testing.assert_allclose(roll, oracle, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("Z", [1, 3])
+@pytest.mark.parametrize("m", [1, 10])
+@pytest.mark.parametrize("clamped", [False, True])
+def test_in_place_rollout_gives_the_allocating_rollouts_bits(Z, m, clamped):
+    nets = [small_net(seed=120 + z, hidden=16) for z in range(Z)]
+    if clamped:
+        _expansive(nets[Z // 2])
+    win = np.random.default_rng(130 + m).random((Z, m, 4))
+    net = stack_networks(nets)
+    oracle = allocating_rollout(net, win, 60)
+    if clamped:
+        assert ((oracle < lstm.FEEDBACK_MIN) | (oracle > lstm.FEEDBACK_MAX)).any()
+    np.testing.assert_array_equal(rollout(net, win, 60), oracle)
+
+
+def _state_arrays(state):
+    """Every array a rollout state holds, in field order."""
+    values = vars(state).values()
+    return [a for v in values for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
+
+
+def test_roll_step_advances_its_state_in_place():
+    net = stack_networks([small_net(seed=s) for s in (141, 142)])
+    state = rollout_start(net, np.random.default_rng(143).random((2, 6, 4)))
+    arrays = _state_arrays(state)
+    for step in range(1, 8):
+        pred, after = roll_step(net, state)
+        assert after is state and state.step == step
+        assert not any(np.shares_memory(pred, a) for a in arrays)  # the caller may keep it
+    assert all(a is b for a, b in zip(_state_arrays(state), arrays, strict=True))
 
 
 class TestStackNetworks:
