@@ -18,13 +18,15 @@ or not UTF-8, a missing or malformed model (its vessel_id held to the rule
 for a VID), an observation at or before a vessel's train end or more
 than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a
 truth object undecided, an --out that cannot be created or written (`train`
-creates its --out before it trains), and an `evaluate --out` ending in .txt,
-which its text report would overwrite.
+creates its --out before it trains; if training or saving fails, it removes
+each directory it made for --out that is still empty), and an
+`evaluate --out` ending in .txt, which its text report would overwrite.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -152,9 +154,17 @@ def cmd_train(args) -> int:
         if t not in kept:
             print(f"warning: vessel {t.vessel_id} has {len(t)} < {cfg.min_points} points, excluded", file=sys.stderr)
     series_list = trainable_tracks([resample(t, cfg.period) for t in kept], cfg)
-    out = output_dir(args.out)  # before training, so an unwritable --out fails at once
-    bundles, histories = train_fleet(series_list, cfg)
-    save_fleet(bundles, out, cfg, histories)
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
+    output_dir(out)  # before training, so an unwritable --out fails at once
+    try:
+        bundles, histories = train_fleet(series_list, cfg)
+        save_fleet(bundles, out, cfg, histories)
+    except BaseException:
+        for d in made:  # rmdir removes only a directory left empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     holdout, left_out = _holdout_messages(series_list, bundles, cfg.test_len)
     if left_out:
         print(f"left {left_out} held-out samples at or before the latest train end out of holdout.csv",

@@ -67,6 +67,7 @@ from .lstm import (
     OUT_DIM,
     AdamState,
     LstmNetwork,
+    Workspace,
     init_network,
     network_from_arrays,
     param_shapes,
@@ -121,12 +122,13 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
     targets = np.stack([w.targets for w in windows])
     del windows  # training reads only the stacked copies
     opt = AdamState.for_network(net, cfg.lr)
+    workspace = Workspace()  # every batch of every epoch writes into it
     last_windows = np.stack([x[train_len - m :] for x in scaled])
     try:
         # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
         # that turns non-finite is caught and named below
         with np.errstate(over="ignore", invalid="ignore"):
-            epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt) for _ in range(cfg.epochs)]
+            epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt, workspace) for _ in range(cfg.epochs)]
             # the first step `associate` takes, so a model that cannot
             # make it is not saved
             roll_step(net, rollout_start(net, last_windows))

@@ -39,7 +39,7 @@ vessel draws its shuffles and dropout masks from its own generator.
 The interface is batch-major, but training runs time-major (Appleyard et
 al. 2016, arXiv:1604.01946): `forward_batch` moves the windows to
 (m, Z, B, k) once, so every timestep's rows are one contiguous slice
-`x[t]`. Each layer allocates its `LayerCache` before its time loop: `gates`
+`x[t]`. Each layer takes its `LayerCache` before its time loop: `gates`
 (m, Z, B, 4h) holds i, f, g = relu(g_pre) and o, and `c` and `h`
 (m, Z, B, h) the cell state and output.
 `_layer_forward` takes `W x` for all m timesteps before the recurrence, in
@@ -64,6 +64,17 @@ form's in their last bits, and the gradients agree with it to a relative
 1e-12 (`tests/_lstm_oracle.py` keeps that form). The forward gives that
 form's bits from 10 rows per step on; at 8 rows or fewer BLAS groups its
 products differently, and it too agrees to a relative 1e-12.
+
+The arrays `forward_batch` and `backward` write, the caches, dropout
+masks, weight copies and backward scratch, come from a `Workspace`, which
+hands back the array it gave last time for the same name and shape.
+Training keeps one per stack for all its batches and epochs (`train_epoch`
+takes it), so a step after the first of each batch shape allocates nothing
+large; the results are written with `out=` into the layouts a fresh array
+would have, so every product and elementwise operation sees the same data
+and the bits do not change. The gradients `backward` returns are new
+arrays; a prediction and cache are valid until the next `forward_batch` on
+their workspace. Called without one, each pass takes a fresh workspace.
 
 The rollout (`rollout_start`, `roll_step`) predicts recursively: each
 prediction, clamped, becomes the position of the next input row, and speed
@@ -211,20 +222,49 @@ class ForwardCache:
     prediction: np.ndarray | None = None  # (Z, B, out_dim)
 
 
-def _cell_weights(layer: LstmLayerParams, rows: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What `_cell` multiplies by: contiguous copies of W.mT and U.mT, and b
-    broadcast to the (..., 4h) `rows` shape of one cell step, each with its
-    i, f and o columns negated. The products then give -pre in those
-    columns, and each sigmoid is 1 / (1 + exp(-pre)) without a negation
-    pass; negation is exact, so the bits are those of negating pre."""
+class Workspace:
+    """The float64 arrays that `forward_batch` and `backward` write, kept
+    from one call to the next. `array(name, shape)` returns the array it
+    last gave for that name and shape, holding whatever was last written to
+    it, or makes one; another shape, such as an epoch's last, shorter batch,
+    gets its own arrays under the same names. Training keeps one per stack
+    for all its batches and epochs, so that after the first batch of each
+    shape a step allocates nothing large: at batch 128, arrays allocated and
+    freed every batch are handed back to the kernel by the C library and
+    faulted in again on the next."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[tuple, np.ndarray] = {}
+
+    def array(self, name, shape: tuple[int, ...]) -> np.ndarray:
+        key = (name, shape)
+        a = self._arrays.get(key)
+        if a is None:
+            a = self._arrays[key] = np.empty(shape)
+        return a
+
+    def zeros(self, name, shape: tuple[int, ...]) -> np.ndarray:
+        """`array(name, shape)`, zeroed."""
+        a = self.array(name, shape)
+        a.fill(0.0)
+        return a
+
+
+def _cell_weights(
+    layer: LstmLayerParams, rows: tuple[int, ...], ws: Workspace, li: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `_cell` multiplies by, layer li's arrays in `ws`: contiguous
+    copies of W.mT and U.mT, and b broadcast to the (..., 4h) `rows` shape
+    of one cell step, each with its i, f and o columns negated. The products
+    then give -pre in those columns, and each sigmoid is 1 / (1 + exp(-pre))
+    without a negation pass; negation is exact, so the bits are those of
+    negating pre."""
     n = layer.hidden
     signs = np.full(4 * n, -1.0)
     signs[2 * n : 3 * n] = 1.0
-    W_T = np.ascontiguousarray(layer.W.mT)
-    W_T *= signs
-    U_T = np.ascontiguousarray(layer.U.mT)
-    U_T *= signs
-    return W_T, U_T, np.multiply(layer.b, signs, out=np.empty(rows))
+    W_T = np.multiply(layer.W.mT, signs, out=ws.array(("W_T", li), layer.W.mT.shape))
+    U_T = np.multiply(layer.U.mT, signs, out=ws.array(("U_T", li), layer.U.mT.shape))
+    return W_T, U_T, np.multiply(layer.b, signs, out=ws.array(("b", li), rows))
 
 
 def _cell(xw, h_prev, c_prev, U_T, b, gates, c, h, rec, cand):
@@ -251,17 +291,18 @@ def _cell(xw, h_prev, c_prev, U_T, b, gates, c, h, rec, cand):
     np.multiply(gates[..., 3 * n :], c, out=h)
 
 
-def _layer_forward(layer: LstmLayerParams, x: np.ndarray) -> LayerCache:
-    """The layer on a time-major (m, Z, B, d_in) input sequence."""
+def _layer_forward(layer: LstmLayerParams, x: np.ndarray, ws: Workspace, li: int) -> LayerCache:
+    """Layer li on a time-major (m, Z, B, d_in) input sequence, its cache
+    written into `ws`."""
     m, Z, B, _ = x.shape
     n = layer.hidden
-    gates = np.empty((m, Z, B, 4 * n))
-    c = np.empty((m, Z, B, n))
-    h = np.empty((m, Z, B, n))
-    W_T, U_T, b = _cell_weights(layer, (Z, B, 4 * n))
+    gates = ws.array(("gates", li), (m, Z, B, 4 * n))
+    c = ws.array(("c", li), (m, Z, B, n))
+    h = ws.array(("h", li), (m, Z, B, n))
+    W_T, U_T, b = _cell_weights(layer, (Z, B, 4 * n), ws, li)
     np.matmul(x, W_T, out=gates)  # W x for all m timesteps
-    zeros = np.zeros((Z, B, n))
-    rec, cand = np.empty((Z, B, 4 * n)), np.empty((Z, B, n))
+    zeros = ws.zeros("zeros", (Z, B, n))
+    rec, cand = ws.array("rec", (Z, B, 4 * n)), ws.array("cand", (Z, B, n))
     for t in range(m):  # gates[t] holds W x until its cell step overwrites it
         h_prev, c_prev = (h[t - 1], c[t - 1]) if t else (zeros, zeros)
         _cell(gates[t], h_prev, c_prev, U_T, b, gates[t], c[t], h[t], rec, cand)
@@ -287,28 +328,40 @@ def forward_batch(
     windows: np.ndarray,
     train: bool = False,
     rngs: list[np.random.Generator] | None = None,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the Z vessels' networks on (Z, B, m, k) windows; returns
     (Z, B, out_dim) predictions and the cache `backward` reads. Train-mode
-    dropout takes one generator per vessel."""
+    dropout takes one generator per vessel. The cache's arrays live in
+    `workspace` (None: a fresh one), so the prediction and cache are valid
+    until the next `forward_batch` on that workspace."""
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 4 or windows.shape[0] != net.vessels or windows.shape[-1] != net.input_dim:
         raise CacheMismatch(f"expected ({net.vessels}, B, m, {net.input_dim}) input, got {windows.shape}")
+    ws = Workspace() if workspace is None else workspace
     cache = ForwardCache()
-    seq = np.ascontiguousarray(np.moveaxis(windows, -2, 0))  # (m, Z, B, k)
+    Z, B, m, k = windows.shape
+    seq = ws.array("x", (m, Z, B, k))
+    np.copyto(seq, np.moveaxis(windows, -2, 0))
     for li, layer in enumerate(net.layers):
-        lc = _layer_forward(layer, seq)
+        lc = _layer_forward(layer, seq, ws, li)
         out = lc.h
         mask = None
         if li > 0:
-            out = out + seq
+            out = np.add(out, seq, out=ws.array(("out", li), out.shape))
             if train and net.dropout_rate > 0:
                 if rngs is None or len(rngs) != net.vessels:
                     raise ValueError("train-mode forward with dropout needs one generator per vessel")
-                # drawn batch-major, (B, m, h) per vessel, then moved to time-major
-                m, _, B, n = out.shape
+                # drawn batch-major, (B, m, h) per vessel, then moved to
+                # time-major; each draw d becomes (d < keep) / keep in place
+                n = out.shape[-1]
                 keep = 1.0 - net.dropout_rate
-                mask = np.moveaxis((_per_vessel(rngs, lambda r: r.random((B, m, n))) < keep) / keep, -2, 0)
+                draws = ws.array(("mask", li), (Z, B, m, n))
+                for z, r in enumerate(rngs):
+                    r.random(out=draws[z])
+                np.less(draws, keep, out=draws)
+                np.divide(draws, keep, out=draws)
+                mask = np.moveaxis(draws, -2, 0)
                 out *= mask
         cache.layer_caches.append(lc)
         cache.dropout_masks.append(mask)
@@ -320,19 +373,26 @@ def forward_batch(
     return pred, cache
 
 
-def _vessel_rows(a: np.ndarray) -> np.ndarray:
+def _vessel_rows(a: np.ndarray, ws: Workspace, name: str) -> np.ndarray:
     """A time-major (m, Z, B, d) array as each vessel's m*B rows,
-    timestep-major: a (Z, m*B, d) copy."""
+    timestep-major, (Z, m*B, d): one vessel's rows are already in that
+    order, a view; several vessels' are copied into `ws`."""
     m, Z, B, d = a.shape
-    return np.moveaxis(a, 0, 1).reshape(Z, m * B, d)
+    rows = np.moveaxis(a, 0, 1)
+    if Z > 1:
+        copy = ws.array(name, rows.shape)
+        np.copyto(copy, rows)
+        rows = copy
+    return rows.reshape(Z, m * B, d)
 
 
 def _layer_backward(
-    layer: LstmLayerParams, lc: LayerCache, d_out: np.ndarray, input_grad: bool
+    layer: LstmLayerParams, lc: LayerCache, d_out: np.ndarray, ws: Workspace, li: int
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT through one layer. d_out is dL/d(h), time-major (m, Z, B, h) as
-    in the cache. Returns (dX, dW, dU, db); dX, dL/d(x) as (m, Z, B, d_in),
-    is None unless input_grad. ReLU derivative is 0 at the kink.
+    """BPTT through layer li, its scratch in `ws`. d_out is dL/d(h),
+    time-major (m, Z, B, h) as in the cache. Returns (dX, dW, dU, db); dX,
+    dL/d(x) as (m, Z, B, d_in) in `ws`, is None for layer 0, whose input is
+    the windows. ReLU derivative is 0 at the kink.
 
     Each step writes dL/d(pre) over its spent gates, so this consumes the
     cache. The recurrence only needs dL/d(pre) @ U; the weight gradients
@@ -341,16 +401,15 @@ def _layer_backward(
     are 0 too (f > 0), so every path that dc feeds at t is multiplied by
     zero, down to t = 0, where nothing flows on."""
     m, Z, B, n = d_out.shape
-    dact = np.empty((Z, B, 4 * n))  # dL/d(i, f, g, o)
+    dact = ws.array("dact", (Z, B, 4 * n))  # dL/d(i, f, g, o)
     d_i, d_f, d_g, d_o = (dact[..., k * n : (k + 1) * n] for k in range(4))
-    dc = np.empty((Z, B, n))
-    zeros = np.zeros((Z, B, n))
-    dh_next = zeros
-    dc_next = zeros
+    factor = ws.array("factor", (Z, B, 4 * n))
+    dh, dc = ws.array("dh", (Z, B, n)), ws.array("dc", (Z, B, n))
+    zeros, dh_next, dc_next = (ws.zeros(name, (Z, B, n)) for name in ("zeros", "dh_next", "dc_next"))
     for t in range(m - 1, -1, -1):
         a_t, c_t = lc.gates[t], lc.c[t]
         i_t, f_t, g_t, o_t = a_t[..., :n], a_t[..., n : 2 * n], a_t[..., 2 * n : 3 * n], a_t[..., 3 * n :]
-        dh = d_out[t] + dh_next
+        np.add(d_out[t], dh_next, out=dh)
         np.multiply(dh, c_t, out=d_o)
         np.multiply(dh, o_t, out=dc)
         dc += dc_next
@@ -358,31 +417,35 @@ def _layer_backward(
         np.multiply(dc, lc.c[t - 1] if t > 0 else zeros, out=d_f)
         np.multiply(dc, i_t, out=d_g)
         if t > 0:
-            dc_next = dc * f_t
+            np.multiply(dc, f_t, out=dc_next)
         # dL/d(pre) = dact s (1 - s) in the i, f and o slots and dact relu'
         # in g's, where g > 0 exactly where g_pre > 0: the factors are 1 and
         # the mask there
-        factor = 1.0 - a_t
+        np.subtract(1.0, a_t, out=factor)
         np.greater(g_t, 0.0, out=factor[..., 2 * n : 3 * n])
         g_t[...] = 1.0
         a_t *= dact
         a_t *= factor
         if t > 0:  # h_prev and c_prev are zero at t = 0
-            dh_next = a_t @ layer.U
-    dpre = _vessel_rows(lc.gates)
-    dW = dpre.mT @ _vessel_rows(lc.x)
-    dU = dpre[:, B:].mT @ _vessel_rows(lc.h[:-1])  # rows from t = 1 on
+            np.matmul(a_t, layer.U, out=dh_next)
+    dpre = _vessel_rows(lc.gates, ws, "dpre")
+    dW = dpre.mT @ _vessel_rows(lc.x, ws, "x_rows")
+    dU = dpre[:, B:].mT @ _vessel_rows(lc.h[:-1], ws, "h_rows")  # rows from t = 1 on
     db = dpre.sum(axis=-2, keepdims=True)
     dX = None
-    if input_grad:  # back to time-major: a view, which only elementwise operations read
-        dX = np.moveaxis((dpre @ layer.W).reshape(Z, m, B, -1), 1, 0)
+    if li > 0:  # back to time-major: a view, which only elementwise operations read
+        dX_rows = np.matmul(dpre, layer.W, out=ws.array(("dX", li), (Z, m * B, layer.d_in)))
+        dX = np.moveaxis(dX_rows.reshape(Z, m, B, -1), 1, 0)
     return dX, dW, dU, db
 
 
-def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list[np.ndarray]:
+def backward(
+    net: LstmNetwork, cache: ForwardCache, targets: np.ndarray, workspace: Workspace | None = None
+) -> list[np.ndarray]:
     """Each vessel's exact gradients of its own batch-mean MSE loss on
     (Z, B, out_dim) targets, same ordering (and shapes) as
-    net.param_arrays(). The cache's gates are overwritten, so a cache backs
+    net.param_arrays(), each a new array; the scratch lives in `workspace`
+    (None: a fresh one). The cache's gates are overwritten, so a cache backs
     one call: a second is a CacheMismatch."""
     targets = np.asarray(targets, dtype=np.float64)
     pred = cache.prediction
@@ -391,20 +454,20 @@ def backward(net: LstmNetwork, cache: ForwardCache, targets: np.ndarray) -> list
     if pred.shape != targets.shape:
         raise CacheMismatch(f"prediction {pred.shape} vs targets {targets.shape}")
     cache.prediction = None
+    ws = Workspace() if workspace is None else workspace
     B = pred.shape[-2]
     # loss = mean over batch and output dims of (pred - target)^2
     d_pred = 2.0 * (pred - targets) / (B * net.out_dim)
     d_dense_W = d_pred.mT @ cache.final_seq[-1]
     d_dense_b = d_pred.sum(axis=-2, keepdims=True)
-    d_seq = np.zeros_like(cache.final_seq)
+    d_seq = ws.zeros("d_seq", cache.final_seq.shape)
     d_seq[-1] = d_pred @ net.dense_W
     grads: list[np.ndarray] = []
     for li in range(len(net.layers) - 1, -1, -1):
         mask = cache.dropout_masks[li]
         if mask is not None:
             d_seq *= mask
-        # layer 0's input is the windows, which need no gradient
-        dX, dW, dU, db = _layer_backward(net.layers[li], cache.layer_caches[li], d_seq, input_grad=li > 0)
+        dX, dW, dU, db = _layer_backward(net.layers[li], cache.layer_caches[li], d_seq, ws, li)
         if li > 0:
             dX += d_seq
         grads[:0] = [dW, dU, db]
@@ -452,10 +515,13 @@ def train_epoch(
     batch_size: int,
     rngs: list[np.random.Generator],
     opt: AdamState,
+    workspace: Workspace | None = None,
 ) -> list[float]:
     """One pass over all windows: shuffle, batch, Adam step per batch, for
     the Z vessels in lockstep on (Z, n, m, k) inputs and (Z, n, out_dim)
-    targets. Each vessel is shuffled by its own generator. Returns each
+    targets. Each vessel is shuffled by its own generator. Every batch's
+    forward and backward pass write into `workspace`, which a caller keeps
+    across epochs (None: each pass takes a fresh one). Returns each
     vessel's mean per-window loss (computed before each update)."""
     n = inputs.shape[-3]
     if n == 0:
@@ -466,9 +532,9 @@ def train_epoch(
         idx = order[:, start : start + batch_size]
         x = np.take_along_axis(inputs, idx[..., None, None], axis=-3)
         y = np.take_along_axis(targets, idx[..., None], axis=-2)
-        pred, cache = forward_batch(net, x, train=True, rngs=rngs)
+        pred, cache = forward_batch(net, x, train=True, rngs=rngs, workspace=workspace)
         total += np.sum(np.mean((pred - y) ** 2, axis=-1), axis=-1)
-        grads = backward(net, cache, y)
+        grads = backward(net, cache, y, workspace=workspace)
         opt.step(net, grads)
     return (total / n).tolist()
 
@@ -544,7 +610,8 @@ def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
         raise CacheMismatch(f"expected ({net.vessels}, m, {net.input_dim}) window, got {window.shape}")
     Z, m, _ = window.shape
     n = net.hidden
-    W_T, U_T, b = zip(*(_cell_weights(layer, (Z, m, 4 * n)) for layer in net.layers))
+    ws = Workspace()
+    W_T, U_T, b = zip(*(_cell_weights(layer, (Z, m, 4 * n), ws, li) for li, layer in enumerate(net.layers)))
     state = Rollout(
         W_T=list(W_T),
         U_T=list(U_T),

@@ -144,8 +144,9 @@ def before_cache(cache: lstm.ForwardCache) -> BeforeCache:
     )
 
 
-def before_forward_batch(net, windows, train=False, rngs=None):
-    """`lstm.forward_batch` on batch-major caches; same arguments."""
+def before_forward_batch(net, windows, train=False, rngs=None, workspace=None):
+    """`lstm.forward_batch` on batch-major caches; same arguments, and a
+    fresh array for every result whatever `workspace` is."""
     windows = np.asarray(windows, dtype=np.float64)
     cache = BeforeCache()
     seq = windows
@@ -200,8 +201,9 @@ def _before_layer_backward(layer: lstm.LstmLayerParams, lc: BatchMajorCache, d_o
     return dX, dW, dU, db
 
 
-def before_backward(net, cache: BeforeCache, targets):
-    """`lstm.backward` on a `before_forward_batch` cache."""
+def before_backward(net, cache: BeforeCache, targets, workspace=None):
+    """`lstm.backward` on a `before_forward_batch` cache; `workspace` is
+    ignored, as in `before_forward_batch`."""
     targets = np.asarray(targets, dtype=np.float64)
     pred = cache.prediction
     B = pred.shape[-2]
@@ -300,7 +302,8 @@ def allocating_rollout(net, seed_window: np.ndarray, steps: int) -> np.ndarray:
     """`rollout` as the allocating ring rollout gives it: (steps, Z, 2)."""
     window = np.asarray(seed_window, dtype=np.float64)
     Z, m, _ = window.shape
-    weights = [lstm._cell_weights(layer, (Z, m, 4 * layer.hidden)) for layer in net.layers]
+    ws = lstm.Workspace()
+    weights = [lstm._cell_weights(layer, (Z, m, 4 * layer.hidden), ws, li) for li, layer in enumerate(net.layers)]
     hs = [np.zeros((Z, m, layer.hidden)) for layer in net.layers]
     cs = [np.zeros((Z, m, layer.hidden)) for layer in net.layers]
     x, slot, preds = window[..., 0, :], 1 % m, []

@@ -476,6 +476,23 @@ def test_diverging_training_names_its_vessel(trained, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: vessel {first}: non-finite prediction\n"
 
 
+@pytest.mark.parametrize("existing", [None, "empty", "kept.txt"])
+def test_failed_training_removes_only_the_out_it_made(trained, tmp_path, existing):
+    # --out and its missing parent are made before training; when training
+    # fails they go, but a directory that was there stays, with its files
+    out = tmp_path / "new" / "m"
+    if existing:
+        out.mkdir(parents=True)
+        if existing != "empty":
+            (out / existing).write_text("kept")
+    argv = ["train", "--data", trained / "data" / "fleet.csv", "--out", out, "--lr", 1e300, "--epochs", 3]
+    assert run(argv + ["--min-points", 100]) == 2
+    if existing is None:
+        assert not (tmp_path / "new").exists()
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ([] if existing == "empty" else [existing])
+
+
 def test_model_that_cannot_make_its_first_prediction_is_not_saved(trained, tmp_path, capsys):
     # one Adam step at this rate: training's only forward pass runs on the
     # initial weights and is finite, but the saved weights would not be

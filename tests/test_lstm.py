@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -246,6 +248,67 @@ class TestTrainEpoch:
         rngs = [np.random.default_rng(0)]
         (first,), *_, (last,) = [train_epoch(net, inputs, targets, 10, rngs, opt) for _ in range(100)]
         assert last < 0.1 * first
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("several", [False, True])
+    def test_one_workspace_trains_as_a_fresh_one_per_batch(self, several):
+        # 23 windows in batches of 5: four full batches and a tail of 3,
+        # whose arrays the workspace keeps beside the full batches'
+        Z = vessel_count(several)
+        data = np.random.default_rng(40)
+        inputs, targets = data.random((Z, 23, 6, 4)), data.random((Z, 23, 2))
+
+        def two_epochs(workspace):
+            net = stack_networks([small_net(seed=41 + z, dropout=0.2) for z in range(Z)])
+            opt, rngs = AdamState.for_network(net, 1e-2), [np.random.default_rng(42 + z) for z in range(Z)]
+            losses = [train_epoch(net, inputs, targets, 5, rngs, opt, workspace) for _ in range(2)]
+            return net, losses
+
+        kept, kept_losses = two_epochs(lstm.Workspace())
+        fresh, fresh_losses = two_epochs(None)
+        assert kept_losses == fresh_losses
+        for a, b in zip(kept.param_arrays(), fresh.param_arrays(), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("several", [False, True])
+    def test_reused_workspace_gives_a_fresh_calls_results(self, several):
+        # the zero state, the backward's zeros and d_seq must not carry
+        # anything from the call before, at the same shape or another
+        Z = vessel_count(several)
+        net = stack_networks([small_net(seed=43 + z, dropout=0.2) for z in range(Z)])
+        data = np.random.default_rng(44)
+        workspace = lstm.Workspace()
+        for B in (5, 3, 5):
+            x, y = data.random((Z, B, 6, 4)), data.random((Z, B, 2))
+
+            def step(ws):
+                rngs = [np.random.default_rng(45 + z) for z in range(Z)]
+                pred, cache = forward_batch(net, x, train=True, rngs=rngs, workspace=ws)
+                return pred.copy(), lstm.backward(net, cache, y, workspace=ws)
+
+            pred, grads = step(workspace)
+            want_pred, want_grads = step(None)
+            np.testing.assert_array_equal(pred, want_pred)
+            for g, want in zip(grads, want_grads, strict=True):
+                np.testing.assert_array_equal(g, want)
+
+    def test_epoch_after_the_first_allocates_nothing_large(self):
+        # fresh arrays for one batch's caches, masks and backward scratch
+        # come to 15 MB at batch 128
+        rng = np.random.default_rng(46)
+        inputs, targets = rng.random((1, 530, 10, 4)), rng.random((1, 530, 2))
+        net = small_net(seed=47, hidden=32, dropout=0.2)
+        opt, rngs, workspace = AdamState.for_network(net, 1e-3), [np.random.default_rng(48)], lstm.Workspace()
+        train_epoch(net, inputs, targets, 128, rngs, opt, workspace)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            train_epoch(net, inputs, targets, 128, rngs, opt, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 2_000_000
 
 
 class TestPredictSequence:
