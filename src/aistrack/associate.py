@@ -18,8 +18,9 @@ array `haversine` gives the (N, Z) distance matrix. The decision is the
 argmin of each row, so ties go to the smallest vessel_id. The result is one
 `Decisions` record, which `decisions_to_csv` writes with one format call
 per row, each distance to 17 significant digits, which parse back to the
-exact double. A non-finite prediction is an error that names the vessel
-and the step; numpy's overflow warnings on the way to it are silenced.
+exact double. A non-finite prediction or unscaled position is an error
+that names the vessel and the step; numpy's overflow warnings on the way
+to it are silenced.
 """
 
 from __future__ import annotations
@@ -95,31 +96,38 @@ def _rollout_steps(bundles, times: list[float]) -> np.ndarray:
     return np.maximum(1, steps).astype(np.int64)
 
 
-def _rollout_positions(bundles, steps: int) -> np.ndarray:
+def rollout_positions(bundles, steps: int) -> np.ndarray:
     """(steps, Z, 2) unscaled (lat, lon) of every bundle's rollout, for 1
-    through `steps` periods past its train end, run as one stack."""
+    through `steps` periods past its train end, run as one stack. A
+    prediction or position that is not finite is a NonFiniteActivation
+    naming its vessel and step."""
     net = stack_networks([b.network for b in bundles])
     scaled = np.empty((steps, len(bundles), 2))
+    fleet_scaler = ScalerParams(
+        min=np.stack([b.scaler.min for b in bundles]), max=np.stack([b.scaler.max for b in bundles])
+    )
     try:
-        # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
-        # that turns non-finite is caught and named below
+        # a sigmoid's exp may overflow (1 / (1 + inf) = 0), and so may an
+        # unscaling; a value that turns non-finite is named below
         with np.errstate(over="ignore", invalid="ignore"):
             state = rollout_start(net, np.stack([b.last_training_window for b in bundles]))
             for s in range(steps):
                 scaled[s], state = roll_step(net, state)
+            positions = unscale(scaled, fleet_scaler)
+        bad = np.argwhere(~np.isfinite(positions))
+        if len(bad):
+            s, z, _ = bad[0].tolist()
+            raise NonFiniteActivation(f"non-finite position at rollout step {s + 1}", z)
     except NonFiniteActivation as exc:
         raise NonFiniteActivation(f"vessel {bundles[exc.row].vessel_id}: {exc}", exc.row) from None
-    fleet_scaler = ScalerParams(
-        min=np.stack([b.scaler.min for b in bundles]), max=np.stack([b.scaler.max for b in bundles])
-    )
-    return unscale(scaled, fleet_scaler)
+    return positions
 
 
 def predict_positions(bundles, target_time: float) -> dict[str, tuple[float, float]]:
     """Every bundle's predicted (lat, lon) at target_time, rolled
     round((target_time - train_end_time) / period) steps, minimum 1."""
     steps = _rollout_steps(bundles, [target_time])[0].tolist()
-    table = _rollout_positions(bundles, max(steps))
+    table = rollout_positions(bundles, max(steps))
     return {b.vessel_id: tuple(table[s - 1, z].tolist()) for z, (b, s) in enumerate(zip(bundles, steps))}
 
 
@@ -155,7 +163,7 @@ def associate_batch(observations: list[AisMessage], bundles, tau: float = math.i
     No exclusivity constraint: many observations may map to one track."""
     bundles = sorted(bundles, key=lambda b: b.vessel_id)
     steps = _rollout_steps(bundles, [obs.t for obs in observations])
-    table = _rollout_positions(bundles, int(steps.max(initial=0)))
+    table = rollout_positions(bundles, int(steps.max(initial=0)))
     predicted = table[steps - 1, np.arange(len(bundles))]
     return _decide(observations, predicted, [b.vessel_id for b in bundles], tau)
 

@@ -15,9 +15,11 @@ header that is not its own, a bad --config file or value, a --data file that
 leaves no track to train, a --period that puts more than
 `preprocess.MAX_GRID_SAMPLES` samples on a track, an input that is missing
 or not UTF-8, a missing or malformed model (its vessel_id held to the rule
-for a VID), an observation at or before a vessel's train end or more
-than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a
-truth object undecided, an --out that cannot be created or written (`train`
+for a VID, and its scaler to min <= max, with the LAT and LON entries in a
+row's ranges), a model whose training or rollout turns non-finite, an
+observation at or before a vessel's train end or more than
+`associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a truth
+object undecided, an --out that cannot be created or written (`train`
 creates its --out before it trains; if training or saving fails, it removes
 each directory it made for --out that is still empty), and an
 `evaluate --out` ending in .txt, which its text report would overwrite.
@@ -38,7 +40,7 @@ from .associate import associate_batch, decisions_from_csv, decisions_to_csv
 from .config import FIELD_TYPES, RunConfig, check_ranges, config_meta, json_type_fault
 from .errors import AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile, output_dir, write_output
 from .evaluate import confusion, metrics, write_report
-from .fleet import load_fleet, save_fleet, train_fleet, trainable_tracks
+from .fleet import load_fleet, save_fleet, train_fleet
 from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv, time_order
 from .preprocess import resample
 from .synth import crossing, fleet_motions, generate, truth_from_csv, truth_to_csv
@@ -153,7 +155,7 @@ def cmd_train(args) -> int:
     for t in tracks:
         if t not in kept:
             print(f"warning: vessel {t.vessel_id} has {len(t)} < {cfg.min_points} points, excluded", file=sys.stderr)
-    series_list = trainable_tracks([resample(t, cfg.period) for t in kept], cfg)
+    series_list = [resample(t, cfg.period) for t in kept]
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     output_dir(out)  # before training, so an unwritable --out fails at once
@@ -165,6 +167,11 @@ def cmd_train(args) -> int:
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
+    trained = {b.vessel_id for b in bundles}
+    for s in series_list:  # only --lenient leaves a resampled track out
+        if s.vessel_id not in trained:
+            print(f"warning: vessel {s.vessel_id} has {len(s)} resampled samples, too few for one window of"
+                  f" {cfg.window} once the last {cfg.test_len} are held out, excluded", file=sys.stderr)
     holdout, left_out = _holdout_messages(series_list, bundles, cfg.test_len)
     if left_out:
         print(f"left {left_out} held-out samples at or before the latest train end out of holdout.csv",

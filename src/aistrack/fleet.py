@@ -5,7 +5,9 @@ One LstmNetwork is trained per vessel. Each vessel draws a derived seed
 training order or scheduling. Training reads its settings (window, test_len,
 hidden, dropout, lr, batch, epochs, seed, lenient) from the run's
 `config.RunConfig` and range-checks them first, as the CLI does. A fleet
-with no track left to train is a TrackTooShort error.
+with no track left to train is a TrackTooShort error. A trained stack
+takes the first step of `associate.rollout_positions`, so a model that
+cannot make it is never saved.
 
 Vessels train in lockstep: those with the same training length (hence the
 same number of windows and batches per epoch) are stacked with
@@ -31,9 +33,10 @@ float in Python, took about 40 % of training on a 24-vessel fleet. Format
 version 2; any other version is rejected. There is one architecture
 (`lstm`): a file's k must equal `lstm.INPUT_DIM`, its n_layers and its
 number of layers `N_LAYERS`, its out_dim `OUT_DIM`, and its "residual" must
-be true, or the file is rejected rather than run as something it is not. A
-model directory is one fleet, associated as one stack: one hidden size and
-one window across its models, and each vessel once, or it is rejected.
+be true, or the file is rejected rather than run as something it is not.
+Its scaler must be a range of AIS rows (`_scaler`). A model directory is
+one fleet, associated as one stack: one hidden size and one window across
+its models, and each vessel once, or it is rejected.
 """
 
 from __future__ import annotations
@@ -41,13 +44,13 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .associate import rollout_positions
 from .config import RunConfig, check_ranges, config_meta, json_type_fault
 from .errors import (
     BadManifest,
@@ -60,7 +63,7 @@ from .errors import (
     output_dir,
     write_output,
 )
-from .ingest import vessel_id_fault
+from .ingest import HEADER, vessel_id_fault
 from .lstm import (
     INPUT_DIM,
     N_LAYERS,
@@ -71,15 +74,11 @@ from .lstm import (
     init_network,
     network_from_arrays,
     param_shapes,
-    roll_step,
-    rollout_start,
     stack_networks,
     train_epoch,
     unstack_network,
 )
 from .preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
-
-log = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 2
 
@@ -123,38 +122,30 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
     del windows  # training reads only the stacked copies
     opt = AdamState.for_network(net, cfg.lr)
     workspace = Workspace()  # every batch of every epoch writes into it
-    last_windows = np.stack([x[train_len - m :] for x in scaled])
     try:
         # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
         # that turns non-finite is caught and named below
         with np.errstate(over="ignore", invalid="ignore"):
             epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt, workspace) for _ in range(cfg.epochs)]
-            # the first step `associate` takes, so a model that cannot
-            # make it is not saved
-            roll_step(net, rollout_start(net, last_windows))
     except NonFiniteActivation as exc:
         raise NonFiniteActivation(f"vessel {stack[exc.row].vessel_id}: {exc}", exc.row) from None
-    return [
-        (
-            ModelBundle(
-                vessel_id=s.vessel_id,
-                network=unstack_network(net, z),
-                scaler=scalers[z],
-                period=s.period,
-                last_training_window=last_windows[z].copy(),
-                train_end_time=s.time_of(train_len - 1),
-            ),
-            [losses[z] for losses in epochs],
+    bundles = [
+        ModelBundle(
+            vessel_id=s.vessel_id,
+            network=unstack_network(net, z),
+            scaler=scalers[z],
+            period=s.period,
+            last_training_window=x[train_len - m :].copy(),
+            train_end_time=s.time_of(train_len - 1),
         )
-        for z, s in enumerate(stack)
+        for z, (s, x) in enumerate(zip(stack, scaled))
     ]
+    rollout_positions(bundles, 1)  # the first step `associate` takes: a model that cannot make it is not saved
+    return [(b, [losses[z] for losses in epochs]) for z, b in enumerate(bundles)]
 
 
-def trainable_tracks(tracks: list[RegularTrack], cfg: RunConfig) -> list[RegularTrack]:
-    """The tracks `train_fleet` trains, ordered by vessel_id. A track too
-    short to give one window once its last `cfg.test_len` samples are held
-    out is a TrackTooShort error, or skipped with a warning if
-    `cfg.lenient`, and so is a fleet with no track left to train; a setting
+def _trainable_tracks(tracks: list[RegularTrack], cfg: RunConfig) -> list[RegularTrack]:
+    """The tracks `train_fleet` trains, ordered by vessel_id; a setting
     outside its range is a BadConfig."""
     check_ranges(cfg)
     kept = []
@@ -167,8 +158,6 @@ def trainable_tracks(tracks: list[RegularTrack], cfg: RunConfig) -> list[Regular
                 f"vessel {series.vessel_id}: {len(series)} samples leave train_len {train_len}"
                 f" <= window {cfg.window}"
             )
-        else:
-            log.warning("skipping vessel %s: track too short", series.vessel_id)
     if not kept:
         raise TrackTooShort(
             f"no track left to train: {len(tracks)} given, none longer than test_len + window"
@@ -180,11 +169,13 @@ def trainable_tracks(tracks: list[RegularTrack], cfg: RunConfig) -> list[Regular
 def train_fleet(
     tracks: list[RegularTrack], cfg: RunConfig
 ) -> tuple[list[ModelBundle], dict[str, list[float]]]:
-    """Train one model per `trainable_tracks` track on its training prefix
-    (all but the last `cfg.test_len` samples), in lockstep stacks of equal
-    training length; results ordered by vessel_id."""
+    """Train one model per track on its training prefix (all but the last
+    `cfg.test_len` samples), in lockstep stacks of equal training length;
+    results ordered by vessel_id. A track too short for one training window
+    is a TrackTooShort error, or left out if `cfg.lenient`, and so is a
+    fleet with no track left to train."""
     by_length: dict[int, list[RegularTrack]] = {}
-    for series in trainable_tracks(tracks, cfg):
+    for series in _trainable_tracks(tracks, cfg):
         by_length.setdefault(len(series) - cfg.test_len, []).append(series)
     per_stack = max(1, STACK_WINDOWS // cfg.batch)
     trained = {}
@@ -267,6 +258,26 @@ def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
     return _finite(a, key)
 
 
+# |LAT| and |LON| bounds of `ingest.AisMessage.validate`, then SPEED's and COURSE's
+SCALER_BOUNDS = np.array([90.0, 180.0, np.inf, np.inf])
+
+
+def _scaler(d: dict) -> ScalerParams:
+    """A model document's scaler; BadModel unless each feature's
+    -bound <= min <= max <= bound. A range no AIS rows could give, such as a
+    LAT span of 1e308, would overflow when predictions are unscaled."""
+    lo = _numbers(d["min"], (INPUT_DIM,), "scaler.min")
+    hi = _numbers(d["max"], (INPUT_DIM,), "scaler.max")
+    bad = np.flatnonzero(~((-SCALER_BOUNDS <= lo) & (lo <= hi) & (hi <= SCALER_BOUNDS)))
+    if len(bad):
+        i = bad[0]  # HEADER ends with the INPUT_DIM features, LAT first
+        raise BadModel(
+            f"scaler {HEADER[3 + i]} range [{lo[i].item()}, {hi[i].item()}] is not one AIS rows can give"
+            " (min <= max; LAT within [-90, 90], LON within [-180, 180])"
+        )
+    return ScalerParams(min=lo, max=hi)
+
+
 def _network_from_dict(d: dict) -> LstmNetwork:
     _check_fields(d, NETWORK_FIELDS)
     for key, value in ARCHITECTURE.items():
@@ -315,10 +326,7 @@ def bundle_from_json(text: str) -> ModelBundle:
         return ModelBundle(
             vessel_id=doc["vessel_id"],
             network=_network_from_dict(doc["network"]),
-            scaler=ScalerParams(
-                min=_numbers(doc["scaler"]["min"], (INPUT_DIM,), "scaler.min"),
-                max=_numbers(doc["scaler"]["max"], (INPUT_DIM,), "scaler.max"),
-            ),
+            scaler=_scaler(doc["scaler"]),
             period=doc["period"],
             last_training_window=_numbers(
                 doc["last_training_window"], (doc["window_size"], INPUT_DIM), "last_training_window"

@@ -90,11 +90,12 @@ from zero state and sees the same m inputs as in `forward_batch`; only the
 grouping of rows in the matrix products differs, so predictions agree to
 a relative 1e-12, not bit for bit. A rollout of Z vessels still computes
 each vessel's slice exactly as that vessel's own rollout would.
-`rollout_start` allocates everything the rollout writes, once: each
-layer's h and c, the next input, and one cell step's scratch, which the
-layers share. `roll_step` then advances that state in place, and `_cell`
-writes its products into the scratch its caller passes, as in training;
-a step allocates only its (Z, out_dim) prediction, which it returns.
+`rollout_start` allocates each layer's h and c and the next input, and
+keeps the rest in a `Workspace`, as training does: `_cell_weights`' copies
+and one cell step's scratch, which the layers share and the first cell
+step allocates. `roll_step` then advances that state in place, and `_cell`
+writes its products into the scratch its caller passes; a step allocates
+only its (Z, out_dim) prediction, which it returns.
 """
 
 from __future__ import annotations
@@ -223,15 +224,15 @@ class ForwardCache:
 
 
 class Workspace:
-    """The float64 arrays that `forward_batch` and `backward` write, kept
-    from one call to the next. `array(name, shape)` returns the array it
-    last gave for that name and shape, holding whatever was last written to
-    it, or makes one; another shape, such as an epoch's last, shorter batch,
-    gets its own arrays under the same names. Training keeps one per stack
-    for all its batches and epochs, so that after the first batch of each
-    shape a step allocates nothing large: at batch 128, arrays allocated and
-    freed every batch are handed back to the kernel by the C library and
-    faulted in again on the next."""
+    """The float64 arrays that `forward_batch`, `backward` and a rollout
+    write, kept from one call or step to the next. `array(name, shape)`
+    returns the array it last gave for that name and shape, holding whatever
+    was last written to it, or makes one; another shape, such as an epoch's
+    last, shorter batch, gets its own arrays under the same names. Training
+    keeps one per stack for all its batches and epochs, so that after the
+    first batch of each shape a step allocates nothing large: at batch 128,
+    arrays allocated and freed every batch are handed back to the kernel by
+    the C library and faulted in again on the next."""
 
     def __init__(self) -> None:
         self._arrays: dict[tuple, np.ndarray] = {}
@@ -549,46 +550,44 @@ FEEDBACK_MAX = 1.5
 
 @dataclass
 class Rollout:
-    """The m windows of a rollout that are in flight, in a ring of m slots,
-    and everything a step writes: `roll_step` advances it in place.
+    """The m windows of a rollout that are in flight, in a ring of m slots:
+    `roll_step` advances it in place.
 
     Slot `slot` holds the window that takes its m-th input on the next step,
     the slot after it the window one input behind, and so on around the
     ring. Each layer keeps every slot's cell output and cell state in `h`
     and `c`, (Z, m, hidden) each. Every window takes the next input `x`
-    (Z, k). `W_T`, `U_T` and `b` are each layer's `_cell_weights`: a
-    stacked matmul runs about 2.5x faster against a contiguous copy of W.mT
-    than against the transposed view. The rest is one cell step's scratch,
-    shared by the layers: the first layer's input product `xw0` (Z, 1, 4h),
-    `gates` and the recurrent product `rec` (Z, m, 4h), and the candidate
-    `cand` and residual sum `res` (Z, m, hidden)."""
+    (Z, k). `workspace` holds each layer's `_cell_weights` (a stacked matmul
+    runs about 2.5x faster against a contiguous copy of W.mT than against
+    the transposed view) and one cell step's scratch, which the layers
+    share: the first layer's input product `xw0` (Z, 1, 4h), `gates` and
+    the recurrent product `rec` (Z, m, 4h), and the candidate `cand` and
+    residual sum `res` (Z, m, hidden)."""
 
-    W_T: list[np.ndarray]
-    U_T: list[np.ndarray]
-    b: list[np.ndarray]
     h: list[np.ndarray]
     c: list[np.ndarray]
     x: np.ndarray
-    xw0: np.ndarray
-    gates: np.ndarray
-    rec: np.ndarray
-    cand: np.ndarray
-    res: np.ndarray
     slot: int
+    workspace: Workspace
     step: int = 0  # predictions made so far
 
 
 def _tick(net: LstmNetwork, state: Rollout) -> np.ndarray:
     """Feed state.x to every window in flight: one cell step per layer on
     all m slots, in place. Returns the last layer's output (Z, m, hidden)."""
+    ws = state.workspace
+    Z, m, n = state.h[0].shape
+    gates, rec = ws.array("gates", (Z, m, 4 * n)), ws.array("rec", (Z, m, 4 * n))
+    cand, res = ws.array("cand", (Z, m, n)), ws.array("res", (Z, m, n))
     seq = state.x[..., None, :]  # one input row, broadcast across the slots
     for li, layer in enumerate(net.layers):
         h, c = state.h[li], state.c[li]
+        W_T, U_T = ws.array(("W_T", li), (Z, layer.d_in, 4 * n)), ws.array(("U_T", li), (Z, n, 4 * n))
         # the first layer's product is one row, which the cell broadcasts;
         # the others' go straight into gates
-        xw = np.matmul(seq, state.W_T[li], out=state.gates if li else state.xw0)
-        _cell(xw, h, c, state.U_T[li], state.b[li], state.gates, c, h, state.rec, state.cand)
-        seq = np.add(h, seq, out=state.res) if li > 0 else h
+        xw = np.matmul(seq, W_T, out=gates if li else ws.array("xw0", (Z, 1, 4 * n)))
+        _cell(xw, h, c, U_T, ws.array(("b", li), gates.shape), gates, c, h, rec, cand)
+        seq = np.add(h, seq, out=res) if li > 0 else h
     return seq
 
 
@@ -603,29 +602,17 @@ def _advance(state: Rollout) -> None:
 def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
     """The rollout of the Z vessels' (Z, m, k) windows before its first
     prediction: every window starts from zero state, and the first m - 1
-    rows have gone through the ring. It holds every array the rollout
-    writes."""
+    rows have gone through the ring."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 3 or window.shape[0] != net.vessels or window.shape[-1] != net.input_dim:
         raise CacheMismatch(f"expected ({net.vessels}, m, {net.input_dim}) window, got {window.shape}")
     Z, m, _ = window.shape
     n = net.hidden
     ws = Workspace()
-    W_T, U_T, b = zip(*(_cell_weights(layer, (Z, m, 4 * n), ws, li) for li, layer in enumerate(net.layers)))
-    state = Rollout(
-        W_T=list(W_T),
-        U_T=list(U_T),
-        b=list(b),
-        h=[np.zeros((Z, m, n)) for _ in net.layers],
-        c=[np.zeros((Z, m, n)) for _ in net.layers],
-        x=window[..., 0, :].copy(),
-        xw0=np.empty((Z, 1, 4 * n)),
-        gates=np.empty((Z, m, 4 * n)),
-        rec=np.empty((Z, m, 4 * n)),
-        cand=np.empty((Z, m, n)),
-        res=np.empty((Z, m, n)),
-        slot=1 % m,
-    )
+    for li, layer in enumerate(net.layers):
+        _cell_weights(layer, (Z, m, 4 * n), ws, li)
+    h, c = ([np.zeros((Z, m, n)) for _ in net.layers] for _ in range(2))
+    state = Rollout(h=h, c=c, x=window[..., 0, :].copy(), slot=1 % m, workspace=ws)
     for t in range(1, m):
         _tick(net, state)
         _advance(state)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,17 @@ class TestStackedRollout:
         bundles[1].network.dense_b[0] = np.inf
         with pytest.raises(NonFiniteActivation, match="^vessel bbb: non-finite prediction at rollout step 1$"):
             associate_batch([_obs(1, 30.5, 20.5, t=1010)], bundles)
+
+    def test_position_that_overflows_names_vessel_and_step(self):
+        # a finite (scaled) prediction of 1e308 unscales past the largest
+        # double: the error, not numpy's overflow warning, reports it
+        bundles = [_bundle(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))]
+        bundles[2].network.dense_b[0, 0, 0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteActivation, match="^vessel ccc: non-finite position at rollout step 1$"):
+                associate_batch([_obs(1, 30.5, 20.5, t=1010)], bundles)
+
 
 class TestRolloutBound:
     def test_bound_checked_before_any_rollout(self, monkeypatch):

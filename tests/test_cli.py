@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import operator
 import shutil
 import warnings
@@ -209,6 +210,27 @@ def test_short_track_excluded_with_warning(tmp_path, capsys):
     assert "feedf00d" in capsys.readouterr().err
     manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
     assert len(manifest["models"]) == 2
+
+
+def test_lenient_run_names_a_track_too_short_to_train_once(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["synth", "--out", data, "--vessels", "2", "--points", "120", "--seed", "1"]) == 0
+    # enough points for --min-points, but four seconds of them: one sample
+    # on the 5 s grid, too few for a window once 20 are held out
+    extra = "\n".join(f"{9000 + i},feedf00d,2020-03-01T01:00:0{i}Z,10.0,10.0,0.0,0.0" for i in range(5))
+    fleet = data / "fleet.csv"
+    fleet.write_text(fleet.read_text() + extra + "\n")
+    argv = ["train", "--data", fleet, "--out", tmp_path / "m", "--min-points", 5, "--epochs", 1, "--test-len", 20]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: vessel feedf00d: 1 samples leave train_len -19")
+    assert run(argv + ["--lenient"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("feedf00d") == 1
+    assert ("warning: vessel feedf00d has 1 resampled samples, too few for one window of 10"
+            " once the last 20 are held out, excluded\n") in err
+    assert len(json.loads((tmp_path / "m" / "manifest.json").read_text())["models"]) == 2
+    assert "feedf00d" not in (tmp_path / "m" / "holdout.csv").read_text()
 
 
 def test_tracks_ending_at_different_times(tmp_path, capsys):
@@ -645,6 +667,24 @@ def test_model_vessel_id_with_comma_is_data_error(trained, tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_model_with_implausible_scaler_is_one_error_line_at_associate(trained, tmp_path, capsys):
+    # a LAT scaler from -1.7e308 to 1.7e308 is finite, but unscaling with it
+    # overflows: that vessel's predictions would be NaN, and every decision NEW
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    manifest = json.loads((models / "manifest.json").read_text())
+    entry = manifest["models"][0]
+    doc = json.loads((models / entry["file"]).read_text())
+    doc["scaler"]["min"][0], doc["scaler"]["max"][0] = -1.7e308, 1.7e308
+    _resign(models, manifest, entry, doc)
+    capsys.readouterr()
+    argv = ["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]
+    assert run_without_warnings(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {models / entry['file']}: scaler LAT range ") and err.count("\n") == 1
+    assert not (tmp_path / "d.csv").exists()
+
+
 # A JSON value of another type than the one it replaces, or an extreme one.
 JSON_VALUES = st.one_of(
     st.none(),
@@ -684,7 +724,12 @@ def test_model_file_value_replaced_never_internal_error(trained, data, value):
     functools.reduce(operator.getitem, parents, doc)[key] = value
     _resign(models, manifest, entry, doc)
     obs = trained / "models" / "holdout.csv"
-    assert run(["associate", "--models", models, "--obs", obs, "--out", trained / "fuzz_decisions.csv"]) in (0, 2)
+    out = trained / "fuzz_decisions.csv"
+    rc = run(["associate", "--models", models, "--obs", obs, "--out", out])
+    assert rc in (0, 2)
+    if rc == 0:  # every distance a decision was made on is a number
+        _, *rows = (line.split(",") for line in out.read_text().splitlines())
+        assert all(math.isfinite(float(v)) for row in rows for v in row[2:])
 
 
 # Any JSON value, as deep as a config document needs to be to try each type.

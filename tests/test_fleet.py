@@ -112,6 +112,19 @@ class TestTrainFleet:
         assert bundle.train_end_time == series.time_of(49)
 
 
+def _scaler_set(bound: str, feature: int, value: float):
+    """A corruption that sets the scaler's `bound` ("min" or "max") of one
+    feature to `value`."""
+    return lambda doc: doc["scaler"][bound].__setitem__(feature, value)
+
+
+def _lat_span_1e308(doc):
+    """A LAT scaler from -1.7e308 to 1.7e308: finite, but unscaling any
+    prediction with it overflows."""
+    _scaler_set("min", 0, -1.7e308)(doc)
+    _scaler_set("max", 0, 1.7e308)(doc)
+
+
 def _out_dim_3(doc):
     """A three-output head, with weights of that shape."""
     net = doc["network"]
@@ -273,13 +286,17 @@ class TestPersistence:
             (lambda doc: doc["scaler"]["max"].__setitem__(2, float("nan")), "scaler.max holds a non-finite value"),
             (lambda doc: doc["last_training_window"][0].__setitem__(0, float("inf")),
              "last_training_window holds a non-finite value"),
+            (_lat_span_1e308, "scaler LAT range [-1.7e+308, 1.7e+308] is not one AIS rows can give"),
+            (_scaler_set("max", 1, 180.5), "scaler LON range"),
+            (_scaler_set("min", 2, 1e6), "scaler SPEED range [1000000.0, "),  # min above max
             (_out_dim_3, "out_dim 3"),
             (_k_1, "k 1"),
             (lambda doc: doc["network"]["layers"].pop(), "network has 2 layers"),  # under "n_layers": 3
         ],
         ids=["missing_key", "not_base64", "wrong_length", "not_a_string", "no_layers", "not_residual",
              "period_string", "period_huge_int", "scaler_huge_int", "vessel_id_comma", "vessel_id_whitespace", "window_shape",
-             "nan_weight", "nan_bias", "nan_scaler", "infinite_window", "out_dim_3", "k_1", "two_layers"],
+             "nan_weight", "nan_bias", "nan_scaler", "infinite_window", "scaler_lat_span_1e308", "scaler_lon_past_180",
+             "scaler_min_above_max", "out_dim_3", "k_1", "two_layers"],
     )
     def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt, named):
         bundles, histories = train_fleet([_series()], _cfg())

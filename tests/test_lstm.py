@@ -402,9 +402,11 @@ def test_in_place_rollout_gives_the_allocating_rollouts_bits(Z, m, clamped):
 
 
 def _state_arrays(state):
-    """Every array a rollout state holds, in field order."""
+    """Every array a rollout state holds, in field order, then the arrays
+    of its workspace, in key order."""
     values = vars(state).values()
-    return [a for v in values for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
+    fields = [a for v in values for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
+    return fields + list(state.workspace._arrays.values())
 
 
 def test_roll_step_advances_its_state_in_place():
@@ -415,6 +417,12 @@ def test_roll_step_advances_its_state_in_place():
         pred, after = roll_step(net, state)
         assert after is state and state.step == step
         assert not any(np.shares_memory(pred, a) for a in arrays)  # the caller may keep it
+        if step == 1:
+            keys = list(state.workspace._arrays)
+    assert list(state.workspace._arrays) == keys
+    # each name has one shape: a lookup under another shape would hand the
+    # step a new, unwritten array in place of a weight copy or scratch
+    assert len({name for name, _ in keys}) == len(keys)
     assert all(a is b for a, b in zip(_state_arrays(state), arrays, strict=True))
 
 
