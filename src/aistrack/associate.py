@@ -4,23 +4,24 @@ Each fleet model is rolled forward to the observation time; the observation is
 assigned to the vessel whose predicted position is closest on the great
 circle, or declared a new track when the minimum distance exceeds tau.
 
-`associate_batch` works on arrays end to end. It sorts the vessels by
-vessel_id and computes the (N, Z) matrix of rollout steps, observation by
-vessel. It then stacks the Z vessel networks (`lstm.stack_networks`),
-starts one rollout for the stack (`lstm.rollout_start`) and advances all Z
-vessels together, one batched `roll_step` per step, up to the largest step
-any observation needs. Each step is one cell step per LSTM layer on the m
-windows each vessel has in flight, and a stacked matmul computes each
-vessel's slice exactly as a separate call would. The (S, Z, 2) table
-of predictions is unscaled in one expression, and each observation's Z
-predictions are gathered from it in one indexing step. One call of the
-array `haversine` gives the (N, Z) distance matrix. The decision is the
-argmin of each row, so ties go to the smallest vessel_id. The result is one
-`Decisions` record, which `decisions_to_csv` writes with one format call
-per row, each distance to 17 significant digits, which parse back to the
-exact double. A non-finite prediction or unscaled position is an error
-that names the vessel and the step; numpy's overflow warnings on the way
-to it are silenced.
+`associate_batch` works on arrays end to end, on one `fleet.Fleet`, whose
+Z vessels' networks, scalers and windows are already stacked in vessel_id
+order. It computes the (N, Z) matrix of rollout steps, observation by
+vessel, starts one rollout for the fleet (`lstm.rollout_start`) and
+advances all Z vessels together, one batched `roll_step` per step, up to
+the largest step any observation needs. Each step is one cell step per
+LSTM layer on the m windows each vessel has in flight, and a stacked
+matmul computes each vessel's slice exactly as a separate call would. The
+(S, Z, 2) table of predictions is unscaled in one expression, and each
+observation's Z predictions are gathered from it in one indexing step. One
+call of the array `haversine` gives the (N, Z) distance matrix. The
+decision is the argmin of each row, so ties go to the smallest vessel_id.
+The result is one `Decisions` record, which `decisions_to_csv` writes with
+one format call per row, each distance to 17 significant digits, which
+parse back to the exact double. A non-finite prediction or unscaled
+position is an error that names the vessel and the step, and so is a step
+count past `MAX_ROLLOUT_STEPS`, an infinite one included; numpy's overflow
+warnings on the way to either are silenced.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ import numpy as np
 
 from .errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
 from .ingest import NEW_TRACK, AisMessage, format_timestamp, object_id_pairs
-from .lstm import roll_step, rollout_start, stack_networks
-from .preprocess import ScalerParams, unscale
+from .lstm import roll_step, rollout_start
+from .preprocess import unscale
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -61,74 +62,68 @@ class Decisions:
         return len(self.object_ids)
 
 
-def haversine(lat1, lon1, lat2, lon2, r: float = EARTH_RADIUS_KM) -> np.ndarray:
-    """Great-circle distance in km (radius r) from (lat1, lon1) to
-    (lat2, lon2), elementwise over broadcast arrays."""
+def haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """Great-circle distance in km (radius EARTH_RADIUS_KM) from
+    (lat1, lon1) to (lat2, lon2), elementwise over broadcast arrays."""
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
     dphi = phi2 - phi1
     dlam = np.radians(np.subtract(lon2, lon1))
     a = np.sin(dphi / 2) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2) ** 2
-    return 2 * r * np.arcsin(np.minimum(1.0, np.sqrt(a)))
+    return 2 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def _rollout_steps(bundles, times: list[float]) -> np.ndarray:
-    """(N, Z) rollout steps from each bundle's train end to each time:
+def _rollout_steps(fleet, times: list[float]) -> np.ndarray:
+    """(N, Z) rollout steps from each of the fleet's train ends to each time:
     round((time - train_end_time) / period), minimum 1, at most
     MAX_ROLLOUT_STEPS."""
-    if not bundles:
-        raise ValueError("no vessel models to predict with")
     t = np.array(times, dtype=np.float64)[:, None]
-    ends = np.array([b.train_end_time for b in bundles], dtype=np.float64)
+    ends = fleet.train_end_time
     early = t <= ends
     if early.any():
         i, z = np.argwhere(early)[0]
-        b = bundles[z]
-        raise TimeBeforeTraining(f"vessel {b.vessel_id}: target {times[i]} <= train end {b.train_end_time}")
-    periods = np.array([b.period for b in bundles], dtype=np.float64)
-    steps = np.round((t - ends) / periods)
+        raise TimeBeforeTraining(f"vessel {fleet.vessel_ids[z]}: target {times[i]} <= train end {ends[z].item()}")
+    with np.errstate(over="ignore"):  # a tiny period gives inf steps, which the bound rejects
+        steps = np.round((t - ends) / fleet.period)
     far = steps > MAX_ROLLOUT_STEPS
     if far.any():
         i, z = np.argwhere(far)[0]
         raise RolloutTooLong(
             f"observation at {format_timestamp(int(times[i]))} is {steps[i, z]:.0f} rollout steps past"
-            f" vessel {bundles[z].vessel_id}'s train end; the bound is {MAX_ROLLOUT_STEPS}"
+            f" vessel {fleet.vessel_ids[z]}'s train end; the bound is {MAX_ROLLOUT_STEPS}"
         )
     return np.maximum(1, steps).astype(np.int64)
 
 
-def rollout_positions(bundles, steps: int) -> np.ndarray:
-    """(steps, Z, 2) unscaled (lat, lon) of every bundle's rollout, for 1
+def rollout_positions(fleet, steps: int) -> np.ndarray:
+    """(steps, Z, 2) unscaled (lat, lon) of every vessel's rollout, for 1
     through `steps` periods past its train end, run as one stack. A
     prediction or position that is not finite is a NonFiniteActivation
     naming its vessel and step."""
-    net = stack_networks([b.network for b in bundles])
-    scaled = np.empty((steps, len(bundles), 2))
-    fleet_scaler = ScalerParams(
-        min=np.stack([b.scaler.min for b in bundles]), max=np.stack([b.scaler.max for b in bundles])
-    )
+    net = fleet.network
+    scaled = np.empty((steps, net.vessels, 2))
     try:
         # a sigmoid's exp may overflow (1 / (1 + inf) = 0), and so may an
         # unscaling; a value that turns non-finite is named below
         with np.errstate(over="ignore", invalid="ignore"):
-            state = rollout_start(net, np.stack([b.last_training_window for b in bundles]))
+            state = rollout_start(net, fleet.last_training_window)
             for s in range(steps):
                 scaled[s], state = roll_step(net, state)
-            positions = unscale(scaled, fleet_scaler)
+            positions = unscale(scaled, fleet.scaler)
         bad = np.argwhere(~np.isfinite(positions))
         if len(bad):
             s, z, _ = bad[0].tolist()
             raise NonFiniteActivation(f"non-finite position at rollout step {s + 1}", z)
     except NonFiniteActivation as exc:
-        raise NonFiniteActivation(f"vessel {bundles[exc.row].vessel_id}: {exc}", exc.row) from None
+        raise NonFiniteActivation(f"vessel {fleet.vessel_ids[exc.row]}: {exc}", exc.row) from None
     return positions
 
 
-def predict_positions(bundles, target_time: float) -> dict[str, tuple[float, float]]:
-    """Every bundle's predicted (lat, lon) at target_time, rolled
+def predict_positions(fleet, target_time: float) -> dict[str, tuple[float, float]]:
+    """Every vessel's predicted (lat, lon) at target_time, rolled
     round((target_time - train_end_time) / period) steps, minimum 1."""
-    steps = _rollout_steps(bundles, [target_time])[0].tolist()
-    table = rollout_positions(bundles, max(steps))
-    return {b.vessel_id: tuple(table[s - 1, z].tolist()) for z, (b, s) in enumerate(zip(bundles, steps))}
+    steps = _rollout_steps(fleet, [target_time])[0].tolist()
+    table = rollout_positions(fleet, max(steps))
+    return {vid: tuple(table[s - 1, z].tolist()) for z, (vid, s) in enumerate(zip(fleet.vessel_ids, steps))}
 
 
 def _decide(observations: list[AisMessage], predicted: np.ndarray, vessel_ids: list[str], tau: float) -> Decisions:
@@ -156,16 +151,15 @@ def associate(
     return _decide([observation], predicted, vids, tau)
 
 
-def associate_batch(observations: list[AisMessage], bundles, tau: float = math.inf) -> Decisions:
-    """Associate observations, in any order, against one fleet-stacked
-    rollout; row i of the result is observations[i].
+def associate_batch(observations: list[AisMessage], fleet, tau: float = math.inf) -> Decisions:
+    """Associate observations, in any order, against one rollout of the
+    fleet (a `fleet.Fleet`); row i of the result is observations[i].
 
     No exclusivity constraint: many observations may map to one track."""
-    bundles = sorted(bundles, key=lambda b: b.vessel_id)
-    steps = _rollout_steps(bundles, [obs.t for obs in observations])
-    table = rollout_positions(bundles, int(steps.max(initial=0)))
-    predicted = table[steps - 1, np.arange(len(bundles))]
-    return _decide(observations, predicted, [b.vessel_id for b in bundles], tau)
+    steps = _rollout_steps(fleet, [obs.t for obs in observations])
+    table = rollout_positions(fleet, int(steps.max(initial=0)))
+    predicted = table[steps - 1, np.arange(len(fleet.vessel_ids))]
+    return _decide(observations, predicted, fleet.vessel_ids, tau)
 
 
 def decisions_to_csv(decisions: Decisions) -> str:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -126,13 +125,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _holdout_messages(series_list, bundles, test_len: int) -> tuple[list[AisMessage], int]:
+def _holdout_messages(series_list, fleet, test_len: int) -> tuple[list[AisMessage], int]:
     """The last `test_len` samples of each trained vessel's series as
     observations numbered in time order, and how many of them were left
     out. Every model rolls forward from its own train end, so only samples
     whose rounded time is after the latest train end are kept."""
-    latest_end = max((b.train_end_time for b in bundles), default=-math.inf)
-    trained = {b.vessel_id for b in bundles}
+    latest_end = fleet.train_end_time.max()
+    trained = set(fleet.vessel_ids)
     rows, left_out = [], 0
     for s in series_list:
         if s.vessel_id not in trained:
@@ -160,34 +159,34 @@ def cmd_train(args) -> int:
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     output_dir(out)  # before training, so an unwritable --out fails at once
     try:
-        bundles, histories = train_fleet(series_list, cfg)
-        save_fleet(bundles, out, cfg, histories)
+        fleet, histories = train_fleet(series_list, cfg)
+        save_fleet(fleet, out, cfg, histories)
     except BaseException:
         for d in made:  # rmdir removes only a directory left empty
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    trained = {b.vessel_id for b in bundles}
+    trained = set(fleet.vessel_ids)
     for s in series_list:  # only --lenient leaves a resampled track out
         if s.vessel_id not in trained:
             print(f"warning: vessel {s.vessel_id} has {len(s)} resampled samples, too few for one window of"
                   f" {cfg.window} once the last {cfg.test_len} are held out, excluded", file=sys.stderr)
-    holdout, left_out = _holdout_messages(series_list, bundles, cfg.test_len)
+    holdout, left_out = _holdout_messages(series_list, fleet, cfg.test_len)
     if left_out:
         print(f"left {left_out} held-out samples at or before the latest train end out of holdout.csv",
               file=sys.stderr)
     write_output(out / "holdout.csv", serialize_csv(holdout))
     write_output(out / "holdout_truth.csv", truth_to_csv({m.object_id: m.vessel_id for m in holdout}))
-    print(f"trained {len(bundles)} vessel models into {out}")
+    print(f"trained {len(fleet.vessel_ids)} vessel models into {out}")
     return 0
 
 
 def cmd_associate(args) -> int:
     cfg = effective_config(args)
-    bundles = load_fleet(args.models)
+    fleet = load_fleet(args.models)
     observations = _messages(args.obs, cfg)
     observations.sort(key=time_order)
-    decisions = associate_batch(observations, bundles, tau=cfg.tau)
+    decisions = associate_batch(observations, fleet, tau=cfg.tau)
     out = Path(args.out)
     write_output(out, decisions_to_csv(decisions))
     write_output(out.with_suffix(".meta.json"), json.dumps(config_meta(cfg), sort_keys=True, indent=1))

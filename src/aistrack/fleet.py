@@ -18,7 +18,10 @@ alone, and the stacked math is the per-vessel math slice by slice, so the
 models are bit for bit the same however the fleet is grouped. A stack holds
 at most max(1, STACK_WINDOWS // batch) vessels: stacking removes
 per-batch interpreter overhead, which is what costs at small batches, while
-at batch 128 a stack of five was no faster and doubled peak memory.
+at batch 128 a stack of five was no faster and doubled peak memory. Each
+trained stack is a `Fleet`, the one form trained models take, and only
+`join_fleets` orders and concatenates vessels: `train_fleet` joins its
+stacks with it, and `load_fleet` the one-vessel fleets of its model files.
 
 A fleet is saved as one model_<vid>.json per vessel, a manifest.json holding
 each file's sha256 and the run's whole config (`config.config_meta`), and a
@@ -76,7 +79,6 @@ from .lstm import (
     param_shapes,
     stack_networks,
     train_epoch,
-    unstack_network,
 )
 from .preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
 
@@ -87,17 +89,34 @@ STACK_WINDOWS = 64
 
 
 @dataclass
-class ModelBundle:
-    vessel_id: str
-    network: LstmNetwork  # one vessel's (Z = 1)
-    scaler: ScalerParams
-    period: float
-    last_training_window: np.ndarray  # (m, k) scaled
-    train_end_time: float  # epoch seconds of the last training sample
+class Fleet:
+    """Z vessels' trained models, stacked in vessel_id order on every array."""
 
-    @property
-    def window_size(self) -> int:
-        return self.last_training_window.shape[0]
+    vessel_ids: list[str]
+    network: LstmNetwork
+    scaler: ScalerParams  # (Z, 4) min and max
+    period: np.ndarray  # (Z,)
+    train_end_time: np.ndarray  # (Z,) epoch seconds of each last training sample
+    last_training_window: np.ndarray  # (Z, m, k) scaled
+
+
+def join_fleets(fleets: list[Fleet]) -> Fleet:
+    """One fleet of the fleets' vessels in vessel_id order; each array is
+    copied once, by concatenating its vessel slices in that order."""
+    order = sorted((vid, f, z) for f, fleet in enumerate(fleets) for z, vid in enumerate(fleet.vessel_ids))
+
+    def join(arrays: list[np.ndarray]) -> np.ndarray:  # one array per fleet
+        return np.concatenate([arrays[f][z : z + 1] for _, f, z in order])
+
+    params = zip(*(fleet.network.param_arrays() for fleet in fleets))
+    return Fleet(
+        vessel_ids=[vid for vid, _, _ in order],
+        network=network_from_arrays([join(p) for p in params], fleets[0].network.dropout_rate),
+        scaler=ScalerParams(min=join([f.scaler.min for f in fleets]), max=join([f.scaler.max for f in fleets])),
+        period=join([f.period for f in fleets]),
+        train_end_time=join([f.train_end_time for f in fleets]),
+        last_training_window=join([f.last_training_window for f in fleets]),
+    )
 
 
 def vessel_seed(root_seed: int, vessel_id: str) -> int:
@@ -105,10 +124,10 @@ def vessel_seed(root_seed: int, vessel_id: str) -> int:
     return (root_seed ^ int.from_bytes(digest[:8], "big")) & (2**64 - 1)
 
 
-def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelBundle, list[float]]]:
-    """Train series of one training length in lockstep; returns each
-    vessel's bundle and per-epoch loss history, in stack order. A
-    non-finite prediction, in training or in the first rollout step from
+def _train_stack(stack: list[RegularTrack], cfg: RunConfig, workspace: Workspace) -> tuple[Fleet, list[list[float]]]:
+    """Train series of one training length in lockstep, into `workspace`;
+    returns their fleet, in stack order, and each epoch's per-vessel loss.
+    A non-finite prediction, in training or in the first rollout step from
     the last training window, is a NonFiniteActivation naming its vessel."""
     m = cfg.window
     train_len = len(stack[0]) - cfg.test_len
@@ -121,7 +140,6 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
     targets = np.stack([w.targets for w in windows])
     del windows  # training reads only the stacked copies
     opt = AdamState.for_network(net, cfg.lr)
-    workspace = Workspace()  # every batch of every epoch writes into it
     try:
         # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
         # that turns non-finite is caught and named below
@@ -129,19 +147,16 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig) -> list[tuple[ModelB
             epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt, workspace) for _ in range(cfg.epochs)]
     except NonFiniteActivation as exc:
         raise NonFiniteActivation(f"vessel {stack[exc.row].vessel_id}: {exc}", exc.row) from None
-    bundles = [
-        ModelBundle(
-            vessel_id=s.vessel_id,
-            network=unstack_network(net, z),
-            scaler=scalers[z],
-            period=s.period,
-            last_training_window=x[train_len - m :].copy(),
-            train_end_time=s.time_of(train_len - 1),
-        )
-        for z, (s, x) in enumerate(zip(stack, scaled))
-    ]
-    rollout_positions(bundles, 1)  # the first step `associate` takes: a model that cannot make it is not saved
-    return [(b, [losses[z] for losses in epochs]) for z, b in enumerate(bundles)]
+    fleet = Fleet(
+        vessel_ids=[s.vessel_id for s in stack],
+        network=net,
+        scaler=ScalerParams(min=np.stack([p.min for p in scalers]), max=np.stack([p.max for p in scalers])),
+        period=np.array([s.period for s in stack], dtype=np.float64),
+        train_end_time=np.array([s.time_of(train_len - 1) for s in stack], dtype=np.float64),
+        last_training_window=np.stack([x[train_len - m :] for x in scaled]),
+    )
+    rollout_positions(fleet, 1)  # the first step `associate` takes: a model that cannot make it is not saved
+    return fleet, epochs
 
 
 def _trainable_tracks(tracks: list[RegularTrack], cfg: RunConfig) -> list[RegularTrack]:
@@ -166,25 +181,24 @@ def _trainable_tracks(tracks: list[RegularTrack], cfg: RunConfig) -> list[Regula
     return kept
 
 
-def train_fleet(
-    tracks: list[RegularTrack], cfg: RunConfig
-) -> tuple[list[ModelBundle], dict[str, list[float]]]:
+def train_fleet(tracks: list[RegularTrack], cfg: RunConfig) -> tuple[Fleet, dict[str, list[float]]]:
     """Train one model per track on its training prefix (all but the last
     `cfg.test_len` samples), in lockstep stacks of equal training length;
-    results ordered by vessel_id. A track too short for one training window
-    is a TrackTooShort error, or left out if `cfg.lenient`, and so is a
-    fleet with no track left to train."""
+    returns the fleet and each vessel's per-epoch loss. A track too short
+    for one training window is a TrackTooShort error, or left out if
+    `cfg.lenient`, and so is a fleet with no track left to train."""
     by_length: dict[int, list[RegularTrack]] = {}
     for series in _trainable_tracks(tracks, cfg):
         by_length.setdefault(len(series) - cfg.test_len, []).append(series)
     per_stack = max(1, STACK_WINDOWS // cfg.batch)
-    trained = {}
+    stacks, histories = [], {}
     for group in by_length.values():
+        workspace = Workspace()  # one per length: its stacks share batch shapes, other lengths' tails would pile up
         for start in range(0, len(group), per_stack):
-            for bundle, history in _train_stack(group[start : start + per_stack], cfg):
-                trained[bundle.vessel_id] = bundle, history
-    vids = sorted(trained)
-    return [trained[v][0] for v in vids], {v: trained[v][1] for v in vids}
+            stack, epochs = _train_stack(group[start : start + per_stack], cfg, workspace)
+            stacks.append(stack)
+            histories.update({vid: [losses[z] for losses in epochs] for z, vid in enumerate(stack.vessel_ids)})
+    return join_fleets(stacks), dict(sorted(histories.items()))
 
 
 # --- persistence ---------------------------------------------------------
@@ -216,7 +230,7 @@ def _finite(a: np.ndarray, key: str) -> np.ndarray:
     return a
 
 
-def _network_to_dict(net: LstmNetwork) -> dict:
+def _network_to_dict(net: LstmNetwork, z: int) -> dict:
     return {
         "k": net.input_dim,
         "hidden": net.hidden,
@@ -224,9 +238,9 @@ def _network_to_dict(net: LstmNetwork) -> dict:
         "out_dim": net.out_dim,
         "dropout_rate": net.dropout_rate,
         "residual": True,
-        "layers": [{"W": _encode(l.W), "U": _encode(l.U), "b": _encode(l.b)} for l in net.layers],
-        "dense_W": _encode(net.dense_W),
-        "dense_b": _encode(net.dense_b),
+        "layers": [{"W": _encode(l.W[z]), "U": _encode(l.U[z]), "b": _encode(l.b[z])} for l in net.layers],
+        "dense_W": _encode(net.dense_W[z]),
+        "dense_b": _encode(net.dense_b[z]),
     }
 
 
@@ -251,11 +265,12 @@ def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
 
 
 def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """A float64 array of `shape` from nested lists of finite JSON numbers."""
+    """A float64 array of one vessel's slice of `shape`, (1, *shape), from
+    nested lists of finite JSON numbers."""
     a = np.array(value, dtype=np.float64)
     if a.shape != shape:
         raise BadModel(f"{key} has shape {a.shape}, expected {shape}")
-    return _finite(a, key)
+    return _finite(a, key)[None]
 
 
 # |LAT| and |LON| bounds of `ingest.AisMessage.validate`, then SPEED's and COURSE's
@@ -263,7 +278,7 @@ SCALER_BOUNDS = np.array([90.0, 180.0, np.inf, np.inf])
 
 
 def _scaler(d: dict) -> ScalerParams:
-    """A model document's scaler; BadModel unless each feature's
+    """A model document's scaler, of (1, 4) arrays; BadModel unless each feature's
     -bound <= min <= max <= bound. A range no AIS rows could give, such as a
     LAT span of 1e308, would overflow when predictions are unscaled."""
     lo = _numbers(d["min"], (INPUT_DIM,), "scaler.min")
@@ -272,7 +287,7 @@ def _scaler(d: dict) -> ScalerParams:
     if len(bad):
         i = bad[0]  # HEADER ends with the INPUT_DIM features, LAT first
         raise BadModel(
-            f"scaler {HEADER[3 + i]} range [{lo[i].item()}, {hi[i].item()}] is not one AIS rows can give"
+            f"scaler {HEADER[3 + i]} range [{lo.flat[i].item()}, {hi.flat[i].item()}] is not one AIS rows can give"
             " (min <= max; LAT within [-90, 90], LON within [-180, 180])"
         )
     return ScalerParams(min=lo, max=hi)
@@ -292,24 +307,25 @@ def _network_from_dict(d: dict) -> LstmNetwork:
     return network_from_arrays(arrays, d["dropout_rate"])
 
 
-def bundle_to_json(bundle: ModelBundle) -> str:
+def model_to_json(fleet: Fleet, z: int) -> str:
+    """The model file of the fleet's vessel z."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "vessel_id": bundle.vessel_id,
-        "window_size": bundle.window_size,
-        "period": bundle.period,
-        "train_end_time": bundle.train_end_time,
-        "scaler": {"min": bundle.scaler.min.tolist(), "max": bundle.scaler.max.tolist()},
-        "last_training_window": bundle.last_training_window.tolist(),
-        "network": _network_to_dict(bundle.network),
+        "vessel_id": fleet.vessel_ids[z],
+        "window_size": fleet.last_training_window.shape[1],
+        "period": fleet.period[z].item(),
+        "train_end_time": fleet.train_end_time[z].item(),
+        "scaler": {"min": fleet.scaler.min[z].tolist(), "max": fleet.scaler.max[z].tolist()},
+        "last_training_window": fleet.last_training_window[z].tolist(),
+        "network": _network_to_dict(fleet.network, z),
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def bundle_from_json(text: str) -> ModelBundle:
-    """Raises VersionMismatch for another format version and BadModel for a
-    document that is not a model of this one, or whose vessel_id
-    `ingest.vessel_id_fault` rejects."""
+def model_from_json(text: str) -> Fleet:
+    """The one-vessel fleet of a model file. Raises VersionMismatch for
+    another format version and BadModel for a document that is not a model
+    of this one, or whose vessel_id `ingest.vessel_id_fault` rejects."""
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -323,15 +339,15 @@ def bundle_from_json(text: str) -> ModelBundle:
         fault = vessel_id_fault(doc["vessel_id"])
         if fault:
             raise BadModel(f"vessel_id: {fault}")
-        return ModelBundle(
-            vessel_id=doc["vessel_id"],
+        return Fleet(
+            vessel_ids=[doc["vessel_id"]],
             network=_network_from_dict(doc["network"]),
             scaler=_scaler(doc["scaler"]),
-            period=doc["period"],
+            period=np.array([doc["period"]], dtype=np.float64),
+            train_end_time=np.array([doc["train_end_time"]], dtype=np.float64),
             last_training_window=_numbers(
                 doc["last_training_window"], (doc["window_size"], INPUT_DIM), "last_training_window"
             ),
-            train_end_time=doc["train_end_time"],
         )
     # a key missing, a container of the wrong kind, or an int no float can hold
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -342,22 +358,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def save_fleet(
-    bundles: list[ModelBundle],
-    directory: str | Path,
-    cfg: RunConfig,
-    histories: dict[str, list[float]],
-) -> Path:
+def save_fleet(fleet: Fleet, directory: str | Path, cfg: RunConfig, histories: dict[str, list[float]]) -> Path:
     """Write model_<vid>.json per vessel, a checksummed manifest.json that
     echoes `cfg`, and train_report.json holding `histories`. Returns the
     manifest path."""
     directory = output_dir(directory)
     entries = []
-    for bundle in sorted(bundles, key=lambda b: b.vessel_id):
-        name = f"model_{bundle.vessel_id}.json"
-        data = bundle_to_json(bundle).encode()
+    for z, vessel_id in enumerate(fleet.vessel_ids):
+        name = f"model_{vessel_id}.json"
+        data = model_to_json(fleet, z).encode()
         write_output(directory / name, data)
-        entries.append({"file": name, "vessel_id": bundle.vessel_id, "sha256": _sha256(data)})
+        entries.append({"file": name, "vessel_id": vessel_id, "sha256": _sha256(data)})
     manifest = {"format_version": MODEL_FORMAT_VERSION, "meta": config_meta(cfg), "models": entries}
     path = directory / "manifest.json"
     write_output(path, json.dumps(manifest, sort_keys=True, indent=1))
@@ -365,11 +376,11 @@ def save_fleet(
     return path
 
 
-def load_fleet(directory: str | Path) -> list[ModelBundle]:
-    """Read a model directory back, verifying checksums. The manifest must
-    list at least one model, each by a bare file name in the directory under
-    the vessel id its file holds, each vessel once, and all of one hidden
-    size and one window."""
+def load_fleet(directory: str | Path) -> Fleet:
+    """Read a model directory back as one fleet, verifying checksums. The
+    manifest must list at least one model, each by a bare file name in the
+    directory under the vessel id its file holds, each vessel once, and all
+    of one hidden size and one window."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
@@ -384,7 +395,7 @@ def load_fleet(directory: str | Path) -> list[ModelBundle]:
         raise VersionMismatch(f"manifest format {version}, expected {MODEL_FORMAT_VERSION}")
     if not files:
         raise BadManifest(f"{manifest_path} lists no models")
-    bundles = []
+    vessels = []
     for name, sha256, vessel_id in files:
         if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
             raise BadManifest(f"{manifest_path}: model file {name!r} is not a file name in {directory}")
@@ -395,17 +406,17 @@ def load_fleet(directory: str | Path) -> list[ModelBundle]:
         if _sha256(data) != sha256:
             raise ChecksumMismatch(f"{path} checksum does not match manifest")
         try:
-            bundles.append(bundle_from_json(data.decode()))
+            vessels.append(model_from_json(data.decode()))
         except (BadModel, UnicodeDecodeError) as exc:
             raise BadModel(f"{path}: {exc}") from exc
-        held = bundles[-1].vessel_id
+        (held,) = vessels[-1].vessel_ids
         if held != vessel_id:
             raise BadManifest(f"{manifest_path} lists {name} as vessel {vessel_id!r}, but it holds vessel {held!r}")
-    vids = sorted(b.vessel_id for b in bundles)
-    repeated = [a for a, b in zip(vids, vids[1:]) if a == b]
-    if repeated:
-        raise BadManifest(f"{manifest_path} lists vessel {repeated[0]} more than once")
-    sizes = sorted({(b.network.hidden, b.window_size) for b in bundles})
+    sizes = sorted({(v.network.hidden, v.last_training_window.shape[1]) for v in vessels})
     if len(sizes) > 1:
         raise BadManifest(f"{manifest_path} mixes (hidden size, window) {sizes[0]} and {sizes[1]}: a fleet has one")
-    return bundles
+    fleet = join_fleets(vessels)
+    repeated = [a for a, b in zip(fleet.vessel_ids, fleet.vessel_ids[1:]) if a == b]
+    if repeated:
+        raise BadManifest(f"{manifest_path} lists vessel {repeated[0]} more than once")
+    return fleet

@@ -23,11 +23,11 @@ on every parameter; `init_network` gives one vessel's (Z = 1), and
 `stack_networks` joins networks along that axis. `param_shapes(hidden)`
 gives one vessel's slice of each parameter in `param_arrays()` order, and
 `network_from_arrays` builds a network from arrays in that order;
-`init_network`, `stack_networks`, `unstack_network` and the model file
+`init_network`, `stack_networks`, `fleet.join_fleets` and the model file
 reader (`fleet`) all go through them, so only the hidden size varies between
-networks. A fleet is one stack: `fleet.load_fleet` rejects a model directory
-that mixes hidden sizes or windows, or lists a vessel twice. All math is
-float64 so the finite-difference gradient check is tight.
+networks. A fleet is one stack (`fleet.Fleet`): `fleet.load_fleet` rejects
+a model directory that mixes hidden sizes or windows, or lists a vessel
+twice. All math is float64 so the finite-difference gradient check is tight.
 
 `forward_batch`, `backward`, `AdamState.step` and `train_epoch` run the Z
 models on (Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`,
@@ -68,9 +68,9 @@ products differently, and it too agrees to a relative 1e-12.
 The arrays `forward_batch` and `backward` write, the caches, dropout
 masks, weight copies and backward scratch, come from a `Workspace`, which
 hands back the array it gave last time for the same name and shape.
-Training keeps one per stack for all its batches and epochs (`train_epoch`
-takes it), so a step after the first of each batch shape allocates nothing
-large; the results are written with `out=` into the layouts a fresh array
+Training keeps one per training length for all its stacks, batches and
+epochs (`train_epoch` takes it), so a step after the first of each batch
+shape allocates nothing large; the results are written with `out=` into the layouts a fresh array
 would have, so every product and elementwise operation sees the same data
 and the bits do not change. The gradients `backward` returns are new
 arrays; a prediction and cache are valid until the next `forward_batch` on
@@ -199,11 +199,6 @@ def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
     return network_from_arrays([np.concatenate(p) for p in params], nets[0].dropout_rate)
 
 
-def unstack_network(stacked: LstmNetwork, z: int) -> LstmNetwork:
-    """A copy of vessel z's one-vessel network."""
-    return network_from_arrays([a[z : z + 1].copy() for a in stacked.param_arrays()], stacked.dropout_rate)
-
-
 @dataclass
 class LayerCache:
     """One layer's forward pass, time-major: index t is timestep t, and each
@@ -229,10 +224,10 @@ class Workspace:
     returns the array it last gave for that name and shape, holding whatever
     was last written to it, or makes one; another shape, such as an epoch's
     last, shorter batch, gets its own arrays under the same names. Training
-    keeps one per stack for all its batches and epochs, so that after the
-    first batch of each shape a step allocates nothing large: at batch 128,
-    arrays allocated and freed every batch are handed back to the kernel by
-    the C library and faulted in again on the next."""
+    keeps one per training length for all its stacks, batches and epochs,
+    so that after the first batch of each shape a step allocates nothing
+    large: at batch 128, arrays allocated and freed every batch are handed
+    back to the kernel by the C library and faulted in again on the next."""
 
     def __init__(self) -> None:
         self._arrays: dict[tuple, np.ndarray] = {}

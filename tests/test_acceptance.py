@@ -193,7 +193,7 @@ def test_overlap_stress(report, tracked):
     tracks = group_tracks(parse_csv(csv_text))
     series = [resample(t, 5.0) for t in tracks]
     cfg = RunConfig(window=10, test_len=108, hidden=32, lr=1e-4, batch=10, epochs=30, seed=43)
-    bundles, _ = train_fleet(series, cfg)
+    fleet, _ = train_fleet(series, cfg)
     # held-out observations: test suffix of each resampled series
     observations = []
     oid = 1
@@ -208,7 +208,7 @@ def test_overlap_stress(report, tracked):
             obs_truth[oid] = s.vessel_id
             oid += 1
     observations.sort(key=lambda m: (m.t, m.object_id))
-    decisions = associate_batch(observations, bundles)
+    decisions = associate_batch(observations, fleet)
     cm = confusion(list(zip(decisions.object_ids, decisions.assigned)), obs_truth)
     per_vessel = metrics(cm)
     # identify the crossing pair by matching first observed positions to motion starts

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import warnings
@@ -24,7 +25,7 @@ from aistrack.associate import (
 from aistrack.cli import main
 from aistrack.config import RunConfig
 from aistrack.errors import BadManifest, NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
-from aistrack.fleet import ModelBundle, load_fleet, save_fleet
+from aistrack.fleet import Fleet, join_fleets, load_fleet, save_fleet
 from aistrack.ingest import AisMessage, serialize_csv
 from aistrack.lstm import init_network
 from aistrack.preprocess import ScalerParams, unscale
@@ -36,9 +37,9 @@ geo = st.builds(
 )
 
 
-def haversine(p, q, r=EARTH_RADIUS_KM):
+def haversine(p, q):
     """The package's array haversine on one pair of points."""
-    return assoc_module.haversine(p.lat, p.lon, q.lat, q.lon, r)
+    return assoc_module.haversine(p.lat, p.lon, q.lat, q.lon)
 
 
 class TestHaversine:
@@ -68,10 +69,6 @@ class TestHaversine:
     def test_triangle_inequality(self, p, q, r):
         assert haversine(p, r) <= haversine(p, q) + haversine(q, r) + 1e-9
 
-    def test_radius_scales_linearly(self):
-        p, q = GeoPoint(10, 20), GeoPoint(30, 40)
-        assert haversine(p, q, 2 * EARTH_RADIUS_KM) == pytest.approx(2 * haversine(p, q), rel=1e-12)
-
     def test_array_within_bound_of_scalar_oracle(self):
         rng = np.random.default_rng(17)
         lat1, lat2 = rng.uniform(-90, 90, (2, 20000))
@@ -80,13 +77,13 @@ class TestHaversine:
         # the squares and the arcsine matters most
         lat2[:5000], lon2[:5000] = lat1[:5000] + rng.normal(0, 1e-6, 5000), lon1[:5000]
         lat2[5000:10000], lon2[5000:10000] = -lat1[5000:10000], lon1[5000:10000] + 180.0
-        got = assoc_module.haversine(lat1, lon1, lat2, lon2, 1234.5)
+        got = assoc_module.haversine(lat1, lon1, lat2, lon2)
         want = np.array([
-            _geodesic.haversine(GeoPoint(*p), GeoPoint(*q), 1234.5)
+            _geodesic.haversine(GeoPoint(*p), GeoPoint(*q))
             for p, q in zip(zip(lat1.tolist(), lon1.tolist()), zip(lat2.tolist(), lon2.tolist()))
         ])
         assert got.shape == (20000,)
-        np.testing.assert_allclose(got, want, rtol=_geodesic.RTOL, atol=_geodesic.atol(1234.5))
+        np.testing.assert_allclose(got, want, rtol=_geodesic.RTOL, atol=_geodesic.atol())
         # away from the antipode the relative part alone holds
         for part in (slice(0, 5000), slice(10000, None)):
             np.testing.assert_allclose(got[part], want[part], rtol=_geodesic.RTOL, atol=0)
@@ -127,127 +124,150 @@ class TestAssociate:
             associate(_obs(1, 0, 0), {})
 
 
-def _bundle(
+def _vessel(
     vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0, hidden=8, window=10
 ):
+    """A one-vessel fleet."""
     net = init_network(hidden=hidden, dropout_rate=0.0, rng=np.random.default_rng(seed))
     scaler = ScalerParams(
-        min=np.array([lat_range[0], lon_range[0], 0.0, 0.0]),
-        max=np.array([lat_range[1], lon_range[1], 10.0, 3600.0]),
+        min=np.array([[lat_range[0], lon_range[0], 0.0, 0.0]]),
+        max=np.array([[lat_range[1], lon_range[1], 10.0, 3600.0]]),
     )
-    last_window = np.random.default_rng(seed + 100).random((window, 4))
-    return ModelBundle(
-        vessel_id=vid,
+    last_window = np.random.default_rng(seed + 100).random((1, window, 4))
+    return Fleet(
+        vessel_ids=[vid],
         network=net,
         scaler=scaler,
-        period=period,
+        period=np.array([period]),
+        train_end_time=np.array([train_end], dtype=np.float64),
         last_training_window=last_window,
-        train_end_time=train_end,
     )
+
+
+def _save_vessels(vessels, directory):
+    """Save one-vessel fleets, which need not make one stack, as one model
+    directory."""
+    entries = []
+    for v in vessels:
+        manifest = json.loads(save_fleet(v, directory, RunConfig(), {}).read_text())
+        entries += manifest["models"]
+    manifest["models"] = entries
+    (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestPredictPositions:
     def test_single_step_equals_forward_unscaled(self):
-        b = _bundle("v1")
-        preds = predict_positions([b], target_time=1005)
-        raw, _ = forward(b.network, b.last_training_window)
-        lat, lon = unscale(raw, b.scaler)
+        b = _vessel("v1")
+        preds = predict_positions(b, target_time=1005)
+        raw, _ = forward(b.network, b.last_training_window[0])
+        lat, lon = unscale(raw, b.scaler)[0]
         assert GeoPoint(*preds["v1"]).lat == pytest.approx(lat, rel=1e-12)
         assert GeoPoint(*preds["v1"]).lon == pytest.approx(lon, rel=1e-12)
 
     def test_zero_network_unscales_to_min(self):
-        b = _bundle("v1", lat_range=(30.0, 40.0))
+        b = _vessel("v1", lat_range=(30.0, 40.0))
         for a in b.network.param_arrays():
             a[:] = 0.0
-        preds = predict_positions([b], target_time=1005)
+        preds = predict_positions(b, target_time=1005)
         assert GeoPoint(*preds["v1"]).lat == 30.0
         assert GeoPoint(*preds["v1"]).lon == 20.0
 
     def test_multi_step_matches_predict_sequence(self):
-        b = _bundle("v1")
-        preds = predict_positions([b], target_time=1020)  # 4 periods later
-        roll = predict_sequence(b.network, b.last_training_window[None], 4)[:, 0]
-        lat, lon = unscale(roll[-1], b.scaler)
+        b = _vessel("v1")
+        preds = predict_positions(b, target_time=1020)  # 4 periods later
+        roll = predict_sequence(b.network, b.last_training_window, 4)
+        lat, lon = unscale(roll[-1], b.scaler)[0]
         assert GeoPoint(*preds["v1"]).lat == pytest.approx(lat, rel=1e-12)
         assert GeoPoint(*preds["v1"]).lon == pytest.approx(lon, rel=1e-12)
 
     def test_every_horizon_matches_predict_sequence(self):
-        b = _bundle("v1")
-        roll = predict_sequence(b.network, b.last_training_window[None], 6)[:, 0]
+        b = _vessel("v1")
+        roll = predict_sequence(b.network, b.last_training_window, 6)
         for steps in (3, 1, 6, 2, 2, 5):  # decreasing targets must not return a stale rollout
-            preds = predict_positions([b], target_time=1000 + 5 * steps)
-            np.testing.assert_allclose(preds["v1"], unscale(roll[steps - 1], b.scaler), rtol=1e-12, atol=0)
+            preds = predict_positions(b, target_time=1000 + 5 * steps)
+            np.testing.assert_allclose(preds["v1"], unscale(roll[steps - 1], b.scaler)[0], rtol=1e-12, atol=0)
 
     def test_time_before_training_rejected(self):
         with pytest.raises(TimeBeforeTraining):
-            predict_positions([_bundle("v1")], target_time=1000)
+            predict_positions(_vessel("v1"), target_time=1000)
 
 
 class TestAssociateBatch:
     def test_empty_observations(self):
-        d = associate_batch([], [_bundle("v1")])
+        d = associate_batch([], _vessel("v1"))
         assert len(d) == 0 and d.assigned == [] and d.distances_km.shape == (0, 1)
         assert decisions_to_csv(d) == "OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM,DIST_v1\n"
 
     def test_single_observation_composition(self):
-        b = _bundle("v1")
+        b = _vessel("v1")
         obs = _obs(1, 35.0, 25.0, t=1005)
-        d = associate_batch([obs], [b])
+        d = associate_batch([obs], b)
         assert len(d) == 1
-        preds = predict_positions([b], target_time=1005)
+        preds = predict_positions(b, target_time=1005)
         expected = associate(obs, preds)
         assert d.assigned == expected.assigned
         assert d.winning_distance_km == expected.winning_distance_km
 
     def test_shuffled_observations_keep_each_row(self):
-        bundles = TestStackedRollout.BUNDLES
+        fleet = TestStackedRollout.FLEET
         obs = _mixed_observations(20)
         shuffled = [obs[i] for i in np.random.default_rng(3).permutation(len(obs))]
-        d, s = associate_batch(obs, bundles), associate_batch(shuffled, bundles)
+        d, s = associate_batch(obs, fleet), associate_batch(shuffled, fleet)
         rows = {oid: (a, w, list(ds)) for oid, a, w, ds in zip(s.object_ids, s.assigned, s.winning_distance_km,
                                                                  s.distances_km)}
         for oid, a, w, ds in zip(d.object_ids, d.assigned, d.winning_distance_km, d.distances_km):
             assert rows[oid] == (a, w, list(ds))
 
     def test_observations_at_predictions_assign_perfectly(self):
-        bundles = [
-            _bundle("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21)),
-            _bundle("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9)),
-        ]
-        preds = predict_positions(bundles, target_time=1005)
+        fleet = join_fleets([
+            _vessel("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21)),
+            _vessel("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9)),
+        ])
+        preds = predict_positions(fleet, target_time=1005)
         obs = [
             _obs(i + 1, *preds[vid], t=1005)
             for i, vid in enumerate(sorted(preds))
         ]
-        decisions = associate_batch(obs, bundles)
+        decisions = associate_batch(obs, fleet)
         assert decisions.assigned == sorted(preds)
 
     def test_exact_tie_goes_to_smallest_id(self):
         # two copies of one model predict the same position for every step
-        twins = [_bundle("bbb", seed=1), _bundle("aaa", seed=1), _bundle("ccc", seed=3)]
+        twins = [_vessel("bbb", seed=1), _vessel("aaa", seed=1), _vessel("ccc", seed=3)]
         obs = [_obs(i + 1, 30.0 + i, 25.0, t=1005 + 5 * i) for i in range(4)]
-        d = associate_batch(obs, twins)
+        d = associate_batch(obs, join_fleets(twins))
         assert d.vessel_ids == ["aaa", "bbb", "ccc"]
         assert np.array_equal(d.distances_km[:, 0], d.distances_km[:, 1])
         assert [a for a in d.assigned if a != "ccc"] and "bbb" not in d.assigned
 
     def test_tau_gives_new_above_it_only(self):
-        bundles = TestStackedRollout.BUNDLES
+        fleet = TestStackedRollout.FLEET
         obs = _mixed_observations(20)
-        free = associate_batch(obs, bundles)
+        free = associate_batch(obs, fleet)
         tau = float(np.median(free.winning_distance_km))
-        capped = associate_batch(obs, bundles, tau=tau)
+        capped = associate_batch(obs, fleet, tau=tau)
         assert np.array_equal(capped.distances_km, free.distances_km)
         assert np.array_equal(capped.winning_distance_km, free.winning_distance_km)
         expected = [NEW_TRACK if w > tau else a for a, w in zip(free.assigned, free.winning_distance_km)]
         assert capped.assigned == expected
         assert 0 < expected.count(NEW_TRACK) < len(obs)
 
-    def test_bundle_order_does_not_change_csv(self):
-        bundles = TestStackedRollout.BUNDLES
+    @pytest.mark.parametrize("order", [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3]], ids=["reversed", "shuffled"])
+    def test_join_order_does_not_change_fleet_or_csv(self, order):
+        vessels = TestStackedRollout.VESSELS
+        joined = join_fleets([vessels[i] for i in order])
+        fleet = TestStackedRollout.FLEET
+        assert joined.vessel_ids == fleet.vessel_ids == sorted(joined.vessel_ids)
+        for a, b in zip(
+            [*joined.network.param_arrays(), joined.scaler.min, joined.scaler.max, joined.period,
+             joined.train_end_time, joined.last_training_window],
+            [*fleet.network.param_arrays(), fleet.scaler.min, fleet.scaler.max, fleet.period,
+             fleet.train_end_time, fleet.last_training_window],
+            strict=True,
+        ):
+            assert a.shape == b.shape and np.array_equal(a, b)
         obs = _mixed_observations(20)
-        forward_csv = decisions_to_csv(associate_batch(obs, bundles))
-        assert decisions_to_csv(associate_batch(obs, bundles[::-1])) == forward_csv
+        assert decisions_to_csv(associate_batch(obs, joined)) == decisions_to_csv(associate_batch(obs, fleet))
 
 
 def _mixed_observations(n, seed=9):
@@ -259,48 +279,50 @@ def _mixed_observations(n, seed=9):
     ]
 
 
-def _oracle(observations, bundles):
-    """Each vessel rolled out on its own, afresh for every observation: the
-    predicted GeoPoint per vessel_id for each observation. A stacked rollout
-    computes each vessel's slice as its own rollout does, bit for bit."""
+def _oracle(observations, vessels):
+    """Each one-vessel fleet rolled out on its own, afresh for every
+    observation: the predicted GeoPoint per vessel_id for each observation.
+    A stacked rollout computes each vessel's slice as its own rollout does,
+    bit for bit."""
     predictions = []
     for obs in observations:
         row = {}
-        for b in bundles:
-            steps = max(1, round((obs.t - b.train_end_time) / b.period))
-            lat, lon = unscale(rollout(b.network, b.last_training_window[None], steps)[-1, 0], b.scaler)
-            row[b.vessel_id] = GeoPoint(lat=float(lat), lon=float(lon))
+        for v in vessels:
+            steps = max(1, round((obs.t - v.train_end_time[0]) / v.period[0]))
+            lat, lon = unscale(rollout(v.network, v.last_training_window, steps)[-1], v.scaler)[0]
+            row[v.vessel_ids[0]] = GeoPoint(lat=float(lat), lon=float(lon))
         predictions.append(row)
     return predictions
 
 
 class TestStackedRollout:
-    BUNDLES = [
-        _bundle("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21), train_end=1000, period=5.0),
-        _bundle("bbb", seed=2, lat_range=(30.2, 31.2), lon_range=(20.1, 21.1), train_end=1013, period=7.0),
-        _bundle("ccc", seed=3, lat_range=(29.9, 30.9), lon_range=(19.8, 20.8), train_end=990, period=3.0),
-        _bundle("ddd", seed=4, lat_range=(30.1, 31.1), lon_range=(20.2, 21.2)),
-        _bundle("eee", seed=5, lat_range=(30.0, 30.8), lon_range=(20.0, 20.9)),
+    VESSELS = [
+        _vessel("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21), train_end=1000, period=5.0),
+        _vessel("bbb", seed=2, lat_range=(30.2, 31.2), lon_range=(20.1, 21.1), train_end=1013, period=7.0),
+        _vessel("ccc", seed=3, lat_range=(29.9, 30.9), lon_range=(19.8, 20.8), train_end=990, period=3.0),
+        _vessel("ddd", seed=4, lat_range=(30.1, 31.1), lon_range=(20.2, 21.2)),
+        _vessel("eee", seed=5, lat_range=(30.0, 30.8), lon_range=(20.0, 20.9)),
     ]
+    FLEET = join_fleets(VESSELS)
 
     def test_matches_per_vessel_oracle(self, monkeypatch):
         gathered = []
         decide = assoc_module._decide
         monkeypatch.setattr(assoc_module, "_decide", lambda *a: gathered.append(a[1]) or decide(*a))
         obs = _mixed_observations(40)
-        decisions = associate_batch(obs, self.BUNDLES)
-        assert decisions.vessel_ids == sorted(b.vessel_id for b in self.BUNDLES)
-        oracle = _oracle(obs, self.BUNDLES)
+        decisions = associate_batch(obs, self.FLEET)
+        assert decisions.vessel_ids == sorted(v.vessel_ids[0] for v in self.VESSELS)
+        oracle = _oracle(obs, self.VESSELS)
         assert gathered[0].tolist() == [[list(row[v]) for v in decisions.vessel_ids] for row in oracle]
 
     def test_decisions_match_scalar_haversine(self):
         obs = _mixed_observations(40)
-        decisions = associate_batch(obs, self.BUNDLES)
+        decisions = associate_batch(obs, self.FLEET)
         assert decisions.object_ids == [m.object_id for m in obs]
         vids = decisions.vessel_ids
         want = np.array([
             [_geodesic.haversine(GeoPoint(m.lat, m.lon), row[v]) for v in vids]
-            for m, row in zip(obs, _oracle(obs, self.BUNDLES))
+            for m, row in zip(obs, _oracle(obs, self.VESSELS))
         ])
         np.testing.assert_allclose(decisions.distances_km, want, rtol=_geodesic.RTOL, atol=_geodesic.atol())
         best = [min(range(len(vids)), key=lambda z: (d[z], vids[z])) for d in want.tolist()]
@@ -311,27 +333,25 @@ class TestStackedRollout:
     def test_observation_at_train_end_rejected(self):
         obs = [_obs(1, 30.5, 20.5, t=1020), _obs(2, 30.5, 20.5, t=1013)]
         with pytest.raises(TimeBeforeTraining, match="bbb"):
-            associate_batch(sorted(obs, key=lambda m: m.t), self.BUNDLES)
+            associate_batch(sorted(obs, key=lambda m: m.t), self.FLEET)
 
     def test_observation_at_train_end_is_cli_data_error(self, tmp_path):
-        save_fleet(self.BUNDLES, tmp_path / "models", RunConfig(), {})
+        save_fleet(self.FLEET, tmp_path / "models", RunConfig(), {})
         msg = AisMessage(object_id=1, vessel_id="x", t=1013, lat=30.5, lon=20.5, speed=0, course=0)
         (tmp_path / "obs.csv").write_text(serialize_csv([msg]))
         argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv"]
         assert main([str(a) for a in argv + ["--out", tmp_path / "d.csv"]]) == 2
 
     def test_whole_fleet_rolls_out_as_one_stack(self, monkeypatch):
-        calls = []
-        for name in ("stack_networks", "rollout_start"):
-            fn = getattr(assoc_module, name)
-            monkeypatch.setattr(assoc_module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-        associate_batch(_mixed_observations(10), self.BUNDLES)
-        assert calls == ["stack_networks", "rollout_start"]
+        nets = []
+        start = assoc_module.rollout_start
+        monkeypatch.setattr(assoc_module, "rollout_start", lambda net, window: nets.append(net) or start(net, window))
+        associate_batch(_mixed_observations(10), self.FLEET)
+        assert nets == [self.FLEET.network]
 
     @pytest.mark.parametrize("odd", [{"hidden": 4}, {"window": 6}], ids=["hidden", "window"])
     def test_mixed_fleet_is_cli_data_error(self, tmp_path, capsys, odd):
-        bundles = [*self.BUNDLES[:2], _bundle("fff", seed=6, **odd)]
-        save_fleet(bundles, tmp_path / "models", RunConfig(), {})
+        _save_vessels([*self.VESSELS[:2], _vessel("fff", seed=6, **odd)], tmp_path / "models")
         with pytest.raises(BadManifest, match="mixes \\(hidden size, window\\)"):
             load_fleet(tmp_path / "models")
         (tmp_path / "obs.csv").write_text(serialize_csv([_obs(1, 30.5, 20.5, t=1020)]))
@@ -347,7 +367,7 @@ class TestStackedRollout:
         # each call starts its own rollout: nothing one call advances in
         # place carries over to the next
         obs = _mixed_observations(40)
-        first, second = (associate_batch(obs, self.BUNDLES) for _ in range(2))
+        first, second = (associate_batch(obs, self.FLEET) for _ in range(2))
         assert (first.object_ids, first.assigned, first.vessel_ids) == (
             second.object_ids,
             second.assigned,
@@ -357,36 +377,36 @@ class TestStackedRollout:
         assert np.array_equal(first.winning_distance_km, second.winning_distance_km)
 
     def test_non_finite_prediction_names_vessel_and_step(self):
-        bundles = [_bundle(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))]
-        bundles[1].network.dense_b[0] = np.inf
+        fleet = join_fleets([_vessel(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))])
+        fleet.network.dense_b[1] = np.inf
         with pytest.raises(NonFiniteActivation, match="^vessel bbb: non-finite prediction at rollout step 1$"):
-            associate_batch([_obs(1, 30.5, 20.5, t=1010)], bundles)
+            associate_batch([_obs(1, 30.5, 20.5, t=1010)], fleet)
 
     def test_position_that_overflows_names_vessel_and_step(self):
         # a finite (scaled) prediction of 1e308 unscales past the largest
         # double: the error, not numpy's overflow warning, reports it
-        bundles = [_bundle(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))]
-        bundles[2].network.dense_b[0, 0, 0] = 1e308
+        fleet = join_fleets([_vessel(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))])
+        fleet.network.dense_b[2, 0, 0] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteActivation, match="^vessel ccc: non-finite position at rollout step 1$"):
-                associate_batch([_obs(1, 30.5, 20.5, t=1010)], bundles)
+                associate_batch([_obs(1, 30.5, 20.5, t=1010)], fleet)
 
 
 class TestRolloutBound:
     def test_bound_checked_before_any_rollout(self, monkeypatch):
-        b = _bundle("v1")
+        b = _vessel("v1")
         monkeypatch.setattr(assoc_module, "MAX_ROLLOUT_STEPS", 3)
         rolled = []
         monkeypatch.setattr(assoc_module, "roll_step", lambda net, state: rolled.append(1) or (np.zeros(2), state))
         with pytest.raises(RolloutTooLong, match="v1.*bound is 3"):
-            associate_batch([_obs(1, 30, 20, t=1005), _obs(2, 30, 20, t=1020)], [b])
+            associate_batch([_obs(1, 30, 20, t=1005), _obs(2, 30, 20, t=1020)], b)
         assert rolled == []
-        predict_positions([b], target_time=1015)  # exactly 3 steps is allowed
+        predict_positions(b, target_time=1015)  # exactly 3 steps is allowed
         assert len(rolled) == 3
 
     def test_year_out_observation_is_fast_cli_data_error(self, tmp_path, capsys):
-        save_fleet(TestStackedRollout.BUNDLES, tmp_path / "models", RunConfig(), {})
+        save_fleet(TestStackedRollout.FLEET, tmp_path / "models", RunConfig(), {})
         msg = AisMessage(object_id=1, vessel_id="x", t=1000 + 365 * 86400, lat=30.5, lon=20.5, speed=0, course=0)
         (tmp_path / "obs.csv").write_text(serialize_csv([msg]))
         argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv", "--out", tmp_path / "d.csv"]
@@ -402,9 +422,9 @@ class TestRolloutBound:
 
 
 def test_decisions_csv_round_trip():
-    b1 = _bundle("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21))
-    b2 = _bundle("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9))
-    decisions = associate_batch([_obs(5, 30.5, 20.5, t=1005)], [b2, b1])
+    b1 = _vessel("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21))
+    b2 = _vessel("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9))
+    decisions = associate_batch([_obs(5, 30.5, 20.5, t=1005)], join_fleets([b2, b1]))
     text = decisions_to_csv(decisions)
     assert text.splitlines()[0] == "OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM,DIST_aaa,DIST_bbb"
     assert decisions_from_csv(text) == [(5, "aaa")]

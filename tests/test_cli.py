@@ -10,6 +10,7 @@ import warnings
 from collections import Counter
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -263,11 +264,11 @@ def test_tracks_ending_at_different_times(tmp_path, capsys):
 
 
 
-def _holdout_per_row(series_list, bundles, test_len):
+def _holdout_per_row(series_list, fleet, test_len):
     """`cli._holdout_messages` as it was first written: each held-out
     sample's numpy scalars unpacked one row at a time."""
-    latest_end = max(b.train_end_time for b in bundles)
-    trained = {b.vessel_id for b in bundles}
+    latest_end = max(fleet.train_end_time.tolist())
+    trained = set(fleet.vessel_ids)
     rows, left_out = [], 0
     for s in series_list:
         if s.vessel_id not in trained:
@@ -295,10 +296,12 @@ def test_holdout_messages_equal_per_row_form(ends):
     series_list = [resample(t, cfg.period) for t in tracks]
     test_len = 25
     # the last vessel has no model, so its samples are not held out
-    bundles = [SimpleNamespace(vessel_id=s.vessel_id, train_end_time=s.time_of(len(s) - test_len - 1))
-               for s in series_list[:-1]]
-    holdout, left_out = cli._holdout_messages(series_list, bundles, test_len)
-    expected, expected_left_out = _holdout_per_row(series_list, bundles, test_len)
+    fleet = SimpleNamespace(
+        vessel_ids=[s.vessel_id for s in series_list[:-1]],
+        train_end_time=np.array([s.time_of(len(s) - test_len - 1) for s in series_list[:-1]]),
+    )
+    holdout, left_out = cli._holdout_messages(series_list, fleet, test_len)
+    expected, expected_left_out = _holdout_per_row(series_list, fleet, test_len)
     assert serialize_csv(holdout) == serialize_csv(expected)
     assert left_out == expected_left_out
     assert len(holdout) + left_out == 5 * test_len
@@ -528,14 +531,14 @@ def test_model_that_cannot_make_its_first_prediction_is_not_saved(trained, tmp_p
 
 
 def test_diverged_model_is_one_error_line_at_associate(trained, tmp_path, capsys):
-    bundles = load_fleet(trained / "models")
-    for layer in bundles[1].network.layers:
-        layer.W *= 1e300  # its exp and matmul overflow on the way to a NaN
-    save_fleet(bundles, tmp_path / "models", RunConfig(), {})
+    fleet = load_fleet(trained / "models")
+    for layer in fleet.network.layers:
+        layer.W[1] *= 1e300  # its exp and matmul overflow on the way to a NaN
+    save_fleet(fleet, tmp_path / "models", RunConfig(), {})
     capsys.readouterr()
     argv = ["associate", "--models", tmp_path / "models", "--obs", trained / "models" / "holdout.csv"]
     assert run_without_warnings(argv + ["--out", tmp_path / "d.csv"]) == 2
-    err = f"error: vessel {bundles[1].vessel_id}: non-finite prediction at rollout step 1\n"
+    err = f"error: vessel {fleet.vessel_ids[1]}: non-finite prediction at rollout step 1\n"
     assert capsys.readouterr().err == err
     assert not (tmp_path / "d.csv").exists()
 
@@ -730,6 +733,54 @@ def test_model_file_value_replaced_never_internal_error(trained, data, value):
     if rc == 0:  # every distance a decision was made on is a number
         _, *rows = (line.split(",") for line in out.read_text().splitlines())
         assert all(math.isfinite(float(v)) for row in rows for v in row[2:])
+
+
+def _numeric_leaves(value, path=()):
+    """The key path of every number inside a decoded JSON document, going
+    into each list through its first, second and last items."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = [(i, value[i]) for i in sorted({0, 1, len(value) - 1}) if 0 <= i < len(value)]
+    else:
+        return [path] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+    return [p for key, item in items for p in _numeric_leaves(item, (*path, key))]
+
+
+@pytest.mark.parametrize(
+    "value", [1.7976931348623157e308, -1.7976931348623157e308, 5e-324], ids=["max", "minus_max", "subnormal"]
+)
+def test_every_model_number_at_an_extreme_is_one_error_line_or_finite(trained, tmp_path, capsys, value):
+    # the fuzz above seldom puts an extreme float on one given field: set
+    # each numeric leaf of a model file to it in turn
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    manifest = json.loads((models / "manifest.json").read_text())
+    entry = manifest["models"][0]
+    text = (models / entry["file"]).read_text()
+    leaves = _numeric_leaves(json.loads(text))
+    assert len(leaves) == 24  # 8 scalars, 3 + 3 scaler bounds, 3 x 3 window values
+    faults = []
+    for i, (*parents, key) in enumerate(leaves):
+        doc = json.loads(text)
+        functools.reduce(operator.getitem, parents, doc)[key] = value
+        _resign(models, manifest, entry, doc)
+        out = tmp_path / f"d{i}.csv"
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", out])
+        err = capsys.readouterr().err
+        if rc == 2:
+            ok = err.startswith("error: ") and err.count("\n") == 1 and not caught
+        elif rc == 0:  # every distance a decision was made on is a number
+            _, *rows = (line.split(",") for line in out.read_text().splitlines())
+            ok = all(math.isfinite(float(v)) for row in rows for v in row[2:])
+        else:
+            ok = False
+        if not ok:
+            faults.append(((*parents, key), rc, err, [str(w.message) for w in caught]))
+    assert faults == []
 
 
 # Any JSON value, as deep as a config document needs to be to try each type.

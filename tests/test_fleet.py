@@ -18,9 +18,9 @@ from aistrack.errors import (
     VersionMismatch,
 )
 from aistrack.fleet import (
-    bundle_from_json,
-    bundle_to_json,
     load_fleet,
+    model_from_json,
+    model_to_json,
     save_fleet,
     train_fleet,
     vessel_seed,
@@ -44,8 +44,8 @@ def _series(vid="v", n=60, seed=0):
 
 
 def _train_one(series, cfg):
-    bundles, histories = train_fleet([series], cfg)
-    return bundles[0], histories[series.vessel_id]
+    trained, histories = train_fleet([series], cfg)
+    return trained, histories[series.vessel_id]
 
 
 def _cfg(epochs=2, test_len=10, lenient=False):
@@ -55,8 +55,8 @@ def _cfg(epochs=2, test_len=10, lenient=False):
 class TestTrainFleet:
     def test_one_bundle_per_track(self):
         tracks = [_series(vid=f"v{i}", seed=i) for i in range(5)]
-        bundles, histories = train_fleet(tracks, _cfg())
-        assert len(bundles) == 5
+        trained, histories = train_fleet(tracks, _cfg())
+        assert trained.vessel_ids == [f"v{i}" for i in range(5)] and trained.network.vessels == 5
         assert sorted(histories) == [f"v{i}" for i in range(5)]
 
     def test_empty_fleet(self):
@@ -73,8 +73,8 @@ class TestTrainFleet:
             train_fleet([short], _cfg())
         with pytest.raises(TrackTooShort, match="no track left to train: 1 given"):
             train_fleet([short], _cfg(lenient=True))
-        bundles, _ = train_fleet([short, _series(vid="w")], _cfg(lenient=True))
-        assert [b.vessel_id for b in bundles] == ["w"]
+        trained, _ = train_fleet([short, _series(vid="w")], _cfg(lenient=True))
+        assert trained.vessel_ids == ["w"]
 
     @pytest.mark.parametrize("bad", [{"epochs": 0}, {"batch": 0}, {"lr": -1e-3}, {"window": 0}, {"dropout": 1.0}])
     def test_setting_out_of_range_is_bad_config(self, bad):
@@ -84,12 +84,11 @@ class TestTrainFleet:
 
     def test_determinism_and_order_invariance(self):
         tracks = [_series(vid=f"v{i}", seed=i) for i in range(3)]
-        b1, _ = train_fleet(tracks, _cfg())
-        b2, _ = train_fleet(list(reversed(tracks)), _cfg())
-        for x, y in zip(b1, b2):
-            assert x.vessel_id == y.vessel_id
-            for a, b in zip(x.network.param_arrays(), y.network.param_arrays()):
-                np.testing.assert_array_equal(a, b)
+        f1, _ = train_fleet(tracks, _cfg())
+        f2, _ = train_fleet(list(reversed(tracks)), _cfg())
+        assert f1.vessel_ids == f2.vessel_ids
+        for a, b in zip(f1.network.param_arrays(), f2.network.param_arrays(), strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_no_test_leakage_suffix_poisoning(self):
         series = _series(n=60, seed=3)
@@ -100,16 +99,16 @@ class TestTrainFleet:
             features=series.features.copy(),
         )
         poisoned.features[-10:] = np.nan
-        clean_bundle, _ = _train_one(series, _cfg(test_len=10))
-        dirty_bundle, _ = _train_one(poisoned, _cfg(test_len=10))
-        for a, b in zip(clean_bundle.network.param_arrays(), dirty_bundle.network.param_arrays()):
+        clean, _ = _train_one(series, _cfg(test_len=10))
+        dirty, _ = _train_one(poisoned, _cfg(test_len=10))
+        for a, b in zip(clean.network.param_arrays(), dirty.network.param_arrays()):
             np.testing.assert_array_equal(a, b)
 
     def test_bundle_window_and_end_time(self):
         series = _series(n=60)
-        bundle, _ = _train_one(series, _cfg(test_len=10))
-        assert bundle.last_training_window.shape == (5, 4)
-        assert bundle.train_end_time == series.time_of(49)
+        trained, _ = _train_one(series, _cfg(test_len=10))
+        assert trained.last_training_window.shape == (1, 5, 4)
+        assert trained.train_end_time.tolist() == [series.time_of(49)]
 
 
 def _scaler_set(bound: str, feature: int, value: float):
@@ -143,54 +142,58 @@ def _k_1(doc):
 
 class TestPersistence:
     def test_bundle_json_round_trip_predictions(self):
-        bundle, _ = _train_one(_series(), _cfg())
-        restored = bundle_from_json(bundle_to_json(bundle))
+        trained, _ = _train_one(_series(), _cfg())
+        restored = model_from_json(model_to_json(trained, 0))
         probe = np.random.default_rng(5).random((5, 4))
-        p1, _ = forward(bundle.network, probe)
+        p1, _ = forward(trained.network, probe)
         p2, _ = forward(restored.network, probe)
         np.testing.assert_array_equal(p1, p2)
 
     def test_file_with_older_train_config_block_loads(self):
         # files written before the manifest alone held the training config
-        bundle, _ = _train_one(_series(), _cfg())
-        doc = json.loads(bundle_to_json(bundle))
+        trained, _ = _train_one(_series(), _cfg())
+        doc = json.loads(model_to_json(trained, 0))
         assert "train_config" not in doc
         doc["train_config"] = {"batch_size": 10, "epochs": 2, "learning_rate": 0.0001, "rng_seed": 42}
-        restored = bundle_from_json(json.dumps(doc, sort_keys=True, indent=1))
-        assert bundle_to_json(restored) == bundle_to_json(bundle)
+        restored = model_from_json(json.dumps(doc, sort_keys=True, indent=1))
+        assert model_to_json(restored, 0) == model_to_json(trained, 0)
 
     def test_version_mismatch_rejected(self):
-        bundle, _ = _train_one(_series(), _cfg())
-        doc = json.loads(bundle_to_json(bundle))
+        trained, _ = _train_one(_series(), _cfg())
+        doc = json.loads(model_to_json(trained, 0))
         doc["format_version"] = 99
         with pytest.raises(VersionMismatch):
-            bundle_from_json(json.dumps(doc))
+            model_from_json(json.dumps(doc))
 
     def test_save_load_round_trip(self, tmp_path):
         tracks = [_series(vid=f"v{i}", seed=i) for i in range(2)]
-        bundles, histories = train_fleet(tracks, _cfg())
-        save_fleet(bundles, tmp_path, _cfg(), histories)
+        trained, histories = train_fleet(tracks, _cfg())
+        save_fleet(trained, tmp_path, _cfg(), histories)
         loaded = load_fleet(tmp_path)
-        probe = np.random.default_rng(6).random((5, 4))
-        for orig, back in zip(bundles, loaded, strict=True):
-            p1, _ = forward(orig.network, probe)
-            p2, _ = forward(back.network, probe)
-            np.testing.assert_array_equal(p1, p2)
-            for a, b in zip(orig.network.param_arrays(), back.network.param_arrays(), strict=True):
-                assert a.shape == b.shape and np.array_equal(a, b)
+        assert loaded.vessel_ids == trained.vessel_ids
+        probe = np.random.default_rng(6).random((2, 1, 5, 4))
+        p1, _ = forward_batch(trained.network, probe)
+        p2, _ = forward_batch(loaded.network, probe)
+        np.testing.assert_array_equal(p1, p2)
+        for a, b in zip(trained.network.param_arrays(), loaded.network.param_arrays(), strict=True):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        for key in ("period", "train_end_time", "last_training_window"):
+            assert np.array_equal(getattr(loaded, key), getattr(trained, key))
+        assert np.array_equal(loaded.scaler.min, trained.scaler.min)
+        assert np.array_equal(loaded.scaler.max, trained.scaler.max)
         assert (tmp_path / "train_report.json").exists()
 
     def test_tampered_model_detected(self, tmp_path):
-        bundles, histories = train_fleet([_series()], _cfg())
-        save_fleet(bundles, tmp_path, _cfg(), histories)
+        trained, histories = train_fleet([_series()], _cfg())
+        save_fleet(trained, tmp_path, _cfg(), histories)
         victim = tmp_path / "model_v.json"
         victim.write_text(victim.read_text().replace("0.", "1.", 1))
         with pytest.raises(ChecksumMismatch):
             load_fleet(tmp_path)
 
     def test_missing_model_file_detected(self, tmp_path):
-        bundles, histories = train_fleet([_series()], _cfg())
-        save_fleet(bundles, tmp_path, _cfg(), histories)
+        trained, histories = train_fleet([_series()], _cfg())
+        save_fleet(trained, tmp_path, _cfg(), histories)
         (tmp_path / "model_v.json").unlink()
         with pytest.raises(MissingFile):
             load_fleet(tmp_path)
@@ -211,8 +214,8 @@ class TestPersistence:
 
     @pytest.mark.parametrize("name", ["../m1/model_v.json", "sub/model_v.json", "/tmp/model_v.json", "..", ""])
     def test_model_file_outside_directory_rejected(self, tmp_path, name):
-        bundles, histories = train_fleet([_series()], _cfg())
-        save_fleet(bundles, tmp_path / "m1", _cfg(), histories)
+        trained, histories = train_fleet([_series()], _cfg())
+        save_fleet(trained, tmp_path / "m1", _cfg(), histories)
         manifest = json.loads((tmp_path / "m1" / "manifest.json").read_text())
         manifest["models"][0]["file"] = name
         (tmp_path / "m2").mkdir()
@@ -221,13 +224,16 @@ class TestPersistence:
             load_fleet(tmp_path / "m2")
 
     def test_manifest_with_no_models_rejected(self, tmp_path):
-        save_fleet([], tmp_path, _cfg(), {})
+        trained, histories = train_fleet([_series()], _cfg())
+        manifest = json.loads(save_fleet(trained, tmp_path, _cfg(), histories).read_text())
+        manifest["models"] = []
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(BadManifest, match="lists no models"):
             load_fleet(tmp_path)
 
     def test_vessel_listed_twice_rejected(self, tmp_path):
-        bundles, histories = train_fleet([_series(vid=f"v{i}", seed=i) for i in range(2)], _cfg())
-        save_fleet(bundles, tmp_path, _cfg(), histories)
+        trained, histories = train_fleet([_series(vid=f"v{i}", seed=i) for i in range(2)], _cfg())
+        save_fleet(trained, tmp_path, _cfg(), histories)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["models"].append(manifest["models"][0])
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -235,8 +241,8 @@ class TestPersistence:
             load_fleet(tmp_path)
 
     def test_vessel_id_other_than_model_file_rejected(self, tmp_path):
-        bundles, histories = train_fleet([_series(vid=f"v{i}", seed=i) for i in range(2)], _cfg())
-        save_fleet(bundles, tmp_path, _cfg(), histories)
+        trained, histories = train_fleet([_series(vid=f"v{i}", seed=i) for i in range(2)], _cfg())
+        save_fleet(trained, tmp_path, _cfg(), histories)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["models"][1]["vessel_id"] = "nonsense"
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -252,14 +258,14 @@ class TestPersistence:
         np.testing.assert_array_equal(back[0].view("<u8"), values.astype("<f8").view("<u8"))
 
     def test_format_version_1_rejected(self, tmp_path):
-        bundle, history = _train_one(_series(), _cfg())
-        save_fleet([bundle], tmp_path, _cfg(), {"v": history})
+        trained, history = _train_one(_series(), _cfg())
+        save_fleet(trained, tmp_path, _cfg(), {"v": history})
         for name in ("manifest.json", "model_v.json"):
             doc = json.loads((tmp_path / name).read_text())
             doc["format_version"] = 1
             (tmp_path / name).write_text(json.dumps(doc))
         with pytest.raises(VersionMismatch, match="format 1"):
-            bundle_from_json((tmp_path / "model_v.json").read_text())
+            model_from_json((tmp_path / "model_v.json").read_text())
         with pytest.raises(VersionMismatch, match="format 1"):
             load_fleet(tmp_path)
 
@@ -299,8 +305,8 @@ class TestPersistence:
              "scaler_min_above_max", "out_dim_3", "k_1", "two_layers"],
     )
     def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt, named):
-        bundles, histories = train_fleet([_series()], _cfg())
-        save_fleet(bundles, tmp_path, _cfg(), histories)
+        trained, histories = train_fleet([_series()], _cfg())
+        save_fleet(trained, tmp_path, _cfg(), histories)
         model = tmp_path / "model_v.json"
         doc = json.loads(model.read_text())
         corrupt(doc)
@@ -356,33 +362,33 @@ class TestLockstep:
         stack_sizes = []
         train_stack = fleet._train_stack
 
-        def counting(stack, cfg):
+        def counting(stack, cfg, workspace):
             stack_sizes.append(len(stack))
-            return train_stack(stack, cfg)
+            return train_stack(stack, cfg, workspace)
 
         monkeypatch.setattr(fleet, "_train_stack", counting)
         tracks = [_series(vid, n=n, seed=i) for i, (vid, n) in enumerate(self.TRACKS)]
-        bundles, histories = train_fleet(tracks, self._cfg())
+        trained, histories = train_fleet(tracks, self._cfg())
         assert sorted(stack_sizes) == [1, 2, 2]
-        assert [b.vessel_id for b in bundles] == sorted(vid for vid, _ in self.TRACKS)
+        assert trained.vessel_ids == sorted(vid for vid, _ in self.TRACKS)
         for series in tracks:
             net, history = _reference_training(series, self._cfg())
-            bundle = next(b for b in bundles if b.vessel_id == series.vessel_id)
+            z = trained.vessel_ids.index(series.vessel_id)
             assert histories[series.vessel_id] == history
-            for a, b in zip(bundle.network.param_arrays(), net.param_arrays()):
-                assert a.shape == b.shape and np.array_equal(a, b)
+            for a, b in zip(trained.network.param_arrays(), net.param_arrays()):
+                assert a[z : z + 1].shape == b.shape and np.array_equal(a[z : z + 1], b)
 
     def test_lenient_skip_and_order_invariance_across_groups(self):
         tracks = [_series(vid, n=n, seed=i) for i, (vid, n) in enumerate(self.TRACKS)]
         tracks.append(_series("short", n=12))
         with pytest.raises(TrackTooShort):
             train_fleet(tracks, self._cfg())
-        b1, h1 = train_fleet(tracks, self._cfg(lenient=True))
-        b2, h2 = train_fleet(tracks[::-1], self._cfg(lenient=True))
-        assert [b.vessel_id for b in b1] == [b.vessel_id for b in b2] == ["v0", "v1", "v2", "v3", "v4"]
+        f1, h1 = train_fleet(tracks, self._cfg(lenient=True))
+        f2, h2 = train_fleet(tracks[::-1], self._cfg(lenient=True))
+        assert f1.vessel_ids == f2.vessel_ids == ["v0", "v1", "v2", "v3", "v4"]
         assert h1 == h2
-        for x, y in zip(b1, b2):
-            assert bundle_to_json(x) == bundle_to_json(y)
+        for z in range(5):
+            assert model_to_json(f1, z) == model_to_json(f2, z)
 
 
 def test_vessel_seed_is_stable_and_distinct():

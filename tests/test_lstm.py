@@ -485,14 +485,14 @@ class TestStackNetworks:
         with pytest.raises(ValueError, match="one generator per vessel"):
             forward_batch(stacked, np.zeros((3, 5, 6, 4)), train=True, rngs=[np.random.default_rng(59)])
 
-    def test_unstack_returns_each_network(self):
+    def test_stack_holds_each_network(self):
         nets = [small_net(seed=s) for s in (61, 62)]
         stacked = stack_networks(nets)
+        assert stacked.vessels == 2
         for z, net in enumerate(nets):
-            back = lstm.unstack_network(stacked, z)
-            for a, b in zip(back.param_arrays(), net.param_arrays()):
-                assert a.shape == b.shape and np.array_equal(a, b)
-            assert not np.shares_memory(back.layers[0].W, stacked.layers[0].W)
+            for a, b in zip(stacked.param_arrays(), net.param_arrays(), strict=True):
+                assert a[z : z + 1].shape == b.shape and np.array_equal(a[z : z + 1], b)
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("several", [False, True])
     def test_input_without_vessel_axis_rejected(self, several):
