@@ -88,7 +88,7 @@ def _rollout_steps(fleet, times: list[float]) -> np.ndarray:
     if far.any():
         i, z = np.argwhere(far)[0]
         raise RolloutTooLong(
-            f"observation at {format_timestamp(int(times[i]))} is {steps[i, z]:.0f} rollout steps past"
+            f"observation at {format_timestamp(int(times[i]))} is {steps[i, z]:.6g} rollout steps past"
             f" vessel {fleet.vessel_ids[z]}'s train end; the bound is {MAX_ROLLOUT_STEPS}"
         )
     return np.maximum(1, steps).astype(np.int64)

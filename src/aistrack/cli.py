@@ -15,13 +15,13 @@ header that is not its own, a bad --config file or value, a --data file that
 leaves no track to train, a --period that puts more than
 `preprocess.MAX_GRID_SAMPLES` samples on a track, an input that is missing
 or not UTF-8, a missing or malformed model (its vessel_id held to the rule
-for a VID, and its scaler to min <= max, with the LAT and LON entries in a
-row's ranges), a model whose training or rollout turns non-finite, an
-observation at or before a vessel's train end or more than
-`associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a truth
-object undecided, an --out that cannot be created or written (`train`
-creates its --out before it trains; if training or saving fails, it removes
-each directory it made for --out that is still empty), and an
+for a VID, its scaler to min <= max, with the LAT and LON entries in a row's
+ranges, and its last training window to [0, 1]), a model whose training or
+rollout turns non-finite, an observation at or before a vessel's train end
+or more than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that
+leave a truth object undecided, an --out that cannot be created or written
+(`train` creates its --out before it trains; if training or saving fails, it
+removes each directory it made for --out that is still empty), and an
 `evaluate --out` ending in .txt, which its text report would overwrite.
 """
 

@@ -10,9 +10,10 @@ takes the first step of `associate.rollout_positions`, so a model that
 cannot make it is never saved.
 
 Vessels train in lockstep: those with the same training length (hence the
-same number of windows and batches per epoch) are stacked with
-`lstm.stack_networks`, and each batch is one forward, backward and Adam step
-for the whole stack. Every vessel keeps its own generator for its weights,
+same number of windows and batches per epoch) form a stack, one (Z, n, 4)
+array of training prefixes that is scaled, windowed and initialised as
+(Z, ...) arrays, and each batch is one forward, backward and Adam step for
+the whole stack. Every vessel keeps its own generator for its weights,
 shuffles and dropout masks, drawn in the same order as when it trains
 alone, and the stacked math is the per-vessel math slice by slice, so the
 models are bit for bit the same however the fleet is grouped. A stack holds
@@ -37,7 +38,8 @@ version 2; any other version is rejected. There is one architecture
 (`lstm`): a file's k must equal `lstm.INPUT_DIM`, its n_layers and its
 number of layers `N_LAYERS`, its out_dim `OUT_DIM`, and its "residual" must
 be true, or the file is rejected rather than run as something it is not.
-Its scaler must be a range of AIS rows (`_scaler`). A model directory is
+Its scaler must be a range of AIS rows (`_scaler`), and its last training
+window lie in [0, 1], as scaled training rows do. A model directory is
 one fleet, associated as one stack: one hidden size and one window across
 its models, and each vessel once, or it is rejected.
 """
@@ -77,7 +79,6 @@ from .lstm import (
     init_network,
     network_from_arrays,
     param_shapes,
-    stack_networks,
     train_epoch,
 )
 from .preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
@@ -131,29 +132,30 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig, workspace: Workspace
     the last training window, is a NonFiniteActivation naming its vessel."""
     m = cfg.window
     train_len = len(stack[0]) - cfg.test_len
-    scalers = [fit_scaler(s, train_len) for s in stack]
-    scaled = [scale(s.features[:train_len], p) for s, p in zip(stack, scalers)]
-    windows = [make_windows(x, m, train_len) for x in scaled]
+    prefix = np.stack([s.features[:train_len] for s in stack])  # (Z, train_len, 4)
+    scaler = fit_scaler(prefix)
+    scaled = scale(prefix, scaler)
+    windows = make_windows(scaled, m)
     rngs = [np.random.default_rng(vessel_seed(cfg.seed, s.vessel_id)) for s in stack]
-    net = stack_networks([init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rng=rng) for rng in rngs])
-    inputs = np.stack([w.inputs for w in windows])
-    targets = np.stack([w.targets for w in windows])
-    del windows  # training reads only the stacked copies
+    net = init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rngs=rngs)
     opt = AdamState.for_network(net, cfg.lr)
     try:
         # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
         # that turns non-finite is caught and named below
         with np.errstate(over="ignore", invalid="ignore"):
-            epochs = [train_epoch(net, inputs, targets, cfg.batch, rngs, opt, workspace) for _ in range(cfg.epochs)]
+            epochs = [
+                train_epoch(net, windows.inputs, windows.targets, cfg.batch, rngs, opt, workspace)
+                for _ in range(cfg.epochs)
+            ]
     except NonFiniteActivation as exc:
         raise NonFiniteActivation(f"vessel {stack[exc.row].vessel_id}: {exc}", exc.row) from None
     fleet = Fleet(
         vessel_ids=[s.vessel_id for s in stack],
         network=net,
-        scaler=ScalerParams(min=np.stack([p.min for p in scalers]), max=np.stack([p.max for p in scalers])),
+        scaler=scaler,
         period=np.array([s.period for s in stack], dtype=np.float64),
         train_end_time=np.array([s.time_of(train_len - 1) for s in stack], dtype=np.float64),
-        last_training_window=np.stack([x[train_len - m :] for x in scaled]),
+        last_training_window=scaled[:, -m:],
     )
     rollout_positions(fleet, 1)  # the first step `associate` takes: a model that cannot make it is not saved
     return fleet, epochs
@@ -339,7 +341,7 @@ def model_from_json(text: str) -> Fleet:
         fault = vessel_id_fault(doc["vessel_id"])
         if fault:
             raise BadModel(f"vessel_id: {fault}")
-        return Fleet(
+        vessel = Fleet(
             vessel_ids=[doc["vessel_id"]],
             network=_network_from_dict(doc["network"]),
             scaler=_scaler(doc["scaler"]),
@@ -349,6 +351,11 @@ def model_from_json(text: str) -> Fleet:
                 doc["last_training_window"], (doc["window_size"], INPUT_DIM), "last_training_window"
             ),
         )
+        window = vessel.last_training_window
+        outside = window[(window < 0) | (window > 1)]
+        if len(outside):  # training scales each window by its own prefix's min and max
+            raise BadModel(f"last_training_window value {outside[0].item()!r} is outside the [0, 1] of scaled rows")
+        return vessel
     # a key missing, a container of the wrong kind, or an int no float can hold
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadModel(f"not a model document: missing or malformed {exc!r}") from exc

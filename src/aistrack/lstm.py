@@ -19,14 +19,13 @@ connection, as in the paper's stack), followed in train mode by inverted
 dropout.
 
 A network holds Z vessels' models, one per slice of a leading vessel axis
-on every parameter; `init_network` gives one vessel's (Z = 1), and
-`stack_networks` joins networks along that axis. `param_shapes(hidden)`
-gives one vessel's slice of each parameter in `param_arrays()` order, and
-`network_from_arrays` builds a network from arrays in that order;
-`init_network`, `stack_networks`, `fleet.join_fleets` and the model file
-reader (`fleet`) all go through them, so only the hidden size varies between
-networks. A fleet is one stack (`fleet.Fleet`): `fleet.load_fleet` rejects
-a model directory that mixes hidden sizes or windows, or lists a vessel
+on every parameter; `init_network` draws slice z from generator z alone.
+`param_shapes(hidden)` gives one vessel's slice of each parameter in
+`param_arrays()` order, and `network_from_arrays` builds a network from
+arrays in that order; `init_network`, `fleet.join_fleets` and the model
+file reader (`fleet`) all go through them, so only the hidden size varies
+between networks. A fleet is one stack (`fleet.Fleet`): `fleet.load_fleet`
+rejects a model directory that mixes hidden sizes or windows, or lists a vessel
 twice. All math is float64 so the finite-difference gradient check is tight.
 
 `forward_batch`, `backward`, `AdamState.step` and `train_epoch` run the Z
@@ -179,24 +178,18 @@ def network_from_arrays(arrays: list[np.ndarray], dropout_rate: float) -> LstmNe
     return LstmNetwork(layers=layers, dense_W=dense_W, dense_b=dense_b, dropout_rate=dropout_rate)
 
 
-def init_network(hidden: int, dropout_rate: float, rng: np.random.Generator) -> LstmNetwork:
-    """One vessel's network, the paper's three residual layers and (lat, lon)
-    head: Glorot-uniform weights, zero biases except forget gate bias = 1."""
+def init_network(hidden: int, dropout_rate: float, rngs: list[np.random.Generator]) -> LstmNetwork:
+    """The paper's three residual layers and (lat, lon) head for each of
+    Z = len(rngs) vessels: Glorot-uniform weights, each vessel's drawn from
+    its own generator, zero biases except forget gate bias = 1."""
     arrays = []
     for shape in param_shapes(hidden):
         lim = np.sqrt(6.0 / sum(shape))
-        arrays.append(np.zeros((1, *shape)) if shape[0] == 1 else rng.uniform(-lim, lim, size=(1, *shape)))
+        arrays.append(_per_vessel(rngs, lambda r: np.zeros(shape) if shape[0] == 1 else r.uniform(-lim, lim, shape)))
     net = network_from_arrays(arrays, dropout_rate)
     for layer in net.layers:
         layer.b[..., hidden : 2 * hidden] = 1.0  # forget gate
     return net
-
-
-def stack_networks(nets: list[LstmNetwork]) -> LstmNetwork:
-    """The networks' vessels in one network, in order. Networks of different
-    shapes or layer counts are a ValueError."""
-    params = zip(*(n.param_arrays() for n in nets), strict=True)
-    return network_from_arrays([np.concatenate(p) for p in params], nets[0].dropout_rate)
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Each raw track becomes an evenly spaced series (default 5 s) with features
 ordered (lat, lon, speed, course). Course is an angle in tenths of degrees and
 is interpolated along the shortest circular path so a north crossing never
-fabricates a southbound heading.
+fabricates a southbound heading. Scaling and windowing work on the rows
+axis of one series' (n, 4) rows or of a lockstep stack's (Z, n, 4), each
+series value for value as when it is alone.
 """
 
 from __future__ import annotations
@@ -42,24 +44,23 @@ class RegularTrack:
 
 @dataclass
 class ScalerParams:
-    """Per-feature min/max fitted on the training prefix only."""
+    """Per-feature min/max fitted on the training prefix only, or a stack's."""
 
-    min: np.ndarray  # shape (4,)
-    max: np.ndarray  # shape (4,)
+    min: np.ndarray  # shape (..., 4)
+    max: np.ndarray  # shape (..., 4)
 
 
 @dataclass
 class WindowSet:
-    """Sliding windows over the scaled training prefix.
+    """Sliding windows over a scaled training prefix, or a stack's: inputs
+    [..., t, :, :] = rows t..t+m-1, targets[..., t, :] = (lat, lon) of row
+    t+m. Its length counts the windows of every series."""
 
-    inputs[i] = scaled rows t..t+m-1, targets[i] = (lat, lon) of row t+m.
-    """
-
-    inputs: np.ndarray  # shape (count, m, 4)
-    targets: np.ndarray  # shape (count, 2)
+    inputs: np.ndarray  # shape (..., count, m, 4)
+    targets: np.ndarray  # shape (..., count, 2)
 
     def __len__(self) -> int:
-        return len(self.inputs)
+        return self.targets[..., 0].size
 
 
 def _unwrap_course(course: np.ndarray) -> np.ndarray:
@@ -100,20 +101,17 @@ def resample(track: RawTrack, period: float = 5.0) -> RegularTrack:
     )
 
 
-def fit_scaler(series: RegularTrack, train_len: int) -> ScalerParams:
-    """Min/max over the first train_len samples only (no test leakage)."""
-    if not 1 <= train_len <= len(series):
-        raise ValueError(f"train_len {train_len} outside [1, {len(series)}]")
-    prefix = series.features[:train_len]
-    return ScalerParams(min=prefix.min(axis=0), max=prefix.max(axis=0))
+def fit_scaler(prefix: np.ndarray) -> ScalerParams:
+    """Min/max over the rows of (..., n, 4) training prefixes, as (..., 4)
+    arrays; given training rows only, nothing leaks from the test rows."""
+    return ScalerParams(min=prefix.min(axis=-2), max=prefix.max(axis=-2))
 
 
 def scale(x: np.ndarray, p: ScalerParams) -> np.ndarray:
-    """(x - min) / (max - min) per feature; 0.0 where the feature is constant."""
-    span = p.max - p.min
-    safe = np.where(span == 0, 1.0, span)
-    out = (x - p.min) / safe
-    return np.where(span == 0, 0.0, out)
+    """(x - min) / (max - min) per feature of (..., n, 4) rows, the (..., 4)
+    scaler broadcast over the rows; 0.0 where the feature is constant."""
+    lo, span = p.min[..., None, :], (p.max - p.min)[..., None, :]
+    return np.where(span == 0, 0.0, (x - lo) / np.where(span == 0, 1.0, span))
 
 
 def unscale(y: np.ndarray, p: ScalerParams) -> np.ndarray:
@@ -123,11 +121,10 @@ def unscale(y: np.ndarray, p: ScalerParams) -> np.ndarray:
     return p.min[..., :2] + y * (p.max[..., :2] - p.min[..., :2])
 
 
-def make_windows(scaled: np.ndarray, m: int, train_len: int) -> WindowSet:
-    """Build train_len - m (input, target) pairs from the scaled series rows."""
-    if train_len <= m:
-        raise TrackTooShort(f"train_len {train_len} must exceed window size {m}")
-    count = train_len - m
-    inputs = np.stack([scaled[t : t + m] for t in range(count)])
-    targets = scaled[m : m + count, :2].copy()
-    return WindowSet(inputs=inputs, targets=targets)
+def make_windows(scaled: np.ndarray, m: int) -> WindowSet:
+    """The n - m (input, target) pairs of each of (..., n, 4) scaled series,
+    as views of its rows."""
+    if scaled.shape[-2] <= m:
+        raise TrackTooShort(f"train_len {scaled.shape[-2]} must exceed window size {m}")
+    inputs = np.lib.stride_tricks.sliding_window_view(scaled[..., :-1, :], m, axis=-2)
+    return WindowSet(inputs=inputs.swapaxes(-1, -2), targets=scaled[..., m:, :2])

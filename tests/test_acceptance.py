@@ -49,7 +49,7 @@ def tracked(capsys):
 def test_gradient_fidelity(report):
     start = time.time()
     rng = np.random.default_rng(20240301)
-    net = init_network(hidden=32, dropout_rate=0.2, rng=rng)
+    net = init_network(hidden=32, dropout_rate=0.2, rngs=[rng])
     total = 0
     worst = 0.0
     for _ in range(5):
@@ -119,7 +119,7 @@ def test_preprocessing_oracle(report):
     rng = np.random.default_rng(2)
     for _ in range(1000):
         x = p.min + rng.random(4) * (p.max - p.min)
-        back = unscale(scale(x, p)[:2], p)
+        back = unscale(scale(x[None], p)[0, :2], p)
         for j in range(2):
             assert abs(back[j] - x[j]) <= np.spacing(max(abs(p.min[j]), abs(p.max[j])))
     report("preprocessing oracle")
@@ -127,7 +127,7 @@ def test_preprocessing_oracle(report):
 
 def test_overfit_sanity(report):
     rng = np.random.default_rng(3)
-    net = init_network(hidden=32, dropout_rate=0.0, rng=rng)
+    net = init_network(hidden=32, dropout_rate=0.0, rngs=[rng])
     inputs = rng.random((1, 1, 10, 4))
     targets = rng.random((1, 1, 2))
     opt = AdamState.for_network(net, 1e-2)

@@ -128,7 +128,7 @@ def _vessel(
     vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0, hidden=8, window=10
 ):
     """A one-vessel fleet."""
-    net = init_network(hidden=hidden, dropout_rate=0.0, rng=np.random.default_rng(seed))
+    net = init_network(hidden=hidden, dropout_rate=0.0, rngs=[np.random.default_rng(seed)])
     scaler = ScalerParams(
         min=np.array([[lat_range[0], lon_range[0], 0.0, 0.0]]),
         max=np.array([[lat_range[1], lon_range[1], 10.0, 3600.0]]),

@@ -670,21 +670,61 @@ def test_model_vessel_id_with_comma_is_data_error(trained, tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
-def test_model_with_implausible_scaler_is_one_error_line_at_associate(trained, tmp_path, capsys):
-    # a LAT scaler from -1.7e308 to 1.7e308 is finite, but unscaling with it
-    # overflows: that vessel's predictions would be NaN, and every decision NEW
+def _associate_edited_model(trained, tmp_path, capsys, edit):
+    """Run associate on a copy of the trained models whose first model
+    document `edit` changed, re-signed; returns its exit code, its stderr
+    and the edited file."""
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
     manifest = json.loads((models / "manifest.json").read_text())
     entry = manifest["models"][0]
     doc = json.loads((models / entry["file"]).read_text())
-    doc["scaler"]["min"][0], doc["scaler"]["max"][0] = -1.7e308, 1.7e308
+    edit(doc)
     _resign(models, manifest, entry, doc)
     capsys.readouterr()
     argv = ["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]
-    assert run_without_warnings(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {models / entry['file']}: scaler LAT range ") and err.count("\n") == 1
+    return run_without_warnings(argv), capsys.readouterr().err, models / entry["file"]
+
+
+def test_model_with_implausible_scaler_is_one_error_line_at_associate(trained, tmp_path, capsys):
+    # a LAT scaler from -1.7e308 to 1.7e308 is finite, but unscaling with it
+    # overflows: that vessel's predictions would be NaN, and every decision NEW
+
+    def edit(doc):
+        doc["scaler"]["min"][0], doc["scaler"]["max"][0] = -1.7e308, 1.7e308
+
+    rc, err, model = _associate_edited_model(trained, tmp_path, capsys, edit)
+    assert rc == 2
+    assert err.startswith(f"error: {model}: scaler LAT range ") and err.count("\n") == 1
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("value", [1.5, -1e-9], ids=["above_one", "below_zero"])
+def test_model_window_outside_unit_range_is_one_error_line_at_associate(trained, tmp_path, capsys, value):
+    # training scales each window by its own prefix's min and max, so every
+    # value lies in [0, 1]; one outside would start a rollout from rows no
+    # training ever saw
+
+    def edit(doc):
+        doc["last_training_window"][-1][0] = value
+
+    rc, err, model = _associate_edited_model(trained, tmp_path, capsys, edit)
+    assert rc == 2
+    assert err == f"error: {model}: last_training_window value {value!r} is outside the [0, 1] of scaled rows\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_rollout_step_count_past_bound_is_one_short_error_line(trained, tmp_path, capsys):
+    # a train end of -1.8e308 puts every observation about 3.6e307 steps past
+    # it: the count is given to six significant digits, not all 308
+
+    def edit(doc):
+        doc["train_end_time"] = -1.7976931348623157e308
+
+    rc, err, _ = _associate_edited_model(trained, tmp_path, capsys, edit)
+    assert rc == 2
+    assert err.startswith("error: observation at ") and " is 3.59539e+307 rollout steps past vessel " in err
+    assert err.count("\n") == 1 and len(err) < 200
     assert not (tmp_path / "d.csv").exists()
 
 

@@ -101,6 +101,7 @@ class TestTrainFleet:
         poisoned.features[-10:] = np.nan
         clean, _ = _train_one(series, _cfg(test_len=10))
         dirty, _ = _train_one(poisoned, _cfg(test_len=10))
+        assert np.array_equal(clean.scaler.min, dirty.scaler.min) and np.array_equal(clean.scaler.max, dirty.scaler.max)
         for a, b in zip(clean.network.param_arrays(), dirty.network.param_arrays()):
             np.testing.assert_array_equal(a, b)
 
@@ -329,11 +330,10 @@ def _nan_first(payload: str) -> str:
 def _reference_training(series, cfg):
     """One vessel trained alone with its own loop of forward_batch,
     backward and AdamState.step: what a lockstep stack must reproduce."""
-    train_len = len(series) - cfg.test_len
-    scaled = scale(series.features[:train_len], fit_scaler(series, train_len))
-    windows = make_windows(scaled, cfg.window, train_len)
+    prefix = series.features[: len(series) - cfg.test_len]
+    windows = make_windows(scale(prefix, fit_scaler(prefix)), cfg.window)
     rng = np.random.default_rng(vessel_seed(cfg.seed, series.vessel_id))
-    net = init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rng=rng)
+    net = init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rngs=[rng])
     opt = AdamState.for_network(net, cfg.lr)
     history = []
     for _ in range(cfg.epochs):

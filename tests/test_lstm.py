@@ -29,13 +29,14 @@ from aistrack.lstm import (
     network_from_arrays,
     roll_step,
     rollout_start,
-    stack_networks,
     train_epoch,
 )
 
 
 def small_net(seed=1, hidden=8, dropout=0.0):
-    return init_network(hidden=hidden, dropout_rate=dropout, rng=np.random.default_rng(seed))
+    """One vessel's network, or with a tuple of seeds one vessel's per seed."""
+    seeds = seed if isinstance(seed, tuple) else (seed,)
+    return init_network(hidden=hidden, dropout_rate=dropout, rngs=[np.random.default_rng(s) for s in seeds])
 
 
 def vessel_count(several):
@@ -58,7 +59,7 @@ class TestCountParams:
         assert count_params(5, 32) == 4864
 
     def test_matches_stored_scalars(self):
-        net = init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(0))
+        net = init_network(hidden=32, dropout_rate=0.2, rngs=[np.random.default_rng(0)])
         for li, layer in enumerate(net.layers):
             d_in = 4 if li == 0 else 32
             stored = layer.W.size + layer.U.size + layer.b.size
@@ -110,7 +111,7 @@ class TestBackward:
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(7)
-        net = init_network(hidden=8, dropout_rate=0.2, rng=rng)
+        net = init_network(hidden=8, dropout_rate=0.2, rngs=[rng])
         win = rng.random((1, 1, 6, 4))
         tgt = rng.random((1, 1, 2))
         checked, worst = check_network(net, win, tgt, rng, coords_per_array=10)
@@ -123,7 +124,7 @@ class TestBackward:
         # product over a vessel's m*B rows
         rng = np.random.default_rng(17)
         Z = vessel_count(several)
-        net = stack_networks([init_network(hidden=8, dropout_rate=0.2, rng=rng) for _ in range(Z)])
+        net = init_network(hidden=8, dropout_rate=0.2, rngs=[rng] * Z)
         win = rng.random((Z, 3, 6, 4))
         tgt = rng.random((Z, 3, 2))
         checked, worst = check_network(net, win, tgt, rng, coords_per_array=10)
@@ -243,7 +244,7 @@ class TestTrainEpoch:
         m = 10
         inputs = np.stack([feats[i : i + m] for i in range(len(feats) - m)])[None]
         targets = feats[None, m:, :2]
-        net = init_network(hidden=16, dropout_rate=0.0, rng=np.random.default_rng(12))
+        net = init_network(hidden=16, dropout_rate=0.0, rngs=[np.random.default_rng(12)])
         opt = AdamState.for_network(net, 1e-3)
         rngs = [np.random.default_rng(0)]
         (first,), *_, (last,) = [train_epoch(net, inputs, targets, 10, rngs, opt) for _ in range(100)]
@@ -260,7 +261,7 @@ class TestWorkspace:
         inputs, targets = data.random((Z, 23, 6, 4)), data.random((Z, 23, 2))
 
         def two_epochs(workspace):
-            net = stack_networks([small_net(seed=41 + z, dropout=0.2) for z in range(Z)])
+            net = small_net(seed=tuple(range(41, 41 + Z)), dropout=0.2)
             opt, rngs = AdamState.for_network(net, 1e-2), [np.random.default_rng(42 + z) for z in range(Z)]
             losses = [train_epoch(net, inputs, targets, 5, rngs, opt, workspace) for _ in range(2)]
             return net, losses
@@ -276,7 +277,7 @@ class TestWorkspace:
         # the zero state, the backward's zeros and d_seq must not carry
         # anything from the call before, at the same shape or another
         Z = vessel_count(several)
-        net = stack_networks([small_net(seed=43 + z, dropout=0.2) for z in range(Z)])
+        net = small_net(seed=tuple(range(43, 43 + Z)), dropout=0.2)
         data = np.random.default_rng(44)
         workspace = lstm.Workspace()
         for B in (5, 3, 5):
@@ -353,9 +354,8 @@ class TestPredictSequence:
         np.testing.assert_array_equal(state.x[:, 2:], win[:, -1, 2:])
 
 
-def _expansive(net):
-    net.dense_W *= 25.0  # its feedback clamps
-    return net
+def _expansive(net, z):
+    net.dense_W[z] *= 25.0  # vessel z's feedback clamps
 
 
 # (window m, horizon): horizons 1, m - 1, m, m + 1, 3m and 200
@@ -367,11 +367,10 @@ ROLLOUT_CASES = [(m, steps) for m in (1, 2, 6) for steps in sorted({1, m - 1, m,
 @pytest.mark.parametrize("clamped", [False, True])
 def test_rollout_matches_sliding_window_oracle(m, steps, several, clamped):
     Z = vessel_count(several)
-    nets = [small_net(seed=100 + z) for z in range(Z)]
+    net = small_net(seed=tuple(range(100, 100 + Z)))
     if clamped:
-        _expansive(nets[Z // 2])  # of three vessels, only the middle one's feedback clamps
+        _expansive(net, Z // 2)  # of three vessels, only the middle one's feedback clamps
     win = np.random.default_rng(110 + m).random((3, m, 4))[:Z]
-    net = stack_networks(nets)
     roll = rollout(net, win, steps)
     # each prediction is forward_batch on the window the rollout fed itself
     np.testing.assert_allclose(roll, predict_sequence(net, win, steps, fed=roll), rtol=1e-12, atol=0)
@@ -390,11 +389,10 @@ def test_rollout_matches_sliding_window_oracle(m, steps, several, clamped):
 @pytest.mark.parametrize("m", [1, 10])
 @pytest.mark.parametrize("clamped", [False, True])
 def test_in_place_rollout_gives_the_allocating_rollouts_bits(Z, m, clamped):
-    nets = [small_net(seed=120 + z, hidden=16) for z in range(Z)]
+    net = small_net(seed=tuple(range(120, 120 + Z)), hidden=16)
     if clamped:
-        _expansive(nets[Z // 2])
+        _expansive(net, Z // 2)
     win = np.random.default_rng(130 + m).random((Z, m, 4))
-    net = stack_networks(nets)
     oracle = allocating_rollout(net, win, 60)
     if clamped:
         assert ((oracle < lstm.FEEDBACK_MIN) | (oracle > lstm.FEEDBACK_MAX)).any()
@@ -410,7 +408,7 @@ def _state_arrays(state):
 
 
 def test_roll_step_advances_its_state_in_place():
-    net = stack_networks([small_net(seed=s) for s in (141, 142)])
+    net = small_net(seed=(141, 142))
     state = rollout_start(net, np.random.default_rng(143).random((2, 6, 4)))
     arrays = _state_arrays(state)
     for step in range(1, 8):
@@ -430,7 +428,7 @@ class TestStackNetworks:
     def test_stacked_forward_equals_each_network(self):
         nets = [small_net(seed=s) for s in (31, 32, 33)]
         wins = np.random.default_rng(34).random((3, 5, 6, 4))
-        stacked, _ = forward_batch(stack_networks(nets), wins)
+        stacked, _ = forward_batch(small_net(seed=(31, 32, 33)), wins)
         assert stacked.shape == (3, 5, 2)
         for z, net in enumerate(nets):
             single, _ = forward_batch(net, wins[z : z + 1])
@@ -438,16 +436,17 @@ class TestStackNetworks:
 
     def test_stacked_rollout_equals_each_rollout(self):
         nets = [small_net(seed=s) for s in (41, 42, 43)]
-        nets[1].dense_W *= 25.0  # this vessel's feedback clamps, the others' do not
+        stacked = small_net(seed=(41, 42, 43))
+        _expansive(nets[1], 0)  # this vessel's feedback clamps, the others' do not
+        _expansive(stacked, 1)
         wins = np.random.default_rng(44).random((3, 6, 4))
-        roll = rollout(stack_networks(nets), wins, 30)
+        roll = rollout(stacked, wins, 30)
         assert roll.shape == (30, 3, 2)
         for z, net in enumerate(nets):
             assert np.array_equal(roll[:, z], rollout(net, wins[z : z + 1], 30)[:, 0])
 
     def test_non_finite_rollout_names_row_and_step(self):
-        nets = [small_net(seed=s) for s in (71, 72, 73)]
-        stacked = stack_networks(nets)
+        stacked = small_net(seed=(71, 72, 73))
         state = rollout_start(stacked, np.random.default_rng(74).random((3, 6, 4)))
         for _ in range(4):
             _, state = roll_step(stacked, state)
@@ -455,23 +454,24 @@ class TestStackNetworks:
         with pytest.raises(NonFiniteActivation, match="rollout step 5") as info:
             roll_step(stacked, state)
         assert info.value.row == 1
-        nets[0].dense_b[0, 0, 1] = np.nan
+        single = small_net(seed=71)
+        single.dense_b[0, 0, 1] = np.nan
         with pytest.raises(NonFiniteActivation, match="rollout step 1") as info:
-            roll_step(nets[0], rollout_start(nets[0], np.zeros((1, 6, 4))))
+            roll_step(single, rollout_start(single, np.zeros((1, 6, 4))))
         assert info.value.row == 0
 
     def test_non_finite_forward_names_row(self):
-        nets = [small_net(seed=s) for s in (75, 76, 77)]
-        nets[2].dense_W[0, 1, 0] = np.inf
+        stacked = small_net(seed=(75, 76, 77))
+        stacked.dense_W[2, 1, 0] = np.inf
         with pytest.raises(NonFiniteActivation, match="^non-finite prediction$") as info:
-            forward_batch(stack_networks(nets), np.random.default_rng(78).random((3, 5, 6, 4)))
+            forward_batch(stacked, np.random.default_rng(78).random((3, 5, 6, 4)))
         assert info.value.row == 2
 
     def test_stacked_backward_equals_each_backward(self):
         nets = [small_net(seed=s, dropout=0.3) for s in (51, 52, 53)]
         wins = np.random.default_rng(54).random((3, 5, 6, 4))
         tgts = np.random.default_rng(55).random((3, 5, 2))
-        stacked = stack_networks(nets)
+        stacked = small_net(seed=(51, 52, 53), dropout=0.3)
         _, cache = forward_batch(stacked, wins, train=True, rngs=[np.random.default_rng(60 + z) for z in range(3)])
         grads = lstm.backward(stacked, cache, tgts)
         assert [g.shape for g in grads] == [a.shape for a in stacked.param_arrays()]
@@ -481,25 +481,27 @@ class TestStackNetworks:
                 assert np.array_equal(g[z : z + 1], g_own)
 
     def test_train_mode_needs_a_generator_per_vessel(self):
-        stacked = stack_networks([small_net(seed=s, dropout=0.3) for s in (56, 57, 58)])
+        stacked = small_net(seed=(56, 57, 58), dropout=0.3)
         with pytest.raises(ValueError, match="one generator per vessel"):
             forward_batch(stacked, np.zeros((3, 5, 6, 4)), train=True, rngs=[np.random.default_rng(59)])
 
     def test_stack_holds_each_network(self):
-        nets = [small_net(seed=s) for s in (61, 62)]
-        stacked = stack_networks(nets)
-        assert stacked.vessels == 2
-        for z, net in enumerate(nets):
-            for a, b in zip(stacked.param_arrays(), net.param_arrays(), strict=True):
+        # each vessel's slice is drawn from its own generator as when it is
+        # initialised alone
+        rngs = [np.random.default_rng(s) for s in (61, 62, 63)]
+        stacked = init_network(hidden=8, dropout_rate=0.2, rngs=rngs)
+        assert stacked.vessels == 3
+        for z, s in enumerate((61, 62, 63)):
+            own = init_network(hidden=8, dropout_rate=0.2, rngs=[np.random.default_rng(s)])
+            for a, b in zip(stacked.param_arrays(), own.param_arrays(), strict=True):
                 assert a[z : z + 1].shape == b.shape and np.array_equal(a[z : z + 1], b)
-                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("several", [False, True])
     def test_input_without_vessel_axis_rejected(self, several):
         # (B, m, k) windows and an (m, k) rollout window lack the vessel axis,
         # even where B or m equals Z
         Z = vessel_count(several)
-        net = stack_networks([small_net(seed=s) for s in range(Z)])
+        net = small_net(seed=tuple(range(Z)))
         for windows in (np.zeros((5, 6, 4)), np.zeros((Z, 6, 4))):
             with pytest.raises(CacheMismatch, match=f"expected \\({Z}, B, m, 4\\) input"):
                 forward_batch(net, windows)
@@ -509,19 +511,11 @@ class TestStackNetworks:
 
     def test_stacked_network_needs_vessel_axis(self):
         # of its own length: one vessel's windows do not run on two
-        stacked = stack_networks([small_net(), small_net(seed=2)])
+        stacked = small_net(seed=(1, 2))
         with pytest.raises(CacheMismatch):
             forward_batch(stacked, np.zeros((1, 5, 6, 4)))
         with pytest.raises(CacheMismatch):
             rollout_start(stacked, np.zeros((1, 6, 4)))
-
-    def test_different_architectures_rejected(self):
-        with pytest.raises(ValueError):
-            stack_networks([small_net(hidden=8), small_net(hidden=4)])
-        shallow = small_net()
-        shallow.layers = shallow.layers[:1]
-        with pytest.raises(ValueError):
-            stack_networks([small_net(), shallow])
 
 
 def test_mse_loss_definition():
@@ -547,7 +541,7 @@ def test_forward_batch_matches_reference_loop(batch, several, cached):
     # training path (cached) is forward_batch with its per-timestep cache;
     # the inference path is the rollout's first prediction from each window.
     Z = vessel_count(several)
-    net = stack_networks([init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(80 + z)) for z in range(Z)])
+    net = init_network(hidden=32, dropout_rate=0.2, rngs=[np.random.default_rng(80 + z) for z in range(Z)])
     x = np.random.default_rng(90 + batch).random((3, batch, 10, 4))[:Z]
     ref_pred, ref_caches = reference_forward(net, x)
     if not cached:
@@ -584,7 +578,7 @@ def test_training_path_matches_batch_major_oracle(batch, several, monkeypatch):
     same_prediction = np.testing.assert_array_equal if batch > 8 else same
 
     Z = vessel_count(several)
-    net = stack_networks([init_network(hidden=32, dropout_rate=0.2, rng=np.random.default_rng(60 + z)) for z in range(Z)])
+    net = init_network(hidden=32, dropout_rate=0.2, rngs=[np.random.default_rng(60 + z) for z in range(Z)])
     data = np.random.default_rng(70 + batch)
     x, y = data.random((3, 2 * batch, 10, 4))[:Z], data.random((3, 2 * batch, 2))[:Z]
 

@@ -122,27 +122,25 @@ def _regular(features, vid="v"):
 
 
 def test_fit_scaler_on_training_prefix_only():
-    series = _regular([[10, 0, 0, 0], [12, 0, 0, 0], [11, 0, 0, 0], [99, 0, 0, 0]])
-    p = fit_scaler(series, 3)
-    assert p.min[0] == 10 and p.max[0] == 12  # the 99 in the suffix is ignored
+    features = _regular([[10, 0, 0, 0], [12, 0, 0, 0], [11, 0, 0, 0], [99, 0, 0, 0]]).features
+    p = fit_scaler(features[:3])
+    assert p.min[0] == 10 and p.max[0] == 12  # the 99 in the suffix is not among its rows
 
 
 def test_fit_scaler_single_sample():
-    series = _regular([[7, 1, 2, 3], [0, 0, 0, 0]])
-    p = fit_scaler(series, 1)
+    p = fit_scaler(np.array([[7.0, 1, 2, 3]]))
     np.testing.assert_array_equal(p.min, p.max)
 
 
 def test_scale_basics():
     p = ScalerParams(min=np.array([0.0, 0, 0, 0]), max=np.array([10.0, 1, 1, 1]))
-    assert scale(np.array([5.0, 0, 0, 0]), p)[0] == 0.5
-    assert scale(np.array([0.0, 0, 0, 0]), p)[0] == 0.0
-    assert scale(np.array([10.0, 1, 1, 1]), p)[0] == 1.0
+    rows = np.array([[5.0, 0, 0, 0], [0.0, 0, 0, 0], [10.0, 1, 1, 1]])
+    np.testing.assert_array_equal(scale(rows, p)[:, 0], [0.5, 0.0, 1.0])
 
 
 def test_scale_degenerate_feature_maps_to_zero():
     p = ScalerParams(min=np.array([7.0, 0, 0, 0]), max=np.array([7.0, 1, 1, 1]))
-    assert scale(np.array([7.0, 0.5, 0, 0]), p)[0] == 0.0
+    assert scale(np.array([[7.0, 0.5, 0, 0]]), p)[0, 0] == 0.0
 
 
 @given(
@@ -159,19 +157,19 @@ def test_unscale_scale_round_trip(bounds, a, b):
         hi = lo + 1.0
     p = ScalerParams(min=np.array([lo, lo, 0.0, 0.0]), max=np.array([hi, hi, 1.0, 1.0]))
     x = np.array([lo + a * (hi - lo), lo + b * (hi - lo), 0.5, 0.5])
-    back = unscale(scale(x, p)[:2], p)
+    back = unscale(scale(x[None], p)[0, :2], p)
     np.testing.assert_allclose(back, x[:2], rtol=1e-12, atol=np.spacing(max(abs(lo), abs(hi))))
 
 
 def test_make_windows_count_formula():
     scaled = np.arange(30 * 4, dtype=float).reshape(30, 4)
-    ws = make_windows(scaled, 10, 20)
+    ws = make_windows(scaled[:20], 10)
     assert len(ws) == 10
 
 
 def test_make_windows_minimal_case():
     scaled = np.arange(12 * 4, dtype=float).reshape(12, 4)
-    ws = make_windows(scaled, 10, 11)
+    ws = make_windows(scaled[:11], 10)
     assert len(ws) == 1
     np.testing.assert_array_equal(ws.inputs[0], scaled[0:10])
     np.testing.assert_array_equal(ws.targets[0], scaled[10, :2])
@@ -179,22 +177,63 @@ def test_make_windows_minimal_case():
 
 def test_make_windows_shape():
     scaled = np.zeros((25, 4))
-    ws = make_windows(scaled, 10, 25)
+    ws = make_windows(scaled, 10)
     assert ws.inputs.shape == (15, 10, 4)
     assert ws.targets.shape == (15, 2)
 
 
 def test_make_windows_rejects_short_train():
     with pytest.raises(TrackTooShort):
-        make_windows(np.zeros((25, 4)), 10, 10)
+        make_windows(np.zeros((10, 4)), 10)
 
 
 def test_windows_cover_series_rows():
     scaled = np.arange(20 * 4, dtype=float).reshape(20, 4)
-    ws = make_windows(scaled, 5, 20)
+    ws = make_windows(scaled, 5)
     # interior rows appear in exactly m windows
     counts = np.zeros(20)
     for w in ws.inputs:
         for row in w:
             counts[int(row[0] // 4)] += 1
     assert all(counts[5:15] == 5)
+
+
+class TestStack:
+    """A (3, n, 4) stack of training prefixes is scaled and windowed as each
+    vessel's prefix would be alone, bit for bit."""
+
+    N, M = 40, 6
+
+    def _stack(self):
+        rng = np.random.default_rng(8)
+        stack = rng.normal([37.0, 23.0, 50.0, 1800.0], [0.1, 0.1, 5.0, 500.0], size=(3, self.N, 4))
+        stack[1, :, 2] = 12.5  # a constant feature: its span is 0
+        return stack
+
+    def test_fit_scaler_and_scale_equal_each_vessel(self):
+        stack = self._stack()
+        p = fit_scaler(stack)
+        assert p.min.shape == p.max.shape == (3, 4)
+        scaled = scale(stack, p)
+        for z in range(3):
+            own = fit_scaler(stack[z])
+            assert np.array_equal(p.min[z], own.min) and np.array_equal(p.max[z], own.max)
+            assert np.array_equal(scaled[z], scale(stack[z], own))
+        assert (scaled[1, :, 2] == 0.0).all()
+
+    def test_make_windows_equals_each_vessel(self):
+        scaled = scale(self._stack(), fit_scaler(self._stack()))
+        ws = make_windows(scaled, self.M)
+        assert ws.inputs.shape == (3, self.N - self.M, self.M, 4)
+        assert ws.targets.shape == (3, self.N - self.M, 2)
+        assert len(ws) == 3 * (self.N - self.M)  # the windows of every vessel
+        for z in range(3):
+            own = make_windows(scaled[z], self.M)
+            assert np.array_equal(ws.inputs[z], own.inputs) and np.array_equal(ws.targets[z], own.targets)
+            for t in (0, self.N - self.M - 1):
+                assert np.array_equal(ws.inputs[z, t], scaled[z, t : t + self.M])
+                assert np.array_equal(ws.targets[z, t], scaled[z, t + self.M, :2])
+
+    def test_make_windows_rejects_short_stack(self):
+        with pytest.raises(TrackTooShort):
+            make_windows(np.zeros((3, self.M, 4)), self.M)
