@@ -6,29 +6,35 @@ explicit flags, range-checks the result (`config.RANGES`) and echoes it,
 plus its hash, into the output artifacts; `synth` hands it to
 `synth.generate` and `train` to `fleet.train_fleet` as it is. A flag is
 added by adding a `RunConfig` field and naming it in one `FLAGS` list.
+`train` decides once, before it makes --out, which tracks train and names
+each one left out (`_trained_series`); `fleet.train_fleet` gets each kept
+track's training prefix, all but its last --test-len samples.
 
 Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
 duplicate OBJECT_ID (in --data, --obs, --decisions or --truth; the error
 names the file and line), a VID in --data or --obs that is empty, "NEW" or
 holds `,` `"` `/` `\\` or a control character, a --decisions or --truth
 header that is not its own, a bad --config file or value, a --data file that
-leaves no track to train, a --period that puts more than
-`preprocess.MAX_GRID_SAMPLES` samples on a track, an input that is missing
-or not UTF-8, a missing or malformed model (its vessel_id held to the rule
-for a VID, its scaler to min <= max, with the LAT and LON entries in a row's
-ranges, and its last training window to [0, 1]), a model whose training or
-rollout turns non-finite, an observation at or before a vessel's train end
-or more than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that
-leave a truth object undecided, an --out that cannot be created or written
-(`train` creates its --out before it trains; if training or saving fails, it
-removes each directory it made for --out that is still empty), and an
-`evaluate --out` ending in .txt, which its text report would overwrite.
+leaves no track to train, a --data track too short for one window once its
+last --test-len samples are held out (unless --lenient leaves it out), a
+--period that puts more than `preprocess.MAX_GRID_SAMPLES` samples on a
+track, an input that is missing or not UTF-8, a missing or malformed model
+(its vessel_id held to the rule for a VID, its scaler to min <= max, with
+the LAT and LON entries in a row's ranges, and its last training window to
+[0, 1]), a model whose training or rollout turns non-finite, an observation
+at or before a vessel's train end or more than `associate.MAX_ROLLOUT_STEPS`
+steps past it, decisions that leave a truth object undecided, an --out that
+cannot be created or written (`train` creates its --out before it trains; if
+training or saving fails, it removes each directory it made for --out that
+is still empty), and an `evaluate --out` ending in .txt, which its text
+report would overwrite.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from operator import itemgetter
@@ -37,11 +43,12 @@ from pathlib import Path
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
 from .config import FIELD_TYPES, RunConfig, check_ranges, config_meta, json_type_fault
-from .errors import AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile, output_dir, write_output
+from .errors import (AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile, TrackTooShort,
+                     output_dir, write_output)
 from .evaluate import confusion, metrics, write_report
 from .fleet import load_fleet, save_fleet, train_fleet
-from .ingest import AisMessage, ParseStats, filter_min_points, group_tracks, parse_csv, serialize_csv, time_order
-from .preprocess import resample
+from .ingest import AisMessage, ParseStats, RawTrack, group_tracks, parse_csv, serialize_csv, time_order
+from .preprocess import RegularTrack, resample
 from .synth import crossing, fleet_motions, generate, truth_from_csv, truth_to_csv
 
 
@@ -125,17 +132,38 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _trained_series(tracks: list[RawTrack], cfg: RunConfig) -> list[RegularTrack]:
+    """The resampled series that train, in vessel_id order. Tracks under
+    cfg.min_points rows, and with cfg.lenient those too short for a window
+    once cfg.test_len samples are held out, are named on stderr and left out."""
+    kept = []
+    for track in tracks:  # group_tracks orders them by vessel_id
+        if len(track) < cfg.min_points:
+            print(f"warning: vessel {track.vessel_id} has {len(track)} < {cfg.min_points} points, excluded",
+                  file=sys.stderr)
+            continue
+        s = resample(track, cfg.period)
+        if len(s) - cfg.test_len > cfg.window:
+            kept.append(s)
+        elif cfg.lenient:
+            print(f"warning: vessel {s.vessel_id} has {len(s)} resampled samples, too few for one window of"
+                  f" {cfg.window} once the last {cfg.test_len} are held out, excluded", file=sys.stderr)
+        else:
+            raise TrackTooShort(f"vessel {s.vessel_id}: {len(s)} samples leave train_len {len(s) - cfg.test_len}"
+                                f" <= window {cfg.window}")
+    if not kept:
+        raise TrackTooShort(f"no track left to train: {len(tracks)} read, none kept")
+    return kept
+
+
 def _holdout_messages(series_list, fleet, test_len: int) -> tuple[list[AisMessage], int]:
     """The last `test_len` samples of each trained vessel's series as
     observations numbered in time order, and how many of them were left
     out. Every model rolls forward from its own train end, so only samples
     whose rounded time is after the latest train end are kept."""
     latest_end = fleet.train_end_time.max()
-    trained = set(fleet.vessel_ids)
     rows, left_out = [], 0
     for s in series_list:
-        if s.vessel_id not in trained:
-            continue
         start = len(s) - test_len
         for i, (lat, lon, speed, course) in enumerate(s.features[start:].tolist(), start=start):
             t = int(round(s.time_of(i)))
@@ -149,28 +177,19 @@ def _holdout_messages(series_list, fleet, test_len: int) -> tuple[list[AisMessag
 
 def cmd_train(args) -> int:
     cfg = effective_config(args)
-    tracks = group_tracks(_messages(args.data, cfg))
-    kept = filter_min_points(tracks, cfg.min_points)
-    for t in tracks:
-        if t not in kept:
-            print(f"warning: vessel {t.vessel_id} has {len(t)} < {cfg.min_points} points, excluded", file=sys.stderr)
-    series_list = [resample(t, cfg.period) for t in kept]
+    series_list = _trained_series(group_tracks(_messages(args.data, cfg)), cfg)
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     output_dir(out)  # before training, so an unwritable --out fails at once
     try:
-        fleet, histories = train_fleet(series_list, cfg)
+        prefixes = [dataclasses.replace(s, features=s.features[: -cfg.test_len]) for s in series_list]
+        fleet, histories = train_fleet(prefixes, cfg)
         save_fleet(fleet, out, cfg, histories)
     except BaseException:
         for d in made:  # rmdir removes only a directory left empty
             with contextlib.suppress(OSError):
                 d.rmdir()
         raise
-    trained = set(fleet.vessel_ids)
-    for s in series_list:  # only --lenient leaves a resampled track out
-        if s.vessel_id not in trained:
-            print(f"warning: vessel {s.vessel_id} has {len(s)} resampled samples, too few for one window of"
-                  f" {cfg.window} once the last {cfg.test_len} are held out, excluded", file=sys.stderr)
     holdout, left_out = _holdout_messages(series_list, fleet, cfg.test_len)
     if left_out:
         print(f"left {left_out} held-out samples at or before the latest train end out of holdout.csv",

@@ -1,17 +1,18 @@
 """Per-vessel model orchestration: train, persist, reload.
 
-One LstmNetwork is trained per vessel. Each vessel draws a derived seed
-(root seed XOR a digest of its id) so fleet results do not depend on
-training order or scheduling. Training reads its settings (window, test_len,
-hidden, dropout, lr, batch, epochs, seed, lenient) from the run's
-`config.RunConfig` and range-checks them first, as the CLI does. A fleet
-with no track left to train is a TrackTooShort error. A trained stack
-takes the first step of `associate.rollout_positions`, so a model that
-cannot make it is never saved.
+One LstmNetwork is trained per vessel, on all of the track it is given
+(`cli` decides which tracks train and what each holds out). Each vessel
+draws a derived seed (root seed XOR a digest of its id) so fleet results do
+not depend on training order or scheduling. Training reads its settings
+(window, hidden, dropout, lr, batch, epochs, seed) from the run's
+`config.RunConfig` and range-checks them first, as the CLI does. No track,
+or one of `window` samples or fewer, is a TrackTooShort error. A trained
+stack takes the first step of `associate.rollout_positions`, so a model
+that cannot make it is never saved.
 
-Vessels train in lockstep: those with the same training length (hence the
+Vessels train in lockstep: those with the same track length (hence the
 same number of windows and batches per epoch) form a stack, one (Z, n, 4)
-array of training prefixes that is scaled, windowed and initialised as
+array of their samples that is scaled, windowed and initialised as
 (Z, ...) arrays, and each batch is one forward, backward and Adam step for
 the whole stack. Every vessel keeps its own generator for its weights,
 shuffles and dropout masks, drawn in the same order as when it trains
@@ -68,7 +69,7 @@ from .errors import (
     output_dir,
     write_output,
 )
-from .ingest import HEADER, vessel_id_fault
+from .ingest import HEADER, LAT_LON_BOUNDS, vessel_id_fault
 from .lstm import (
     INPUT_DIM,
     N_LAYERS,
@@ -126,15 +127,15 @@ def vessel_seed(root_seed: int, vessel_id: str) -> int:
 
 
 def _train_stack(stack: list[RegularTrack], cfg: RunConfig, workspace: Workspace) -> tuple[Fleet, list[list[float]]]:
-    """Train series of one training length in lockstep, into `workspace`;
-    returns their fleet, in stack order, and each epoch's per-vessel loss.
-    A non-finite prediction, in training or in the first rollout step from
-    the last training window, is a NonFiniteActivation naming its vessel."""
+    """Train series of one length in lockstep on all their samples, into
+    `workspace`; returns their fleet, in stack order, and each epoch's
+    per-vessel loss. A non-finite prediction, in training or in the first
+    rollout step from the last training window, is a NonFiniteActivation
+    naming its vessel."""
     m = cfg.window
-    train_len = len(stack[0]) - cfg.test_len
-    prefix = np.stack([s.features[:train_len] for s in stack])  # (Z, train_len, 4)
-    scaler = fit_scaler(prefix)
-    scaled = scale(prefix, scaler)
+    features = np.stack([s.features for s in stack])  # (Z, n, 4)
+    scaler = fit_scaler(features)
+    scaled = scale(features, scaler)
     windows = make_windows(scaled, m)
     rngs = [np.random.default_rng(vessel_seed(cfg.seed, s.vessel_id)) for s in stack]
     net = init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rngs=rngs)
@@ -154,44 +155,26 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig, workspace: Workspace
         network=net,
         scaler=scaler,
         period=np.array([s.period for s in stack], dtype=np.float64),
-        train_end_time=np.array([s.time_of(train_len - 1) for s in stack], dtype=np.float64),
+        train_end_time=np.array([s.time_of(len(s) - 1) for s in stack], dtype=np.float64),
         last_training_window=scaled[:, -m:],
     )
     rollout_positions(fleet, 1)  # the first step `associate` takes: a model that cannot make it is not saved
     return fleet, epochs
 
 
-def _trainable_tracks(tracks: list[RegularTrack], cfg: RunConfig) -> list[RegularTrack]:
-    """The tracks `train_fleet` trains, ordered by vessel_id; a setting
-    outside its range is a BadConfig."""
-    check_ranges(cfg)
-    kept = []
-    for series in sorted(tracks, key=lambda s: s.vessel_id):
-        train_len = len(series) - cfg.test_len
-        if train_len > cfg.window:
-            kept.append(series)
-        elif not cfg.lenient:
-            raise TrackTooShort(
-                f"vessel {series.vessel_id}: {len(series)} samples leave train_len {train_len}"
-                f" <= window {cfg.window}"
-            )
-    if not kept:
-        raise TrackTooShort(
-            f"no track left to train: {len(tracks)} given, none longer than test_len + window"
-            f" = {cfg.test_len + cfg.window} samples"
-        )
-    return kept
-
-
 def train_fleet(tracks: list[RegularTrack], cfg: RunConfig) -> tuple[Fleet, dict[str, list[float]]]:
-    """Train one model per track on its training prefix (all but the last
-    `cfg.test_len` samples), in lockstep stacks of equal training length;
-    returns the fleet and each vessel's per-epoch loss. A track too short
-    for one training window is a TrackTooShort error, or left out if
-    `cfg.lenient`, and so is a fleet with no track left to train."""
+    """Train one model per track on all of its samples, in lockstep stacks
+    of equal length; returns the fleet and each vessel's per-epoch loss. A
+    setting outside its range is a BadConfig; no track, or a track of
+    `cfg.window` samples or fewer, is a TrackTooShort error."""
+    check_ranges(cfg)
+    if not tracks:
+        raise TrackTooShort("no track to train")
     by_length: dict[int, list[RegularTrack]] = {}
-    for series in _trainable_tracks(tracks, cfg):
-        by_length.setdefault(len(series) - cfg.test_len, []).append(series)
+    for series in sorted(tracks, key=lambda s: s.vessel_id):
+        if len(series) <= cfg.window:
+            raise TrackTooShort(f"vessel {series.vessel_id}: {len(series)} samples <= window {cfg.window}")
+        by_length.setdefault(len(series), []).append(series)
     per_stack = max(1, STACK_WINDOWS // cfg.batch)
     stacks, histories = [], {}
     for group in by_length.values():
@@ -232,14 +215,15 @@ def _finite(a: np.ndarray, key: str) -> np.ndarray:
     return a
 
 
+# The architecture fields every model file holds: `lstm`'s constants.
+ARCHITECTURE = {"k": INPUT_DIM, "n_layers": N_LAYERS, "out_dim": OUT_DIM, "residual": True}
+
+
 def _network_to_dict(net: LstmNetwork, z: int) -> dict:
     return {
-        "k": net.input_dim,
+        **ARCHITECTURE,
         "hidden": net.hidden,
-        "n_layers": len(net.layers),
-        "out_dim": net.out_dim,
         "dropout_rate": net.dropout_rate,
-        "residual": True,
         "layers": [{"W": _encode(l.W[z]), "U": _encode(l.U[z]), "b": _encode(l.b[z])} for l in net.layers],
         "dense_W": _encode(net.dense_W[z]),
         "dense_b": _encode(net.dense_b[z]),
@@ -250,9 +234,6 @@ def _network_to_dict(net: LstmNetwork, z: int) -> dict:
 # "network"; an int is accepted for a float.
 MODEL_FIELDS = {"vessel_id": str, "window_size": int, "period": float, "train_end_time": float}
 NETWORK_FIELDS = {"k": int, "hidden": int, "n_layers": int, "out_dim": int, "dropout_rate": float}
-
-# The architecture fields every model file must hold: `lstm`'s constants.
-ARCHITECTURE = {"k": INPUT_DIM, "n_layers": N_LAYERS, "out_dim": OUT_DIM, "residual": True}
 
 
 def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
@@ -275,8 +256,8 @@ def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
     return _finite(a, key)[None]
 
 
-# |LAT| and |LON| bounds of `ingest.AisMessage.validate`, then SPEED's and COURSE's
-SCALER_BOUNDS = np.array([90.0, 180.0, np.inf, np.inf])
+# |LAT| and |LON| bounds of a row (`ingest.LAT_LON_BOUNDS`), then SPEED's and COURSE's
+SCALER_BOUNDS = np.array([*LAT_LON_BOUNDS, np.inf, np.inf])
 
 
 def _scaler(d: dict) -> ScalerParams:
@@ -288,9 +269,10 @@ def _scaler(d: dict) -> ScalerParams:
     bad = np.flatnonzero(~((-SCALER_BOUNDS <= lo) & (lo <= hi) & (hi <= SCALER_BOUNDS)))
     if len(bad):
         i = bad[0]  # HEADER ends with the INPUT_DIM features, LAT first
+        lat, lon = LAT_LON_BOUNDS
         raise BadModel(
             f"scaler {HEADER[3 + i]} range [{lo.flat[i].item()}, {hi.flat[i].item()}] is not one AIS rows can give"
-            " (min <= max; LAT within [-90, 90], LON within [-180, 180])"
+            f" (min <= max; LAT within [-{lat:g}, {lat:g}], LON within [-{lon:g}, {lon:g}])"
         )
     return ScalerParams(min=lo, max=hi)
 

@@ -24,6 +24,9 @@ HEADER = ("OBJECT_ID", "VID", "SEQUENCE_DTTM", "LAT", "LON", "SPEED", "COURSE")
 
 _TIME_FMT = "%Y-%m-%dT%H:%M:%SZ"
 
+# The |LAT| and |LON| bounds of a row, in degrees.
+LAT_LON_BOUNDS = (90.0, 180.0)
+
 # The label of an observation assigned to no vessel.
 NEW_TRACK = "NEW"
 
@@ -68,11 +71,12 @@ class AisMessage(NamedTuple):
     course: float
 
     def validate(self, line_no: int) -> None:
+        lat_bound, lon_bound = LAT_LON_BOUNDS
         if self.object_id <= 0:
             raise OutOfRange("OBJECT_ID", self.object_id, line_no)
-        if not -90.0 <= self.lat <= 90.0:
+        if not -lat_bound <= self.lat <= lat_bound:
             raise OutOfRange("LAT", self.lat, line_no)
-        if not -180.0 <= self.lon <= 180.0:
+        if not -lon_bound <= self.lon <= lon_bound:
             raise OutOfRange("LON", self.lon, line_no)
         if not 0.0 <= self.speed < math.inf:
             raise OutOfRange("SPEED", self.speed, line_no)
@@ -246,10 +250,3 @@ def group_tracks(messages: list[AisMessage]) -> list[RawTrack]:
         msgs = sorted(by_vessel[vid], key=time_order)
         tracks.append(RawTrack(vessel_id=vid, messages=msgs))
     return tracks
-
-
-def filter_min_points(tracks: list[RawTrack], threshold: int) -> list[RawTrack]:
-    """Keep tracks with at least `threshold` messages (order preserved)."""
-    if threshold < 1:
-        raise ValueError("threshold must be >= 1")
-    return [t for t in tracks if len(t) >= threshold]

@@ -7,6 +7,7 @@ minutes.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import time
@@ -193,7 +194,7 @@ def test_overlap_stress(report, tracked):
     tracks = group_tracks(parse_csv(csv_text))
     series = [resample(t, 5.0) for t in tracks]
     cfg = RunConfig(window=10, test_len=108, hidden=32, lr=1e-4, batch=10, epochs=30, seed=43)
-    fleet, _ = train_fleet(series, cfg)
+    fleet, _ = train_fleet([dataclasses.replace(s, features=s.features[:-108]) for s in series], cfg)
     # held-out observations: test suffix of each resampled series
     observations = []
     oid = 1

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from aistrack import cli
 from aistrack.cli import build_parser, main
 from aistrack.config import FIELD_TYPES, RunConfig
-from aistrack.fleet import load_fleet, save_fleet
+from aistrack.fleet import load_fleet, save_fleet, train_fleet
 from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv
 from aistrack.preprocess import resample
 from aistrack.synth import fleet_motions, generate
@@ -234,6 +234,50 @@ def test_lenient_run_names_a_track_too_short_to_train_once(tmp_path, capsys):
     assert "feedf00d" not in (tmp_path / "m" / "holdout.csv").read_text()
 
 
+def test_lenient_run_names_its_excluded_track_before_training_fails(tmp_path, capsys):
+    # the exclusion is decided before training, so a run whose training then
+    # diverges still names the track it left out
+    data = tmp_path / "data"
+    assert run(["synth", "--out", data, "--vessels", "2", "--points", "120", "--seed", "1"]) == 0
+    extra = "\n".join(f"{9000 + i},feedf00d,2020-03-01T01:00:0{i}Z,10.0,10.0,0.0,0.0" for i in range(5))
+    fleet = data / "fleet.csv"
+    fleet.write_text(fleet.read_text() + extra + "\n")
+    capsys.readouterr()
+    argv = ["train", "--data", fleet, "--out", tmp_path / "m", "--min-points", 5, "--epochs", 1, "--test-len", 20,
+            "--lenient", "--lr", 1e300]
+    assert run(argv) == 2
+    warning, error, *rest = capsys.readouterr().err.splitlines()
+    assert warning == ("warning: vessel feedf00d has 1 resampled samples, too few for one window of 10"
+                       " once the last 20 are held out, excluded")
+    assert error.startswith("error: vessel ") and "feedf00d" not in error and rest == []
+
+
+def test_training_is_given_each_kept_track_without_its_held_out_samples(trained, tmp_path, monkeypatch):
+    fleet_csv = trained / "data" / "fleet.csv"
+    given = []
+
+    def recording(tracks, cfg):
+        given.extend(tracks)
+        return train_fleet(tracks, cfg)
+
+    monkeypatch.setattr(cli, "train_fleet", recording)
+    assert run(["train", "--data", fleet_csv, "--out", tmp_path / "m", "--min-points", 100, "--epochs", 1,
+                "--test-len", 20]) == 0
+    series_list = [resample(t) for t in group_tracks(parse_csv(fleet_csv.read_text()))]
+    assert [s.vessel_id for s in given] == [s.vessel_id for s in series_list]
+    for prefix, series in zip(given, series_list):
+        assert (prefix.start_time, prefix.period) == (series.start_time, series.period)
+        assert np.array_equal(prefix.features, series.features[: len(series) - 20])
+
+
+def test_min_points_keeps_tracks_of_that_many_rows(capsys):
+    rows = [(vid, i) for vid, n in (("a", 499), ("b", 500), ("c", 501)) for i in range(n)]
+    tracks = group_tracks([AisMessage(oid, vid, 5 * i, 10.0, 10.0, 0.0, 0.0) for oid, (vid, i) in enumerate(rows, 1)])
+    kept = cli._trained_series(tracks, RunConfig(min_points=500))
+    assert [(s.vessel_id, len(s)) for s in kept] == [("b", 500), ("c", 501)]
+    assert capsys.readouterr().err == "warning: vessel a has 499 < 500 points, excluded\n"
+
+
 def test_tracks_ending_at_different_times(tmp_path, capsys):
     # three of seven vessels stop early, so their last samples fall before
     # the other vessels' train ends and are left out of the holdout
@@ -268,11 +312,8 @@ def _holdout_per_row(series_list, fleet, test_len):
     """`cli._holdout_messages` as it was first written: each held-out
     sample's numpy scalars unpacked one row at a time."""
     latest_end = max(fleet.train_end_time.tolist())
-    trained = set(fleet.vessel_ids)
     rows, left_out = [], 0
     for s in series_list:
-        if s.vessel_id not in trained:
-            continue
         for i in range(len(s) - test_len, len(s)):
             lat, lon, speed, course = s.features[i]
             t = int(round(s.time_of(i)))
@@ -293,13 +334,9 @@ def test_holdout_messages_equal_per_row_form(ends):
     tracks = group_tracks(parse_csv(generate(cfg, fleet_motions(cfg))[0]))
     for track, end in zip(tracks, ends):
         del track.messages[end:]
-    series_list = [resample(t, cfg.period) for t in tracks]
+    series_list = [resample(t, cfg.period) for t in tracks[:-1]]  # the last vessel does not train
     test_len = 25
-    # the last vessel has no model, so its samples are not held out
-    fleet = SimpleNamespace(
-        vessel_ids=[s.vessel_id for s in series_list[:-1]],
-        train_end_time=np.array([s.time_of(len(s) - test_len - 1) for s in series_list[:-1]]),
-    )
+    fleet = SimpleNamespace(train_end_time=np.array([s.time_of(len(s) - test_len - 1) for s in series_list]))
     holdout, left_out = cli._holdout_messages(series_list, fleet, test_len)
     expected, expected_left_out = _holdout_per_row(series_list, fleet, test_len)
     assert serialize_csv(holdout) == serialize_csv(expected)
@@ -471,14 +508,14 @@ def test_lenient_counts_skipped_rows(trained, tmp_path, capsys, stage):
 
 @pytest.mark.parametrize(
     "flags, given",
-    [(["--min-points", 1000], 0), (["--min-points", 100, "--test-len", 115, "--lenient"], 3)],
+    [(["--min-points", 1000], 3), (["--min-points", 100, "--test-len", 115, "--lenient"], 3)],
     ids=["min_points", "lenient"],
 )
 def test_train_with_no_track_left_is_data_error(trained, tmp_path, capsys, flags, given):
     capsys.readouterr()
     rc = run(["train", "--data", trained / "data" / "fleet.csv", "--out", tmp_path / "m", "--epochs", 1, *flags])
     err = capsys.readouterr().err
-    assert rc == 2 and f"error: no track left to train: {given} given" in err
+    assert rc == 2 and err.endswith(f"error: no track left to train: {given} read, none kept\n")
     assert not (tmp_path / "m").exists()
 
 

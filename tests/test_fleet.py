@@ -1,6 +1,7 @@
 import base64
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from aistrack.errors import (
     BadModel,
     ChecksumMismatch,
     MissingFile,
+    OutOfRange,
     TrackTooShort,
     VersionMismatch,
 )
@@ -25,6 +27,7 @@ from aistrack.fleet import (
     train_fleet,
     vessel_seed,
 )
+from aistrack.ingest import LAT_LON_BOUNDS, AisMessage
 from aistrack.lstm import AdamState, backward, forward_batch, init_network
 from aistrack.preprocess import RegularTrack, fit_scaler, make_windows, scale
 
@@ -48,8 +51,8 @@ def _train_one(series, cfg):
     return trained, histories[series.vessel_id]
 
 
-def _cfg(epochs=2, test_len=10, lenient=False):
-    return RunConfig(window=5, test_len=test_len, hidden=8, lr=1e-3, batch=8, epochs=epochs, seed=77, lenient=lenient)
+def _cfg(epochs=2):
+    return RunConfig(window=5, hidden=8, lr=1e-3, batch=8, epochs=epochs, seed=77)
 
 
 class TestTrainFleet:
@@ -60,7 +63,7 @@ class TestTrainFleet:
         assert sorted(histories) == [f"v{i}" for i in range(5)]
 
     def test_empty_fleet(self):
-        with pytest.raises(TrackTooShort, match="no track left to train: 0 given"):
+        with pytest.raises(TrackTooShort, match="^no track to train$"):
             train_fleet([], _cfg())
 
     def test_loss_history_length_equals_epochs(self):
@@ -68,13 +71,12 @@ class TestTrainFleet:
         assert len(histories["v"]) == 3
 
     def test_short_track_raises_or_skips(self):
-        short = _series(n=12)  # train_len 2 <= window 5
-        with pytest.raises(TrackTooShort):
-            train_fleet([short], _cfg())
-        with pytest.raises(TrackTooShort, match="no track left to train: 1 given"):
-            train_fleet([short], _cfg(lenient=True))
-        trained, _ = train_fleet([short, _series(vid="w")], _cfg(lenient=True))
-        assert trained.vessel_ids == ["w"]
+        # every track given trains, so one of `window` samples or fewer
+        # raises, alone or in a fleet; skipping one is `cli`'s decision
+        short = _series(n=5)
+        for tracks in ([short], [_series(vid="w"), short]):
+            with pytest.raises(TrackTooShort, match="^vessel v: 5 samples <= window 5$"):
+                train_fleet(tracks, _cfg())
 
     @pytest.mark.parametrize("bad", [{"epochs": 0}, {"batch": 0}, {"lr": -1e-3}, {"window": 0}, {"dropout": 1.0}])
     def test_setting_out_of_range_is_bad_config(self, bad):
@@ -90,26 +92,11 @@ class TestTrainFleet:
         for a, b in zip(f1.network.param_arrays(), f2.network.param_arrays(), strict=True):
             np.testing.assert_array_equal(a, b)
 
-    def test_no_test_leakage_suffix_poisoning(self):
-        series = _series(n=60, seed=3)
-        poisoned = RegularTrack(
-            vessel_id=series.vessel_id,
-            start_time=series.start_time,
-            period=series.period,
-            features=series.features.copy(),
-        )
-        poisoned.features[-10:] = np.nan
-        clean, _ = _train_one(series, _cfg(test_len=10))
-        dirty, _ = _train_one(poisoned, _cfg(test_len=10))
-        assert np.array_equal(clean.scaler.min, dirty.scaler.min) and np.array_equal(clean.scaler.max, dirty.scaler.max)
-        for a, b in zip(clean.network.param_arrays(), dirty.network.param_arrays()):
-            np.testing.assert_array_equal(a, b)
-
     def test_bundle_window_and_end_time(self):
         series = _series(n=60)
-        trained, _ = _train_one(series, _cfg(test_len=10))
+        trained, _ = _train_one(series, _cfg())
         assert trained.last_training_window.shape == (1, 5, 4)
-        assert trained.train_end_time.tolist() == [series.time_of(49)]
+        assert trained.train_end_time.tolist() == [series.time_of(59)]
 
 
 def _scaler_set(bound: str, feature: int, value: float):
@@ -319,6 +306,26 @@ class TestPersistence:
             load_fleet(tmp_path)
         assert str(info.value).startswith(f"{model}: ") and named in str(info.value)
 
+    @pytest.mark.parametrize("feature", [0, 1], ids=["LAT", "LON"])
+    def test_scaler_may_span_what_rows_may_hold(self, feature):
+        # rows at both of a feature's bounds parse, and a scaler fitted on
+        # them loads; a step past the bound fails in both places
+        bound = LAT_LON_BOUNDS[feature]
+        past = np.nextafter(bound, np.inf)
+        row = [1, "v", 0, 0.0, 0.0, 0.0, 0.0]
+        for value in (-bound, bound):
+            row[3 + feature] = value
+            AisMessage(*row).validate(2)
+        row[3 + feature] = past
+        with pytest.raises(OutOfRange):
+            AisMessage(*row).validate(2)
+        doc = json.loads(model_to_json(train_fleet([_series()], _cfg())[0], 0))
+        doc["scaler"]["min"][feature], doc["scaler"]["max"][feature] = -bound, bound
+        model_from_json(json.dumps(doc))
+        doc["scaler"]["max"][feature] = past
+        with pytest.raises(BadModel, match=re.escape("(min <= max; LAT within [-90, 90], LON within [-180, 180])")):
+            model_from_json(json.dumps(doc))
+
 
 def _nan_first(payload: str) -> str:
     """An `_encode` string with its first value replaced by NaN."""
@@ -330,8 +337,7 @@ def _nan_first(payload: str) -> str:
 def _reference_training(series, cfg):
     """One vessel trained alone with its own loop of forward_batch,
     backward and AdamState.step: what a lockstep stack must reproduce."""
-    prefix = series.features[: len(series) - cfg.test_len]
-    windows = make_windows(scale(prefix, fit_scaler(prefix)), cfg.window)
+    windows = make_windows(scale(series.features, fit_scaler(series.features)), cfg.window)
     rng = np.random.default_rng(vessel_seed(cfg.seed, series.vessel_id))
     net = init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rngs=[rng])
     opt = AdamState.for_network(net, cfg.lr)
@@ -352,11 +358,11 @@ def _reference_training(series, cfg):
 class TestLockstep:
     # batch 24 puts 64 // 24 = 2 vessels in a stack, so the three 60-sample
     # tracks train as a stack of two and a stack of one, and the two
-    # 52-sample tracks as one stack; 45 and 37 windows leave a short last batch
+    # 52-sample tracks as one stack; 55 and 47 windows leave a short last batch
     TRACKS = [(f"v{i}", n) for i, n in enumerate((60, 52, 60, 60, 52))]
 
-    def _cfg(self, lenient=False):
-        return RunConfig(window=5, test_len=10, hidden=8, lr=1e-2, batch=24, epochs=3, seed=5, lenient=lenient)
+    def _cfg(self):
+        return RunConfig(window=5, hidden=8, lr=1e-2, batch=24, epochs=3, seed=5)
 
     def test_equals_per_vessel_reference_loop(self, monkeypatch):
         stack_sizes = []
@@ -378,13 +384,12 @@ class TestLockstep:
             for a, b in zip(trained.network.param_arrays(), net.param_arrays()):
                 assert a[z : z + 1].shape == b.shape and np.array_equal(a[z : z + 1], b)
 
-    def test_lenient_skip_and_order_invariance_across_groups(self):
+    def test_short_track_error_and_order_invariance_across_groups(self):
         tracks = [_series(vid, n=n, seed=i) for i, (vid, n) in enumerate(self.TRACKS)]
-        tracks.append(_series("short", n=12))
-        with pytest.raises(TrackTooShort):
-            train_fleet(tracks, self._cfg())
-        f1, h1 = train_fleet(tracks, self._cfg(lenient=True))
-        f2, h2 = train_fleet(tracks[::-1], self._cfg(lenient=True))
+        with pytest.raises(TrackTooShort, match="^vessel short: 5 samples"):
+            train_fleet([*tracks, _series("short", n=5)], self._cfg())
+        f1, h1 = train_fleet(tracks, self._cfg())
+        f2, h2 = train_fleet(tracks[::-1], self._cfg())
         assert f1.vessel_ids == f2.vessel_ids == ["v0", "v1", "v2", "v3", "v4"]
         assert h1 == h2
         for z in range(5):

@@ -7,7 +7,6 @@ from aistrack.errors import MalformedRow, OutOfRange
 from aistrack.ingest import (
     AisMessage,
     ParseStats,
-    filter_min_points,
     format_timestamp,
     group_tracks,
     object_id_pairs,
@@ -325,21 +324,3 @@ def test_group_tracks_tie_breaks_by_object_id():
     msgs = [_msg(7, "v", 100), _msg(3, "v", 100)]
     (track,) = group_tracks(msgs)
     assert [m.object_id for m in track.messages] == [3, 7]
-
-
-def test_filter_min_points_threshold_500():
-    tracks = group_tracks(
-        [_msg(i + 1, vid, i) for vid, n in (("a", 499), ("b", 500), ("c", 501)) for i in range(n)]
-    )
-    kept = filter_min_points(tracks, 500)
-    assert sorted(len(t) for t in kept) == [500, 501]
-
-
-def test_filter_threshold_one_is_identity():
-    tracks = group_tracks([_msg(1, "a", 0), _msg(2, "b", 0)])
-    assert filter_min_points(tracks, 1) == tracks
-
-
-def test_filter_all_short_gives_empty():
-    tracks = group_tracks([_msg(1, "a", 0)])
-    assert filter_min_points(tracks, 2) == []
