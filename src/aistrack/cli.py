@@ -19,9 +19,11 @@ leaves no track to train, a --data track too short for one window once its
 last --test-len samples are held out (unless --lenient leaves it out), a
 --period that puts more than `preprocess.MAX_GRID_SAMPLES` samples on a
 track, an input that is missing or not UTF-8, a missing or malformed model
-(its vessel_id held to the rule for a VID, its scaler to min <= max, with
-the LAT and LON entries in a row's ranges, and its last training window to
-[0, 1]), a model whose training or rollout turns non-finite, an observation
+directory (its fleet.json's vessel ids held to the rule for a VID, sorted
+and each once, each scaler to min <= max, with the LAT and LON entries in a
+row's ranges, and each last training window to [0, 1]; a directory of
+another format version is named as one to retrain), a model whose training
+or rollout turns non-finite, an observation
 at or before a vessel's train end or more than `associate.MAX_ROLLOUT_STEPS`
 steps past it, decisions that leave a truth object undecided, an --out that
 cannot be created or written (`train` creates its --out before it trains; if

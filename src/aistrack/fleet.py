@@ -22,27 +22,23 @@ at most max(1, STACK_WINDOWS // batch) vessels: stacking removes
 per-batch interpreter overhead, which is what costs at small batches, while
 at batch 128 a stack of five was no faster and doubled peak memory. Each
 trained stack is a `Fleet`, the one form trained models take, and only
-`join_fleets` orders and concatenates vessels: `train_fleet` joins its
-stacks with it, and `load_fleet` the one-vessel fleets of its model files.
+`join_fleets` orders and concatenates vessels, as `train_fleet` joins its
+stacks.
 
-A fleet is saved as one model_<vid>.json per vessel, a manifest.json holding
-each file's sha256 and the run's whole config (`config.config_meta`), and a
-train_report.json of each vessel's per-epoch loss. A model file is plain JSON
-metadata (vessel id, period, train end time, scaler, last training window and
-architecture; the reader ignores any other key, such as the train_config
-block older files carry) in which every weight array (W, U and b of each layer,
-dense_W, dense_b) is a base64 string of its little-endian float64 bytes,
-restored bit for bit in the shape `lstm.param_shapes(hidden)` gives. Writing
-the weights as JSON numbers through the indented encoder, which formats each
-float in Python, took about 40 % of training on a 24-vessel fleet. Format
-version 2; any other version is rejected. There is one architecture
-(`lstm`): a file's k must equal `lstm.INPUT_DIM`, its n_layers and its
-number of layers `N_LAYERS`, its out_dim `OUT_DIM`, and its "residual" must
-be true, or the file is rejected rather than run as something it is not.
-Its scaler must be a range of AIS rows (`_scaler`), and its last training
-window lie in [0, 1], as scaled training rows do. A model directory is
-one fleet, associated as one stack: one hidden size and one window across
-its models, and each vessel once, or it is rejected.
+A fleet is saved as one fleet.json, a manifest.json holding its sha256 and
+the run's whole config (`config.config_meta`), and a train_report.json of
+each vessel's per-epoch loss. fleet.json (format version 3) is plain JSON:
+the vessel ids, sorted and each once; each vessel's period, train end time,
+scaler and last training window as (Z,), (Z, 4) and (Z, m, k) lists; and
+the architecture, each weight array of which (W, U and b of each layer,
+dense_W, dense_b) is the base64 of its whole little-endian float64 (Z, ...)
+array. Writing the weights as JSON numbers through the indented encoder,
+which formats each float in Python, took about 40 % of training on a
+24-vessel fleet. The reader rejects another version, a key the format does
+not have and any architecture but `lstm`'s, rather than run a file as
+something it is not; and, naming the first vessel that fails, an id that is
+no VID (`ingest.vessel_id_fault`), a non-finite value, a period <= 0, a
+scaler no AIS rows could give and a last training window outside [0, 1].
 """
 
 from __future__ import annotations
@@ -84,7 +80,7 @@ from .lstm import (
 )
 from .preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 # Windows per lockstep batch call, over all vessels of a stack.
 STACK_WINDOWS = 64
@@ -188,6 +184,9 @@ def train_fleet(tracks: list[RegularTrack], cfg: RunConfig) -> tuple[Fleet, dict
 
 # --- persistence ---------------------------------------------------------
 
+FLEET_FILE = "fleet.json"
+RETRAIN = "retrain with `aistrack train`"
+
 
 def _encode(a: np.ndarray) -> str:
     """An array's values as base64 of their little-endian float64 bytes."""
@@ -195,8 +194,7 @@ def _encode(a: np.ndarray) -> str:
 
 
 def _decode(payload, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """A writable float64 array of one vessel's slice of `shape`, (1, *shape),
-    back from an `_encode` string, every value finite."""
+    """A writable float64 array of `shape` back from an `_encode` string."""
     if not isinstance(payload, str):
         raise BadModel(f"{key} must be a base64 string, got {type(payload).__name__}")
     try:
@@ -205,207 +203,203 @@ def _decode(payload, shape: tuple[int, ...], key: str) -> np.ndarray:
         raise BadModel(f"{key} is not base64: {exc}") from exc
     if len(raw) != 8 * math.prod(shape):
         raise BadModel(f"{key} holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}")
-    return _finite(np.frombuffer(raw, "<f8").astype(np.float64).reshape(1, *shape), key)
+    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
 
 
-def _finite(a: np.ndarray, key: str) -> np.ndarray:
-    """a, if every value is finite; BadModel naming the array if not."""
-    if not np.isfinite(a).all():
-        raise BadModel(f"{key} holds a non-finite value")
-    return a
+def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
+    """A float64 array of `shape` from nested lists of JSON numbers."""
+    a = np.array(value)
+    if a.dtype.kind in "Ub":
+        raise BadModel(f"{key} must hold numbers, not strings or booleans")
+    if a.shape != shape:
+        raise BadModel(f"{key} has shape {a.shape}, expected {shape}")
+    return a.astype(np.float64)
 
 
-# The architecture fields every model file holds: `lstm`'s constants.
+# The architecture fields every fleet file holds: `lstm`'s constants.
 ARCHITECTURE = {"k": INPUT_DIM, "n_layers": N_LAYERS, "out_dim": OUT_DIM, "residual": True}
 
-
-def _network_to_dict(net: LstmNetwork, z: int) -> dict:
-    return {
-        **ARCHITECTURE,
-        "hidden": net.hidden,
-        "dropout_rate": net.dropout_rate,
-        "layers": [{"W": _encode(l.W[z]), "U": _encode(l.U[z]), "b": _encode(l.b[z])} for l in net.layers],
-        "dense_W": _encode(net.dense_W[z]),
-        "dense_b": _encode(net.dense_b[z]),
-    }
-
-
-# JSON type of each scalar of a model document, at the top level and in
-# "network"; an int is accepted for a float.
-MODEL_FIELDS = {"vessel_id": str, "window_size": int, "period": float, "train_end_time": float}
+# JSON type of each scalar in a fleet document's "network"; an int is
+# accepted for a float.
 NETWORK_FIELDS = {"k": int, "hidden": int, "n_layers": int, "out_dim": int, "dropout_rate": float}
+
+# Every key of a format-3 document and of its "network": a reader never
+# drops a field it does not know.
+MODEL_KEYS = {"format_version", "vessel_ids", "window_size", "period", "train_end_time", "scaler",
+              "last_training_window", "network"}
+NETWORK_KEYS = {*ARCHITECTURE, *NETWORK_FIELDS, "layers", "dense_W", "dense_b"}
+WEIGHT_NAMES = [f"layers[{li}].{p}" for li in range(N_LAYERS) for p in ("W", "U", "b")] + ["dense_W", "dense_b"]
 
 
 def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
-    """Each key of `kinds` must hold a JSON value of its type: ints >= 1,
-    floats finite and period > 0."""
+    """Each key of `kinds` must hold a JSON value of its type: ints >= 1 and
+    floats finite."""
     for key, kind in kinds.items():
         value = doc[key]
         ok = json_type_fault(value, kind) is None
         ok = ok and (kind is not int or value >= 1) and (kind is not float or math.isfinite(value))
-        if not ok or (key == "period" and value <= 0):
+        if not ok:
             raise BadModel(f"{key} {value!r} is not a valid {kind.__name__}")
 
 
-def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """A float64 array of one vessel's slice of `shape`, (1, *shape), from
-    nested lists of finite JSON numbers."""
-    a = np.array(value, dtype=np.float64)
-    if a.shape != shape:
-        raise BadModel(f"{key} has shape {a.shape}, expected {shape}")
-    return _finite(a, key)[None]
+def _check_keys(doc, keys: set[str], where: str) -> None:
+    """`doc` must be a JSON object with no key outside `keys`."""
+    if not isinstance(doc, dict):
+        raise BadModel(f"{where} is not a JSON object")
+    unknown = sorted(doc.keys() - keys)
+    if unknown:
+        raise BadModel(f"{where} holds {unknown[0]!r}, a key format {MODEL_FORMAT_VERSION} does not have")
+
+
+def _check_vessels(bad: np.ndarray, ids: list[str], fault) -> None:
+    """BadModel naming the vessel (axis 0) of `bad`'s first True, with `fault` of its index."""
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise BadModel(f"vessel {ids[at[0]]}: {fault(at)}")
 
 
 # |LAT| and |LON| bounds of a row (`ingest.LAT_LON_BOUNDS`), then SPEED's and COURSE's
 SCALER_BOUNDS = np.array([*LAT_LON_BOUNDS, np.inf, np.inf])
 
 
-def _scaler(d: dict) -> ScalerParams:
-    """A model document's scaler, of (1, 4) arrays; BadModel unless each feature's
-    -bound <= min <= max <= bound. A range no AIS rows could give, such as a
-    LAT span of 1e308, would overflow when predictions are unscaled."""
-    lo = _numbers(d["min"], (INPUT_DIM,), "scaler.min")
-    hi = _numbers(d["max"], (INPUT_DIM,), "scaler.max")
-    bad = np.flatnonzero(~((-SCALER_BOUNDS <= lo) & (lo <= hi) & (hi <= SCALER_BOUNDS)))
-    if len(bad):
-        i = bad[0]  # HEADER ends with the INPUT_DIM features, LAT first
-        lat, lon = LAT_LON_BOUNDS
-        raise BadModel(
-            f"scaler {HEADER[3 + i]} range [{lo.flat[i].item()}, {hi.flat[i].item()}] is not one AIS rows can give"
-            f" (min <= max; LAT within [-{lat:g}, {lat:g}], LON within [-{lon:g}, {lon:g}])"
-        )
-    return ScalerParams(min=lo, max=hi)
-
-
-def _network_from_dict(d: dict) -> LstmNetwork:
-    _check_fields(d, NETWORK_FIELDS)
+def _fleet_from_doc(doc) -> Fleet:
+    if isinstance(doc, dict) and doc.get("format_version") != MODEL_FORMAT_VERSION:
+        raise VersionMismatch(f"model format {doc.get('format_version')}, expected {MODEL_FORMAT_VERSION}: {RETRAIN}")
+    _check_keys(doc, MODEL_KEYS, "the document")
+    _check_fields(doc, {"window_size": int})
+    ids = doc["vessel_ids"]
+    if not isinstance(ids, list) or not ids:
+        raise BadModel("vessel_ids must be a list of one or more vessel ids")
+    for vid in ids:
+        fault = json_type_fault(vid, str) or vessel_id_fault(vid)
+        if fault:
+            raise BadModel(f"vessel_ids: {fault}")
+    for a, b in zip(ids, ids[1:]):
+        if a >= b:  # the one order a fleet is stacked in
+            raise BadModel(f"vessel_ids lists vessel {b} " + ("more than once" if a == b else f"after {a}"))
+    z, net = len(ids), doc["network"]
+    _check_keys(net, NETWORK_KEYS, "network")
+    _check_fields(net, NETWORK_FIELDS)
     for key, value in ARCHITECTURE.items():
-        if json_type_fault(d[key], type(value)) or d[key] != value:
-            raise BadModel(f"{key} {d[key]!r}: only networks with {key} {value!r} are supported")
-    if len(d["layers"]) != N_LAYERS:
-        raise BadModel(f"network has {len(d['layers']) or 'no'} layers, expected {N_LAYERS}")
-    names = [f"layers[{li}].{p}" for li in range(N_LAYERS) for p in ("W", "U", "b")] + ["dense_W", "dense_b"]
-    payloads = [ld[p] for ld in d["layers"] for p in ("W", "U", "b")] + [d["dense_W"], d["dense_b"]]
-    shapes = param_shapes(d["hidden"])
-    arrays = [_decode(*args) for args in zip(payloads, shapes, names, strict=True)]
-    return network_from_arrays(arrays, d["dropout_rate"])
+        if json_type_fault(net[key], type(value)) or net[key] != value:
+            raise BadModel(f"{key} {net[key]!r}: only networks with {key} {value!r} are supported")
+    if len(net["layers"]) != N_LAYERS:
+        raise BadModel(f"network has {len(net['layers']) or 'no'} layers, expected {N_LAYERS}")
+    payloads = [layer[p] for layer in net["layers"] for p in ("W", "U", "b")] + [net["dense_W"], net["dense_b"]]
+    shapes = [(z, *shape) for shape in param_shapes(net["hidden"])]
+    arrays = {key: _decode(p, shape, key) for key, p, shape in zip(WEIGHT_NAMES, payloads, shapes, strict=True)}
+    for key, value, shape in [
+        ("period", doc["period"], (z,)),
+        ("train_end_time", doc["train_end_time"], (z,)),
+        ("scaler.min", doc["scaler"]["min"], (z, INPUT_DIM)),
+        ("scaler.max", doc["scaler"]["max"], (z, INPUT_DIM)),
+        ("last_training_window", doc["last_training_window"], (z, doc["window_size"], INPUT_DIM)),
+    ]:
+        arrays[key] = _numbers(value, shape, key)
+    for key, a in arrays.items():
+        _check_vessels(~np.isfinite(a), ids, lambda at: f"{key} holds a non-finite value")
+    period, lo, hi, window = (arrays[k] for k in ("period", "scaler.min", "scaler.max", "last_training_window"))
+    _check_vessels(period <= 0, ids, lambda at: f"period {period[at].item()!r} is not > 0")
+    # a range no AIS rows could give, such as a LAT span of 1e308, would
+    # overflow when predictions are unscaled; HEADER ends with the features
+    lat, lon = LAT_LON_BOUNDS
+    _check_vessels(
+        ~((-SCALER_BOUNDS <= lo) & (lo <= hi) & (hi <= SCALER_BOUNDS)),
+        ids,
+        lambda at: f"scaler {HEADER[3 + at[1]]} range [{lo[at].item()}, {hi[at].item()}] is not one AIS rows can give"
+        f" (min <= max; LAT within [-{lat:g}, {lat:g}], LON within [-{lon:g}, {lon:g}])",
+    )
+    # training scales each window by its own prefix's min and max
+    outside = (window < 0) | (window > 1)
+    _check_vessels(outside, ids, lambda at: f"last_training_window value {window[at].item()!r} is outside the"
+                   " [0, 1] of scaled rows")
+    return Fleet(
+        vessel_ids=ids,
+        network=network_from_arrays([arrays[key] for key in WEIGHT_NAMES], net["dropout_rate"]),
+        scaler=ScalerParams(min=lo, max=hi),
+        period=period,
+        train_end_time=arrays["train_end_time"],
+        last_training_window=window,
+    )
 
 
-def model_to_json(fleet: Fleet, z: int) -> str:
-    """The model file of the fleet's vessel z."""
+def fleet_to_json(fleet: Fleet) -> str:
+    """The fleet file of `fleet`: its per-vessel values as JSON numbers, and
+    each weight as one `_encode` string of its whole (Z, ...) array."""
+    net = fleet.network
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "vessel_id": fleet.vessel_ids[z],
+        "vessel_ids": fleet.vessel_ids,
         "window_size": fleet.last_training_window.shape[1],
-        "period": fleet.period[z].item(),
-        "train_end_time": fleet.train_end_time[z].item(),
-        "scaler": {"min": fleet.scaler.min[z].tolist(), "max": fleet.scaler.max[z].tolist()},
-        "last_training_window": fleet.last_training_window[z].tolist(),
-        "network": _network_to_dict(fleet.network, z),
+        "period": fleet.period.tolist(),
+        "train_end_time": fleet.train_end_time.tolist(),
+        "scaler": {"min": fleet.scaler.min.tolist(), "max": fleet.scaler.max.tolist()},
+        "last_training_window": fleet.last_training_window.tolist(),
+        "network": {
+            **ARCHITECTURE,
+            "hidden": net.hidden, "dropout_rate": net.dropout_rate,
+            "layers": [{"W": _encode(l.W), "U": _encode(l.U), "b": _encode(l.b)} for l in net.layers],
+            "dense_W": _encode(net.dense_W), "dense_b": _encode(net.dense_b),
+        },
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def model_from_json(text: str) -> Fleet:
-    """The one-vessel fleet of a model file. Raises VersionMismatch for
-    another format version and BadModel for a document that is not a model
-    of this one, or whose vessel_id `ingest.vessel_id_fault` rejects."""
+def fleet_from_json(text: str | bytes) -> Fleet:
+    """The fleet of a fleet file. Raises VersionMismatch for another format
+    version and BadModel for a document that is not a fleet of this one; a
+    fault in one vessel's values names the vessel."""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise BadModel(f"not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BadModel("not a JSON object")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise VersionMismatch(f"model format {doc.get('format_version')}, expected {MODEL_FORMAT_VERSION}")
-    try:
-        _check_fields(doc, MODEL_FIELDS)
-        fault = vessel_id_fault(doc["vessel_id"])
-        if fault:
-            raise BadModel(f"vessel_id: {fault}")
-        vessel = Fleet(
-            vessel_ids=[doc["vessel_id"]],
-            network=_network_from_dict(doc["network"]),
-            scaler=_scaler(doc["scaler"]),
-            period=np.array([doc["period"]], dtype=np.float64),
-            train_end_time=np.array([doc["train_end_time"]], dtype=np.float64),
-            last_training_window=_numbers(
-                doc["last_training_window"], (doc["window_size"], INPUT_DIM), "last_training_window"
-            ),
-        )
-        window = vessel.last_training_window
-        outside = window[(window < 0) | (window > 1)]
-        if len(outside):  # training scales each window by its own prefix's min and max
-            raise BadModel(f"last_training_window value {outside[0].item()!r} is outside the [0, 1] of scaled rows")
-        return vessel
-    # a key missing, a container of the wrong kind, or an int no float can hold
+        return _fleet_from_doc(json.loads(text))
+    # not JSON or UTF-8, a key missing, a container of the wrong kind, or an int no float can hold
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadModel(f"not a model document: missing or malformed {exc!r}") from exc
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def save_fleet(fleet: Fleet, directory: str | Path, cfg: RunConfig, histories: dict[str, list[float]]) -> Path:
-    """Write model_<vid>.json per vessel, a checksummed manifest.json that
-    echoes `cfg`, and train_report.json holding `histories`. Returns the
-    manifest path."""
+    """Write fleet.json, a manifest.json that holds its sha256 and echoes
+    `cfg`, and train_report.json holding `histories`. Returns the manifest
+    path."""
     directory = output_dir(directory)
-    entries = []
-    for z, vessel_id in enumerate(fleet.vessel_ids):
-        name = f"model_{vessel_id}.json"
-        data = model_to_json(fleet, z).encode()
-        write_output(directory / name, data)
-        entries.append({"file": name, "vessel_id": vessel_id, "sha256": _sha256(data)})
-    manifest = {"format_version": MODEL_FORMAT_VERSION, "meta": config_meta(cfg), "models": entries}
+    data = fleet_to_json(fleet).encode()
+    write_output(directory / FLEET_FILE, data)
+    models = [{"file": FLEET_FILE, "sha256": hashlib.sha256(data).hexdigest()}]
+    manifest = {"format_version": MODEL_FORMAT_VERSION, "meta": config_meta(cfg), "models": models}
     path = directory / "manifest.json"
     write_output(path, json.dumps(manifest, sort_keys=True, indent=1))
     write_output(directory / "train_report.json", json.dumps({"epoch_loss": histories}, sort_keys=True, indent=1))
     return path
 
 
+def _read_model_file(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:  # no such file, or the directory is none
+        raise MissingFile(f"{path.parent} is not a model directory: it holds no readable {path.name}"
+                          f" ({exc.strerror}); `aistrack train --out` writes one") from None
+
+
 def load_fleet(directory: str | Path) -> Fleet:
-    """Read a model directory back as one fleet, verifying checksums. The
-    manifest must list at least one model, each by a bare file name in the
-    directory under the vessel id its file holds, each vessel once, and all
-    of one hidden size and one window."""
+    """Read a model directory back as its fleet, once fleet.json's sha256
+    matches the one its manifest holds."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise MissingFile(str(manifest_path))
     try:
-        manifest = json.loads(manifest_path.read_text())
-        files = [(entry["file"], entry["sha256"], entry["vessel_id"]) for entry in manifest["models"]]
+        manifest = json.loads(_read_model_file(manifest_path))
+        files = [(entry["file"], entry["sha256"]) for entry in manifest["models"]]
     except (ValueError, TypeError, KeyError) as exc:  # not JSON or UTF-8, or not the manifest layout
         raise BadManifest(f"{manifest_path} is not a model manifest: {exc!r}") from exc
     if manifest.get("format_version") != MODEL_FORMAT_VERSION:
         version = manifest.get("format_version")
-        raise VersionMismatch(f"manifest format {version}, expected {MODEL_FORMAT_VERSION}")
-    if not files:
-        raise BadManifest(f"{manifest_path} lists no models")
-    vessels = []
-    for name, sha256, vessel_id in files:
-        if not isinstance(name, str) or Path(name).name != name or name in ("", ".."):
-            raise BadManifest(f"{manifest_path}: model file {name!r} is not a file name in {directory}")
-        path = directory / name
-        if not path.exists():
-            raise MissingFile(str(path))
-        data = path.read_bytes()
-        if _sha256(data) != sha256:
-            raise ChecksumMismatch(f"{path} checksum does not match manifest")
-        try:
-            vessels.append(model_from_json(data.decode()))
-        except (BadModel, UnicodeDecodeError) as exc:
-            raise BadModel(f"{path}: {exc}") from exc
-        (held,) = vessels[-1].vessel_ids
-        if held != vessel_id:
-            raise BadManifest(f"{manifest_path} lists {name} as vessel {vessel_id!r}, but it holds vessel {held!r}")
-    sizes = sorted({(v.network.hidden, v.last_training_window.shape[1]) for v in vessels})
-    if len(sizes) > 1:
-        raise BadManifest(f"{manifest_path} mixes (hidden size, window) {sizes[0]} and {sizes[1]}: a fleet has one")
-    fleet = join_fleets(vessels)
-    repeated = [a for a, b in zip(fleet.vessel_ids, fleet.vessel_ids[1:]) if a == b]
-    if repeated:
-        raise BadManifest(f"{manifest_path} lists vessel {repeated[0]} more than once")
-    return fleet
+        raise VersionMismatch(f"{manifest_path}: model format {version}, expected {MODEL_FORMAT_VERSION}: {RETRAIN}")
+    names = [name for name, _ in files]
+    if names != [FLEET_FILE]:
+        raise BadManifest(f"{manifest_path} lists {names or 'no models'}, where a model directory lists {FLEET_FILE}")
+    path = directory / FLEET_FILE
+    data = _read_model_file(path)
+    if hashlib.sha256(data).hexdigest() != files[0][1]:
+        raise ChecksumMismatch(f"{path} checksum does not match manifest")
+    try:
+        return fleet_from_json(data)
+    except BadModel as exc:
+        raise BadModel(f"{path}: {exc}") from exc

@@ -30,9 +30,8 @@ LAT_LON_BOUNDS = (90.0, 180.0)
 # The label of an observation assigned to no vessel.
 NEW_TRACK = "NEW"
 
-# What a VID may not hold, since it goes into the CSV fields and model file
-# names the pipeline writes: a CSV delimiter or quote, a path separator, or a
-# control character.
+# What a VID may not hold: a CSV delimiter or quote, since it goes into the
+# CSV fields the pipeline writes, a path separator, or a control character.
 _VID_FORBIDDEN = re.compile(r'[,"/\\\x00-\x1f\x7f-\x9f]')
 
 

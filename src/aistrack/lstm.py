@@ -22,11 +22,11 @@ A network holds Z vessels' models, one per slice of a leading vessel axis
 on every parameter; `init_network` draws slice z from generator z alone.
 `param_shapes(hidden)` gives one vessel's slice of each parameter in
 `param_arrays()` order, and `network_from_arrays` builds a network from
-arrays in that order; `init_network`, `fleet.join_fleets` and the model
+arrays in that order; `init_network`, `fleet.join_fleets` and the fleet
 file reader (`fleet`) all go through them, so only the hidden size varies
-between networks. A fleet is one stack (`fleet.Fleet`): `fleet.load_fleet`
-rejects a model directory that mixes hidden sizes or windows, or lists a vessel
-twice. All math is float64 so the finite-difference gradient check is tight.
+between networks. A fleet is one stack (`fleet.Fleet`), saved as one file
+of whole (Z, ...) arrays, so it has one hidden size by construction.
+All math is float64 so the finite-difference gradient check is tight.
 
 `forward_batch`, `backward`, `AdamState.step` and `train_epoch` run the Z
 models on (Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`,

@@ -1,4 +1,3 @@
-import json
 import math
 import time
 import warnings
@@ -24,7 +23,7 @@ from aistrack.associate import (
 )
 from aistrack.cli import main
 from aistrack.config import RunConfig
-from aistrack.errors import BadManifest, NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
+from aistrack.errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
 from aistrack.fleet import Fleet, join_fleets, load_fleet, save_fleet
 from aistrack.ingest import AisMessage, serialize_csv
 from aistrack.lstm import init_network
@@ -124,16 +123,14 @@ class TestAssociate:
             associate(_obs(1, 0, 0), {})
 
 
-def _vessel(
-    vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0, hidden=8, window=10
-):
+def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0):
     """A one-vessel fleet."""
-    net = init_network(hidden=hidden, dropout_rate=0.0, rngs=[np.random.default_rng(seed)])
+    net = init_network(hidden=8, dropout_rate=0.0, rngs=[np.random.default_rng(seed)])
     scaler = ScalerParams(
         min=np.array([[lat_range[0], lon_range[0], 0.0, 0.0]]),
         max=np.array([[lat_range[1], lon_range[1], 10.0, 3600.0]]),
     )
-    last_window = np.random.default_rng(seed + 100).random((1, window, 4))
+    last_window = np.random.default_rng(seed + 100).random((1, 10, 4))
     return Fleet(
         vessel_ids=[vid],
         network=net,
@@ -142,17 +139,6 @@ def _vessel(
         train_end_time=np.array([train_end], dtype=np.float64),
         last_training_window=last_window,
     )
-
-
-def _save_vessels(vessels, directory):
-    """Save one-vessel fleets, which need not make one stack, as one model
-    directory."""
-    entries = []
-    for v in vessels:
-        manifest = json.loads(save_fleet(v, directory, RunConfig(), {}).read_text())
-        entries += manifest["models"]
-    manifest["models"] = entries
-    (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestPredictPositions:
@@ -348,20 +334,6 @@ class TestStackedRollout:
         monkeypatch.setattr(assoc_module, "rollout_start", lambda net, window: nets.append(net) or start(net, window))
         associate_batch(_mixed_observations(10), self.FLEET)
         assert nets == [self.FLEET.network]
-
-    @pytest.mark.parametrize("odd", [{"hidden": 4}, {"window": 6}], ids=["hidden", "window"])
-    def test_mixed_fleet_is_cli_data_error(self, tmp_path, capsys, odd):
-        _save_vessels([*self.VESSELS[:2], _vessel("fff", seed=6, **odd)], tmp_path / "models")
-        with pytest.raises(BadManifest, match="mixes \\(hidden size, window\\)"):
-            load_fleet(tmp_path / "models")
-        (tmp_path / "obs.csv").write_text(serialize_csv([_obs(1, 30.5, 20.5, t=1020)]))
-        argv = ["associate", "--models", tmp_path / "models", "--obs", tmp_path / "obs.csv", "--out", tmp_path / "d.csv"]
-        capsys.readouterr()
-        assert main([str(a) for a in argv]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(tmp_path / "models" / "manifest.json") in err
-        assert not (tmp_path / "d.csv").exists()
 
     def test_repeated_batch_gives_equal_decisions(self):
         # each call starts its own rollout: nothing one call advances in

@@ -115,7 +115,7 @@ def test_corrupted_model_is_data_error(pipeline_dirs):
     data, models, tmp = pipeline_dirs
     _synth(data)
     _train(data, models)
-    victim = next(models.glob("model_*.json"))
+    victim = models / "fleet.json"
     victim.write_text(victim.read_text().replace("0.", "1.", 1))
     rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp / "d.csv"])
     assert rc == 2
@@ -209,8 +209,7 @@ def test_short_track_excluded_with_warning(tmp_path, capsys):
         == 0
     )
     assert "feedf00d" in capsys.readouterr().err
-    manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
-    assert len(manifest["models"]) == 2
+    assert len(json.loads((tmp_path / "m" / "fleet.json").read_text())["vessel_ids"]) == 2
 
 
 def test_lenient_run_names_a_track_too_short_to_train_once(tmp_path, capsys):
@@ -230,7 +229,7 @@ def test_lenient_run_names_a_track_too_short_to_train_once(tmp_path, capsys):
     assert err.count("feedf00d") == 1
     assert ("warning: vessel feedf00d has 1 resampled samples, too few for one window of 10"
             " once the last 20 are held out, excluded\n") in err
-    assert len(json.loads((tmp_path / "m" / "manifest.json").read_text())["models"]) == 2
+    assert len(json.loads((tmp_path / "m" / "fleet.json").read_text())["vessel_ids"]) == 2
     assert "feedf00d" not in (tmp_path / "m" / "holdout.csv").read_text()
 
 
@@ -616,17 +615,34 @@ def test_repeated_truth_object_id_is_data_error(trained, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-def test_manifest_vessel_other_than_model_file_is_data_error(trained, tmp_path, capsys):
+@pytest.mark.parametrize("remove", ["manifest.json", "fleet.json"])
+def test_missing_model_directory_file_is_one_error_line(trained, tmp_path, capsys, remove):
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
-    manifest = json.loads((models / "manifest.json").read_text())
-    manifest["models"][0]["vessel_id"] = "nonsense"
-    (models / "manifest.json").write_text(json.dumps(manifest))
+    (models / remove).unlink()
     capsys.readouterr()
     rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"])
     err = capsys.readouterr().err
-    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
-    assert str(models / "manifest.json") in err and "'nonsense'" in err
+    assert rc == 2 and err.count("\n") == 1
+    assert err.startswith(f"error: {models} is not a model directory: it holds no readable {remove} (")
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_version_2_model_directory_is_one_error_line(trained, tmp_path, capsys):
+    # the layout of format 2: one model file per vessel, each listed in the manifest
+    models = tmp_path / "models"
+    models.mkdir()
+    fleet = json.loads((trained / "models" / "fleet.json").read_text())
+    entries = []
+    for vid in fleet["vessel_ids"]:
+        (models / f"model_{vid}.json").write_text(json.dumps({"format_version": 2, "vessel_id": vid}))
+        entries.append({"file": f"model_{vid}.json", "vessel_id": vid, "sha256": "0" * 64})
+    (models / "manifest.json").write_text(json.dumps({"format_version": 2, "meta": {}, "models": entries}))
+    capsys.readouterr()
+    rc = run(["associate", "--models", models, "--obs", trained / "models" / "holdout.csv", "--out", tmp_path / "d.csv"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {models / 'manifest.json'}: model format 2, expected 3: retrain with `aistrack train`\n"
     assert not (tmp_path / "d.csv").exists()
 
 
@@ -681,46 +697,43 @@ def test_arbitrary_input_bytes_never_internal_error(trained, argv, content):
     assert run(argv.format(**paths).split()) in (0, 1, 2)
 
 
-def _resign(models, manifest, entry, doc):
-    """Write model document `doc` as `manifest`'s entry `entry`, and the
-    manifest with its sha256, so that the checksum passes."""
+def _resign(models, doc):
+    """Write `doc` as the directory's fleet.json, and its sha256 into the
+    manifest, so that the checksum passes."""
     raw = json.dumps(doc).encode()
-    (models / entry["file"]).write_bytes(raw)
-    entry["sha256"] = hashlib.sha256(raw).hexdigest()
+    (models / "fleet.json").write_bytes(raw)
+    manifest = json.loads((models / "manifest.json").read_text())
+    manifest["models"][0]["sha256"] = hashlib.sha256(raw).hexdigest()
     (models / "manifest.json").write_text(json.dumps(manifest))
 
 
 def test_model_vessel_id_with_comma_is_data_error(trained, tmp_path, capsys):
-    # re-signed under the manifest entry's new vessel_id too, so only the
-    # vessel id rule rejects it; it would write a DIST_a,b column
+    # re-signed, so only the vessel id rule rejects it; it would write a
+    # DIST_a,b column
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
-    manifest = json.loads((models / "manifest.json").read_text())
-    entry = manifest["models"][0]
-    doc = json.loads((models / entry["file"]).read_text())
-    doc["vessel_id"] = entry["vessel_id"] = "a,b"
-    _resign(models, manifest, entry, doc)
+    doc = json.loads((models / "fleet.json").read_text())
+    doc["vessel_ids"][0] = "a,b"
+    _resign(models, doc)
     capsys.readouterr()
     assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {models / entry['file']}: vessel_id: VID 'a,b' holds ','")
+    assert err.startswith(f"error: {models / 'fleet.json'}: vessel_ids: VID 'a,b' holds ','")
     assert not (tmp_path / "d.csv").exists()
 
 
 def _associate_edited_model(trained, tmp_path, capsys, edit):
-    """Run associate on a copy of the trained models whose first model
-    document `edit` changed, re-signed; returns its exit code, its stderr
-    and the edited file."""
+    """Run associate on a copy of the trained models whose fleet.json `edit`
+    changed, re-signed; returns its exit code, its stderr, the edited file
+    and the vessel ids."""
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
-    manifest = json.loads((models / "manifest.json").read_text())
-    entry = manifest["models"][0]
-    doc = json.loads((models / entry["file"]).read_text())
+    doc = json.loads((models / "fleet.json").read_text())
     edit(doc)
-    _resign(models, manifest, entry, doc)
+    _resign(models, doc)
     capsys.readouterr()
     argv = ["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]
-    return run_without_warnings(argv), capsys.readouterr().err, models / entry["file"]
+    return run_without_warnings(argv), capsys.readouterr().err, models / "fleet.json", doc["vessel_ids"]
 
 
 def test_model_with_implausible_scaler_is_one_error_line_at_associate(trained, tmp_path, capsys):
@@ -728,11 +741,11 @@ def test_model_with_implausible_scaler_is_one_error_line_at_associate(trained, t
     # overflows: that vessel's predictions would be NaN, and every decision NEW
 
     def edit(doc):
-        doc["scaler"]["min"][0], doc["scaler"]["max"][0] = -1.7e308, 1.7e308
+        doc["scaler"]["min"][1][0], doc["scaler"]["max"][1][0] = -1.7e308, 1.7e308
 
-    rc, err, model = _associate_edited_model(trained, tmp_path, capsys, edit)
+    rc, err, model, ids = _associate_edited_model(trained, tmp_path, capsys, edit)
     assert rc == 2
-    assert err.startswith(f"error: {model}: scaler LAT range ") and err.count("\n") == 1
+    assert err.startswith(f"error: {model}: vessel {ids[1]}: scaler LAT range ") and err.count("\n") == 1
     assert not (tmp_path / "d.csv").exists()
 
 
@@ -743,11 +756,12 @@ def test_model_window_outside_unit_range_is_one_error_line_at_associate(trained,
     # training ever saw
 
     def edit(doc):
-        doc["last_training_window"][-1][0] = value
+        doc["last_training_window"][-1][-1][0] = value
 
-    rc, err, model = _associate_edited_model(trained, tmp_path, capsys, edit)
+    rc, err, model, ids = _associate_edited_model(trained, tmp_path, capsys, edit)
     assert rc == 2
-    assert err == f"error: {model}: last_training_window value {value!r} is outside the [0, 1] of scaled rows\n"
+    assert err == (f"error: {model}: vessel {ids[-1]}: last_training_window value {value!r} is outside the [0, 1]"
+                   " of scaled rows\n")
     assert not (tmp_path / "d.csv").exists()
 
 
@@ -756,9 +770,9 @@ def test_rollout_step_count_past_bound_is_one_short_error_line(trained, tmp_path
     # it: the count is given to six significant digits, not all 308
 
     def edit(doc):
-        doc["train_end_time"] = -1.7976931348623157e308
+        doc["train_end_time"][0] = -1.7976931348623157e308
 
-    rc, err, _ = _associate_edited_model(trained, tmp_path, capsys, edit)
+    rc, err, _, _ = _associate_edited_model(trained, tmp_path, capsys, edit)
     assert rc == 2
     assert err.startswith("error: observation at ") and " is 3.59539e+307 rollout steps past vessel " in err
     assert err.count("\n") == 1 and len(err) < 200
@@ -791,18 +805,34 @@ def _json_paths(value, path=()):
     return [p for key, item in items for p in [(*path, key), *_json_paths(item, (*path, key))]]
 
 
+# The field family of each top-level key of fleet.json and of each key in
+# its "network"; the network's other keys are its scalars.
+FAMILIES = {"format_version": "ids", "vessel_ids": "ids", "period": "period", "train_end_time": "train_end_time",
+            "scaler": "scaler", "window_size": "window", "last_training_window": "window",
+            "layers": "weights", "dense_W": "weights", "dense_b": "weights"}
+
+
+def _family(path) -> str:
+    key = path[1] if path[0] == "network" and len(path) > 1 else path[0]
+    return FAMILIES.get(key, "network scalars")
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), value=JSON_VALUES)
 def test_model_file_value_replaced_never_internal_error(trained, data, value):
+    # a family is drawn first, then a path in it, so that a family of few
+    # paths, such as the ids or the periods, is drawn as often as the window
     models = trained / "fuzz_models"
     shutil.rmtree(models, ignore_errors=True)
     shutil.copytree(trained / "models", models)
-    manifest = json.loads((models / "manifest.json").read_text())
-    entry = data.draw(st.sampled_from(manifest["models"]))
-    doc = json.loads((models / entry["file"]).read_text())
-    *parents, key = data.draw(st.sampled_from(_json_paths(doc)))
+    doc = json.loads((models / "fleet.json").read_text())
+    families = {}
+    for path in _json_paths(doc):
+        families.setdefault(_family(path), []).append(path)
+    family = data.draw(st.sampled_from(sorted(families)))
+    *parents, key = data.draw(st.sampled_from(families[family]))
     functools.reduce(operator.getitem, parents, doc)[key] = value
-    _resign(models, manifest, entry, doc)
+    _resign(models, doc)
     obs = trained / "models" / "holdout.csv"
     out = trained / "fuzz_decisions.csv"
     rc = run(["associate", "--models", models, "--obs", obs, "--out", out])
@@ -832,16 +862,16 @@ def test_every_model_number_at_an_extreme_is_one_error_line_or_finite(trained, t
     # each numeric leaf of a model file to it in turn
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
-    manifest = json.loads((models / "manifest.json").read_text())
-    entry = manifest["models"][0]
-    text = (models / entry["file"]).read_text()
+    text = (models / "fleet.json").read_text()
     leaves = _numeric_leaves(json.loads(text))
-    assert len(leaves) == 24  # 8 scalars, 3 + 3 scaler bounds, 3 x 3 window values
+    # 7 scalars; of each of the 3 vessels, its period, train end time, 3 + 3
+    # scaler bounds and 3 x 3 window values
+    assert len(leaves) == 7 + 3 * (2 + 6 + 9)
     faults = []
     for i, (*parents, key) in enumerate(leaves):
         doc = json.loads(text)
         functools.reduce(operator.getitem, parents, doc)[key] = value
-        _resign(models, manifest, entry, doc)
+        _resign(models, doc)
         out = tmp_path / f"d{i}.csv"
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
