@@ -181,4 +181,4 @@ def decisions_to_csv(decisions: Decisions) -> str:
 
 def decisions_from_csv(text: str) -> list[tuple[int, str]]:
     """Read back (object_id, assigned_vid) pairs from a decisions CSV."""
-    return object_id_pairs(text, ("OBJECT_ID", "ASSIGNED_VID"), exact=False)
+    return object_id_pairs(text, ("OBJECT_ID", "ASSIGNED_VID"))

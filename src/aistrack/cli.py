@@ -10,26 +10,28 @@ added by adding a `RunConfig` field and naming it in one `FLAGS` list.
 each one left out (`_trained_series`); `fleet.train_fleet` gets each kept
 track's training prefix, all but its last --test-len samples.
 
-Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row or
-duplicate OBJECT_ID (in --data, --obs, --decisions or --truth; the error
-names the file and line), a VID in --data or --obs that is empty, "NEW" or
-holds `,` `"` `/` `\\` or a control character, a --decisions or --truth
-header that is not its own, a bad --config file or value, a --data file that
-leaves no track to train, a --data track too short for one window once its
-last --test-len samples are held out (unless --lenient leaves it out), a
---period that puts more than `preprocess.MAX_GRID_SAMPLES` samples on a
-track, an input that is missing or not UTF-8, a missing or malformed model
-directory (its fleet.json's vessel ids held to the rule for a VID, sorted
-and each once, each scaler to min <= max, with the LAT and LON entries in a
-row's ranges, and each last training window to [0, 1]; a directory of
-another format version is named as one to retrain), a model whose training
-or rollout turns non-finite, an observation
-at or before a vessel's train end or more than `associate.MAX_ROLLOUT_STEPS`
-steps past it, decisions that leave a truth object undecided, an --out that
-cannot be created or written (`train` creates its --out before it trains; if
-training or saving fails, it removes each directory it made for --out that
-is still empty), and an `evaluate --out` ending in .txt, which its text
-report would overwrite.
+Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row,
+a row with fewer or more fields than its header, or a duplicate OBJECT_ID
+(in --data, --obs, --decisions or --truth, each read as CSV by one set of
+rules; the error names the file and line), a VID in --data or --obs that is
+empty, "NEW" or holds `,` `"` `/` `\\` or a control character, a --decisions
+or --truth file missing a column of its own (ASSIGNED_VID, VID), a bad
+--config file or value, a --data file that leaves no track to train, a
+--data track too short for one window once its last --test-len samples are
+held out (unless --lenient leaves it out), a --period that puts more than
+`preprocess.MAX_GRID_SAMPLES` samples on a track, an input that is missing
+or not UTF-8, a missing or malformed model directory (its fleet.json's
+vessel ids held to the rule for a VID, sorted and each once, each scaler to
+min <= max, with the LAT and LON entries in a row's ranges, and each last
+training window to [0, 1]; a directory of another format version is named
+as one to retrain), a JSON --config, manifest.json or fleet.json nested
+deeper than the JSON parser goes, a model whose training or rollout turns
+non-finite, an observation at or before a vessel's train end or more than
+`associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a truth
+object undecided, an --out that cannot be created or written (`train`
+creates its --out before it trains; if training or saving fails, it removes
+each directory it made for --out that is still empty), and an `evaluate
+--out` ending in .txt, which its text report would overwrite.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         try:
             doc = json.loads(_read(args.config, BadConfig))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested past the parser's depth
             raise BadConfig(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise BadConfig(f"config {args.config} must hold a JSON object")

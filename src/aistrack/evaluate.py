@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,25 +13,12 @@ from .errors import IoFailure, UnknownObjectId, write_output
 
 @dataclass
 class ConfusionMatrix:
-    labels: list[str]  # row/column order; may include associate.NEW_TRACK as a predicted-only column
+    labels: list[str]  # row/column order; may include ingest.NEW_TRACK as a predicted-only column
     counts: np.ndarray  # square, rows = true label, cols = predicted label
 
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-@dataclass
-class VesselMetrics:
-    vessel_id: str
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    precision: float
-    recall: float
-    accuracy: float
-    f1: float
 
 
 def confusion(assignments: list[tuple[int, str]], truth: dict[int, str]) -> ConfusionMatrix:
@@ -49,63 +36,49 @@ def confusion(assignments: list[tuple[int, str]], truth: dict[int, str]) -> Conf
     return ConfusionMatrix(labels=labels, counts=counts)
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den else 0.0
+def metrics(cm: ConfusionMatrix) -> list[dict]:
+    """One report row per label: its one-vs-rest TP, FP, FN and TN, then
+    precision, recall, accuracy and F1, each 0.0 where its denominator is 0."""
+    tp = np.diagonal(cm.counts)
+    fp = cm.counts.sum(axis=0) - tp
+    fn = cm.counts.sum(axis=1) - tp
+    tn = cm.total - tp - fp - fn
+
+    def ratio(num: np.ndarray, den) -> np.ndarray:
+        return np.divide(num, den, out=np.zeros(num.shape), where=den != 0)
+
+    precision = ratio(tp, tp + fp)
+    recall = ratio(tp, tp + fn)
+    accuracy = ratio(tp + tn, cm.total)
+    f1 = ratio(2 * precision * recall, precision + recall)
+    columns = (tp, fp, fn, tn, precision, recall, accuracy, f1)
+    keys = ("vessel_id", "tp", "fp", "fn", "tn", "precision", "recall", "accuracy", "f1")
+    return [dict(zip(keys, row)) for row in zip(cm.labels, *(c.tolist() for c in columns))]
 
 
-def metrics(cm: ConfusionMatrix) -> list[VesselMetrics]:
-    """One-vs-rest TP/FP/FN/TN per label, then the precision/recall/accuracy/F1
-    formulas; 0/0 cases yield 0.0."""
-    total = cm.total
-    out = []
-    for i, label in enumerate(cm.labels):
-        tp = int(cm.counts[i, i])
-        fp = int(cm.counts[:, i].sum()) - tp
-        fn = int(cm.counts[i, :].sum()) - tp
-        tn = total - tp - fp - fn
-        precision = _safe_div(tp, tp + fp)
-        recall = _safe_div(tp, tp + fn)
-        accuracy = _safe_div(tp + tn, total)
-        f1 = _safe_div(2 * precision * recall, precision + recall)
-        out.append(
-            VesselMetrics(
-                vessel_id=label,
-                tp=tp,
-                fp=fp,
-                fn=fn,
-                tn=tn,
-                precision=precision,
-                recall=recall,
-                accuracy=accuracy,
-                f1=f1,
-            )
-        )
-    return out
-
-
-def macro_averages(per_vessel: list[VesselMetrics]) -> dict[str, float]:
+def macro_averages(per_vessel: list[dict]) -> dict[str, float]:
     return {
-        key: float(np.mean([getattr(m, key) for m in per_vessel])) if per_vessel else 0.0
+        key: float(np.mean([m[key] for m in per_vessel])) if per_vessel else 0.0
         for key in ("precision", "recall", "accuracy", "f1")
     }
 
 
-def report_dict(cm: ConfusionMatrix, per_vessel: list[VesselMetrics], meta: dict | None = None) -> dict:
+def report_dict(cm: ConfusionMatrix, per_vessel: list[dict], meta: dict | None = None) -> dict:
     return {
         "labels": cm.labels,
         "confusion_matrix": cm.counts.tolist(),
-        "per_vessel": [asdict(m) for m in per_vessel],
+        "per_vessel": per_vessel,
         "macro": macro_averages(per_vessel),
         "meta": meta or {},
     }
 
 
-def report_text(cm: ConfusionMatrix, per_vessel: list[VesselMetrics]) -> str:
+def report_text(cm: ConfusionMatrix, per_vessel: list[dict]) -> str:
     lines = [f"{'Vessel':<16}{'Precision':>10}{'Recall':>10}{'Accuracy':>10}{'F1 score':>10}"]
     for m in per_vessel:
         lines.append(
-            f"{m.vessel_id:<16}{m.precision:>10.3f}{m.recall:>10.3f}"
-            f"{m.accuracy:>10.3f}{m.f1:>10.3f}"
+            f"{m['vessel_id']:<16}{m['precision']:>10.3f}{m['recall']:>10.3f}"
+            f"{m['accuracy']:>10.3f}{m['f1']:>10.3f}"
         )
     macro = macro_averages(per_vessel)
     lines.append(
@@ -117,7 +90,7 @@ def report_text(cm: ConfusionMatrix, per_vessel: list[VesselMetrics]) -> str:
 
 def write_report(
     cm: ConfusionMatrix,
-    per_vessel: list[VesselMetrics],
+    per_vessel: list[dict],
     path: str | Path,
     meta: dict | None = None,
 ) -> None:

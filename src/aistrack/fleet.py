@@ -351,8 +351,9 @@ def fleet_from_json(text: str | bytes) -> Fleet:
     fault in one vessel's values names the vessel."""
     try:
         return _fleet_from_doc(json.loads(text))
-    # not JSON or UTF-8, a key missing, a container of the wrong kind, or an int no float can hold
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    # not JSON or UTF-8, nested past the parser's depth, a key missing, a container of the wrong kind,
+    # or an int no float can hold
+    except (KeyError, TypeError, ValueError, RecursionError, OverflowError) as exc:
         raise BadModel(f"not a model document: missing or malformed {exc!r}") from exc
 
 
@@ -387,7 +388,8 @@ def load_fleet(directory: str | Path) -> Fleet:
     try:
         manifest = json.loads(_read_model_file(manifest_path))
         files = [(entry["file"], entry["sha256"]) for entry in manifest["models"]]
-    except (ValueError, TypeError, KeyError) as exc:  # not JSON or UTF-8, or not the manifest layout
+    # not JSON or UTF-8, nested past the parser's depth, or not the manifest layout
+    except (ValueError, RecursionError, TypeError, KeyError) as exc:
         raise BadManifest(f"{manifest_path} is not a model manifest: {exc!r}") from exc
     if manifest.get("format_version") != MODEL_FORMAT_VERSION:
         version = manifest.get("format_version")

@@ -1,8 +1,12 @@
-"""Parsing, validation and per-vessel grouping of raw AIS CSV logs.
+"""Parsing, validation and per-vessel grouping of raw AIS CSV logs, and the
+reading of every other CSV file the CLI takes.
 
-The CSV schema is `OBJECT_ID,VID,SEQUENCE_DTTM,LAT,LON,SPEED,COURSE` with
-timestamps in strict ISO-8601 Zulu form at one-second resolution. Columns are
-matched case-insensitively by name and may appear in any order.
+The AIS schema is `OBJECT_ID,VID,SEQUENCE_DTTM,LAT,LON,SPEED,COURSE` with
+timestamps in strict ISO-8601 Zulu form at one-second resolution. Every CSV
+read here (AIS rows, and the OBJECT_ID pairs of truth and decisions files)
+follows `_read_rows`' rules: the csv module splits it, the header is line 1,
+columns are matched case-insensitively by name and may appear in any order,
+each row has as many fields as the header, and an OBJECT_ID appears once.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import io
 import math
 import operator
 import re
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -104,13 +108,13 @@ class ParseStats:
     skipped: int = 0
 
 
-def _resolve_header(fields: list[str]) -> list[int]:
-    """The index in `fields` of each HEADER column, in HEADER order."""
+def _resolve_header(fields: list[str], names: tuple[str, ...]) -> list[int]:
+    """The index in `fields` of each of `names`, in `names` order."""
     upper = [f.strip().upper() for f in fields]
-    for name in HEADER:
+    for name in names:
         if name not in upper:
             raise MalformedRow(1, f"missing column {name}")
-    return [upper.index(name) for name in HEADER]
+    return [upper.index(name) for name in names]
 
 
 def vessel_id_fault(vid: str) -> str | None:
@@ -141,22 +145,26 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
         raise MalformedRow(reader.line_num, str(exc)) from exc
 
 
-def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -> list[AisMessage]:
-    """Parse a Table-1 style CSV. Strict mode raises on the first bad row;
-    lenient mode skips bad rows and counts them in `stats`. Errors name the
-    physical line a row starts on. A repeated OBJECT_ID is a bad row;
-    lenient mode keeps its first row. So is a VID that `vessel_id_fault`
-    rejects; each distinct VID is checked once. A line the csv module cannot
-    split ends parsing in either mode."""
+def _read_rows(
+    text: str, names: tuple[str, ...], parse_row: Callable[[tuple[str, ...], int], tuple], strict: bool,
+    stats: ParseStats | None,
+) -> list:
+    """parse_row(fields, line_no) of each non-blank row after the header,
+    its fields being the columns `names` in that order. The header is line
+    1's row; each later row has as many fields as it. parse_row returns a
+    tuple whose first item is the row's OBJECT_ID, which no earlier row may
+    hold. Strict mode raises on the first bad row; lenient mode skips bad
+    rows, counts them in `stats`, and a skipped row claims no OBJECT_ID.
+    Errors name the physical line a row starts on; a line the csv module
+    cannot split ends reading in either mode."""
     reader = _csv_rows(text)
     try:
         _, header = next(reader)
     except StopIteration:
         raise MalformedRow(1, "empty input, header required")
-    i_oid, i_vid, i_t, i_lat, i_lon, i_speed, i_course = _resolve_header(header)
-    out: list[AisMessage] = []
+    columns = operator.itemgetter(*_resolve_header(header, names))
+    out = []
     first_line: dict[int, int] = {}  # OBJECT_ID -> line it was accepted on
-    good_vids: set[str] = set()
     for line_no, row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -165,25 +173,8 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
         try:
             if len(row) != len(header):
                 raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(row)}")
-            try:
-                object_id, vid = int(row[i_oid]), row[i_vid].strip()
-                msg = AisMessage(
-                    object_id,
-                    vid,
-                    parse_timestamp(row[i_t].strip()),
-                    float(row[i_lat]),
-                    float(row[i_lon]),
-                    float(row[i_speed]),
-                    float(row[i_course]),
-                )
-            except (ValueError, OverflowError) as exc:
-                raise MalformedRow(line_no, str(exc)) from exc
-            msg.validate(line_no)
-            if vid not in good_vids:
-                fault = vessel_id_fault(vid)
-                if fault:
-                    raise MalformedRow(line_no, fault)
-                good_vids.add(vid)
+            record = parse_row(columns(row), line_no)
+            object_id = record[0]
             if object_id in first_line:
                 first = first_line[object_id]
                 raise MalformedRow(line_no, f"duplicate OBJECT_ID {object_id} (first on line {first})")
@@ -194,38 +185,50 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
                 stats.skipped += 1
             continue
         first_line[object_id] = line_no
-        out.append(msg)
+        out.append(record)
     return out
 
 
-def object_id_pairs(text: str, header: tuple[str, ...], exact: bool) -> list[tuple[int, str]]:
-    """(OBJECT_ID, second field) of each non-blank line after the header of
-    a comma-separated file whose first field is an integer OBJECT_ID. A
-    header that does not start with the names in `header` (matched
-    case-insensitively), a row with fewer fields than `header` names (or
-    more, if `exact`), a non-integer OBJECT_ID, or a repeated one is a
-    MalformedRow naming its line."""
-    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    header_line, names = lines[0] if lines else (1, "")
-    if [name.strip().upper() for name in names.split(",")[: len(header)]] != list(header):
-        raise MalformedRow(header_line, f"header must start with {','.join(header)}")
-    n_fields = len(header)
-    out = []
-    first_line: dict[int, int] = {}  # OBJECT_ID -> its line
-    for line_no, ln in lines[1:]:
-        fields = ln.split(",")
-        if len(fields) < n_fields or (exact and len(fields) > n_fields):
-            expected = n_fields if exact else f"at least {n_fields}"
-            raise MalformedRow(line_no, f"expected {expected} fields, got {len(fields)}")
+def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -> list[AisMessage]:
+    """Parse a Table-1 style CSV by `_read_rows`' rules: strict mode raises
+    on the first bad row, lenient mode skips it, keeping the first row of a
+    repeated OBJECT_ID. A row is bad if a field does not parse, a value is
+    out of range or its VID is one `vessel_id_fault` rejects; each distinct
+    VID is checked once."""
+    good_vids: set[str] = set()
+
+    def message(fields: tuple[str, ...], line_no: int) -> AisMessage:
+        object_id, vid, t, lat, lon, speed, course = fields
+        vid = vid.strip()
         try:
-            object_id = int(fields[0])
+            msg = AisMessage(int(object_id), vid, parse_timestamp(t.strip()),
+                             float(lat), float(lon), float(speed), float(course))
+        except (ValueError, OverflowError) as exc:
+            raise MalformedRow(line_no, str(exc)) from exc
+        msg.validate(line_no)
+        if vid not in good_vids:
+            fault = vessel_id_fault(vid)
+            if fault:
+                raise MalformedRow(line_no, fault)
+            good_vids.add(vid)
+        return msg
+
+    return _read_rows(text, HEADER, message, strict, stats)
+
+
+def object_id_pairs(text: str, names: tuple[str, str]) -> list[tuple[int, str]]:
+    """(OBJECT_ID, label) of each row of a CSV file whose columns `names`
+    hold an integer OBJECT_ID and a label, read strictly by `_read_rows`'
+    rules; the label is stripped, as a VID is."""
+
+    def pair(fields: tuple[str, str], line_no: int) -> tuple[int, str]:
+        object_id, label = fields
+        try:
+            return int(object_id), label.strip()
         except ValueError:
-            raise MalformedRow(line_no, f"OBJECT_ID {fields[0]!r} is not an integer") from None
-        if object_id in first_line:
-            raise MalformedRow(line_no, f"duplicate OBJECT_ID {object_id} (first on line {first_line[object_id]})")
-        first_line[object_id] = line_no
-        out.append((object_id, fields[1]))
-    return out
+            raise MalformedRow(line_no, f"OBJECT_ID {object_id!r} is not an integer") from None
+
+    return _read_rows(text, names, pair, strict=True, stats=None)
 
 
 def serialize_csv(messages: list[AisMessage]) -> str:

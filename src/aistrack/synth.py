@@ -123,7 +123,7 @@ def truth_to_csv(truth: dict[int, str]) -> str:
 
 
 def truth_from_csv(text: str) -> dict[int, str]:
-    return dict(object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True))
+    return dict(object_id_pairs(text, ("OBJECT_ID", "VID")))
 
 
 def crossing(cfg: RunConfig) -> tuple[int, int, int] | None:

@@ -227,14 +227,14 @@ def test_overlap_stress(report, tracked):
         )
         crossing_vids.add(best)
     assert len(crossing_vids) == 2
-    clear = [m for m in per_vessel if m.vessel_id not in crossing_vids]
-    crossed = [m for m in per_vessel if m.vessel_id in crossing_vids]
+    clear = [m for m in per_vessel if m["vessel_id"] not in crossing_vids]
+    crossed = [m for m in per_vessel if m["vessel_id"] in crossing_vids]
     macro_clear = macro_averages(clear)
     assert macro_clear["f1"] >= 0.95, macro_clear
-    tracked("crossing pair F1", " ".join(f"{m.f1:.3f}" for m in crossed))
+    tracked("crossing pair F1", " ".join(f"{m['f1']:.3f}" for m in crossed))
     report(
         f"overlap stress (non-crossing macro F1 {macro_clear['f1']:.3f}; "
-        f"crossing pair F1 {[round(m.f1, 3) for m in crossed]})"
+        f"crossing pair F1 {[round(m['f1'], 3) for m in crossed]})"
     )
 
 

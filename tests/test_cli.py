@@ -477,15 +477,48 @@ def test_malformed_decisions_or_truth_row_is_data_error(trained, tmp_path, capsy
 
 
 @pytest.mark.parametrize(
-    "both, header",
-    [("models/holdout_truth.csv", "OBJECT_ID,ASSIGNED_VID"), ("decisions.csv", "OBJECT_ID,VID")],
+    "both, column",
+    [("models/holdout_truth.csv", "ASSIGNED_VID"), ("decisions.csv", "VID")],
     ids=["truth_as_decisions", "decisions_as_truth"],
 )
-def test_decisions_and_truth_files_need_their_own_header(trained, tmp_path, capsys, both, header):
+def test_decisions_and_truth_files_need_their_own_header(trained, tmp_path, capsys, both, column):
     # scoring the truth file as decisions would compare the truth with itself
     capsys.readouterr()
     rc = run(["evaluate", "--decisions", trained / both, "--truth", trained / both, "--out", tmp_path / "r.json"])
-    assert rc == 2 and capsys.readouterr().err == f"error: {trained / both}: line 1: header must start with {header}\n"
+    assert rc == 2 and capsys.readouterr().err == f"error: {trained / both}: line 1: missing column {column}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda oid, vid: f'{oid},"{vid}"',
+        lambda oid, vid: f"{oid}, {vid}",
+        lambda oid, vid: f"{vid},{oid}",
+    ],
+    ids=["quoted", "space_after_comma", "columns_swapped"],
+)
+def test_truth_read_as_csv_scores_as_the_plain_file(trained, tmp_path, rewrite):
+    plain = trained / "models" / "holdout_truth.csv"
+    truth = tmp_path / "truth.csv"
+    truth.write_text("".join(rewrite(*line.split(",")) + "\n" for line in plain.read_text().splitlines()))
+    for name, path in [("plain", plain), ("variant", truth)]:
+        assert run(["evaluate", "--decisions", trained / "decisions.csv", "--truth", path,
+                    "--out", tmp_path / f"{name}.json"]) == 0
+    assert (tmp_path / "variant.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_decisions_row_narrower_than_its_header_is_data_error(trained, tmp_path, capsys):
+    lines = (trained / "decisions.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    decisions = tmp_path / "decisions.csv"
+    decisions.write_text("\n".join(lines) + "\n")
+    width = len(lines[0].split(","))
+    capsys.readouterr()
+    rc = run(["evaluate", "--decisions", decisions, "--truth", trained / "models" / "holdout_truth.csv",
+              "--out", tmp_path / "r.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {decisions}: line 4: expected {width} fields, got {width - 1}\n"
     assert not (tmp_path / "r.json").exists()
 
 
@@ -699,12 +732,32 @@ def test_arbitrary_input_bytes_never_internal_error(trained, argv, content):
 
 def _resign(models, doc):
     """Write `doc` as the directory's fleet.json, and its sha256 into the
-    manifest, so that the checksum passes."""
-    raw = json.dumps(doc).encode()
+    manifest, so that the checksum passes. A str `doc` is written as it is."""
+    raw = (doc if isinstance(doc, str) else json.dumps(doc)).encode()
     (models / "fleet.json").write_bytes(raw)
     manifest = json.loads((models / "manifest.json").read_text())
     manifest["models"][0]["sha256"] = hashlib.sha256(raw).hexdigest()
     (models / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("where", ["config", "manifest.json", "fleet.json"])
+def test_json_nested_past_the_parser_depth_is_data_error(trained, tmp_path, capsys, where):
+    deep = "[" * 100_000 + "]" * 100_000
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    argv = ["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]
+    if where == "config":
+        (tmp_path / "cfg.json").write_text(deep)
+        argv += ["--config", tmp_path / "cfg.json"]
+    elif where == "manifest.json":
+        (models / "manifest.json").write_text(deep)
+    else:
+        _resign(models, deep)
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_model_vessel_id_with_comma_is_data_error(trained, tmp_path, capsys):

@@ -97,6 +97,9 @@ def test_duplicate_object_id_rejected_or_skipped():
     msgs = parse_csv(text, strict=False, stats=stats)
     assert [(m.object_id, m.vessel_id) for m in msgs] == [(7, "aa"), (8, "bb")]
     assert stats.skipped == 1
+    # a skipped row claims no OBJECT_ID: the later row that repeats it is kept
+    msgs = parse_csv(text.replace(",10.0,", ",95.0,"), strict=False)
+    assert [(m.object_id, m.vessel_id) for m in msgs] == [(8, "bb"), (7, "cc")]
 
 
 # One VID of each class parse_csv rejects, as its CSV field, and the reason.
@@ -141,22 +144,44 @@ def test_unsplittable_line_rejected_in_both_modes():
 
 
 def test_object_id_pairs():
-    text = "OBJECT_ID,VID\n\n7,aa\n 8 ,bb\n"
-    assert object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True) == [(7, "aa"), (8, "bb")]
+    text = 'OBJECT_ID,VID\n\n7,aa\n 8 ," bb"\n'
+    assert object_id_pairs(text, ("OBJECT_ID", "VID")) == [(7, "aa"), (8, "bb")]
     for bad, reason in [("7", "expected 2 fields, got 1"), ("7,aa,x", "expected 2 fields, got 3"),
-                        ("7.0,aa", "OBJECT_ID '7.0' is not an integer")]:
+                        ("7.0,aa", "OBJECT_ID '7.0' is not an integer"),
+                        ("8,cc", "duplicate OBJECT_ID 8 (first on line 4)")]:
         with pytest.raises(MalformedRow) as exc:
-            object_id_pairs(text + bad + "\n", ("OBJECT_ID", "VID"), exact=True)
+            object_id_pairs(text + bad + "\n", ("OBJECT_ID", "VID"))
         assert (exc.value.line_no, exc.value.reason) == (5, reason)
-    with pytest.raises(MalformedRow, match="expected at least 3 fields, got 2"):
-        object_id_pairs("OBJECT_ID,VID,X\n7,aa\n", ("OBJECT_ID", "VID", "X"), exact=False)
 
 
-@pytest.mark.parametrize("text", ["", "\n\n", "OBJECT_ID,ASSIGNED_VID\n7,aa\n", "VID,OBJECT_ID\n7,aa\n", "7,aa\n"])
+@pytest.mark.parametrize("text", ["VID,OBJECT_ID\naa,7\n", 'X,"VID",object_id\n"1,2",aa,7\n'])
+def test_object_id_pairs_columns_found_by_name(text):
+    assert object_id_pairs(text, ("OBJECT_ID", "VID")) == [(7, "aa")]
+
+
+PAIR_HEADER_FAULTS = {
+    "": "empty input, header required",
+    "\n\n": "missing column OBJECT_ID",  # the header is line 1, as in an AIS file
+    "OBJECT_ID,ASSIGNED_VID\n7,aa\n": "missing column VID",
+    "7,aa\n": "missing column OBJECT_ID",
+}
+
+
+@pytest.mark.parametrize("text", list(PAIR_HEADER_FAULTS))
 def test_object_id_pairs_header_must_match(text):
-    with pytest.raises(MalformedRow, match="header must start with OBJECT_ID,VID") as exc:
-        object_id_pairs(text, ("OBJECT_ID", "VID"), exact=True)
-    assert exc.value.line_no == 1
+    with pytest.raises(MalformedRow) as exc:
+        object_id_pairs(text, ("OBJECT_ID", "VID"))
+    assert (exc.value.line_no, exc.value.reason) == (1, PAIR_HEADER_FAULTS[text])
+
+
+@pytest.mark.parametrize("read", [parse_csv, lambda text: object_id_pairs(text, ("OBJECT_ID", "VID"))],
+                         ids=["ais", "pairs"])
+def test_header_is_the_first_line_of_every_csv(read):
+    text = HEADER + "\n1,aa,2020-02-29T22:00:01Z,10.0,0,0,0\n"
+    assert len(read(text)) == 1
+    with pytest.raises(MalformedRow) as exc:
+        read("\n" + text)
+    assert (exc.value.line_no, exc.value.reason) == (1, "missing column OBJECT_ID")
 
 
 @pytest.mark.parametrize("speed", ["nan", "inf", "-inf", "NaN"])
