@@ -18,10 +18,11 @@ call of the array `haversine` gives the (N, Z) distance matrix. The
 decision is the argmin of each row, so ties go to the smallest vessel_id.
 The result is one `Decisions` record, which `decisions_to_csv` writes with
 one format call per row, each distance to 17 significant digits, which
-parse back to the exact double. A non-finite prediction or unscaled
-position is an error that names the vessel and the step, and so is a step
-count past `MAX_ROLLOUT_STEPS`, an infinite one included; numpy's overflow
-warnings on the way to either are silenced.
+parse back to the exact double. `rollout_positions` alone checks the
+rollout's output, the predictions first, then their unscaled positions:
+the first non-finite one is an error that names its vessel and step. So is
+a step count past `MAX_ROLLOUT_STEPS`, an infinite one included; numpy's
+overflow warnings on the way to either are silenced.
 """
 
 from __future__ import annotations
@@ -96,25 +97,23 @@ def _rollout_steps(fleet, times: list[float]) -> np.ndarray:
 
 def rollout_positions(fleet, steps: int) -> np.ndarray:
     """(steps, Z, 2) unscaled (lat, lon) of every vessel's rollout, for 1
-    through `steps` periods past its train end, run as one stack. A
-    prediction or position that is not finite is a NonFiniteActivation
-    naming its vessel and step."""
+    through `steps` periods past its train end, run as one stack. The first
+    non-finite prediction, by step and then by vessel, or else position, is
+    a NonFiniteActivation naming its vessel and step."""
     net = fleet.network
     scaled = np.empty((steps, net.vessels, 2))
-    try:
-        # a sigmoid's exp may overflow (1 / (1 + inf) = 0), and so may an
-        # unscaling; a value that turns non-finite is named below
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = rollout_start(net, fleet.last_training_window)
-            for s in range(steps):
-                scaled[s], state = roll_step(net, state)
-            positions = unscale(scaled, fleet.scaler)
-        bad = np.argwhere(~np.isfinite(positions))
+    # a sigmoid's exp may overflow (1 / (1 + inf) = 0), and so may an
+    # unscaling; a value that turns non-finite is named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = rollout_start(net, fleet.last_training_window)
+        for s in range(steps):
+            scaled[s], state = roll_step(net, state)
+        positions = unscale(scaled, fleet.scaler)
+    for name, table in (("prediction", scaled), ("position", positions)):
+        bad = np.argwhere(~np.isfinite(table))
         if len(bad):
             s, z, _ = bad[0].tolist()
-            raise NonFiniteActivation(f"non-finite position at rollout step {s + 1}", z)
-    except NonFiniteActivation as exc:
-        raise NonFiniteActivation(f"vessel {fleet.vessel_ids[exc.row]}: {exc}", exc.row) from None
+            raise NonFiniteActivation(f"vessel {fleet.vessel_ids[z]}: non-finite {name} at rollout step {s + 1}", z)
     return positions
 
 

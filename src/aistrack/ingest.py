@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 import operator
 import re
@@ -37,6 +36,10 @@ NEW_TRACK = "NEW"
 # What a VID may not hold: a CSV delimiter or quote, since it goes into the
 # CSV fields the pipeline writes, a path separator, or a control character.
 _VID_FORBIDDEN = re.compile(r'[,"/\\\x00-\x1f\x7f-\x9f]')
+
+# A line with its "\n", or a last piece without one: what io.StringIO(text)
+# iterates over, without its copy of the text at 4 bytes a character.
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 @functools.lru_cache(maxsize=4096)
@@ -135,7 +138,7 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """csv.reader's rows, each with the physical line it starts on (a quoted
     field may span lines); a line it cannot split (a field over its size
     limit, or a NUL before Python 3.11) is a MalformedRow."""
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
     start = 1
     try:
         for row in reader:
@@ -219,10 +222,12 @@ def parse_csv(text: str, strict: bool = True, stats: ParseStats | None = None) -
 def object_id_pairs(text: str, names: tuple[str, str]) -> list[tuple[int, str]]:
     """(OBJECT_ID, label) of each row of a CSV file whose columns `names`
     hold an integer OBJECT_ID and a label, read strictly by `_read_rows`'
-    rules; the label is stripped, as a VID is."""
+    rules; the label is stripped, as a VID is, and may not be empty."""
 
     def pair(fields: tuple[str, str], line_no: int) -> tuple[int, str]:
         object_id, label = fields
+        if not label.strip():
+            raise MalformedRow(line_no, f"empty {names[1]}")
         try:
             return int(object_id), label.strip()
         except ValueError:

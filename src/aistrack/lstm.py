@@ -89,12 +89,14 @@ from zero state and sees the same m inputs as in `forward_batch`; only the
 grouping of rows in the matrix products differs, so predictions agree to
 a relative 1e-12, not bit for bit. A rollout of Z vessels still computes
 each vessel's slice exactly as that vessel's own rollout would.
-`rollout_start` allocates each layer's h and c and the next input, and
-keeps the rest in a `Workspace`, as training does: `_cell_weights`' copies
-and one cell step's scratch, which the layers share and the first cell
-step allocates. `roll_step` then advances that state in place, and `_cell`
-writes its products into the scratch its caller passes; a step allocates
-only its (Z, out_dim) prediction, which it returns.
+`rollout_start` builds the state, which holds what the steps read: every
+layer's h and c as one (n_layers, Z, m, h) array each, the next input, and
+each layer's `_cell_weights` copies. Only one cell step's scratch, which
+the layers share and the first cell step allocates, lives in a `Workspace`,
+as training's does. `roll_step` then advances that state in place, and
+`_cell` writes its products into the scratch its caller passes; a step
+allocates only its (Z, out_dim) prediction, which it returns raw, finite or
+not: its caller, `associate.rollout_positions`, checks the whole table.
 """
 
 from __future__ import annotations
@@ -304,14 +306,6 @@ def _per_vessel(rngs: list[np.random.Generator], draw) -> np.ndarray:
     return np.stack([draw(r) for r in rngs])
 
 
-def _check_finite(pred: np.ndarray, message: str) -> None:
-    """NonFiniteActivation(message) naming the first vessel whose (Z, ...)
-    prediction is not finite."""
-    finite = np.isfinite(pred).reshape(len(pred), -1).all(axis=1)
-    if not finite.all():
-        raise NonFiniteActivation(message, int(np.flatnonzero(~finite)[0]))
-
-
 def forward_batch(
     net: LstmNetwork,
     windows: np.ndarray,
@@ -356,7 +350,9 @@ def forward_batch(
         cache.dropout_masks.append(mask)
         seq = out
     pred = seq[-1] @ net.dense_W.mT + net.dense_b
-    _check_finite(pred, "non-finite prediction")
+    finite = np.isfinite(pred).all(axis=(1, 2))
+    if not finite.all():  # named by its first vessel
+        raise NonFiniteActivation("non-finite prediction", int(np.argmin(finite)))
     cache.final_seq = seq
     cache.prediction = pred
     return pred, cache
@@ -543,38 +539,36 @@ class Rollout:
 
     Slot `slot` holds the window that takes its m-th input on the next step,
     the slot after it the window one input behind, and so on around the
-    ring. Each layer keeps every slot's cell output and cell state in `h`
-    and `c`, (Z, m, hidden) each. Every window takes the next input `x`
-    (Z, k). `workspace` holds each layer's `_cell_weights` (a stacked matmul
-    runs about 2.5x faster against a contiguous copy of W.mT than against
-    the transposed view) and one cell step's scratch, which the layers
-    share: the first layer's input product `xw0` (Z, 1, 4h), `gates` and
-    the recurrent product `rec` (Z, m, 4h), and the candidate `cand` and
-    residual sum `res` (Z, m, hidden)."""
+    ring. `h` and `c` (n_layers, Z, m, hidden) hold every layer's cell
+    output and cell state for every slot, and every window takes the next
+    input `x` (Z, k). `weights` holds each layer's `_cell_weights` (a
+    stacked matmul runs about 2.5x faster against a contiguous copy of W.mT
+    than against the transposed view), and `workspace` one cell step's
+    scratch, which the layers share: the first layer's input product `xw0`
+    (Z, 1, 4h), `gates` and the recurrent product `rec` (Z, m, 4h), and the
+    candidate `cand` and residual sum `res` (Z, m, hidden)."""
 
-    h: list[np.ndarray]
-    c: list[np.ndarray]
+    weights: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    h: np.ndarray
+    c: np.ndarray
     x: np.ndarray
     slot: int
     workspace: Workspace
-    step: int = 0  # predictions made so far
 
 
-def _tick(net: LstmNetwork, state: Rollout) -> np.ndarray:
+def _tick(state: Rollout) -> np.ndarray:
     """Feed state.x to every window in flight: one cell step per layer on
     all m slots, in place. Returns the last layer's output (Z, m, hidden)."""
     ws = state.workspace
-    Z, m, n = state.h[0].shape
+    _, Z, m, n = state.h.shape
     gates, rec = ws.array("gates", (Z, m, 4 * n)), ws.array("rec", (Z, m, 4 * n))
     cand, res = ws.array("cand", (Z, m, n)), ws.array("res", (Z, m, n))
     seq = state.x[..., None, :]  # one input row, broadcast across the slots
-    for li, layer in enumerate(net.layers):
-        h, c = state.h[li], state.c[li]
-        W_T, U_T = ws.array(("W_T", li), (Z, layer.d_in, 4 * n)), ws.array(("U_T", li), (Z, n, 4 * n))
+    for li, (h, c, (W_T, U_T, b)) in enumerate(zip(state.h, state.c, state.weights)):
         # the first layer's product is one row, which the cell broadcasts;
         # the others' go straight into gates
         xw = np.matmul(seq, W_T, out=gates if li else ws.array("xw0", (Z, 1, 4 * n)))
-        _cell(xw, h, c, U_T, ws.array(("b", li), gates.shape), gates, c, h, rec, cand)
+        _cell(xw, h, c, U_T, b, gates, c, h, rec, cand)
         seq = np.add(h, seq, out=res) if li > 0 else h
     return seq
 
@@ -582,9 +576,9 @@ def _tick(net: LstmNetwork, state: Rollout) -> np.ndarray:
 def _advance(state: Rollout) -> None:
     """Zero the slot that completed, to start the window whose first input
     is the next x, and move on to the slot after it, which completes next."""
-    for a in (*state.h, *state.c):
-        a[..., state.slot, :] = 0.0
-    state.slot = (state.slot + 1) % state.h[0].shape[-2]
+    state.h[..., state.slot, :] = 0.0
+    state.c[..., state.slot, :] = 0.0
+    state.slot = (state.slot + 1) % state.h.shape[-2]
 
 
 def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
@@ -596,13 +590,12 @@ def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
         raise CacheMismatch(f"expected ({net.vessels}, m, {net.input_dim}) window, got {window.shape}")
     Z, m, _ = window.shape
     n = net.hidden
-    ws = Workspace()
-    for li, layer in enumerate(net.layers):
-        _cell_weights(layer, (Z, m, 4 * n), ws, li)
-    h, c = ([np.zeros((Z, m, n)) for _ in net.layers] for _ in range(2))
-    state = Rollout(h=h, c=c, x=window[..., 0, :].copy(), slot=1 % m, workspace=ws)
+    # the state holds the weight copies; the workspaces they are made in are dropped
+    weights = [_cell_weights(layer, (Z, m, 4 * n), Workspace(), li) for li, layer in enumerate(net.layers)]
+    h, c = np.zeros((2, len(net.layers), Z, m, n))
+    state = Rollout(weights=weights, h=h, c=c, x=window[..., 0, :].copy(), slot=1 % m, workspace=Workspace())
     for t in range(1, m):
-        _tick(net, state)
+        _tick(state)
         _advance(state)
         state.x[...] = window[..., t, :]
     return state
@@ -611,14 +604,12 @@ def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
 def roll_step(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, Rollout]:
     """One rollout step, in place: every window in flight takes state.x, and
     the one that has now taken m inputs predicts the next row. Returns the
-    raw prediction (Z, out_dim), a new array, and `state` itself, now the
-    state of the next step, whose input is the clamped prediction followed
-    by the carried speed and course."""
-    seq = _tick(net, state)
+    raw prediction (Z, out_dim), a new array that may hold non-finite
+    values, and `state` itself, now the state of the next step, whose input
+    is the clamped prediction followed by the carried speed and course."""
+    seq = _tick(state)
     s = state.slot
-    state.step += 1
     pred = (seq[:, s : s + 1] @ net.dense_W.mT + net.dense_b)[:, 0]
-    _check_finite(pred, f"non-finite prediction at rollout step {state.step}")
     np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX, out=state.x[..., :2])
     _advance(state)
     return pred, state

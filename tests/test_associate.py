@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import warnings
@@ -20,6 +21,7 @@ from aistrack.associate import (
     decisions_from_csv,
     decisions_to_csv,
     predict_positions,
+    rollout_positions,
 )
 from aistrack.cli import main
 from aistrack.config import RunConfig
@@ -363,6 +365,51 @@ class TestStackedRollout:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteActivation, match="^vessel ccc: non-finite position at rollout step 1$"):
                 associate_batch([_obs(1, 30.5, 20.5, t=1010)], fleet)
+
+    def test_non_finite_rollout_names_vessel_and_step(self, monkeypatch):
+        fleet = _three_vessels()
+        _head_turns_non_finite(monkeypatch, {5: [(1, np.inf)]})
+        with pytest.raises(NonFiniteActivation, match="^vessel bbb: non-finite prediction at rollout step 5$") as info:
+            rollout_positions(fleet, 8)
+        assert info.value.row == 1
+        single = _vessel("aaa")
+        single.network.dense_b[0, 0, 1] = np.nan
+        with pytest.raises(NonFiniteActivation, match="^vessel aaa: non-finite prediction at rollout step 1$") as info:
+            rollout_positions(single, 1)
+        assert info.value.row == 0
+
+    def test_earliest_step_named_before_lowest_vessel(self, monkeypatch):
+        _head_turns_non_finite(monkeypatch, {3: [(2, np.nan)], 5: [(0, np.nan)]})
+        with pytest.raises(NonFiniteActivation, match="^vessel ccc: non-finite prediction at rollout step 3$") as info:
+            rollout_positions(_three_vessels(), 6)
+        assert info.value.row == 2
+
+    def test_prediction_named_before_an_earlier_position_overflow(self, monkeypatch):
+        # vessel ccc's positions overflow from step 1 on, vessel aaa's
+        # prediction only turns non-finite at step 4
+        fleet = _three_vessels()
+        fleet.network.dense_b[2, 0, 0] = 1e308
+        _head_turns_non_finite(monkeypatch, {4: [(0, np.nan)]})
+        with pytest.raises(NonFiniteActivation, match="^vessel aaa: non-finite prediction at rollout step 4$"):
+            rollout_positions(fleet, 6)
+
+
+def _three_vessels():
+    return join_fleets([_vessel(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))])
+
+
+def _head_turns_non_finite(monkeypatch, faults):
+    """Make associate's rollout set vessel z's dense bias to `value` just
+    before step s, for each (z, value) in faults[s]: that vessel's
+    predictions are non-finite from step s on."""
+    roll_step, steps = assoc_module.roll_step, itertools.count(1)
+
+    def poisoned(net, state):
+        for z, value in faults.get(next(steps), []):
+            net.dense_b[z] = value
+        return roll_step(net, state)
+
+    monkeypatch.setattr(assoc_module, "roll_step", poisoned)
 
 
 class TestRolloutBound:

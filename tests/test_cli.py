@@ -462,6 +462,8 @@ def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, mon
         ("truth", "1,a,b"),  # three fields
         ("truth", "1"),
         ("truth", "1.5,a"),
+        ("decisions", '1,""'),  # an empty label, which would be scored as a vessel named ""
+        ("truth", "1,"),
     ],
 )
 def test_malformed_decisions_or_truth_row_is_data_error(trained, tmp_path, capsys, bad, row):

