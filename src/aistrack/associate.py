@@ -1,21 +1,21 @@
 """Nearest-prediction track association via haversine distance.
 
-Each fleet model is rolled forward to the observation time; the observation is
-assigned to the vessel whose predicted position is closest on the great
-circle, or declared a new track when the minimum distance exceeds tau.
+`associate_batch` runs the paper's two steps on arrays end to end, against
+one `fleet.Fleet` whose Z vessels' networks, scalers and windows are
+stacked in vessel_id order:
 
-`associate_batch` works on arrays end to end, on one `fleet.Fleet`, whose
-Z vessels' networks, scalers and windows are already stacked in vessel_id
-order. It computes the (N, Z) matrix of rollout steps, observation by
-vessel, starts one rollout for the fleet (`lstm.rollout_start`) and
-advances all Z vessels together, one batched `roll_step` per step, up to
-the largest step any observation needs. Each step is one cell step per
-LSTM layer on the m windows each vessel has in flight, and a stacked
-matmul computes each vessel's slice exactly as a separate call would. The
-(S, Z, 2) table of predictions is unscaled in one expression, and each
-observation's Z predictions are gathered from it in one indexing step. One
-call of the array `haversine` gives the (N, Z) distance matrix. The
-decision is the argmin of each row, so ties go to the smallest vessel_id.
+1. `predict_positions` computes the (N, Z) matrix of rollout steps, time by
+   vessel, starts one rollout for the fleet (`lstm.rollout_start`) and
+   advances all Z vessels together, one batched `roll_step` per step, up to
+   the largest step any time needs. Each step is one cell step per LSTM
+   layer on the m windows each vessel has in flight; a stacked matmul
+   computes each vessel's slice exactly as a separate call would. The
+   (S, Z, 2) table of predictions is unscaled in one expression, and each
+   time's Z predictions are gathered from it in one indexing step.
+2. `associate` gets the (N, Z) distance matrix from one call of the array
+   `haversine`. Each observation goes to the argmin of its row, so ties go
+   to the smallest vessel_id, or is a new track when that exceeds tau.
+
 The result is one `Decisions` record, which `decisions_to_csv` writes with
 one format call per row, each distance to 17 significant digits, which
 parse back to the exact double. `rollout_positions` alone checks the
@@ -28,7 +28,6 @@ overflow warnings on the way to either are silenced.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,28 +72,6 @@ def haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def _rollout_steps(fleet, times: list[float]) -> np.ndarray:
-    """(N, Z) rollout steps from each of the fleet's train ends to each time:
-    round((time - train_end_time) / period), minimum 1, at most
-    MAX_ROLLOUT_STEPS."""
-    t = np.array(times, dtype=np.float64)[:, None]
-    ends = fleet.train_end_time
-    early = t <= ends
-    if early.any():
-        i, z = np.argwhere(early)[0]
-        raise TimeBeforeTraining(f"vessel {fleet.vessel_ids[z]}: target {times[i]} <= train end {ends[z].item()}")
-    with np.errstate(over="ignore"):  # a tiny period gives inf steps, which the bound rejects
-        steps = np.round((t - ends) / fleet.period)
-    far = steps > MAX_ROLLOUT_STEPS
-    if far.any():
-        i, z = np.argwhere(far)[0]
-        raise RolloutTooLong(
-            f"observation at {format_timestamp(int(times[i]))} is {steps[i, z]:.6g} rollout steps past"
-            f" vessel {fleet.vessel_ids[z]}'s train end; the bound is {MAX_ROLLOUT_STEPS}"
-        )
-    return np.maximum(1, steps).astype(np.int64)
-
-
 def rollout_positions(fleet, steps: int) -> np.ndarray:
     """(steps, Z, 2) unscaled (lat, lon) of every vessel's rollout, for 1
     through `steps` periods past its train end, run as one stack. The first
@@ -117,17 +94,36 @@ def rollout_positions(fleet, steps: int) -> np.ndarray:
     return positions
 
 
-def predict_positions(fleet, target_time: float) -> dict[str, tuple[float, float]]:
-    """Every vessel's predicted (lat, lon) at target_time, rolled
-    round((target_time - train_end_time) / period) steps, minimum 1."""
-    steps = _rollout_steps(fleet, [target_time])[0].tolist()
-    table = rollout_positions(fleet, max(steps))
-    return {vid: tuple(table[s - 1, z].tolist()) for z, (vid, s) in enumerate(zip(fleet.vessel_ids, steps))}
+def predict_positions(fleet, times: list[float]) -> np.ndarray:
+    """(N, Z, 2) (lat, lon) of every vessel at each of N times, from one
+    rollout of the fleet: round((time - train_end_time) / period) steps,
+    minimum 1, at most MAX_ROLLOUT_STEPS."""
+    t = np.array(times, dtype=np.float64)[:, None]
+    ends = fleet.train_end_time
+    early = t <= ends
+    if early.any():
+        i, z = np.argwhere(early)[0]
+        raise TimeBeforeTraining(f"vessel {fleet.vessel_ids[z]}: target {times[i]} <= train end {ends[z].item()}")
+    with np.errstate(over="ignore"):  # a tiny period gives inf steps, which the bound rejects
+        steps = np.round((t - ends) / fleet.period)
+    far = steps > MAX_ROLLOUT_STEPS
+    if far.any():
+        i, z = np.argwhere(far)[0]
+        raise RolloutTooLong(
+            f"observation at {format_timestamp(int(times[i]))} is {steps[i, z]:.6g} rollout steps past"
+            f" vessel {fleet.vessel_ids[z]}'s train end; the bound is {MAX_ROLLOUT_STEPS}"
+        )
+    steps = np.maximum(1, steps).astype(np.int64)
+    table = rollout_positions(fleet, int(steps.max(initial=0)))
+    return table[steps - 1, np.arange(len(fleet.vessel_ids))]
 
 
-def _decide(observations: list[AisMessage], predicted: np.ndarray, vessel_ids: list[str], tau: float) -> Decisions:
+def associate(
+    observations: list[AisMessage], predicted: np.ndarray, vessel_ids: list[str], tau: float = math.inf
+) -> Decisions:
     """Score N observations against (N, Z, 2) predicted (lat, lon) whose
-    columns follow the sorted vessel_ids; the first minimum of each row wins."""
+    columns follow the sorted vessel_ids; the first minimum of each row
+    wins, or NEW_TRACK if it exceeds tau."""
     object_ids, _, _, lat, lon, _, _ = zip(*observations) if observations else ((),) * 7
     obs = np.stack((lat, lon), axis=-1, dtype=np.float64).reshape(-1, 1, 2)
     distances = haversine(obs[..., 0], obs[..., 1], predicted[..., 0], predicted[..., 1])
@@ -137,28 +133,12 @@ def _decide(observations: list[AisMessage], predicted: np.ndarray, vessel_ids: l
     return Decisions(list(object_ids), assigned, winning, distances, list(vessel_ids))
 
 
-def associate(
-    observation: AisMessage, predictions: Mapping[str, tuple[float, float]], tau: float = math.inf
-) -> Decisions:
-    """Assign one observation to the nearest of the predicted (lat, lon)
-    positions, keyed by vessel_id, or NEW if the minimum distance exceeds
-    tau. Ties go to the smallest vessel_id."""
-    if not predictions:
-        raise ValueError("predictions must be non-empty")
-    vids = sorted(predictions)
-    predicted = np.array([[predictions[v] for v in vids]], dtype=np.float64)
-    return _decide([observation], predicted, vids, tau)
-
-
 def associate_batch(observations: list[AisMessage], fleet, tau: float = math.inf) -> Decisions:
-    """Associate observations, in any order, against one rollout of the
-    fleet (a `fleet.Fleet`); row i of the result is observations[i].
-
-    No exclusivity constraint: many observations may map to one track."""
-    steps = _rollout_steps(fleet, [obs.t for obs in observations])
-    table = rollout_positions(fleet, int(steps.max(initial=0)))
-    predicted = table[steps - 1, np.arange(len(fleet.vessel_ids))]
-    return _decide(observations, predicted, fleet.vessel_ids, tau)
+    """Associate observations, in any order, with the vessels of the fleet
+    (a `fleet.Fleet`): `predict_positions`, then `associate`. Row i of the
+    result is observations[i]; many observations may map to one track."""
+    predicted = predict_positions(fleet, [obs.t for obs in observations])
+    return associate(observations, predicted, fleet.vessel_ids, tau)
 
 
 def decisions_to_csv(decisions: Decisions) -> str:

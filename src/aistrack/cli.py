@@ -19,7 +19,9 @@ or --truth file missing a column of its own (ASSIGNED_VID, VID), a bad
 --config file or value, a --data file that leaves no track to train, a
 --data track too short for one window once its last --test-len samples are
 held out (unless --lenient leaves it out), a --period that puts more than
-`preprocess.MAX_GRID_SAMPLES` samples on a track, an input that is missing
+`preprocess.MAX_GRID_SAMPLES` samples on a track, `synth` settings whose
+times leave years 1-9999 or whose positions leave a row's LAT or LON range
+(`synth.generate`), an input that is missing
 or not UTF-8, a missing or malformed model directory (its fleet.json's
 vessel ids held to the rule for a VID, sorted and each once, each scaler to
 min <= max, with the LAT and LON entries in a row's ranges, and each last

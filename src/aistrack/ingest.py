@@ -55,8 +55,9 @@ def parse_timestamp(text: str) -> int:
 def format_timestamp(epoch: int) -> str:
     """Epoch seconds (UTC) -> strict ISO-8601 Zulu, the inverse of
     parse_timestamp. Memoised like it: rows are written in time order, so
-    the rows that share a timestamp format it once."""
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(_TIME_FMT)
+    the rows that share a timestamp format it once. The fields are written
+    zero-padded, since strftime's %Y does not pad a year before 1000."""
+    return "%04d-%02d-%02dT%02d:%02d:%02dZ" % datetime.fromtimestamp(epoch, tz=timezone.utc).timetuple()[:6]
 
 
 class AisMessage(NamedTuple):

@@ -22,10 +22,12 @@ import numpy as np
 from .associate import haversine
 from .config import RunConfig, check_ranges
 from .errors import BadConfig
-from .ingest import AisMessage, object_id_pairs, serialize_csv
+from .ingest import LAT_LON_BOUNDS, AisMessage, format_timestamp, object_id_pairs, parse_timestamp, serialize_csv
 
 KNOT_KM_H = 1.852
 BASE_EPOCH = 1583020800  # 2020-03-01T00:00:00Z
+# The first and last times a row's four-digit-year SEQUENCE_DTTM can carry.
+TIME_RANGE = (parse_timestamp("0001-01-01T00:00:00Z"), parse_timestamp("9999-12-31T23:59:59Z"))
 
 
 @dataclass
@@ -90,8 +92,15 @@ def generate(cfg: RunConfig, motions: list[VesselMotion]) -> tuple[str, dict[int
     Gaussian noise of cfg.noise degrees, all drawn from cfg.seed. Each
     vessel's track is one array expression; rows are numbered in time order,
     vessels in motion order at equal times and samples in their own order
-    after that. A setting outside its range is a BadConfig."""
+    after that. A setting outside its range is a BadConfig, and so are
+    settings whose times or positions no AIS row could carry."""
     check_ranges(cfg)
+    reach = cfg.jitter / 2 * cfg.period
+    if BASE_EPOCH - reach < TIME_RANGE[0] or BASE_EPOCH + (cfg.points - 1) * cfg.period + reach > TIME_RANGE[1]:
+        raise BadConfig(
+            f"{cfg.points} points {cfg.period:g} s apart with jitter {cfg.jitter:g} run outside"
+            f" {format_timestamp(TIME_RANGE[0])} to {format_timestamp(TIME_RANGE[1])}"
+        )
     rng = np.random.default_rng(cfg.seed)
     vids = [bytes(rng.integers(0, 256, size=4, dtype=np.uint8)).hex() for _ in motions]
     shape = (len(motions), cfg.points)  # vessel-major, as the rng draws them
@@ -105,6 +114,12 @@ def generate(cfg: RunConfig, motions: list[VesselMotion]) -> tuple[str, dict[int
         lat[vi], lon[vi] = _nominal_position(motion, (t[vi] - BASE_EPOCH).astype(float), sample)
         lat[vi] += noise[:, 0]
         lon[vi] += noise[:, 1]
+    outside = np.argwhere(~((np.abs(lat) <= LAT_LON_BOUNDS[0]) & (np.abs(lon) <= LAT_LON_BOUNDS[1])))
+    if len(outside):
+        vi, i = outside[0].tolist()
+        raise BadConfig(f"vessel {vids[vi]} sample {i}: position ({lat[vi, i]:.6g}, {lon[vi, i]:.6g}) is outside"
+                        f" |LAT| <= {LAT_LON_BOUNDS[0]:g}, |LON| <= {LAT_LON_BOUNDS[1]:g}")
+    for vi in range(len(motions)):
         speed[vi], course[vi] = _derived_speed_course(lat[vi], lon[vi], t[vi].astype(float))
     vessel = np.repeat(np.arange(len(motions)), cfg.points)
     order = np.lexsort((vessel, t.ravel()))  # stable: by time, then vessel, then sample

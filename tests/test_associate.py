@@ -101,10 +101,10 @@ def _obs(oid, lat, lon, t=1000):
 
 
 class TestAssociate:
-    PREDS = {"A": GeoPoint(37.90, 23.60), "B": GeoPoint(37.95, 23.70)}
+    PREDS = np.array([[[37.90, 23.60], [37.95, 23.70]]])
 
     def test_nearest_prediction_wins(self):
-        d = associate(_obs(1, 37.91, 23.61), self.PREDS)
+        d = associate([_obs(1, 37.91, 23.61)], self.PREDS, ["A", "B"])
         assert d.vessel_ids == ["A", "B"]
         assert d.assigned == ["A"]
         assert d.distances_km[0, 0] == pytest.approx(1.41, abs=0.05)
@@ -112,17 +112,13 @@ class TestAssociate:
         assert d.winning_distance_km[0] == min(d.distances_km[0])
 
     def test_tie_breaks_lexicographically(self):
-        preds = {"b": GeoPoint(10, 10), "a": GeoPoint(10, 10)}
-        assert associate(_obs(1, 10, 10), preds).assigned == ["a"]
+        # columns follow the sorted ids, so the first of equal minima is the smallest id
+        assert associate([_obs(1, 10, 10)], np.full((1, 2, 2), 10.0), ["a", "b"]).assigned == ["a"]
 
     def test_tau_threshold_declares_new_track(self):
-        d = associate(_obs(1, 37.91, 23.61), self.PREDS, tau=0.5)
+        d = associate([_obs(1, 37.91, 23.61)], self.PREDS, ["A", "B"], tau=0.5)
         assert d.assigned == [NEW_TRACK]
         assert d.winning_distance_km[0] > 0.5
-
-    def test_empty_predictions_rejected(self):
-        with pytest.raises(ValueError):
-            associate(_obs(1, 0, 0), {})
 
 
 def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0):
@@ -146,38 +142,42 @@ def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_e
 class TestPredictPositions:
     def test_single_step_equals_forward_unscaled(self):
         b = _vessel("v1")
-        preds = predict_positions(b, target_time=1005)
+        preds = predict_positions(b, [1005])
+        assert preds.shape == (1, 1, 2)
         raw, _ = forward(b.network, b.last_training_window[0])
         lat, lon = unscale(raw, b.scaler)[0]
-        assert GeoPoint(*preds["v1"]).lat == pytest.approx(lat, rel=1e-12)
-        assert GeoPoint(*preds["v1"]).lon == pytest.approx(lon, rel=1e-12)
+        assert preds[0, 0, 0] == pytest.approx(lat, rel=1e-12)
+        assert preds[0, 0, 1] == pytest.approx(lon, rel=1e-12)
 
     def test_zero_network_unscales_to_min(self):
         b = _vessel("v1", lat_range=(30.0, 40.0))
         for a in b.network.param_arrays():
             a[:] = 0.0
-        preds = predict_positions(b, target_time=1005)
-        assert GeoPoint(*preds["v1"]).lat == 30.0
-        assert GeoPoint(*preds["v1"]).lon == 20.0
+        assert predict_positions(b, [1005]).tolist() == [[[30.0, 20.0]]]
 
     def test_multi_step_matches_predict_sequence(self):
         b = _vessel("v1")
-        preds = predict_positions(b, target_time=1020)  # 4 periods later
+        preds = predict_positions(b, [1020])  # 4 periods later
         roll = predict_sequence(b.network, b.last_training_window, 4)
         lat, lon = unscale(roll[-1], b.scaler)[0]
-        assert GeoPoint(*preds["v1"]).lat == pytest.approx(lat, rel=1e-12)
-        assert GeoPoint(*preds["v1"]).lon == pytest.approx(lon, rel=1e-12)
+        assert preds[0, 0, 0] == pytest.approx(lat, rel=1e-12)
+        assert preds[0, 0, 1] == pytest.approx(lon, rel=1e-12)
 
     def test_every_horizon_matches_predict_sequence(self):
         b = _vessel("v1")
         roll = predict_sequence(b.network, b.last_training_window, 6)
-        for steps in (3, 1, 6, 2, 2, 5):  # decreasing targets must not return a stale rollout
-            preds = predict_positions(b, target_time=1000 + 5 * steps)
-            np.testing.assert_allclose(preds["v1"], unscale(roll[steps - 1], b.scaler)[0], rtol=1e-12, atol=0)
+        horizons = (3, 1, 6, 2, 2, 5)  # decreasing targets must not return a stale rollout
+        for steps in horizons:
+            preds = predict_positions(b, [1000 + 5 * steps])
+            np.testing.assert_allclose(preds[0, 0], unscale(roll[steps - 1], b.scaler)[0], rtol=1e-12, atol=0)
+        # one call, its times in any order, gathers each time's own step
+        preds = predict_positions(b, [1000 + 5 * steps for steps in horizons])
+        want = [unscale(roll[steps - 1], b.scaler)[0] for steps in horizons]
+        np.testing.assert_allclose(preds[:, 0], want, rtol=1e-12, atol=0)
 
     def test_time_before_training_rejected(self):
-        with pytest.raises(TimeBeforeTraining):
-            predict_positions(_vessel("v1"), target_time=1000)
+        with pytest.raises(TimeBeforeTraining, match="^vessel v1: target 1000 <= train end 1000.0$"):
+            predict_positions(_vessel("v1"), [1005, 1000])
 
 
 class TestAssociateBatch:
@@ -191,10 +191,29 @@ class TestAssociateBatch:
         obs = _obs(1, 35.0, 25.0, t=1005)
         d = associate_batch([obs], b)
         assert len(d) == 1
-        preds = predict_positions(b, target_time=1005)
-        expected = associate(obs, preds)
+        expected = associate([obs], predict_positions(b, [1005]), b.vessel_ids)
         assert d.assigned == expected.assigned
         assert d.winning_distance_km == expected.winning_distance_km
+
+    def test_batch_runs_the_modules_two_steps_once_each(self, monkeypatch):
+        # looked up in the module at call time, so a wrapper sees every batch
+        calls = {"predict_positions": 0, "associate": 0}
+
+        def counted(name, step):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return step(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(assoc_module, name, counted(name, getattr(assoc_module, name)))
+        fleet = TestStackedRollout.FLEET
+        for batch in (1, 2):
+            associate_batch(_mixed_observations(20), fleet)
+            assert calls == {"predict_positions": batch, "associate": batch}
+        associate_batch([], fleet)
+        assert calls == {"predict_positions": 3, "associate": 3}
 
     def test_shuffled_observations_keep_each_row(self):
         fleet = TestStackedRollout.FLEET
@@ -211,13 +230,10 @@ class TestAssociateBatch:
             _vessel("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21)),
             _vessel("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9)),
         ])
-        preds = predict_positions(fleet, target_time=1005)
-        obs = [
-            _obs(i + 1, *preds[vid], t=1005)
-            for i, vid in enumerate(sorted(preds))
-        ]
+        preds = predict_positions(fleet, [1005])[0].tolist()
+        obs = [_obs(i + 1, lat, lon, t=1005) for i, (lat, lon) in enumerate(preds)]
         decisions = associate_batch(obs, fleet)
-        assert decisions.assigned == sorted(preds)
+        assert decisions.assigned == fleet.vessel_ids == ["aaa", "bbb"]
 
     def test_exact_tie_goes_to_smallest_id(self):
         # two copies of one model predict the same position for every step
@@ -295,8 +311,8 @@ class TestStackedRollout:
 
     def test_matches_per_vessel_oracle(self, monkeypatch):
         gathered = []
-        decide = assoc_module._decide
-        monkeypatch.setattr(assoc_module, "_decide", lambda *a: gathered.append(a[1]) or decide(*a))
+        decide = assoc_module.associate
+        monkeypatch.setattr(assoc_module, "associate", lambda *a: gathered.append(a[1]) or decide(*a))
         obs = _mixed_observations(40)
         decisions = associate_batch(obs, self.FLEET)
         assert decisions.vessel_ids == sorted(v.vessel_ids[0] for v in self.VESSELS)
@@ -421,7 +437,7 @@ class TestRolloutBound:
         with pytest.raises(RolloutTooLong, match="v1.*bound is 3"):
             associate_batch([_obs(1, 30, 20, t=1005), _obs(2, 30, 20, t=1020)], b)
         assert rolled == []
-        predict_positions(b, target_time=1015)  # exactly 3 steps is allowed
+        predict_positions(b, [1015])  # exactly 3 steps is allowed
         assert len(rolled) == 3
 
     def test_year_out_observation_is_fast_cli_data_error(self, tmp_path, capsys):

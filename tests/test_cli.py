@@ -306,6 +306,24 @@ def test_tracks_ending_at_different_times(tmp_path, capsys):
     assert left_out > 0 and left_out + held_out == 7 * 25
 
 
+@pytest.mark.parametrize("year", ["0001", "0999"])
+def test_fleet_before_year_1000_associates_its_own_holdout(tmp_path, capsys, year):
+    # train writes holdout.csv's timestamps with a four-digit year, which
+    # associate then reads back
+    data, models = tmp_path / "fleet.csv", tmp_path / "models"
+    data.write_text(
+        "OBJECT_ID,VID,SEQUENCE_DTTM,LAT,LON,SPEED,COURSE\n"
+        f"1,aaa,{year}-01-01T00:00:00Z,30.0,20.0,0,0\n"
+        f"2,aaa,{year}-01-01T00:10:00Z,30.1,20.1,0,0\n"
+    )
+    assert run(["train", "--data", data, "--out", models, "--min-points", 1, "--test-len", 1, "--window", 1,
+                "--period", 300, "--epochs", 1]) == 0
+    assert f",{year}-01-01T00:10:00Z," in (models / "holdout.csv").read_text()
+    capsys.readouterr()
+    assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 
 def _holdout_per_row(series_list, fleet, test_len):
     """`cli._holdout_messages` as it was first written: each held-out
@@ -413,6 +431,10 @@ def trained(tmp_path_factory):
         ("synth --out {new} --crossing 1,2", "crossing"),
         ("synth --out {new} --crossing a,b,c", "crossing"),
         ("synth --out {new} --crossing 0,9,5", "crossing"),
+        ("synth --out {new} --vessels 3 --points 150 --period 1e10", "9999-12-31T23:59:59Z"),
+        ("synth --out {new} --vessels 3 --points 150 --period 1e17", "9999-12-31T23:59:59Z"),
+        ("synth --out {new} --vessels 3 --points 150 --period 1e7", "position (398.772, "),
+        ("synth --out {new} --vessels 3 --points 150 --noise 1e300", "sample 0: position"),
         ("train --data {missing} --out {new}", "missing.csv"),
         ("associate --models {models} --obs {missing} --out {new}/d.csv", "missing.csv"),
         ("evaluate --decisions {missing} --truth {truth} --out {new}/r.json", "missing.csv"),

@@ -285,6 +285,9 @@ def test_repeated_timestamp_parsed_once_and_bad_one_raises_every_time():
         (BASE_EPOCH - 86400, "2020-02-29T00:00:00Z"),
         (1577836799, "2019-12-31T23:59:59Z"),
         (1577836800, "2020-01-01T00:00:00Z"),
+        (-62135596800, "0001-01-01T00:00:00Z"),
+        (-30627458704, "0999-06-15T12:34:56Z"),
+        (253402300799, "9999-12-31T23:59:59Z"),
     ],
 )
 def test_memoised_format_timestamp_equals_uncached_and_round_trips(epoch, text):

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -211,3 +213,21 @@ def test_spec_validation():
         (key,) = bad
         with pytest.raises(BadConfig, match=f"{key} must be in"):
             generate(RunConfig(**bad), default_motions(2))
+
+
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        ({"period": 1e10}, "150 points 1e+10 s apart with jitter 0.2 run outside"),
+        ({"period": 1e17}, "150 points 1e+17 s apart with jitter 0.2 run outside"),
+        # the first sample's jitter alone reaches back before year 1
+        ({"points": 2, "period": 1.5e11, "jitter": 0.99}, "2 points 1.5e+11 s apart with jitter 0.99 run outside"),
+        ({"period": 1e7}, "sample 1: position (398.772, 187.874) is outside |LAT| <= 90, |LON| <= 180"),
+        ({"noise": 1e300}, "sample 0: position (-1.58635e+299, -1.03565e+300) is outside"),
+    ],
+)
+def test_times_or_positions_no_row_could_carry_rejected_before_any_warning(settings, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadConfig, match=re.escape(named)):
+            _generate(**{"vessels": 3, "points": 150, **settings})
