@@ -22,11 +22,14 @@ held out (unless --lenient leaves it out), a --period that puts more than
 `preprocess.MAX_GRID_SAMPLES` samples on a track, `synth` settings whose
 times leave years 1-9999 or whose positions leave a row's LAT or LON range
 (`synth.generate`), an input that is missing
-or not UTF-8, a missing or malformed model directory (its fleet.json's
-vessel ids held to the rule for a VID, sorted and each once, each scaler to
-min <= max, with the LAT and LON entries in a row's ranges, and each last
-training window to [0, 1]; a directory of another format version is named
-as one to retrain), a JSON --config, manifest.json or fleet.json nested
+or not UTF-8, a missing or malformed model directory (a manifest that
+lists other files than fleet.json and weights.bin, or whose sha256 of
+either does not match; fleet.json's vessel ids held to the rule for a VID,
+sorted and each once, each scaler to min <= max, with the LAT and LON
+entries in a row's ranges, and each last training window to [0, 1]; a
+weights.bin of another length than its fleet needs, or holding a NaN or
+infinite weight; a directory of another format version is named as one to
+retrain), a JSON --config, manifest.json or fleet.json nested
 deeper than the JSON parser goes, a model whose training or rollout turns
 non-finite, an observation at or before a vessel's train end or more than
 `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a truth

@@ -65,6 +65,11 @@ class BadModel(AistrackError):
     pass
 
 
+class BadWeights(BadModel):
+    """A weights file that does not fit its fleet file, or holds a
+    non-finite value."""
+
+
 class TimeBeforeTraining(AistrackError):
     pass
 
@@ -106,15 +111,18 @@ def output_dir(path) -> Path:
     return path
 
 
-def write_output(path, data: str | bytes) -> None:
-    """Write an output file, creating its directory first; IoFailure if it
-    cannot be written."""
+def write_output(path, data) -> None:
+    """Write an output file of text, bytes or a list of byte buffers, written
+    one after another, creating its directory first; IoFailure if it cannot
+    be written."""
     path = Path(path)
     output_dir(path.parent)
     try:
-        if isinstance(data, bytes):
-            path.write_bytes(data)
-        else:
+        if isinstance(data, str):
             path.write_text(data)
+        else:
+            with path.open("wb") as f:
+                for chunk in [data] if isinstance(data, bytes) else data:
+                    f.write(chunk)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc

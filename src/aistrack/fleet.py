@@ -25,28 +25,34 @@ trained stack is a `Fleet`, the one form trained models take, and only
 `join_fleets` orders and concatenates vessels, as `train_fleet` joins its
 stacks.
 
-A fleet is saved as one fleet.json, a manifest.json holding its sha256 and
-the run's whole config (`config.config_meta`), and a train_report.json of
-each vessel's per-epoch loss. fleet.json (format version 3) is plain JSON:
-the vessel ids, sorted and each once; each vessel's period, train end time,
-scaler and last training window as (Z,), (Z, 4) and (Z, m, k) lists; and
-the architecture, each weight array of which (W, U and b of each layer,
-dense_W, dense_b) is the base64 of its whole little-endian float64 (Z, ...)
-array. Writing the weights as JSON numbers through the indented encoder,
-which formats each float in Python, took about 40 % of training on a
-24-vessel fleet. The reader rejects another version, a key the format does
-not have and any architecture but `lstm`'s, rather than run a file as
-something it is not; and, naming the first vessel that fails, an id that is
-no VID (`ingest.vessel_id_fault`), a non-finite value, a period <= 0, a
-scaler no AIS rows could give and a last training window outside [0, 1].
+A fleet is saved as two files, fleet.json and weights.bin, with a
+manifest.json holding the sha256 of each and the run's whole config
+(`config.config_meta`), and a train_report.json of each vessel's per-epoch
+loss. fleet.json (format version 4) is plain JSON: the vessel ids, sorted
+and each once; each vessel's period, train end time, scaler and last
+training window as (Z,), (Z, 4) and (Z, m, k) lists; and the architecture
+and the network's hidden size and dropout rate. weights.bin is the network's
+weight arrays (W, U and b of each layer, dense_W, dense_b) as raw
+little-endian float64 bytes, each whole (Z, ...) array after the one before
+it in `param_arrays()` order; their shapes follow from Z and the hidden
+size, so the file has no header. The weights are loaded as writable views of
+the one buffer the file is read into, the buffer whose hash is checked.
+Format 3 held them as base64 in fleet.json, whose decoding, parsing and
+hashing cost as much as all of `associate` but its rollouts. The reader
+rejects another version, a key the format does not have, any architecture
+but `lstm`'s and a weights file of another length than its fleet needs,
+rather than run a file as something it is not; and, naming the first
+vessel that fails, an id that is no VID (`ingest.vessel_id_fault`), a
+non-finite value, a period <= 0, a scaler no AIS rows could give and a last
+training window outside [0, 1].
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +63,7 @@ from .config import RunConfig, check_ranges, config_meta, json_type_fault
 from .errors import (
     BadManifest,
     BadModel,
+    BadWeights,
     ChecksumMismatch,
     MissingFile,
     NonFiniteActivation,
@@ -80,7 +87,7 @@ from .lstm import (
 )
 from .preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
 
-MODEL_FORMAT_VERSION = 3
+MODEL_FORMAT_VERSION = 4
 
 # Windows per lockstep batch call, over all vessels of a stack.
 STACK_WINDOWS = 64
@@ -185,25 +192,9 @@ def train_fleet(tracks: list[RegularTrack], cfg: RunConfig) -> tuple[Fleet, dict
 # --- persistence ---------------------------------------------------------
 
 FLEET_FILE = "fleet.json"
+WEIGHTS_FILE = "weights.bin"
+MODEL_FILES = [FLEET_FILE, WEIGHTS_FILE]  # in the order a manifest lists them
 RETRAIN = "retrain with `aistrack train`"
-
-
-def _encode(a: np.ndarray) -> str:
-    """An array's values as base64 of their little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(a, dtype="<f8").tobytes()).decode("ascii")
-
-
-def _decode(payload, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """A writable float64 array of `shape` back from an `_encode` string."""
-    if not isinstance(payload, str):
-        raise BadModel(f"{key} must be a base64 string, got {type(payload).__name__}")
-    try:
-        raw = base64.b64decode(payload, validate=True)
-    except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise BadModel(f"{key} is not base64: {exc}") from exc
-    if len(raw) != 8 * math.prod(shape):
-        raise BadModel(f"{key} holds {len(raw)} bytes, shape {shape} needs {8 * math.prod(shape)}")
-    return np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
 
 
 def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
@@ -216,6 +207,19 @@ def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
     return a.astype(np.float64)
 
 
+def _weight_arrays(weights, z: int, hidden: int) -> list[np.ndarray]:
+    """The (Z, ...) weight arrays, in `param_arrays()` order, of a weights
+    file's bytes for `z` vessels of `hidden` units: float64 views of
+    `weights`, writable if it is. A buffer of another length is a
+    BadWeights."""
+    shapes = [(z, *shape) for shape in param_shapes(hidden)]
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(weights) != 8 * sum(sizes):
+        raise BadWeights(f"holds {len(weights)} bytes, where {z} vessels of hidden {hidden} need {8 * sum(sizes)}")
+    flat = np.frombuffer(weights, "<f8").astype(np.float64, copy=False)  # a copy only where float64 is big-endian
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+
+
 # The architecture fields every fleet file holds: `lstm`'s constants.
 ARCHITECTURE = {"k": INPUT_DIM, "n_layers": N_LAYERS, "out_dim": OUT_DIM, "residual": True}
 
@@ -223,11 +227,11 @@ ARCHITECTURE = {"k": INPUT_DIM, "n_layers": N_LAYERS, "out_dim": OUT_DIM, "resid
 # accepted for a float.
 NETWORK_FIELDS = {"k": int, "hidden": int, "n_layers": int, "out_dim": int, "dropout_rate": float}
 
-# Every key of a format-3 document and of its "network": a reader never
+# Every key of a format-4 document and of its "network": a reader never
 # drops a field it does not know.
 MODEL_KEYS = {"format_version", "vessel_ids", "window_size", "period", "train_end_time", "scaler",
               "last_training_window", "network"}
-NETWORK_KEYS = {*ARCHITECTURE, *NETWORK_FIELDS, "layers", "dense_W", "dense_b"}
+NETWORK_KEYS = {*ARCHITECTURE, *NETWORK_FIELDS}
 WEIGHT_NAMES = [f"layers[{li}].{p}" for li in range(N_LAYERS) for p in ("W", "U", "b")] + ["dense_W", "dense_b"]
 
 
@@ -251,18 +255,18 @@ def _check_keys(doc, keys: set[str], where: str) -> None:
         raise BadModel(f"{where} holds {unknown[0]!r}, a key format {MODEL_FORMAT_VERSION} does not have")
 
 
-def _check_vessels(bad: np.ndarray, ids: list[str], fault) -> None:
-    """BadModel naming the vessel (axis 0) of `bad`'s first True, with `fault` of its index."""
+def _check_vessels(bad: np.ndarray, ids: list[str], fault, error=BadModel) -> None:
+    """`error` naming the vessel (axis 0) of `bad`'s first True, with `fault` of its index."""
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
-        raise BadModel(f"vessel {ids[at[0]]}: {fault(at)}")
+        raise error(f"vessel {ids[at[0]]}: {fault(at)}")
 
 
 # |LAT| and |LON| bounds of a row (`ingest.LAT_LON_BOUNDS`), then SPEED's and COURSE's
 SCALER_BOUNDS = np.array([*LAT_LON_BOUNDS, np.inf, np.inf])
 
 
-def _fleet_from_doc(doc) -> Fleet:
+def _fleet_from_doc(doc, weights) -> Fleet:
     if isinstance(doc, dict) and doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise VersionMismatch(f"model format {doc.get('format_version')}, expected {MODEL_FORMAT_VERSION}: {RETRAIN}")
     _check_keys(doc, MODEL_KEYS, "the document")
@@ -283,11 +287,7 @@ def _fleet_from_doc(doc) -> Fleet:
     for key, value in ARCHITECTURE.items():
         if json_type_fault(net[key], type(value)) or net[key] != value:
             raise BadModel(f"{key} {net[key]!r}: only networks with {key} {value!r} are supported")
-    if len(net["layers"]) != N_LAYERS:
-        raise BadModel(f"network has {len(net['layers']) or 'no'} layers, expected {N_LAYERS}")
-    payloads = [layer[p] for layer in net["layers"] for p in ("W", "U", "b")] + [net["dense_W"], net["dense_b"]]
-    shapes = [(z, *shape) for shape in param_shapes(net["hidden"])]
-    arrays = {key: _decode(p, shape, key) for key, p, shape in zip(WEIGHT_NAMES, payloads, shapes, strict=True)}
+    arrays = {}
     for key, value, shape in [
         ("period", doc["period"], (z,)),
         ("train_end_time", doc["train_end_time"], (z,)),
@@ -313,9 +313,12 @@ def _fleet_from_doc(doc) -> Fleet:
     outside = (window < 0) | (window > 1)
     _check_vessels(outside, ids, lambda at: f"last_training_window value {window[at].item()!r} is outside the"
                    " [0, 1] of scaled rows")
+    params = _weight_arrays(weights, z, net["hidden"])
+    for key, a in zip(WEIGHT_NAMES, params):
+        _check_vessels(~np.isfinite(a), ids, lambda at: f"{key} holds a non-finite value", BadWeights)
     return Fleet(
         vessel_ids=ids,
-        network=network_from_arrays([arrays[key] for key in WEIGHT_NAMES], net["dropout_rate"]),
+        network=network_from_arrays(params, net["dropout_rate"]),
         scaler=ScalerParams(min=lo, max=hi),
         period=period,
         train_end_time=arrays["train_end_time"],
@@ -325,7 +328,8 @@ def _fleet_from_doc(doc) -> Fleet:
 
 def fleet_to_json(fleet: Fleet) -> str:
     """The fleet file of `fleet`: its per-vessel values as JSON numbers, and
-    each weight as one `_encode` string of its whole (Z, ...) array."""
+    its network's architecture, hidden size and dropout rate. Its weights
+    go to their own file (`save_fleet`)."""
     net = fleet.network
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -335,22 +339,19 @@ def fleet_to_json(fleet: Fleet) -> str:
         "train_end_time": fleet.train_end_time.tolist(),
         "scaler": {"min": fleet.scaler.min.tolist(), "max": fleet.scaler.max.tolist()},
         "last_training_window": fleet.last_training_window.tolist(),
-        "network": {
-            **ARCHITECTURE,
-            "hidden": net.hidden, "dropout_rate": net.dropout_rate,
-            "layers": [{"W": _encode(l.W), "U": _encode(l.U), "b": _encode(l.b)} for l in net.layers],
-            "dense_W": _encode(net.dense_W), "dense_b": _encode(net.dense_b),
-        },
+        "network": {**ARCHITECTURE, "hidden": net.hidden, "dropout_rate": net.dropout_rate},
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def fleet_from_json(text: str | bytes) -> Fleet:
-    """The fleet of a fleet file. Raises VersionMismatch for another format
-    version and BadModel for a document that is not a fleet of this one; a
-    fault in one vessel's values names the vessel."""
+def fleet_from_json(text: str | bytes, weights) -> Fleet:
+    """The fleet of a fleet file and of its weights file's bytes, a buffer
+    the weight arrays are views of. Raises VersionMismatch for another
+    format version, BadWeights for weights that do not fit or hold a
+    non-finite value, and BadModel for a document that is not a fleet of
+    this one; a fault in one vessel's values names the vessel."""
     try:
-        return _fleet_from_doc(json.loads(text))
+        return _fleet_from_doc(json.loads(text), weights)
     # not JSON or UTF-8, nested past the parser's depth, a key missing, a container of the wrong kind,
     # or an int no float can hold
     except (KeyError, TypeError, ValueError, RecursionError, OverflowError) as exc:
@@ -358,13 +359,20 @@ def fleet_from_json(text: str | bytes) -> Fleet:
 
 
 def save_fleet(fleet: Fleet, directory: str | Path, cfg: RunConfig, histories: dict[str, list[float]]) -> Path:
-    """Write fleet.json, a manifest.json that holds its sha256 and echoes
-    `cfg`, and train_report.json holding `histories`. Returns the manifest
-    path."""
+    """Write fleet.json and weights.bin, a manifest.json that holds the
+    sha256 of each and echoes `cfg`, and train_report.json holding
+    `histories`. Returns the manifest path. The weight arrays go to their
+    file and into its hash one at a time, as they are held."""
     directory = output_dir(directory)
-    data = fleet_to_json(fleet).encode()
-    write_output(directory / FLEET_FILE, data)
-    models = [{"file": FLEET_FILE, "sha256": hashlib.sha256(data).hexdigest()}]
+    text = fleet_to_json(fleet).encode()
+    weights = [np.ascontiguousarray(a, dtype="<f8") for a in fleet.network.param_arrays()]
+    digest = hashlib.sha256()
+    for a in weights:
+        digest.update(a)
+    write_output(directory / FLEET_FILE, text)
+    write_output(directory / WEIGHTS_FILE, weights)
+    models = [{"file": FLEET_FILE, "sha256": hashlib.sha256(text).hexdigest()},
+              {"file": WEIGHTS_FILE, "sha256": digest.hexdigest()}]
     manifest = {"format_version": MODEL_FORMAT_VERSION, "meta": config_meta(cfg), "models": models}
     path = directory / "manifest.json"
     write_output(path, json.dumps(manifest, sort_keys=True, indent=1))
@@ -372,17 +380,23 @@ def save_fleet(fleet: Fleet, directory: str | Path, cfg: RunConfig, histories: d
     return path
 
 
-def _read_model_file(path: Path) -> bytes:
+def _read_model_file(path: Path) -> bytearray:
+    """A model directory file's bytes, read into a writable buffer of their
+    size."""
     try:
-        return path.read_bytes()
+        with path.open("rb") as f:
+            data = bytearray(os.fstat(f.fileno()).st_size)
+            f.readinto(data)
+        return data
     except OSError as exc:  # no such file, or the directory is none
         raise MissingFile(f"{path.parent} is not a model directory: it holds no readable {path.name}"
                           f" ({exc.strerror}); `aistrack train --out` writes one") from None
 
 
 def load_fleet(directory: str | Path) -> Fleet:
-    """Read a model directory back as its fleet, once fleet.json's sha256
-    matches the one its manifest holds."""
+    """Read a model directory back as its fleet, once the sha256 of
+    fleet.json and of weights.bin each match the one its manifest holds.
+    Each file is read once, and hashed and decoded in that buffer."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     try:
@@ -395,13 +409,16 @@ def load_fleet(directory: str | Path) -> Fleet:
         version = manifest.get("format_version")
         raise VersionMismatch(f"{manifest_path}: model format {version}, expected {MODEL_FORMAT_VERSION}: {RETRAIN}")
     names = [name for name, _ in files]
-    if names != [FLEET_FILE]:
-        raise BadManifest(f"{manifest_path} lists {names or 'no models'}, where a model directory lists {FLEET_FILE}")
-    path = directory / FLEET_FILE
-    data = _read_model_file(path)
-    if hashlib.sha256(data).hexdigest() != files[0][1]:
-        raise ChecksumMismatch(f"{path} checksum does not match manifest")
+    if names != MODEL_FILES:
+        raise BadManifest(f"{manifest_path} lists {names or 'no models'}, where a model directory lists"
+                          f" {' and '.join(MODEL_FILES)}")
+    paths, data = [directory / name for name in MODEL_FILES], []
+    for path, (_, sha256) in zip(paths, files):
+        data.append(_read_model_file(path))
+        if hashlib.sha256(data[-1]).hexdigest() != sha256:
+            raise ChecksumMismatch(f"{path} checksum does not match manifest")
     try:
-        return fleet_from_json(data)
+        return fleet_from_json(*data)
     except BadModel as exc:
-        raise BadModel(f"{path}: {exc}") from exc
+        path = paths[1] if isinstance(exc, BadWeights) else paths[0]
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 from aistrack import cli
 from aistrack.cli import build_parser, main
 from aistrack.config import FIELD_TYPES, RunConfig
-from aistrack.fleet import load_fleet, save_fleet, train_fleet
+from aistrack.fleet import WEIGHT_NAMES, _weight_arrays, load_fleet, save_fleet, train_fleet
 from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv
+from aistrack.lstm import init_network
 from aistrack.preprocess import resample
 from aistrack.synth import fleet_motions, generate
 
@@ -672,7 +673,7 @@ def test_repeated_truth_object_id_is_data_error(trained, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("remove", ["manifest.json", "fleet.json"])
+@pytest.mark.parametrize("remove", ["manifest.json", "fleet.json", "weights.bin"])
 def test_missing_model_directory_file_is_one_error_line(trained, tmp_path, capsys, remove):
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
@@ -699,7 +700,88 @@ def test_version_2_model_directory_is_one_error_line(trained, tmp_path, capsys):
     rc = run(["associate", "--models", models, "--obs", trained / "models" / "holdout.csv", "--out", tmp_path / "d.csv"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == f"error: {models / 'manifest.json'}: model format 2, expected 3: retrain with `aistrack train`\n"
+    assert err == f"error: {models / 'manifest.json'}: model format 2, expected 4: retrain with `aistrack train`\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_version_3_model_directory_is_one_error_line(trained, tmp_path, capsys):
+    # the layout of format 3: one fleet.json, its weights held in it as base64
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    (models / "weights.bin").unlink()
+    manifest = json.loads((models / "manifest.json").read_text())
+    manifest.update(format_version=3, models=manifest["models"][:1])
+    (models / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {models / 'manifest.json'}: model format 3, expected 4: retrain with `aistrack train`\n"
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("listed", [["fleet.json"], ["weights.bin", "fleet.json"]], ids=["fleet_only", "swapped"])
+def test_manifest_listing_other_files_is_one_error_line(trained, tmp_path, capsys, listed):
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    manifest = json.loads((models / "manifest.json").read_text())
+    entries = {entry["file"]: entry for entry in manifest["models"]}
+    manifest["models"] = [entries[name] for name in listed]
+    (models / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: {models / 'manifest.json'} lists {listed}, where a model directory lists fleet.json and"
+                   " weights.bin\n")
+    assert not (tmp_path / "d.csv").exists()
+
+
+def _resign_weights(models, raw):
+    """Write `raw` as the directory's weights.bin, and its sha256 into the
+    manifest, so that the checksum passes."""
+    (models / "weights.bin").write_bytes(raw)
+    manifest = json.loads((models / "manifest.json").read_text())
+    manifest["models"][1]["sha256"] = hashlib.sha256(raw).hexdigest()
+    (models / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _hidden_4_weights(raw, z):
+    """The weights file of `z` vessels of hidden 4."""
+    net = init_network(hidden=4, dropout_rate=0.0, rngs=[np.random.default_rng(i) for i in range(z)])
+    return b"".join(a.tobytes() for a in net.param_arrays())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda raw, z: raw[:-8], lambda raw, z: raw + bytes(8), _hidden_4_weights],
+    ids=["8_bytes_short", "8_bytes_long", "hidden_4"],
+)
+def test_weights_file_of_another_length_is_one_error_line(trained, tmp_path, capsys, edit):
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    doc = json.loads((models / "fleet.json").read_text())
+    z, hidden = len(doc["vessel_ids"]), doc["network"]["hidden"]
+    raw = (models / "weights.bin").read_bytes()
+    edited = edit(raw, z)
+    _resign_weights(models, edited)
+    capsys.readouterr()
+    argv = ["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]
+    assert run_without_warnings(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {models / 'weights.bin'}: holds {len(edited)} bytes, where {z} vessels of hidden {hidden}"
+                   f" need {len(raw)}\n")
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_truncated_weights_file_is_a_checksum_error(trained, tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    (models / "weights.bin").write_bytes((models / "weights.bin").read_bytes()[:-8])
+    capsys.readouterr()
+    rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {models / 'weights.bin'} checksum does not match manifest\n"
     assert not (tmp_path / "d.csv").exists()
 
 
@@ -882,11 +964,10 @@ def _json_paths(value, path=()):
     return [p for key, item in items for p in [(*path, key), *_json_paths(item, (*path, key))]]
 
 
-# The field family of each top-level key of fleet.json and of each key in
-# its "network"; the network's other keys are its scalars.
+# The field family of each top-level key of fleet.json; the keys of its
+# "network" are its scalars.
 FAMILIES = {"format_version": "ids", "vessel_ids": "ids", "period": "period", "train_end_time": "train_end_time",
-            "scaler": "scaler", "window_size": "window", "last_training_window": "window",
-            "layers": "weights", "dense_W": "weights", "dense_b": "weights"}
+            "scaler": "scaler", "window_size": "window", "last_training_window": "window"}
 
 
 def _family(path) -> str:
@@ -949,21 +1030,53 @@ def test_every_model_number_at_an_extreme_is_one_error_line_or_finite(trained, t
         doc = json.loads(text)
         functools.reduce(operator.getitem, parents, doc)[key] = value
         _resign(models, doc)
-        out = tmp_path / f"d{i}.csv"
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", out])
-        err = capsys.readouterr().err
-        if rc == 2:
-            ok = err.startswith("error: ") and err.count("\n") == 1 and not caught
-        elif rc == 0:  # every distance a decision was made on is a number
-            _, *rows = (line.split(",") for line in out.read_text().splitlines())
-            ok = all(math.isfinite(float(v)) for row in rows for v in row[2:])
-        else:
-            ok = False
-        if not ok:
-            faults.append(((*parents, key), rc, err, [str(w.message) for w in caught]))
+        fault = _associate_fault(models, tmp_path / f"d{i}.csv", capsys)
+        if fault:
+            faults.append(((*parents, key), *fault))
+    assert faults == []
+
+
+def _associate_fault(models, out, capsys):
+    """Run associate on `models` into `out`; None if it gives exit 2 with one
+    `error:` line and no warning, or exit 0 with finite distances, else its
+    exit code, stderr and warnings."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", out])
+    err = capsys.readouterr().err
+    if rc == 2:
+        ok = err.startswith("error: ") and err.count("\n") == 1 and not caught
+    elif rc == 0:  # every distance a decision was made on is a number
+        _, *rows = (line.split(",") for line in out.read_text().splitlines())
+        ok = all(math.isfinite(float(v)) for row in rows for v in row[2:])
+    else:
+        ok = False
+    return None if ok else (rc, err, [str(w.message) for w in caught])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, math.nan, math.inf, -math.inf],
+    ids=["max", "minus_max", "subnormal", "nan", "inf", "minus_inf"],
+)
+def test_every_weight_array_at_an_extreme_is_one_error_line_or_finite(trained, tmp_path, capsys, value):
+    # the first value of each weight array, the first vessel's, and its last,
+    # the last vessel's, set to `value` in turn
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    raw = (models / "weights.bin").read_bytes()
+    doc = json.loads((models / "fleet.json").read_text())
+    faults = []
+    for i, name in enumerate(WEIGHT_NAMES):
+        for at in (0, -1):
+            weights = bytearray(raw)
+            _weight_arrays(weights, len(doc["vessel_ids"]), doc["network"]["hidden"])[i].flat[at] = value
+            _resign_weights(models, weights)
+            fault = _associate_fault(models, tmp_path / f"d{i}_{at}.csv", capsys)
+            if fault:
+                faults.append((name, at, *fault))
+    assert len(WEIGHT_NAMES) == 11
     assert faults == []
 
 

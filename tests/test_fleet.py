@@ -1,10 +1,10 @@
-import base64
 import dataclasses
 import functools
 import hashlib
 import json
 import operator
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from aistrack.errors import (
     VersionMismatch,
 )
 from aistrack.fleet import (
+    Fleet,
     fleet_from_json,
     fleet_to_json,
     load_fleet,
@@ -32,7 +33,7 @@ from aistrack.fleet import (
 )
 from aistrack.ingest import LAT_LON_BOUNDS, AisMessage
 from aistrack.lstm import AdamState, backward, forward_batch, init_network
-from aistrack.preprocess import RegularTrack, fit_scaler, make_windows, scale
+from aistrack.preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
 
 
 def _series(vid="v", n=60, seed=0):
@@ -102,33 +103,42 @@ class TestTrainFleet:
         assert trained.train_end_time.tolist() == [series.time_of(59)]
 
 
+def _files(trained):
+    """The fleet file text of `trained` and its weights file's bytes, as
+    `save_fleet` writes them."""
+    arrays = trained.network.param_arrays()
+    return fleet_to_json(trained), bytearray(b"".join(a.astype("<f8").tobytes() for a in arrays))
+
+
 def _scaler_set(bound: str, feature: int, value: float, vessel: int = 0):
     """A corruption that sets a vessel's scaler `bound` ("min" or "max") of
     one feature to `value`."""
-    return lambda doc: doc["scaler"][bound][vessel].__setitem__(feature, value)
+    return lambda doc, weights: doc["scaler"][bound][vessel].__setitem__(feature, value)
 
 
-def _lat_span_1e308(doc):
+def _lat_span_1e308(doc, weights):
     """A LAT scaler from -1.7e308 to 1.7e308: finite, but unscaling any
     prediction with it overflows."""
-    _scaler_set("min", 0, -1.7e308)(doc)
-    _scaler_set("max", 0, 1.7e308)(doc)
+    _scaler_set("min", 0, -1.7e308)(doc, weights)
+    _scaler_set("max", 0, 1.7e308)(doc, weights)
 
 
-def _out_dim_3(doc):
-    """A three-output head, with weights of that shape."""
-    net, z = doc["network"], len(doc["vessel_ids"])
-    net.update(out_dim=3, dense_W=fleet._encode(np.zeros((z, 3, net["hidden"]))), dense_b=fleet._encode(np.zeros(3 * z)))
-
-
-def _k_1(doc):
-    """One input feature, with a first layer, scaler and window of that
-    shape."""
-    net, z = doc["network"], len(doc["vessel_ids"])
-    net.update(k=1)
-    net["layers"][0]["W"] = fleet._encode(np.zeros((z, 4 * net["hidden"], 1)))
+def _k_1(doc, weights):
+    """One input feature, with a scaler and window of that shape."""
+    doc["network"].update(k=1)
     doc["scaler"] = {key: [row[:1] for row in rows] for key, rows in doc["scaler"].items()}
     doc["last_training_window"] = [[row[:1] for row in window] for window in doc["last_training_window"]]
+
+
+def _weight_set(name: str, at: int, value: float):
+    """A corruption that sets value `at` of weight array `name`, flat over
+    its vessels, to `value`."""
+
+    def corrupt(doc, weights):
+        arrays = fleet._weight_arrays(weights, len(doc["vessel_ids"]), doc["network"]["hidden"])
+        arrays[fleet.WEIGHT_NAMES.index(name)].flat[at] = value
+
+    return corrupt
 
 
 def _save_two(directory):
@@ -138,20 +148,22 @@ def _save_two(directory):
     return trained
 
 
-def _resign(directory, doc):
-    """Write `doc` as the directory's fleet.json, and its sha256 into the
-    manifest, so that the checksum passes."""
-    raw = json.dumps(doc).encode()
-    (directory / "fleet.json").write_bytes(raw)
+def _resign(directory, doc, weights=None):
+    """Write `doc` as the directory's fleet.json, and `weights`, if given,
+    as its weights.bin, with the sha256 of each in the manifest, so that the
+    checksums pass."""
     manifest = json.loads((directory / "manifest.json").read_text())
-    manifest["models"][0]["sha256"] = hashlib.sha256(raw).hexdigest()
+    for entry, raw in zip(manifest["models"], [json.dumps(doc).encode(), weights]):
+        if raw is not None:
+            (directory / entry["file"]).write_bytes(raw)
+            entry["sha256"] = hashlib.sha256(raw).hexdigest()
     (directory / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestPersistence:
     def test_bundle_json_round_trip_predictions(self):
         trained, _ = _train_one(_series(), _cfg())
-        restored = fleet_from_json(fleet_to_json(trained))
+        restored = fleet_from_json(*_files(trained))
         probe = np.random.default_rng(5).random((5, 4))
         p1, _ = forward(trained.network, probe)
         p2, _ = forward(restored.network, probe)
@@ -160,23 +172,26 @@ class TestPersistence:
     @pytest.mark.parametrize("where", [(), ("network",)], ids=["top", "network"])
     def test_key_the_format_lacks_rejected(self, where):
         # a reader never drops a field that a later format adds
-        doc = json.loads(fleet_to_json(_train_one(_series(), _cfg())[0]))
+        text, weights = _files(_train_one(_series(), _cfg())[0])
+        doc = json.loads(text)
         functools.reduce(operator.getitem, where, doc)["input_form"] = "displacement"
-        with pytest.raises(BadModel, match="holds 'input_form', a key format 3 does not have"):
-            fleet_from_json(json.dumps(doc))
+        with pytest.raises(BadModel, match="holds 'input_form', a key format 4 does not have"):
+            fleet_from_json(json.dumps(doc), weights)
 
     def test_version_mismatch_rejected(self):
         trained, _ = _train_one(_series(), _cfg())
-        doc = json.loads(fleet_to_json(trained))
+        text, weights = _files(trained)
+        doc = json.loads(text)
         doc["format_version"] = 99
         with pytest.raises(VersionMismatch):
-            fleet_from_json(json.dumps(doc))
+            fleet_from_json(json.dumps(doc), weights)
 
     def test_save_load_round_trip(self, tmp_path):
         tracks = [_series(vid=f"v{i}", seed=i) for i in range(2)]
         trained, histories = train_fleet(tracks, _cfg())
         save_fleet(trained, tmp_path, _cfg(), histories)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json", "manifest.json", "train_report.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.json", "manifest.json", "train_report.json",
+                                                              "weights.bin"]
         loaded = load_fleet(tmp_path)
         assert loaded.vessel_ids == trained.vessel_ids
         probe = np.random.default_rng(6).random((2, 1, 5, 4))
@@ -231,7 +246,7 @@ class TestPersistence:
         manifest["models"][0]["file"] = name
         (tmp_path / "m2").mkdir()
         (tmp_path / "m2" / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(BadManifest, match="where a model directory lists fleet.json$"):
+        with pytest.raises(BadManifest, match="where a model directory lists fleet.json and weights.bin$"):
             load_fleet(tmp_path / "m2")
 
     def test_manifest_with_no_models_rejected(self, tmp_path):
@@ -250,13 +265,23 @@ class TestPersistence:
         with pytest.raises(BadModel, match="fleet.json: vessel_ids lists vessel v0 more than once$"):
             load_fleet(tmp_path)
 
-    def test_weights_round_trip_bit_for_bit(self):
+    def test_weights_round_trip_bit_for_bit(self, tmp_path):
         # signed zero, the smallest subnormal, the largest float, a negative
         # subnormal, in big-endian input order
-        values = np.array([[-0.0, 5e-324], [1.7976931348623157e308, -1e-310]], dtype=">f8")
-        back = fleet._decode(fleet._encode(values), (1, 2, 2), "x")  # a one-vessel stack
-        assert back.dtype == np.float64 and back.flags.writeable and back.shape == (1, 2, 2)
-        np.testing.assert_array_equal(back[0].view("<u8"), values.astype("<f8").view("<u8"))
+        values = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1e-310], dtype=">f8")
+        trained, histories = train_fleet([_series()], _cfg())
+        dense_W = trained.network.dense_W.astype(">f8")  # (1, 2, 8)
+        dense_W[0, 0, :4] = values
+        trained.network.dense_W = dense_W
+        save_fleet(trained, tmp_path, _cfg(), histories)
+        loaded = load_fleet(tmp_path)
+        back = loaded.network.dense_W
+        assert back.dtype == np.float64 and back.dtype.isnative and back.flags.writeable
+        np.testing.assert_array_equal(back[0, 0, :4].view("<u8"), values.astype("<f8").view("<u8"))
+        np.testing.assert_array_equal(back, dense_W)
+        # the arrays are views of the one buffer the file was read into
+        arrays = loaded.network.param_arrays()
+        assert all(a.flags.writeable and np.shares_memory(a, arrays[0].base) for a in arrays)
 
     def test_format_version_1_rejected(self, tmp_path):
         trained, history = _train_one(_series(), _cfg())
@@ -265,61 +290,64 @@ class TestPersistence:
             doc = json.loads((tmp_path / name).read_text())
             doc["format_version"] = 1
             (tmp_path / name).write_text(json.dumps(doc))
-        with pytest.raises(VersionMismatch, match="format 1, expected 3: retrain with `aistrack train`$"):
-            fleet_from_json((tmp_path / "fleet.json").read_text())
-        with pytest.raises(VersionMismatch, match="format 1, expected 3: retrain with `aistrack train`$"):
+        weights = bytearray((tmp_path / "weights.bin").read_bytes())
+        with pytest.raises(VersionMismatch, match="format 1, expected 4: retrain with `aistrack train`$"):
+            fleet_from_json((tmp_path / "fleet.json").read_text(), weights)
+        with pytest.raises(VersionMismatch, match="format 1, expected 4: retrain with `aistrack train`$"):
             load_fleet(tmp_path)
 
     @pytest.mark.parametrize(
-        "corrupt, named",
+        "corrupt, file, named",
         [
-            (lambda doc: doc["network"].pop("dense_b"), "'dense_b'"),  # a missing key
-            (lambda doc: doc["network"]["layers"][1].update(U="not base64!"), "layers[1].U"),
-            (lambda doc: doc["network"].update(dense_W=fleet._encode(np.zeros(33))), "dense_W"),  # shape (2, 2, 8)
-            (lambda doc: doc["network"].update(dense_b=[0.0, 0.0]), "dense_b"),  # weights as JSON numbers
-            (lambda doc: doc["network"].update(layers=[]), "no layers"),
-            (lambda doc: doc["network"].update(residual=False), "residual"),  # not run as residual
-            (lambda doc: doc.update(period="5.0"), "period"),
-            (lambda doc: doc.update(period=10**400), "period"),  # an int no float can hold
-            (lambda doc: doc["scaler"]["min"][0].__setitem__(0, 10**400), "OverflowError"),
-            (lambda doc: doc["vessel_ids"].__setitem__(0, "a,b"), "vessel_ids: VID 'a,b' holds ','"),
-            (lambda doc: doc["vessel_ids"].__setitem__(1, "v "), "vessel_ids: VID 'v ' has surrounding whitespace"),
-            (lambda doc: doc["vessel_ids"].reverse(), "vessel_ids lists vessel v0 after v1"),
-            (lambda doc: doc["vessel_ids"].pop(), "layers[0].W holds"),  # one vessel short of the arrays
-            (lambda doc: doc["period"].pop(), "period has shape (1,), expected (2,)"),
-            (lambda doc: doc["scaler"]["max"].pop(), "scaler.max has shape (1, 4), expected (2, 4)"),
-            (lambda doc: doc.update(last_training_window=[[0.5] * 4] * 2), "last_training_window"),  # window 5
+            (lambda doc, w: doc["network"].pop("hidden"), "fleet.json", "'hidden'"),  # a missing key
+            (lambda doc, w: w.extend(bytes(8)), "weights.bin",
+             "holds 24360 bytes, where 2 vessels of hidden 8 need 24352"),
+            (lambda doc, w: doc["network"].update(n_layers=0), "fleet.json", "n_layers 0 is not a valid int"),
+            (lambda doc, w: doc["network"].update(residual=False), "fleet.json", "residual"),  # not run as residual
+            (lambda doc, w: doc.update(period="5.0"), "fleet.json", "period"),
+            (lambda doc, w: doc.update(period=10**400), "fleet.json", "period"),  # an int no float can hold
+            (lambda doc, w: doc["scaler"]["min"][0].__setitem__(0, 10**400), "fleet.json", "OverflowError"),
+            (lambda doc, w: doc["vessel_ids"].__setitem__(0, "a,b"), "fleet.json", "vessel_ids: VID 'a,b' holds ','"),
+            (lambda doc, w: doc["vessel_ids"].__setitem__(1, "v "), "fleet.json",
+             "vessel_ids: VID 'v ' has surrounding whitespace"),
+            (lambda doc, w: doc["vessel_ids"].reverse(), "fleet.json", "vessel_ids lists vessel v0 after v1"),
+            # one vessel short of the arrays
+            (lambda doc, w: doc["vessel_ids"].pop(), "fleet.json", "period has shape (2,), expected (1,)"),
+            (lambda doc, w: doc["period"].pop(), "fleet.json", "period has shape (1,), expected (2,)"),
+            (lambda doc, w: doc["scaler"]["max"].pop(), "fleet.json", "scaler.max has shape (1, 4), expected (2, 4)"),
+            (lambda doc, w: doc.update(last_training_window=[[0.5] * 4] * 2), "fleet.json",
+             "last_training_window"),  # window 5
+            (_weight_set("layers[1].U", 0, np.nan), "weights.bin", "vessel v0: layers[1].U holds a non-finite value"),
+            (_weight_set("dense_b", -1, np.nan), "weights.bin", "vessel v1: dense_b holds a non-finite value"),
             # JSON NaN and Infinity, as Python writes them
-            (lambda doc: doc["network"]["layers"][1].update(U=_nan_first(doc["network"]["layers"][1]["U"])),
-             "vessel v0: layers[1].U holds a non-finite value"),
-            (lambda doc: doc["network"].update(dense_b=_nan_last(doc["network"]["dense_b"])),
-             "vessel v1: dense_b holds a non-finite value"),
-            (lambda doc: doc["scaler"]["max"][1].__setitem__(2, float("nan")),
+            (lambda doc, w: doc["scaler"]["max"][1].__setitem__(2, float("nan")), "fleet.json",
              "vessel v1: scaler.max holds a non-finite value"),
-            (lambda doc: doc["last_training_window"][0][0].__setitem__(0, float("inf")),
+            (lambda doc, w: doc["last_training_window"][0][0].__setitem__(0, float("inf")), "fleet.json",
              "vessel v0: last_training_window holds a non-finite value"),
-            (lambda doc: doc["period"].__setitem__(1, 0), "vessel v1: period 0.0 is not > 0"),
-            (_lat_span_1e308, "vessel v0: scaler LAT range [-1.7e+308, 1.7e+308] is not one AIS rows can give"),
-            (_scaler_set("max", 1, 180.5, vessel=1), "vessel v1: scaler LON range"),
-            (_scaler_set("min", 2, 1e6), "scaler SPEED range [1000000.0, "),  # min above max
-            (_out_dim_3, "out_dim 3"),
-            (_k_1, "k 1"),
-            (lambda doc: doc["network"]["layers"].pop(), "network has 2 layers"),  # under "n_layers": 3
+            (lambda doc, w: doc["period"].__setitem__(1, 0), "fleet.json", "vessel v1: period 0.0 is not > 0"),
+            (_lat_span_1e308, "fleet.json",
+             "vessel v0: scaler LAT range [-1.7e+308, 1.7e+308] is not one AIS rows can give"),
+            (_scaler_set("max", 1, 180.5, vessel=1), "fleet.json", "vessel v1: scaler LON range"),
+            (_scaler_set("min", 2, 1e6), "fleet.json", "scaler SPEED range [1000000.0, "),  # min above max
+            (lambda doc, w: doc["network"].update(out_dim=3), "fleet.json", "out_dim 3"),
+            (_k_1, "fleet.json", "k 1"),
+            (lambda doc, w: doc["network"].update(n_layers=2), "fleet.json", "n_layers 2"),
         ],
-        ids=["missing_key", "not_base64", "wrong_length", "not_a_string", "no_layers", "not_residual",
+        ids=["missing_key", "wrong_length", "no_layers", "not_residual",
              "period_string", "period_huge_int", "scaler_huge_int", "vessel_id_comma", "vessel_id_whitespace",
              "ids_out_of_order", "ids_short", "period_short", "scaler_short", "window_shape",
              "nan_weight", "nan_bias", "nan_scaler", "infinite_window", "period_zero", "scaler_lat_span_1e308",
              "scaler_lon_past_180", "scaler_min_above_max", "out_dim_3", "k_1", "two_layers"],
     )
-    def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt, named):
+    def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt, file, named):
         _save_two(tmp_path)
         doc = json.loads((tmp_path / "fleet.json").read_text())
-        corrupt(doc)
-        _resign(tmp_path, doc)
+        weights = bytearray((tmp_path / "weights.bin").read_bytes())
+        corrupt(doc, weights)
+        _resign(tmp_path, doc, weights)
         with pytest.raises(BadModel) as info:
             load_fleet(tmp_path)
-        assert str(info.value).startswith(f"{tmp_path / 'fleet.json'}: ") and named in str(info.value)
+        assert str(info.value).startswith(f"{tmp_path / file}: ") and named in str(info.value)
 
     @pytest.mark.parametrize("feature", [0, 1], ids=["LAT", "LON"])
     def test_scaler_may_span_what_rows_may_hold(self, feature):
@@ -334,23 +362,13 @@ class TestPersistence:
         row[3 + feature] = past
         with pytest.raises(OutOfRange):
             AisMessage(*row).validate(2)
-        doc = json.loads(fleet_to_json(train_fleet([_series()], _cfg())[0]))
+        text, weights = _files(train_fleet([_series()], _cfg())[0])
+        doc = json.loads(text)
         doc["scaler"]["min"][0][feature], doc["scaler"]["max"][0][feature] = -bound, bound
-        fleet_from_json(json.dumps(doc))
+        fleet_from_json(json.dumps(doc), weights)
         doc["scaler"]["max"][0][feature] = past
         with pytest.raises(BadModel, match=re.escape("(min <= max; LAT within [-90, 90], LON within [-180, 180])")):
-            fleet_from_json(json.dumps(doc))
-
-
-def _nan_first(payload: str, at: int = 0) -> str:
-    """An `_encode` string with its first value, or the one `at`, replaced by NaN."""
-    values = np.frombuffer(base64.b64decode(payload), "<f8").copy()
-    values[at] = np.nan
-    return fleet._encode(values)
-
-
-def _nan_last(payload: str) -> str:
-    return _nan_first(payload, -1)
+            fleet_from_json(json.dumps(doc), weights)
 
 
 def _reference_training(series, cfg):
@@ -411,10 +429,41 @@ class TestLockstep:
         f2, h2 = train_fleet(tracks[::-1], self._cfg())
         assert f1.vessel_ids == f2.vessel_ids == ["v0", "v1", "v2", "v3", "v4"]
         assert h1 == h2
-        assert fleet_to_json(f1) == fleet_to_json(f2)
+        assert _files(f1) == _files(f2)
 
 
 def test_vessel_seed_is_stable_and_distinct():
     assert vessel_seed(42, "abc") == vessel_seed(42, "abc")
     assert vessel_seed(42, "abc") != vessel_seed(42, "abd")
     assert 0 <= vessel_seed(42, "abc") < 2**64
+
+
+def test_save_and_load_peak_memory_stays_near_the_weights(tmp_path):
+    # the wide_horizon fleet: 24 vessels of hidden 32, about 4.1 MB of
+    # weights; each file is written from and read into one buffer of its
+    # own, so neither stage holds a second copy of the weights
+    z, window = 24, 10
+    net = init_network(hidden=32, dropout_rate=0.0, rngs=[np.random.default_rng(i) for i in range(z)])
+    stack = Fleet(
+        vessel_ids=[f"v{i:02d}" for i in range(z)],
+        network=net,
+        scaler=ScalerParams(min=np.zeros((z, 4)), max=np.ones((z, 4))),
+        period=np.full(z, 5.0),
+        train_end_time=np.zeros(z),
+        last_training_window=np.full((z, window, 4), 0.5),
+    )
+    weights = sum(a.nbytes for a in net.param_arrays())
+    cfg = dataclasses.replace(_cfg(), hidden=32, window=window)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for stage, call in [("save_fleet", lambda: save_fleet(stack, tmp_path, cfg, {})),
+                            ("load_fleet", lambda: load_fleet(tmp_path))]:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peaks[stage] = (tracemalloc.get_traced_memory()[1] - before) / weights
+    finally:
+        tracemalloc.stop()
+    assert weights > 4_000_000
+    assert peaks["save_fleet"] < 1.5 and peaks["load_fleet"] < 1.5, peaks
