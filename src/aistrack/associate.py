@@ -48,13 +48,12 @@ MAX_ROLLOUT_STEPS = 10_000
 @dataclass(frozen=True)
 class Decisions:
     """N observations associated against Z vessels. Row i is observation
-    object_ids[i]: assigned[i] is a vessel_id or NEW_TRACK,
-    winning_distance_km[i] the distance to its nearest prediction and
-    distances_km[i, z] the distance to vessel_ids[z]'s (sorted) prediction."""
+    object_ids[i]: assigned[i] is a vessel_id or NEW_TRACK, and
+    distances_km[i, z] the distance to vessel_ids[z]'s (sorted) prediction.
+    Row i's smallest distance is the one to its nearest prediction."""
 
     object_ids: list[int]
     assigned: list[str]
-    winning_distance_km: np.ndarray  # (N,)
     distances_km: np.ndarray  # (N, Z)
     vessel_ids: list[str]
 
@@ -130,7 +129,7 @@ def associate(
     best = np.argmin(distances, axis=1)
     winning = distances[np.arange(len(distances)), best]
     assigned = [vessel_ids[z] if d <= tau else NEW_TRACK for z, d in zip(best.tolist(), winning.tolist())]
-    return Decisions(list(object_ids), assigned, winning, distances, list(vessel_ids))
+    return Decisions(list(object_ids), assigned, distances, list(vessel_ids))
 
 
 def associate_batch(observations: list[AisMessage], fleet, tau: float = math.inf) -> Decisions:
@@ -142,15 +141,16 @@ def associate_batch(observations: list[AisMessage], fleet, tau: float = math.inf
 
 
 def decisions_to_csv(decisions: Decisions) -> str:
-    """CSV export: OBJECT_ID, ASSIGNED_VID, WINNING_DISTANCE_KM, DIST_<vid>...
-    Each row is one format call; the distances have 17 significant digits,
-    which parse back to the exact doubles."""
+    """CSV export: OBJECT_ID, ASSIGNED_VID, WINNING_DISTANCE_KM (the row's
+    smallest distance, the one `associate` picked), DIST_<vid>... Each row
+    is one format call; the distances have 17 significant digits, which
+    parse back to the exact doubles."""
     header = ["OBJECT_ID", "ASSIGNED_VID", "WINNING_DISTANCE_KM"] + [f"DIST_{v}" for v in decisions.vessel_ids]
     row = "%d,%s" + ",%.17g" * (len(decisions.vessel_ids) + 1)
     rows = zip(
         decisions.object_ids,
         decisions.assigned,
-        decisions.winning_distance_km.tolist(),
+        decisions.distances_km.min(axis=1).tolist(),
         decisions.distances_km.tolist(),
     )
     lines = [",".join(header)]

@@ -6,7 +6,8 @@ timestamps in strict ISO-8601 Zulu form at one-second resolution. Every CSV
 read here (AIS rows, and the OBJECT_ID pairs of truth and decisions files)
 follows `_read_rows`' rules: the csv module splits it, the header is line 1,
 columns are matched case-insensitively by name and may appear in any order,
-each row has as many fields as the header, and an OBJECT_ID appears once.
+a column read appears once in the header, each row has as many fields as
+the header, and an OBJECT_ID appears once.
 """
 
 from __future__ import annotations
@@ -44,11 +45,14 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 @functools.lru_cache(maxsize=4096)
 def parse_timestamp(text: str) -> int:
-    """Strict ISO-8601 Zulu -> epoch seconds (UTC). Memoised: a fleet's
-    messages share few distinct timestamps. A bad text raises on every call,
-    since exceptions are not cached."""
-    dt = datetime.strptime(text, _TIME_FMT).replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    """Strict ISO-8601 Zulu, every field zero-padded as `format_timestamp`
+    writes it, -> epoch seconds (UTC). Memoised: a fleet's messages share
+    few distinct timestamps. A bad text raises on every call, since
+    exceptions are not cached."""
+    epoch = int(datetime.strptime(text, _TIME_FMT).replace(tzinfo=timezone.utc).timestamp())
+    if format_timestamp(epoch) != text:  # strptime alone takes '2020-3-1T0:0:0Z'
+        raise ValueError(f"time data {text!r} is not zero-padded {_TIME_FMT!r}")
+    return epoch
 
 
 @functools.lru_cache(maxsize=4096)
@@ -113,11 +117,14 @@ class ParseStats:
 
 
 def _resolve_header(fields: list[str], names: tuple[str, ...]) -> list[int]:
-    """The index in `fields` of each of `names`, in `names` order."""
+    """The index in `fields` of each of `names`, in `names` order; each
+    must appear once, matched case-insensitively."""
     upper = [f.strip().upper() for f in fields]
     for name in names:
         if name not in upper:
             raise MalformedRow(1, f"missing column {name}")
+        if upper.count(name) > 1:
+            raise MalformedRow(1, f"column {name} appears {upper.count(name)} times")
     return [upper.index(name) for name in names]
 
 

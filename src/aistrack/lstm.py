@@ -89,11 +89,11 @@ from zero state and sees the same m inputs as in `forward_batch`; only the
 grouping of rows in the matrix products differs, so predictions agree to
 a relative 1e-12, not bit for bit. A rollout of Z vessels still computes
 each vessel's slice exactly as that vessel's own rollout would.
-`rollout_start` builds the state, which holds what the steps read: every
-layer's h and c as one (n_layers, Z, m, h) array each, the next input, and
-each layer's `_cell_weights` copies. Only one cell step's scratch, which
-the layers share and the first cell step allocates, lives in a `Workspace`,
-as training's does. `roll_step` then advances that state in place, and
+`roll_step` alone takes such a step, in place. `rollout_start` builds the
+zero state: every layer's h and c as one (n_layers, Z, m, h) array each,
+the next input, and a `Workspace` with each layer's `_cell_weights` copies
+and one cell step's scratch, as training's does; then it feeds the
+window's first m - 1 rows through `roll_step` and drops their predictions.
 `_cell` writes its products into the scratch its caller passes; a step
 allocates only its (Z, out_dim) prediction, which it returns raw, finite or
 not: its caller, `associate.rollout_positions`, checks the whole table.
@@ -535,7 +535,7 @@ FEEDBACK_MAX = 1.5
 @dataclass
 class Rollout:
     """The m windows of a rollout that are in flight, in a ring of m slots:
-    `roll_step` advances it in place.
+    `roll_step`, the one function that advances it, does so in place.
 
     Slot `slot` holds the window that takes its m-th input on the next step,
     the slot after it the window one input behind, and so on around the
@@ -543,10 +543,11 @@ class Rollout:
     output and cell state for every slot, and every window takes the next
     input `x` (Z, k). `weights` holds each layer's `_cell_weights` (a
     stacked matmul runs about 2.5x faster against a contiguous copy of W.mT
-    than against the transposed view), and `workspace` one cell step's
-    scratch, which the layers share: the first layer's input product `xw0`
-    (Z, 1, 4h), `gates` and the recurrent product `rec` (Z, m, 4h), and the
-    candidate `cand` and residual sum `res` (Z, m, hidden)."""
+    than against the transposed view), whose arrays live in `workspace`
+    with one cell step's scratch, which the layers share: the first layer's
+    input product `xw0` (Z, 1, 4h), `gates` and the recurrent product `rec`
+    (Z, m, 4h), and the candidate `cand` and residual sum `res`
+    (Z, m, hidden)."""
 
     weights: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     h: np.ndarray
@@ -556,9 +557,32 @@ class Rollout:
     workspace: Workspace
 
 
-def _tick(state: Rollout) -> np.ndarray:
-    """Feed state.x to every window in flight: one cell step per layer on
-    all m slots, in place. Returns the last layer's output (Z, m, hidden)."""
+def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
+    """The rollout of the Z vessels' (Z, m, k) windows before its first
+    prediction: every window starts from zero state, and the first m - 1
+    rows have gone through the ring, one `roll_step` each, whose
+    predictions are dropped."""
+    window = np.asarray(window, dtype=np.float64)
+    if window.ndim != 3 or window.shape[0] != net.vessels or window.shape[-1] != net.input_dim:
+        raise CacheMismatch(f"expected ({net.vessels}, m, {net.input_dim}) window, got {window.shape}")
+    Z, m, _ = window.shape
+    n = net.hidden
+    ws = Workspace()
+    weights = [_cell_weights(layer, (Z, m, 4 * n), ws, li) for li, layer in enumerate(net.layers)]
+    h, c = np.zeros((2, len(net.layers), Z, m, n))
+    state = Rollout(weights=weights, h=h, c=c, x=window[..., 0, :].copy(), slot=1 % m, workspace=ws)
+    for t in range(1, m):
+        roll_step(net, state)
+        state.x[...] = window[..., t, :]
+    return state
+
+
+def roll_step(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, Rollout]:
+    """One rollout step, in place: every window in flight takes state.x, and
+    the one that has now taken m inputs predicts the next row. Returns the
+    raw prediction (Z, out_dim), a new array that may hold non-finite
+    values, and `state` itself, now the state of the next step, whose input
+    is the clamped prediction followed by the carried speed and course."""
     ws = state.workspace
     _, Z, m, n = state.h.shape
     gates, rec = ws.array("gates", (Z, m, 4 * n)), ws.array("rec", (Z, m, 4 * n))
@@ -570,46 +594,11 @@ def _tick(state: Rollout) -> np.ndarray:
         xw = np.matmul(seq, W_T, out=gates if li else ws.array("xw0", (Z, 1, 4 * n)))
         _cell(xw, h, c, U_T, b, gates, c, h, rec, cand)
         seq = np.add(h, seq, out=res) if li > 0 else h
-    return seq
-
-
-def _advance(state: Rollout) -> None:
-    """Zero the slot that completed, to start the window whose first input
-    is the next x, and move on to the slot after it, which completes next."""
-    state.h[..., state.slot, :] = 0.0
-    state.c[..., state.slot, :] = 0.0
-    state.slot = (state.slot + 1) % state.h.shape[-2]
-
-
-def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
-    """The rollout of the Z vessels' (Z, m, k) windows before its first
-    prediction: every window starts from zero state, and the first m - 1
-    rows have gone through the ring."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 3 or window.shape[0] != net.vessels or window.shape[-1] != net.input_dim:
-        raise CacheMismatch(f"expected ({net.vessels}, m, {net.input_dim}) window, got {window.shape}")
-    Z, m, _ = window.shape
-    n = net.hidden
-    # the state holds the weight copies; the workspaces they are made in are dropped
-    weights = [_cell_weights(layer, (Z, m, 4 * n), Workspace(), li) for li, layer in enumerate(net.layers)]
-    h, c = np.zeros((2, len(net.layers), Z, m, n))
-    state = Rollout(weights=weights, h=h, c=c, x=window[..., 0, :].copy(), slot=1 % m, workspace=Workspace())
-    for t in range(1, m):
-        _tick(state)
-        _advance(state)
-        state.x[...] = window[..., t, :]
-    return state
-
-
-def roll_step(net: LstmNetwork, state: Rollout) -> tuple[np.ndarray, Rollout]:
-    """One rollout step, in place: every window in flight takes state.x, and
-    the one that has now taken m inputs predicts the next row. Returns the
-    raw prediction (Z, out_dim), a new array that may hold non-finite
-    values, and `state` itself, now the state of the next step, whose input
-    is the clamped prediction followed by the carried speed and course."""
-    seq = _tick(state)
     s = state.slot
     pred = (seq[:, s : s + 1] @ net.dense_W.mT + net.dense_b)[:, 0]
     np.clip(pred, FEEDBACK_MIN, FEEDBACK_MAX, out=state.x[..., :2])
-    _advance(state)
+    # the completed slot starts the window whose first input is the next x
+    state.h[..., s, :] = 0.0
+    state.c[..., s, :] = 0.0
+    state.slot = (s + 1) % m
     return pred, state

@@ -109,7 +109,7 @@ class TestAssociate:
         assert d.assigned == ["A"]
         assert d.distances_km[0, 0] == pytest.approx(1.41, abs=0.05)
         assert d.distances_km[0, 1] == pytest.approx(9.02, abs=0.05)
-        assert d.winning_distance_km[0] == min(d.distances_km[0])
+        assert decisions_to_csv(d).splitlines()[1].split(",")[2] == "%.17g" % min(d.distances_km[0])
 
     def test_tie_breaks_lexicographically(self):
         # columns follow the sorted ids, so the first of equal minima is the smallest id
@@ -118,7 +118,7 @@ class TestAssociate:
     def test_tau_threshold_declares_new_track(self):
         d = associate([_obs(1, 37.91, 23.61)], self.PREDS, ["A", "B"], tau=0.5)
         assert d.assigned == [NEW_TRACK]
-        assert d.winning_distance_km[0] > 0.5
+        assert d.distances_km[0].min() > 0.5
 
 
 def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0):
@@ -193,7 +193,7 @@ class TestAssociateBatch:
         assert len(d) == 1
         expected = associate([obs], predict_positions(b, [1005]), b.vessel_ids)
         assert d.assigned == expected.assigned
-        assert d.winning_distance_km == expected.winning_distance_km
+        assert np.array_equal(d.distances_km, expected.distances_km)
 
     def test_batch_runs_the_modules_two_steps_once_each(self, monkeypatch):
         # looked up in the module at call time, so a wrapper sees every batch
@@ -220,10 +220,9 @@ class TestAssociateBatch:
         obs = _mixed_observations(20)
         shuffled = [obs[i] for i in np.random.default_rng(3).permutation(len(obs))]
         d, s = associate_batch(obs, fleet), associate_batch(shuffled, fleet)
-        rows = {oid: (a, w, list(ds)) for oid, a, w, ds in zip(s.object_ids, s.assigned, s.winning_distance_km,
-                                                                 s.distances_km)}
-        for oid, a, w, ds in zip(d.object_ids, d.assigned, d.winning_distance_km, d.distances_km):
-            assert rows[oid] == (a, w, list(ds))
+        rows = {oid: (a, list(ds)) for oid, a, ds in zip(s.object_ids, s.assigned, s.distances_km)}
+        for oid, a, ds in zip(d.object_ids, d.assigned, d.distances_km):
+            assert rows[oid] == (a, list(ds))
 
     def test_observations_at_predictions_assign_perfectly(self):
         fleet = join_fleets([
@@ -248,11 +247,11 @@ class TestAssociateBatch:
         fleet = TestStackedRollout.FLEET
         obs = _mixed_observations(20)
         free = associate_batch(obs, fleet)
-        tau = float(np.median(free.winning_distance_km))
+        winning = free.distances_km.min(axis=1)
+        tau = float(np.median(winning))
         capped = associate_batch(obs, fleet, tau=tau)
         assert np.array_equal(capped.distances_km, free.distances_km)
-        assert np.array_equal(capped.winning_distance_km, free.winning_distance_km)
-        expected = [NEW_TRACK if w > tau else a for a, w in zip(free.assigned, free.winning_distance_km)]
+        expected = [NEW_TRACK if w > tau else a for a, w in zip(free.assigned, winning)]
         assert capped.assigned == expected
         assert 0 < expected.count(NEW_TRACK) < len(obs)
 
@@ -332,7 +331,7 @@ class TestStackedRollout:
         best = [min(range(len(vids)), key=lambda z: (d[z], vids[z])) for d in want.tolist()]
         assert decisions.assigned == [vids[z] for z in best]
         assert len(set(decisions.assigned)) > 1
-        assert decisions.winning_distance_km.tolist() == decisions.distances_km[np.arange(len(obs)), best].tolist()
+        assert decisions.distances_km.min(axis=1).tolist() == decisions.distances_km[np.arange(len(obs)), best].tolist()
 
     def test_observation_at_train_end_rejected(self):
         obs = [_obs(1, 30.5, 20.5, t=1020), _obs(2, 30.5, 20.5, t=1013)]
@@ -364,7 +363,6 @@ class TestStackedRollout:
             second.vessel_ids,
         )
         assert np.array_equal(first.distances_km, second.distances_km)
-        assert np.array_equal(first.winning_distance_km, second.winning_distance_km)
 
     def test_non_finite_prediction_names_vessel_and_step(self):
         fleet = join_fleets([_vessel(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))])
@@ -470,7 +468,7 @@ def _repr_decisions_csv(decisions):
     OBJECT_ID and ASSIGNED_VID fields are what `decisions_to_csv` writes."""
     header = ["OBJECT_ID", "ASSIGNED_VID", "WINNING_DISTANCE_KM"] + [f"DIST_{v}" for v in decisions.vessel_ids]
     lines = [",".join(header)]
-    rows = zip(decisions.object_ids, decisions.assigned, decisions.winning_distance_km, decisions.distances_km)
+    rows = zip(decisions.object_ids, decisions.assigned, decisions.distances_km.min(axis=1), decisions.distances_km)
     for object_id, assigned, winning, distances in rows:
         lines.append(",".join([str(object_id), assigned, repr(float(winning)), *map(repr, distances.tolist())]))
     return "\n".join(lines) + "\n"
@@ -487,7 +485,6 @@ def decision_records(draw):
     return Decisions(
         object_ids=draw(st.lists(st.integers(0, 2**63), min_size=n, max_size=n, unique=True)),
         assigned=draw(st.lists(st.sampled_from([*vids, NEW_TRACK]), min_size=n, max_size=n)),
-        winning_distance_km=np.array(draw(st.lists(DISTANCES, min_size=n, max_size=n)), dtype=np.float64),
         distances_km=np.array(distances, dtype=np.float64).reshape(n, len(vids)),
         vessel_ids=vids,
     )
@@ -498,7 +495,6 @@ def decision_records(draw):
     Decisions(
         object_ids=[1, 2],
         assigned=["aaa", NEW_TRACK],
-        winning_distance_km=np.array([0.0, 5e-324]),
         distances_km=np.array([[0.1, 20015.086796020572], [1e300, 5e-324]]),
         vessel_ids=["aaa", "bbb"],
     )
@@ -509,7 +505,7 @@ def test_decisions_csv_distances_parse_back_exactly(decisions):
     old = _repr_decisions_csv(decisions)
     lines, old_lines = text.splitlines(), old.splitlines()
     assert lines[0] == old_lines[0] and len(lines) == len(old_lines) == len(decisions) + 1
-    table = np.column_stack((decisions.winning_distance_km, decisions.distances_km))
+    table = np.column_stack((decisions.distances_km.min(axis=1), decisions.distances_km))
     for line, old_line, want in zip(lines[1:], old_lines[1:], table.tolist()):
         fields, old_fields = line.split(","), old_line.split(",")
         assert fields[:2] == old_fields[:2]

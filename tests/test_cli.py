@@ -533,6 +533,17 @@ def test_truth_read_as_csv_scores_as_the_plain_file(trained, tmp_path, rewrite):
     assert (tmp_path / "variant.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
+def test_truth_header_naming_a_column_twice_is_data_error(trained, tmp_path, capsys):
+    lines = (trained / "models" / "holdout_truth.csv").read_text().splitlines()
+    truth = tmp_path / "truth.csv"
+    truth.write_text("\n".join([lines[0] + ",vid"] + [line + ",x" for line in lines[1:]]) + "\n")
+    capsys.readouterr()
+    rc = run(["evaluate", "--decisions", trained / "decisions.csv", "--truth", truth, "--out", tmp_path / "r.json"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {truth}: line 1: column VID appears 2 times\n"
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_decisions_row_narrower_than_its_header_is_data_error(trained, tmp_path, capsys):
     lines = (trained / "decisions.csv").read_text().splitlines()
     lines[3] = lines[3].rsplit(",", 1)[0]

@@ -212,6 +212,7 @@ PAIR_HEADER_FAULTS = {
     "\n\n": "missing column OBJECT_ID",  # the header is line 1, as in an AIS file
     "OBJECT_ID,ASSIGNED_VID\n7,aa\n": "missing column VID",
     "7,aa\n": "missing column OBJECT_ID",
+    "OBJECT_ID,VID,VID\n7,aa,bb\n": "column VID appears 2 times",
 }
 
 
@@ -249,15 +250,26 @@ def test_columns_resolved_by_name_any_order():
     assert (m.object_id, m.vessel_id, m.lat, m.lon) == (9, "zz", 10.5, 20.5)
 
 
+def test_column_named_twice_rejected():
+    text = HEADER + ",lat\n1,aa,2020-02-29T22:00:01Z,10.0,0,0,0,95.0\n"
+    with pytest.raises(MalformedRow) as exc:
+        parse_csv(text, strict=False)
+    assert (exc.value.line_no, exc.value.reason) == (1, "column LAT appears 2 times")
+
+
 def test_missing_column_rejected():
     with pytest.raises(MalformedRow):
         parse_csv("OBJECT_ID,VID,SEQUENCE_DTTM,LAT,LON,SPEED\n")
 
 
 def test_strict_timestamp_format():
-    bad = HEADER + "\n1,aa,2020-02-29 22:00:01,10.0,0,0,0\n"
-    with pytest.raises(MalformedRow):
-        parse_csv(bad)
+    # strptime alone parses the last two, unpadded, as 2020-03-01T00:00:00Z
+    for stamp in ["2020-02-29 22:00:01", "2020-3-1T0:0:0Z", "2020-03- 1T00:00:00Z"]:
+        with pytest.raises(MalformedRow) as exc:
+            parse_csv(HEADER + f"\n1,aa,{stamp},10.0,0,0,0\n")
+        assert exc.value.line_no == 2
+        with pytest.raises(ValueError):
+            parse_timestamp(stamp)
 
 
 def test_repeated_timestamp_parsed_once_and_bad_one_raises_every_time():
