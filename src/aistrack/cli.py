@@ -21,19 +21,21 @@ or --truth file missing a column of its own (ASSIGNED_VID, VID), a bad
 held out (unless --lenient leaves it out), a --period that puts more than
 `preprocess.MAX_GRID_SAMPLES` samples on a track, `synth` settings whose
 times leave years 1-9999 or whose positions leave a row's LAT or LON range
-(`synth.generate`), an input that is missing
-or not UTF-8, a missing or malformed model directory (a manifest that
-lists other files than fleet.json and weights.bin, or whose sha256 of
-either does not match; fleet.json's vessel ids held to the rule for a VID,
-sorted and each once, each scaler to min <= max, with the LAT and LON
-entries in a row's ranges, and each last training window to [0, 1]; a
-weights.bin of another length than its fleet needs, or holding a NaN or
-infinite weight; a directory of another format version is named as one to
-retrain), a JSON --config, manifest.json or fleet.json nested
-deeper than the JSON parser goes, a model whose training or rollout turns
-non-finite, an observation at or before a vessel's train end or more than
-`associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a truth
-object undecided, an --out that cannot be created or written (`train`
+(`synth.generate`), an input that is missing or not UTF-8 (every file is
+read and written as UTF-8 whatever the locale), a missing or malformed
+model directory (a manifest that lists other files than fleet.json and
+weights.bin, or whose sha256 of either does not match; a fleet.json key
+format 5 does not have, such as format 4's window_size or network, and a
+period that is not one finite number above 0; fleet.json's vessel ids held
+to the rule for a VID, sorted and each once, each scaler to min <= max,
+with the LAT and LON entries in a row's ranges, and each last training
+window to [0, 1]; a weights.bin of another length than its fleet needs, or
+holding a NaN or infinite weight; a directory of another format version is
+named as one to retrain), a JSON --config, manifest.json or fleet.json
+nested deeper than the JSON parser goes, a model whose training or rollout
+turns non-finite, an observation at or before a vessel's train end or more
+than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a
+truth object undecided, an --out that cannot be created or written (`train`
 creates its --out before it trains; if training or saving fails, it removes
 each directory it made for --out that is still empty), and an `evaluate
 --out` ending in .txt, which its text report would overwrite.
@@ -74,13 +76,20 @@ FLAG_HELP = {"crossing": "'a,b,sample' to force two tracks to cross"}
 
 
 def _read(path, error=MissingFile) -> str:
-    """An input file's text; `error` if it cannot be read or is not UTF-8."""
+    """An input file's text, read as UTF-8 whatever the locale; `error` if it
+    cannot be read or is not UTF-8."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def _say(text: str, end="\n") -> None:
+    """Print `text` to stdout, escaping what its encoding cannot carry, as stderr does."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding), end=end)
 
 
 def _parse(parse, path, **kwargs):
@@ -137,7 +146,7 @@ def cmd_synth(args) -> int:
     write_output(out / "fleet.csv", csv_text)
     write_output(out / "truth.csv", truth_to_csv(truth))
     write_output(out / "run_config.json", json.dumps(config_meta(cfg), sort_keys=True, indent=1))
-    print(f"wrote {out / 'fleet.csv'} ({cfg.vessels} vessels, {cfg.points} points each)")
+    _say(f"wrote {out / 'fleet.csv'} ({cfg.vessels} vessels, {cfg.points} points each)")
     return 0
 
 
@@ -205,7 +214,7 @@ def cmd_train(args) -> int:
               file=sys.stderr)
     write_output(out / "holdout.csv", serialize_csv(holdout))
     write_output(out / "holdout_truth.csv", truth_to_csv({m.object_id: m.vessel_id for m in holdout}))
-    print(f"trained {len(fleet.vessel_ids)} vessel models into {out}")
+    _say(f"trained {len(fleet.vessel_ids)} vessel models into {out}")
     return 0
 
 
@@ -218,7 +227,7 @@ def cmd_associate(args) -> int:
     out = Path(args.out)
     write_output(out, decisions_to_csv(decisions))
     write_output(out.with_suffix(".meta.json"), json.dumps(config_meta(cfg), sort_keys=True, indent=1))
-    print(f"associated {len(decisions)} observations -> {out}")
+    _say(f"associated {len(decisions)} observations -> {out}")
     return 0
 
 
@@ -235,8 +244,7 @@ def cmd_evaluate(args) -> int:
         )
     cm = confusion(assignments, truth)
     per_vessel = metrics(cm)
-    write_report(cm, per_vessel, args.out, meta=config_meta(cfg))
-    print(Path(args.out).with_suffix(".txt").read_text(), end="")
+    _say(write_report(cm, per_vessel, args.out, meta=config_meta(cfg)), end="")
     return 0
 
 

@@ -112,14 +112,14 @@ def output_dir(path) -> Path:
 
 
 def write_output(path, data) -> None:
-    """Write an output file of text, bytes or a list of byte buffers, written
-    one after another, creating its directory first; IoFailure if it cannot
-    be written."""
+    """Write an output file of text, as UTF-8 whatever the locale, bytes or
+    a list of byte buffers, written one after another, creating its
+    directory first; IoFailure if it cannot be written."""
     path = Path(path)
     output_dir(path.parent)
     try:
         if isinstance(data, str):
-            path.write_text(data)
+            path.write_text(data, encoding="utf-8")
         else:
             with path.open("wb") as f:
                 for chunk in [data] if isinstance(data, bytes) else data:

@@ -93,13 +93,15 @@ def write_report(
     per_vessel: list[dict],
     path: str | Path,
     meta: dict | None = None,
-) -> None:
-    """Write report.json and a Figure-3b-style report.txt next to it. A
-    `path` that is its own .txt sibling is an IoFailure before anything is
-    written, since the text report would overwrite the JSON one."""
+) -> str:
+    """Write report.json and a Figure-3b-style report.txt next to it, and
+    return the text report. A `path` that is its own .txt sibling is an
+    IoFailure before anything is written, since the text report would
+    overwrite the JSON one."""
     path = Path(path)
     text_path = path.with_suffix(".txt")
     if text_path == path:
         raise IoFailure(f"cannot write report {path}: its text report {text_path} is the same file")
     write_output(path, json.dumps(report_dict(cm, per_vessel, meta), sort_keys=True, indent=1))
-    write_output(text_path, report_text(cm, per_vessel))
+    write_output(text_path, text := report_text(cm, per_vessel))
+    return text

@@ -6,9 +6,10 @@ draws a derived seed (root seed XOR a digest of its id) so fleet results do
 not depend on training order or scheduling. Training reads its settings
 (window, hidden, dropout, lr, batch, epochs, seed) from the run's
 `config.RunConfig` and range-checks them first, as the CLI does. No track,
-or one of `window` samples or fewer, is a TrackTooShort error. A trained
-stack takes the first step of `associate.rollout_positions`, so a model
-that cannot make it is never saved.
+or one of `window` samples or fewer, is a TrackTooShort error, and one of
+another period than the run's a BadConfig. A trained stack takes the first
+step of `associate.rollout_positions`, so a model that cannot make it is
+never saved.
 
 Vessels train in lockstep: those with the same track length (hence the
 same number of windows and batches per epoch) form a stack, one (Z, n, 4)
@@ -28,10 +29,11 @@ stacks.
 A fleet is saved as two files, fleet.json and weights.bin, with a
 manifest.json holding the sha256 of each and the run's whole config
 (`config.config_meta`), and a train_report.json of each vessel's per-epoch
-loss. fleet.json (format version 4) is plain JSON: the vessel ids, sorted
-and each once; each vessel's period, train end time, scaler and last
-training window as (Z,), (Z, 4) and (Z, m, k) lists; and the architecture
-and the network's hidden size and dropout rate. weights.bin is the network's
+loss. fleet.json (format version 5) is plain JSON stating each fact once:
+the vessel ids, sorted and each once; the fleet's one period; each
+vessel's train end time, scaler and last training window as (Z,), (Z, 4)
+and (Z, m, 4) lists; and the hidden size and dropout rate of the network,
+whose architecture is `lstm`'s one. weights.bin is the network's
 weight arrays (W, U and b of each layer, dense_W, dense_b) as raw
 little-endian float64 bytes, each whole (Z, ...) array after the one before
 it in `param_arrays()` order; their shapes follow from Z and the hidden
@@ -39,12 +41,12 @@ size, so the file has no header. The weights are loaded as writable views of
 the one buffer the file is read into, the buffer whose hash is checked.
 Format 3 held them as base64 in fleet.json, whose decoding, parsing and
 hashing cost as much as all of `associate` but its rollouts. The reader
-rejects another version, a key the format does not have, any architecture
-but `lstm`'s and a weights file of another length than its fleet needs,
-rather than run a file as something it is not; and, naming the first
-vessel that fails, an id that is no VID (`ingest.vessel_id_fault`), a
-non-finite value, a period <= 0, a scaler no AIS rows could give and a last
-training window outside [0, 1].
+rejects another version, a key the format does not have (format 4's
+`window_size`, `network` and architecture keys among them), a period that
+is not a finite number > 0 and a weights file of another length than its
+fleet needs, rather than run a file as something it is not; and, naming
+the first vessel that fails, an id that is no VID, a non-finite value, a
+scaler no AIS rows could give and a last training window outside [0, 1].
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ import numpy as np
 from .associate import rollout_positions
 from .config import RunConfig, check_ranges, config_meta, json_type_fault
 from .errors import (
+    BadConfig,
     BadManifest,
     BadModel,
     BadWeights,
@@ -76,7 +79,6 @@ from .ingest import HEADER, LAT_LON_BOUNDS, vessel_id_fault
 from .lstm import (
     INPUT_DIM,
     N_LAYERS,
-    OUT_DIM,
     AdamState,
     LstmNetwork,
     Workspace,
@@ -87,7 +89,7 @@ from .lstm import (
 )
 from .preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
 
-MODEL_FORMAT_VERSION = 4
+MODEL_FORMAT_VERSION = 5
 
 # Windows per lockstep batch call, over all vessels of a stack.
 STACK_WINDOWS = 64
@@ -100,7 +102,7 @@ class Fleet:
     vessel_ids: list[str]
     network: LstmNetwork
     scaler: ScalerParams  # (Z, 4) min and max
-    period: np.ndarray  # (Z,)
+    period: float  # seconds between samples, every vessel's
     train_end_time: np.ndarray  # (Z,) epoch seconds of each last training sample
     last_training_window: np.ndarray  # (Z, m, k) scaled
 
@@ -118,7 +120,7 @@ def join_fleets(fleets: list[Fleet]) -> Fleet:
         vessel_ids=[vid for vid, _, _ in order],
         network=network_from_arrays([join(p) for p in params], fleets[0].network.dropout_rate),
         scaler=ScalerParams(min=join([f.scaler.min for f in fleets]), max=join([f.scaler.max for f in fleets])),
-        period=join([f.period for f in fleets]),
+        period=fleets[0].period,
         train_end_time=join([f.train_end_time for f in fleets]),
         last_training_window=join([f.last_training_window for f in fleets]),
     )
@@ -157,7 +159,7 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig, workspace: Workspace
         vessel_ids=[s.vessel_id for s in stack],
         network=net,
         scaler=scaler,
-        period=np.array([s.period for s in stack], dtype=np.float64),
+        period=cfg.period,
         train_end_time=np.array([s.time_of(len(s) - 1) for s in stack], dtype=np.float64),
         last_training_window=scaled[:, -m:],
     )
@@ -168,13 +170,16 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig, workspace: Workspace
 def train_fleet(tracks: list[RegularTrack], cfg: RunConfig) -> tuple[Fleet, dict[str, list[float]]]:
     """Train one model per track on all of its samples, in lockstep stacks
     of equal length; returns the fleet and each vessel's per-epoch loss. A
-    setting outside its range is a BadConfig; no track, or a track of
-    `cfg.window` samples or fewer, is a TrackTooShort error."""
+    setting outside its range, or a track sampled at another period than
+    `cfg.period`, is a BadConfig; no track, or a track of `cfg.window` samples or fewer, is a
+    TrackTooShort error."""
     check_ranges(cfg)
     if not tracks:
         raise TrackTooShort("no track to train")
     by_length: dict[int, list[RegularTrack]] = {}
     for series in sorted(tracks, key=lambda s: s.vessel_id):
+        if series.period != cfg.period:
+            raise BadConfig(f"vessel {series.vessel_id}: period {series.period!r} s, not the run's {cfg.period!r} s")
         if len(series) <= cfg.window:
             raise TrackTooShort(f"vessel {series.vessel_id}: {len(series)} samples <= window {cfg.window}")
         by_length.setdefault(len(series), []).append(series)
@@ -197,12 +202,12 @@ MODEL_FILES = [FLEET_FILE, WEIGHTS_FILE]  # in the order a manifest lists them
 RETRAIN = "retrain with `aistrack train`"
 
 
-def _numbers(value, shape: tuple[int, ...], key: str) -> np.ndarray:
-    """A float64 array of `shape` from nested lists of JSON numbers."""
+def _numbers(value, shape: tuple, key: str) -> np.ndarray:
+    """A float64 array of `shape` (None: any length) from nested lists of JSON numbers."""
     a = np.array(value)
     if a.dtype.kind in "Ub":
         raise BadModel(f"{key} must hold numbers, not strings or booleans")
-    if a.shape != shape:
+    if len(a.shape) != len(shape) or any(n not in (None, m) for m, n in zip(a.shape, shape)):
         raise BadModel(f"{key} has shape {a.shape}, expected {shape}")
     return a.astype(np.float64)
 
@@ -220,39 +225,32 @@ def _weight_arrays(weights, z: int, hidden: int) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
 
-# The architecture fields every fleet file holds: `lstm`'s constants.
-ARCHITECTURE = {"k": INPUT_DIM, "n_layers": N_LAYERS, "out_dim": OUT_DIM, "residual": True}
+# JSON type of each scalar of a fleet document; an int is accepted for a float.
+SCALAR_FIELDS = {"period": float, "hidden": int, "dropout_rate": float}
 
-# JSON type of each scalar in a fleet document's "network"; an int is
-# accepted for a float.
-NETWORK_FIELDS = {"k": int, "hidden": int, "n_layers": int, "out_dim": int, "dropout_rate": float}
-
-# Every key of a format-4 document and of its "network": a reader never
-# drops a field it does not know.
-MODEL_KEYS = {"format_version", "vessel_ids", "window_size", "period", "train_end_time", "scaler",
-              "last_training_window", "network"}
-NETWORK_KEYS = {*ARCHITECTURE, *NETWORK_FIELDS}
+# Every key of a format-5 document: a reader never drops a field it does not know.
+MODEL_KEYS = {"format_version", "vessel_ids", "train_end_time", "scaler", "last_training_window", *SCALAR_FIELDS}
 WEIGHT_NAMES = [f"layers[{li}].{p}" for li in range(N_LAYERS) for p in ("W", "U", "b")] + ["dense_W", "dense_b"]
 
 
-def _check_fields(doc: dict, kinds: dict[str, type]) -> None:
-    """Each key of `kinds` must hold a JSON value of its type: ints >= 1 and
-    floats finite."""
-    for key, kind in kinds.items():
-        value = doc[key]
-        ok = json_type_fault(value, kind) is None
-        ok = ok and (kind is not int or value >= 1) and (kind is not float or math.isfinite(value))
-        if not ok:
-            raise BadModel(f"{key} {value!r} is not a valid {kind.__name__}")
-
-
-def _check_keys(doc, keys: set[str], where: str) -> None:
-    """`doc` must be a JSON object with no key outside `keys`."""
+def _check_document(doc) -> None:
+    """`doc` must be a JSON object with no key outside MODEL_KEYS, whose scalars
+    are JSON values of their types: ints >= 1, floats finite, the period > 0."""
     if not isinstance(doc, dict):
-        raise BadModel(f"{where} is not a JSON object")
-    unknown = sorted(doc.keys() - keys)
+        raise BadModel("the document is not a JSON object")
+    unknown = sorted(doc.keys() - MODEL_KEYS)
     if unknown:
-        raise BadModel(f"{where} holds {unknown[0]!r}, a key format {MODEL_FORMAT_VERSION} does not have")
+        raise BadModel(f"the document holds {unknown[0]!r}, a key format {MODEL_FORMAT_VERSION} does not have")
+    for key, kind in SCALAR_FIELDS.items():
+        value = doc[key]
+        # no message writes out an int, which may have any number of digits
+        fault = json_type_fault(value, kind)
+        if fault is None and not (value >= 1 if kind is int else math.isfinite(value)):
+            fault = "must be >= 1" if kind is int else f"must be finite, got {value!r}"
+        if fault:
+            raise BadModel(f"{key} {fault}")
+    if doc["period"] <= 0:
+        raise BadModel(f"period {float(doc['period'])!r} is not > 0")
 
 
 def _check_vessels(bad: np.ndarray, ids: list[str], fault, error=BadModel) -> None:
@@ -269,8 +267,7 @@ SCALER_BOUNDS = np.array([*LAT_LON_BOUNDS, np.inf, np.inf])
 def _fleet_from_doc(doc, weights) -> Fleet:
     if isinstance(doc, dict) and doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise VersionMismatch(f"model format {doc.get('format_version')}, expected {MODEL_FORMAT_VERSION}: {RETRAIN}")
-    _check_keys(doc, MODEL_KEYS, "the document")
-    _check_fields(doc, {"window_size": int})
+    _check_document(doc)
     ids = doc["vessel_ids"]
     if not isinstance(ids, list) or not ids:
         raise BadModel("vessel_ids must be a list of one or more vessel ids")
@@ -281,25 +278,16 @@ def _fleet_from_doc(doc, weights) -> Fleet:
     for a, b in zip(ids, ids[1:]):
         if a >= b:  # the one order a fleet is stacked in
             raise BadModel(f"vessel_ids lists vessel {b} " + ("more than once" if a == b else f"after {a}"))
-    z, net = len(ids), doc["network"]
-    _check_keys(net, NETWORK_KEYS, "network")
-    _check_fields(net, NETWORK_FIELDS)
-    for key, value in ARCHITECTURE.items():
-        if json_type_fault(net[key], type(value)) or net[key] != value:
-            raise BadModel(f"{key} {net[key]!r}: only networks with {key} {value!r} are supported")
-    arrays = {}
-    for key, value, shape in [
-        ("period", doc["period"], (z,)),
+    z = len(ids)
+    arrays = {key: _numbers(value, shape, key) for key, value, shape in [
         ("train_end_time", doc["train_end_time"], (z,)),
         ("scaler.min", doc["scaler"]["min"], (z, INPUT_DIM)),
         ("scaler.max", doc["scaler"]["max"], (z, INPUT_DIM)),
-        ("last_training_window", doc["last_training_window"], (z, doc["window_size"], INPUT_DIM)),
-    ]:
-        arrays[key] = _numbers(value, shape, key)
+        ("last_training_window", doc["last_training_window"], (z, None, INPUT_DIM)),
+    ]}
     for key, a in arrays.items():
         _check_vessels(~np.isfinite(a), ids, lambda at: f"{key} holds a non-finite value")
-    period, lo, hi, window = (arrays[k] for k in ("period", "scaler.min", "scaler.max", "last_training_window"))
-    _check_vessels(period <= 0, ids, lambda at: f"period {period[at].item()!r} is not > 0")
+    lo, hi, window = (arrays[k] for k in ("scaler.min", "scaler.max", "last_training_window"))
     # a range no AIS rows could give, such as a LAT span of 1e308, would
     # overflow when predictions are unscaled; HEADER ends with the features
     lat, lon = LAT_LON_BOUNDS
@@ -313,33 +301,33 @@ def _fleet_from_doc(doc, weights) -> Fleet:
     outside = (window < 0) | (window > 1)
     _check_vessels(outside, ids, lambda at: f"last_training_window value {window[at].item()!r} is outside the"
                    " [0, 1] of scaled rows")
-    params = _weight_arrays(weights, z, net["hidden"])
+    params = _weight_arrays(weights, z, doc["hidden"])
     for key, a in zip(WEIGHT_NAMES, params):
         _check_vessels(~np.isfinite(a), ids, lambda at: f"{key} holds a non-finite value", BadWeights)
     return Fleet(
         vessel_ids=ids,
-        network=network_from_arrays(params, net["dropout_rate"]),
+        network=network_from_arrays(params, doc["dropout_rate"]),
         scaler=ScalerParams(min=lo, max=hi),
-        period=period,
+        period=float(doc["period"]),
         train_end_time=arrays["train_end_time"],
         last_training_window=window,
     )
 
 
 def fleet_to_json(fleet: Fleet) -> str:
-    """The fleet file of `fleet`: its per-vessel values as JSON numbers, and
-    its network's architecture, hidden size and dropout rate. Its weights
-    go to their own file (`save_fleet`)."""
+    """The fleet file of `fleet`: its period, its per-vessel values as JSON
+    numbers, and its network's hidden size and dropout rate. Its weights go
+    to their own file (`save_fleet`)."""
     net = fleet.network
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "vessel_ids": fleet.vessel_ids,
-        "window_size": fleet.last_training_window.shape[1],
-        "period": fleet.period.tolist(),
+        "period": fleet.period,
         "train_end_time": fleet.train_end_time.tolist(),
         "scaler": {"min": fleet.scaler.min.tolist(), "max": fleet.scaler.max.tolist()},
         "last_training_window": fleet.last_training_window.tolist(),
-        "network": {**ARCHITECTURE, "hidden": net.hidden, "dropout_rate": net.dropout_rate},
+        "hidden": net.hidden,
+        "dropout_rate": net.dropout_rate,
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -419,6 +407,6 @@ def load_fleet(directory: str | Path) -> Fleet:
             raise ChecksumMismatch(f"{path} checksum does not match manifest")
     try:
         return fleet_from_json(*data)
-    except BadModel as exc:
+    except (BadModel, VersionMismatch) as exc:
         path = paths[1] if isinstance(exc, BadWeights) else paths[0]
         raise type(exc)(f"{path}: {exc}") from exc

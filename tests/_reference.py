@@ -34,8 +34,8 @@ def error_ratios(fleet, observations, lstm_km, at_steps) -> dict[str, list[float
     vessel, and lstm_km[i] its distance to that vessel's LSTM prediction."""
     z_of = {vid: z for z, vid in enumerate(fleet.vessel_ids)}
     zs = [z_of[m.vessel_id] for m in observations]
-    ends, periods = fleet.train_end_time.tolist(), fleet.period.tolist()
-    steps = np.array([max(1, round((m.t - ends[z]) / periods[z])) for m, z in zip(observations, zs)])
+    ends = fleet.train_end_time.tolist()
+    steps = np.array([max(1, round((m.t - ends[z]) / fleet.period)) for m, z in zip(observations, zs)])
     # (m, Z, 2) unscaled (lat, lon) of each vessel's last training window
     windows = unscale(np.moveaxis(fleet.last_training_window[..., :2], 1, 0), fleet.scaler)
     lstm_km = np.asarray(lstm_km, dtype=np.float64)

@@ -121,7 +121,7 @@ class TestAssociate:
         assert d.distances_km[0].min() > 0.5
 
 
-def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000, period=5.0):
+def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_end=1000):
     """A one-vessel fleet."""
     net = init_network(hidden=8, dropout_rate=0.0, rngs=[np.random.default_rng(seed)])
     scaler = ScalerParams(
@@ -133,7 +133,7 @@ def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_e
         vessel_ids=[vid],
         network=net,
         scaler=scaler,
-        period=np.array([period]),
+        period=5.0,
         train_end_time=np.array([train_end], dtype=np.float64),
         last_training_window=last_window,
     )
@@ -262,13 +262,14 @@ class TestAssociateBatch:
         fleet = TestStackedRollout.FLEET
         assert joined.vessel_ids == fleet.vessel_ids == sorted(joined.vessel_ids)
         for a, b in zip(
-            [*joined.network.param_arrays(), joined.scaler.min, joined.scaler.max, joined.period,
-             joined.train_end_time, joined.last_training_window],
-            [*fleet.network.param_arrays(), fleet.scaler.min, fleet.scaler.max, fleet.period,
-             fleet.train_end_time, fleet.last_training_window],
+            [*joined.network.param_arrays(), joined.scaler.min, joined.scaler.max, joined.train_end_time,
+             joined.last_training_window],
+            [*fleet.network.param_arrays(), fleet.scaler.min, fleet.scaler.max, fleet.train_end_time,
+             fleet.last_training_window],
             strict=True,
         ):
             assert a.shape == b.shape and np.array_equal(a, b)
+        assert joined.period == fleet.period == 5.0
         obs = _mixed_observations(20)
         assert decisions_to_csv(associate_batch(obs, joined)) == decisions_to_csv(associate_batch(obs, fleet))
 
@@ -291,7 +292,7 @@ def _oracle(observations, vessels):
     for obs in observations:
         row = {}
         for v in vessels:
-            steps = max(1, round((obs.t - v.train_end_time[0]) / v.period[0]))
+            steps = max(1, round((obs.t - v.train_end_time[0]) / v.period))
             lat, lon = unscale(rollout(v.network, v.last_training_window, steps)[-1], v.scaler)[0]
             row[v.vessel_ids[0]] = GeoPoint(lat=float(lat), lon=float(lon))
         predictions.append(row)
@@ -300,9 +301,9 @@ def _oracle(observations, vessels):
 
 class TestStackedRollout:
     VESSELS = [
-        _vessel("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21), train_end=1000, period=5.0),
-        _vessel("bbb", seed=2, lat_range=(30.2, 31.2), lon_range=(20.1, 21.1), train_end=1013, period=7.0),
-        _vessel("ccc", seed=3, lat_range=(29.9, 30.9), lon_range=(19.8, 20.8), train_end=990, period=3.0),
+        _vessel("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21), train_end=1000),
+        _vessel("bbb", seed=2, lat_range=(30.2, 31.2), lon_range=(20.1, 21.1), train_end=1013),
+        _vessel("ccc", seed=3, lat_range=(29.9, 30.9), lon_range=(19.8, 20.8), train_end=990),
         _vessel("ddd", seed=4, lat_range=(30.1, 31.1), lon_range=(20.2, 21.2)),
         _vessel("eee", seed=5, lat_range=(30.0, 30.8), lon_range=(20.0, 20.9)),
     ]

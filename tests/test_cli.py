@@ -5,9 +5,13 @@ import hashlib
 import json
 import math
 import operator
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -697,6 +701,18 @@ def test_missing_model_directory_file_is_one_error_line(trained, tmp_path, capsy
     assert not (tmp_path / "d.csv").exists()
 
 
+def _assert_retrain_line(models, version, obs, out, capsys):
+    """`associate` on a model directory of format `version` exits 2 with one
+    line that names its manifest and says to retrain, and writes nothing."""
+    capsys.readouterr()
+    rc = run(["associate", "--models", models, "--obs", obs, "--out", out])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (f"error: {models / 'manifest.json'}: model format {version}, expected 5: retrain with"
+                   " `aistrack train`\n")
+    assert not out.exists()
+
+
 def test_version_2_model_directory_is_one_error_line(trained, tmp_path, capsys):
     # the layout of format 2: one model file per vessel, each listed in the manifest
     models = tmp_path / "models"
@@ -707,12 +723,7 @@ def test_version_2_model_directory_is_one_error_line(trained, tmp_path, capsys):
         (models / f"model_{vid}.json").write_text(json.dumps({"format_version": 2, "vessel_id": vid}))
         entries.append({"file": f"model_{vid}.json", "vessel_id": vid, "sha256": "0" * 64})
     (models / "manifest.json").write_text(json.dumps({"format_version": 2, "meta": {}, "models": entries}))
-    capsys.readouterr()
-    rc = run(["associate", "--models", models, "--obs", trained / "models" / "holdout.csv", "--out", tmp_path / "d.csv"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == f"error: {models / 'manifest.json'}: model format 2, expected 4: retrain with `aistrack train`\n"
-    assert not (tmp_path / "d.csv").exists()
+    _assert_retrain_line(models, 2, trained / "models" / "holdout.csv", tmp_path / "d.csv", capsys)
 
 
 def test_version_3_model_directory_is_one_error_line(trained, tmp_path, capsys):
@@ -723,11 +734,49 @@ def test_version_3_model_directory_is_one_error_line(trained, tmp_path, capsys):
     manifest = json.loads((models / "manifest.json").read_text())
     manifest.update(format_version=3, models=manifest["models"][:1])
     (models / "manifest.json").write_text(json.dumps(manifest))
+    _assert_retrain_line(models, 3, models / "holdout.csv", tmp_path / "d.csv", capsys)
+
+
+def test_version_4_model_directory_is_one_error_line(trained, tmp_path, capsys):
+    # the layout of format 4: today's weights.bin, and a fleet.json with the
+    # window size, a period per vessel and a "network" of the architecture
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    doc = json.loads((models / "fleet.json").read_text())
+    z = len(doc["vessel_ids"])
+    network = {"k": 4, "hidden": doc.pop("hidden"), "n_layers": 3, "out_dim": 2,
+               "dropout_rate": doc.pop("dropout_rate"), "residual": True}
+    doc.update(format_version=4, window_size=len(doc["last_training_window"][0]), period=[doc["period"]] * z,
+               network=network)
+    _resign(models, doc)
+    manifest = json.loads((models / "manifest.json").read_text())
+    manifest["format_version"] = 4
+    (models / "manifest.json").write_text(json.dumps(manifest))
+    _assert_retrain_line(models, 4, models / "holdout.csv", tmp_path / "d.csv", capsys)
+    # the same fleet.json under a format-5 manifest is named as format 4 too
+    manifest["format_version"] = 5
+    (models / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
-    rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err == f"error: {models / 'manifest.json'}: model format 3, expected 4: retrain with `aistrack train`\n"
+    assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]) == 2
+    assert capsys.readouterr().err == (f"error: {models / 'fleet.json'}: model format 4, expected 5: retrain with"
+                                       " `aistrack train`\n")
+
+
+@pytest.mark.parametrize("key", ["k", "n_layers", "out_dim", "residual", "window_size", "network"])
+def test_format_4_key_in_fleet_file_is_one_error_line(trained, tmp_path, capsys, key):
+    # each field format 4 held and format 5 states elsewhere, or not at all,
+    # at the value format 4 gave it
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    doc = json.loads((models / "fleet.json").read_text())
+    window = len(doc["last_training_window"][0])
+    doc[key] = {"k": 4, "n_layers": 3, "out_dim": 2, "residual": True, "window_size": window,
+                "network": {"hidden": doc["hidden"], "dropout_rate": doc["dropout_rate"]}}[key]
+    _resign(models, doc)
+    capsys.readouterr()
+    assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]) == 2
+    assert capsys.readouterr().err == (f"error: {models / 'fleet.json'}: the document holds {key!r}, a key format 5"
+                                       " does not have\n")
     assert not (tmp_path / "d.csv").exists()
 
 
@@ -772,7 +821,7 @@ def test_weights_file_of_another_length_is_one_error_line(trained, tmp_path, cap
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
     doc = json.loads((models / "fleet.json").read_text())
-    z, hidden = len(doc["vessel_ids"]), doc["network"]["hidden"]
+    z, hidden = len(doc["vessel_ids"]), doc["hidden"]
     raw = (models / "weights.bin").read_bytes()
     edited = edit(raw, z)
     _resign_weights(models, edited)
@@ -975,15 +1024,10 @@ def _json_paths(value, path=()):
     return [p for key, item in items for p in [(*path, key), *_json_paths(item, (*path, key))]]
 
 
-# The field family of each top-level key of fleet.json; the keys of its
-# "network" are its scalars.
+# The field family of each top-level key of fleet.json.
 FAMILIES = {"format_version": "ids", "vessel_ids": "ids", "period": "period", "train_end_time": "train_end_time",
-            "scaler": "scaler", "window_size": "window", "last_training_window": "window"}
-
-
-def _family(path) -> str:
-    key = path[1] if path[0] == "network" and len(path) > 1 else path[0]
-    return FAMILIES.get(key, "network scalars")
+            "scaler": "scaler", "last_training_window": "window", "hidden": "network scalars",
+            "dropout_rate": "network scalars"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -997,7 +1041,7 @@ def test_model_file_value_replaced_never_internal_error(trained, data, value):
     doc = json.loads((models / "fleet.json").read_text())
     families = {}
     for path in _json_paths(doc):
-        families.setdefault(_family(path), []).append(path)
+        families.setdefault(FAMILIES[path[0]], []).append(path)
     family = data.draw(st.sampled_from(sorted(families)))
     *parents, key = data.draw(st.sampled_from(families[family]))
     functools.reduce(operator.getitem, parents, doc)[key] = value
@@ -1033,9 +1077,10 @@ def test_every_model_number_at_an_extreme_is_one_error_line_or_finite(trained, t
     shutil.copytree(trained / "models", models)
     text = (models / "fleet.json").read_text()
     leaves = _numeric_leaves(json.loads(text))
-    # 7 scalars; of each of the 3 vessels, its period, train end time, 3 + 3
-    # scaler bounds and 3 x 3 window values
-    assert len(leaves) == 7 + 3 * (2 + 6 + 9)
+    # 4 scalars (format version, period, hidden, dropout rate); of each of
+    # the 3 vessels, its train end time, 3 + 3 scaler bounds and 3 x 3
+    # window values
+    assert len(leaves) == 4 + 3 * (1 + 6 + 9)
     faults = []
     for i, (*parents, key) in enumerate(leaves):
         doc = json.loads(text)
@@ -1082,7 +1127,7 @@ def test_every_weight_array_at_an_extreme_is_one_error_line_or_finite(trained, t
     for i, name in enumerate(WEIGHT_NAMES):
         for at in (0, -1):
             weights = bytearray(raw)
-            _weight_arrays(weights, len(doc["vessel_ids"]), doc["network"]["hidden"])[i].flat[at] = value
+            _weight_arrays(weights, len(doc["vessel_ids"]), doc["hidden"])[i].flat[at] = value
             _resign_weights(models, weights)
             fault = _associate_fault(models, tmp_path / f"d{i}_{at}.csv", capsys)
             if fault:
@@ -1122,3 +1167,51 @@ def test_crossing_checked_without_building_the_fleet(trained, tmp_path, monkeypa
     rc = run(["evaluate", "--config", cfg, "--decisions", trained / "decisions.csv",
               "--truth", trained / "models" / "holdout_truth.csv", "--out", tmp_path / "r.json"])
     assert rc == 0
+
+
+# Non-ASCII vessel ids, in place of synth's first three
+NON_ASCII_VIDS = ["vé", "Øresund", "船"]
+ASCII_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+
+def _pipeline_in_a_process(root, locale_env) -> tuple[str, dict[str, str]]:
+    """synth, train, associate and evaluate, each in its own Python process
+    run under `locale_env`, on a fleet whose vessel ids are NON_ASCII_VIDS;
+    the stdout encoding those processes have, and the sha256 of every file
+    written under `root`."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8"))}
+    src = str(Path(cli.__file__).parents[1])
+    env.update(locale_env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+
+    def aistrack(*argv):
+        done = subprocess.run([sys.executable, "-m", "aistrack.cli", *map(str, argv)], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+
+    encoding = subprocess.run([sys.executable, "-c", "import sys; print(sys.stdout.encoding)"], env=env,
+                              capture_output=True, text=True).stdout.strip()
+    aistrack("synth", "--out", root / "data", *FAST)
+    lines = (root / "data" / "fleet.csv").read_text(encoding="utf-8").splitlines()
+    names = dict(zip(sorted({line.split(",")[1] for line in lines[1:]}), NON_ASCII_VIDS))
+    rows = [lines[0]] + [",".join([f[0], names[f[1]], *f[2:]]) for f in (line.split(",") for line in lines[1:])]
+    (root / "renamed.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    models = root / "models"
+    aistrack("train", "--data", root / "renamed.csv", "--out", models, "--min-points", 100, "--epochs", 1,
+             "--test-len", 20)
+    aistrack("associate", "--models", models, "--obs", models / "holdout.csv", "--out", root / "decisions.csv")
+    aistrack("evaluate", "--decisions", root / "decisions.csv", "--truth", models / "holdout_truth.csv",
+             "--out", root / "report.json")
+    hashes = {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in sorted(root.rglob("*")) if p.is_file()}
+    return encoding, hashes
+
+
+def test_non_ascii_vessel_ids_give_the_same_bytes_under_any_locale(tmp_path):
+    # inputs are read and outputs written as UTF-8, and stdout never raises
+    # for a character its encoding lacks, whatever the locale says
+    ascii_encoding, ascii_run = _pipeline_in_a_process(tmp_path / "ascii", ASCII_LOCALE)
+    utf8_encoding, utf8_run = _pipeline_in_a_process(tmp_path / "utf8", {"LC_ALL": "C.UTF-8"})
+    assert (ascii_encoding, utf8_encoding) == ("ascii", "utf-8")
+    assert ascii_run == utf8_run
+    assert {"models/fleet.json", "models/weights.bin", "decisions.csv", "report.json", "report.txt"} <= set(utf8_run)
+    header = (tmp_path / "ascii" / "decisions.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header.endswith(",".join(f"DIST_{vid}" for vid in sorted(NON_ASCII_VIDS)))

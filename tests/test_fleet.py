@@ -1,8 +1,7 @@
 import dataclasses
-import functools
 import hashlib
 import json
-import operator
+import math
 import re
 import tracemalloc
 
@@ -88,6 +87,14 @@ class TestTrainFleet:
         with pytest.raises(BadConfig, match=f"{key} must be in"):
             train_fleet([_series()], dataclasses.replace(_cfg(), **bad))
 
+    def test_track_of_another_period_is_bad_config(self):
+        # a fleet has one period, the run's: a model stamped with any other
+        # would roll out at the wrong times
+        assert _cfg().period == 5.0
+        other = dataclasses.replace(_series(vid="w"), period=10.0)
+        with pytest.raises(BadConfig, match="^vessel w: period 10.0 s, not the run's 5.0 s$"):
+            train_fleet([_series(vid="v"), other], _cfg())
+
     def test_determinism_and_order_invariance(self):
         tracks = [_series(vid=f"v{i}", seed=i) for i in range(3)]
         f1, _ = train_fleet(tracks, _cfg())
@@ -124,8 +131,9 @@ def _lat_span_1e308(doc, weights):
 
 
 def _k_1(doc, weights):
-    """One input feature, with a scaler and window of that shape."""
-    doc["network"].update(k=1)
+    """Format 4's input width key set to one feature, with a scaler and
+    window of that shape."""
+    doc.update(k=1)
     doc["scaler"] = {key: [row[:1] for row in rows] for key, rows in doc["scaler"].items()}
     doc["last_training_window"] = [[row[:1] for row in window] for window in doc["last_training_window"]]
 
@@ -135,7 +143,7 @@ def _weight_set(name: str, at: int, value: float):
     its vessels, to `value`."""
 
     def corrupt(doc, weights):
-        arrays = fleet._weight_arrays(weights, len(doc["vessel_ids"]), doc["network"]["hidden"])
+        arrays = fleet._weight_arrays(weights, len(doc["vessel_ids"]), doc["hidden"])
         arrays[fleet.WEIGHT_NAMES.index(name)].flat[at] = value
 
     return corrupt
@@ -169,13 +177,18 @@ class TestPersistence:
         p2, _ = forward(restored.network, probe)
         np.testing.assert_array_equal(p1, p2)
 
-    @pytest.mark.parametrize("where", [(), ("network",)], ids=["top", "network"])
-    def test_key_the_format_lacks_rejected(self, where):
-        # a reader never drops a field that a later format adds
+    @pytest.mark.parametrize(
+        "key, value",
+        [("input_form", "displacement"), ("network", {"hidden": 8, "dropout_rate": 0.2})],
+        ids=["top", "network"],
+    )
+    def test_key_the_format_lacks_rejected(self, key, value):
+        # a reader never drops a field that a later format adds, nor reads
+        # one that an earlier format had, such as format 4's "network"
         text, weights = _files(_train_one(_series(), _cfg())[0])
         doc = json.loads(text)
-        functools.reduce(operator.getitem, where, doc)["input_form"] = "displacement"
-        with pytest.raises(BadModel, match="holds 'input_form', a key format 4 does not have"):
+        doc[key] = value
+        with pytest.raises(BadModel, match=f"holds '{key}', a key format 5 does not have"):
             fleet_from_json(json.dumps(doc), weights)
 
     def test_version_mismatch_rejected(self):
@@ -200,7 +213,8 @@ class TestPersistence:
         np.testing.assert_array_equal(p1, p2)
         for a, b in zip(trained.network.param_arrays(), loaded.network.param_arrays(), strict=True):
             assert a.shape == b.shape and np.array_equal(a, b)
-        for key in ("period", "train_end_time", "last_training_window"):
+        assert loaded.period == trained.period == 5.0
+        for key in ("train_end_time", "last_training_window"):
             assert np.array_equal(getattr(loaded, key), getattr(trained, key))
         assert np.array_equal(loaded.scaler.min, trained.scaler.min)
         assert np.array_equal(loaded.scaler.max, trained.scaler.max)
@@ -291,29 +305,32 @@ class TestPersistence:
             doc["format_version"] = 1
             (tmp_path / name).write_text(json.dumps(doc))
         weights = bytearray((tmp_path / "weights.bin").read_bytes())
-        with pytest.raises(VersionMismatch, match="format 1, expected 4: retrain with `aistrack train`$"):
+        with pytest.raises(VersionMismatch, match="format 1, expected 5: retrain with `aistrack train`$"):
             fleet_from_json((tmp_path / "fleet.json").read_text(), weights)
-        with pytest.raises(VersionMismatch, match="format 1, expected 4: retrain with `aistrack train`$"):
+        with pytest.raises(VersionMismatch, match="format 1, expected 5: retrain with `aistrack train`$"):
             load_fleet(tmp_path)
 
     @pytest.mark.parametrize(
         "corrupt, file, named",
         [
-            (lambda doc, w: doc["network"].pop("hidden"), "fleet.json", "'hidden'"),  # a missing key
+            (lambda doc, w: doc.pop("hidden"), "fleet.json", "'hidden'"),  # a missing key
             (lambda doc, w: w.extend(bytes(8)), "weights.bin",
              "holds 24360 bytes, where 2 vessels of hidden 8 need 24352"),
-            (lambda doc, w: doc["network"].update(n_layers=0), "fleet.json", "n_layers 0 is not a valid int"),
-            (lambda doc, w: doc["network"].update(residual=False), "fleet.json", "residual"),  # not run as residual
+            # format 4's architecture keys, at any value: format 5 pins `lstm`'s one architecture
+            (lambda doc, w: doc.update(n_layers=0), "fleet.json", "holds 'n_layers', a key format 5 does not have"),
+            (lambda doc, w: doc.update(residual=False), "fleet.json", "holds 'residual', a key format 5"),
             (lambda doc, w: doc.update(period="5.0"), "fleet.json", "period"),
-            (lambda doc, w: doc.update(period=10**400), "fleet.json", "period"),  # an int no float can hold
+            # an int no float can hold, not written out
+            (lambda doc, w: doc.update(period=10**400), "fleet.json", "period is an int out of float range"),
             (lambda doc, w: doc["scaler"]["min"][0].__setitem__(0, 10**400), "fleet.json", "OverflowError"),
             (lambda doc, w: doc["vessel_ids"].__setitem__(0, "a,b"), "fleet.json", "vessel_ids: VID 'a,b' holds ','"),
             (lambda doc, w: doc["vessel_ids"].__setitem__(1, "v "), "fleet.json",
              "vessel_ids: VID 'v ' has surrounding whitespace"),
             (lambda doc, w: doc["vessel_ids"].reverse(), "fleet.json", "vessel_ids lists vessel v0 after v1"),
             # one vessel short of the arrays
-            (lambda doc, w: doc["vessel_ids"].pop(), "fleet.json", "period has shape (2,), expected (1,)"),
-            (lambda doc, w: doc["period"].pop(), "fleet.json", "period has shape (1,), expected (2,)"),
+            (lambda doc, w: doc["vessel_ids"].pop(), "fleet.json", "train_end_time has shape (2,), expected (1,)"),
+            # one period for the fleet, not one per vessel
+            (lambda doc, w: doc.update(period=[5.0, 5.0]), "fleet.json", "period must be float, got list"),
             (lambda doc, w: doc["scaler"]["max"].pop(), "fleet.json", "scaler.max has shape (1, 4), expected (2, 4)"),
             (lambda doc, w: doc.update(last_training_window=[[0.5] * 4] * 2), "fleet.json",
              "last_training_window"),  # window 5
@@ -324,20 +341,24 @@ class TestPersistence:
              "vessel v1: scaler.max holds a non-finite value"),
             (lambda doc, w: doc["last_training_window"][0][0].__setitem__(0, float("inf")), "fleet.json",
              "vessel v0: last_training_window holds a non-finite value"),
-            (lambda doc, w: doc["period"].__setitem__(1, 0), "fleet.json", "vessel v1: period 0.0 is not > 0"),
+            (lambda doc, w: doc.update(period=0), "fleet.json", "fleet.json: period 0.0 is not > 0"),
+            (lambda doc, w: doc.update(period=-1), "fleet.json", "fleet.json: period -1.0 is not > 0"),
+            (lambda doc, w: doc.update(period=-10**300), "fleet.json", "fleet.json: period -1e+300 is not > 0"),
+            (lambda doc, w: doc.update(period=math.nan), "fleet.json", "fleet.json: period must be finite, got nan"),
             (_lat_span_1e308, "fleet.json",
              "vessel v0: scaler LAT range [-1.7e+308, 1.7e+308] is not one AIS rows can give"),
             (_scaler_set("max", 1, 180.5, vessel=1), "fleet.json", "vessel v1: scaler LON range"),
             (_scaler_set("min", 2, 1e6), "fleet.json", "scaler SPEED range [1000000.0, "),  # min above max
-            (lambda doc, w: doc["network"].update(out_dim=3), "fleet.json", "out_dim 3"),
-            (_k_1, "fleet.json", "k 1"),
-            (lambda doc, w: doc["network"].update(n_layers=2), "fleet.json", "n_layers 2"),
+            (lambda doc, w: doc.update(out_dim=3), "fleet.json", "holds 'out_dim', a key format 5 does not have"),
+            (_k_1, "fleet.json", "holds 'k', a key format 5 does not have"),
+            (lambda doc, w: doc.update(n_layers=2), "fleet.json", "holds 'n_layers', a key format 5 does not have"),
         ],
         ids=["missing_key", "wrong_length", "no_layers", "not_residual",
              "period_string", "period_huge_int", "scaler_huge_int", "vessel_id_comma", "vessel_id_whitespace",
              "ids_out_of_order", "ids_short", "period_short", "scaler_short", "window_shape",
-             "nan_weight", "nan_bias", "nan_scaler", "infinite_window", "period_zero", "scaler_lat_span_1e308",
-             "scaler_lon_past_180", "scaler_min_above_max", "out_dim_3", "k_1", "two_layers"],
+             "nan_weight", "nan_bias", "nan_scaler", "infinite_window", "period_zero", "period_minus_1",
+             "period_minus_huge_int", "period_nan", "scaler_lat_span_1e308", "scaler_lon_past_180",
+             "scaler_min_above_max", "out_dim_3", "k_1", "two_layers"],
     )
     def test_malformed_model_with_matching_checksum_rejected(self, tmp_path, corrupt, file, named):
         _save_two(tmp_path)
@@ -448,7 +469,7 @@ def test_save_and_load_peak_memory_stays_near_the_weights(tmp_path):
         vessel_ids=[f"v{i:02d}" for i in range(z)],
         network=net,
         scaler=ScalerParams(min=np.zeros((z, 4)), max=np.ones((z, 4))),
-        period=np.full(z, 5.0),
+        period=5.0,
         train_end_time=np.zeros(z),
         last_training_window=np.full((z, window, 4), 0.5),
     )
