@@ -11,18 +11,21 @@ stacked in vessel_id order:
    layer on the m windows each vessel has in flight; a stacked matmul
    computes each vessel's slice exactly as a separate call would. The
    (S, Z, 2) table of predictions is unscaled in one expression, and each
-   time's Z predictions are gathered from it in one indexing step.
+   time's Z predictions are gathered from it in one indexing step. It
+   returns them with the steps they were gathered at.
 2. `associate` gets the (N, Z) distance matrix from one call of the array
    `haversine`. Each observation goes to the argmin of its row, so ties go
    to the smallest vessel_id, or is a new track when that exceeds tau.
 
-The result is one `Decisions` record, which `decisions_to_csv` writes with
-one format call per row, each distance to 17 significant digits, which
-parse back to the exact double. `rollout_positions` alone checks the
-rollout's output, the predictions first, then their unscaled positions:
-the first non-finite one is an error that names its vessel and step. So is
-a step count past `MAX_ROLLOUT_STEPS`, an infinite one included; numpy's
-overflow warnings on the way to either are silenced.
+The result is one `Decisions` record, which holds both (N, Z) matrices and
+which `decisions_to_csv` writes as one line per observation: its nearest
+prediction's rollout step and distance, and the margin to the second
+nearest, each distance to 17 significant digits, which parse back to the
+exact double. `rollout_positions` alone checks the rollout's output, the
+predictions first, then their unscaled positions: the first non-finite one
+is an error that names its vessel and step. So is a step count past
+`MAX_ROLLOUT_STEPS`, an infinite one included; numpy's overflow warnings on
+the way to either are silenced.
 """
 
 from __future__ import annotations
@@ -49,12 +52,14 @@ MAX_ROLLOUT_STEPS = 10_000
 class Decisions:
     """N observations associated against Z vessels. Row i is observation
     object_ids[i]: assigned[i] is a vessel_id or NEW_TRACK, and
-    distances_km[i, z] the distance to vessel_ids[z]'s (sorted) prediction.
-    Row i's smallest distance is the one to its nearest prediction."""
+    distances_km[i, z] the distance to vessel_ids[z]'s (sorted) prediction,
+    made steps[i, z] rollout steps past that vessel's train end. Row i's
+    first smallest distance is the one to its nearest prediction."""
 
     object_ids: list[int]
     assigned: list[str]
-    distances_km: np.ndarray  # (N, Z)
+    distances_km: np.ndarray  # (N, Z) float64
+    steps: np.ndarray  # (N, Z) int64
     vessel_ids: list[str]
 
     def __len__(self) -> int:
@@ -93,10 +98,11 @@ def rollout_positions(fleet, steps: int) -> np.ndarray:
     return positions
 
 
-def predict_positions(fleet, times: list[float]) -> np.ndarray:
+def predict_positions(fleet, times: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """(N, Z, 2) (lat, lon) of every vessel at each of N times, from one
-    rollout of the fleet: round((time - train_end_time) / period) steps,
-    minimum 1, at most MAX_ROLLOUT_STEPS."""
+    rollout of the fleet, and the (N, Z) int64 rollout steps they are at:
+    round((time - train_end_time) / period), minimum 1, at most
+    MAX_ROLLOUT_STEPS."""
     t = np.array(times, dtype=np.float64)[:, None]
     ends = fleet.train_end_time
     early = t <= ends
@@ -114,47 +120,64 @@ def predict_positions(fleet, times: list[float]) -> np.ndarray:
         )
     steps = np.maximum(1, steps).astype(np.int64)
     table = rollout_positions(fleet, int(steps.max(initial=0)))
-    return table[steps - 1, np.arange(len(fleet.vessel_ids))]
+    return table[steps - 1, np.arange(len(fleet.vessel_ids))], steps
 
 
 def associate(
-    observations: list[AisMessage], predicted: np.ndarray, vessel_ids: list[str], tau: float = math.inf
+    observations: list[AisMessage],
+    predicted: np.ndarray,
+    steps: np.ndarray,
+    vessel_ids: list[str],
+    tau: float = math.inf,
 ) -> Decisions:
-    """Score N observations against (N, Z, 2) predicted (lat, lon) whose
-    columns follow the sorted vessel_ids; the first minimum of each row
-    wins, or NEW_TRACK if it exceeds tau."""
+    """Score N observations against (N, Z, 2) predicted (lat, lon), made at
+    (N, Z) rollout steps, whose columns follow the sorted vessel_ids; the
+    first minimum of each row wins, or NEW_TRACK if it exceeds tau."""
     object_ids, _, _, lat, lon, _, _ = zip(*observations) if observations else ((),) * 7
     obs = np.stack((lat, lon), axis=-1, dtype=np.float64).reshape(-1, 1, 2)
     distances = haversine(obs[..., 0], obs[..., 1], predicted[..., 0], predicted[..., 1])
     best = np.argmin(distances, axis=1)
     winning = distances[np.arange(len(distances)), best]
     assigned = [vessel_ids[z] if d <= tau else NEW_TRACK for z, d in zip(best.tolist(), winning.tolist())]
-    return Decisions(list(object_ids), assigned, distances, list(vessel_ids))
+    return Decisions(list(object_ids), assigned, distances, steps, list(vessel_ids))
 
 
 def associate_batch(observations: list[AisMessage], fleet, tau: float = math.inf) -> Decisions:
     """Associate observations, in any order, with the vessels of the fleet
     (a `fleet.Fleet`): `predict_positions`, then `associate`. Row i of the
     result is observations[i]; many observations may map to one track."""
-    predicted = predict_positions(fleet, [obs.t for obs in observations])
-    return associate(observations, predicted, fleet.vessel_ids, tau)
+    predicted, steps = predict_positions(fleet, [obs.t for obs in observations])
+    return associate(observations, predicted, steps, fleet.vessel_ids, tau)
 
 
 def decisions_to_csv(decisions: Decisions) -> str:
-    """CSV export: OBJECT_ID, ASSIGNED_VID, WINNING_DISTANCE_KM (the row's
-    smallest distance, the one `associate` picked), DIST_<vid>... Each row
-    is one format call; the distances have 17 significant digits, which
-    parse back to the exact doubles."""
-    header = ["OBJECT_ID", "ASSIGNED_VID", "WINNING_DISTANCE_KM"] + [f"DIST_{v}" for v in decisions.vessel_ids]
-    row = "%d,%s" + ",%.17g" * (len(decisions.vessel_ids) + 1)
-    rows = zip(
-        decisions.object_ids,
-        decisions.assigned,
-        decisions.distances_km.min(axis=1).tolist(),
-        decisions.distances_km.tolist(),
+    """CSV export, one row per observation: OBJECT_ID, ASSIGNED_VID, then of
+    its nearest prediction (the first smallest distance, the one
+    `associate` picked, also on a NEW_TRACK row) STEP, the rollout step, and
+    WINNING_DISTANCE_KM, then MARGIN_KM, the second smallest distance less
+    the smallest: 0 for a tie, inf in a one-vessel fleet. Each row is one
+    format call; the distances have 17 significant digits, which parse back
+    to the exact doubles."""
+    distances = decisions.distances_km
+    rows = np.arange(len(distances))
+    best = distances.argmin(axis=1)
+    winning = distances[rows, best]
+    if distances.shape[1] > 1:
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN margin, written "nan"
+            margin = np.partition(distances, 1, axis=1)[:, 1] - winning
+    else:
+        margin = np.full(len(distances), math.inf)
+    lines = ["OBJECT_ID,ASSIGNED_VID,STEP,WINNING_DISTANCE_KM,MARGIN_KM"]
+    lines.extend(
+        "%d,%s,%d,%.17g,%.17g" % row
+        for row in zip(
+            decisions.object_ids,
+            decisions.assigned,
+            decisions.steps[rows, best].tolist(),
+            winning.tolist(),
+            margin.tolist(),
+        )
     )
-    lines = [",".join(header)]
-    lines.extend(row % (object_id, assigned, winning, *distances) for object_id, assigned, winning, distances in rows)
     return "\n".join(lines) + "\n"
 
 

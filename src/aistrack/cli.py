@@ -9,6 +9,9 @@ added by adding a `RunConfig` field and naming it in one `FLAGS` list.
 `train` decides once, before it makes --out, which tracks train and names
 each one left out (`_trained_series`); `fleet.train_fleet` gets each kept
 track's training prefix, all but its last --test-len samples.
+`associate` writes --out, one decision per observation, and beside it,
+named after its stem, the (N, Z) distance and step matrices (.distances.npy,
+.steps.npy) and a .meta.json whose `vessel_ids` is their column order.
 
 Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row,
 a row with fewer or more fields than its header, or a duplicate OBJECT_ID
@@ -26,7 +29,8 @@ read and written as UTF-8 whatever the locale), a missing or malformed
 model directory (a manifest that lists other files than fleet.json and
 weights.bin, or whose sha256 of either does not match; a fleet.json key
 format 5 does not have, such as format 4's window_size or network, and a
-period that is not one finite number above 0; fleet.json's vessel ids held
+period that is not one finite number above 0 or a hidden size above the
+doubles per vessel weights.bin holds; fleet.json's vessel ids held
 to the rule for a VID, sorted and each once, each scaler to min <= max,
 with the LAT and LON entries in a row's ranges, and each last training
 window to [0, 1]; a weights.bin of another length than its fleet needs, or
@@ -46,10 +50,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import io
 import json
 import sys
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
@@ -84,6 +91,13 @@ def _read(path, error=MissingFile) -> str:
         raise error(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"cannot read {path}: {exc}") from exc
+
+
+def _npy(array) -> bytes:
+    """`array` in the .npy format, which `np.load(allow_pickle=False)` reads back."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
 
 
 def _say(text: str, end="\n") -> None:
@@ -226,7 +240,10 @@ def cmd_associate(args) -> int:
     decisions = associate_batch(observations, fleet, tau=cfg.tau)
     out = Path(args.out)
     write_output(out, decisions_to_csv(decisions))
-    write_output(out.with_suffix(".meta.json"), json.dumps(config_meta(cfg), sort_keys=True, indent=1))
+    for suffix, matrix in ((".distances.npy", decisions.distances_km), (".steps.npy", decisions.steps)):
+        write_output(out.with_suffix(suffix), _npy(matrix))
+    meta = {**config_meta(cfg), "vessel_ids": decisions.vessel_ids}  # the matrices' column order
+    write_output(out.with_suffix(".meta.json"), json.dumps(meta, sort_keys=True, indent=1))
     _say(f"associated {len(decisions)} observations -> {out}")
     return 0
 

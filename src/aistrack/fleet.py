@@ -43,8 +43,9 @@ Format 3 held them as base64 in fleet.json, whose decoding, parsing and
 hashing cost as much as all of `associate` but its rollouts. The reader
 rejects another version, a key the format does not have (format 4's
 `window_size`, `network` and architecture keys among them), a period that
-is not a finite number > 0 and a weights file of another length than its
-fleet needs, rather than run a file as something it is not; and, naming
+is not a finite number > 0, a hidden size above the doubles per vessel its
+weights file holds, and a weights file of another length than its fleet
+needs, rather than run a file as something it is not; and, naming
 the first vessel that fails, an id that is no VID, a non-finite value, a
 scaler no AIS rows could give and a last training window outside [0, 1].
 """
@@ -301,6 +302,12 @@ def _fleet_from_doc(doc, weights) -> Fleet:
     outside = (window < 0) | (window > 1)
     _check_vessels(outside, ids, lambda at: f"last_training_window value {window[at].item()!r} is outside the"
                    " [0, 1] of scaled rows")
+    # a vessel of h hidden units holds more than h weights (dense_W alone
+    # holds 2h), so a hidden above the weights file's doubles per vessel is
+    # this document's fault, whatever the file holds; the int may have any
+    # number of digits and is not written out
+    if doc["hidden"] > len(weights) // (8 * z):
+        raise BadModel(f"hidden is larger than a weights file of {len(weights)} bytes can hold for {z} vessels")
     params = _weight_arrays(weights, z, doc["hidden"])
     for key, a in zip(WEIGHT_NAMES, params):
         _check_vessels(~np.isfinite(a), ids, lambda at: f"{key} holds a non-finite value", BadWeights)

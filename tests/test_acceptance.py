@@ -172,11 +172,14 @@ def test_synthetic_fleet_end_to_end(tmp_path, report, tracked):
     assert doc["macro"]["f1"] >= 0.95
     elapsed = time.time() - start
     assert elapsed < 15 * 60
-    # each held-out observation's distance to its own vessel's prediction
+    # each held-out observation's distance to its own vessel's prediction:
+    # the matrix's rows are decisions.csv's, its columns the meta's vessel_ids
     holdout = parse_csv((models / "holdout.csv").read_text())
     with open(decisions, newline="") as fh:
-        rows = {int(r["OBJECT_ID"]): r for r in csv.DictReader(fh)}
-    lstm_km = [float(rows[m.object_id][f"DIST_{m.vessel_id}"]) for m in holdout]
+        row = {int(r["OBJECT_ID"]): i for i, r in enumerate(csv.DictReader(fh))}
+    column = {vid: z for z, vid in enumerate(json.loads(decisions.with_suffix(".meta.json").read_text())["vessel_ids"])}
+    distances = np.load(decisions.with_suffix(".distances.npy"), allow_pickle=False)
+    lstm_km = [distances[row[m.object_id], column[m.vessel_id]].item() for m in holdout]
     for name, (first, last) in error_ratios(load_fleet(models), holdout, lstm_km, (1, 108)).items():
         tracked(f"LSTM / {name} mean error at rollout steps 1 and 108", f"{first:.2f} {last:.2f}")
     report(

@@ -102,21 +102,23 @@ def _obs(oid, lat, lon, t=1000):
 
 class TestAssociate:
     PREDS = np.array([[[37.90, 23.60], [37.95, 23.70]]])
+    STEPS = np.array([[1, 2]])
 
     def test_nearest_prediction_wins(self):
-        d = associate([_obs(1, 37.91, 23.61)], self.PREDS, ["A", "B"])
+        d = associate([_obs(1, 37.91, 23.61)], self.PREDS, self.STEPS, ["A", "B"])
         assert d.vessel_ids == ["A", "B"]
         assert d.assigned == ["A"]
         assert d.distances_km[0, 0] == pytest.approx(1.41, abs=0.05)
         assert d.distances_km[0, 1] == pytest.approx(9.02, abs=0.05)
-        assert decisions_to_csv(d).splitlines()[1].split(",")[2] == "%.17g" % min(d.distances_km[0])
+        assert decisions_to_csv(d).splitlines()[1].split(",")[2:4] == ["1", "%.17g" % min(d.distances_km[0])]
 
     def test_tie_breaks_lexicographically(self):
         # columns follow the sorted ids, so the first of equal minima is the smallest id
-        assert associate([_obs(1, 10, 10)], np.full((1, 2, 2), 10.0), ["a", "b"]).assigned == ["a"]
+        d = associate([_obs(1, 10, 10)], np.full((1, 2, 2), 10.0), np.ones((1, 2), int), ["a", "b"])
+        assert d.assigned == ["a"]
 
     def test_tau_threshold_declares_new_track(self):
-        d = associate([_obs(1, 37.91, 23.61)], self.PREDS, ["A", "B"], tau=0.5)
+        d = associate([_obs(1, 37.91, 23.61)], self.PREDS, self.STEPS, ["A", "B"], tau=0.5)
         assert d.assigned == [NEW_TRACK]
         assert d.distances_km[0].min() > 0.5
 
@@ -142,8 +144,8 @@ def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_e
 class TestPredictPositions:
     def test_single_step_equals_forward_unscaled(self):
         b = _vessel("v1")
-        preds = predict_positions(b, [1005])
-        assert preds.shape == (1, 1, 2)
+        preds, steps = predict_positions(b, [1005])
+        assert preds.shape == (1, 1, 2) and steps.tolist() == [[1]]
         raw, _ = forward(b.network, b.last_training_window[0])
         lat, lon = unscale(raw, b.scaler)[0]
         assert preds[0, 0, 0] == pytest.approx(lat, rel=1e-12)
@@ -153,11 +155,11 @@ class TestPredictPositions:
         b = _vessel("v1", lat_range=(30.0, 40.0))
         for a in b.network.param_arrays():
             a[:] = 0.0
-        assert predict_positions(b, [1005]).tolist() == [[[30.0, 20.0]]]
+        assert predict_positions(b, [1005])[0].tolist() == [[[30.0, 20.0]]]
 
     def test_multi_step_matches_predict_sequence(self):
         b = _vessel("v1")
-        preds = predict_positions(b, [1020])  # 4 periods later
+        preds, _ = predict_positions(b, [1020])  # 4 periods later
         roll = predict_sequence(b.network, b.last_training_window, 4)
         lat, lon = unscale(roll[-1], b.scaler)[0]
         assert preds[0, 0, 0] == pytest.approx(lat, rel=1e-12)
@@ -168,12 +170,13 @@ class TestPredictPositions:
         roll = predict_sequence(b.network, b.last_training_window, 6)
         horizons = (3, 1, 6, 2, 2, 5)  # decreasing targets must not return a stale rollout
         for steps in horizons:
-            preds = predict_positions(b, [1000 + 5 * steps])
+            preds, _ = predict_positions(b, [1000 + 5 * steps])
             np.testing.assert_allclose(preds[0, 0], unscale(roll[steps - 1], b.scaler)[0], rtol=1e-12, atol=0)
         # one call, its times in any order, gathers each time's own step
-        preds = predict_positions(b, [1000 + 5 * steps for steps in horizons])
+        preds, steps = predict_positions(b, [1000 + 5 * steps for steps in horizons])
         want = [unscale(roll[steps - 1], b.scaler)[0] for steps in horizons]
         np.testing.assert_allclose(preds[:, 0], want, rtol=1e-12, atol=0)
+        assert steps.dtype == np.int64 and steps[:, 0].tolist() == list(horizons)
 
     def test_time_before_training_rejected(self):
         with pytest.raises(TimeBeforeTraining, match="^vessel v1: target 1000 <= train end 1000.0$"):
@@ -183,17 +186,18 @@ class TestPredictPositions:
 class TestAssociateBatch:
     def test_empty_observations(self):
         d = associate_batch([], _vessel("v1"))
-        assert len(d) == 0 and d.assigned == [] and d.distances_km.shape == (0, 1)
-        assert decisions_to_csv(d) == "OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM,DIST_v1\n"
+        assert len(d) == 0 and d.assigned == [] and d.distances_km.shape == d.steps.shape == (0, 1)
+        assert decisions_to_csv(d) == "OBJECT_ID,ASSIGNED_VID,STEP,WINNING_DISTANCE_KM,MARGIN_KM\n"
 
     def test_single_observation_composition(self):
         b = _vessel("v1")
         obs = _obs(1, 35.0, 25.0, t=1005)
         d = associate_batch([obs], b)
         assert len(d) == 1
-        expected = associate([obs], predict_positions(b, [1005]), b.vessel_ids)
+        expected = associate([obs], *predict_positions(b, [1005]), b.vessel_ids)
         assert d.assigned == expected.assigned
         assert np.array_equal(d.distances_km, expected.distances_km)
+        assert np.array_equal(d.steps, expected.steps)
 
     def test_batch_runs_the_modules_two_steps_once_each(self, monkeypatch):
         # looked up in the module at call time, so a wrapper sees every batch
@@ -220,16 +224,16 @@ class TestAssociateBatch:
         obs = _mixed_observations(20)
         shuffled = [obs[i] for i in np.random.default_rng(3).permutation(len(obs))]
         d, s = associate_batch(obs, fleet), associate_batch(shuffled, fleet)
-        rows = {oid: (a, list(ds)) for oid, a, ds in zip(s.object_ids, s.assigned, s.distances_km)}
-        for oid, a, ds in zip(d.object_ids, d.assigned, d.distances_km):
-            assert rows[oid] == (a, list(ds))
+        rows = {oid: row for oid, *row in zip(s.object_ids, s.assigned, s.distances_km.tolist(), s.steps.tolist())}
+        for oid, *row in zip(d.object_ids, d.assigned, d.distances_km.tolist(), d.steps.tolist()):
+            assert rows[oid] == row
 
     def test_observations_at_predictions_assign_perfectly(self):
         fleet = join_fleets([
             _vessel("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21)),
             _vessel("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9)),
         ])
-        preds = predict_positions(fleet, [1005])[0].tolist()
+        preds = predict_positions(fleet, [1005])[0][0].tolist()
         obs = [_obs(i + 1, lat, lon, t=1005) for i, (lat, lon) in enumerate(preds)]
         decisions = associate_batch(obs, fleet)
         assert decisions.assigned == fleet.vessel_ids == ["aaa", "bbb"]
@@ -333,6 +337,9 @@ class TestStackedRollout:
         assert decisions.assigned == [vids[z] for z in best]
         assert len(set(decisions.assigned)) > 1
         assert decisions.distances_km.min(axis=1).tolist() == decisions.distances_km[np.arange(len(obs)), best].tolist()
+        by_id = {v.vessel_ids[0]: v for v in self.VESSELS}
+        want_steps = [[max(1, round((m.t - by_id[v].train_end_time[0]) / 5.0)) for v in vids] for m in obs]
+        assert decisions.steps.dtype == np.int64 and decisions.steps.tolist() == want_steps
 
     def test_observation_at_train_end_rejected(self):
         obs = [_obs(1, 30.5, 20.5, t=1020), _obs(2, 30.5, 20.5, t=1013)]
@@ -457,22 +464,13 @@ class TestRolloutBound:
 
 def test_decisions_csv_round_trip():
     b1 = _vessel("aaa", seed=1, lat_range=(30, 31), lon_range=(20, 21))
-    b2 = _vessel("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9))
+    b2 = _vessel("bbb", seed=2, lat_range=(50, 51), lon_range=(-10, -9), train_end=990)
     decisions = associate_batch([_obs(5, 30.5, 20.5, t=1005)], join_fleets([b2, b1]))
-    text = decisions_to_csv(decisions)
-    assert text.splitlines()[0] == "OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM,DIST_aaa,DIST_bbb"
-    assert decisions_from_csv(text) == [(5, "aaa")]
-
-
-def _repr_decisions_csv(decisions):
-    """The writer as it was, one `repr` per distance: its header and its
-    OBJECT_ID and ASSIGNED_VID fields are what `decisions_to_csv` writes."""
-    header = ["OBJECT_ID", "ASSIGNED_VID", "WINNING_DISTANCE_KM"] + [f"DIST_{v}" for v in decisions.vessel_ids]
-    lines = [",".join(header)]
-    rows = zip(decisions.object_ids, decisions.assigned, decisions.distances_km.min(axis=1), decisions.distances_km)
-    for object_id, assigned, winning, distances in rows:
-        lines.append(",".join([str(object_id), assigned, repr(float(winning)), *map(repr, distances.tolist())]))
-    return "\n".join(lines) + "\n"
+    lines = decisions_to_csv(decisions).splitlines()
+    assert lines[0] == "OBJECT_ID,ASSIGNED_VID,STEP,WINNING_DISTANCE_KM,MARGIN_KM"
+    near, far = decisions.distances_km[0].tolist()
+    assert lines[1] == "5,aaa,1,%.17g,%.17g" % (near, far - near)
+    assert decisions_from_csv("\n".join(lines)) == [(5, "aaa")]
 
 
 DISTANCES = st.sampled_from([0.0, 5e-324, 0.1, 20015.086796020572, 1e300]) | st.floats(allow_nan=False)
@@ -483,32 +481,52 @@ def decision_records(draw):
     vids = draw(st.lists(st.sampled_from(["aaa", "bbb", "c1", "v_10"]), min_size=1, max_size=4, unique=True))
     n = draw(st.integers(0, 5))
     distances = draw(st.lists(st.lists(DISTANCES, min_size=len(vids), max_size=len(vids)), min_size=n, max_size=n))
+    steps = draw(st.lists(st.lists(st.integers(1, MAX_ROLLOUT_STEPS), min_size=len(vids), max_size=len(vids)),
+                          min_size=n, max_size=n))
     return Decisions(
         object_ids=draw(st.lists(st.integers(0, 2**63), min_size=n, max_size=n, unique=True)),
         assigned=draw(st.lists(st.sampled_from([*vids, NEW_TRACK]), min_size=n, max_size=n)),
         distances_km=np.array(distances, dtype=np.float64).reshape(n, len(vids)),
+        steps=np.array(steps, dtype=np.int64).reshape(n, len(vids)),
         vessel_ids=vids,
     )
 
 
+def _record(distances, steps, vids):
+    n = len(distances)
+    return Decisions(list(range(1, n + 1)), [vids[0]] * n, np.array(distances, dtype=np.float64).reshape(n, len(vids)),
+                     np.array(steps, dtype=np.int64).reshape(n, len(vids)), vids)
+
+
 @given(decision_records())
-@example(
-    Decisions(
-        object_ids=[1, 2],
-        assigned=["aaa", NEW_TRACK],
-        distances_km=np.array([[0.1, 20015.086796020572], [1e300, 5e-324]]),
-        vessel_ids=["aaa", "bbb"],
-    )
-)
+@example(_record([[0.1, 20015.086796020572], [1e300, 5e-324]], [[1, 2], [3, 4]], ["aaa", "bbb"]))
+@example(_record([[7.5, 2.25, 2.25]], [[1, 9, 4]], ["aaa", "bbb", "c1"]))  # a tie: margin 0, the first one's step
+@example(_record([[3.0], [0.0]], [[6], [7]], ["aaa"]))  # one vessel: margin inf
+@example(_record([], [], ["aaa", "bbb"]))  # no observation: the header alone
+@example(_record([[0.0, -math.inf, -math.inf]], [[1, 2, 3]], ["aaa", "bbb", "c1"]))  # a NaN margin
 @settings(max_examples=200, deadline=None)
 def test_decisions_csv_distances_parse_back_exactly(decisions):
-    text = decisions_to_csv(decisions)
-    old = _repr_decisions_csv(decisions)
-    lines, old_lines = text.splitlines(), old.splitlines()
-    assert lines[0] == old_lines[0] and len(lines) == len(old_lines) == len(decisions) + 1
-    table = np.column_stack((decisions.distances_km.min(axis=1), decisions.distances_km))
-    for line, old_line, want in zip(lines[1:], old_lines[1:], table.tolist()):
-        fields, old_fields = line.split(","), old_line.split(",")
-        assert fields[:2] == old_fields[:2]
-        assert [float(f) for f in fields[2:]] == want
-    assert decisions_from_csv(text) == decisions_from_csv(old)
+    distances = decisions.distances_km
+    lines = decisions_to_csv(decisions).splitlines()
+    assert lines[0] == "OBJECT_ID,ASSIGNED_VID,STEP,WINNING_DISTANCE_KM,MARGIN_KM"
+    assert len(lines) == len(decisions) + 1
+    winning = distances.min(axis=1)
+    if distances.shape[1] > 1:
+        with np.errstate(invalid="ignore"):
+            margin = np.partition(distances, 1, axis=1)[:, 1] - winning
+    else:
+        margin = np.full(len(distances), np.inf)
+    step = decisions.steps[np.arange(len(distances)), distances.argmin(axis=1)]
+    for line, *want in zip(lines[1:], decisions.object_ids, decisions.assigned, step, winning, margin):
+        object_id, assigned, got_step, got_winning, got_margin = line.split(",")
+        assert (int(object_id), assigned, int(got_step)) == tuple(want[:3])
+        # inf - inf gives a NaN margin, written "nan"
+        assert np.array_equal([float(got_winning), float(got_margin)], want[3:], equal_nan=True)
+    assert decisions_from_csv("\n".join(lines)) == list(zip(decisions.object_ids, decisions.assigned))
+
+
+def test_decisions_csv_margin_is_zero_for_a_tie_and_inf_for_one_vessel():
+    tie = _record([[7.5, 2.25, 2.25]], [[1, 9, 4]], ["aaa", "bbb", "c1"])
+    assert decisions_to_csv(tie).splitlines()[1] == "1,aaa,9,2.25,0"
+    alone = _record([[3.0]], [[6]], ["aaa"])
+    assert decisions_to_csv(alone).splitlines()[1] == "1,aaa,6,3,inf"

@@ -20,10 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aistrack import cli
+from aistrack.associate import associate_batch
 from aistrack.cli import build_parser, main
 from aistrack.config import FIELD_TYPES, RunConfig
 from aistrack.fleet import WEIGHT_NAMES, _weight_arrays, load_fleet, save_fleet, train_fleet
-from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv
+from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv, time_order
 from aistrack.lstm import init_network
 from aistrack.preprocess import resample
 from aistrack.synth import fleet_motions, generate
@@ -456,7 +457,7 @@ def trained(tmp_path_factory):
     ],
 )
 def test_bad_value_or_missing_input_is_data_error(trained, tmp_path, capsys, monkeypatch, argv, named):
-    (tmp_path / "decisions.csv").write_text("OBJECT_ID,ASSIGNED_VID,WINNING_DISTANCE_KM\n")
+    (tmp_path / "decisions.csv").write_text("OBJECT_ID,ASSIGNED_VID,STEP,WINNING_DISTANCE_KM,MARGIN_KM\n")
     (tmp_path / "binary.csv").write_bytes(b"OBJECT_ID,VID\n1,\xff\n")  # not UTF-8
 
     def train_fleet(*args):
@@ -560,6 +561,33 @@ def test_decisions_row_narrower_than_its_header_is_data_error(trained, tmp_path,
     assert rc == 2
     assert capsys.readouterr().err == f"error: {decisions}: line 4: expected {width} fields, got {width - 1}\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_associate_writes_its_matrices_beside_the_decisions_the_same_twice(trained, tmp_path):
+    models = trained / "models"
+    observations = parse_csv((models / "holdout.csv").read_text())
+    observations.sort(key=time_order)
+    want = associate_batch(observations, load_fleet(models))
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name / "decisions.csv"
+        assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", out]) == 0
+        runs.append({suffix: out.with_suffix(suffix).read_bytes() for suffix in (".csv", ".distances.npy",
+                                                                                   ".steps.npy", ".meta.json")})
+    assert runs[0] == runs[1]
+    out = tmp_path / "first" / "decisions.csv"
+    distances = np.load(out.with_suffix(".distances.npy"), allow_pickle=False)
+    steps = np.load(out.with_suffix(".steps.npy"), allow_pickle=False)
+    shape = (len(observations), len(want.vessel_ids))
+    assert (distances.dtype, distances.shape, steps.dtype, steps.shape) == (np.float64, shape, np.int64, shape)
+    assert distances.tobytes() == want.distances_km.tobytes() and np.array_equal(steps, want.steps)
+    assert json.loads(out.with_suffix(".meta.json").read_text())["vessel_ids"] == want.vessel_ids
+    # the rows of decisions.csv are the matrices' rows, in order
+    _, *rows = (line.split(",") for line in out.read_text().splitlines())
+    best = distances.argmin(axis=1)
+    assert [int(r[0]) for r in rows] == want.object_ids
+    assert [(int(r[2]), float(r[3])) for r in rows] == list(zip(steps[np.arange(len(rows)), best].tolist(),
+                                                                 distances.min(axis=1).tolist()))
 
 
 @pytest.mark.parametrize("stage", ["train", "associate"])
@@ -834,6 +862,22 @@ def test_weights_file_of_another_length_is_one_error_line(trained, tmp_path, cap
     assert not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize("hidden", [10**400, 10**6], ids=["401_digits", "million"])
+def test_hidden_no_weights_file_of_its_length_holds_is_one_short_fleet_json_line(trained, tmp_path, capsys, hidden):
+    # the weights file is the trained one: the hidden size, not the weights,
+    # is at fault, and the int is not written out
+
+    def edit(doc):
+        doc["hidden"] = hidden
+
+    rc, err, model, ids = _associate_edited_model(trained, tmp_path, capsys, edit)
+    size = (trained / "models" / "weights.bin").stat().st_size
+    assert rc == 2
+    assert err == (f"error: {model}: hidden is larger than a weights file of {size} bytes can hold for {len(ids)}"
+                   " vessels\n")
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_truncated_weights_file_is_a_checksum_error(trained, tmp_path, capsys):
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
@@ -1050,9 +1094,8 @@ def test_model_file_value_replaced_never_internal_error(trained, data, value):
     out = trained / "fuzz_decisions.csv"
     rc = run(["associate", "--models", models, "--obs", obs, "--out", out])
     assert rc in (0, 2)
-    if rc == 0:  # every distance a decision was made on is a number
-        _, *rows = (line.split(",") for line in out.read_text().splitlines())
-        assert all(math.isfinite(float(v)) for row in rows for v in row[2:])
+    if rc == 0:
+        assert _distances_finite(out)
 
 
 def _numeric_leaves(value, path=()):
@@ -1092,6 +1135,12 @@ def test_every_model_number_at_an_extreme_is_one_error_line_or_finite(trained, t
     assert faults == []
 
 
+def _distances_finite(out) -> bool:
+    """Whether every distance a decision was made on, in the matrix
+    `associate --out out` wrote beside its decisions, is a number."""
+    return bool(np.isfinite(np.load(out.with_suffix(".distances.npy"), allow_pickle=False)).all())
+
+
 def _associate_fault(models, out, capsys):
     """Run associate on `models` into `out`; None if it gives exit 2 with one
     `error:` line and no warning, or exit 0 with finite distances, else its
@@ -1103,9 +1152,8 @@ def _associate_fault(models, out, capsys):
     err = capsys.readouterr().err
     if rc == 2:
         ok = err.startswith("error: ") and err.count("\n") == 1 and not caught
-    elif rc == 0:  # every distance a decision was made on is a number
-        _, *rows = (line.split(",") for line in out.read_text().splitlines())
-        ok = all(math.isfinite(float(v)) for row in rows for v in row[2:])
+    elif rc == 0:
+        ok = _distances_finite(out)
     else:
         ok = False
     return None if ok else (rc, err, [str(w.message) for w in caught])
@@ -1212,6 +1260,7 @@ def test_non_ascii_vessel_ids_give_the_same_bytes_under_any_locale(tmp_path):
     utf8_encoding, utf8_run = _pipeline_in_a_process(tmp_path / "utf8", {"LC_ALL": "C.UTF-8"})
     assert (ascii_encoding, utf8_encoding) == ("ascii", "utf-8")
     assert ascii_run == utf8_run
-    assert {"models/fleet.json", "models/weights.bin", "decisions.csv", "report.json", "report.txt"} <= set(utf8_run)
-    header = (tmp_path / "ascii" / "decisions.csv").read_text(encoding="utf-8").splitlines()[0]
-    assert header.endswith(",".join(f"DIST_{vid}" for vid in sorted(NON_ASCII_VIDS)))
+    assert {"models/fleet.json", "models/weights.bin", "decisions.csv", "decisions.distances.npy",
+            "decisions.steps.npy", "decisions.meta.json", "report.json", "report.txt"} <= set(utf8_run)
+    meta = json.loads((tmp_path / "ascii" / "decisions.meta.json").read_text(encoding="utf-8"))
+    assert meta["vessel_ids"] == sorted(NON_ASCII_VIDS)
