@@ -37,8 +37,10 @@ window to [0, 1]; a weights.bin of another length than its fleet needs, or
 holding a NaN or infinite weight; a directory of another format version is
 named as one to retrain), a JSON --config, manifest.json or fleet.json
 nested deeper than the JSON parser goes, a model whose training or rollout
-turns non-finite, an observation at or before a vessel's train end or more
-than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a
+turns non-finite or that holds a finite weight beyond float32's range
+(3.4028235e38), which association's float32 rollout cannot hold (`train`
+saves no such model), an observation at or before a vessel's train end or
+more than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a
 truth object undecided, an --out that cannot be created or written (`train`
 creates its --out before it trains; if training or saving fails, it removes
 each directory it made for --out that is still empty), and an `evaluate

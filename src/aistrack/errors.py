@@ -70,6 +70,10 @@ class BadWeights(BadModel):
     non-finite value."""
 
 
+class WeightOutOfRange(AistrackError):
+    """A finite weight beyond the range of the dtype a rollout runs in."""
+
+
 class TimeBeforeTraining(AistrackError):
     pass
 

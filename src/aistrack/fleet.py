@@ -79,7 +79,7 @@ from .errors import (
 from .ingest import HEADER, LAT_LON_BOUNDS, vessel_id_fault
 from .lstm import (
     INPUT_DIM,
-    N_LAYERS,
+    WEIGHT_NAMES,
     AdamState,
     LstmNetwork,
     Workspace,
@@ -231,7 +231,6 @@ SCALAR_FIELDS = {"period": float, "hidden": int, "dropout_rate": float}
 
 # Every key of a format-5 document: a reader never drops a field it does not know.
 MODEL_KEYS = {"format_version", "vessel_ids", "train_end_time", "scaler", "last_training_window", *SCALAR_FIELDS}
-WEIGHT_NAMES = [f"layers[{li}].{p}" for li in range(N_LAYERS) for p in ("W", "U", "b")] + ["dense_W", "dense_b"]
 
 
 def _check_document(doc) -> None:

@@ -26,7 +26,9 @@ arrays in that order; `init_network`, `fleet.join_fleets` and the fleet
 file reader (`fleet`) all go through them, so only the hidden size varies
 between networks. A fleet is one stack (`fleet.Fleet`), saved as one file
 of whole (Z, ...) arrays, so it has one hidden size by construction.
-All math is float64 so the finite-difference gradient check is tight.
+Training's math is float64, so the finite-difference gradient check is
+tight; a rollout runs in the dtype of its network's parameters
+(`LstmNetwork.dtype`), which for association is a float32 cast.
 
 `forward_batch`, `backward`, `AdamState.step` and `train_epoch` run the Z
 models on (Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`,
@@ -86,13 +88,14 @@ window would take m cell steps on one row each (Appleyard et al. 2016
 again). The window that has now taken m inputs gives the prediction, and
 its slot is zeroed to start the newest window. Every window still starts
 from zero state and sees the same m inputs as in `forward_batch`; only the
-grouping of rows in the matrix products differs, so predictions agree to
-a relative 1e-12, not bit for bit. A rollout of Z vessels still computes
-each vessel's slice exactly as that vessel's own rollout would.
-`roll_step` alone takes such a step, in place. `rollout_start` builds the
-zero state: every layer's h and c as one (n_layers, Z, m, h) array each,
-the next input, and a `Workspace` with each layer's `_cell_weights` copies
-and one cell step's scratch, as training's does; then it feeds the
+grouping of rows in the matrix products differs, so a float64 network's
+predictions agree with it to a relative 1e-12, not bit for bit. A rollout
+of Z vessels still computes each vessel's slice exactly as that vessel's
+own rollout would, in either dtype. `roll_step` alone takes such a step,
+in place. `rollout_start` builds the zero state in the network's dtype:
+every layer's h and c as one (n_layers, Z, m, h) array each, the next
+input, and a `Workspace` of that dtype with each layer's `_cell_weights`
+copies and one cell step's scratch, as training's does; then it feeds the
 window's first m - 1 rows through `roll_step` and drops their predictions.
 `_cell` writes its products into the scratch its caller passes; a step
 allocates only its (Z, out_dim) prediction, which it returns raw, finite or
@@ -151,6 +154,10 @@ class LstmNetwork:
     def out_dim(self) -> int:
         return self.dense_b.shape[-1]
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.dense_W.dtype
+
     def param_arrays(self) -> list[np.ndarray]:
         arrays = []
         for layer in self.layers:
@@ -171,6 +178,11 @@ def param_shapes(hidden: int) -> list[tuple[int, ...]]:
     order; the biases are (1, n) rows."""
     layers = [[(4 * hidden, d_in), (4 * hidden, hidden), (1, 4 * hidden)] for d_in in (INPUT_DIM, hidden, hidden)]
     return [shape for layer in layers for shape in layer] + [(OUT_DIM, hidden), (1, OUT_DIM)]
+
+
+# The name of each parameter array, in `param_arrays()` order, as errors
+# about one write it.
+WEIGHT_NAMES = [f"layers[{li}].{p}" for li in range(N_LAYERS) for p in ("W", "U", "b")] + ["dense_W", "dense_b"]
 
 
 def network_from_arrays(arrays: list[np.ndarray], dropout_rate: float) -> LstmNetwork:
@@ -214,8 +226,9 @@ class ForwardCache:
 
 
 class Workspace:
-    """The float64 arrays that `forward_batch`, `backward` and a rollout
-    write, kept from one call or step to the next. `array(name, shape)`
+    """The arrays that `forward_batch`, `backward` and a rollout write, kept
+    from one call or step to the next, all of one dtype: float64, or the
+    rollout network's. `array(name, shape)`
     returns the array it last gave for that name and shape, holding whatever
     was last written to it, or makes one; another shape, such as an epoch's
     last, shorter batch, gets its own arrays under the same names. Training
@@ -224,14 +237,15 @@ class Workspace:
     large: at batch 128, arrays allocated and freed every batch are handed
     back to the kernel by the C library and faulted in again on the next."""
 
-    def __init__(self) -> None:
+    def __init__(self, dtype=np.float64) -> None:
+        self.dtype = np.dtype(dtype)
         self._arrays: dict[tuple, np.ndarray] = {}
 
     def array(self, name, shape: tuple[int, ...]) -> np.ndarray:
         key = (name, shape)
         a = self._arrays.get(key)
         if a is None:
-            a = self._arrays[key] = np.empty(shape)
+            a = self._arrays[key] = np.empty(shape, self.dtype)
         return a
 
     def zeros(self, name, shape: tuple[int, ...]) -> np.ndarray:
@@ -251,7 +265,7 @@ def _cell_weights(
     without a negation pass; negation is exact, so the bits are those of
     negating pre."""
     n = layer.hidden
-    signs = np.full(4 * n, -1.0)
+    signs = np.full(4 * n, -1.0, layer.W.dtype)
     signs[2 * n : 3 * n] = 1.0
     W_T = np.multiply(layer.W.mT, signs, out=ws.array(("W_T", li), layer.W.mT.shape))
     U_T = np.multiply(layer.U.mT, signs, out=ws.array(("U_T", li), layer.U.mT.shape))
@@ -547,7 +561,7 @@ class Rollout:
     with one cell step's scratch, which the layers share: the first layer's
     input product `xw0` (Z, 1, 4h), `gates` and the recurrent product `rec`
     (Z, m, 4h), and the candidate `cand` and residual sum `res`
-    (Z, m, hidden)."""
+    (Z, m, hidden). Every array is in the network's dtype."""
 
     weights: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     h: np.ndarray
@@ -562,14 +576,14 @@ def rollout_start(net: LstmNetwork, window: np.ndarray) -> Rollout:
     prediction: every window starts from zero state, and the first m - 1
     rows have gone through the ring, one `roll_step` each, whose
     predictions are dropped."""
-    window = np.asarray(window, dtype=np.float64)
+    window = np.asarray(window, dtype=net.dtype)
     if window.ndim != 3 or window.shape[0] != net.vessels or window.shape[-1] != net.input_dim:
         raise CacheMismatch(f"expected ({net.vessels}, m, {net.input_dim}) window, got {window.shape}")
     Z, m, _ = window.shape
     n = net.hidden
-    ws = Workspace()
+    ws = Workspace(net.dtype)
     weights = [_cell_weights(layer, (Z, m, 4 * n), ws, li) for li, layer in enumerate(net.layers)]
-    h, c = np.zeros((2, len(net.layers), Z, m, n))
+    h, c = np.zeros((2, len(net.layers), Z, m, n), net.dtype)
     state = Rollout(weights=weights, h=h, c=c, x=window[..., 0, :].copy(), slot=1 % m, workspace=ws)
     for t in range(1, m):
         roll_step(net, state)

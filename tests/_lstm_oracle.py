@@ -19,8 +19,8 @@ against it; `rollout` is the loop over `roll_step` that the checks run.
 
 `allocating_rollout` is the ring rollout as it was before it advanced its
 state in place: every step takes fresh gate, product and candidate arrays
-and new h and c arrays for each layer. The in-place
-`lstm.roll_step` must give its bits.
+and new h and c arrays for each layer, in the network's dtype. The
+in-place `lstm.roll_step` must give its bits, in float64 and in float32.
 """
 
 from dataclasses import dataclass, field
@@ -300,12 +300,12 @@ def _allocating_cell(xw, h_prev, c_prev, U_T, b):
 
 def allocating_rollout(net, seed_window: np.ndarray, steps: int) -> np.ndarray:
     """`rollout` as the allocating ring rollout gives it: (steps, Z, 2)."""
-    window = np.asarray(seed_window, dtype=np.float64)
+    window = np.asarray(seed_window, dtype=net.dtype)
     Z, m, _ = window.shape
-    ws = lstm.Workspace()
+    ws = lstm.Workspace(net.dtype)
     weights = [lstm._cell_weights(layer, (Z, m, 4 * layer.hidden), ws, li) for li, layer in enumerate(net.layers)]
-    hs = [np.zeros((Z, m, layer.hidden)) for layer in net.layers]
-    cs = [np.zeros((Z, m, layer.hidden)) for layer in net.layers]
+    hs = [np.zeros((Z, m, layer.hidden), net.dtype) for layer in net.layers]
+    cs = [np.zeros((Z, m, layer.hidden), net.dtype) for layer in net.layers]
     x, slot, preds = window[..., 0, :], 1 % m, []
     for t in range(1, m + steps):  # m - 1 ticks to start, then one per prediction
         seq = x[..., None, :]

@@ -20,14 +20,15 @@ from aistrack.associate import (
     associate_batch,
     decisions_from_csv,
     decisions_to_csv,
+    float32_network,
     predict_positions,
     rollout_positions,
 )
 from aistrack.cli import main
 from aistrack.config import RunConfig
-from aistrack.errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
+from aistrack.errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining, WeightOutOfRange
 from aistrack.fleet import Fleet, join_fleets, load_fleet, save_fleet
-from aistrack.ingest import AisMessage, serialize_csv
+from aistrack.ingest import AisMessage, parse_csv, serialize_csv, time_order
 from aistrack.lstm import init_network
 from aistrack.preprocess import ScalerParams, unscale
 
@@ -141,15 +142,28 @@ def _vessel(vid, seed=1, lat_range=(30.0, 40.0), lon_range=(20.0, 30.0), train_e
     )
 
 
+def _float32_positions(fleet, steps):
+    """(steps, Z, 2) positions of `lstm`'s rollout of the fleet's float32
+    cast, unscaled in float64: what association gives, bit for bit."""
+    return unscale(rollout(float32_network(fleet), fleet.last_training_window, steps), fleet.scaler)
+
+
+# The float32 rollout against a float64 oracle, in degrees over a 10-degree
+# scaler span: float32's eps is 1.2e-7, and a few roundings of a scaled
+# value below 1 move its position by about 1e-6 degrees. `lstm`'s float64
+# rollout agrees with these oracles to a relative 1e-12 (tests/test_lstm.py).
+FLOAT32_ATOL_DEG = 1e-5
+
+
 class TestPredictPositions:
     def test_single_step_equals_forward_unscaled(self):
         b = _vessel("v1")
         preds, steps = predict_positions(b, [1005])
         assert preds.shape == (1, 1, 2) and steps.tolist() == [[1]]
+        assert preds.dtype == np.float64
+        np.testing.assert_array_equal(preds[0], _float32_positions(b, 1)[0])
         raw, _ = forward(b.network, b.last_training_window[0])
-        lat, lon = unscale(raw, b.scaler)[0]
-        assert preds[0, 0, 0] == pytest.approx(lat, rel=1e-12)
-        assert preds[0, 0, 1] == pytest.approx(lon, rel=1e-12)
+        np.testing.assert_allclose(preds[0, 0], unscale(raw, b.scaler)[0], rtol=0, atol=FLOAT32_ATOL_DEG)
 
     def test_zero_network_unscales_to_min(self):
         b = _vessel("v1", lat_range=(30.0, 40.0))
@@ -160,22 +174,22 @@ class TestPredictPositions:
     def test_multi_step_matches_predict_sequence(self):
         b = _vessel("v1")
         preds, _ = predict_positions(b, [1020])  # 4 periods later
+        np.testing.assert_array_equal(preds[0], _float32_positions(b, 4)[-1])
         roll = predict_sequence(b.network, b.last_training_window, 4)
-        lat, lon = unscale(roll[-1], b.scaler)[0]
-        assert preds[0, 0, 0] == pytest.approx(lat, rel=1e-12)
-        assert preds[0, 0, 1] == pytest.approx(lon, rel=1e-12)
+        np.testing.assert_allclose(preds[0], unscale(roll[-1], b.scaler), rtol=0, atol=FLOAT32_ATOL_DEG)
 
     def test_every_horizon_matches_predict_sequence(self):
         b = _vessel("v1")
-        roll = predict_sequence(b.network, b.last_training_window, 6)
+        positions = _float32_positions(b, 6)
+        roll = unscale(predict_sequence(b.network, b.last_training_window, 6), b.scaler)
         horizons = (3, 1, 6, 2, 2, 5)  # decreasing targets must not return a stale rollout
         for steps in horizons:
             preds, _ = predict_positions(b, [1000 + 5 * steps])
-            np.testing.assert_allclose(preds[0, 0], unscale(roll[steps - 1], b.scaler)[0], rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(preds[0], positions[steps - 1])
+            np.testing.assert_allclose(preds[0], roll[steps - 1], rtol=0, atol=FLOAT32_ATOL_DEG)
         # one call, its times in any order, gathers each time's own step
         preds, steps = predict_positions(b, [1000 + 5 * steps for steps in horizons])
-        want = [unscale(roll[steps - 1], b.scaler)[0] for steps in horizons]
-        np.testing.assert_allclose(preds[:, 0], want, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(preds[:, 0], [positions[steps - 1, 0] for steps in horizons])
         assert steps.dtype == np.int64 and steps[:, 0].tolist() == list(horizons)
 
     def test_time_before_training_rejected(self):
@@ -288,16 +302,16 @@ def _mixed_observations(n, seed=9):
 
 
 def _oracle(observations, vessels):
-    """Each one-vessel fleet rolled out on its own, afresh for every
-    observation: the predicted GeoPoint per vessel_id for each observation.
-    A stacked rollout computes each vessel's slice as its own rollout does,
-    bit for bit."""
+    """Each one-vessel fleet's float32 cast rolled out on its own, afresh for
+    every observation: the predicted GeoPoint per vessel_id for each
+    observation. A stacked rollout computes each vessel's slice as its own
+    rollout does, bit for bit."""
     predictions = []
     for obs in observations:
         row = {}
         for v in vessels:
             steps = max(1, round((obs.t - v.train_end_time[0]) / v.period))
-            lat, lon = unscale(rollout(v.network, v.last_training_window, steps)[-1], v.scaler)[0]
+            lat, lon = _float32_positions(v, steps)[-1, 0]
             row[v.vessel_ids[0]] = GeoPoint(lat=float(lat), lon=float(lon))
         predictions.append(row)
     return predictions
@@ -358,7 +372,9 @@ class TestStackedRollout:
         start = assoc_module.rollout_start
         monkeypatch.setattr(assoc_module, "rollout_start", lambda net, window: nets.append(net) or start(net, window))
         associate_batch(_mixed_observations(10), self.FLEET)
-        assert nets == [self.FLEET.network]
+        assert len(nets) == 1 and nets[0].vessels == len(self.VESSELS)
+        for a, b in zip(nets[0].param_arrays(), float32_network(self.FLEET).param_arrays(), strict=True):
+            assert a.dtype == np.float32 and np.array_equal(a, b)
 
     def test_repeated_batch_gives_equal_decisions(self):
         # each call starts its own rollout: nothing one call advances in
@@ -378,11 +394,33 @@ class TestStackedRollout:
         with pytest.raises(NonFiniteActivation, match="^vessel bbb: non-finite prediction at rollout step 1$"):
             associate_batch([_obs(1, 30.5, 20.5, t=1010)], fleet)
 
+    def test_weight_beyond_float32_names_vessel_and_array(self):
+        # the rollout runs on a float32 cast, which would make these
+        # infinite; the earlier array is named, then the lower vessel
+        fleet = _three_vessels()
+        fleet.network.layers[1].U[2, 5, 3] = -3.5e38
+        fleet.network.layers[1].U[1, 0, 0] = 3.0e38  # inside the range
+        fleet.network.dense_W[0, 1, 0] = 3.5e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WeightOutOfRange) as info:
+                associate_batch([_obs(1, 30.5, 20.5, t=1010)], fleet)
+        assert str(info.value) == (
+            "vessel ccc: layers[1].U holds -3.5e+38, beyond the float32 range (|w| <= 3.4028235e+38)"
+            " association runs in"
+        )
+        # a weight that is not finite passes the cast, for the rollout to name
+        fleet.network.layers[1].U[2, 5, 3] = fleet.network.dense_W[0, 1, 0] = np.inf
+        cast = float32_network(fleet)
+        assert cast.layers[1].U[1, 0, 0] == np.float32(3.0e38) and np.isinf(cast.dense_W[0, 1, 0])
+
     def test_position_that_overflows_names_vessel_and_step(self):
-        # a finite (scaled) prediction of 1e308 unscales past the largest
-        # double: the error, not numpy's overflow warning, reports it
-        fleet = join_fleets([_vessel(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))])
-        fleet.network.dense_b[2, 0, 0] = 1e308
+        # a finite float32 prediction of 1e30 unscales past the largest
+        # double with a LAT span of 1e300, which only a fleet built in
+        # memory holds (a model file's scaler is checked): the error, not
+        # numpy's overflow warning, reports it
+        fleet = _three_vessels()
+        _overflow_positions(fleet, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteActivation, match="^vessel ccc: non-finite position at rollout step 1$"):
@@ -410,7 +448,7 @@ class TestStackedRollout:
         # vessel ccc's positions overflow from step 1 on, vessel aaa's
         # prediction only turns non-finite at step 4
         fleet = _three_vessels()
-        fleet.network.dense_b[2, 0, 0] = 1e308
+        _overflow_positions(fleet, 2)
         _head_turns_non_finite(monkeypatch, {4: [(0, np.nan)]})
         with pytest.raises(NonFiniteActivation, match="^vessel aaa: non-finite prediction at rollout step 4$"):
             rollout_positions(fleet, 6)
@@ -418,6 +456,14 @@ class TestStackedRollout:
 
 def _three_vessels():
     return join_fleets([_vessel(vid, seed=s) for vid, s in (("aaa", 1), ("bbb", 2), ("ccc", 3))])
+
+
+def _overflow_positions(fleet, z):
+    """Make vessel z's predictions finite in float32 but its positions
+    overflow float64 from rollout step 1 on: a LAT prediction of about 1e30
+    times a LAT span of 1e300."""
+    fleet.network.dense_b[z, 0, 0] = 1e30
+    fleet.scaler.max[z, 0] = 1e300
 
 
 def _head_turns_non_finite(monkeypatch, faults):
@@ -530,3 +576,34 @@ def test_decisions_csv_margin_is_zero_for_a_tie_and_inf_for_one_vessel():
     assert decisions_to_csv(tie).splitlines()[1] == "1,aaa,9,2.25,0"
     alone = _record([[3.0]], [[6]], ["aaa"])
     assert decisions_to_csv(alone).splitlines()[1] == "1,aaa,6,3,inf"
+
+
+# (synth, train) settings of the benchmark's paper_fleet and wide_horizon workloads
+BENCHMARK_FLEETS = {
+    "paper_fleet": (["--vessels", 5, "--points", 648], ["--test-len", 108, "--epochs", 3, "--min-points", 500]),
+    "wide_horizon": (["--vessels", 24, "--points", 400], ["--test-len", 250, "--epochs", 1, "--min-points", 400]),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_FLEETS))
+def test_float32_rollout_stays_within_half_a_metre_of_float64(tmp_path, workload):
+    # over the whole held-out horizon of a fleet trained at a benchmark
+    # workload's settings; at seeds 1-3, at most 3 mm. Its decisions are far
+    # from ties, so they are the float64 rollout's.
+    synth_args, train_args = BENCHMARK_FLEETS[workload]
+    data, models = tmp_path / "data", tmp_path / "models"
+    assert main([str(a) for a in ["synth", "--out", data, "--seed", 1, *synth_args]]) == 0
+    train = ["train", "--data", data / "fleet.csv", "--out", models, "--seed", 1, "--batch", 10, "--lr", 1e-4]
+    assert main([str(a) for a in train + train_args]) == 0
+    fleet = load_fleet(models)
+    obs = sorted(parse_csv((models / "holdout.csv").read_text()), key=time_order)
+    decisions = associate_batch(obs, fleet)
+    horizon = int(decisions.steps.max())
+    float32 = rollout_positions(fleet, horizon)
+    float64 = unscale(rollout(fleet.network, fleet.last_training_window, horizon), fleet.scaler)
+    metres = 1000 * assoc_module.haversine(float32[..., 0], float32[..., 1], float64[..., 0], float64[..., 1])
+    assert horizon >= 100 and metres.max() <= 0.5
+    exact = associate(obs, float64[decisions.steps - 1, np.arange(len(fleet.vessel_ids))], decisions.steps,
+                      fleet.vessel_ids)
+    fields = [line.split(",")[:3] for line in decisions_to_csv(decisions).splitlines()]
+    assert fields == [line.split(",")[:3] for line in decisions_to_csv(exact).splitlines()]

@@ -2,10 +2,12 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -655,29 +657,61 @@ def test_failed_training_removes_only_the_out_it_made(trained, tmp_path, existin
         assert sorted(p.name for p in out.iterdir()) == ([] if existing == "empty" else [existing])
 
 
-def test_model_that_cannot_make_its_first_prediction_is_not_saved(trained, tmp_path, capsys):
-    # one Adam step at this rate: training's only forward pass runs on the
-    # initial weights and is finite, but the saved weights would not be
+# What follows "vessel <vid>: " in the error line of a finite weight of the
+# first array, layers[0].W, that a float32 cast would make infinite.
+BEYOND_FLOAT32 = (r"layers\[0\]\.W holds -?[0-9.]+e\+[0-9]+, beyond the float32 range"
+                  r" \(\|w\| <= 3\.4028235e\+38\) association runs in")
+
+
+def _train_one_huge_step(trained, tmp_path, capsys, lr, fault):
+    """Train the test fleet for one Adam step at `lr`: training's only forward
+    pass runs on the initial weights and is finite, but the first rollout
+    step of the weights it would save is not. Exit 2 with one line naming
+    the first vessel and `fault` (a regex), and nothing saved."""
     fleet = trained / "data" / "fleet.csv"
     first = group_tracks(parse_csv(fleet.read_text()))[0].vessel_id
     capsys.readouterr()
-    argv = ["train", "--data", fleet, "--out", tmp_path / "m", "--lr", 1e308, "--batch", 200, "--epochs", 1]
+    argv = ["train", "--data", fleet, "--out", tmp_path / "m", "--lr", lr, "--batch", 200, "--epochs", 1]
     assert run_without_warnings(argv + ["--min-points", 100]) == 2
-    assert capsys.readouterr().err == f"error: vessel {first}: non-finite prediction at rollout step 1\n"
-    assert not list((tmp_path / "m").glob("*.json"))
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: vessel {first}: {fault}\n", err), err
+    assert not (tmp_path / "m").exists()
 
 
-def test_diverged_model_is_one_error_line_at_associate(trained, tmp_path, capsys):
+def test_model_that_cannot_make_its_first_prediction_is_not_saved(trained, tmp_path, capsys):
+    # weights near 1e308, beyond the float32 range association runs in
+    _train_one_huge_step(trained, tmp_path, capsys, 1e308, BEYOND_FLOAT32)
+
+
+def test_model_whose_float32_rollout_overflows_is_not_saved(trained, tmp_path, capsys):
+    # weights near 3e29: inside the float32 range, but the rollout's
+    # products overflow it
+    _train_one_huge_step(trained, tmp_path, capsys, 1e30, "non-finite prediction at rollout step 1")
+
+
+def _associate_scaled_model(trained, tmp_path, capsys, scale, fault):
+    """Associate with the trained models after every layer's W of the second
+    vessel is multiplied by `scale`: exit 2 with one line naming that vessel
+    and `fault` (a regex), and nothing written."""
     fleet = load_fleet(trained / "models")
     for layer in fleet.network.layers:
-        layer.W[1] *= 1e300  # its exp and matmul overflow on the way to a NaN
+        layer.W[1] *= scale
     save_fleet(fleet, tmp_path / "models", RunConfig(), {})
     capsys.readouterr()
     argv = ["associate", "--models", tmp_path / "models", "--obs", trained / "models" / "holdout.csv"]
     assert run_without_warnings(argv + ["--out", tmp_path / "d.csv"]) == 2
-    err = f"error: vessel {fleet.vessel_ids[1]}: non-finite prediction at rollout step 1\n"
-    assert capsys.readouterr().err == err
-    assert not (tmp_path / "d.csv").exists()
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: vessel {fleet.vessel_ids[1]}: {fault}\n", err), err
+    assert not list(tmp_path.glob("d.*"))
+
+
+def test_diverged_model_is_one_error_line_at_associate(trained, tmp_path, capsys):
+    _associate_scaled_model(trained, tmp_path, capsys, 1e300, BEYOND_FLOAT32)
+
+
+def test_model_whose_float32_rollout_overflows_is_one_error_line_at_associate(trained, tmp_path, capsys):
+    # weights inside the float32 range: its exp and matmul overflow on the way to a NaN
+    _associate_scaled_model(trained, tmp_path, capsys, 1e30, "non-finite prediction at rollout step 1")
 
 
 @pytest.mark.parametrize(
@@ -1074,8 +1108,46 @@ FAMILIES = {"format_version": "ids", "vessel_ids": "ids", "period": "period", "t
             "dropout_rate": "network scalars"}
 
 
+class _Drawn:
+    """Stands in for `st.data()` in an @example: its draws give `picks` in
+    turn, and again from the first on the example's next run."""
+
+    def __init__(self, *picks):
+        self._picks = itertools.cycle(picks)
+
+    def draw(self, strategy):
+        return next(self._picks)
+
+
+MAX = 1.7976931348623157e308
+
+# A path to each range-checked number of fleet.json, which a path drawn
+# from the whole document seldom lands on, and the signs of the largest
+# double that are exit 2 there: both for the scaler's LAT and LON bounds, a
+# last training window value and a train end time (+MAX is after every
+# observation, -MAX puts each one past the rollout bound); -MAX for the
+# period, which must be > 0; neither for the dropout rate, which must only
+# be finite.
+RANGE_CHECKED = {
+    **dict.fromkeys([("scaler", "min", 0, 0), ("scaler", "max", -1, 0), ("scaler", "min", -1, 1),
+                     ("scaler", "max", 0, 1), ("last_training_window", 0, -1, 0), ("train_end_time", 0)], (MAX, -MAX)),
+    ("period",): (-MAX,),
+    ("dropout_rate",): (),
+}
+
+
+def _range_checked_at_extremes(test):
+    """`test` with an @example for each RANGE_CHECKED path at each sign of the
+    largest double, so that every run tries them all."""
+    for path in RANGE_CHECKED:
+        for value in (MAX, -MAX):
+            test = example(data=_Drawn(FAMILIES[path[0]], path), value=value)(test)
+    return test
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), value=JSON_VALUES)
+@_range_checked_at_extremes
 def test_model_file_value_replaced_never_internal_error(trained, data, value):
     # a family is drawn first, then a path in it, so that a family of few
     # paths, such as the ids or the periods, is drawn as often as the window
@@ -1087,13 +1159,15 @@ def test_model_file_value_replaced_never_internal_error(trained, data, value):
     for path in _json_paths(doc):
         families.setdefault(FAMILIES[path[0]], []).append(path)
     family = data.draw(st.sampled_from(sorted(families)))
-    *parents, key = data.draw(st.sampled_from(families[family]))
+    *parents, key = path = data.draw(st.sampled_from(families[family]))
     functools.reduce(operator.getitem, parents, doc)[key] = value
     _resign(models, doc)
     obs = trained / "models" / "holdout.csv"
     out = trained / "fuzz_decisions.csv"
     rc = run(["associate", "--models", models, "--obs", obs, "--out", out])
     assert rc in (0, 2)
+    if value in RANGE_CHECKED.get(path, ()):
+        assert rc == 2, f"{path} = {value!r} was not rejected"
     if rc == 0:
         assert _distances_finite(out)
 
@@ -1141,16 +1215,19 @@ def _distances_finite(out) -> bool:
     return bool(np.isfinite(np.load(out.with_suffix(".distances.npy"), allow_pickle=False)).all())
 
 
-def _associate_fault(models, out, capsys):
+def _associate_fault(models, out, capsys, error=None):
     """Run associate on `models` into `out`; None if it gives exit 2 with one
     `error:` line and no warning, or exit 0 with finite distances, else its
-    exit code, stderr and warnings."""
+    exit code, stderr and warnings. With `error`, only exit 2 with the line
+    `error: <error>` and nothing written passes."""
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", out])
     err = capsys.readouterr().err
-    if rc == 2:
+    if error is not None:
+        ok = rc == 2 and err == f"error: {error}\n" and not caught and not out.exists()
+    elif rc == 2:
         ok = err.startswith("error: ") and err.count("\n") == 1 and not caught
     elif rc == 0:
         ok = _distances_finite(out)
@@ -1161,12 +1238,16 @@ def _associate_fault(models, out, capsys):
 
 @pytest.mark.parametrize(
     "value",
-    [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, math.nan, math.inf, -math.inf],
-    ids=["max", "minus_max", "subnormal", "nan", "inf", "minus_inf"],
+    [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, math.nan, math.inf, -math.inf,
+     3.5e38, -3.5e38, 3.0e38, -3.0e38],
+    ids=["max", "minus_max", "subnormal", "nan", "inf", "minus_inf",
+         "beyond_float32", "minus_beyond_float32", "inside_float32", "minus_inside_float32"],
 )
 def test_every_weight_array_at_an_extreme_is_one_error_line_or_finite(trained, tmp_path, capsys, value):
     # the first value of each weight array, the first vessel's, and its last,
-    # the last vessel's, set to `value` in turn
+    # the last vessel's, set to `value` in turn; a finite value beyond the
+    # float32 range association runs in is rejected, naming vessel and array
+    beyond = math.isfinite(value) and abs(value) > float(np.finfo(np.float32).max)
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
     raw = (models / "weights.bin").read_bytes()
@@ -1177,7 +1258,11 @@ def test_every_weight_array_at_an_extreme_is_one_error_line_or_finite(trained, t
             weights = bytearray(raw)
             _weight_arrays(weights, len(doc["vessel_ids"]), doc["hidden"])[i].flat[at] = value
             _resign_weights(models, weights)
-            fault = _associate_fault(models, tmp_path / f"d{i}_{at}.csv", capsys)
+            error = None
+            if beyond:
+                error = (f"vessel {doc['vessel_ids'][at]}: {name} holds {value!r}, beyond the float32 range"
+                         " (|w| <= 3.4028235e+38) association runs in")
+            fault = _associate_fault(models, tmp_path / f"d{i}_{at}.csv", capsys, error)
             if fault:
                 faults.append((name, at, *fault))
     assert len(WEIGHT_NAMES) == 11

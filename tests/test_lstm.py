@@ -399,6 +399,31 @@ def test_in_place_rollout_gives_the_allocating_rollouts_bits(Z, m, clamped):
     np.testing.assert_array_equal(rollout(net, win, 60), oracle)
 
 
+def _float32(net):
+    return lstm.network_from_arrays([a.astype(np.float32) for a in net.param_arrays()], net.dropout_rate)
+
+
+@pytest.mark.parametrize("clamped", [False, True])
+def test_float32_network_rolls_out_in_float32(clamped):
+    # the rollout's state, weight copies, scratch and predictions take the
+    # network's dtype; the in-place ring gives the allocating ring's bits,
+    # and a stack each vessel's own rollout's
+    net = _float32(small_net(seed=(150, 151, 152), hidden=16))
+    if clamped:
+        _expansive(net, 1)
+    win = np.random.default_rng(153).random((3, 10, 4))
+    state = rollout_start(net, win)
+    assert {a.dtype for a in _state_arrays(state)} == {np.dtype(np.float32)}
+    roll = rollout(net, win, 60)
+    assert roll.dtype == np.float32
+    np.testing.assert_array_equal(roll, allocating_rollout(net, win, 60))
+    for z in range(3):
+        one = lstm.network_from_arrays([a[z : z + 1] for a in net.param_arrays()], net.dropout_rate)
+        np.testing.assert_array_equal(roll[:, z], rollout(one, win[z : z + 1], 60)[:, 0])
+    if clamped:
+        assert ((roll < lstm.FEEDBACK_MIN) | (roll > lstm.FEEDBACK_MAX)).any()
+
+
 def _state_arrays(state):
     """Every array a rollout state holds: h, c, x, each layer's weight
     copies, then the scratch in its workspace, in key order."""
