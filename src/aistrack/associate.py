@@ -100,7 +100,7 @@ def float32_network(fleet) -> LstmNetwork:
                 f"vessel {fleet.vessel_ids[at[0]]}: {name} holds {a[at].item()!r}, beyond the float32 range"
                 f" (|w| <= {np.finfo(np.float32).max:.8g}) association runs in"
             )
-    return network_from_arrays(cast, fleet.network.dropout_rate)
+    return network_from_arrays(cast)
 
 
 def rollout_positions(fleet, steps: int) -> np.ndarray:

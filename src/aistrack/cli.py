@@ -13,38 +13,42 @@ track's training prefix, all but its last --test-len samples.
 named after its stem, the (N, Z) distance and step matrices (.distances.npy,
 .steps.npy) and a .meta.json whose `vessel_ids` is their column order.
 
-Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row,
-a row with fewer or more fields than its header, or a duplicate OBJECT_ID
-(in --data, --obs, --decisions or --truth, each read as CSV by one set of
-rules; the error names the file and line), a VID in --data or --obs that is
-empty, "NEW" or holds `,` `"` `/` `\\` or a control character, a --decisions
-or --truth file missing a column of its own (ASSIGNED_VID, VID), a bad
---config file or value, a --data file that leaves no track to train, a
---data track too short for one window once its last --test-len samples are
-held out (unless --lenient leaves it out), a --period that puts more than
-`preprocess.MAX_GRID_SAMPLES` samples on a track, `synth` settings whose
-times leave years 1-9999 or whose positions leave a row's LAT or LON range
-(`synth.generate`), an input that is missing or not UTF-8 (every file is
-read and written as UTF-8 whatever the locale), a missing or malformed
+Exit codes: 0 success, 1 usage, 3 internal error, 2 data error: a bad row, a
+row with fewer or more fields than its header, or a duplicate OBJECT_ID (in
+--data, --obs, --decisions or --truth, each read as CSV by one set of rules;
+the error names the file and line), a VID in --data or --obs that is empty,
+"NEW" or holds `,` `"` `/` `\\` or a control character, a --decisions or
+--truth file missing a column of its own (ASSIGNED_VID, VID), a bad --config
+file or value (a message writes out no int, which may have any number of
+digits), a --hidden above 512 or a `synth` fleet of more than
+`synth.MAX_FLEET_ROWS` rows (--vessels x --points), both found before
+anything of that size is allocated, a --data file that leaves no track to
+train, a --data track too short for one window once its last --test-len
+samples are held out (unless --lenient leaves it out), a --period that puts
+more than `preprocess.MAX_GRID_SAMPLES` samples on a track, `synth` settings
+whose times leave years 1-9999 or whose positions leave a row's LAT or LON
+range (`synth.generate`), an input that is missing or not UTF-8 (every file
+is read and written as UTF-8 whatever the locale), a missing or malformed
 model directory (a manifest that lists other files than fleet.json and
 weights.bin, or whose sha256 of either does not match; a fleet.json key
-format 5 does not have, such as format 4's window_size or network, and a
-period that is not one finite number above 0 or a hidden size above the
-doubles per vessel weights.bin holds; fleet.json's vessel ids held
-to the rule for a VID, sorted and each once, each scaler to min <= max,
-with the LAT and LON entries in a row's ranges, and each last training
-window to [0, 1]; a weights.bin of another length than its fleet needs, or
-holding a NaN or infinite weight; a directory of another format version is
-named as one to retrain), a JSON --config, manifest.json or fleet.json
-nested deeper than the JSON parser goes, a model whose training or rollout
-turns non-finite or that holds a finite weight beyond float32's range
-(3.4028235e38), which association's float32 rollout cannot hold (`train`
-saves no such model), an observation at or before a vessel's train end or
-more than `associate.MAX_ROLLOUT_STEPS` steps past it, decisions that leave a
-truth object undecided, an --out that cannot be created or written (`train`
-creates its --out before it trains; if training or saving fails, it removes
-each directory it made for --out that is still empty), and an `evaluate
---out` ending in .txt, which its text report would overwrite.
+format 6 does not have, such as format 5's dropout_rate or format 4's
+window_size or network, and a period that is not one finite number above 0
+or a hidden size above the doubles per vessel weights.bin holds;
+fleet.json's vessel ids held to the rule for a VID, sorted and each once,
+each scaler to min <= max, with the LAT and LON entries in a row's ranges,
+and each last training window to [0, 1]; a weights.bin of another length
+than its fleet needs, or holding a NaN or infinite weight; a directory of
+another format version is named as one to retrain), a JSON --config,
+manifest.json or fleet.json nested deeper than the JSON parser goes, a model
+whose training or rollout turns non-finite or that holds a finite weight
+beyond float32's range (3.4028235e38), which association's float32 rollout
+cannot hold (`train` saves no such model), an observation at or before a
+vessel's train end or more than `associate.MAX_ROLLOUT_STEPS` steps past it,
+decisions that leave a truth object undecided, an --out that cannot be
+created or written (`train` creates its --out before it trains; if training
+or saving fails, it removes each directory it made for --out that is still
+empty), and an `evaluate --out` ending in .txt, which its text report would
+overwrite.
 """
 
 from __future__ import annotations

@@ -49,9 +49,13 @@ FIELD_TYPES = get_type_hints(RunConfig)
 # Interval ("[" and "]" include the bound) each numeric field must lie in,
 # checked before any input is read: the library rejects some values late and
 # accepts others with wrong answers (tau < 0 makes every decision NEW).
+# A vessel's parameters are about 20 hidden^2 doubles: 5.26 million, 42 MB,
+# at hidden 512, which training holds four times over (weights, gradients
+# and Adam's two moments); hidden 10**5 asked numpy for 298 GiB.
 RANGES = {
     "[0, inf)": ("seed", "noise", "lr"),
-    "[1, inf)": ("vessels", "min_points", "window", "hidden", "epochs", "batch", "test_len"),
+    "[1, inf)": ("vessels", "min_points", "window", "epochs", "batch", "test_len"),
+    "[1, 512]": ("hidden",),
     "[2, inf)": ("points",),
     "(0, inf)": ("period",),
     "[0, 1)": ("jitter", "dropout"),
@@ -67,11 +71,15 @@ def _in_interval(value, interval: str) -> bool:
 
 
 def check_ranges(cfg: RunConfig) -> None:
-    """Raise BadConfig for the first numeric field outside its RANGES interval."""
+    """Raise BadConfig for the first numeric field outside its RANGES
+    interval. The message writes out a float, but no int, which may have
+    any number of digits."""
     for interval, keys in RANGES.items():
         for key in keys:
-            if not _in_interval(getattr(cfg, key), interval):
-                raise BadConfig(f"{key} must be in {interval}, got {getattr(cfg, key)!r}")
+            value = getattr(cfg, key)
+            if not _in_interval(value, interval):
+                got = "" if isinstance(value, int) else f", got {value!r}"
+                raise BadConfig(f"{key} must be in {interval}{got}")
 
 
 def config_meta(cfg: RunConfig) -> dict:

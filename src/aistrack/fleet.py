@@ -29,25 +29,27 @@ stacks.
 A fleet is saved as two files, fleet.json and weights.bin, with a
 manifest.json holding the sha256 of each and the run's whole config
 (`config.config_meta`), and a train_report.json of each vessel's per-epoch
-loss. fleet.json (format version 5) is plain JSON stating each fact once:
+loss. fleet.json (format version 6) is plain JSON stating each fact once:
 the vessel ids, sorted and each once; the fleet's one period; each
 vessel's train end time, scaler and last training window as (Z,), (Z, 4)
-and (Z, m, 4) lists; and the hidden size and dropout rate of the network,
-whose architecture is `lstm`'s one. weights.bin is the network's
-weight arrays (W, U and b of each layer, dense_W, dense_b) as raw
-little-endian float64 bytes, each whole (Z, ...) array after the one before
-it in `param_arrays()` order; their shapes follow from Z and the hidden
-size, so the file has no header. The weights are loaded as writable views of
-the one buffer the file is read into, the buffer whose hash is checked.
-Format 3 held them as base64 in fleet.json, whose decoding, parsing and
-hashing cost as much as all of `associate` but its rollouts. The reader
-rejects another version, a key the format does not have (format 4's
-`window_size`, `network` and architecture keys among them), a period that
-is not a finite number > 0, a hidden size above the doubles per vessel its
-weights file holds, and a weights file of another length than its fleet
-needs, rather than run a file as something it is not; and, naming
-the first vessel that fails, an id that is no VID, a non-finite value, a
-scaler no AIS rows could give and a last training window outside [0, 1].
+and (Z, m, 4) lists; and the hidden size of the network, whose
+architecture is `lstm`'s one. The dropout rate only regularised training,
+so the manifest's config echo is the one place that records it.
+weights.bin is the network's weight arrays (W, U and b of each layer,
+dense_W, dense_b) as raw little-endian float64 bytes, each whole (Z, ...)
+array after the one before it in `param_arrays()` order; their shapes
+follow from Z and the hidden size, so the file has no header. The weights
+are loaded as writable views of the one buffer the file is read into, the
+buffer whose hash is checked. Format 3 held them as base64 in fleet.json,
+whose decoding, parsing and hashing cost as much as all of `associate` but
+its rollouts. The reader rejects another version, a key the format does
+not have (format 4's `window_size`, `network` and architecture keys and
+format 5's `dropout_rate` among them), a period that is not a finite
+number > 0, a hidden size above the doubles per vessel its weights file
+holds, and a weights file of another length than its fleet needs, rather
+than run a file as something it is not; and, naming the first vessel that
+fails, an id that is no VID, a non-finite value, a scaler no AIS rows
+could give and a last training window outside [0, 1].
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ from .lstm import (
 )
 from .preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
 
-MODEL_FORMAT_VERSION = 5
+MODEL_FORMAT_VERSION = 6
 
 # Windows per lockstep batch call, over all vessels of a stack.
 STACK_WINDOWS = 64
@@ -119,7 +121,7 @@ def join_fleets(fleets: list[Fleet]) -> Fleet:
     params = zip(*(fleet.network.param_arrays() for fleet in fleets))
     return Fleet(
         vessel_ids=[vid for vid, _, _ in order],
-        network=network_from_arrays([join(p) for p in params], fleets[0].network.dropout_rate),
+        network=network_from_arrays([join(p) for p in params]),
         scaler=ScalerParams(min=join([f.scaler.min for f in fleets]), max=join([f.scaler.max for f in fleets])),
         period=fleets[0].period,
         train_end_time=join([f.train_end_time for f in fleets]),
@@ -144,14 +146,14 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig, workspace: Workspace
     scaled = scale(features, scaler)
     windows = make_windows(scaled, m)
     rngs = [np.random.default_rng(vessel_seed(cfg.seed, s.vessel_id)) for s in stack]
-    net = init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rngs=rngs)
+    net = init_network(hidden=cfg.hidden, rngs=rngs)
     opt = AdamState.for_network(net, cfg.lr)
     try:
         # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
         # that turns non-finite is caught and named below
         with np.errstate(over="ignore", invalid="ignore"):
             epochs = [
-                train_epoch(net, windows.inputs, windows.targets, cfg.batch, rngs, opt, workspace)
+                train_epoch(net, windows.inputs, windows.targets, cfg.batch, cfg.dropout, rngs, opt, workspace)
                 for _ in range(cfg.epochs)
             ]
     except NonFiniteActivation as exc:
@@ -227,9 +229,9 @@ def _weight_arrays(weights, z: int, hidden: int) -> list[np.ndarray]:
 
 
 # JSON type of each scalar of a fleet document; an int is accepted for a float.
-SCALAR_FIELDS = {"period": float, "hidden": int, "dropout_rate": float}
+SCALAR_FIELDS = {"period": float, "hidden": int}
 
-# Every key of a format-5 document: a reader never drops a field it does not know.
+# Every key of a format-6 document: a reader never drops a field it does not know.
 MODEL_KEYS = {"format_version", "vessel_ids", "train_end_time", "scaler", "last_training_window", *SCALAR_FIELDS}
 
 
@@ -312,7 +314,7 @@ def _fleet_from_doc(doc, weights) -> Fleet:
         _check_vessels(~np.isfinite(a), ids, lambda at: f"{key} holds a non-finite value", BadWeights)
     return Fleet(
         vessel_ids=ids,
-        network=network_from_arrays(params, doc["dropout_rate"]),
+        network=network_from_arrays(params),
         scaler=ScalerParams(min=lo, max=hi),
         period=float(doc["period"]),
         train_end_time=arrays["train_end_time"],
@@ -322,9 +324,8 @@ def _fleet_from_doc(doc, weights) -> Fleet:
 
 def fleet_to_json(fleet: Fleet) -> str:
     """The fleet file of `fleet`: its period, its per-vessel values as JSON
-    numbers, and its network's hidden size and dropout rate. Its weights go
-    to their own file (`save_fleet`)."""
-    net = fleet.network
+    numbers, and its network's hidden size. Its weights go to their own
+    file (`save_fleet`)."""
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "vessel_ids": fleet.vessel_ids,
@@ -332,8 +333,7 @@ def fleet_to_json(fleet: Fleet) -> str:
         "train_end_time": fleet.train_end_time.tolist(),
         "scaler": {"min": fleet.scaler.min.tolist(), "max": fleet.scaler.max.tolist()},
         "last_training_window": fleet.last_training_window.tolist(),
-        "hidden": net.hidden,
-        "dropout_rate": net.dropout_rate,
+        "hidden": fleet.network.hidden,
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 

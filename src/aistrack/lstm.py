@@ -15,8 +15,8 @@ The architecture is defined here once: `N_LAYERS` = 3 layers (hidden size 32
 by default) on `INPUT_DIM` = 4 inputs (lat, lon, speed, course), and a dense
 head of `OUT_DIM` = 2 outputs (lat, lon) that reads the last timestep. Every
 layer after the first adds its input to its output (an identity residual
-connection, as in the paper's stack), followed in train mode by inverted
-dropout.
+connection, as in the paper's stack), followed in training by inverted
+dropout at the rate `forward_batch` is given: a network is its weights.
 
 A network holds Z vessels' models, one per slice of a leading vessel axis
 on every parameter; `init_network` draws slice z from generator z alone.
@@ -34,7 +34,7 @@ tight; a rollout runs in the dtype of its network's parameters
 models on (Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`,
 `sum(axis=-2)`). Each vessel's slice goes through the same BLAS call and
 the same elementwise operations in the same order whatever Z is, so a stack
-trains bit for bit as Z one-vessel networks would; in train mode each
+trains bit for bit as Z one-vessel networks would; in training each
 vessel draws its shuffles and dropout masks from its own generator.
 
 The interface is batch-major, but training runs time-major (Appleyard et
@@ -136,7 +136,6 @@ class LstmNetwork:
     layers: list[LstmLayerParams]
     dense_W: np.ndarray  # (Z, out_dim, h)
     dense_b: np.ndarray  # (Z, 1, out_dim)
-    dropout_rate: float
 
     @property
     def vessels(self) -> int:
@@ -185,14 +184,14 @@ def param_shapes(hidden: int) -> list[tuple[int, ...]]:
 WEIGHT_NAMES = [f"layers[{li}].{p}" for li in range(N_LAYERS) for p in ("W", "U", "b")] + ["dense_W", "dense_b"]
 
 
-def network_from_arrays(arrays: list[np.ndarray], dropout_rate: float) -> LstmNetwork:
+def network_from_arrays(arrays: list[np.ndarray]) -> LstmNetwork:
     """The network whose `param_arrays()` are `arrays`."""
     *layer_arrays, dense_W, dense_b = arrays
     layers = [LstmLayerParams(*layer_arrays[i : i + 3]) for i in range(0, len(layer_arrays), 3)]
-    return LstmNetwork(layers=layers, dense_W=dense_W, dense_b=dense_b, dropout_rate=dropout_rate)
+    return LstmNetwork(layers=layers, dense_W=dense_W, dense_b=dense_b)
 
 
-def init_network(hidden: int, dropout_rate: float, rngs: list[np.random.Generator]) -> LstmNetwork:
+def init_network(hidden: int, rngs: list[np.random.Generator]) -> LstmNetwork:
     """The paper's three residual layers and (lat, lon) head for each of
     Z = len(rngs) vessels: Glorot-uniform weights, each vessel's drawn from
     its own generator, zero biases except forget gate bias = 1."""
@@ -200,7 +199,7 @@ def init_network(hidden: int, dropout_rate: float, rngs: list[np.random.Generato
     for shape in param_shapes(hidden):
         lim = np.sqrt(6.0 / sum(shape))
         arrays.append(_per_vessel(rngs, lambda r: np.zeros(shape) if shape[0] == 1 else r.uniform(-lim, lim, shape)))
-    net = network_from_arrays(arrays, dropout_rate)
+    net = network_from_arrays(arrays)
     for layer in net.layers:
         layer.b[..., hidden : 2 * hidden] = 1.0  # forget gate
     return net
@@ -323,13 +322,13 @@ def _per_vessel(rngs: list[np.random.Generator], draw) -> np.ndarray:
 def forward_batch(
     net: LstmNetwork,
     windows: np.ndarray,
-    train: bool = False,
+    dropout: float = 0.0,
     rngs: list[np.random.Generator] | None = None,
     workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the Z vessels' networks on (Z, B, m, k) windows; returns
-    (Z, B, out_dim) predictions and the cache `backward` reads. Train-mode
-    dropout takes one generator per vessel. The cache's arrays live in
+    """Run the Z vessels' networks on (Z, B, m, k) windows; returns (Z, B,
+    out_dim) predictions and the cache `backward` reads. Training's `dropout`
+    rate above 0 takes one generator per vessel. The cache's arrays live in
     `workspace` (None: a fresh one), so the prediction and cache are valid
     until the next `forward_batch` on that workspace."""
     windows = np.asarray(windows, dtype=np.float64)
@@ -346,13 +345,13 @@ def forward_batch(
         mask = None
         if li > 0:
             out = np.add(out, seq, out=ws.array(("out", li), out.shape))
-            if train and net.dropout_rate > 0:
+            if dropout > 0:
                 if rngs is None or len(rngs) != net.vessels:
-                    raise ValueError("train-mode forward with dropout needs one generator per vessel")
+                    raise ValueError("a forward with dropout needs one generator per vessel")
                 # drawn batch-major, (B, m, h) per vessel, then moved to
                 # time-major; each draw d becomes (d < keep) / keep in place
                 n = out.shape[-1]
-                keep = 1.0 - net.dropout_rate
+                keep = 1.0 - dropout
                 draws = ws.array(("mask", li), (Z, B, m, n))
                 for z, r in enumerate(rngs):
                     r.random(out=draws[z])
@@ -512,16 +511,17 @@ def train_epoch(
     inputs: np.ndarray,
     targets: np.ndarray,
     batch_size: int,
+    dropout: float,
     rngs: list[np.random.Generator],
     opt: AdamState,
     workspace: Workspace | None = None,
 ) -> list[float]:
-    """One pass over all windows: shuffle, batch, Adam step per batch, for
-    the Z vessels in lockstep on (Z, n, m, k) inputs and (Z, n, out_dim)
-    targets. Each vessel is shuffled by its own generator. Every batch's
-    forward and backward pass write into `workspace`, which a caller keeps
-    across epochs (None: each pass takes a fresh one). Returns each
-    vessel's mean per-window loss (computed before each update)."""
+    """One pass over all windows at dropout rate `dropout`: shuffle, batch,
+    Adam step per batch, for the Z vessels in lockstep on (Z, n, m, k) inputs
+    and (Z, n, out_dim) targets, each vessel shuffled and masked by its own
+    generator. Every batch's forward and backward pass write into `workspace`,
+    which a caller keeps across epochs (None: each pass takes a fresh one).
+    Returns each vessel's mean per-window loss (computed before each update)."""
     n = inputs.shape[-3]
     if n == 0:
         raise ValueError("no training windows")
@@ -531,7 +531,8 @@ def train_epoch(
         idx = order[:, start : start + batch_size]
         x = np.take_along_axis(inputs, idx[..., None, None], axis=-3)
         y = np.take_along_axis(targets, idx[..., None], axis=-2)
-        pred, cache = forward_batch(net, x, train=True, rngs=rngs, workspace=workspace)
+        # positional: aisbench/tracing.py labels a forward train or infer by its third argument
+        pred, cache = forward_batch(net, x, dropout, rngs, workspace)
         total += np.sum(np.mean((pred - y) ** 2, axis=-1), axis=-1)
         grads = backward(net, cache, y, workspace=workspace)
         opt.step(net, grads)

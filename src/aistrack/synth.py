@@ -10,7 +10,8 @@ fleet's rows in time order.
 
 Settings come from the run's `config.RunConfig`: `fleet_motions` turns its
 vessels and crossing into one motion per vessel, and `generate` reads its
-seed, points, period, jitter and noise, range-checked first.
+seed, points, period, jitter and noise, range-checked first. Both reject a
+fleet of more than `MAX_FLEET_ROWS` rows before they build anything.
 """
 
 from __future__ import annotations
@@ -23,11 +24,16 @@ from .associate import haversine
 from .config import RunConfig, check_ranges
 from .errors import BadConfig
 from .ingest import LAT_LON_BOUNDS, AisMessage, format_timestamp, object_id_pairs, parse_timestamp, serialize_csv
+from .preprocess import MAX_GRID_SAMPLES
 
 KNOT_KM_H = 1.852
 BASE_EPOCH = 1583020800  # 2020-03-01T00:00:00Z
 # The first and last times a row's four-digit-year SEQUENCE_DTTM can carry.
 TIME_RANGE = (parse_timestamp("0001-01-01T00:00:00Z"), parse_timestamp("9999-12-31T23:59:59Z"))
+# The most rows (vessels x points) a fleet may have: `train` resamples no
+# track longer than this, and synth's memory grows with the rows (a peak RSS
+# of 284 MB at 300,000; 5 x 10**10 rows asked numpy for 373 GiB).
+MAX_FLEET_ROWS = MAX_GRID_SAMPLES
 
 
 @dataclass
@@ -38,6 +44,13 @@ class VesselMotion:
     speed_knots: float
     wave_amp_deg: float = 0.0  # cross-track sinusoid amplitude, degrees
     wave_period: int = 100  # sinusoid period, in samples
+
+
+def _check_rows(vessels: int, cfg: RunConfig) -> None:
+    """BadConfig if `vessels` tracks of cfg.points samples pass MAX_FLEET_ROWS;
+    the message writes out no int, which may have any number of digits."""
+    if vessels * cfg.points > MAX_FLEET_ROWS:
+        raise BadConfig(f"vessels x points must be at most {MAX_FLEET_ROWS} rows")
 
 
 def default_motions(z: int) -> list[VesselMotion]:
@@ -92,9 +105,11 @@ def generate(cfg: RunConfig, motions: list[VesselMotion]) -> tuple[str, dict[int
     Gaussian noise of cfg.noise degrees, all drawn from cfg.seed. Each
     vessel's track is one array expression; rows are numbered in time order,
     vessels in motion order at equal times and samples in their own order
-    after that. A setting outside its range is a BadConfig, and so are
-    settings whose times or positions no AIS row could carry."""
+    after that. A setting outside its range is a BadConfig, and so are a
+    fleet of more than MAX_FLEET_ROWS rows and settings whose times or
+    positions no AIS row could carry."""
     check_ranges(cfg)
+    _check_rows(len(motions), cfg)
     reach = cfg.jitter / 2 * cfg.period
     if BASE_EPOCH - reach < TIME_RANGE[0] or BASE_EPOCH + (cfg.points - 1) * cfg.period + reach > TIME_RANGE[1]:
         raise BadConfig(
@@ -162,7 +177,10 @@ def crossing(cfg: RunConfig) -> tuple[int, int, int] | None:
 
 def fleet_motions(cfg: RunConfig) -> list[VesselMotion]:
     """default_motions(cfg.vessels), with vessel b re-aimed so that its track
-    crosses vessel a's near sample s when `crossing(cfg)` is (a, b, s)."""
+    crosses vessel a's near sample s when `crossing(cfg)` is (a, b, s). A
+    fleet of more than MAX_FLEET_ROWS rows is a BadConfig, before any motion
+    is built."""
+    _check_rows(cfg.vessels, cfg)
     crossed = crossing(cfg)
     if crossed is None:
         return default_motions(cfg.vessels)

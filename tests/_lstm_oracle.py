@@ -144,7 +144,7 @@ def before_cache(cache: lstm.ForwardCache) -> BeforeCache:
     )
 
 
-def before_forward_batch(net, windows, train=False, rngs=None, workspace=None):
+def before_forward_batch(net, windows, dropout=0.0, rngs=None, workspace=None):
     """`lstm.forward_batch` on batch-major caches; same arguments, and a
     fresh array for every result whatever `workspace` is."""
     windows = np.asarray(windows, dtype=np.float64)
@@ -155,8 +155,8 @@ def before_forward_batch(net, windows, train=False, rngs=None, workspace=None):
         if li > 0:
             out = out + seq
         mask = None
-        if li > 0 and train and net.dropout_rate > 0:
-            keep = 1.0 - net.dropout_rate
+        if li > 0 and dropout > 0:
+            keep = 1.0 - dropout
             mask = (lstm._per_vessel(rngs, lambda r: r.random(out.shape[-3:])) < keep) / keep
             out = out * mask
         cache.layer_caches.append(lc)
@@ -230,11 +230,12 @@ def count_params(d_in: int, h: int) -> int:
     return 4 * ((d_in + h) * h + h)
 
 
-def forward(net, window, train=False, rng=None):
-    """`lstm.forward_batch` of a one-vessel network on one (m, k) window, with
-    generator `rng` in train mode: the (out_dim,) prediction and the cache."""
+def forward(net, window, dropout=0.0, rng=None):
+    """`lstm.forward_batch` of a one-vessel network on one (m, k) window, at
+    dropout rate `dropout` with generator `rng`: the (out_dim,) prediction
+    and the cache."""
     rngs = None if rng is None else [rng]
-    pred, cache = lstm.forward_batch(net, np.asarray(window)[None, None], train=train, rngs=rngs)
+    pred, cache = lstm.forward_batch(net, np.asarray(window)[None, None], dropout, rngs)
     return pred[0, 0], cache
 
 

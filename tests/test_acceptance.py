@@ -50,7 +50,7 @@ def tracked(capsys):
 def test_gradient_fidelity(report):
     start = time.time()
     rng = np.random.default_rng(20240301)
-    net = init_network(hidden=32, dropout_rate=0.2, rngs=[rng])
+    net = init_network(hidden=32, rngs=[rng])
     total = 0
     worst = 0.0
     for _ in range(5):
@@ -128,13 +128,13 @@ def test_preprocessing_oracle(report):
 
 def test_overfit_sanity(report):
     rng = np.random.default_rng(3)
-    net = init_network(hidden=32, dropout_rate=0.0, rngs=[rng])
+    net = init_network(hidden=32, rngs=[rng])
     inputs = rng.random((1, 1, 10, 4))
     targets = rng.random((1, 1, 2))
     opt = AdamState.for_network(net, 1e-2)
     train_rngs = [np.random.default_rng(0)]
     for _ in range(200):
-        train_epoch(net, inputs, targets, 1, train_rngs, opt)
+        train_epoch(net, inputs, targets, 1, 0.0, train_rngs, opt)
     final = evaluate_loss(net, inputs, targets)
     assert final < 1e-4
     report(f"overfit sanity (final MSE {final:.2e})")

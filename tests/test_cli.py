@@ -169,6 +169,8 @@ BAD_CONFIGS = {
     '{"lr": null}': "config key 'lr' must be float, got NoneType",
     '{"radius": 6371.0}': "unknown config key 'radius'",
     '{"lr": 1%s}' % ("0" * 400): "config key 'lr' is an int out of float range",
+    # an int may have any number of digits and is not written out
+    '{"hidden": -1%s}' % ("0" * 40): "error: hidden must be in [1, 512]\n",
 }
 
 
@@ -430,11 +432,18 @@ def trained(tmp_path_factory):
         ("train --data {fleet} --out {new} --period 1e-300 --min-points 100", "period 1e-300 s puts"),
         ("train --data {fleet} --out {new} --window 0", "window"),
         ("train --data {fleet} --out {new} --hidden 0", "hidden"),
+        # the bounds that keep a size setting from asking for unbounded memory
+        ("train --data {fleet} --out {new} --hidden 513", "hidden must be in [1, 512]"),
+        ("train --data {fleet} --out {new} --hidden 100000", "hidden must be in [1, 512]"),
+        ("train --data {fleet} --out {new} --hidden -1" + "0" * 60, "error: hidden must be in [1, 512]\n"),
         ("train --data {fleet} --out {new} --min-points 0", "min_points"),
         ("train --data {fleet} --out {new} --test-len -5", "test_len"),
         ("train --data {fleet} --out {new} --dropout 1.0", "dropout"),
         ("synth --out {new} --vessels 0", "vessels"),
         ("synth --out {new} --points 1", "points"),
+        ("synth --out {new} --points 10000000000", "vessels x points must be at most 1000000 rows"),
+        ("synth --out {new} --vessels 2 --points 500001", "vessels x points must be at most 1000000 rows"),
+        ("synth --out {new} --vessels 1000000000000 --points 2", "vessels x points must be at most 1000000 rows"),
         ("synth --out {new} --jitter 1.5", "jitter"),
         ("synth --out {new} --crossing 1,2", "crossing"),
         ("synth --out {new} --crossing a,b,c", "crossing"),
@@ -770,7 +779,7 @@ def _assert_retrain_line(models, version, obs, out, capsys):
     rc = run(["associate", "--models", models, "--obs", obs, "--out", out])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err == (f"error: {models / 'manifest.json'}: model format {version}, expected 5: retrain with"
+    assert err == (f"error: {models / 'manifest.json'}: model format {version}, expected 6: retrain with"
                    " `aistrack train`\n")
     assert not out.exists()
 
@@ -806,8 +815,8 @@ def test_version_4_model_directory_is_one_error_line(trained, tmp_path, capsys):
     shutil.copytree(trained / "models", models)
     doc = json.loads((models / "fleet.json").read_text())
     z = len(doc["vessel_ids"])
-    network = {"k": 4, "hidden": doc.pop("hidden"), "n_layers": 3, "out_dim": 2,
-               "dropout_rate": doc.pop("dropout_rate"), "residual": True}
+    network = {"k": 4, "hidden": doc.pop("hidden"), "n_layers": 3, "out_dim": 2, "dropout_rate": 0.2,
+               "residual": True}
     doc.update(format_version=4, window_size=len(doc["last_training_window"][0]), period=[doc["period"]] * z,
                network=network)
     _resign(models, doc)
@@ -815,29 +824,50 @@ def test_version_4_model_directory_is_one_error_line(trained, tmp_path, capsys):
     manifest["format_version"] = 4
     (models / "manifest.json").write_text(json.dumps(manifest))
     _assert_retrain_line(models, 4, models / "holdout.csv", tmp_path / "d.csv", capsys)
-    # the same fleet.json under a format-5 manifest is named as format 4 too
-    manifest["format_version"] = 5
+    # the same fleet.json under a format-6 manifest is named as format 4 too
+    manifest["format_version"] = 6
     (models / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]) == 2
-    assert capsys.readouterr().err == (f"error: {models / 'fleet.json'}: model format 4, expected 5: retrain with"
+    assert capsys.readouterr().err == (f"error: {models / 'fleet.json'}: model format 4, expected 6: retrain with"
                                        " `aistrack train`\n")
+
+
+def test_version_5_model_directory_is_one_error_line(trained, tmp_path, capsys):
+    # the layout of format 5: today's files, and the dropout rate in fleet.json
+    models = tmp_path / "models"
+    shutil.copytree(trained / "models", models)
+    doc = json.loads((models / "fleet.json").read_text())
+    doc.update(format_version=5, dropout_rate=0.2)
+    _resign(models, doc)
+    manifest = json.loads((models / "manifest.json").read_text())
+    manifest["format_version"] = 5
+    (models / "manifest.json").write_text(json.dumps(manifest))
+    _assert_retrain_line(models, 5, models / "holdout.csv", tmp_path / "d.csv", capsys)
+    # the same fleet.json under a format-6 manifest is named as format 5
+    manifest["format_version"] = 6
+    (models / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]) == 2
+    assert capsys.readouterr().err == (f"error: {models / 'fleet.json'}: model format 5, expected 6: retrain with"
+                                       " `aistrack train`\n")
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("key", ["k", "n_layers", "out_dim", "residual", "window_size", "network"])
 def test_format_4_key_in_fleet_file_is_one_error_line(trained, tmp_path, capsys, key):
-    # each field format 4 held and format 5 states elsewhere, or not at all,
+    # each field format 4 held and format 6 states elsewhere, or not at all,
     # at the value format 4 gave it
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
     doc = json.loads((models / "fleet.json").read_text())
     window = len(doc["last_training_window"][0])
     doc[key] = {"k": 4, "n_layers": 3, "out_dim": 2, "residual": True, "window_size": window,
-                "network": {"hidden": doc["hidden"], "dropout_rate": doc["dropout_rate"]}}[key]
+                "network": {"hidden": doc["hidden"], "dropout_rate": 0.2}}[key]
     _resign(models, doc)
     capsys.readouterr()
     assert run(["associate", "--models", models, "--obs", models / "holdout.csv", "--out", tmp_path / "d.csv"]) == 2
-    assert capsys.readouterr().err == (f"error: {models / 'fleet.json'}: the document holds {key!r}, a key format 5"
+    assert capsys.readouterr().err == (f"error: {models / 'fleet.json'}: the document holds {key!r}, a key format 6"
                                        " does not have\n")
     assert not (tmp_path / "d.csv").exists()
 
@@ -870,7 +900,7 @@ def _resign_weights(models, raw):
 
 def _hidden_4_weights(raw, z):
     """The weights file of `z` vessels of hidden 4."""
-    net = init_network(hidden=4, dropout_rate=0.0, rngs=[np.random.default_rng(i) for i in range(z)])
+    net = init_network(hidden=4, rngs=[np.random.default_rng(i) for i in range(z)])
     return b"".join(a.tobytes() for a in net.param_arrays())
 
 
@@ -1104,8 +1134,7 @@ def _json_paths(value, path=()):
 
 # The field family of each top-level key of fleet.json.
 FAMILIES = {"format_version": "ids", "vessel_ids": "ids", "period": "period", "train_end_time": "train_end_time",
-            "scaler": "scaler", "last_training_window": "window", "hidden": "network scalars",
-            "dropout_rate": "network scalars"}
+            "scaler": "scaler", "last_training_window": "window", "hidden": "network scalars"}
 
 
 class _Drawn:
@@ -1125,14 +1154,12 @@ MAX = 1.7976931348623157e308
 # from the whole document seldom lands on, and the signs of the largest
 # double that are exit 2 there: both for the scaler's LAT and LON bounds, a
 # last training window value and a train end time (+MAX is after every
-# observation, -MAX puts each one past the rollout bound); -MAX for the
-# period, which must be > 0; neither for the dropout rate, which must only
-# be finite.
+# observation, -MAX puts each one past the rollout bound); and -MAX for the
+# period, which must be > 0.
 RANGE_CHECKED = {
     **dict.fromkeys([("scaler", "min", 0, 0), ("scaler", "max", -1, 0), ("scaler", "min", -1, 1),
                      ("scaler", "max", 0, 1), ("last_training_window", 0, -1, 0), ("train_end_time", 0)], (MAX, -MAX)),
     ("period",): (-MAX,),
-    ("dropout_rate",): (),
 }
 
 
@@ -1194,10 +1221,10 @@ def test_every_model_number_at_an_extreme_is_one_error_line_or_finite(trained, t
     shutil.copytree(trained / "models", models)
     text = (models / "fleet.json").read_text()
     leaves = _numeric_leaves(json.loads(text))
-    # 4 scalars (format version, period, hidden, dropout rate); of each of
-    # the 3 vessels, its train end time, 3 + 3 scaler bounds and 3 x 3
-    # window values
-    assert len(leaves) == 4 + 3 * (1 + 6 + 9)
+    # 3 scalars (format version, period, hidden); of each of the 3
+    # vessels, its train end time, 3 + 3 scaler bounds and 3 x 3 window
+    # values
+    assert len(leaves) == 3 + 3 * (1 + 6 + 9)
     faults = []
     for i, (*parents, key) in enumerate(leaves):
         doc = json.loads(text)

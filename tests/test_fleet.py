@@ -81,11 +81,17 @@ class TestTrainFleet:
             with pytest.raises(TrackTooShort, match="^vessel v: 5 samples <= window 5$"):
                 train_fleet(tracks, _cfg())
 
-    @pytest.mark.parametrize("bad", [{"epochs": 0}, {"batch": 0}, {"lr": -1e-3}, {"window": 0}, {"dropout": 1.0}])
+    @pytest.mark.parametrize(
+        "bad",
+        [{"epochs": 0}, {"batch": 0}, {"lr": -1e-3}, {"window": 0}, {"dropout": 1.0}, {"hidden": 513},
+         {"hidden": -(10**40)}],
+    )
     def test_setting_out_of_range_is_bad_config(self, bad):
         (key,) = bad
-        with pytest.raises(BadConfig, match=f"{key} must be in"):
+        with pytest.raises(BadConfig, match=f"{key} must be in") as info:
             train_fleet([_series()], dataclasses.replace(_cfg(), **bad))
+        # an int is not written out, which may have any number of digits
+        assert "0" * 10 not in str(info.value)
 
     def test_track_of_another_period_is_bad_config(self):
         # a fleet has one period, the run's: a model stamped with any other
@@ -179,16 +185,17 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("input_form", "displacement"), ("network", {"hidden": 8, "dropout_rate": 0.2})],
-        ids=["top", "network"],
+        [("input_form", "displacement"), ("network", {"hidden": 8, "dropout_rate": 0.2}), ("dropout_rate", 0.2)],
+        ids=["top", "network", "dropout_rate"],
     )
     def test_key_the_format_lacks_rejected(self, key, value):
         # a reader never drops a field that a later format adds, nor reads
-        # one that an earlier format had, such as format 4's "network"
+        # one that an earlier format had, such as format 4's "network" or
+        # format 5's "dropout_rate"
         text, weights = _files(_train_one(_series(), _cfg())[0])
         doc = json.loads(text)
         doc[key] = value
-        with pytest.raises(BadModel, match=f"holds '{key}', a key format 5 does not have"):
+        with pytest.raises(BadModel, match=f"holds '{key}', a key format 6 does not have"):
             fleet_from_json(json.dumps(doc), weights)
 
     def test_version_mismatch_rejected(self):
@@ -305,9 +312,9 @@ class TestPersistence:
             doc["format_version"] = 1
             (tmp_path / name).write_text(json.dumps(doc))
         weights = bytearray((tmp_path / "weights.bin").read_bytes())
-        with pytest.raises(VersionMismatch, match="format 1, expected 5: retrain with `aistrack train`$"):
+        with pytest.raises(VersionMismatch, match="format 1, expected 6: retrain with `aistrack train`$"):
             fleet_from_json((tmp_path / "fleet.json").read_text(), weights)
-        with pytest.raises(VersionMismatch, match="format 1, expected 5: retrain with `aistrack train`$"):
+        with pytest.raises(VersionMismatch, match="format 1, expected 6: retrain with `aistrack train`$"):
             load_fleet(tmp_path)
 
     @pytest.mark.parametrize(
@@ -316,9 +323,9 @@ class TestPersistence:
             (lambda doc, w: doc.pop("hidden"), "fleet.json", "'hidden'"),  # a missing key
             (lambda doc, w: w.extend(bytes(8)), "weights.bin",
              "holds 24360 bytes, where 2 vessels of hidden 8 need 24352"),
-            # format 4's architecture keys, at any value: format 5 pins `lstm`'s one architecture
-            (lambda doc, w: doc.update(n_layers=0), "fleet.json", "holds 'n_layers', a key format 5 does not have"),
-            (lambda doc, w: doc.update(residual=False), "fleet.json", "holds 'residual', a key format 5"),
+            # format 4's architecture keys, at any value: format 6 pins `lstm`'s one architecture
+            (lambda doc, w: doc.update(n_layers=0), "fleet.json", "holds 'n_layers', a key format 6 does not have"),
+            (lambda doc, w: doc.update(residual=False), "fleet.json", "holds 'residual', a key format 6"),
             (lambda doc, w: doc.update(period="5.0"), "fleet.json", "period"),
             # an int no float can hold, not written out
             (lambda doc, w: doc.update(period=10**400), "fleet.json", "period is an int out of float range"),
@@ -349,9 +356,9 @@ class TestPersistence:
              "vessel v0: scaler LAT range [-1.7e+308, 1.7e+308] is not one AIS rows can give"),
             (_scaler_set("max", 1, 180.5, vessel=1), "fleet.json", "vessel v1: scaler LON range"),
             (_scaler_set("min", 2, 1e6), "fleet.json", "scaler SPEED range [1000000.0, "),  # min above max
-            (lambda doc, w: doc.update(out_dim=3), "fleet.json", "holds 'out_dim', a key format 5 does not have"),
-            (_k_1, "fleet.json", "holds 'k', a key format 5 does not have"),
-            (lambda doc, w: doc.update(n_layers=2), "fleet.json", "holds 'n_layers', a key format 5 does not have"),
+            (lambda doc, w: doc.update(out_dim=3), "fleet.json", "holds 'out_dim', a key format 6 does not have"),
+            (_k_1, "fleet.json", "holds 'k', a key format 6 does not have"),
+            (lambda doc, w: doc.update(n_layers=2), "fleet.json", "holds 'n_layers', a key format 6 does not have"),
         ],
         ids=["missing_key", "wrong_length", "no_layers", "not_residual",
              "period_string", "period_huge_int", "scaler_huge_int", "vessel_id_comma", "vessel_id_whitespace",
@@ -397,7 +404,7 @@ def _reference_training(series, cfg):
     backward and AdamState.step: what a lockstep stack must reproduce."""
     windows = make_windows(scale(series.features, fit_scaler(series.features)), cfg.window)
     rng = np.random.default_rng(vessel_seed(cfg.seed, series.vessel_id))
-    net = init_network(hidden=cfg.hidden, dropout_rate=cfg.dropout, rngs=[rng])
+    net = init_network(hidden=cfg.hidden, rngs=[rng])
     opt = AdamState.for_network(net, cfg.lr)
     history = []
     for _ in range(cfg.epochs):
@@ -406,7 +413,7 @@ def _reference_training(series, cfg):
         for start in range(0, len(windows), cfg.batch):
             idx = order[start : start + cfg.batch]
             x, y = windows.inputs[idx][None], windows.targets[idx][None]
-            pred, cache = forward_batch(net, x, train=True, rngs=[rng])
+            pred, cache = forward_batch(net, x, cfg.dropout, [rng])
             total += float(np.sum(np.mean((pred - y) ** 2, axis=-1)))
             opt.step(net, backward(net, cache, y))
         history.append(total / len(windows))
@@ -464,7 +471,7 @@ def test_save_and_load_peak_memory_stays_near_the_weights(tmp_path):
     # weights; each file is written from and read into one buffer of its
     # own, so neither stage holds a second copy of the weights
     z, window = 24, 10
-    net = init_network(hidden=32, dropout_rate=0.0, rngs=[np.random.default_rng(i) for i in range(z)])
+    net = init_network(hidden=32, rngs=[np.random.default_rng(i) for i in range(z)])
     stack = Fleet(
         vessel_ids=[f"v{i:02d}" for i in range(z)],
         network=net,

@@ -33,10 +33,10 @@ from aistrack.lstm import (
 )
 
 
-def small_net(seed=1, hidden=8, dropout=0.0):
+def small_net(seed=1, hidden=8):
     """One vessel's network, or with a tuple of seeds one vessel's per seed."""
     seeds = seed if isinstance(seed, tuple) else (seed,)
-    return init_network(hidden=hidden, dropout_rate=dropout, rngs=[np.random.default_rng(s) for s in seeds])
+    return init_network(hidden=hidden, rngs=[np.random.default_rng(s) for s in seeds])
 
 
 def vessel_count(several):
@@ -59,7 +59,7 @@ class TestCountParams:
         assert count_params(5, 32) == 4864
 
     def test_matches_stored_scalars(self):
-        net = init_network(hidden=32, dropout_rate=0.2, rngs=[np.random.default_rng(0)])
+        net = init_network(hidden=32, rngs=[np.random.default_rng(0)])
         for li, layer in enumerate(net.layers):
             d_in = 4 if li == 0 else 32
             stored = layer.W.size + layer.U.size + layer.b.size
@@ -72,7 +72,7 @@ class TestForward:
         np.testing.assert_array_equal(pred, [0.0, 0.0])
 
     def test_infer_mode_deterministic(self):
-        net = small_net(dropout=0.5)
+        net = small_net()
         win = np.random.default_rng(4).random((10, 4))
         p1, _ = forward(net, win)
         p2, _ = forward(net, win)
@@ -83,15 +83,20 @@ class TestForward:
         # c = 0.5*ln3 ~ 0.549306, h = 0.5*relu(c) ~ 0.274653
         b = np.array([[[0.0, 0.0, np.log(3), 0.0]]])
         layer = LstmLayerParams(W=np.zeros((1, 4, 1)), U=np.zeros((1, 4, 1)), b=b)
-        net = LstmNetwork(layers=[layer], dense_W=np.ones((1, 1, 1)), dense_b=np.zeros((1, 1, 1)), dropout_rate=0.0)
+        net = LstmNetwork(layers=[layer], dense_W=np.ones((1, 1, 1)), dense_b=np.zeros((1, 1, 1)))
         pred, cache = forward(net, np.array([[1.0]]))
         assert cache.layer_caches[0].c[0, 0, 0, 0] == pytest.approx(0.5493061443, abs=1e-9)
         assert pred[0] == pytest.approx(0.2746530722, abs=1e-9)
 
     def test_dropout_zero_train_equals_infer(self):
-        net = small_net(dropout=0.0)
+        # rate 0 with a generator is the call without one, and draws nothing
+        net = small_net()
         win = np.random.default_rng(5).random((10, 4))
-        p_train, _ = forward(net, win, train=True, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        p_train, cache = forward(net, win, dropout=0.0, rng=rng)
+        assert rng.bit_generator.state == before
+        assert cache.dropout_masks == [None, None, None]
         p_infer, _ = forward(net, win)
         np.testing.assert_array_equal(p_train, p_infer)
 
@@ -111,7 +116,7 @@ class TestBackward:
 
     def test_finite_difference_oracle(self):
         rng = np.random.default_rng(7)
-        net = init_network(hidden=8, dropout_rate=0.2, rngs=[rng])
+        net = init_network(hidden=8, rngs=[rng])
         win = rng.random((1, 1, 6, 4))
         tgt = rng.random((1, 1, 2))
         checked, worst = check_network(net, win, tgt, rng, coords_per_array=10)
@@ -124,7 +129,7 @@ class TestBackward:
         # product over a vessel's m*B rows
         rng = np.random.default_rng(17)
         Z = vessel_count(several)
-        net = init_network(hidden=8, dropout_rate=0.2, rngs=[rng] * Z)
+        net = init_network(hidden=8, rngs=[rng] * Z)
         win = rng.random((Z, 3, 6, 4))
         tgt = rng.random((Z, 3, 2))
         checked, worst = check_network(net, win, tgt, rng, coords_per_array=10)
@@ -150,7 +155,7 @@ class TestBackward:
         b[..., 2 * n : 3 * n] = 0.5
         layer = LstmLayerParams(W=W, U=U, b=b)
         dense_W = rng.uniform(-1, 1, (1, 2, n))
-        net = LstmNetwork(layers=[layer], dense_W=dense_W, dense_b=np.zeros((1, 1, 2)), dropout_rate=0.0)
+        net = LstmNetwork(layers=[layer], dense_W=dense_W, dense_b=np.zeros((1, 1, 2)))
         win = rng.random((1, 1, 4, 4))
         win[0, 0, :3, 0] = [-1.0, -0.5, 0.0]
         win[0, 0, 2, 1:] = 0.0
@@ -201,7 +206,7 @@ class TestTrainEpoch:
         net = small_net()
         before = [a.copy() for a in net.param_arrays()]
         inputs, targets = _toy_data(np.random.default_rng(9))
-        loss = train_epoch(net, inputs, targets, 5, [np.random.default_rng(0)], AdamState.for_network(net, 0.0))
+        loss = train_epoch(net, inputs, targets, 5, 0.0, [np.random.default_rng(0)], AdamState.for_network(net, 0.0))
         for a, b in zip(net.param_arrays(), before):
             np.testing.assert_array_equal(a, b)
         assert loss == [pytest.approx(evaluate_loss(net, inputs, targets), rel=1e-9)]
@@ -210,10 +215,10 @@ class TestTrainEpoch:
         inputs, targets = _toy_data(np.random.default_rng(10))
         results = []
         for _ in range(2):
-            net = small_net(dropout=0.2)
+            net = small_net()
             opt = AdamState.for_network(net, 1e-3)
             rngs = [np.random.default_rng(123)]
-            losses = [train_epoch(net, inputs, targets, 4, rngs, opt) for _ in range(3)]
+            losses = [train_epoch(net, inputs, targets, 4, 0.2, rngs, opt) for _ in range(3)]
             results.append((losses, [a.copy() for a in net.param_arrays()]))
         assert results[0][0] == results[1][0]
         for a, b in zip(results[0][1], results[1][1]):
@@ -221,13 +226,13 @@ class TestTrainEpoch:
 
     def test_overfit_single_window(self):
         rng = np.random.default_rng(11)
-        net = small_net(dropout=0.0)
+        net = small_net()
         inputs = rng.random((1, 1, 6, 4))
         targets = rng.random((1, 1, 2))
         opt = AdamState.for_network(net, 1e-2)
         train_rngs = [np.random.default_rng(0)]
         for _ in range(200):
-            train_epoch(net, inputs, targets, 1, train_rngs, opt)
+            train_epoch(net, inputs, targets, 1, 0.0, train_rngs, opt)
         assert evaluate_loss(net, inputs, targets) < 1e-4
 
     def test_sine_track_loss_drops(self):
@@ -244,10 +249,10 @@ class TestTrainEpoch:
         m = 10
         inputs = np.stack([feats[i : i + m] for i in range(len(feats) - m)])[None]
         targets = feats[None, m:, :2]
-        net = init_network(hidden=16, dropout_rate=0.0, rngs=[np.random.default_rng(12)])
+        net = init_network(hidden=16, rngs=[np.random.default_rng(12)])
         opt = AdamState.for_network(net, 1e-3)
         rngs = [np.random.default_rng(0)]
-        (first,), *_, (last,) = [train_epoch(net, inputs, targets, 10, rngs, opt) for _ in range(100)]
+        (first,), *_, (last,) = [train_epoch(net, inputs, targets, 10, 0.0, rngs, opt) for _ in range(100)]
         assert last < 0.1 * first
 
 
@@ -261,9 +266,9 @@ class TestWorkspace:
         inputs, targets = data.random((Z, 23, 6, 4)), data.random((Z, 23, 2))
 
         def two_epochs(workspace):
-            net = small_net(seed=tuple(range(41, 41 + Z)), dropout=0.2)
+            net = small_net(seed=tuple(range(41, 41 + Z)))
             opt, rngs = AdamState.for_network(net, 1e-2), [np.random.default_rng(42 + z) for z in range(Z)]
-            losses = [train_epoch(net, inputs, targets, 5, rngs, opt, workspace) for _ in range(2)]
+            losses = [train_epoch(net, inputs, targets, 5, 0.2, rngs, opt, workspace) for _ in range(2)]
             return net, losses
 
         kept, kept_losses = two_epochs(lstm.Workspace())
@@ -277,7 +282,7 @@ class TestWorkspace:
         # the zero state, the backward's zeros and d_seq must not carry
         # anything from the call before, at the same shape or another
         Z = vessel_count(several)
-        net = small_net(seed=tuple(range(43, 43 + Z)), dropout=0.2)
+        net = small_net(seed=tuple(range(43, 43 + Z)))
         data = np.random.default_rng(44)
         workspace = lstm.Workspace()
         for B in (5, 3, 5):
@@ -285,7 +290,7 @@ class TestWorkspace:
 
             def step(ws):
                 rngs = [np.random.default_rng(45 + z) for z in range(Z)]
-                pred, cache = forward_batch(net, x, train=True, rngs=rngs, workspace=ws)
+                pred, cache = forward_batch(net, x, dropout=0.2, rngs=rngs, workspace=ws)
                 return pred.copy(), lstm.backward(net, cache, y, workspace=ws)
 
             pred, grads = step(workspace)
@@ -299,13 +304,13 @@ class TestWorkspace:
         # come to 15 MB at batch 128
         rng = np.random.default_rng(46)
         inputs, targets = rng.random((1, 530, 10, 4)), rng.random((1, 530, 2))
-        net = small_net(seed=47, hidden=32, dropout=0.2)
+        net = small_net(seed=47, hidden=32)
         opt, rngs, workspace = AdamState.for_network(net, 1e-3), [np.random.default_rng(48)], lstm.Workspace()
-        train_epoch(net, inputs, targets, 128, rngs, opt, workspace)
+        train_epoch(net, inputs, targets, 128, 0.2, rngs, opt, workspace)
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
-            train_epoch(net, inputs, targets, 128, rngs, opt, workspace)
+            train_epoch(net, inputs, targets, 128, 0.2, rngs, opt, workspace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -400,7 +405,7 @@ def test_in_place_rollout_gives_the_allocating_rollouts_bits(Z, m, clamped):
 
 
 def _float32(net):
-    return lstm.network_from_arrays([a.astype(np.float32) for a in net.param_arrays()], net.dropout_rate)
+    return lstm.network_from_arrays([a.astype(np.float32) for a in net.param_arrays()])
 
 
 @pytest.mark.parametrize("clamped", [False, True])
@@ -418,7 +423,7 @@ def test_float32_network_rolls_out_in_float32(clamped):
     assert roll.dtype == np.float32
     np.testing.assert_array_equal(roll, allocating_rollout(net, win, 60))
     for z in range(3):
-        one = lstm.network_from_arrays([a[z : z + 1] for a in net.param_arrays()], net.dropout_rate)
+        one = lstm.network_from_arrays([a[z : z + 1] for a in net.param_arrays()])
         np.testing.assert_array_equal(roll[:, z], rollout(one, win[z : z + 1], 60)[:, 0])
     if clamped:
         assert ((roll < lstm.FEEDBACK_MIN) | (roll > lstm.FEEDBACK_MAX)).any()
@@ -474,31 +479,31 @@ class TestStackNetworks:
         assert info.value.row == 2
 
     def test_stacked_backward_equals_each_backward(self):
-        nets = [small_net(seed=s, dropout=0.3) for s in (51, 52, 53)]
+        nets = [small_net(seed=s) for s in (51, 52, 53)]
         wins = np.random.default_rng(54).random((3, 5, 6, 4))
         tgts = np.random.default_rng(55).random((3, 5, 2))
-        stacked = small_net(seed=(51, 52, 53), dropout=0.3)
-        _, cache = forward_batch(stacked, wins, train=True, rngs=[np.random.default_rng(60 + z) for z in range(3)])
+        stacked = small_net(seed=(51, 52, 53))
+        _, cache = forward_batch(stacked, wins, dropout=0.3, rngs=[np.random.default_rng(60 + z) for z in range(3)])
         grads = lstm.backward(stacked, cache, tgts)
         assert [g.shape for g in grads] == [a.shape for a in stacked.param_arrays()]
         for z, net in enumerate(nets):
-            _, own = forward_batch(net, wins[z : z + 1], train=True, rngs=[np.random.default_rng(60 + z)])
+            _, own = forward_batch(net, wins[z : z + 1], dropout=0.3, rngs=[np.random.default_rng(60 + z)])
             for g, g_own in zip(grads, lstm.backward(net, own, tgts[z : z + 1])):
                 assert np.array_equal(g[z : z + 1], g_own)
 
     def test_train_mode_needs_a_generator_per_vessel(self):
-        stacked = small_net(seed=(56, 57, 58), dropout=0.3)
+        stacked = small_net(seed=(56, 57, 58))
         with pytest.raises(ValueError, match="one generator per vessel"):
-            forward_batch(stacked, np.zeros((3, 5, 6, 4)), train=True, rngs=[np.random.default_rng(59)])
+            forward_batch(stacked, np.zeros((3, 5, 6, 4)), dropout=0.3, rngs=[np.random.default_rng(59)])
 
     def test_stack_holds_each_network(self):
         # each vessel's slice is drawn from its own generator as when it is
         # initialised alone
         rngs = [np.random.default_rng(s) for s in (61, 62, 63)]
-        stacked = init_network(hidden=8, dropout_rate=0.2, rngs=rngs)
+        stacked = init_network(hidden=8, rngs=rngs)
         assert stacked.vessels == 3
         for z, s in enumerate((61, 62, 63)):
-            own = init_network(hidden=8, dropout_rate=0.2, rngs=[np.random.default_rng(s)])
+            own = init_network(hidden=8, rngs=[np.random.default_rng(s)])
             for a, b in zip(stacked.param_arrays(), own.param_arrays(), strict=True):
                 assert a[z : z + 1].shape == b.shape and np.array_equal(a[z : z + 1], b)
 
@@ -547,7 +552,7 @@ def test_forward_batch_matches_reference_loop(batch, several, cached):
     # training path (cached) is forward_batch with its per-timestep cache;
     # the inference path is the rollout's first prediction from each window.
     Z = vessel_count(several)
-    net = init_network(hidden=32, dropout_rate=0.2, rngs=[np.random.default_rng(80 + z) for z in range(Z)])
+    net = init_network(hidden=32, rngs=[np.random.default_rng(80 + z) for z in range(Z)])
     x = np.random.default_rng(90 + batch).random((3, batch, 10, 4))[:Z]
     ref_pred, ref_caches = reference_forward(net, x)
     if not cached:
@@ -584,7 +589,7 @@ def test_training_path_matches_batch_major_oracle(batch, several, monkeypatch):
     same_prediction = np.testing.assert_array_equal if batch > 8 else same
 
     Z = vessel_count(several)
-    net = init_network(hidden=32, dropout_rate=0.2, rngs=[np.random.default_rng(60 + z) for z in range(Z)])
+    net = init_network(hidden=32, rngs=[np.random.default_rng(60 + z) for z in range(Z)])
     data = np.random.default_rng(70 + batch)
     x, y = data.random((3, 2 * batch, 10, 4))[:Z], data.random((3, 2 * batch, 2))[:Z]
 
@@ -593,8 +598,8 @@ def test_training_path_matches_batch_major_oracle(batch, several, monkeypatch):
 
     xb, yb = x[:, :batch], y[:, :batch]
     same_prediction(forward_batch(net, xb)[0], before_forward_batch(net, xb)[0])
-    pred, cache = forward_batch(net, xb, train=True, rngs=rngs(5))
-    ref_pred, ref_cache = before_forward_batch(net, xb, train=True, rngs=rngs(5))
+    pred, cache = forward_batch(net, xb, dropout=0.2, rngs=rngs(5))
+    ref_pred, ref_cache = before_forward_batch(net, xb, dropout=0.2, rngs=rngs(5))
     same_prediction(pred, ref_pred)
     grads = lstm.backward(net, cache, yb)
     ref_grads = before_backward(net, ref_cache, yb)
@@ -603,13 +608,13 @@ def test_training_path_matches_batch_major_oracle(batch, several, monkeypatch):
         same(g, ref)
 
     def two_epochs(oracle):
-        trained = network_from_arrays([a.copy() for a in net.param_arrays()], net.dropout_rate)
+        trained = network_from_arrays([a.copy() for a in net.param_arrays()])
         opt, rng = AdamState.for_network(trained, 1e-3), rngs(9)
         with monkeypatch.context() as patch:
             if oracle:
                 patch.setattr(lstm, "forward_batch", before_forward_batch)
                 patch.setattr(lstm, "backward", before_backward)
-            losses = [train_epoch(trained, x, y, batch, rng, opt) for _ in range(2)]
+            losses = [train_epoch(trained, x, y, batch, 0.2, rng, opt) for _ in range(2)]
         return trained, np.array(losses)
 
     trained, losses = two_epochs(oracle=False)

@@ -12,9 +12,11 @@ from aistrack.config import RunConfig
 from aistrack.errors import BadConfig, MalformedRow
 from aistrack.ingest import AisMessage, group_tracks, parse_csv, serialize_csv
 from aistrack.preprocess import resample
+from aistrack import synth
 from aistrack.synth import (
     BASE_EPOCH,
     KNOT_KM_H,
+    MAX_FLEET_ROWS,
     VesselMotion,
     _derived_speed_course,
     default_motions,
@@ -231,3 +233,24 @@ def test_times_or_positions_no_row_could_carry_rejected_before_any_warning(setti
         warnings.simplefilter("error")
         with pytest.raises(BadConfig, match=re.escape(named)):
             _generate(**{"vessels": 3, "points": 150, **settings})
+
+
+@pytest.mark.parametrize("vessels, points", [(1, MAX_FLEET_ROWS + 1), (2, MAX_FLEET_ROWS // 2 + 1), (10**12, 2)])
+def test_fleet_past_the_row_bound_rejected_before_anything_is_built(monkeypatch, vessels, points):
+    # 10**10 points once asked numpy for 373 GiB; neither the motions nor
+    # the rows of such a fleet are built, and no int is written out
+    cfg = RunConfig(vessels=vessels, points=points)
+    monkeypatch.setattr(synth, "default_motions", lambda z: pytest.fail("built the motions"))
+    with pytest.raises(BadConfig, match=f"^vessels x points must be at most {MAX_FLEET_ROWS} rows$"):
+        fleet_motions(cfg)
+    if vessels <= 2:  # generate counts the motions it is given
+        with pytest.raises(BadConfig, match=f"^vessels x points must be at most {MAX_FLEET_ROWS} rows$"):
+            generate(cfg, [VesselMotion(37.0, 23.0, 0.0, 8.0)] * vessels)
+
+
+def test_fleet_at_the_row_bound_passes_the_check():
+    # exactly MAX_FLEET_ROWS rows is allowed: the settings reach the next
+    # check, which rejects this period for its times
+    cfg = RunConfig(vessels=2, points=MAX_FLEET_ROWS // 2, period=1e6)
+    with pytest.raises(BadConfig, match="run outside"):
+        generate(cfg, default_motions(2))
