@@ -191,7 +191,8 @@ def decisions_to_csv(decisions: Decisions) -> str:
     best = distances.argmin(axis=1)
     winning = distances[rows, best]
     if distances.shape[1] > 1:
-        with np.errstate(invalid="ignore"):  # inf - inf is a NaN margin, written "nan"
+        # inf - inf is a NaN margin, written "nan", and a difference past float64's range an inf one
+        with np.errstate(over="ignore", invalid="ignore"):
             margin = np.partition(distances, 1, axis=1)[:, 1] - winning
     else:
         margin = np.full(len(distances), math.inf)

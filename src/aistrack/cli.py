@@ -1,11 +1,13 @@
 """Command-line front end: synth | train | associate | evaluate.
 
 `config.RunConfig` is the one config schema, shared with the library. Every
-run folds together its defaults, an optional JSON config file (--config) and
-explicit flags, range-checks the result (`config.RANGES`) and echoes it,
-plus its hash, into the output artifacts; `synth` hands it to
-`synth.generate` and `train` to `fleet.train_fleet` as it is. A flag is
-added by adding a `RunConfig` field and naming it in one `FLAGS` list.
+run folds together its defaults, an optional JSON config file (--config,
+read by `config.read_settings`) and explicit flags, range-checks the result
+(`config.check_ranges`) and echoes it, plus its hash, into the output
+artifacts; `synth` hands it to `synth.generate` and `train` to
+`fleet.train_fleet` as it is. Each subcommand's flags, their types and help
+are read off the `RunConfig` fields (`config.setting`), so a flag is added
+by adding a field.
 `train` decides once, before it makes --out, which tracks train and names
 each one left out (`_trained_series`); `fleet.train_fleet` gets each kept
 track's training prefix, all but its last --test-len samples.
@@ -32,8 +34,8 @@ is read and written as UTF-8 whatever the locale), a missing or malformed
 model directory (a manifest that lists other files than fleet.json and
 weights.bin, or whose sha256 of either does not match; a fleet.json key
 format 6 does not have, such as format 5's dropout_rate or format 4's
-window_size or network, and a period that is not one finite number above 0
-or a hidden size above the doubles per vessel weights.bin holds;
+window_size or network, and a period or hidden that a --config file could
+not set: the same message, led by the fleet.json path;
 fleet.json's vessel ids held to the rule for a VID, sorted and each once,
 each scaler to min <= max, with the LAT and LON entries in a row's ranges,
 and each last training window to [0, 1]; a weights.bin of another length
@@ -66,7 +68,7 @@ import numpy as np
 
 from . import __version__
 from .associate import associate_batch, decisions_from_csv, decisions_to_csv
-from .config import FIELD_TYPES, RunConfig, check_ranges, config_meta, json_type_fault
+from .config import FIELD_TYPES, RunConfig, check_ranges, config_meta, read_settings
 from .errors import (AistrackError, BadConfig, IncompleteDecisions, MalformedRow, MissingFile, TrackTooShort,
                      output_dir, write_output)
 from .evaluate import confusion, metrics, write_report
@@ -74,18 +76,6 @@ from .fleet import load_fleet, save_fleet, train_fleet
 from .ingest import AisMessage, ParseStats, RawTrack, group_tracks, parse_csv, serialize_csv, time_order
 from .preprocess import RegularTrack, resample
 from .synth import crossing, fleet_motions, generate, truth_from_csv, truth_to_csv
-
-
-# RunConfig fields each subcommand takes as flags: `--` plus the name with
-# `_` -> `-`, typed by the field's annotation.
-FLAGS = {
-    "synth": ("seed", "vessels", "points", "period", "jitter", "noise", "crossing"),
-    "train": ("seed", "min_points", "period", "window", "hidden", "epochs", "batch", "lr", "dropout",
-              "test_len", "lenient"),
-    "associate": ("seed", "tau", "lenient"),
-    "evaluate": ("seed",),
-}
-FLAG_HELP = {"crossing": "'a,b,sample' to force two tracks to cross"}
 
 
 def _read(path, error=MissingFile) -> str:
@@ -124,7 +114,7 @@ def _parse(parse, path, **kwargs):
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then the --config file, then flags; every value range-checked."""
-    cfg = RunConfig()
+    doc = {}
     if getattr(args, "config", None):
         try:
             doc = json.loads(_read(args.config, BadConfig))
@@ -132,14 +122,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
             raise BadConfig(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise BadConfig(f"config {args.config} must hold a JSON object")
-        for key, value in doc.items():
-            if key not in FIELD_TYPES:
-                raise BadConfig(f"unknown config key {key!r}")
-            kind = FIELD_TYPES[key]
-            fault = json_type_fault(value, kind)
-            if fault:
-                raise BadConfig(f"config key {key!r} {fault}")
-            setattr(cfg, key, kind(value))
+    cfg = read_settings(doc)
     for key in FIELD_TYPES:
         value = getattr(args, key, None)
         if value is not None:
@@ -287,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         for path in paths:
             p.add_argument(f"--{path}", required=True)
-        for key in FLAGS[name]:
-            flag = "--" + key.replace("_", "-")
-            if FIELD_TYPES[key] is bool:
-                p.add_argument(flag, dest=key, action="store_const", const=True)
+        for field in (f for f in dataclasses.fields(RunConfig) if name in f.metadata["commands"]):
+            flag, kind = "--" + field.name.replace("_", "-"), FIELD_TYPES[field.name]
+            if kind is bool:
+                p.add_argument(flag, dest=field.name, action="store_const", const=True)
             else:
-                p.add_argument(flag, dest=key, type=FIELD_TYPES[key], help=FLAG_HELP.get(key))
+                p.add_argument(flag, dest=field.name, type=kind, help=field.metadata["help"])
         p.set_defaults(func=func)
 
     command("synth", cmd_synth, "generate a labeled synthetic AIS fleet", "out")

@@ -2,10 +2,12 @@
 
 `RunConfig` holds every setting of a run: the CLI builds one from defaults,
 a --config file and flags, and the library (`synth.generate`,
-`fleet.train_fleet`) reads its fields directly. `check_ranges` is the one
-range check, `config_meta` the one echo of a config into the artifacts, and
-`json_type_fault` the one rule for the JSON type of a value, shared by
---config files and model files.
+`fleet.train_fleet`) reads its fields directly. Each field declares, once,
+its type, default, range, the subcommands that take it as a flag and the
+flag's help (`setting`). `read_settings` is the one reader of settings held
+as JSON, a --config file's and a model file's, `check_ranges` the one range
+check, `config_meta` the one echo of a config into the artifacts, and
+`json_type_fault` the one rule for the JSON type of a value.
 """
 
 from __future__ import annotations
@@ -21,46 +23,59 @@ from typing import get_type_hints
 from .errors import BadConfig
 
 
+def setting(default, *commands: str, interval: str | None = None, help: str | None = None):
+    """A RunConfig field: its default; the subcommands that take it as a
+    flag, `--` plus its name with `_` -> `-`, listed in field order; the
+    interval ("[" and "]" include the bound) a number must lie in, checked
+    before any input is read, since the library rejects some values late and
+    accepts others with wrong answers (tau < 0 makes every decision NEW);
+    and the flag's help."""
+    return dataclasses.field(default=default, metadata={"interval": interval, "commands": commands, "help": help})
+
+
 @dataclass
 class RunConfig:
-    seed: int = 42
-    vessels: int = 5
-    points: int = 648
-    period: float = 5.0
-    jitter: float = 0.2
-    noise: float = 1e-4
-    min_points: int = 500
-    window: int = 10
-    hidden: int = 32
-    epochs: int = 100
-    batch: int = 10
-    lr: float = 1e-4
-    dropout: float = 0.2
-    test_len: int = 108
-    tau: float = math.inf
-    lenient: bool = False
-    crossing: str = ""  # "a,b,sample" to force an overlap scenario
+    seed: int = setting(42, "synth", "train", "associate", "evaluate", interval="[0, inf)")
+    vessels: int = setting(5, "synth", interval="[1, inf)")
+    points: int = setting(648, "synth", interval="[2, inf)")
+    min_points: int = setting(500, "train", interval="[1, inf)")
+    period: float = setting(5.0, "synth", "train", interval="(0, inf)")
+    jitter: float = setting(0.2, "synth", interval="[0, 1)")
+    noise: float = setting(1e-4, "synth", interval="[0, inf)")
+    window: int = setting(10, "train", interval="[1, inf)")
+    # A vessel's parameters are about 20 hidden^2 doubles: 5.26 million,
+    # 42 MB, at hidden 512, which training holds four times over (weights,
+    # gradients and Adam's two moments); hidden 10**5 asked numpy for 298 GiB.
+    hidden: int = setting(32, "train", interval="[1, 512]")
+    epochs: int = setting(100, "train", interval="[1, inf)")
+    batch: int = setting(10, "train", interval="[1, inf)")
+    lr: float = setting(1e-4, "train", interval="[0, inf)")
+    dropout: float = setting(0.2, "train", interval="[0, 1)")
+    test_len: int = setting(108, "train", interval="[1, inf)")
+    tau: float = setting(math.inf, "associate", interval="[0, inf]")
+    lenient: bool = setting(False, "train", "associate")
+    crossing: str = setting("", "synth", help="'a,b,sample' to force two tracks to cross")
 
 
 # Type of each RunConfig field (int, float, bool or str): it types the flag
-# and the --config value.
+# and the JSON value.
 FIELD_TYPES = get_type_hints(RunConfig)
 
-# Interval ("[" and "]" include the bound) each numeric field must lie in,
-# checked before any input is read: the library rejects some values late and
-# accepts others with wrong answers (tau < 0 makes every decision NEW).
-# A vessel's parameters are about 20 hidden^2 doubles: 5.26 million, 42 MB,
-# at hidden 512, which training holds four times over (weights, gradients
-# and Adam's two moments); hidden 10**5 asked numpy for 298 GiB.
-RANGES = {
-    "[0, inf)": ("seed", "noise", "lr"),
-    "[1, inf)": ("vessels", "min_points", "window", "epochs", "batch", "test_len"),
-    "[1, 512]": ("hidden",),
-    "[2, inf)": ("points",),
-    "(0, inf)": ("period",),
-    "[0, 1)": ("jitter", "dropout"),
-    "[0, inf]": ("tau",),
-}
+
+def read_settings(doc: dict) -> RunConfig:
+    """The default config with each setting of a decoded JSON object set: a
+    key no RunConfig field has, or a value `json_type_fault` rejects, is a
+    BadConfig. Ranges are left to `check_ranges`."""
+    cfg = RunConfig()
+    for key, value in doc.items():
+        if key not in FIELD_TYPES:
+            raise BadConfig(f"unknown config key {key!r}")
+        kind = FIELD_TYPES[key]
+        fault = json_type_fault(value, kind)
+        if fault:
+            raise BadConfig(f"config key {key!r} {fault}")
+        setattr(cfg, key, kind(value))
+    return cfg
 
 
 def _in_interval(value, interval: str) -> bool:
@@ -71,15 +86,14 @@ def _in_interval(value, interval: str) -> bool:
 
 
 def check_ranges(cfg: RunConfig) -> None:
-    """Raise BadConfig for the first numeric field outside its RANGES
+    """Raise BadConfig for the first field, in field order, outside its
     interval. The message writes out a float, but no int, which may have
     any number of digits."""
-    for interval, keys in RANGES.items():
-        for key in keys:
-            value = getattr(cfg, key)
-            if not _in_interval(value, interval):
-                got = "" if isinstance(value, int) else f", got {value!r}"
-                raise BadConfig(f"{key} must be in {interval}{got}")
+    for field in dataclasses.fields(cfg):
+        interval, value = field.metadata["interval"], getattr(cfg, field.name)
+        if interval and not _in_interval(value, interval):
+            got = "" if isinstance(value, int) else f", got {value!r}"
+            raise BadConfig(f"{field.name} must be in {interval}{got}")
 
 
 def config_meta(cfg: RunConfig) -> dict:

@@ -44,12 +44,13 @@ buffer whose hash is checked. Format 3 held them as base64 in fleet.json,
 whose decoding, parsing and hashing cost as much as all of `associate` but
 its rollouts. The reader rejects another version, a key the format does
 not have (format 4's `window_size`, `network` and architecture keys and
-format 5's `dropout_rate` among them), a period that is not a finite
-number > 0, a hidden size above the doubles per vessel its weights file
-holds, and a weights file of another length than its fleet needs, rather
-than run a file as something it is not; and, naming the first vessel that
-fails, an id that is no VID, a non-finite value, a scaler no AIS rows
-could give and a last training window outside [0, 1].
+format 5's `dropout_rate` among them), a period or hidden size that a
+--config file could not set either (both are read by
+`config.read_settings` and `config.check_ranges`, so hidden <= 512 keeps
+the weight arrays small), and a weights file of another length than its
+fleet needs, rather than run a file as something it is not; and, naming
+the first vessel that fails, an id that is no VID, a non-finite value, a
+scaler no AIS rows could give and a last training window outside [0, 1].
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .associate import rollout_positions
-from .config import RunConfig, check_ranges, config_meta, json_type_fault
+from .config import RunConfig, check_ranges, config_meta, json_type_fault, read_settings
 from .errors import (
     BadConfig,
     BadManifest,
@@ -228,31 +229,28 @@ def _weight_arrays(weights, z: int, hidden: int) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
 
-# JSON type of each scalar of a fleet document; an int is accepted for a float.
-SCALAR_FIELDS = {"period": float, "hidden": int}
+# The run settings a fleet document holds.
+SETTINGS = ("period", "hidden")
 
 # Every key of a format-6 document: a reader never drops a field it does not know.
-MODEL_KEYS = {"format_version", "vessel_ids", "train_end_time", "scaler", "last_training_window", *SCALAR_FIELDS}
+MODEL_KEYS = {"format_version", "vessel_ids", "train_end_time", "scaler", "last_training_window", *SETTINGS}
 
 
-def _check_document(doc) -> None:
-    """`doc` must be a JSON object with no key outside MODEL_KEYS, whose scalars
-    are JSON values of their types: ints >= 1, floats finite, the period > 0."""
+def _check_document(doc) -> RunConfig:
+    """The settings of `doc`, which must be a JSON object with no key outside
+    MODEL_KEYS whose SETTINGS pass the checks a --config file's pass, with
+    the same message."""
     if not isinstance(doc, dict):
         raise BadModel("the document is not a JSON object")
     unknown = sorted(doc.keys() - MODEL_KEYS)
     if unknown:
         raise BadModel(f"the document holds {unknown[0]!r}, a key format {MODEL_FORMAT_VERSION} does not have")
-    for key, kind in SCALAR_FIELDS.items():
-        value = doc[key]
-        # no message writes out an int, which may have any number of digits
-        fault = json_type_fault(value, kind)
-        if fault is None and not (value >= 1 if kind is int else math.isfinite(value)):
-            fault = "must be >= 1" if kind is int else f"must be finite, got {value!r}"
-        if fault:
-            raise BadModel(f"{key} {fault}")
-    if doc["period"] <= 0:
-        raise BadModel(f"period {float(doc['period'])!r} is not > 0")
+    try:
+        settings = read_settings({key: doc[key] for key in SETTINGS})
+        check_ranges(settings)
+    except BadConfig as exc:
+        raise BadModel(str(exc)) from None
+    return settings
 
 
 def _check_vessels(bad: np.ndarray, ids: list[str], fault, error=BadModel) -> None:
@@ -269,7 +267,7 @@ SCALER_BOUNDS = np.array([*LAT_LON_BOUNDS, np.inf, np.inf])
 def _fleet_from_doc(doc, weights) -> Fleet:
     if isinstance(doc, dict) and doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise VersionMismatch(f"model format {doc.get('format_version')}, expected {MODEL_FORMAT_VERSION}: {RETRAIN}")
-    _check_document(doc)
+    settings = _check_document(doc)
     ids = doc["vessel_ids"]
     if not isinstance(ids, list) or not ids:
         raise BadModel("vessel_ids must be a list of one or more vessel ids")
@@ -303,20 +301,14 @@ def _fleet_from_doc(doc, weights) -> Fleet:
     outside = (window < 0) | (window > 1)
     _check_vessels(outside, ids, lambda at: f"last_training_window value {window[at].item()!r} is outside the"
                    " [0, 1] of scaled rows")
-    # a vessel of h hidden units holds more than h weights (dense_W alone
-    # holds 2h), so a hidden above the weights file's doubles per vessel is
-    # this document's fault, whatever the file holds; the int may have any
-    # number of digits and is not written out
-    if doc["hidden"] > len(weights) // (8 * z):
-        raise BadModel(f"hidden is larger than a weights file of {len(weights)} bytes can hold for {z} vessels")
-    params = _weight_arrays(weights, z, doc["hidden"])
+    params = _weight_arrays(weights, z, settings.hidden)
     for key, a in zip(WEIGHT_NAMES, params):
         _check_vessels(~np.isfinite(a), ids, lambda at: f"{key} holds a non-finite value", BadWeights)
     return Fleet(
         vessel_ids=ids,
         network=network_from_arrays(params),
         scaler=ScalerParams(min=lo, max=hi),
-        period=float(doc["period"]),
+        period=settings.period,
         train_end_time=arrays["train_end_time"],
         last_training_window=window,
     )

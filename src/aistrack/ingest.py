@@ -17,7 +17,7 @@ import functools
 import math
 import operator
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -244,8 +244,9 @@ def object_id_pairs(text: str, names: tuple[str, str]) -> list[tuple[int, str]]:
     return _read_rows(text, names, pair, strict=True, stats=None)
 
 
-def serialize_csv(messages: list[AisMessage]) -> str:
-    """Inverse of parse_csv at full stored precision (repr round-trips floats)."""
+def serialize_csv(messages: Iterable[AisMessage]) -> str:
+    """Inverse of parse_csv at full stored precision (repr round-trips floats),
+    for rows given as AisMessages or as plain tuples in HEADER order."""
     lines = [",".join(HEADER)]
     for object_id, vid, t, lat, lon, speed, course in messages:
         lines.append(

@@ -23,7 +23,7 @@ import numpy as np
 from .associate import haversine
 from .config import RunConfig, check_ranges
 from .errors import BadConfig
-from .ingest import LAT_LON_BOUNDS, AisMessage, format_timestamp, object_id_pairs, parse_timestamp, serialize_csv
+from .ingest import LAT_LON_BOUNDS, format_timestamp, object_id_pairs, parse_timestamp, serialize_csv
 from .preprocess import MAX_GRID_SAMPLES
 
 KNOT_KM_H = 1.852
@@ -32,7 +32,7 @@ BASE_EPOCH = 1583020800  # 2020-03-01T00:00:00Z
 TIME_RANGE = (parse_timestamp("0001-01-01T00:00:00Z"), parse_timestamp("9999-12-31T23:59:59Z"))
 # The most rows (vessels x points) a fleet may have: `train` resamples no
 # track longer than this, and synth's memory grows with the rows (a peak RSS
-# of 284 MB at 300,000; 5 x 10**10 rows asked numpy for 373 GiB).
+# of 240 MB at 300,000; 5 x 10**10 rows asked numpy for 373 GiB).
 MAX_FLEET_ROWS = MAX_GRID_SAMPLES
 
 
@@ -141,8 +141,7 @@ def generate(cfg: RunConfig, motions: list[VesselMotion]) -> tuple[str, dict[int
     row_vessel, *columns = [col.ravel()[order].tolist() for col in (vessel, t, lat, lon, speed, course)]
     vessel_ids = [vids[vi] for vi in row_vessel]
     object_ids = range(1, len(vessel_ids) + 1)
-    messages = list(map(AisMessage, object_ids, vessel_ids, *columns))
-    return serialize_csv(messages), dict(zip(object_ids, vessel_ids))
+    return serialize_csv(zip(object_ids, vessel_ids, *columns)), dict(zip(object_ids, vessel_ids))
 
 
 def truth_to_csv(truth: dict[int, str]) -> str:

@@ -550,6 +550,8 @@ def _record(distances, steps, vids):
 @example(_record([[3.0], [0.0]], [[6], [7]], ["aaa"]))  # one vessel: margin inf
 @example(_record([], [], ["aaa", "bbb"]))  # no observation: the header alone
 @example(_record([[0.0, -math.inf, -math.inf]], [[1, 2, 3]], ["aaa", "bbb", "c1"]))  # a NaN margin
+# a margin past float64's range: inf
+@example(_record([[1e300, 1e300, -1.7976931348623157e308]], [[1, 2, 3]], ["aaa", "bbb", "c1"]))
 @settings(max_examples=200, deadline=None)
 def test_decisions_csv_distances_parse_back_exactly(decisions):
     distances = decisions.distances_km
@@ -558,7 +560,7 @@ def test_decisions_csv_distances_parse_back_exactly(decisions):
     assert len(lines) == len(decisions) + 1
     winning = distances.min(axis=1)
     if distances.shape[1] > 1:
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             margin = np.partition(distances, 1, axis=1)[:, 1] - winning
     else:
         margin = np.full(len(distances), np.inf)

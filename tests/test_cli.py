@@ -384,14 +384,13 @@ def test_report_out_that_is_its_own_text_report_is_data_error(trained, tmp_path,
     assert not report.exists()
 
 
-# Each subcommand's option strings as they were when build_parser still
-# declared every flag by hand.
+# Each subcommand's option strings, in the order its --help lists them.
 OPTIONS = {
-    "synth": "--config --seed --out --vessels --points --period --jitter --noise --crossing",
-    "train": "--config --seed --data --out --min-points --period --window --hidden --epochs --batch --lr"
+    "synth": "--config --out --seed --vessels --points --period --jitter --noise --crossing",
+    "train": "--config --data --out --seed --min-points --period --window --hidden --epochs --batch --lr"
     " --dropout --test-len --lenient",
-    "associate": "--config --seed --models --obs --out --tau --lenient",
-    "evaluate": "--config --seed --decisions --truth --out",
+    "associate": "--config --models --obs --out --seed --tau --lenient",
+    "evaluate": "--config --decisions --truth --out --seed",
 }
 
 
@@ -401,7 +400,7 @@ def test_subcommand_options_derived_from_run_config():
     types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
     for name, parser in sub.choices.items():
         actions = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
-        assert {s for a in actions for s in a.option_strings} == set(OPTIONS[name].split())
+        assert [s for a in actions for s in a.option_strings] == OPTIONS[name].split()
         for a in actions:
             if a.dest in types:
                 assert a.option_strings == ["--" + a.dest.replace("_", "-")] and not a.required
@@ -934,12 +933,36 @@ def test_hidden_no_weights_file_of_its_length_holds_is_one_short_fleet_json_line
     def edit(doc):
         doc["hidden"] = hidden
 
-    rc, err, model, ids = _associate_edited_model(trained, tmp_path, capsys, edit)
-    size = (trained / "models" / "weights.bin").stat().st_size
+    rc, err, model, _ = _associate_edited_model(trained, tmp_path, capsys, edit)
     assert rc == 2
-    assert err == (f"error: {model}: hidden is larger than a weights file of {size} bytes can hold for {len(ids)}"
-                   " vessels\n")
+    assert err == f"error: {model}: hidden must be in [1, 512]\n"
     assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("hidden", v) for v in (0, 1, 512, 513, 10**400, True, 2.0)]
+    + [("period", v) for v in (0, -1, math.nan, 10**400, "5")],
+    ids=["hidden_0", "hidden_1", "hidden_512", "hidden_513", "hidden_401_digits", "hidden_true", "hidden_2.0",
+         "period_0", "period_minus_1", "period_nan", "period_401_digits", "period_string"],
+)
+def test_fleet_json_setting_is_held_to_the_rule_of_a_config_file(trained, tmp_path, capsys, key, value):
+    # a --config file and a re-signed fleet.json accept the same values and
+    # reject the rest with the same reason, which fleet.json's error leads
+    # with its path; a hidden fleet.json accepts fails on weights.bin instead
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    capsys.readouterr()
+    models = trained / "models"
+    argv = ["associate", "--config", config, "--models", models, "--obs", models / "holdout.csv", "--out",
+            tmp_path / "c.csv"]
+    config_rc, config_err = run_without_warnings(argv), capsys.readouterr().err
+    rc, err, model, _ = _associate_edited_model(trained, tmp_path, capsys, lambda doc: doc.update({key: value}))
+    prefix = f"error: {model}: "
+    assert (config_rc != 0) == err.startswith(prefix)
+    if config_rc:
+        assert config_rc == rc == 2 and config_err == "error: " + err[len(prefix):]
+        assert config_err.count("\n") == 1 and not (tmp_path / "c.csv").exists()
 
 
 def test_truncated_weights_file_is_a_checksum_error(trained, tmp_path, capsys):

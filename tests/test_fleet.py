@@ -328,7 +328,8 @@ class TestPersistence:
             (lambda doc, w: doc.update(residual=False), "fleet.json", "holds 'residual', a key format 6"),
             (lambda doc, w: doc.update(period="5.0"), "fleet.json", "period"),
             # an int no float can hold, not written out
-            (lambda doc, w: doc.update(period=10**400), "fleet.json", "period is an int out of float range"),
+            (lambda doc, w: doc.update(period=10**400), "fleet.json",
+             "config key 'period' is an int out of float range"),
             (lambda doc, w: doc["scaler"]["min"][0].__setitem__(0, 10**400), "fleet.json", "OverflowError"),
             (lambda doc, w: doc["vessel_ids"].__setitem__(0, "a,b"), "fleet.json", "vessel_ids: VID 'a,b' holds ','"),
             (lambda doc, w: doc["vessel_ids"].__setitem__(1, "v "), "fleet.json",
@@ -337,7 +338,7 @@ class TestPersistence:
             # one vessel short of the arrays
             (lambda doc, w: doc["vessel_ids"].pop(), "fleet.json", "train_end_time has shape (2,), expected (1,)"),
             # one period for the fleet, not one per vessel
-            (lambda doc, w: doc.update(period=[5.0, 5.0]), "fleet.json", "period must be float, got list"),
+            (lambda doc, w: doc.update(period=[5.0, 5.0]), "fleet.json", "config key 'period' must be float, got list"),
             (lambda doc, w: doc["scaler"]["max"].pop(), "fleet.json", "scaler.max has shape (1, 4), expected (2, 4)"),
             (lambda doc, w: doc.update(last_training_window=[[0.5] * 4] * 2), "fleet.json",
              "last_training_window"),  # window 5
@@ -348,10 +349,12 @@ class TestPersistence:
              "vessel v1: scaler.max holds a non-finite value"),
             (lambda doc, w: doc["last_training_window"][0][0].__setitem__(0, float("inf")), "fleet.json",
              "vessel v0: last_training_window holds a non-finite value"),
-            (lambda doc, w: doc.update(period=0), "fleet.json", "fleet.json: period 0.0 is not > 0"),
-            (lambda doc, w: doc.update(period=-1), "fleet.json", "fleet.json: period -1.0 is not > 0"),
-            (lambda doc, w: doc.update(period=-10**300), "fleet.json", "fleet.json: period -1e+300 is not > 0"),
-            (lambda doc, w: doc.update(period=math.nan), "fleet.json", "fleet.json: period must be finite, got nan"),
+            (lambda doc, w: doc.update(period=0), "fleet.json", "fleet.json: period must be in (0, inf), got 0.0"),
+            (lambda doc, w: doc.update(period=-1), "fleet.json", "fleet.json: period must be in (0, inf), got -1.0"),
+            (lambda doc, w: doc.update(period=-10**300), "fleet.json",
+             "fleet.json: period must be in (0, inf), got -1e+300"),
+            (lambda doc, w: doc.update(period=math.nan), "fleet.json",
+             "fleet.json: period must be in (0, inf), got nan"),
             (_lat_span_1e308, "fleet.json",
              "vessel v0: scaler LAT range [-1.7e+308, 1.7e+308] is not one AIS rows can give"),
             (_scaler_set("max", 1, 180.5, vessel=1), "fleet.json", "vessel v1: scaler LON range"),
