@@ -10,11 +10,10 @@ stacked in vessel_id order:
    the largest step any time needs. Each step is one cell step per LSTM
    layer on the m windows each vessel has in flight; a stacked matmul
    computes each vessel's slice exactly as a separate call would. The
-   rollout runs in float32, on a copy of the fleet's float64 network cast
-   once (`float32_network`): at its block sizes a batched matmul and an exp
-   take about half their float64 time, and over a whole benchmark horizon
-   its positions stay within millimetres of a float64 rollout's. The
-   (S, Z, 2) float32 table of predictions is unscaled into float64 in one
+   rollout runs on the fleet's network itself, in its dtype: float32, the
+   dtype it trained in and its model file holds, in which a batched matmul
+   and an exp at the rollout's block sizes take about half their float64
+   time. The (S, Z, 2) table of predictions is unscaled into float64 in one
    expression, and each time's Z predictions are gathered from it in one
    indexing step. It returns them with the steps they were gathered at.
 2. `associate` gets the float64 (N, Z) distance matrix from one call of the
@@ -29,12 +28,10 @@ nearest, each distance to 17 significant digits, which parse back to the
 exact double. `rollout_positions` alone checks the rollout's output, the
 predictions first, then their unscaled positions: the first non-finite one
 is an error that names its vessel and step. So is a step count past
-`MAX_ROLLOUT_STEPS`, an infinite one included, and a finite weight beyond
-float32's range, which the cast names with its vessel and array; numpy's
-overflow warnings on the way to any of them are silenced. A loaded fleet's
-scaler spans at most 360 degrees, so a finite float32 prediction always
-unscales to a finite position; the position check is for a fleet built in
-memory.
+`MAX_ROLLOUT_STEPS`, an infinite one included; numpy's overflow warnings on
+the way to either are silenced. A loaded fleet's scaler spans at most 360
+degrees, so a finite float32 prediction always unscales to a finite
+position; the position check is for a fleet built in memory.
 """
 
 from __future__ import annotations
@@ -44,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining, WeightOutOfRange
+from .errors import NonFiniteActivation, RolloutTooLong, TimeBeforeTraining
 from .ingest import NEW_TRACK, AisMessage, format_timestamp, object_id_pairs
-from .lstm import WEIGHT_NAMES, LstmNetwork, network_from_arrays, roll_step, rollout_start
+from .lstm import roll_step, rollout_start
 from .preprocess import unscale
 
 EARTH_RADIUS_KM = 6371.0
@@ -85,31 +82,13 @@ def haversine(lat1, lon1, lat2, lon2) -> np.ndarray:
     return 2 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(a)))
 
 
-def float32_network(fleet) -> LstmNetwork:
-    """The fleet's network cast to float32, the dtype association's rollout
-    runs in. A finite weight beyond float32's range, which the cast would
-    make infinite, is a WeightOutOfRange naming its vessel and array."""
-    arrays = fleet.network.param_arrays()
-    with np.errstate(over="ignore"):
-        cast = [a.astype(np.float32) for a in arrays]
-    for name, a, a32 in zip(WEIGHT_NAMES, arrays, cast, strict=True):
-        beyond = np.isinf(a32) & np.isfinite(a)
-        if beyond.any():
-            at = tuple(np.argwhere(beyond)[0])
-            raise WeightOutOfRange(
-                f"vessel {fleet.vessel_ids[at[0]]}: {name} holds {a[at].item()!r}, beyond the float32 range"
-                f" (|w| <= {np.finfo(np.float32).max:.8g}) association runs in"
-            )
-    return network_from_arrays(cast)
-
-
 def rollout_positions(fleet, steps: int) -> np.ndarray:
     """(steps, Z, 2) unscaled float64 (lat, lon) of every vessel's rollout,
     for 1 through `steps` periods past its train end, run as one stack on
-    `float32_network(fleet)`. The first non-finite prediction, by step and
-    then by vessel, or else position, is a NonFiniteActivation naming its
-    vessel and step."""
-    net = float32_network(fleet)
+    the fleet's network. The first non-finite prediction, by step and then
+    by vessel, or else position, is a NonFiniteActivation naming its vessel
+    and step."""
+    net = fleet.network
     scaled = np.empty((steps, net.vessels, 2), net.dtype)
     # a sigmoid's exp may overflow (1 / (1 + inf) = 0), and so may an
     # unscaling; a value that turns non-finite is named below

@@ -33,18 +33,17 @@ range (`synth.generate`), an input that is missing or not UTF-8 (every file
 is read and written as UTF-8 whatever the locale), a missing or malformed
 model directory (a manifest that lists other files than fleet.json and
 weights.bin, or whose sha256 of either does not match; a fleet.json key
-format 6 does not have, such as format 5's dropout_rate or format 4's
+format 7 does not have, such as format 5's dropout_rate or format 4's
 window_size or network, and a period or hidden that a --config file could
 not set: the same message, led by the fleet.json path;
 fleet.json's vessel ids held to the rule for a VID, sorted and each once,
 each scaler to min <= max, with the LAT and LON entries in a row's ranges,
 and each last training window to [0, 1]; a weights.bin of another length
 than its fleet needs, or holding a NaN or infinite weight; a directory of
-another format version is named as one to retrain), a JSON --config,
-manifest.json or fleet.json nested deeper than the JSON parser goes, a model
-whose training or rollout turns non-finite or that holds a finite weight
-beyond float32's range (3.4028235e38), which association's float32 rollout
-cannot hold (`train` saves no such model), an observation at or before a
+another format version, format 6's float64 weights among them, is named as
+one to retrain), a JSON --config, manifest.json or fleet.json nested deeper
+than the JSON parser goes, a model whose training or rollout turns
+non-finite (`train` saves no such model), an observation at or before a
 vessel's train end or more than `associate.MAX_ROLLOUT_STEPS` steps past it,
 decisions that leave a truth object undecided, an --out that cannot be
 created or written (`train` creates its --out before it trains; if training

@@ -43,9 +43,10 @@ class RunConfig:
     jitter: float = setting(0.2, "synth", interval="[0, 1)")
     noise: float = setting(1e-4, "synth", interval="[0, inf)")
     window: int = setting(10, "train", interval="[1, inf)")
-    # A vessel's parameters are about 20 hidden^2 doubles: 5.26 million,
-    # 42 MB, at hidden 512, which training holds four times over (weights,
-    # gradients and Adam's two moments); hidden 10**5 asked numpy for 298 GiB.
+    # A vessel's parameters are about 20 hidden^2 float32 values: 5.26
+    # million, 21 MB, at hidden 512, which training holds four times over
+    # (weights, gradients and Adam's two moments); hidden 10**5 asked numpy
+    # for 298 GiB when training was float64.
     hidden: int = setting(32, "train", interval="[1, 512]")
     epochs: int = setting(100, "train", interval="[1, inf)")
     batch: int = setting(10, "train", interval="[1, inf)")

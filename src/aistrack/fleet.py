@@ -11,11 +11,13 @@ another period than the run's a BadConfig. A trained stack takes the first
 step of `associate.rollout_positions`, so a model that cannot make it is
 never saved.
 
-Vessels train in lockstep: those with the same track length (hence the
-same number of windows and batches per epoch) form a stack, one (Z, n, 4)
-array of their samples that is scaled, windowed and initialised as
-(Z, ...) arrays, and each batch is one forward, backward and Adam step for
-the whole stack. Every vessel keeps its own generator for its weights,
+Training runs in float32: each stack's network is drawn in float32
+(`lstm.init_network`) and its windows are cast once, and each training
+length keeps a float32 `lstm.Workspace`. Vessels train in lockstep: those
+with the same track length (hence the same number of windows and batches
+per epoch) form a stack, one (Z, n, 4) array of their samples that is
+scaled, windowed and initialised as (Z, ...) arrays, and each batch is one
+forward, backward and Adam step for the whole stack. Every vessel keeps its own generator for its weights,
 shuffles and dropout masks, drawn in the same order as when it trains
 alone, and the stacked math is the per-vessel math slice by slice, so the
 models are bit for bit the same however the fleet is grouped. A stack holds
@@ -29,15 +31,16 @@ stacks.
 A fleet is saved as two files, fleet.json and weights.bin, with a
 manifest.json holding the sha256 of each and the run's whole config
 (`config.config_meta`), and a train_report.json of each vessel's per-epoch
-loss. fleet.json (format version 6) is plain JSON stating each fact once:
+loss. fleet.json (format version 7) is plain JSON stating each fact once:
 the vessel ids, sorted and each once; the fleet's one period; each
 vessel's train end time, scaler and last training window as (Z,), (Z, 4)
 and (Z, m, 4) lists; and the hidden size of the network, whose
 architecture is `lstm`'s one. The dropout rate only regularised training,
 so the manifest's config echo is the one place that records it.
 weights.bin is the network's weight arrays (W, U and b of each layer,
-dense_W, dense_b) as raw little-endian float64 bytes, each whole (Z, ...)
-array after the one before it in `param_arrays()` order; their shapes
+dense_W, dense_b) as raw little-endian float32 bytes (`<f4`), the dtype
+they trained in, each whole (Z, ...) array after the one before it in
+`param_arrays()` order; their shapes
 follow from Z and the hidden size, so the file has no header. The weights
 are loaded as writable views of the one buffer the file is read into, the
 buffer whose hash is checked. Format 3 held them as base64 in fleet.json,
@@ -93,7 +96,7 @@ from .lstm import (
 )
 from .preprocess import RegularTrack, ScalerParams, fit_scaler, make_windows, scale
 
-MODEL_FORMAT_VERSION = 6
+MODEL_FORMAT_VERSION = 7
 
 # Windows per lockstep batch call, over all vessels of a stack.
 STACK_WINDOWS = 64
@@ -146,15 +149,16 @@ def _train_stack(stack: list[RegularTrack], cfg: RunConfig, workspace: Workspace
     scaler = fit_scaler(features)
     scaled = scale(features, scaler)
     windows = make_windows(scaled, m)
+    inputs, targets = (a.astype(np.float32) for a in (windows.inputs, windows.targets))
     rngs = [np.random.default_rng(vessel_seed(cfg.seed, s.vessel_id)) for s in stack]
-    net = init_network(hidden=cfg.hidden, rngs=rngs)
+    net = init_network(hidden=cfg.hidden, rngs=rngs, dtype=np.float32)
     opt = AdamState.for_network(net, cfg.lr)
     try:
         # a sigmoid's exp may overflow (1 / (1 + inf) = 0); a prediction
         # that turns non-finite is caught and named below
         with np.errstate(over="ignore", invalid="ignore"):
             epochs = [
-                train_epoch(net, windows.inputs, windows.targets, cfg.batch, cfg.dropout, rngs, opt, workspace)
+                train_epoch(net, inputs, targets, cfg.batch, cfg.dropout, rngs, opt, workspace)
                 for _ in range(cfg.epochs)
             ]
     except NonFiniteActivation as exc:
@@ -190,7 +194,8 @@ def train_fleet(tracks: list[RegularTrack], cfg: RunConfig) -> tuple[Fleet, dict
     per_stack = max(1, STACK_WINDOWS // cfg.batch)
     stacks, histories = [], {}
     for group in by_length.values():
-        workspace = Workspace()  # one per length: its stacks share batch shapes, other lengths' tails would pile up
+        # one per length: its stacks share batch shapes, other lengths' tails would pile up
+        workspace = Workspace(np.float32)
         for start in range(0, len(group), per_stack):
             stack, epochs = _train_stack(group[start : start + per_stack], cfg, workspace)
             stacks.append(stack)
@@ -218,21 +223,21 @@ def _numbers(value, shape: tuple, key: str) -> np.ndarray:
 
 def _weight_arrays(weights, z: int, hidden: int) -> list[np.ndarray]:
     """The (Z, ...) weight arrays, in `param_arrays()` order, of a weights
-    file's bytes for `z` vessels of `hidden` units: float64 views of
+    file's bytes for `z` vessels of `hidden` units: float32 views of
     `weights`, writable if it is. A buffer of another length is a
     BadWeights."""
     shapes = [(z, *shape) for shape in param_shapes(hidden)]
     sizes = [math.prod(shape) for shape in shapes]
-    if len(weights) != 8 * sum(sizes):
-        raise BadWeights(f"holds {len(weights)} bytes, where {z} vessels of hidden {hidden} need {8 * sum(sizes)}")
-    flat = np.frombuffer(weights, "<f8").astype(np.float64, copy=False)  # a copy only where float64 is big-endian
+    if len(weights) != 4 * sum(sizes):
+        raise BadWeights(f"holds {len(weights)} bytes, where {z} vessels of hidden {hidden} need {4 * sum(sizes)}")
+    flat = np.frombuffer(weights, "<f4").astype(np.float32, copy=False)  # a copy only where float32 is big-endian
     return [part.reshape(shape) for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
 
 
 # The run settings a fleet document holds.
 SETTINGS = ("period", "hidden")
 
-# Every key of a format-6 document: a reader never drops a field it does not know.
+# Every key of a format-7 document: a reader never drops a field it does not know.
 MODEL_KEYS = {"format_version", "vessel_ids", "train_end_time", "scaler", "last_training_window", *SETTINGS}
 
 
@@ -351,7 +356,7 @@ def save_fleet(fleet: Fleet, directory: str | Path, cfg: RunConfig, histories: d
     file and into its hash one at a time, as they are held."""
     directory = output_dir(directory)
     text = fleet_to_json(fleet).encode()
-    weights = [np.ascontiguousarray(a, dtype="<f8") for a in fleet.network.param_arrays()]
+    weights = [np.ascontiguousarray(a, dtype="<f4") for a in fleet.network.param_arrays()]
     digest = hashlib.sha256()
     for a in weights:
         digest.update(a)

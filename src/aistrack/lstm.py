@@ -26,15 +26,16 @@ arrays in that order; `init_network`, `fleet.join_fleets` and the fleet
 file reader (`fleet`) all go through them, so only the hidden size varies
 between networks. A fleet is one stack (`fleet.Fleet`), saved as one file
 of whole (Z, ...) arrays, so it has one hidden size by construction.
-Training's math is float64, so the finite-difference gradient check is
-tight; a rollout runs in the dtype of its network's parameters
-(`LstmNetwork.dtype`), which for association is a float32 cast.
+Training runs in the network's dtype (`LstmNetwork.dtype`, chosen by
+`init_network`), and so does a rollout: float32 in the product, which
+trains, saves and associates in it, and float64 in the finite-difference
+gradient check and the test oracles, which that keeps tight.
 
 `forward_batch`, `backward`, `AdamState.step` and `train_epoch` run the Z
-models on (Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`,
-`sum(axis=-2)`). Each vessel's slice goes through the same BLAS call and
-the same elementwise operations in the same order whatever Z is, so a stack
-trains bit for bit as Z one-vessel networks would; in training each
+models on (Z, B, m, k) windows with batched matmuls (`x[t]`, `.mT`, a row of
+ones for a bias's sum). Each vessel's slice goes through the same BLAS call
+and the same elementwise operations in the same order whatever Z is, so a
+stack trains bit for bit as Z one-vessel networks would; in training each
 vessel draws its shuffles and dropout masks from its own generator.
 
 The interface is batch-major, but training runs time-major (Appleyard et
@@ -55,12 +56,12 @@ batch-major, in the shape and order of each generator's draws, and moved to
 time-major.
 
 The backward pass walks the steps back and keeps only what the recurrence
-needs in its loop: each step writes dL/d(pre) over its spent gates and
-takes `dL/d(pre) @ U` for the step before. After the loop, each layer's
-dW, dU, db and input gradient (none for layer 0) are one product or sum
-over all m*B rows per vessel, where a per-step product would have only B
-rows. The sums behind those gradients are grouped differently from a sum
-of m per-step products, so the trained weights differ from the per-step
+needs in its loop: each step writes dL/d(pre) over its spent gates and takes
+`dL/d(pre) @ U` for the step before. After the loop, each layer's dW, dU, db
+and input gradient (none for layer 0) are one product over all m*B rows per
+vessel (db is a row of ones times them), where a per-step product would have
+only B rows. The sums behind those gradients are grouped differently from a
+sum of m per-step products, so the trained weights differ from the per-step
 form's in their last bits, and the gradients agree with it to a relative
 1e-12 (`tests/_lstm_oracle.py` keeps that form). The forward gives that
 form's bits from 10 rows per step on; at 8 rows or fewer BLAS groups its
@@ -104,6 +105,7 @@ not: its caller, `associate.rollout_positions`, checks the whole table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,14 +193,16 @@ def network_from_arrays(arrays: list[np.ndarray]) -> LstmNetwork:
     return LstmNetwork(layers=layers, dense_W=dense_W, dense_b=dense_b)
 
 
-def init_network(hidden: int, rngs: list[np.random.Generator]) -> LstmNetwork:
+def init_network(hidden: int, rngs: list[np.random.Generator], dtype=np.float64) -> LstmNetwork:
     """The paper's three residual layers and (lat, lon) head for each of
-    Z = len(rngs) vessels: Glorot-uniform weights, each vessel's drawn from
-    its own generator, zero biases except forget gate bias = 1."""
+    Z = len(rngs) vessels, in `dtype`: Glorot-uniform weights, each vessel's
+    drawn from its own generator in float64 and cast, zero biases except
+    forget gate bias = 1."""
     arrays = []
     for shape in param_shapes(hidden):
         lim = np.sqrt(6.0 / sum(shape))
-        arrays.append(_per_vessel(rngs, lambda r: np.zeros(shape) if shape[0] == 1 else r.uniform(-lim, lim, shape)))
+        draw = _per_vessel(rngs, lambda r: np.zeros(shape) if shape[0] == 1 else r.uniform(-lim, lim, shape))
+        arrays.append(draw.astype(dtype, copy=False))
     net = network_from_arrays(arrays)
     for layer in net.layers:
         layer.b[..., hidden : 2 * hidden] = 1.0  # forget gate
@@ -226,15 +230,15 @@ class ForwardCache:
 
 class Workspace:
     """The arrays that `forward_batch`, `backward` and a rollout write, kept
-    from one call or step to the next, all of one dtype: float64, or the
-    rollout network's. `array(name, shape)`
-    returns the array it last gave for that name and shape, holding whatever
-    was last written to it, or makes one; another shape, such as an epoch's
-    last, shorter batch, gets its own arrays under the same names. Training
-    keeps one per training length for all its stacks, batches and epochs,
-    so that after the first batch of each shape a step allocates nothing
-    large: at batch 128, arrays allocated and freed every batch are handed
-    back to the kernel by the C library and faulted in again on the next."""
+    from one call or step to the next, all of one dtype, their network's.
+    `array(name, shape)` returns the array it last gave for that name and
+    shape, holding whatever was last written to it, or makes one; another
+    shape, such as an epoch's last, shorter batch, gets its own arrays under
+    the same names. Training keeps one per training length for all its
+    stacks, batches and epochs, so that after the first batch of each shape
+    a step allocates nothing large: at batch 128, arrays allocated and freed
+    every batch are handed back to the kernel by the C library and faulted
+    in again on the next."""
 
     def __init__(self, dtype=np.float64) -> None:
         self.dtype = np.dtype(dtype)
@@ -328,13 +332,14 @@ def forward_batch(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the Z vessels' networks on (Z, B, m, k) windows; returns (Z, B,
     out_dim) predictions and the cache `backward` reads. Training's `dropout`
-    rate above 0 takes one generator per vessel. The cache's arrays live in
-    `workspace` (None: a fresh one), so the prediction and cache are valid
-    until the next `forward_batch` on that workspace."""
-    windows = np.asarray(windows, dtype=np.float64)
+    rate above 0 takes one generator per vessel. Everything runs in the
+    network's dtype, the windows cast to it. The cache's arrays live in
+    `workspace` (None: a fresh one of that dtype), so the prediction and
+    cache are valid until the next `forward_batch` on that workspace."""
+    windows = np.asarray(windows, dtype=net.dtype)
     if windows.ndim != 4 or windows.shape[0] != net.vessels or windows.shape[-1] != net.input_dim:
         raise CacheMismatch(f"expected ({net.vessels}, B, m, {net.input_dim}) input, got {windows.shape}")
-    ws = Workspace() if workspace is None else workspace
+    ws = Workspace(net.dtype) if workspace is None else workspace
     cache = ForwardCache()
     Z, B, m, k = windows.shape
     seq = ws.array("x", (m, Z, B, k))
@@ -348,13 +353,15 @@ def forward_batch(
             if dropout > 0:
                 if rngs is None or len(rngs) != net.vessels:
                     raise ValueError("a forward with dropout needs one generator per vessel")
-                # drawn batch-major, (B, m, h) per vessel, then moved to
-                # time-major; each draw d becomes (d < keep) / keep in place
+                # drawn batch-major, (B, m, h) per vessel, in the network's
+                # dtype (a float32 draw is another stream than a float64
+                # one), then moved to time-major; each draw d becomes
+                # (d < keep) / keep in place
                 n = out.shape[-1]
                 keep = 1.0 - dropout
                 draws = ws.array(("mask", li), (Z, B, m, n))
                 for z, r in enumerate(rngs):
-                    r.random(out=draws[z])
+                    r.random(out=draws[z], dtype=draws.dtype)
                 np.less(draws, keep, out=draws)
                 np.divide(draws, keep, out=draws)
                 mask = np.moveaxis(draws, -2, 0)
@@ -429,7 +436,7 @@ def _layer_backward(
     dpre = _vessel_rows(lc.gates, ws, "dpre")
     dW = dpre.mT @ _vessel_rows(lc.x, ws, "x_rows")
     dU = dpre[:, B:].mT @ _vessel_rows(lc.h[:-1], ws, "h_rows")  # rows from t = 1 on
-    db = dpre.sum(axis=-2, keepdims=True)
+    db = np.ones((1, m * B), dpre.dtype) @ dpre  # one BLAS call, several times faster than dpre.sum(axis=-2)
     dX = None
     if li > 0:  # back to time-major: a view, which only elementwise operations read
         dX_rows = np.matmul(dpre, layer.W, out=ws.array(("dX", li), (Z, m * B, layer.d_in)))
@@ -442,17 +449,18 @@ def backward(
 ) -> list[np.ndarray]:
     """Each vessel's exact gradients of its own batch-mean MSE loss on
     (Z, B, out_dim) targets, same ordering (and shapes) as
-    net.param_arrays(), each a new array; the scratch lives in `workspace`
-    (None: a fresh one). The cache's gates are overwritten, so a cache backs
-    one call: a second is a CacheMismatch."""
-    targets = np.asarray(targets, dtype=np.float64)
+    net.param_arrays(), each a new array in the network's dtype; the
+    scratch lives in `workspace` (None: a fresh one of that dtype). The
+    cache's gates are overwritten, so a cache backs one call: a second is a
+    CacheMismatch."""
+    targets = np.asarray(targets, dtype=net.dtype)
     pred = cache.prediction
     if pred is None:
         raise CacheMismatch("no prediction in the cache: a forward cache backs one backward call")
     if pred.shape != targets.shape:
         raise CacheMismatch(f"prediction {pred.shape} vs targets {targets.shape}")
     cache.prediction = None
-    ws = Workspace() if workspace is None else workspace
+    ws = Workspace(net.dtype) if workspace is None else workspace
     B = pred.shape[-2]
     # loss = mean over batch and output dims of (pred - target)^2
     d_pred = 2.0 * (pred - targets) / (B * net.out_dim)
@@ -482,7 +490,8 @@ ADAM_EPSILON = 1e-8
 @dataclass
 class AdamState:
     """Adaptive moment estimation state, one slot per parameter array, and
-    the learning rate."""
+    the learning rate. The moments and every update keep their parameter's
+    dtype."""
 
     m: list[np.ndarray]
     v: list[np.ndarray]
@@ -497,7 +506,9 @@ class AdamState:
     def step(self, net: LstmNetwork, grads: list[np.ndarray]) -> None:
         self.t += 1
         b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
-        correction = np.sqrt(1 - b2**self.t) / (1 - b1**self.t)
+        # a Python float: an np.float64 scalar would make a float32
+        # parameter's update a float64 array (NEP 50)
+        correction = math.sqrt(1 - b2**self.t) / (1 - b1**self.t)
         for param, grad, m, v in zip(net.param_arrays(), grads, self.m, self.v):
             m *= b1
             m += (1 - b1) * grad

@@ -120,7 +120,7 @@ def _files(trained):
     """The fleet file text of `trained` and its weights file's bytes, as
     `save_fleet` writes them."""
     arrays = trained.network.param_arrays()
-    return fleet_to_json(trained), bytearray(b"".join(a.astype("<f8").tobytes() for a in arrays))
+    return fleet_to_json(trained), bytearray(b"".join(a.astype("<f4").tobytes() for a in arrays))
 
 
 def _scaler_set(bound: str, feature: int, value: float, vessel: int = 0):
@@ -195,7 +195,7 @@ class TestPersistence:
         text, weights = _files(_train_one(_series(), _cfg())[0])
         doc = json.loads(text)
         doc[key] = value
-        with pytest.raises(BadModel, match=f"holds '{key}', a key format 6 does not have"):
+        with pytest.raises(BadModel, match=f"holds '{key}', a key format 7 does not have"):
             fleet_from_json(json.dumps(doc), weights)
 
     def test_version_mismatch_rejected(self):
@@ -287,18 +287,19 @@ class TestPersistence:
             load_fleet(tmp_path)
 
     def test_weights_round_trip_bit_for_bit(self, tmp_path):
-        # signed zero, the smallest subnormal, the largest float, a negative
+        # signed zero, the smallest subnormal, the largest float32, a negative
         # subnormal, in big-endian input order
-        values = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1e-310], dtype=">f8")
+        f32 = np.finfo(np.float32)
+        values = np.array([-0.0, f32.smallest_subnormal, f32.max, -1e-40], dtype=">f4")
         trained, histories = train_fleet([_series()], _cfg())
-        dense_W = trained.network.dense_W.astype(">f8")  # (1, 2, 8)
+        dense_W = trained.network.dense_W.astype(">f4")  # (1, 2, 8)
         dense_W[0, 0, :4] = values
         trained.network.dense_W = dense_W
         save_fleet(trained, tmp_path, _cfg(), histories)
         loaded = load_fleet(tmp_path)
         back = loaded.network.dense_W
-        assert back.dtype == np.float64 and back.dtype.isnative and back.flags.writeable
-        np.testing.assert_array_equal(back[0, 0, :4].view("<u8"), values.astype("<f8").view("<u8"))
+        assert back.dtype == np.float32 and back.dtype.isnative and back.flags.writeable
+        np.testing.assert_array_equal(back[0, 0, :4].view("<u4"), values.astype("<f4").view("<u4"))
         np.testing.assert_array_equal(back, dense_W)
         # the arrays are views of the one buffer the file was read into
         arrays = loaded.network.param_arrays()
@@ -312,20 +313,20 @@ class TestPersistence:
             doc["format_version"] = 1
             (tmp_path / name).write_text(json.dumps(doc))
         weights = bytearray((tmp_path / "weights.bin").read_bytes())
-        with pytest.raises(VersionMismatch, match="format 1, expected 6: retrain with `aistrack train`$"):
+        with pytest.raises(VersionMismatch, match="format 1, expected 7: retrain with `aistrack train`$"):
             fleet_from_json((tmp_path / "fleet.json").read_text(), weights)
-        with pytest.raises(VersionMismatch, match="format 1, expected 6: retrain with `aistrack train`$"):
+        with pytest.raises(VersionMismatch, match="format 1, expected 7: retrain with `aistrack train`$"):
             load_fleet(tmp_path)
 
     @pytest.mark.parametrize(
         "corrupt, file, named",
         [
             (lambda doc, w: doc.pop("hidden"), "fleet.json", "'hidden'"),  # a missing key
-            (lambda doc, w: w.extend(bytes(8)), "weights.bin",
-             "holds 24360 bytes, where 2 vessels of hidden 8 need 24352"),
-            # format 4's architecture keys, at any value: format 6 pins `lstm`'s one architecture
-            (lambda doc, w: doc.update(n_layers=0), "fleet.json", "holds 'n_layers', a key format 6 does not have"),
-            (lambda doc, w: doc.update(residual=False), "fleet.json", "holds 'residual', a key format 6"),
+            (lambda doc, w: w.extend(bytes(4)), "weights.bin",
+             "holds 12180 bytes, where 2 vessels of hidden 8 need 12176"),
+            # format 4's architecture keys, at any value: format 7 pins `lstm`'s one architecture
+            (lambda doc, w: doc.update(n_layers=0), "fleet.json", "holds 'n_layers', a key format 7 does not have"),
+            (lambda doc, w: doc.update(residual=False), "fleet.json", "holds 'residual', a key format 7"),
             (lambda doc, w: doc.update(period="5.0"), "fleet.json", "period"),
             # an int no float can hold, not written out
             (lambda doc, w: doc.update(period=10**400), "fleet.json",
@@ -359,9 +360,9 @@ class TestPersistence:
              "vessel v0: scaler LAT range [-1.7e+308, 1.7e+308] is not one AIS rows can give"),
             (_scaler_set("max", 1, 180.5, vessel=1), "fleet.json", "vessel v1: scaler LON range"),
             (_scaler_set("min", 2, 1e6), "fleet.json", "scaler SPEED range [1000000.0, "),  # min above max
-            (lambda doc, w: doc.update(out_dim=3), "fleet.json", "holds 'out_dim', a key format 6 does not have"),
-            (_k_1, "fleet.json", "holds 'k', a key format 6 does not have"),
-            (lambda doc, w: doc.update(n_layers=2), "fleet.json", "holds 'n_layers', a key format 6 does not have"),
+            (lambda doc, w: doc.update(out_dim=3), "fleet.json", "holds 'out_dim', a key format 7 does not have"),
+            (_k_1, "fleet.json", "holds 'k', a key format 7 does not have"),
+            (lambda doc, w: doc.update(n_layers=2), "fleet.json", "holds 'n_layers', a key format 7 does not have"),
         ],
         ids=["missing_key", "wrong_length", "no_layers", "not_residual",
              "period_string", "period_huge_int", "scaler_huge_int", "vessel_id_comma", "vessel_id_whitespace",
@@ -403,11 +404,13 @@ class TestPersistence:
 
 
 def _reference_training(series, cfg):
-    """One vessel trained alone with its own loop of forward_batch,
-    backward and AdamState.step: what a lockstep stack must reproduce."""
+    """One vessel trained alone, in float32 as `fleet` trains, with its own
+    loop of forward_batch, backward and AdamState.step: what a lockstep
+    stack must reproduce."""
     windows = make_windows(scale(series.features, fit_scaler(series.features)), cfg.window)
+    inputs, targets = windows.inputs.astype(np.float32), windows.targets.astype(np.float32)
     rng = np.random.default_rng(vessel_seed(cfg.seed, series.vessel_id))
-    net = init_network(hidden=cfg.hidden, rngs=[rng])
+    net = init_network(hidden=cfg.hidden, rngs=[rng], dtype=np.float32)
     opt = AdamState.for_network(net, cfg.lr)
     history = []
     for _ in range(cfg.epochs):
@@ -415,7 +418,7 @@ def _reference_training(series, cfg):
         total = 0.0
         for start in range(0, len(windows), cfg.batch):
             idx = order[start : start + cfg.batch]
-            x, y = windows.inputs[idx][None], windows.targets[idx][None]
+            x, y = inputs[idx][None], targets[idx][None]
             pred, cache = forward_batch(net, x, cfg.dropout, [rng])
             total += float(np.sum(np.mean((pred - y) ** 2, axis=-1)))
             opt.step(net, backward(net, cache, y))
@@ -470,11 +473,11 @@ def test_vessel_seed_is_stable_and_distinct():
 
 
 def test_save_and_load_peak_memory_stays_near_the_weights(tmp_path):
-    # the wide_horizon fleet: 24 vessels of hidden 32, about 4.1 MB of
-    # weights; each file is written from and read into one buffer of its
-    # own, so neither stage holds a second copy of the weights
+    # the wide_horizon fleet: 24 vessels of hidden 32, about 2.05 MB of
+    # float32 weights; each file is written from and read into one buffer
+    # of its own, so neither stage holds a second copy of the weights
     z, window = 24, 10
-    net = init_network(hidden=32, rngs=[np.random.default_rng(i) for i in range(z)])
+    net = init_network(hidden=32, rngs=[np.random.default_rng(i) for i in range(z)], dtype=np.float32)
     stack = Fleet(
         vessel_ids=[f"v{i:02d}" for i in range(z)],
         network=net,
@@ -496,5 +499,5 @@ def test_save_and_load_peak_memory_stays_near_the_weights(tmp_path):
             peaks[stage] = (tracemalloc.get_traced_memory()[1] - before) / weights
     finally:
         tracemalloc.stop()
-    assert weights > 4_000_000
+    assert weights > 2_000_000
     assert peaks["save_fleet"] < 1.5 and peaks["load_fleet"] < 1.5, peaks

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -33,10 +34,10 @@ from aistrack.lstm import (
 )
 
 
-def small_net(seed=1, hidden=8):
+def small_net(seed=1, hidden=8, dtype=np.float64):
     """One vessel's network, or with a tuple of seeds one vessel's per seed."""
     seeds = seed if isinstance(seed, tuple) else (seed,)
-    return init_network(hidden=hidden, rngs=[np.random.default_rng(s) for s in seeds])
+    return init_network(hidden=hidden, rngs=[np.random.default_rng(s) for s in seeds], dtype=dtype)
 
 
 def vessel_count(several):
@@ -193,6 +194,29 @@ class TestBackward:
         with pytest.raises(CacheMismatch):
             lstm.backward(net, cache, np.zeros((1, 3, 2)))
 
+    def test_float32_backward_agrees_with_float64(self):
+        # the dtype training runs in against float64 on the same weights,
+        # widened exactly, and the same float32 windows and targets, at
+        # paper_fleet's stack size. The prediction and each gradient are
+        # within 1e-5 of their array's largest magnitude, about 84 float32
+        # eps: rounding adds up over 10 steps, 3 layers and the m*B = 100
+        # rows of each product (ten draws gave at most 3 eps).
+        seeds = tuple(range(200, 205))
+        net = small_net(seed=seeds, hidden=32, dtype=np.float32)
+        # drawn as in float64, then cast
+        for a, b in zip(net.param_arrays(), small_net(seed=seeds, hidden=32).param_arrays(), strict=True):
+            assert a.dtype == np.float32 and np.array_equal(a, b.astype(np.float32))
+        widened = network_from_arrays([a.astype(np.float64) for a in net.param_arrays()])
+        data = np.random.default_rng(210)
+        x, y = data.random((5, 10, 10, 4)).astype(np.float32), data.random((5, 10, 2)).astype(np.float32)
+        pred, cache = forward_batch(net, x)
+        want_pred, want_cache = forward_batch(widened, x)
+        assert {lc.gates.dtype for lc in cache.layer_caches} == {np.dtype(np.float32)}
+        grads, want = lstm.backward(net, cache, y), lstm.backward(widened, want_cache, y)
+        for got, expected in zip([pred, *grads], [want_pred, *want], strict=True):
+            assert got.dtype == np.float32
+            assert np.abs(got - expected).max() <= 1e-5 * np.abs(expected).max()
+
 
 def _toy_data(rng, n=24, m=6):
     """One vessel's n windows and targets."""
@@ -254,6 +278,30 @@ class TestTrainEpoch:
         rngs = [np.random.default_rng(0)]
         (first,), *_, (last,) = [train_epoch(net, inputs, targets, 10, 0.0, rngs, opt) for _ in range(100)]
         assert last < 0.1 * first
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_keeps_the_parameter_dtype(dtype):
+    # every moment and update is computed in its parameter's dtype: with an
+    # np.float64 bias correction, a float32 parameter's update was a
+    # float64 array, rounded to float32 only by the in-place subtraction
+    net = small_net(seed=220, dtype=dtype)
+    opt = AdamState.for_network(net, 1e-3)
+    data = np.random.default_rng(221)
+    want = [a.copy() for a in net.param_arrays()]
+    m, v = [np.zeros_like(a) for a in want], [np.zeros_like(a) for a in want]
+    b1, b2 = lstm.ADAM_BETA1, lstm.ADAM_BETA2
+    for t in (1, 2):
+        grads = [data.standard_normal(a.shape).astype(dtype) for a in want]
+        opt.step(net, grads)
+        rate = 1e-3 * (math.sqrt(1 - b2**t) / (1 - b1**t))
+        for p, g, m_p, v_p in zip(want, grads, m, v):
+            m_p[...] = m_p * dtype(b1) + dtype(1 - b1) * g
+            v_p[...] = v_p * dtype(b2) + dtype(1 - b2) * g**2
+            p -= dtype(rate) * m_p / (np.sqrt(v_p) + dtype(lstm.ADAM_EPSILON))
+        for got, expected in [(net.param_arrays(), want), (opt.m, m), (opt.v, v)]:
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == dtype and np.array_equal(a, b)
 
 
 class TestWorkspace:
@@ -404,16 +452,12 @@ def test_in_place_rollout_gives_the_allocating_rollouts_bits(Z, m, clamped):
     np.testing.assert_array_equal(rollout(net, win, 60), oracle)
 
 
-def _float32(net):
-    return lstm.network_from_arrays([a.astype(np.float32) for a in net.param_arrays()])
-
-
 @pytest.mark.parametrize("clamped", [False, True])
 def test_float32_network_rolls_out_in_float32(clamped):
     # the rollout's state, weight copies, scratch and predictions take the
     # network's dtype; the in-place ring gives the allocating ring's bits,
     # and a stack each vessel's own rollout's
-    net = _float32(small_net(seed=(150, 151, 152), hidden=16))
+    net = small_net(seed=(150, 151, 152), hidden=16, dtype=np.float32)
     if clamped:
         _expansive(net, 1)
     win = np.random.default_rng(153).random((3, 10, 4))
