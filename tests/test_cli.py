@@ -1310,12 +1310,14 @@ F32 = np.finfo(np.float32)
 
 @pytest.mark.parametrize(
     "value",
-    [float(F32.max), -float(F32.max), float(F32.smallest_subnormal), math.nan, math.inf, -math.inf],
-    ids=["max", "minus_max", "subnormal", "nan", "inf", "minus_inf"],
+    [float(F32.max), -float(F32.max), float(F32.smallest_subnormal), math.nan, math.inf, -math.inf,
+     3.0e38, -3.0e38],
+    ids=["max", "minus_max", "subnormal", "nan", "inf", "minus_inf", "inside_float32", "minus_inside_float32"],
 )
 def test_every_weight_array_at_an_extreme_is_one_error_line_or_finite(trained, tmp_path, capsys, value):
     # the first value of each weight array, the first vessel's, and its last,
-    # the last vessel's, set to `value`, one of float32's extremes, in turn
+    # the last vessel's, set to `value`, one of float32's extremes or a large
+    # finite weight inside its range, in turn
     models = tmp_path / "models"
     shutil.copytree(trained / "models", models)
     raw = (models / "weights.bin").read_bytes()
